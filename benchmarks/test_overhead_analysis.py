@@ -51,17 +51,27 @@ def test_overhead_remote_deployment_per_inference(benchmark):
 
     report = benchmark.pedantic(run, rounds=1, iterations=1)
 
+    # Only the simulated quantities are persisted; the agent compute is
+    # host wall-clock time, so its rows are printed but kept out of the
+    # committed results file.
     table = format_table(
         ["quantity", "value"],
         [
             ["frames", str(report.frames)],
-            ["agent compute per decision (ms)", f"{report.agent_compute_ms_per_decision:.3f}"],
             ["channel latency per message (ms)", f"{report.channel_ms_per_message:.3f}"],
             ["messages per frame", f"{report.messages_per_frame:.1f}"],
-            ["total overhead per frame (ms)", f"{report.total_overhead_ms_per_frame:.2f}"],
         ],
     )
     emit("overhead_analysis", table)
+    print(
+        format_table(
+            ["wall-clock quantity", "value"],
+            [
+                ["agent compute per decision (ms)", f"{report.agent_compute_ms_per_decision:.3f}"],
+                ["total overhead per frame (ms)", f"{report.total_overhead_ms_per_frame:.2f}"],
+            ],
+        )
+    )
 
     # Two decisions per frame -> 4 messages (state up + action down, twice).
     assert report.messages_per_frame == pytest.approx(4.0)

@@ -19,6 +19,9 @@ implementation of
 * :mod:`repro.rl.dqn` — a generic DQN learner (online + target network,
   epsilon-greedy action selection, Huber TD loss) that both the Lotus agent
   and the zTT baseline build on.
+* :mod:`repro.rl.legacy` — the frozen pre-vectorization hot path (deque
+  replay, mask-padded gradients), kept only as the equivalence oracle the
+  seed-for-seed tests compare against; not exported.
 """
 
 from repro.rl.dqn import DqnConfig, DqnLearner

@@ -4,15 +4,10 @@ These classes preserve, verbatim in behaviour, the original pure-Python DQN
 hot path that the ring-buffer replay and the sliced-gradient training pass
 replaced: a ``deque``-of-:class:`Transition` replay buffer with per-object
 sampling, full-shape zero-padded gradients with boolean masks, and the
-masked (fancy-indexed) optimizer update.  They serve two purposes:
-
-* **recorded baseline** — :mod:`repro.perf.benchmarks` times them next to
-  the current implementations in the same process, so every ``BENCH_*.json``
-  speedup is measured against the genuine pre-refactor code rather than a
-  stale number from different hardware;
-* **equivalence oracle** — the seed-for-seed tests drive a full Lotus
-  session through this path and assert the vectorized path produces the
-  exact same losses, rewards and traces.
+masked (fancy-indexed) optimizer update.  They serve as the **equivalence
+oracle**: the seed-for-seed tests drive a full Lotus session through this
+path and assert the vectorized path produces the exact same losses, rewards
+and traces.
 
 Do not "optimise" this module; its slowness is the point.
 """

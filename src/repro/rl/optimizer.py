@@ -9,8 +9,8 @@ estimates, in the case of Adam).
 Three entry points share one moment store:
 
 * :meth:`Optimizer.step` — full-shape gradients with optional boolean masks
-  (the historical interface, kept for compatibility and as the frozen
-  baseline in :mod:`repro.perf.legacy`).
+  (the historical interface, kept for compatibility and for the frozen
+  equivalence oracle in :mod:`repro.rl.legacy`).
 * :meth:`Optimizer.step_sliced` — gradients already sliced to the active
   extents plus an index region per parameter; parameters and moments are
   updated through contiguous views with reusable scratch buffers — no

@@ -1,6 +1,6 @@
 """Command-line interface of the experiment runtime (``python -m repro``).
 
-Eleven subcommands drive the engine without writing any code:
+Ten subcommands drive the engine without writing any code:
 
 * ``run`` — execute one experiment cell and print its summary metrics.
 * ``sweep`` — expand a (devices × detectors × datasets × methods × seeds)
@@ -26,10 +26,6 @@ Eleven subcommands drive the engine without writing any code:
 * ``cache`` — inspect (``info``/``list``), clear or ``prune`` the result
   cache (``--keep-latest`` / ``--max-age-days``; add ``--dry-run`` to see
   what prune would remove without deleting anything).
-* ``bench`` — run a :mod:`repro.perf` microbenchmark suite (``--suite rl``,
-  ``--suite fleet``, ``--suite shards``, ``--suite faults``,
-  ``--suite store``, ``--suite pool`` or ``--suite obs``) and write the
-  ``BENCH_*.json`` perf-trajectory report.
 * ``obs`` — inspect recorded observability runs: ``obs list`` names the
   runs under the obs directory, ``obs report`` renders one run's spans,
   counters and exact percentiles (default: the latest run).
@@ -71,14 +67,11 @@ Examples::
     python -m repro devices
     python -m repro cache info
     python -m repro cache prune --keep-latest 200 --dry-run
-    python -m repro bench --suite fleet --quick
     python -m repro scenario run cctv-burst --faults plan.json
     python -m repro fleet run cctv-burst --shards 2 --supervised \
         --faults plan.json --report resilience.json
-    python -m repro bench --suite faults --quick
     python -m repro fleet run cctv-burst --shards 2 --obs
     python -m repro obs report
-    python -m repro bench --suite obs --quick
 """
 
 from __future__ import annotations
@@ -596,70 +589,6 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf import (
-        DEFAULT_FAULTS_OUTPUT,
-        DEFAULT_FLEET_OUTPUT,
-        DEFAULT_OBS_OUTPUT,
-        DEFAULT_OUTPUT,
-        DEFAULT_POOL_OUTPUT,
-        DEFAULT_SHARD_OUTPUT,
-        DEFAULT_STORE_OUTPUT,
-        FLEET_SPEEDUP_TARGETS,
-        format_report,
-        run_bench_suite,
-        run_fault_bench_suite,
-        run_fleet_bench_suite,
-        run_obs_bench_suite,
-        run_pool_bench_suite,
-        run_shard_bench_suite,
-        run_store_bench_suite,
-        write_fault_report,
-        write_fleet_report,
-        write_obs_report,
-        write_pool_report,
-        write_report,
-        write_shard_report,
-        write_store_report,
-    )
-
-    if args.suite == "obs":
-        report, extra = run_obs_bench_suite(quick=args.quick)
-        print(format_report(report))
-        print(
-            f"\nobs-on overhead: {extra['overhead_pct']:.2f} % "
-            f"({'within' if extra['within_target'] else 'OVER'} the "
-            f"{extra['overhead_target_pct']:.0f} % target)"
-        )
-        path = write_obs_report(report, extra, args.output or DEFAULT_OBS_OUTPUT)
-    elif args.suite == "faults":
-        report, extra = run_fault_bench_suite(quick=args.quick)
-        print(format_report(report))
-        path = write_fault_report(report, extra, args.output or DEFAULT_FAULTS_OUTPUT)
-    elif args.suite == "pool":
-        report, extra = run_pool_bench_suite(quick=args.quick)
-        print(format_report(report))
-        path = write_pool_report(report, extra, args.output or DEFAULT_POOL_OUTPUT)
-    elif args.suite == "store":
-        report, extra = run_store_bench_suite(quick=args.quick)
-        print(format_report(report))
-        path = write_store_report(report, extra, args.output or DEFAULT_STORE_OUTPUT)
-    elif args.suite == "shards":
-        report = run_shard_bench_suite(quick=args.quick)
-        print(format_report(report))
-        path = write_shard_report(report, args.output or DEFAULT_SHARD_OUTPUT)
-    elif args.suite == "fleet":
-        report = run_fleet_bench_suite(quick=args.quick)
-        print(format_report(report, targets=FLEET_SPEEDUP_TARGETS))
-        path = write_fleet_report(report, args.output or DEFAULT_FLEET_OUTPUT)
-    else:
-        report = run_bench_suite(quick=args.quick)
-        print(format_report(report))
-        path = write_report(report, args.output or DEFAULT_OUTPUT)
-    print(f"\nwrote {path}")
-    return 0
-
-
 def _cmd_cache(args: argparse.Namespace) -> int:
     import time
 
@@ -1149,31 +1078,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="obs run directory (default: REPRO_OBS_DIR or <cache>/obs)",
     )
     obs_report.set_defaults(func=_cmd_obs)
-
-    bench = subparsers.add_parser(
-        "bench",
-        help="run a perf microbenchmark suite and write BENCH_*.json",
-    )
-    bench.add_argument(
-        "--suite",
-        choices=("rl", "fleet", "shards", "faults", "store", "pool", "obs"),
-        default="rl",
-        help="which suite to run: the RL hot path (BENCH_PR2.json), the "
-        "fleet engine (BENCH_PR3.json), shard scaling (BENCH_PR6.json), "
-        "fault tolerance (BENCH_PR7.json), the trace store "
-        "(BENCH_PR8.json), the persistent worker pool (BENCH_PR9.json) "
-        "or the obs overhead suite (BENCH_PR10.json)",
-    )
-    bench.add_argument(
-        "--quick", action="store_true",
-        help="CI smoke mode: fewer iterations, shorter sessions",
-    )
-    bench.add_argument(
-        "--output", default=None,
-        help="report path (default: the suite's BENCH_*.json in the current "
-        "directory)",
-    )
-    bench.set_defaults(func=_cmd_bench)
 
     return parser
 

@@ -7,9 +7,9 @@ objects into :class:`~repro.core.training.SessionResult` objects, using:
   work is scheduled (and updated after every completed job), and
 * the shared persistent worker pool (:mod:`repro.runtime.pool`) for
   ``max_workers > 1`` — workers are spawned once per process and reused
-  across ``run()`` calls instead of rebuilt per call — with a deterministic
-  in-process serial path for ``max_workers = 1`` and a per-call
-  ``ProcessPoolExecutor`` fallback when ``REPRO_POOL=0``.
+  across ``run()`` calls instead of rebuilt per call (a private single-use
+  pool when ``REPRO_POOL=0``) — with a deterministic in-process serial path
+  for ``max_workers = 1``.
 
 Every job is fully self-describing and freshly seeded, so the parallel and
 serial paths produce identical results; the engine preserves the input
@@ -19,7 +19,6 @@ order of the jobs in its output regardless of completion order.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
@@ -28,7 +27,7 @@ from repro.errors import ExperimentError
 from repro.runtime.cache import ResultCache
 from repro.runtime.job import ExperimentJob
 from repro.obs import bus as _obs
-from repro.runtime.pool import PoolTask, pool_enabled, shared_pool
+from repro.runtime.pool import PoolTask, acquire_pool
 
 #: Environment variable consulted by :func:`default_worker_count`.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -61,21 +60,6 @@ def execute_job(job: ExperimentJob) -> SessionResult:
         domain_datasets=job.domain_datasets,
         faults=job.faults,
     )
-
-
-def _execute_job_observed(job: ExperimentJob):
-    """Pool-executor wrapper: run a job and return its obs snapshot too.
-
-    Used by the :class:`ProcessPoolExecutor` fallback when the parent is
-    observing — executor workers have no pipe protocol to ride the obs
-    flag on, so it travels in the submitted callable instead.
-    """
-    _obs.enable(fresh=True)
-    try:
-        result = execute_job(job)
-        return result, _obs.registry().snapshot()
-    finally:
-        _obs.disable()
 
 
 def scenario_jobs(scenario, num_sessions: int | None = None) -> List[ExperimentJob]:
@@ -249,39 +233,25 @@ class ExperimentRuntime:
             if self.max_workers == 1 or len(pending) <= 1:
                 for index in pending:
                     finish(index, execute_job(jobs[index]))
-            elif pool_enabled():
-                # The shared persistent pool: spawned once per process, reused
-                # across run() calls, clamped to the CPU count and scheduled
-                # in waves when pending jobs exceed workers.
-                pool = shared_pool()
-                pool.ensure_workers(min(self.max_workers, len(pending)))
+            else:
+                # The shared persistent pool (spawned once per process, reused
+                # across run() calls) or, under REPRO_POOL=0, a private
+                # single-use one; either is clamped to the CPU count and
+                # schedules pending jobs in waves when they exceed workers.
                 tasks = [
                     PoolTask(kind="job", args=(jobs[index],)) for index in pending
                 ]
-                pool.run_tasks(
-                    tasks,
-                    on_result=lambda position, result: finish(
-                        pending[position], result
-                    ),
-                )
-            else:
-                workers = min(
-                    self.max_workers, len(pending), max(1, os.cpu_count() or 1)
-                )
-                observing = _obs.active()
-                target = _execute_job_observed if observing else execute_job
-                with ProcessPoolExecutor(max_workers=workers) as pool:
-                    futures = {
-                        index: pool.submit(target, jobs[index]) for index in pending
-                    }
-                    for index in pending:
-                        outcome = futures[index].result()
-                        if observing:
-                            result, snapshot = outcome
-                            _obs.registry().merge(snapshot, origin="executor")
-                        else:
-                            result = outcome
-                        finish(index, result)
+                pool, owned = acquire_pool(min(self.max_workers, len(pending)))
+                try:
+                    pool.run_tasks(
+                        tasks,
+                        on_result=lambda position, result: finish(
+                            pending[position], result
+                        ),
+                    )
+                finally:
+                    if owned:
+                        pool.shutdown()
 
         if any(result is None for result in results):
             raise ExperimentError("internal error: not every job produced a result")

@@ -56,8 +56,7 @@ resumes from its spooled checkpoint exactly as PR 7's round-based
 supervisor did.
 
 ``REPRO_POOL=0`` disables the shared pool: entry points fall back to a
-private single-use pool per call (still clamped and wave-scheduled), which
-is also how the bench suite measures the cold baseline.
+private single-use pool per call (still clamped and wave-scheduled).
 """
 
 from __future__ import annotations

@@ -73,7 +73,6 @@ def test_print_lint_detects_stray_prints(tmp_path):
     check_no_print = _load_tool("check_no_print")
     package = tmp_path / "repro"
     (package / "runtime").mkdir(parents=True)
-    (package / "perf").mkdir()
     (package / "core.py").write_text(
         '"""print("in a docstring") is fine."""\n'
         "# print(\"in a comment\") is fine\n"
@@ -83,9 +82,6 @@ def test_print_lint_detects_stray_prints(tmp_path):
     )
     (package / "runtime" / "cli.py").write_text(
         "print('the CLI is allowed to print')\n", encoding="utf-8"
-    )
-    (package / "perf" / "bench.py").write_text(
-        "print('benchmarks are allowed to print')\n", encoding="utf-8"
     )
     problems = check_no_print.check(package)
     assert problems == ["src/repro/core.py:4"]

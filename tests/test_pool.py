@@ -141,15 +141,24 @@ class TestWarmStateIsolation:
         assert shared_pool().stats["warm_hits"] > warm_hits
         assert_traces_identical(second.fleet_trace, first.fleet_trace)
 
-    def test_runtime_jobs_on_pool_match_serial(self):
+    def test_runtime_jobs_on_pool_match_serial(self, monkeypatch):
         jobs = [
             ExperimentJob(setting=ExperimentSetting(num_frames=6, seed=s), method=m)
             for s, m in ((0, "default"), (1, "ztt"), (2, "default"))
         ]
         serial = ExperimentRuntime(max_workers=1, cache=None).run_jobs(jobs)
-        pooled = ExperimentRuntime(max_workers=2, cache=None).run_jobs(jobs)
-        for mine, theirs in zip(pooled, serial):
-            assert pickle.dumps(mine) == pickle.dumps(theirs)
+        # REPRO_POOL=0 runs the jobs on a private pool; unset, on the shared one.
+        for pool_env in ("0", None):
+            if pool_env is None:
+                monkeypatch.delenv(POOL_ENV)
+            else:
+                monkeypatch.setenv(POOL_ENV, pool_env)
+            pooled = ExperimentRuntime(max_workers=2, cache=None).run_jobs(jobs)
+            assert (shared_pool.__globals__["_shared_pool"] is None) == (
+                pool_env == "0"
+            )
+            for mine, theirs in zip(pooled, serial):
+                assert pickle.dumps(mine) == pickle.dumps(theirs)
 
 
 class TestCrashRecoveryOnPool:

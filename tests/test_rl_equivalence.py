@@ -4,7 +4,7 @@ The PR that introduced the ring-buffer replay, sliced-gradient backward,
 flat-parameter optimizer and fused kernels came with a hard guarantee:
 same seeds => exactly the same losses, rewards, greedy actions and traces
 as the pre-refactor implementation.  These tests enforce it against the
-frozen seed code in :mod:`repro.perf.legacy` (deque replay, mask-padded
+frozen seed code in :mod:`repro.rl.legacy` (deque replay, mask-padded
 gradients, fancy-indexed Adam).
 """
 
@@ -19,7 +19,7 @@ from repro.analysis.experiments import (
     make_policy,
 )
 from repro.core.training import OnlineSession
-from repro.perf.legacy import (
+from repro.rl.legacy import (
     LegacyDqnLearner,
     LegacyReplayBuffer,
     LegacySlimmableMLP,

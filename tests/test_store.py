@@ -1,6 +1,6 @@
 """The columnar trace store: round-trips, rejection, merge byte-identity.
 
-Three contracts, in the order a store lives through them:
+Four contracts, in the order a store lives through them:
 
 * **Round-trip** — a trace written through :class:`FleetTraceWriter` and
   read back via :class:`MappedFleetTrace` is byte-identical to the
@@ -14,6 +14,10 @@ Three contracts, in the order a store lives through them:
 * **Merge identity** — a sharded run whose workers spool stores to disk
   re-interleaves through the memory-mapped merge path into a trace
   byte-identical to the unsharded run.
+* **Streaming report** — :func:`~repro.analysis.streaming.summarize_fleet`
+  run off a memory-mapped store agrees with a dense NumPy summary of the
+  in-memory trace, and :func:`~repro.analysis.tables.fleet_summary_table`
+  renders it.
 """
 
 from __future__ import annotations
@@ -338,6 +342,85 @@ class TestShardedMergeIdentity:
         store_bytes = sum(p.stat().st_size for p in store.iterdir())
         pickled = pickle.dumps(list(trace), protocol=pickle.HIGHEST_PROTOCOL)
         assert store_bytes < len(pickled) * 1.05
+
+
+def dense_fleet_summary(trace: FleetTrace) -> dict:
+    """The report quantities from whole ``(frames, sessions)`` matrices."""
+    dense = {
+        name: np.stack([getattr(frame, name) for frame in trace])
+        for name in (
+            "total_latency_ms",
+            "met_constraint",
+            "cpu_temperature_c",
+            "gpu_temperature_c",
+            "cpu_throttled",
+            "gpu_throttled",
+            "energy_j",
+            "num_proposals",
+        )
+    }
+    latencies = dense["total_latency_ms"]
+    return {
+        "num_sessions": trace.num_sessions,
+        "num_frames": len(trace),
+        "total_frames": int(latencies.size),
+        "mean_latency_ms": float(latencies.mean()),
+        "p99_latency_ms": float(np.percentile(latencies, 99.0)),
+        "min_latency_ms": float(latencies.min()),
+        "max_latency_ms": float(latencies.max()),
+        "constraint_met_fraction": float(dense["met_constraint"].mean()),
+        "throttled_fraction": float(
+            (dense["cpu_throttled"] | dense["gpu_throttled"]).mean()
+        ),
+        "mean_cpu_temperature_c": float(dense["cpu_temperature_c"].mean()),
+        "mean_gpu_temperature_c": float(dense["gpu_temperature_c"].mean()),
+        "max_temperature_c": float(
+            max(dense["cpu_temperature_c"].max(), dense["gpu_temperature_c"].max())
+        ),
+        "total_energy_j": float(dense["energy_j"].sum(dtype=np.float64)),
+        "mean_proposals": float(dense["num_proposals"].mean()),
+    }
+
+
+class TestStreamingFleetReport:
+    SESSIONS = 32
+    FRAMES = 24
+
+    def run_default_fleet(self, sink=None):
+        from repro.analysis.experiments import ExperimentSetting
+        from repro.env.fleet import run_fleet_episode
+        from repro.runtime.fleet import make_fleet_environment, make_fleet_policy
+
+        setting = ExperimentSetting(num_frames=self.FRAMES, seed=0)
+        environment = make_fleet_environment(setting, self.SESSIONS)
+        policy = make_fleet_policy("default", environment, self.FRAMES, seed=0)
+        return run_fleet_episode(environment, policy, self.FRAMES, sink=sink)
+
+    def test_mapped_summary_matches_the_dense_in_memory_summary(self, tmp_path):
+        from repro.analysis.streaming import summarize_fleet
+        from repro.analysis.tables import fleet_summary_table
+
+        expected = dense_fleet_summary(self.run_default_fleet())
+        writer = FleetTraceWriter(tmp_path / "fleet", self.SESSIONS, chunk_frames=4)
+        self.run_default_fleet(sink=writer)
+        writer.close()
+        mapped = MappedFleetTrace(tmp_path / "fleet", map_cache_chunks=2)
+        try:
+            summary = summarize_fleet(mapped)
+        finally:
+            mapped.close()
+
+        streamed = summary.to_dict()
+        assert set(streamed) == set(expected)
+        for name, value in expected.items():
+            assert streamed[name] == pytest.approx(value, rel=1e-9, abs=0.0), name
+        assert streamed["p99_latency_ms"] == expected["p99_latency_ms"]
+        assert streamed["total_frames"] == self.SESSIONS * self.FRAMES
+
+        table = fleet_summary_table(summary, title="fleet report")
+        assert "fleet report" in table
+        assert str(self.SESSIONS) in table
+        assert f"{summary.p99_latency_ms:.1f}" in table
 
 
 class TestMemoizedSessionTraces:

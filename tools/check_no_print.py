@@ -4,11 +4,8 @@
 The library reports through return values, exceptions and — since PR 10 —
 the :mod:`repro.obs` event bus; writing to stdout from library code breaks
 programmatic consumers and pollutes worker-process output.  The only
-places allowed to print are:
-
-* ``runtime/cli.py`` — the user-facing command surface, and
-* ``perf/`` — benchmark suites whose child-process protocol and progress
-  reporting go through stdout by design.
+module allowed to print is ``runtime/cli.py``, the user-facing command
+surface.
 
 The check parses every module with :mod:`ast` (docstrings and comments
 mentioning ``print`` don't trip it) and flags each call whose callee is
@@ -30,15 +27,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 
-#: Paths (relative to ``src/repro``) where printing is the job.
-ALLOWED = ("runtime/cli.py", "perf/")
-
-
-def _allowed(relative: str) -> bool:
-    return any(
-        relative == entry or (entry.endswith("/") and relative.startswith(entry))
-        for entry in ALLOWED
-    )
+#: Modules (relative to ``src/repro``) where printing is the job.
+ALLOWED = ("runtime/cli.py",)
 
 
 def find_prints(source: str) -> list[int]:
@@ -58,7 +48,7 @@ def check(package_root: Path = PACKAGE_ROOT) -> list[str]:
     problems: list[str] = []
     for path in sorted(package_root.rglob("*.py")):
         relative = path.relative_to(package_root).as_posix()
-        if _allowed(relative):
+        if relative in ALLOWED:
             continue
         for lineno in find_prints(path.read_text(encoding="utf-8")):
             problems.append(f"src/repro/{relative}:{lineno}")
@@ -72,7 +62,7 @@ def main() -> int:
         for problem in problems:
             print(f"  {problem}")
         return 1
-    print("print lint: OK (src/repro/ clean outside runtime/cli.py and perf/)")
+    print("print lint: OK (src/repro/ clean outside runtime/cli.py)")
     return 0
 
 
