@@ -340,7 +340,22 @@ def _session_results(policy: FleetPolicy, fleet_trace: FleetTrace) -> List[Sessi
     """Package each session's trace the way the scalar runtime would."""
     losses, rewards = _session_histories(policy, fleet_trace.num_sessions)
     names = _session_policy_names(policy, fleet_trace.num_sessions)
-    return [
+    return list(_package_sessions(fleet_trace, losses, rewards, names))
+
+
+def _package_sessions(
+    fleet_trace: FleetTrace,
+    losses: Sequence[List[float]],
+    rewards: Sequence[List[float]],
+    names: Sequence[str],
+) -> Tuple[SessionResult, ...]:
+    """One :class:`SessionResult` per trace column, in global session order.
+
+    The single packaging step of every fleet entry point (unsharded, cell,
+    sharded and supervised): ``losses``/``rewards``/``names`` are indexed
+    by global session.
+    """
+    return tuple(
         session_result_from_trace(
             names[i],
             fleet_trace.session_trace(i),
@@ -348,7 +363,7 @@ def _session_results(policy: FleetPolicy, fleet_trace: FleetTrace) -> List[Sessi
             rewards=rewards[i],
         )
         for i in range(fleet_trace.num_sessions)
-    ]
+    )
 
 
 def scalar_reference_sessions(
@@ -598,30 +613,20 @@ def collect_degraded(
     return degraded
 
 
-def run_fleet_scenario(
-    scenario: Union[FleetScenario, ScenarioSpec],
-    num_sessions: int | None = None,
+def _resolve_scenario(
+    scenario: Union[FleetScenario, ScenarioSpec, str],
     num_frames: int | None = None,
-) -> FleetScenarioResult:
-    """Run a (possibly heterogeneous) scenario on the grouped fleet engine.
+) -> FleetScenario:
+    """Normalise a scenario argument into a (possibly overridden) fleet.
 
-    Sessions are resolved via
-    :meth:`~repro.scenarios.FleetScenario.session_assignments`, partitioned
-    into sub-fleets by (device, detector), advanced lock-step as one batched
-    kernel per group, and re-interleaved into one columnar trace in global
-    session order.  Session ``i`` is bit-for-bit the scalar run of
-    ``assignments[i].spec`` at seed ``assignments[i].seed``
-    (``tests/test_fleet_equivalence.py`` enforces this).
-
-    Args:
-        scenario: A :class:`~repro.scenarios.FleetScenario`, or a single
-            :class:`~repro.scenarios.ScenarioSpec` (treated as a
-            one-member fleet).
-        num_sessions: Total population override (default: the scenario's).
-        num_frames: Episode-length override applied to every member.
+    Registered names resolve through the scenario registry, a single
+    :class:`~repro.scenarios.ScenarioSpec` becomes a one-member fleet, and
+    ``num_frames`` (when given) overrides every member's episode length.
     """
-    from repro.scenarios import FleetMember, FleetScenario, ScenarioSpec
+    from repro.scenarios import FleetMember, FleetScenario, ScenarioSpec, build_scenario
 
+    if isinstance(scenario, str):
+        scenario = build_scenario(scenario)
     if isinstance(scenario, ScenarioSpec):
         scenario = FleetScenario(
             name=scenario.name,
@@ -641,54 +646,102 @@ def run_fleet_scenario(
                 for member in scenario.members
             )
         )
-    frames = scenario.num_frames
-    assignments = scenario.session_assignments(num_sessions)
+    return scenario
 
+
+def _session_groups(
+    assignments: Sequence[SessionAssignment], num_frames: int, base: int = 0
+) -> List[FleetSessionGroup]:
+    """Partition assignments into grouped sub-fleets by (device, detector).
+
+    Groups keep first-appearance order and each gets its batched environment
+    and (possibly partitioned, possibly faulted) policy.  ``base`` rebases
+    global session indices onto a contiguous slice, so a shard running
+    ``assignments[start:stop]`` builds exactly its sessions' part of the
+    unsharded fleet.
+    """
     grouped: Dict[Tuple[str, str], List[SessionAssignment]] = {}
     for assignment in assignments:
         key = (assignment.spec.device, assignment.spec.detector)
         grouped.setdefault(key, []).append(assignment)
-
     session_groups: List[FleetSessionGroup] = []
     for (device_name, detector_name), group_assignments in grouped.items():
         environment = make_group_environment(
             device_name, detector_name, group_assignments
         )
-        policy = _group_policy(environment, group_assignments, frames)
         session_groups.append(
             FleetSessionGroup(
                 environment=environment,
-                policy=policy,
-                session_indices=tuple(a.index for a in group_assignments),
+                policy=_group_policy(environment, group_assignments, num_frames),
+                session_indices=tuple(a.index - base for a in group_assignments),
             )
         )
+    return session_groups
+
+
+def _group_histories(
+    session_groups: Sequence[FleetSessionGroup],
+) -> Tuple[List[List[float]], List[List[float]], List[str]]:
+    """Per-session loss/reward histories and policy names of grouped sessions.
+
+    Indexed by the groups' ``session_indices`` (which partition
+    ``0..N-1``).
+    """
+    count = sum(group.environment.num_sessions for group in session_groups)
+    losses: List[List[float]] = [[] for _ in range(count)]
+    rewards: List[List[float]] = [[] for _ in range(count)]
+    names: List[str] = [""] * count
+    for group in session_groups:
+        size = group.environment.num_sessions
+        group_losses, group_rewards = _session_histories(group.policy, size)
+        group_names = _session_policy_names(group.policy, size)
+        for local, index in enumerate(group.session_indices):
+            losses[index] = group_losses[local]
+            rewards[index] = group_rewards[local]
+            names[index] = group_names[local]
+    return losses, rewards, names
+
+
+def run_fleet_scenario(
+    scenario: Union[FleetScenario, ScenarioSpec, str],
+    num_sessions: int | None = None,
+    num_frames: int | None = None,
+) -> FleetScenarioResult:
+    """Run a (possibly heterogeneous) scenario on the grouped fleet engine.
+
+    Sessions are resolved via
+    :meth:`~repro.scenarios.FleetScenario.session_assignments`, partitioned
+    into sub-fleets by (device, detector), advanced lock-step as one batched
+    kernel per group, and re-interleaved into one columnar trace in global
+    session order.  Session ``i`` is bit-for-bit the scalar run of
+    ``assignments[i].spec`` at seed ``assignments[i].seed``
+    (``tests/test_fleet_equivalence.py`` enforces this).
+
+    Args:
+        scenario: A :class:`~repro.scenarios.FleetScenario`, a single
+            :class:`~repro.scenarios.ScenarioSpec` (treated as a
+            one-member fleet), or a registered scenario name.
+        num_sessions: Total population override (default: the scenario's).
+        num_frames: Episode-length override applied to every member.
+    """
+    scenario = _resolve_scenario(scenario, num_frames)
+    frames = scenario.num_frames
+    assignments = scenario.session_assignments(num_sessions)
+    session_groups = _session_groups(assignments, frames)
 
     start = time.perf_counter()
     fleet_trace = run_grouped_fleet_episode(session_groups, frames)
     elapsed_s = time.perf_counter() - start
 
-    sessions: List[SessionResult | None] = [None] * len(assignments)
-    group_infos: List[ScenarioGroup] = []
-    for group, ((device_name, detector_name), group_assignments) in zip(
-        session_groups, grouped.items()
-    ):
-        losses, rewards = _session_histories(
-            group.policy, group.environment.num_sessions
-        )
-        names = _session_policy_names(group.policy, group.environment.num_sessions)
-        for local, assignment in enumerate(group_assignments):
-            sessions[assignment.index] = session_result_from_trace(
-                names[local],
-                fleet_trace.session_trace(assignment.index),
-                losses=losses[local],
-                rewards=rewards[local],
-            )
+    group_infos = []
+    for group in session_groups:
+        members = [assignments[i] for i in group.session_indices]
         group_infos.append(
             ScenarioGroup(
-                device=device_name,
-                detector=detector_name,
+                device=members[0].spec.device,
+                detector=members[0].spec.detector,
                 session_indices=group.session_indices,
-                spec_names=tuple(a.spec.name for a in group_assignments),
+                spec_names=tuple(a.spec.name for a in members),
                 policy_name=group.policy.name,
             )
         )
@@ -696,7 +749,7 @@ def run_fleet_scenario(
         scenario=scenario,
         assignments=assignments,
         groups=tuple(group_infos),
-        sessions=tuple(sessions),
+        sessions=_package_sessions(fleet_trace, *_group_histories(session_groups)),
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
         degraded=collect_degraded(session_groups, frames, len(assignments)),
@@ -711,13 +764,10 @@ def run_scenario(
     """Run a scenario by object or registered name.
 
     The front door the CLI (``python -m repro scenario run``) and the
-    examples use: names resolve through the scenario registry, and both
-    scenario flavours execute on the grouped fleet engine.
+    examples use; an alias of :func:`run_fleet_scenario`, which resolves
+    names through the scenario registry and runs both scenario flavours on
+    the grouped fleet engine.
     """
-    if isinstance(scenario, str):
-        from repro.scenarios import build_scenario
-
-        scenario = build_scenario(scenario)
     return run_fleet_scenario(scenario, num_sessions=num_sessions, num_frames=num_frames)
 
 

@@ -13,9 +13,9 @@ calls and speaks a four-verb protocol with each of them over a pipe:
 ``RUN``
     Execute one :class:`PoolTask`.  A task carries an optional *shard
     fingerprint* — a SHA-256 over the canonical description of everything
-    the shard's construction reads (scenario codec dict, session slice,
-    resolved setting, ambient, method).  A worker pins the environments and
-    policies it built, keyed by that fingerprint, in a small LRU; when a
+    the shard's construction reads (scenario codec dict and session
+    slice).  A worker pins the environments and policies it built, keyed
+    by that fingerprint, in a small LRU; when a
     ``RUN`` arrives whose fingerprint matches a pinned entry the worker
     *restores the entry's pristine state snapshot* and runs the episode on
     the warm objects instead of rebuilding them.
@@ -97,11 +97,12 @@ class PoolTask:
 
     Attributes:
         kind: Dispatch key understood by the worker loop —
-            ``"scenario-shard"``, ``"fleet-shard"``, ``"supervised-shard"``
-            or ``"job"``.
+            ``"scenario-shard"`` (every sharded fleet, homogeneous cells
+            included, since a cell is a one-member scenario),
+            ``"supervised-shard"`` or ``"job"``.
         args: Positional payload for the worker-side executor (must be
-            picklable; shards carry their scenario/setting plus the session
-            slice and spool directory).
+            picklable; shards carry their scenario plus the session slice
+            and spool directory).
         fingerprint: Optional warm-reuse key.  ``None`` disables pinning
             for this task (supervised shards and experiment jobs run
             unpinned).
@@ -139,29 +140,6 @@ def scenario_shard_fingerprint(
             "num_sessions": int(num_sessions),
             "start": int(start),
             "stop": int(stop),
-        }
-    )
-
-
-def fleet_shard_fingerprint(
-    setting, method: str, offset: int, count: int, ambient
-) -> Optional[str]:
-    """Warm-reuse key of one homogeneous-cell shard."""
-    from repro.runtime.job import ambient_fingerprint, resolved_setting_dict
-
-    try:
-        ambient_desc = ambient_fingerprint(ambient)
-        setting_desc = resolved_setting_dict(setting)
-    except Exception:
-        return None
-    return _canonical_fingerprint(
-        {
-            "kind": "fleet-shard",
-            "setting": setting_desc,
-            "method": method,
-            "offset": int(offset),
-            "count": int(count),
-            "ambient": ambient_desc,
         }
     )
 
@@ -296,52 +274,19 @@ def _execute_task(
                 pinned.pop(fingerprint, None)
                 entry = None
         if entry is None:
-            session_groups, grouped, frames = shard_mod._build_scenario_shard(
+            session_groups = shard_mod._build_scenario_shard(
                 scenario, num_sessions, start, stop
             )
             pairs = [(group.environment, group.policy) for group in session_groups]
             pristine = _capture_pristine(pairs)
-            entry = {
-                "groups": session_groups,
-                "grouped": grouped,
-                "frames": frames,
-                "pairs": pairs,
-                "pristine": pristine,
-            }
+            entry = {"groups": session_groups, "pairs": pairs, "pristine": pristine}
             meta["built"] = True
             if fingerprint and pristine is not None:
                 pinned[fingerprint] = entry
                 while len(pinned) > PIN_CAPACITY:
                     pinned.popitem(last=False)
         result = shard_mod._execute_scenario_shard(
-            entry["groups"], entry["grouped"], entry["frames"], start, stop, spool_dir
-        )
-        return result, meta
-    if kind == "fleet-shard":
-        setting, method, offset, count, ambient, spool_dir = args
-        entry = pinned.get(fingerprint) if fingerprint else None
-        if entry is not None:
-            pinned.move_to_end(fingerprint)
-            if _restore_pristine(entry["pairs"], entry["pristine"]):
-                meta["warm"] = True
-            else:
-                pinned.pop(fingerprint, None)
-                entry = None
-        if entry is None:
-            environment, policy = shard_mod._build_fleet_shard(
-                setting, method, offset, count, ambient
-            )
-            pairs = [(environment, policy)]
-            pristine = _capture_pristine(pairs)
-            entry = {"pairs": pairs, "pristine": pristine}
-            meta["built"] = True
-            if fingerprint and pristine is not None:
-                pinned[fingerprint] = entry
-                while len(pinned) > PIN_CAPACITY:
-                    pinned.popitem(last=False)
-        environment, policy = entry["pairs"][0]
-        result = shard_mod._execute_fleet_shard(
-            environment, policy, setting.num_frames, offset, count, spool_dir
+            entry["groups"], scenario.num_frames, start, stop, spool_dir
         )
         return result, meta
     if kind == "supervised-shard":

@@ -22,9 +22,14 @@ composition and replay contents.  The shard planner therefore treats each
 maximal run of consecutive same-member ``lotus-fleet`` sessions as an
 *atom* that is never divided: scenarios containing fleet-trained members
 still shard bit-exactly (whole atoms move between workers), while a fleet
-that is one big ``lotus-fleet`` member degrades to a single shard.  The
-homogeneous cell entry point (:func:`run_sharded_fleet`) refuses
-``lotus-fleet`` with more than one shard outright, with a typed
+that is one big ``lotus-fleet`` member degrades to a single shard.
+
+Every sharded fleet runs through the one scenario-shard path: a
+homogeneous (setting, method) cell (:func:`run_sharded_fleet`) is the
+one-member scenario of its setting, and the supervisor
+(:func:`run_supervised_scenario`) runs the same grouped episode loop with a
+checkpointing frame sink.  The cell entry point refuses ``lotus-fleet``
+with more than one shard outright, with a typed
 :class:`~repro.errors.ShardError`.
 """
 
@@ -36,7 +41,7 @@ import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -44,39 +49,33 @@ import numpy as np
 
 from repro.errors import FaultError, ShardError
 from repro.obs import bus as _obs
-from repro.core.training import SessionResult, session_result_from_trace
+
+# ``session_result_from_trace`` is re-exported: it stays part of this
+# module's namespace for code that patches it here by module path.
+from repro.core.training import SessionResult, session_result_from_trace  # noqa: F401
+from repro.env.ambient import ConstantAmbient
 from repro.env.fleet import (
     _FRAME_RESULT_ARRAY_FIELDS,
     FleetFrameResult,
     FleetSessionGroup,
     FleetTrace,
-    _scatter_frame_results,
-    run_fleet_episode,
     run_grouped_fleet_episode,
     validate_session_partition,
 )
 from repro.store import FleetTraceWriter, MappedFleetTrace
 from repro.faults.plan import WorkerCrash
-from repro.runtime.pool import (
-    PoolTask,
-    acquire_pool,
-    fleet_shard_fingerprint,
-    scenario_shard_fingerprint,
-)
+from repro.runtime.pool import PoolTask, acquire_pool, scenario_shard_fingerprint
 from repro.runtime.fleet import (
     FleetRunResult,
-    _group_policy,
-    _session_histories,
-    _session_policy_names,
+    _group_histories,
+    _package_sessions,
+    _resolve_scenario,
+    _session_groups,
     collect_degraded,
-    make_fleet_environment,
-    make_fleet_policy,
-    make_group_environment,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.analysis.experiments import ExperimentSetting
-    from repro.env.ambient import AmbientProfile
     from repro.scenarios import FleetScenario, ScenarioSpec, SessionAssignment
 
 
@@ -186,99 +185,44 @@ def plan_shards(
 # ---------------------------------------------------------------------------
 
 
-def _shard_session_groups(
-    shard_assignments: Sequence["SessionAssignment"],
-    num_frames: int,
-    base: int,
-) -> Tuple[List[FleetSessionGroup], List[Tuple[Tuple[str, str], list]]]:
-    """Build the grouped sub-fleets of one shard, with shard-local indices.
-
-    Mirrors the grouping of :func:`repro.runtime.fleet.run_fleet_scenario`
-    restricted to the shard's assignment slice: same (device, detector)
-    keying in first-appearance order, same per-group environment and policy
-    construction — so each session's behaviour is exactly its behaviour in
-    the unsharded run (``base`` rebases global indices onto the shard).
-    """
-    grouped: Dict[Tuple[str, str], list] = {}
-    for assignment in shard_assignments:
-        key = (assignment.spec.device, assignment.spec.detector)
-        grouped.setdefault(key, []).append(assignment)
-    session_groups: List[FleetSessionGroup] = []
-    for (device_name, detector_name), group_assignments in grouped.items():
-        environment = make_group_environment(
-            device_name, detector_name, group_assignments
-        )
-        policy = _group_policy(environment, group_assignments, num_frames)
-        session_groups.append(
-            FleetSessionGroup(
-                environment=environment,
-                policy=policy,
-                session_indices=tuple(a.index - base for a in group_assignments),
-            )
-        )
-    return session_groups, list(grouped.items())
-
-
 def _spool_store_path(spool_dir: str, start: int, stop: int) -> Path:
     return Path(spool_dir) / f"shard-{start:06d}-{stop:06d}"
 
 
-def _collect_shard_histories(
-    session_groups: Sequence[FleetSessionGroup],
-    grouped: Sequence[Tuple[Tuple[str, str], list]],
-    start: int,
-    count: int,
-) -> Tuple[List[List[float]], List[List[float]], List[str]]:
-    """Per-session loss/reward histories and policy names of one shard."""
-    losses: List[List[float]] = [[] for _ in range(count)]
-    rewards: List[List[float]] = [[] for _ in range(count)]
-    names: List[str] = [""] * count
-    for group, (_, group_assignments) in zip(session_groups, grouped):
-        group_losses, group_rewards = _session_histories(
-            group.policy, group.environment.num_sessions
-        )
-        group_names = _session_policy_names(
-            group.policy, group.environment.num_sessions
-        )
-        for local, assignment in enumerate(group_assignments):
-            losses[assignment.index - start] = group_losses[local]
-            rewards[assignment.index - start] = group_rewards[local]
-            names[assignment.index - start] = group_names[local]
-    return losses, rewards, names
-
-
 def _build_scenario_shard(
     scenario: "FleetScenario", num_sessions: int, start: int, stop: int
-):
+) -> List[FleetSessionGroup]:
     """Construct one scenario shard's grouped sub-fleets (no episode run).
 
-    The build half of :func:`_run_scenario_shard`, split out so the
-    persistent pool (:mod:`repro.runtime.pool`) can pin the constructed
-    groups and skip this step on a warm fingerprint hit.
+    The shard re-resolves the scenario's assignments — resolution is
+    deterministic — and groups its slice ``start..stop-1`` exactly as
+    :func:`repro.runtime.fleet.run_fleet_scenario` groups the whole fleet,
+    with shard-local session indices.  Split from the run so the persistent
+    pool (:mod:`repro.runtime.pool`) can pin the constructed groups and
+    skip this step on a warm fingerprint hit.
     """
     with _obs.span("shard.build", kind="scenario", start=start, stop=stop):
         assignments = scenario.session_assignments(num_sessions)[start:stop]
-        frames = scenario.num_frames
-        session_groups, grouped = _shard_session_groups(assignments, frames, start)
-    return session_groups, grouped, frames
+        return _session_groups(assignments, scenario.num_frames, base=start)
 
 
 def _execute_scenario_shard(
-    session_groups,
-    grouped,
+    session_groups: Sequence[FleetSessionGroup],
     frames: int,
     start: int,
     stop: int,
     spool_dir: Optional[str],
 ):
-    """Run one (pre-built) scenario shard's episode and collect histories.
+    """Run one (pre-built) scenario shard's episode and collect its results.
 
-    With ``spool_dir`` set (the pooled path) the shard sinks its frames
-    incrementally into a columnar chunk store under that directory and
-    returns only the manifest path, so traces cross the process boundary
-    through ``mmap``-able files instead of pickled frame objects.  Without
-    it (inline single-shard runs) the in-memory :class:`FleetTrace` is
-    returned directly.
+    Returns ``(payload, losses, rewards, names, degraded)``: the histories
+    and names are shard-local lists, ``degraded`` the shard's slice of the
+    fault mask (``None`` when unfaulted).  With ``spool_dir`` set (the
+    pooled path) the shard sinks its frames incrementally into a columnar
+    chunk store under that directory and the payload is only the manifest
+    path, so traces cross the process boundary through ``mmap``-able files
+    instead of pickled frame objects.  Without it (inline single-shard runs)
+    the payload is the in-memory :class:`FleetTrace`.
     """
     count = stop - start
     with _obs.span("shard.run", kind="scenario", start=start, stop=stop):
@@ -288,99 +232,9 @@ def _execute_scenario_shard(
             writer = FleetTraceWriter(_spool_store_path(spool_dir, start, stop), count)
             run_grouped_fleet_episode(session_groups, frames, sink=writer)
             payload = str(writer.close())
-        losses, rewards, names = _collect_shard_histories(
-            session_groups, grouped, start, count
-        )
-    return payload, losses, rewards, names
-
-
-def _run_scenario_shard(
-    scenario: "FleetScenario",
-    num_sessions: int,
-    start: int,
-    stop: int,
-    spool_dir: Optional[str] = None,
-):
-    """Run one scenario shard; returns its trace and per-session histories.
-
-    Executed inside a worker process (or inline for single-shard runs).
-    The scenario is re-resolved in the worker — assignment resolution is
-    deterministic — and the shard runs the global sessions ``start..stop-1``
-    as its own grouped fleet episode.
-    """
-    session_groups, grouped, frames = _build_scenario_shard(
-        scenario, num_sessions, start, stop
-    )
-    return _execute_scenario_shard(
-        session_groups, grouped, frames, start, stop, spool_dir
-    )
-
-
-def _build_fleet_shard(
-    setting: "ExperimentSetting",
-    method: str,
-    offset: int,
-    count: int,
-    ambient: "AmbientProfile | None",
-):
-    """Construct one homogeneous-cell shard's environment and policy.
-
-    The shard environment is the fleet environment of the base setting with
-    its seed advanced by ``offset``: session ``i`` of the shard gets stream
-    generator ``default_rng(seed + offset + i)`` and proposal generator
-    ``default_rng(seed + offset + i + 1)`` — exactly sessions
-    ``offset..offset+count-1`` of the full fleet (and of the scalar runs).
-    """
-    with _obs.span("shard.build", kind="fleet", offset=offset, count=count):
-        shard_setting = setting.with_overrides(seed=setting.seed + offset)
-        environment = make_fleet_environment(shard_setting, count, ambient=ambient)
-        policy = make_fleet_policy(
-            method, environment, setting.num_frames, seed=shard_setting.seed
-        )
-    return environment, policy
-
-
-def _execute_fleet_shard(
-    environment,
-    policy,
-    num_frames: int,
-    offset: int,
-    count: int,
-    spool_dir: Optional[str],
-):
-    """Run one (pre-built) homogeneous-cell shard's episode.
-
-    As with :func:`_execute_scenario_shard`, ``spool_dir`` switches the
-    return payload from an in-memory trace to the manifest path of a
-    spooled columnar chunk store.
-    """
-    with _obs.span("shard.run", kind="fleet", offset=offset, count=count):
-        if spool_dir is None:
-            payload = run_fleet_episode(environment, policy, num_frames)
-        else:
-            writer = FleetTraceWriter(
-                _spool_store_path(spool_dir, offset, offset + count), count
-            )
-            run_fleet_episode(environment, policy, num_frames, sink=writer)
-            payload = str(writer.close())
-        losses, rewards = _session_histories(policy, count)
-        names = _session_policy_names(policy, count)
-    return payload, losses, rewards, names, policy.name
-
-
-def _run_fleet_shard(
-    setting: "ExperimentSetting",
-    method: str,
-    offset: int,
-    count: int,
-    ambient: "AmbientProfile | None",
-    spool_dir: Optional[str] = None,
-):
-    """Run one homogeneous-cell shard: sessions ``offset..offset+count-1``."""
-    environment, policy = _build_fleet_shard(setting, method, offset, count, ambient)
-    return _execute_fleet_shard(
-        environment, policy, setting.num_frames, offset, count, spool_dir
-    )
+        losses, rewards, names = _group_histories(session_groups)
+        degraded = collect_degraded(session_groups, frames, count)
+    return payload, losses, rewards, names, degraded
 
 
 # ---------------------------------------------------------------------------
@@ -388,38 +242,17 @@ def _run_fleet_shard(
 # ---------------------------------------------------------------------------
 
 
-def _as_shard_trace(entry):
-    """Normalise one shard payload into a columnar trace-like.
-
-    Accepts a manifest path (opened as a zero-copy
-    :class:`~repro.store.MappedFleetTrace`), any object exposing the
-    column-window protocol (``FleetTrace`` or an already-open mapped trace),
-    or — for backwards compatibility — a plain list of
-    :class:`~repro.env.fleet.FleetFrameResult` frames.
-    """
-    if isinstance(entry, (str, Path)):
-        return MappedFleetTrace(entry), True
-    if hasattr(entry, "column_window"):
-        return entry, False
-    if not entry:
-        raise ShardError("shard returned an empty frame list")
-    wrapped = FleetTrace(entry[0].num_sessions)
-    for frame in entry:
-        wrapped.append(frame)
-    return wrapped, False
-
-
 def _interleave_shard_traces(
-    shard_traces: Sequence[object],
+    shard_traces: Sequence[Union[str, Path]],
     shards: Sequence[ShardPlan],
     num_sessions: int,
     block_frames: int = 256,
 ) -> FleetTrace:
     """Merge per-shard traces into one trace in global session order.
 
-    Shard payloads are columnar trace-likes — in practice the manifest
-    paths of spooled chunk stores, opened here as memory-mapped column
-    views (see :func:`_as_shard_trace`).  The shard partition is validated
+    Shard payloads are the manifest paths of spooled chunk stores, opened
+    here as memory-mapped :class:`~repro.store.MappedFleetTrace` column
+    views.  The shard partition is validated
     once, then the merge scatters ``block_frames``-frame column windows
     straight into combined per-frame arrays: no shard trace is ever
     unpickled or materialised frame-object by frame-object, and peak merge
@@ -433,8 +266,7 @@ def _interleave_shard_traces(
     targets = validate_session_partition(
         [shard.session_indices for shard in shards], num_sessions
     )
-    normalised = [_as_shard_trace(entry) for entry in shard_traces]
-    traces = [trace for trace, _ in normalised]
+    traces = [MappedFleetTrace(path) for path in shard_traces]
     try:
         lengths = {len(trace) for trace in traces}
         if len(lengths) != 1:
@@ -484,9 +316,8 @@ def _interleave_shard_traces(
                 )
         return merged
     finally:
-        for trace, opened in normalised:
-            if opened:
-                trace.close()
+        for trace in traces:
+            trace.close()
         merge_span.__exit__(None, None, None)
 
 
@@ -508,6 +339,9 @@ class ShardedScenarioResult:
             the unsharded :func:`repro.runtime.fleet.run_fleet_scenario`
             trace of the same scenario.
         elapsed_s: Wall-clock seconds spent running and merging the shards.
+        degraded: ``(num_frames, num_sessions)`` bool mask of fault-degraded
+            cells — equal to the unsharded run's — or ``None`` when the
+            scenario carries no fault plan.
     """
 
     scenario: "FleetScenario"
@@ -516,6 +350,7 @@ class ShardedScenarioResult:
     sessions: Tuple[SessionResult, ...]
     fleet_trace: FleetTrace
     elapsed_s: float
+    degraded: Optional[np.ndarray] = None
 
     @property
     def num_shards(self) -> int:
@@ -540,31 +375,47 @@ class ShardedScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_scenario(
+def _plan_scenario(
     scenario: Union["FleetScenario", "ScenarioSpec", str],
-    num_frames: int | None = None,
-) -> "FleetScenario":
-    """Normalise a scenario argument into a (possibly overridden) fleet."""
-    from repro.scenarios import FleetMember, FleetScenario, ScenarioSpec, build_scenario
+    num_shards: int,
+    num_sessions: int | None,
+    num_frames: int | None,
+) -> Tuple["FleetScenario", tuple, Tuple[ShardPlan, ...]]:
+    """Resolve a scenario argument, its assignments and its shard plan."""
+    scenario = _resolve_scenario(scenario, num_frames)
+    assignments = scenario.session_assignments(num_sessions)
+    return scenario, assignments, tuple(plan_shards(assignments, num_shards))
 
-    if isinstance(scenario, str):
-        scenario = build_scenario(scenario)
-    if isinstance(scenario, ScenarioSpec):
-        scenario = FleetScenario(
-            name=scenario.name,
-            members=(FleetMember(scenario),),
-            description=scenario.description,
-        )
-    if num_frames is not None and num_frames != scenario.num_frames:
-        scenario = scenario.with_overrides(
-            members=tuple(
-                FleetMember(
-                    member.spec.with_overrides(num_frames=num_frames), member.weight
+
+def _gather_shards(
+    shards: Sequence[ShardPlan],
+    shard_results: Sequence[tuple],
+    fleet_trace: FleetTrace,
+    num_frames: int,
+) -> Tuple[Tuple[SessionResult, ...], Optional[np.ndarray]]:
+    """Per-session results and the fleet degraded mask from shard results.
+
+    Each shard result is ``(payload, losses, rewards, names, degraded)``
+    with shard-local lists; shards are contiguous and in order, so
+    concatenating them gives global session order.
+    """
+    losses: List[List[float]] = []
+    rewards: List[List[float]] = []
+    names: List[str] = []
+    degraded: Optional[np.ndarray] = None
+    for shard, (_, shard_losses, shard_rewards, shard_names, shard_degraded) in zip(
+        shards, shard_results
+    ):
+        losses.extend(shard_losses)
+        rewards.extend(shard_rewards)
+        names.extend(shard_names)
+        if shard_degraded is not None:
+            if degraded is None:
+                degraded = np.zeros(
+                    (num_frames, fleet_trace.num_sessions), dtype=bool
                 )
-                for member in scenario.members
-            )
-        )
-    return scenario
+            degraded[:, shard.start : shard.stop] = shard_degraded
+    return _package_sessions(fleet_trace, losses, rewards, names), degraded
 
 
 def run_sharded_scenario(
@@ -591,10 +442,10 @@ def run_sharded_scenario(
         num_sessions: Total population override (default: the scenario's).
         num_frames: Episode-length override applied to every member.
     """
-    scenario = _resolve_scenario(scenario, num_frames)
-    assignments = scenario.session_assignments(num_sessions)
+    scenario, assignments, shards = _plan_scenario(
+        scenario, num_shards, num_sessions, num_frames
+    )
     total = len(assignments)
-    shards = tuple(plan_shards(assignments, num_shards))
 
     run_span = _obs.span(
         "runtime.run_sharded_scenario", shards=len(shards), sessions=total
@@ -604,8 +455,9 @@ def run_sharded_scenario(
     if len(shards) == 1:
         # A single planned shard runs inline and already covers every
         # session in global order: its trace is the fleet trace.
+        groups = _build_scenario_shard(scenario, total, 0, total)
         shard_results = [
-            _run_scenario_shard(scenario, total, shards[0].start, shards[0].stop)
+            _execute_scenario_shard(groups, scenario.num_frames, 0, total, None)
         ]
         fleet_trace = shard_results[0][0]
     else:
@@ -625,7 +477,7 @@ def run_sharded_scenario(
             ]
             shard_results = pool.run_tasks(tasks).results
             fleet_trace = _interleave_shard_traces(
-                [payload for payload, _, _, _ in shard_results], shards, total
+                [result[0] for result in shard_results], shards, total
             )
         finally:
             if owned:
@@ -634,23 +486,17 @@ def run_sharded_scenario(
     elapsed_s = time.perf_counter() - start_time
     run_span.__exit__(None, None, None)
 
-    sessions: List[SessionResult] = [None] * total  # type: ignore[list-item]
-    for shard, (_, losses, rewards, names) in zip(shards, shard_results):
-        for local in range(shard.num_sessions):
-            index = shard.start + local
-            sessions[index] = session_result_from_trace(
-                names[local],
-                fleet_trace.session_trace(index),
-                losses=losses[local],
-                rewards=rewards[local],
-            )
+    sessions, degraded = _gather_shards(
+        shards, shard_results, fleet_trace, scenario.num_frames
+    )
     return ShardedScenarioResult(
         scenario=scenario,
         assignments=assignments,
         shards=shards,
-        sessions=tuple(sessions),
+        sessions=sessions,
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
+        degraded=degraded,
     )
 
 
@@ -659,17 +505,20 @@ def run_sharded_fleet(
     method: str,
     num_sessions: int,
     num_shards: int,
-    ambient: "AmbientProfile | None" = None,
 ) -> FleetRunResult:
     """Run one homogeneous (setting, method) fleet cell across shards.
 
     The sharded counterpart of :func:`repro.runtime.fleet.run_fleet`,
     returning the same :class:`~repro.runtime.fleet.FleetRunResult` with a
-    byte-identical ``fleet_trace``.  Shard ``k`` owns a contiguous block of
-    sessions and rebuilds exactly their environments and policies from the
-    block's seed offset; ``lotus-fleet`` (one shared network across the
-    whole fleet) cannot be divided and is refused for ``num_shards > 1``.
+    byte-identical ``fleet_trace``.  The cell is the one-member scenario of
+    its setting (session ``i`` at seed ``setting.seed + i``, constant
+    ambient ``setting.ambient_temperature_c``) and runs through
+    :func:`run_sharded_scenario`.  ``lotus-fleet`` (one shared network
+    across the whole fleet) cannot be divided and is refused for
+    ``num_shards > 1``.
     """
+    from repro.scenarios import ScenarioSpec
+
     if num_shards < 1:
         raise ShardError(f"num_shards must be >= 1, got {num_shards}")
     if num_sessions <= 0:
@@ -680,83 +529,27 @@ def run_sharded_fleet(
             "cannot be split across shards; run with --shards 1, or shard a "
             "scenario whose lotus-fleet members are smaller than the fleet"
         )
-    blocks = [
-        block
-        for block in np.array_split(
-            np.arange(num_sessions, dtype=np.int64), min(num_shards, num_sessions)
-        )
-        if block.size
-    ]
-
-    run_span = _obs.span(
-        "runtime.run_sharded_fleet", shards=len(blocks), sessions=num_sessions
+    cell = ScenarioSpec(
+        name=f"{method}-cell",
+        device=setting.device,
+        detector=setting.detector,
+        dataset=setting.dataset,
+        method=method,
+        num_frames=setting.num_frames,
+        num_sessions=num_sessions,
+        seed=setting.seed,
+        latency_constraint_ms=setting.latency_constraint_ms,
+        ambient=ConstantAmbient(setting.ambient_temperature_c),
     )
-    run_span.__enter__()
-    start_time = time.perf_counter()
-    shards = tuple(
-        ShardPlan(index=k, start=int(block[0]), stop=int(block[-1]) + 1)
-        for k, block in enumerate(blocks)
-    )
-    if len(blocks) == 1:
-        shard_results = [
-            _run_fleet_shard(setting, method, 0, num_sessions, ambient)
-        ]
-        fleet_trace = shard_results[0][0]
-    else:
-        spool = tempfile.mkdtemp(prefix="repro-shards-")
-        pool, owned = acquire_pool(len(blocks))
-        try:
-            tasks = [
-                PoolTask(
-                    kind="fleet-shard",
-                    args=(
-                        setting,
-                        method,
-                        int(block[0]),
-                        int(block.size),
-                        ambient,
-                        spool,
-                    ),
-                    fingerprint=fleet_shard_fingerprint(
-                        setting, method, int(block[0]), int(block.size), ambient
-                    ),
-                    shard_index=k,
-                )
-                for k, block in enumerate(blocks)
-            ]
-            shard_results = pool.run_tasks(tasks).results
-            fleet_trace = _interleave_shard_traces(
-                [payload for payload, _, _, _, _ in shard_results],
-                shards,
-                num_sessions,
-            )
-        finally:
-            if owned:
-                pool.shutdown()
-            shutil.rmtree(spool, ignore_errors=True)
-    elapsed_s = time.perf_counter() - start_time
-    run_span.__exit__(None, None, None)
-
-    sessions: List[SessionResult] = []
-    for shard, (_, losses, rewards, names, _) in zip(shards, shard_results):
-        for local in range(shard.num_sessions):
-            index = shard.start + local
-            sessions.append(
-                session_result_from_trace(
-                    names[local],
-                    fleet_trace.session_trace(index),
-                    losses=losses[local],
-                    rewards=rewards[local],
-                )
-            )
+    result = run_sharded_scenario(cell, num_shards)
     return FleetRunResult(
         setting=setting,
         method=method,
         num_sessions=num_sessions,
-        policy_name=shard_results[0][4],
-        sessions=tuple(sessions),
-        fleet_trace=fleet_trace,
-        elapsed_s=elapsed_s,
+        policy_name=result.sessions[0].policy_name,
+        sessions=result.sessions,
+        fleet_trace=result.fleet_trace,
+        elapsed_s=result.elapsed_s,
     )
 
 
@@ -790,40 +583,14 @@ class RecoveryReport:
 
 
 @dataclass(frozen=True)
-class SupervisedScenarioResult:
+class SupervisedScenarioResult(ShardedScenarioResult):
     """Outcome of one supervised (fault-tolerant) sharded scenario run.
 
     Carries everything :class:`ShardedScenarioResult` does, plus the
-    supervisor's :class:`RecoveryReport` and the per-(frame, session)
-    degraded mask recorded by fault-injection wrappers (``None`` when the
-    scenario carries no fault plan).
+    supervisor's :class:`RecoveryReport`.
     """
 
-    scenario: "FleetScenario"
-    assignments: tuple
-    shards: Tuple[ShardPlan, ...]
-    sessions: Tuple[SessionResult, ...]
-    fleet_trace: FleetTrace
-    elapsed_s: float
-    recovery: RecoveryReport
-    degraded: Optional[np.ndarray] = None
-
-    @property
-    def num_shards(self) -> int:
-        """Number of (non-empty) shards that actually ran."""
-        return len(self.shards)
-
-    @property
-    def num_sessions(self) -> int:
-        """Total fleet size."""
-        return self.fleet_trace.num_sessions
-
-    @property
-    def aggregate_frames_per_second(self) -> float:
-        """Total frames processed across the fleet per wall-clock second."""
-        if self.elapsed_s <= 0:
-            return float("inf")
-        return self.fleet_trace.total_frames / self.elapsed_s
+    recovery: RecoveryReport = field(kw_only=True)
 
 
 def _checkpoint_write(path: Path, payload: dict) -> None:
@@ -832,6 +599,62 @@ def _checkpoint_write(path: Path, payload: dict) -> None:
     with open(tmp, "wb") as handle:
         pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
     os.replace(tmp, path)
+
+
+@dataclass
+class _SupervisedSink:
+    """Frame sink of a supervised shard: record, checkpoint, crash.
+
+    ``append`` stores each frame, then spools a checkpoint every
+    ``checkpoint_every`` completed frames (never after the last), then —
+    at the boundary before ``crash_frame`` — injects the one-shot worker
+    death.  ``frames`` starts as the frames restored from a checkpoint.
+    """
+
+    groups: Sequence[FleetSessionGroup]
+    num_frames: int
+    checkpoint_every: int
+    checkpoint_path: Path
+    crash_frame: Optional[int]
+    crash_marker: Path
+    shard_index: int
+    frames: List[FleetFrameResult] = field(default_factory=list)
+
+    def crash_if_due(self, frame: int) -> None:
+        """Kill this worker at the start of ``frame`` if it is the crash frame.
+
+        A marker file in the spool makes the crash one-shot: the restarted
+        worker passes the same frame unharmed.
+        """
+        if frame == self.crash_frame and not self.crash_marker.exists():
+            self.crash_marker.write_text(str(frame))
+            os._exit(43)
+
+    def append(self, frame_result: FleetFrameResult) -> None:
+        self.frames.append(frame_result)
+        completed = len(self.frames)
+        if completed >= self.num_frames:
+            return
+        if self.checkpoint_every > 0 and completed % self.checkpoint_every == 0:
+            _checkpoint_write(
+                self.checkpoint_path,
+                {
+                    "frame": completed,
+                    "environments": [
+                        group.environment.state_dict() for group in self.groups
+                    ],
+                    "policies": [
+                        group.policy.state_dict()
+                        if hasattr(group.policy, "state_dict")
+                        else None
+                        for group in self.groups
+                    ],
+                    "frames": self.frames,
+                },
+            )
+            _obs.event("checkpoint.write", shard=self.shard_index, frame=completed)
+            _obs.inc("checkpoint.writes")
+        self.crash_if_due(completed)
 
 
 def _run_supervised_shard(
@@ -846,14 +669,13 @@ def _run_supervised_shard(
 ):
     """Run one scenario shard with periodic checkpoints and crash injection.
 
-    The frame loop mirrors :func:`repro.env.fleet.run_grouped_fleet_episode`
-    exactly, but pauses at frame boundaries to spool a checkpoint (the
-    environments' and policies' ``state_dict`` snapshots plus the frames
-    recorded so far) every ``checkpoint_every`` frames.  When a checkpoint
-    for this shard already exists in the spool, the worker resumes from it
-    instead of frame 0 — because every state a frame reads is captured, the
-    resumed run's remaining frames are bit-identical to an uninterrupted
-    one.
+    The shard runs the grouped episode loop with a :class:`_SupervisedSink`
+    that spools a checkpoint (the environments' and policies'
+    ``state_dict`` snapshots plus the frames recorded so far) every
+    ``checkpoint_every`` frames.  When a checkpoint for this shard already
+    exists in the spool, the worker resumes from it instead of frame 0 —
+    because every state a frame reads is captured, the resumed run's
+    remaining frames are bit-identical to an uninterrupted one.
 
     ``crash_frame`` injects a worker death: the process calls ``os._exit``
     at the start of that frame, once — a marker file in the spool keeps the
@@ -868,22 +690,24 @@ def _run_supervised_shard(
     with _obs.span("shard.build", kind="supervised", shard=shard_index):
         assignments = scenario.session_assignments(num_sessions)[start:stop]
         num_frames = scenario.num_frames
-        session_groups, grouped = _shard_session_groups(assignments, num_frames, start)
-    count = stop - start
-    targets = validate_session_partition(
-        [group.session_indices for group in session_groups], count
-    )
+        session_groups = _session_groups(assignments, num_frames, base=start)
     for group in session_groups:
         group.environment.reset()
         group.policy.reset()
 
     spool = Path(spool_dir)
-    checkpoint_path = spool / f"shard-{shard_index}.ckpt"
-    crash_marker = spool / f"shard-{shard_index}.crashed"
-    frames: List[FleetFrameResult] = []
+    sink = _SupervisedSink(
+        groups=session_groups,
+        num_frames=num_frames,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=spool / f"shard-{shard_index}.ckpt",
+        crash_frame=crash_frame,
+        crash_marker=spool / f"shard-{shard_index}.crashed",
+        shard_index=shard_index,
+    )
     first_frame = 0
-    if checkpoint_path.exists():
-        with open(checkpoint_path, "rb") as handle:
+    if sink.checkpoint_path.exists():
+        with open(sink.checkpoint_path, "rb") as handle:
             payload = pickle.load(handle)
         for group, environment_state, policy_state in zip(
             session_groups, payload["environments"], payload["policies"]
@@ -891,71 +715,21 @@ def _run_supervised_shard(
             group.environment.load_state_dict(environment_state)
             if policy_state is not None:
                 group.policy.load_state_dict(policy_state)
-        frames = payload["frames"]
+        sink.frames = payload["frames"]
         first_frame = payload["frame"]
         _obs.event("checkpoint.restore", shard=shard_index, frame=first_frame)
         _obs.inc("checkpoint.restores")
 
-    for frame in range(first_frame, num_frames):
-        if (
-            crash_frame is not None
-            and frame == crash_frame
-            and not crash_marker.exists()
-        ):
-            crash_marker.write_text(str(frame))
-            os._exit(43)
-        for group in session_groups:
-            observation = group.environment.begin_frame()
-            group.environment.apply_decision(group.policy.begin_frame(observation))
-        for group in session_groups:
-            observation = group.environment.run_first_stage()
-            group.environment.apply_decision(group.policy.mid_frame(observation))
-        results = []
-        for group in session_groups:
-            result = group.environment.run_second_stage()
-            group.policy.end_frame(result)
-            results.append(result)
-        frames.append(_scatter_frame_results(results, targets, count))
-        completed = frame + 1
-        if (
-            checkpoint_every > 0
-            and completed % checkpoint_every == 0
-            and completed < num_frames
-        ):
-            _checkpoint_write(
-                checkpoint_path,
-                {
-                    "frame": completed,
-                    "environments": [
-                        group.environment.state_dict() for group in session_groups
-                    ],
-                    "policies": [
-                        group.policy.state_dict()
-                        if hasattr(group.policy, "state_dict")
-                        else None
-                        for group in session_groups
-                    ],
-                    "frames": frames,
-                },
-            )
-            _obs.event("checkpoint.write", shard=shard_index, frame=completed)
-            _obs.inc("checkpoint.writes")
-
-    losses: List[List[float]] = [[] for _ in range(count)]
-    rewards: List[List[float]] = [[] for _ in range(count)]
-    names: List[str] = [""] * count
-    for group, (_, group_assignments) in zip(session_groups, grouped):
-        group_losses, group_rewards = _session_histories(
-            group.policy, group.environment.num_sessions
-        )
-        group_names = _session_policy_names(
-            group.policy, group.environment.num_sessions
-        )
-        for local, assignment in enumerate(group_assignments):
-            losses[assignment.index - start] = group_losses[local]
-            rewards[assignment.index - start] = group_rewards[local]
-            names[assignment.index - start] = group_names[local]
-    degraded = collect_degraded(session_groups, num_frames, count)
+    sink.crash_if_due(first_frame)
+    run_grouped_fleet_episode(
+        session_groups,
+        num_frames - first_frame,
+        reset_environments=False,
+        reset_policies=False,
+        sink=sink,
+    )
+    losses, rewards, names = _group_histories(session_groups)
+    degraded = collect_degraded(session_groups, num_frames, stop - start)
 
     # Spool the completed trace as a chunk store.  A stale store can exist
     # if this worker's previous incarnation finished but its result was
@@ -963,8 +737,8 @@ def _run_supervised_shard(
     store_dir = spool / f"shard-{shard_index}-trace"
     if store_dir.exists():
         shutil.rmtree(store_dir)
-    writer = FleetTraceWriter(store_dir, count)
-    for frame_result in frames:
+    writer = FleetTraceWriter(store_dir, stop - start)
+    for frame_result in sink.frames:
         writer.append(frame_result)
     manifest = writer.close()
     run_span.__exit__(None, None, None)
@@ -1012,10 +786,10 @@ def run_supervised_scenario(
     """
     if checkpoint_every < 0:
         raise ShardError("checkpoint_every must be non-negative")
-    scenario = _resolve_scenario(scenario, num_frames)
-    assignments = scenario.session_assignments(num_sessions)
+    scenario, assignments, shards = _plan_scenario(
+        scenario, num_shards, num_sessions, num_frames
+    )
     total = len(assignments)
-    shards = tuple(plan_shards(assignments, num_shards))
 
     all_crashes = list(crashes)
     for member in scenario.members:
@@ -1070,9 +844,9 @@ def run_supervised_scenario(
     finally:
         if owned:
             pool.shutdown()
-    ordered = run_report.results
+    shard_results = run_report.results
     fleet_trace = _interleave_shard_traces(
-        [payload for payload, _, _, _, _ in ordered], shards, total
+        [result[0] for result in shard_results], shards, total
     )
     elapsed_s = time.perf_counter() - start_time
     run_span.__exit__(None, None, None)
@@ -1081,27 +855,9 @@ def run_supervised_scenario(
         if run_report.first_death is None
         else time.perf_counter() - run_report.first_death
     )
-    crashes_detected = run_report.crashes_detected
-    restarts = run_report.restarts
-    recovered = set(run_report.recovered)
-
-    degraded: Optional[np.ndarray] = None
-    if any(shard_degraded is not None for _, _, _, _, shard_degraded in ordered):
-        degraded = np.zeros((scenario.num_frames, total), dtype=bool)
-        for shard, (_, _, _, _, shard_degraded) in zip(shards, ordered):
-            if shard_degraded is not None:
-                degraded[:, shard.start : shard.stop] = shard_degraded
-
-    sessions: List[SessionResult] = [None] * total  # type: ignore[list-item]
-    for shard, (_, losses, rewards, names, _) in zip(shards, ordered):
-        for local in range(shard.num_sessions):
-            index = shard.start + local
-            sessions[index] = session_result_from_trace(
-                names[local],
-                fleet_trace.session_trace(index),
-                losses=losses[local],
-                rewards=rewards[local],
-            )
+    sessions, degraded = _gather_shards(
+        shards, shard_results, fleet_trace, scenario.num_frames
+    )
 
     if own_spool:
         # The spool now holds directories (spooled trace stores) alongside
@@ -1109,9 +865,9 @@ def run_supervised_scenario(
         shutil.rmtree(spool, ignore_errors=True)
 
     recovery = RecoveryReport(
-        crashes_detected=crashes_detected,
-        restarts=restarts,
-        recovered_shards=tuple(sorted(recovered)),
+        crashes_detected=run_report.crashes_detected,
+        restarts=run_report.restarts,
+        recovered_shards=tuple(sorted(run_report.recovered)),
         checkpoint_every=checkpoint_every,
         recovery_s=recovery_s,
     )
@@ -1120,9 +876,9 @@ def run_supervised_scenario(
         scenario=scenario,
         assignments=assignments,
         shards=shards,
-        sessions=tuple(sessions),
+        sessions=sessions,
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
-        recovery=recovery,
         degraded=degraded,
+        recovery=recovery,
     )

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.experiments import ExperimentSetting
+from repro.analysis.resilience import resilience_report
 from repro.comms.channel import LossyChannel, SimulatedChannel
 from repro.comms.server import RemotePolicy
 from repro.env.episode import run_episode
@@ -53,6 +54,7 @@ from repro.runtime import (
     ResultCache,
     job_key,
     run_fleet_scenario,
+    run_sharded_scenario,
     run_supervised_scenario,
 )
 from repro.scenarios import build_scenario
@@ -206,7 +208,11 @@ class TestCrashRecovery:
         assert_traces_identical(first.fleet_trace, second.fleet_trace)
         assert np.array_equal(first.degraded, second.degraded)
 
-    def test_explicit_crash_without_plan_recovers(self):
+    @pytest.mark.parametrize("checkpoint_every", [0, 6])
+    @pytest.mark.parametrize("crash_frame", [0, 7, FRAMES - 1])
+    def test_explicit_crash_without_plan_recovers(self, crash_frame, checkpoint_every):
+        """Crashes at the episode's ends and mid-interval, with and without
+        periodic checkpoints, all recover to the uninterrupted trace."""
         spec = build_scenario("cctv-burst").with_overrides(
             num_frames=FRAMES, num_sessions=SESSIONS
         )
@@ -214,10 +220,11 @@ class TestCrashRecovery:
         recovered = run_supervised_scenario(
             spec,
             2,
-            checkpoint_every=6,
-            crashes=(WorkerCrash(frame=10, shard=0),),
+            checkpoint_every=checkpoint_every,
+            crashes=(WorkerCrash(frame=crash_frame, shard=0),),
         )
         assert recovered.recovery.crashes_detected == 1
+        assert recovered.recovery.recovered_shards == (0,)
         assert_traces_identical(recovered.fleet_trace, reference.fleet_trace)
 
     def test_invalid_supervision_arguments_are_typed(self):
@@ -248,6 +255,23 @@ def test_dropout_marks_degraded_frames():
     assert result.degraded[5:11].all()
     assert not result.degraded[:5].any()
     assert not result.degraded[11:].any()
+
+
+@pytest.mark.parametrize("num_shards", [2, 3])
+def test_sharded_run_keeps_the_degraded_mask(num_shards):
+    plan = FaultPlan(
+        events=(SensorDropout(start_frame=2, num_frames=6, probability=0.7),),
+        seed=0,
+    )
+    scenario = build_scenario("cctv-burst").with_faults(plan)
+    reference = run_fleet_scenario(scenario, num_frames=12, num_sessions=4)
+    sharded = run_sharded_scenario(
+        scenario, num_shards, num_frames=12, num_sessions=4
+    )
+    expected = resilience_report(reference).degraded_cells
+    assert expected > 0
+    assert resilience_report(sharded).degraded_cells == expected
+    assert np.array_equal(sharded.degraded, reference.degraded)
 
 
 def test_clean_scenario_reports_no_degradation():

@@ -46,13 +46,12 @@ from repro.runtime.pool import (
     _export_payload,
     _import_payload,
     acquire_pool,
-    fleet_shard_fingerprint,
     pool_enabled,
     scenario_shard_fingerprint,
     shared_pool,
     shutdown_shared_pool,
 )
-from repro.scenarios import build_scenario
+from repro.scenarios import ScenarioSpec, build_scenario
 
 from tests.test_fleet_sharding import assert_traces_identical
 
@@ -220,11 +219,12 @@ class TestPoolProtocol:
         assert a != scenario_shard_fingerprint(scenario, 4, 2, 4)
         assert a != scenario_shard_fingerprint(scenario, 8, 0, 2)
 
-        setting = ExperimentSetting(num_frames=8, seed=0)
-        f = fleet_shard_fingerprint(setting, "default", 0, 3, None)
-        assert f == fleet_shard_fingerprint(setting, "default", 0, 3, None)
-        assert f != fleet_shard_fingerprint(setting, "ztt", 0, 3, None)
-        assert f != fleet_shard_fingerprint(setting, "default", 3, 3, None)
+        governed = ScenarioSpec(name="cell", method="default", num_frames=8)
+        learned = governed.with_overrides(method="ztt")
+        f = scenario_shard_fingerprint(governed, 6, 0, 3)
+        assert f == scenario_shard_fingerprint(governed, 6, 0, 3)
+        assert f != scenario_shard_fingerprint(learned, 6, 0, 3)
+        assert f != scenario_shard_fingerprint(governed, 6, 3, 6)
         assert a != f
 
     def test_checkpoint_of_pinned_shard_and_reset(self):
