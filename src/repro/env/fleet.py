@@ -4,10 +4,12 @@
 sessions in lock-step, exposing the exact two-decision-point phase protocol
 of the scalar :class:`~repro.env.environment.InferenceEnvironment` over
 *batch* observations: every observation field is a length-N array, one
-entry per session.  All sessions share one device model, detector and
-ambient profile; each session has its own frame stream, proposal-noise
-generator, thermal state, throttle state and frequency levels, held
-struct-of-arrays in a :class:`FleetState`.
+entry per session.  All sessions share one device model and detector; each
+session has its own workload column (dataset, latency constraint), ambient
+schedule, proposal-noise generator, thermal state, throttle state and
+frequency levels, held struct-of-arrays in a :class:`FleetState`.  The
+workload arrives as one :class:`~repro.workload.fleet.FleetFrameStream`
+and the ambient schedules as one :class:`SessionAmbient`.
 
 Seed-for-seed equivalence: session ``i`` of a fleet built from streams and
 generators seeded like scalar runs produces the *bit-identical* trace the
@@ -16,6 +18,10 @@ scalar environment produces with those seeds — the batched kernels in
 scalar arithmetic elementwise, and the per-session random streams are
 consumed in the same order.  ``tests/test_fleet_equivalence.py`` enforces
 this.
+
+There is one fleet frame loop, :func:`run_grouped_fleet_episode`: a fleet
+is a list of :class:`FleetSessionGroup` sub-fleets (one per device and
+detector), and :func:`run_fleet_episode` runs a single group.
 
 Policies drive the fleet through the :class:`FleetPolicy` protocol.
 Vectorized implementations live in :mod:`repro.governors.fleet` (the
@@ -49,12 +55,12 @@ from repro.env.environment import (
     FrameResult,
     FrameStartObservation,
     MidFrameObservation,
-    StreamLike,
 )
 from repro.env.policy import Policy
 from repro.env.trace import FrameRecord, Trace
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
+from repro.workload.fleet import FleetFrameStream
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +75,6 @@ class FleetState:
     Attributes:
         device: Batched device state (temperatures, levels, throttle flags,
             energy) shared-model across the fleet.
-        streams: Per-session workload cursors (frame streams).
         rngs: Per-session proposal-noise generators.
         previous_latency_ms: Last frame's total latency per session (``None``
             before the first frame; sessions advance lock-step).
@@ -84,7 +89,6 @@ class FleetState:
     """
 
     device: DeviceFleet
-    streams: tuple
     rngs: tuple
     previous_latency_ms: np.ndarray | None
     cpu_utilisation: np.ndarray
@@ -601,17 +605,29 @@ class SessionAmbient:
     """Per-session ambient schedules for one fleet.
 
     Wraps one :class:`~repro.env.ambient.AmbientProfile` per session and
-    exposes the same two methods the environment calls on a shared profile —
-    except they return length-N arrays, so heterogeneous fleets can give
-    every session its own day/night cycle, ramp or zone schedule.  Element
-    ``i`` is exactly what the scalar environment would compute for session
-    ``i``'s own profile, preserving the seed-for-seed equivalence contract.
+    exposes the profile protocol over length-N arrays, so every session may
+    follow its own day/night cycle, ramp or zone schedule.  Element ``i`` is
+    exactly what the scalar environment computes for session ``i``'s own
+    profile, preserving the seed-for-seed equivalence contract.  Profiles
+    are pure functions of the frame index, so each *distinct* profile object
+    is evaluated once per frame and its value indexed out to the sessions
+    that share it (a homogeneous cell costs one call, not N).
     """
 
     def __init__(self, profiles: Sequence[AmbientProfile]):
         if not profiles:
             raise ConfigurationError("need at least one ambient profile")
         self.profiles = tuple(profiles)
+        slots: dict[int, int] = {}
+        distinct: List[AmbientProfile] = []
+        for profile in self.profiles:
+            if id(profile) not in slots:
+                slots[id(profile)] = len(distinct)
+                distinct.append(profile)
+        self._distinct = tuple(distinct)
+        self._slot = np.array(
+            [slots[id(profile)] for profile in self.profiles], dtype=np.int64
+        )
 
     @property
     def num_sessions(self) -> int:
@@ -620,15 +636,13 @@ class SessionAmbient:
 
     def temperature_at(self, frame_index: int) -> np.ndarray:
         """Per-session ambient temperatures when processing ``frame_index``."""
-        return np.array(
-            [profile.temperature_at(frame_index) for profile in self.profiles]
-        )
+        values = [profile.temperature_at(frame_index) for profile in self._distinct]
+        return np.array(values)[self._slot]
 
     def initial_temperature(self) -> np.ndarray:
         """Per-session ambient temperatures before the first frame."""
-        return np.array(
-            [profile.initial_temperature() for profile in self.profiles]
-        )
+        values = [profile.initial_temperature() for profile in self._distinct]
+        return np.array(values)[self._slot]
 
 
 class _Phase(enum.Enum):
@@ -644,16 +658,14 @@ class BatchedInferenceEnvironment:
         device: Template edge device (shared description; per-session state
             lives in the fleet arrays).
         detector: Detector cost model all sessions run.
-        streams: The workload — either one scalar frame stream per session,
-            or a single batched stream exposing ``next_frames()`` (e.g.
-            :class:`repro.workload.fleet.FleetFrameStream`, the fast path
-            that avoids per-session Python dispatch).
-        latency_constraint_ms: Default per-frame latency constraint.
-        ambient: Ambient schedule — a single shared
-            :class:`~repro.env.ambient.AmbientProfile` (frame-index driven;
-            sessions are lock-step so they observe the same temperatures), a
-            prepared :class:`SessionAmbient`, or a sequence of one profile
-            per session (each session follows its own schedule).
+        streams: The workload: one
+            :class:`~repro.workload.fleet.FleetFrameStream`, which defines
+            the fleet size and carries every session's dataset and latency
+            constraint.
+        ambient: Ambient schedule — one
+            :class:`~repro.env.ambient.AmbientProfile` per session, or a
+            single profile every session follows (default: a constant
+            25 °C).  Either form is held as a :class:`SessionAmbient`.
         rngs: Per-session proposal-noise generators; defaults to
             ``default_rng(i)``.
         throttle_threshold_c: Temperature threshold exposed to controllers.
@@ -664,25 +676,20 @@ class BatchedInferenceEnvironment:
         self,
         device: EdgeDevice,
         detector: DetectorModel,
-        streams: "Sequence[StreamLike] | object",
-        latency_constraint_ms: float,
-        ambient: "AmbientProfile | SessionAmbient | Sequence[AmbientProfile] | None" = None,
+        streams: FleetFrameStream,
+        ambient: "AmbientProfile | Sequence[AmbientProfile] | None" = None,
         rngs: Sequence[np.random.Generator] | None = None,
         throttle_threshold_c: float | None = None,
         idle_between_frames_ms: float = 0.0,
     ):
-        if latency_constraint_ms <= 0:
-            raise ConfigurationError("latency_constraint_ms must be positive")
         if idle_between_frames_ms < 0:
             raise ConfigurationError("idle_between_frames_ms must be non-negative")
-        self._batched_stream = streams if hasattr(streams, "next_frames") else None
-        if self._batched_stream is not None:
-            num_sessions = self._batched_stream.num_sessions
-            streams = ()
-        else:
-            if not streams:
-                raise ConfigurationError("need at least one stream (one per session)")
-            num_sessions = len(streams)
+        if not isinstance(streams, FleetFrameStream):
+            raise ConfigurationError(
+                f"the workload must be a FleetFrameStream, got {type(streams).__name__}"
+            )
+        self._stream = streams
+        num_sessions = streams.num_sessions
         if rngs is None:
             rngs = [np.random.default_rng(i) for i in range(num_sessions)]
         if len(rngs) != num_sessions:
@@ -691,17 +698,12 @@ class BatchedInferenceEnvironment:
             )
         self.device = device
         self.detector = detector
-        self.default_latency_constraint_ms = latency_constraint_ms
         if ambient is None:
-            self.ambient = ConstantAmbient()
-        elif hasattr(ambient, "temperature_at"):
-            self.ambient = ambient
-        else:
-            self.ambient = SessionAmbient(list(ambient))
-        if (
-            isinstance(self.ambient, SessionAmbient)
-            and self.ambient.num_sessions != num_sessions
-        ):
+            ambient = ConstantAmbient()
+        if isinstance(ambient, AmbientProfile):
+            ambient = [ambient] * num_sessions
+        self.ambient = SessionAmbient(list(ambient))
+        if self.ambient.num_sessions != num_sessions:
             raise ConfigurationError(
                 f"got {self.ambient.num_sessions} ambient profiles for "
                 f"{num_sessions} sessions"
@@ -721,12 +723,11 @@ class BatchedInferenceEnvironment:
         n = num_sessions
         self.state = FleetState(
             device=fleet,
-            streams=tuple(streams),
             rngs=tuple(rngs),
             previous_latency_ms=None,
             cpu_utilisation=np.zeros(n),
             gpu_utilisation=np.zeros(n),
-            constraint_ms=np.full(n, latency_constraint_ms),
+            constraint_ms=np.zeros(n),
             image_scale=np.ones(n),
             scene_candidates=np.zeros(n),
             datasets=("",) * n,
@@ -779,16 +780,12 @@ class BatchedInferenceEnvironment:
                 f"state_dict is only valid at a frame boundary, not in phase "
                 f"{self._phase.value!r}"
             )
-        if self._batched_stream is None:
-            raise ExperimentError(
-                "state_dict requires a batched fleet stream (FleetFrameStream)"
-            )
         state = self.state
         return {
             "num_sessions": int(self.num_sessions),
             "frame_index": int(self._frame_index),
             "device": state.device.state_dict(),
-            "stream": self._batched_stream.state_dict(),
+            "stream": self._stream.state_dict(),
             "rngs": [rng.bit_generator.state for rng in state.rngs],
             "previous_latency_ms": (
                 None
@@ -812,13 +809,9 @@ class BatchedInferenceEnvironment:
                 f"snapshot was captured from a {payload['num_sessions']}-session "
                 f"environment but this one drives {self.num_sessions} sessions"
             )
-        if self._batched_stream is None:
-            raise ExperimentError(
-                "load_state_dict requires a batched fleet stream (FleetFrameStream)"
-            )
         state = self.state
         state.device.load_state_dict(payload["device"])
-        self._batched_stream.load_state_dict(payload["stream"])
+        self._stream.load_state_dict(payload["stream"])
         for rng, rng_state in zip(state.rngs, payload["rngs"]):
             rng.bit_generator.state = rng_state
         state.previous_latency_ms = (
@@ -858,41 +851,12 @@ class BatchedInferenceEnvironment:
             )
         state = self.state
         state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
-        default_constraint = self.default_latency_constraint_ms
-        if self._batched_stream is not None:
-            batch = self._batched_stream.next_frames()
-            image_scale = batch.image_scale
-            candidates = batch.scene_candidates
-            if batch.latency_constraint_ms is None:
-                constraint = np.full(self.num_sessions, default_constraint)
-            else:
-                constraint = batch.latency_constraint_ms
-                unset = np.isnan(constraint)
-                if unset.any():
-                    # NaN entries mark sessions without a per-session
-                    # override; they fall back to the experiment default.
-                    constraint = np.where(unset, default_constraint, constraint)
-            datasets = batch.datasets
-        else:
-            image_scale = np.empty(self.num_sessions)
-            candidates = np.empty(self.num_sessions)
-            constraint = np.empty(self.num_sessions)
-            names = []
-            for i, stream in enumerate(state.streams):
-                frame = stream.next_frame()
-                image_scale[i] = frame.image_scale
-                candidates[i] = frame.scene_candidates
-                constraint[i] = (
-                    frame.latency_constraint_ms
-                    if frame.latency_constraint_ms is not None
-                    else default_constraint
-                )
-                names.append(frame.dataset)
-            datasets = tuple(names)
-        state.image_scale = image_scale
-        state.scene_candidates = candidates
+        batch = self._stream.next_frames()
+        constraint = batch.latency_constraint_ms
+        state.image_scale = batch.image_scale
+        state.scene_candidates = batch.scene_candidates
         state.constraint_ms = constraint
-        state.datasets = datasets
+        state.datasets = batch.datasets
         state.frame_energy_j = np.zeros(self.num_sessions)
         self._phase = _Phase.STARTED
         device = state.device
@@ -1022,66 +986,19 @@ class BatchedInferenceEnvironment:
 
 
 # ---------------------------------------------------------------------------
-# Episode loop
-# ---------------------------------------------------------------------------
-
-
-def run_fleet_episode(
-    environment: BatchedInferenceEnvironment,
-    policy: FleetPolicy,
-    num_frames: int,
-    reset_environment: bool = True,
-    reset_policy: bool = True,
-    sink=None,
-):
-    """Run ``policy`` on the fleet for ``num_frames`` lock-step frames.
-
-    The single loop shared by every fleet experiment: the batch analogue of
-    :func:`repro.env.episode.run_episode`.
-
-    Args:
-        sink: Optional frame sink with an ``append(FleetFrameResult)``
-            method — e.g. a :class:`repro.store.FleetTraceWriter` spooling
-            chunks to disk so the episode never holds the full trace in
-            memory.  Defaults to a fresh in-memory :class:`FleetTrace`.
-            When a writer is passed the caller owns sealing it
-            (``close()``).
-
-    Returns:
-        The sink — the columnar :class:`FleetTrace` of all processed frames
-        unless a custom sink was supplied.
-    """
-    if num_frames <= 0:
-        raise ExperimentError("num_frames must be positive")
-    if reset_environment:
-        environment.reset()
-    if reset_policy:
-        policy.reset()
-    trace = FleetTrace(environment.num_sessions) if sink is None else sink
-    for _ in range(num_frames):
-        start_observation = environment.begin_frame()
-        environment.apply_decision(policy.begin_frame(start_observation))
-        mid_observation = environment.run_first_stage()
-        environment.apply_decision(policy.mid_frame(mid_observation))
-        result = environment.run_second_stage()
-        policy.end_frame(result)
-        trace.append(result)
-    return trace
-
-
-# ---------------------------------------------------------------------------
-# Grouped sub-fleets (heterogeneous fleets)
+# Session groups and the episode loop
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class FleetSessionGroup:
-    """One homogeneous sub-fleet of a heterogeneous fleet run.
+    """One sub-fleet of a fleet run that shares a device model and detector.
 
-    A heterogeneous fleet is partitioned into groups that share one device
-    model and one detector (the quantities the batched kernels require to be
-    uniform); everything else — dataset, ambient schedule, latency
-    constraint, seed, policy — may vary per session *within* the group.
+    A fleet is partitioned into groups that share one device model and one
+    detector (the quantities the batched kernels require to be uniform);
+    everything else — dataset, ambient schedule, latency constraint, seed,
+    policy — may vary per session *within* the group.  A homogeneous cell
+    is a single group.
     Each group is one :class:`BatchedInferenceEnvironment` advanced as a
     single batched kernel; ``session_indices`` maps the group's local
     session order back to positions in the combined fleet.
@@ -1212,20 +1129,26 @@ def run_grouped_fleet_episode(
     reset_policies: bool = True,
     sink=None,
 ):
-    """Run a heterogeneous fleet — several grouped sub-fleets — in lock-step.
+    """Run a fleet — one or more grouped sub-fleets — in lock-step.
 
-    The grouped analogue of :func:`run_fleet_episode`: every group advances
-    through the same three-phase frame protocol each iteration (each phase
-    as one batched kernel per group), and the per-group frame results are
+    The one fleet frame loop, the batch analogue of
+    :func:`repro.env.episode.run_episode`: every group advances through the
+    same three-phase frame protocol each iteration (each phase as one
+    batched kernel per group), and the per-group frame results are
     re-interleaved into a single columnar :class:`FleetTrace` ordered by
     global session index.  Groups never interact, so each session's
     trajectory is bit-identical to what it would produce in a homogeneous
-    fleet — or a scalar run — of its own configuration and seed.
+    fleet — or a scalar run — of its own configuration and seed.  A single
+    group already in global order (indices ``0..N-1``) needs no
+    re-interleaving, so its frame results are appended as they are.
 
     Args:
-        sink: Optional frame sink with ``append`` (see
-            :func:`run_fleet_episode`); defaults to an in-memory
-            :class:`FleetTrace`.
+        sink: Optional frame sink with an ``append(FleetFrameResult)``
+            method — e.g. a :class:`repro.store.FleetTraceWriter` spooling
+            chunks to disk so the episode never holds the full trace in
+            memory.  Defaults to a fresh in-memory :class:`FleetTrace`.
+            When a writer is passed the caller owns sealing it
+            (``close()``).
 
     Returns:
         The sink — the combined columnar trace over all groups' sessions
@@ -1241,6 +1164,7 @@ def run_grouped_fleet_episode(
     targets = validate_session_partition(
         [group.session_indices for group in groups], num_sessions
     )
+    in_order = len(groups) == 1 and np.array_equal(targets[0], np.arange(num_sessions))
     for group in groups:
         if reset_environments:
             group.environment.reset()
@@ -1259,5 +1183,39 @@ def run_grouped_fleet_episode(
             result = group.environment.run_second_stage()
             group.policy.end_frame(result)
             results.append(result)
-        trace.append(_scatter_frame_results(results, targets, num_sessions))
+        if in_order:
+            trace.append(results[0])
+        else:
+            trace.append(_scatter_frame_results(results, targets, num_sessions))
     return trace
+
+
+def run_fleet_episode(
+    environment: BatchedInferenceEnvironment,
+    policy: FleetPolicy,
+    num_frames: int,
+    reset_environment: bool = True,
+    reset_policy: bool = True,
+    sink=None,
+):
+    """Run ``policy`` on one environment for ``num_frames`` lock-step frames.
+
+    The single-group call of :func:`run_grouped_fleet_episode` (same
+    ``sink`` contract).
+
+    Returns:
+        The sink — the columnar :class:`FleetTrace` of all processed frames
+        unless a custom sink was supplied.
+    """
+    group = FleetSessionGroup(
+        environment=environment,
+        policy=policy,
+        session_indices=tuple(range(environment.num_sessions)),
+    )
+    return run_grouped_fleet_episode(
+        [group],
+        num_frames,
+        reset_environments=reset_environment,
+        reset_policies=reset_policy,
+        sink=sink,
+    )

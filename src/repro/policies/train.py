@@ -106,9 +106,10 @@ def train_policy(
     )
 
     if fleet_training:
-        from repro.env.fleet import run_fleet_episode
+        from repro.env.fleet import FleetSessionGroup, run_grouped_fleet_episode
         from repro.runtime.fleet import (
-            _session_results,
+            _group_histories,
+            _package_sessions,
             make_fleet_environment,
             make_fleet_policy,
         )
@@ -154,11 +155,18 @@ def train_policy(
             )
 
     if fleet_training:
-        fleet_trace = run_fleet_episode(environment, policy, setting.num_frames)
+        groups = [
+            FleetSessionGroup(
+                environment=environment,
+                policy=policy,
+                session_indices=tuple(range(environment.num_sessions)),
+            )
+        ]
+        fleet_trace = run_grouped_fleet_episode(groups, setting.num_frames)
         # The zoo records one SessionResult per training run; for a fleet
         # run that is session 0's trace (every session shares the same
         # network and loss history).
-        result = _session_results(policy, fleet_trace)[0]
+        result = _package_sessions(fleet_trace, *_group_histories(groups))[0]
     else:
         trace = run_episode(environment, policy, setting.num_frames)
         result = session_result_from_trace(

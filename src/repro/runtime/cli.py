@@ -364,8 +364,11 @@ def _print_resilience(result, report_path: str | None) -> None:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import ExperimentSetting
-    from repro.runtime.fleet import run_fleet
-    from repro.runtime.shards import run_sharded_fleet, run_sharded_scenario
+    from repro.runtime.shards import (
+        _sharded_cell_spec,
+        run_sharded_scenario,
+        run_supervised_scenario,
+    )
 
     if args.training_frames:
         raise LotusError(
@@ -373,89 +376,79 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "train within the episode itself); drop --training-frames or use "
             "`python -m repro run`"
         )
+    observing = _obs_begin(args)
     if args.scenario is not None:
         # `fleet run SCENARIO --shards N`: shard a registered scenario's
         # fleet across worker processes (trace byte-identical to the
-        # single-process `scenario run`).  With --supervised the shards run
-        # under the crash-recovering supervisor instead.
-        from repro.runtime.shards import run_supervised_scenario
+        # single-process `scenario run`).
+        from repro.scenarios import build_scenario
 
-        scenario = args.scenario
-        observing = _obs_begin(args)
-        plan = _load_fault_plan(args.faults)
-        if plan is not None:
-            from repro.scenarios import build_scenario
-
-            scenario = build_scenario(args.scenario).with_faults(plan)
-        if args.supervised:
-            result = run_supervised_scenario(
-                scenario,
-                args.shards,
-                num_sessions=args.sessions,
-                num_frames=args.frames,
-                checkpoint_every=args.checkpoint_every,
-            )
-        else:
-            result = run_sharded_scenario(
-                scenario,
-                args.shards,
-                num_sessions=args.sessions,
-                num_frames=args.frames,
-            )
+        scenario = build_scenario(args.scenario)
+        label = args.scenario
+        session_label = "{a.index}: {a.spec.name} (seed {a.seed})"
+    else:
+        # A cell is the one-member scenario of its setting, so it shares
+        # the scenario path: shards, faults, supervisor and report.
+        setting = ExperimentSetting(
+            device=args.device,
+            detector=args.detector,
+            dataset=args.dataset,
+            num_frames=args.frames if args.frames is not None else 1000,
+            latency_constraint_ms=args.constraint_ms,
+            ambient_temperature_c=args.ambient_c,
+            seed=args.seed,
+        )
+        sessions = args.sessions if args.sessions is not None else 64
+        scenario = _sharded_cell_spec(setting, args.method, sessions, args.shards)
+        label = args.method
+        session_label = "session {a.index} (seed {a.seed})"
+    plan = _load_fault_plan(args.faults)
+    if plan is not None:
+        scenario = scenario.with_faults(plan)
+    if args.supervised:
+        result = run_supervised_scenario(
+            scenario,
+            args.shards,
+            num_sessions=args.sessions,
+            num_frames=args.frames,
+            checkpoint_every=args.checkpoint_every,
+        )
+    else:
+        result = run_sharded_scenario(
+            scenario,
+            args.shards,
+            num_sessions=args.sessions,
+            num_frames=args.frames,
+        )
+    if args.scenario is not None:
         print(
             f"fleet: scenario {args.scenario} — {result.num_sessions} sessions "
             f"x {result.scenario.num_frames} frames across "
             f"{result.num_shards} shard(s)"
         )
-        if args.per_session:
-            for assignment in result.assignments:
-                session = result.sessions[assignment.index]
-                label = (
-                    f"{assignment.index}: {assignment.spec.name} "
-                    f"(seed {assignment.seed})"
-                )
-                print(_summary_line(label, session.metrics))
-        _print_fleet_aggregate(result)
-        if args.supervised:
-            recovery = result.recovery
-            print(
-                f"supervisor: {recovery.crashes_detected} crash(es) detected, "
-                f"{recovery.restarts} restart(s), recovered shards "
-                f"{list(recovery.recovered_shards)}, "
-                f"recovery {recovery.recovery_s:.2f} s"
-            )
-        if args.supervised or plan is not None:
-            _print_resilience(result, args.report)
-        _obs_finish(observing, label=f"fleet:{args.scenario}")
-        return 0
-
-    sessions = args.sessions if args.sessions is not None else 64
-    frames = args.frames if args.frames is not None else 1000
-    observing = _obs_begin(args)
-    setting = ExperimentSetting(
-        device=args.device,
-        detector=args.detector,
-        dataset=args.dataset,
-        num_frames=frames,
-        latency_constraint_ms=args.constraint_ms,
-        ambient_temperature_c=args.ambient_c,
-        seed=args.seed,
-    )
-    if args.shards > 1:
-        result = run_sharded_fleet(setting, args.method, sessions, args.shards)
     else:
-        result = run_fleet(setting, args.method, sessions)
-    shard_note = f" ({args.shards} shards)" if args.shards > 1 else ""
-    print(
-        f"fleet: {sessions} sessions x {frames} frames, "
-        f"{result.policy_name} on {args.dataset}/{args.detector} "
-        f"({args.device}){shard_note}"
-    )
+        shard_note = f" ({args.shards} shards)" if args.shards > 1 else ""
+        print(
+            f"fleet: {result.num_sessions} sessions x {setting.num_frames} "
+            f"frames, {result.sessions[0].policy_name} on "
+            f"{args.dataset}/{args.detector} ({args.device}){shard_note}"
+        )
     if args.per_session:
-        for i, session in enumerate(result.sessions):
-            print(_summary_line(f"session {i} (seed {setting.seed + i})", session.metrics))
+        for assignment in result.assignments:
+            session = result.sessions[assignment.index]
+            print(_summary_line(session_label.format(a=assignment), session.metrics))
     _print_fleet_aggregate(result)
-    _obs_finish(observing, label=f"fleet:{args.method}")
+    if args.supervised:
+        recovery = result.recovery
+        print(
+            f"supervisor: {recovery.crashes_detected} crash(es) detected, "
+            f"{recovery.restarts} restart(s), recovered shards "
+            f"{list(recovery.recovered_shards)}, "
+            f"recovery {recovery.recovery_s:.2f} s"
+        )
+    if args.supervised or plan is not None:
+        _print_resilience(result, args.report)
+    _obs_finish(observing, label=f"fleet:{label}")
     return 0
 
 
@@ -840,11 +833,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--faults", default=None, metavar="PLAN.json",
-        help="scenario mode: inject the faults of this serialised FaultPlan",
+        help="inject the faults of this serialised FaultPlan",
     )
     fleet.add_argument(
         "--supervised", action="store_true",
-        help="scenario mode: run shards under the crash-recovering "
+        help="run shards under the crash-recovering "
         "supervisor (workers checkpoint periodically and restart from "
         "their latest checkpoint on death, bit-identically)",
     )
@@ -855,7 +848,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--report", default=None, metavar="PATH",
         help="write the degraded-operation metrics as JSON (supervised or "
-        "faulted scenario runs)",
+        "faulted runs)",
     )
     fleet.add_argument(
         "--obs", action="store_true",

@@ -27,7 +27,7 @@ Methods map onto fleet policies as follows:
   :class:`repro.env.fleet.PerSessionPolicies`, preserving exact scalar
   behaviour while still running on the vectorized environment.
 
-Heterogeneous fleets run through the *scenario* entry points
+Every fleet runs through the *scenario* entry points
 (:func:`run_scenario` / :func:`run_fleet_scenario`): a
 :class:`~repro.scenarios.FleetScenario` is resolved into per-session
 assignments, sessions are partitioned into grouped sub-fleets sharing one
@@ -36,7 +36,9 @@ uniform), each group advances as one batched kernel with per-session
 datasets, ambient schedules, constraints and seeds, and the per-group
 results re-interleave into a single columnar :class:`FleetTrace` — with
 every session still bit-identical to the scalar run of its own spec and
-seed.
+seed.  A homogeneous (setting, method) cell is the one-member scenario of
+its setting (:func:`_cell_spec`): :func:`make_fleet_environment` builds its
+one group and :func:`run_fleet` runs it as a scenario.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from repro.env.fleet import (
     FleetSessionGroup,
     FleetTrace,
     PerSessionPolicies,
-    run_fleet_episode,
     run_grouped_fleet_episode,
 )
 from repro.governors.fleet import (
@@ -77,6 +78,7 @@ from repro.workload.fleet import FleetFrameStream
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.analysis.experiments import ExperimentSetting
+    from repro.runtime.shards import ShardedScenarioResult
     from repro.scenarios import (
         FleetScenario,
         ScenarioSpec,
@@ -120,6 +122,39 @@ class FleetRunResult:
         return self.fleet_trace.total_frames / self.elapsed_s
 
 
+def _cell_spec(
+    setting: ExperimentSetting,
+    method: str,
+    num_sessions: int,
+    ambient: AmbientProfile | None = None,
+) -> ScenarioSpec:
+    """The one-member scenario of a homogeneous (setting, method) cell.
+
+    Session ``i`` runs seed ``setting.seed + i`` under ``ambient`` (default:
+    the constant ``setting.ambient_temperature_c``) — the spec every cell
+    entry point (:func:`make_fleet_environment`, :func:`run_fleet`,
+    :func:`repro.runtime.shards.run_sharded_fleet`, the CLI) builds from.
+    """
+    from repro.scenarios import ScenarioSpec
+
+    return ScenarioSpec(
+        name=f"{method}-cell",
+        device=setting.device,
+        detector=setting.detector,
+        dataset=setting.dataset,
+        method=method,
+        num_frames=setting.num_frames,
+        num_sessions=num_sessions,
+        seed=setting.seed,
+        latency_constraint_ms=setting.latency_constraint_ms,
+        ambient=(
+            ambient
+            if ambient is not None
+            else ConstantAmbient(setting.ambient_temperature_c)
+        ),
+    )
+
+
 def make_fleet_environment(
     setting: ExperimentSetting,
     num_sessions: int,
@@ -127,50 +162,20 @@ def make_fleet_environment(
 ) -> BatchedInferenceEnvironment:
     """Build the fleet environment for ``num_sessions`` sessions of ``setting``.
 
-    Session ``i`` gets the stream generator ``default_rng(setting.seed + i)``
+    The one group of the cell's scenario (:func:`make_group_environment`):
+    session ``i`` gets the stream generator ``default_rng(setting.seed + i)``
     and the proposal generator ``default_rng(setting.seed + i + 1)`` —
     exactly the generators :func:`repro.analysis.experiments.make_environment`
     gives a scalar run with seed ``setting.seed + i``.
     """
     if num_sessions <= 0:
         raise ExperimentError("num_sessions must be positive")
-    from repro.analysis.experiments import (
-        _control_margin_c,
-        default_latency_constraint,
-    )
-
-    device = build_device(setting.device, setting.ambient_temperature_c)
-    detector = build_detector(setting.detector)
-    dataset = build_dataset(setting.dataset)
-    streams = FleetFrameStream(
-        dataset,
-        [np.random.default_rng(setting.seed + i) for i in range(num_sessions)],
-    )
-    rngs = [
-        np.random.default_rng(setting.seed + i + 1) for i in range(num_sessions)
-    ]
-    constraint = (
-        setting.latency_constraint_ms
-        if setting.latency_constraint_ms is not None
-        else default_latency_constraint(
-            setting.device, setting.detector, setting.dataset
-        )
-    )
-    trip = min(
-        device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
-    )
-    return BatchedInferenceEnvironment(
-        device=device,
-        detector=detector,
-        streams=streams,
-        latency_constraint_ms=constraint,
-        ambient=(
-            ambient
-            if ambient is not None
-            else ConstantAmbient(setting.ambient_temperature_c)
-        ),
-        rngs=rngs,
-        throttle_threshold_c=trip - _control_margin_c(trip),
+    # The environment does not depend on the method; any one names the cell.
+    cell = _cell_spec(setting, "default", num_sessions, ambient)
+    return make_group_environment(
+        setting.device,
+        setting.detector,
+        _resolve_scenario(cell).session_assignments(),
     )
 
 
@@ -266,34 +271,40 @@ def make_fleet_policy(
     )
 
 
+def _cell_result(
+    setting: ExperimentSetting,
+    method: str,
+    result: "FleetScenarioResult | ShardedScenarioResult",
+) -> FleetRunResult:
+    """Wrap the scenario result of a cell as its :class:`FleetRunResult`."""
+    return FleetRunResult(
+        setting=setting,
+        method=method,
+        num_sessions=result.num_sessions,
+        policy_name=result.sessions[0].policy_name,
+        sessions=result.sessions,
+        fleet_trace=result.fleet_trace,
+        elapsed_s=result.elapsed_s,
+    )
+
+
 def run_fleet(
     setting: ExperimentSetting,
     method: str,
     num_sessions: int,
-    ambient: AmbientProfile | None = None,
 ) -> FleetRunResult:
     """Run one (setting, method) cell as a vectorized fleet of sessions.
 
     The fleet analogue of
     :func:`repro.analysis.experiments.execute_setting`, minus the
     online-training warm-up (fleet learning methods train within the
-    episode itself).
+    episode itself).  The cell runs as its one-member scenario through
+    :func:`run_fleet_scenario`.
     """
-    environment = make_fleet_environment(setting, num_sessions, ambient=ambient)
-    policy = make_fleet_policy(method, environment, setting.num_frames, seed=setting.seed)
-    start = time.perf_counter()
-    fleet_trace = run_fleet_episode(environment, policy, setting.num_frames)
-    elapsed_s = time.perf_counter() - start
-    sessions = _session_results(policy, fleet_trace)
-    return FleetRunResult(
-        setting=setting,
-        method=method,
-        num_sessions=num_sessions,
-        policy_name=policy.name,
-        sessions=tuple(sessions),
-        fleet_trace=fleet_trace,
-        elapsed_s=elapsed_s,
-    )
+    if num_sessions <= 0:
+        raise ExperimentError("num_sessions must be positive")
+    result = run_fleet_scenario(_cell_spec(setting, method, num_sessions))
+    return _cell_result(setting, method, result)
 
 
 def _session_histories(
@@ -336,13 +347,6 @@ def _session_policy_names(policy: FleetPolicy, num_sessions: int) -> List[str]:
     return [policy.name] * num_sessions
 
 
-def _session_results(policy: FleetPolicy, fleet_trace: FleetTrace) -> List[SessionResult]:
-    """Package each session's trace the way the scalar runtime would."""
-    losses, rewards = _session_histories(policy, fleet_trace.num_sessions)
-    names = _session_policy_names(policy, fleet_trace.num_sessions)
-    return list(_package_sessions(fleet_trace, losses, rewards, names))
-
-
 def _package_sessions(
     fleet_trace: FleetTrace,
     losses: Sequence[List[float]],
@@ -351,9 +355,9 @@ def _package_sessions(
 ) -> Tuple[SessionResult, ...]:
     """One :class:`SessionResult` per trace column, in global session order.
 
-    The single packaging step of every fleet entry point (unsharded, cell,
-    sharded and supervised): ``losses``/``rewards``/``names`` are indexed
-    by global session.
+    The single packaging step of every fleet entry point (unsharded,
+    sharded, supervised and policy training): ``losses``/``rewards``/
+    ``names`` are indexed by global session.
     """
     return tuple(
         session_result_from_trace(
@@ -372,20 +376,15 @@ def scalar_reference_sessions(
     """Run the N equivalent scalar sessions (the fleet's reference path).
 
     Used by the equivalence tests and the fleet benchmarks: session ``i``
-    is ``execute_setting`` at seed ``setting.seed + i`` without warm-up.
+    is ``execute_setting`` at seed ``setting.seed + i`` without warm-up —
+    the :func:`scalar_reference_session` of the cell's scenario at that
+    seed.
     """
-    from repro.analysis.experiments import make_environment, make_policy
-    from repro.core.training import OnlineSession
-
-    results = []
-    for i in range(num_sessions):
-        session_setting = setting.with_overrides(seed=setting.seed + i)
-        environment = make_environment(session_setting)
-        policy = make_policy(
-            method, environment, setting.num_frames, seed=session_setting.seed
-        )
-        results.append(OnlineSession(environment, policy).run(setting.num_frames))
-    return results
+    cell = _cell_spec(setting, method, num_sessions)
+    return [
+        scalar_reference_session(cell, seed=setting.seed + i)
+        for i in range(num_sessions)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +485,9 @@ def make_group_environment(
             )
     device = build_device(device_name)
     detector = build_detector(detector_name)
+    # Every session's constraint is resolved here — explicit on its spec,
+    # or the cost-model default of its dataset — so the stream carries one
+    # float per session and the environment never substitutes a default.
     constraint_cache: Dict[str, float] = {}
     constraints: List[float] = []
     for assignment in assignments:
@@ -511,11 +513,6 @@ def make_group_environment(
         device=device,
         detector=detector,
         streams=streams,
-        # Every session's constraint is fully resolved into the stream's
-        # per-session override array above (no NaN entries), so the
-        # environment-wide default is never consulted; any positive value
-        # satisfies the constructor.
-        latency_constraint_ms=constraints[0],
         ambient=[assignment.spec.ambient for assignment in assignments],
         rngs=rngs,
         throttle_threshold_c=trip - _control_margin_c(trip),

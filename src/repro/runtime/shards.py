@@ -53,7 +53,6 @@ from repro.obs import bus as _obs
 # ``session_result_from_trace`` is re-exported: it stays part of this
 # module's namespace for code that patches it here by module path.
 from repro.core.training import SessionResult, session_result_from_trace  # noqa: F401
-from repro.env.ambient import ConstantAmbient
 from repro.env.fleet import (
     _FRAME_RESULT_ARRAY_FIELDS,
     FleetFrameResult,
@@ -67,6 +66,8 @@ from repro.faults.plan import WorkerCrash
 from repro.runtime.pool import PoolTask, acquire_pool, scenario_shard_fingerprint
 from repro.runtime.fleet import (
     FleetRunResult,
+    _cell_result,
+    _cell_spec,
     _group_histories,
     _package_sessions,
     _resolve_scenario,
@@ -500,6 +501,31 @@ def run_sharded_scenario(
     )
 
 
+def _sharded_cell_spec(
+    setting: "ExperimentSetting",
+    method: str,
+    num_sessions: int,
+    num_shards: int,
+) -> "ScenarioSpec":
+    """The one-member scenario of a cell, checked for a ``num_shards`` run.
+
+    Shared by :func:`run_sharded_fleet` and the CLI's cell mode, so both
+    refuse the same inputs: a shard count below one, an empty fleet, and a
+    ``lotus-fleet`` cell split across more than one shard.
+    """
+    if num_shards < 1:
+        raise ShardError(f"num_shards must be >= 1, got {num_shards}")
+    if num_sessions <= 0:
+        raise ShardError("num_sessions must be positive")
+    if method == "lotus-fleet" and num_shards > 1:
+        raise ShardError(
+            "lotus-fleet trains one shared network across the whole fleet and "
+            "cannot be split across shards; run with --shards 1, or shard a "
+            "scenario whose lotus-fleet members are smaller than the fleet"
+        )
+    return _cell_spec(setting, method, num_sessions)
+
+
 def run_sharded_fleet(
     setting: "ExperimentSetting",
     method: str,
@@ -511,46 +537,14 @@ def run_sharded_fleet(
     The sharded counterpart of :func:`repro.runtime.fleet.run_fleet`,
     returning the same :class:`~repro.runtime.fleet.FleetRunResult` with a
     byte-identical ``fleet_trace``.  The cell is the one-member scenario of
-    its setting (session ``i`` at seed ``setting.seed + i``, constant
-    ambient ``setting.ambient_temperature_c``) and runs through
+    its setting (:func:`repro.runtime.fleet._cell_spec`) and runs through
     :func:`run_sharded_scenario`.  ``lotus-fleet`` (one shared network
     across the whole fleet) cannot be divided and is refused for
     ``num_shards > 1``.
     """
-    from repro.scenarios import ScenarioSpec
-
-    if num_shards < 1:
-        raise ShardError(f"num_shards must be >= 1, got {num_shards}")
-    if num_sessions <= 0:
-        raise ShardError("num_sessions must be positive")
-    if method == "lotus-fleet" and num_shards > 1:
-        raise ShardError(
-            "lotus-fleet trains one shared network across the whole fleet and "
-            "cannot be split across shards; run with --shards 1, or shard a "
-            "scenario whose lotus-fleet members are smaller than the fleet"
-        )
-    cell = ScenarioSpec(
-        name=f"{method}-cell",
-        device=setting.device,
-        detector=setting.detector,
-        dataset=setting.dataset,
-        method=method,
-        num_frames=setting.num_frames,
-        num_sessions=num_sessions,
-        seed=setting.seed,
-        latency_constraint_ms=setting.latency_constraint_ms,
-        ambient=ConstantAmbient(setting.ambient_temperature_c),
-    )
+    cell = _sharded_cell_spec(setting, method, num_sessions, num_shards)
     result = run_sharded_scenario(cell, num_shards)
-    return FleetRunResult(
-        setting=setting,
-        method=method,
-        num_sessions=num_sessions,
-        policy_name=result.sessions[0].policy_name,
-        sessions=result.sessions,
-        fleet_trace=result.fleet_trace,
-        elapsed_s=result.elapsed_s,
-    )
+    return _cell_result(setting, method, result)
 
 
 # ---------------------------------------------------------------------------

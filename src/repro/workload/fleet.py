@@ -14,10 +14,10 @@ session its own AR(1) parameters (mean, innovation std, correlation,
 clipping range), image scale and dataset name, while the update still runs
 as one array step — the per-session random draw uses that session's own
 mean/std exactly as its scalar stream would, so heterogeneity does not
-disturb the bit-exactness contract.  Per-session latency-constraint
-overrides follow the same pattern: a sequence with ``None`` entries marks
-sessions that use the experiment default (encoded internally as NaN, which
-the fleet environment resolves back to its default constraint).
+disturb the bit-exactness contract.  The stream also carries each
+session's latency constraint — one resolved float per session, which the
+builder (:func:`repro.runtime.fleet.make_group_environment`) derives from
+the session's spec — so every frame batch is complete on its own.
 """
 
 from __future__ import annotations
@@ -41,17 +41,14 @@ class FleetFrameBatch:
         datasets: Dataset name per session.
         image_scale: Stage-1 work multiplier per session.
         scene_candidates: Candidate-object count per session.
-        latency_constraint_ms: Per-session constraint overrides, or ``None``
-            when every session uses the experiment default.  Individual NaN
-            entries mark sessions without an override (the environment
-            substitutes its default constraint for them).
+        latency_constraint_ms: Latency constraint per session.
     """
 
     index: int
     datasets: tuple
     image_scale: np.ndarray
     scene_candidates: np.ndarray
-    latency_constraint_ms: np.ndarray | None = None
+    latency_constraint_ms: np.ndarray
 
 
 class FleetFrameStream:
@@ -62,17 +59,14 @@ class FleetFrameStream:
             sequence of one profile per session (per-session AR(1)
             parameters, image scales and dataset names).
         rngs: One generator per session; defines the fleet size.
-        latency_constraint_ms: Optional constraint override — a single float
-            shared by every session (mirroring the scalar stream's
-            per-frame override field), or a sequence with one entry per
-            session where ``None`` means "use the experiment default".
+        latency_constraint_ms: One latency constraint per session.
     """
 
     def __init__(
         self,
         dataset: Union[DatasetProfile, Sequence[DatasetProfile]],
         rngs: Sequence[np.random.Generator],
-        latency_constraint_ms: Union[float, Sequence[float | None], None] = None,
+        latency_constraint_ms: Sequence[float],
     ):
         if not rngs:
             raise WorkloadError("need at least one generator (one per session)")
@@ -91,7 +85,16 @@ class FleetFrameStream:
                 raise WorkloadError("dataset entries must be DatasetProfile objects")
         self.datasets = tuple(profiles)
         self.dataset = profiles[0]
-        self._constraint = self._normalise_constraint(latency_constraint_ms)
+        self._constraint = np.array(
+            [float(value) for value in latency_constraint_ms], dtype=float
+        )
+        if self._constraint.shape != (self.num_sessions,):
+            raise WorkloadError(
+                f"got {len(self._constraint)} latency constraints for "
+                f"{self.num_sessions} sessions"
+            )
+        if not (self._constraint > 0).all():
+            raise WorkloadError("latency constraints must be positive")
         self._index = 0
 
         processes = [profile.scene_process() for profile in profiles]
@@ -116,28 +119,6 @@ class FleetFrameStream:
             ]
         )
         self._current = np.clip(initial, self._minimum, self._maximum)
-
-    def _normalise_constraint(
-        self, latency_constraint_ms: Union[float, Sequence[float | None], None]
-    ) -> np.ndarray | None:
-        if latency_constraint_ms is None:
-            return None
-        if np.isscalar(latency_constraint_ms):
-            return np.full(self.num_sessions, float(latency_constraint_ms))
-        values = list(latency_constraint_ms)
-        if len(values) != self.num_sessions:
-            raise WorkloadError(
-                f"got {len(values)} constraint overrides for "
-                f"{self.num_sessions} sessions"
-            )
-        return np.array(
-            [float("nan") if value is None else float(value) for value in values]
-        )
-
-    @property
-    def is_heterogeneous(self) -> bool:
-        """Whether the sessions draw from more than one dataset profile."""
-        return len(set(self._names)) > 1
 
     @property
     def frames_emitted(self) -> int:
@@ -199,9 +180,7 @@ class FleetFrameStream:
             datasets=self._names,
             image_scale=self._image_scale.copy(),
             scene_candidates=self._current.copy(),
-            latency_constraint_ms=(
-                None if self._constraint is None else self._constraint.copy()
-            ),
+            latency_constraint_ms=self._constraint.copy(),
         )
         self._index += 1
         return batch

@@ -40,8 +40,8 @@ def _environment(n=4, frames_seed=0):
         streams=FleetFrameStream(
             build_dataset("kitti"),
             [np.random.default_rng(frames_seed + i) for i in range(n)],
+            latency_constraint_ms=[400.0] * n,
         ),
-        latency_constraint_ms=400.0,
         rngs=[np.random.default_rng(frames_seed + i + 1) for i in range(n)],
     )
 

@@ -11,6 +11,8 @@ agents).  These tests enforce it layer by layer and end to end.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,7 @@ from repro.detection.fleet import (
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
+from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.governors.fleet import build_batched_default_governor
 from repro.governors.registry import build_default_governor
 from repro.hardware.devices.registry import available_devices, build_device
@@ -83,6 +86,41 @@ def test_one_stage_detector_fleet_matches_scalar():
     fleet = run_fleet(setting, "default", 3)
     scalars = scalar_reference_sessions(setting, "default", 3)
     _assert_sessions_identical(fleet, scalars)
+
+
+#: SHA-256 of ``run_fleet(ExperimentSetting(num_frames=24, seed=0), method,
+#: 4).fleet_trace``.  ``lotus-fleet`` has no scalar reference, so these pin
+#: the cell's builder and frame loop absolutely.
+PINNED_RUN_FLEET_DIGESTS = {
+    "default": "6228be075a0ae5701ca30af4fbed3b2ab768c01322388741315acf27838cfd99",
+    "lotus": "a66b17207a421fbafac266f4a03888f55b1217ff3aa10b5cf2c37cf434546e7c",
+    "lotus-fleet": "f5954fbe477e705f85cc1020fcdf6dffc2b04b82bf6e5c0ae0644f73d9357772",
+}
+
+
+def _fleet_trace_digest(trace) -> str:
+    """SHA-256 over the int64 bit view of every column, plus the datasets.
+
+    8-byte columns hash as int64 bits (so ``-0.0`` and NaN payloads count),
+    narrower ones hash their raw bytes.
+    """
+    digest = hashlib.sha256()
+    for name in _FRAME_RESULT_ARRAY_FIELDS:
+        column = np.ascontiguousarray(trace.column_window(name))
+        digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
+        if column.dtype.itemsize == 8:
+            column = column.view(np.int64)
+        digest.update(column.tobytes())
+    digest.update(
+        "\n".join("\t".join(row) for row in trace.datasets_window()).encode()
+    )
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_RUN_FLEET_DIGESTS))
+def test_run_fleet_trace_matches_pinned_digest(method):
+    result = run_fleet(ExperimentSetting(num_frames=24, seed=0), method, 4)
+    assert _fleet_trace_digest(result.fleet_trace) == PINNED_RUN_FLEET_DIGESTS[method]
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +359,9 @@ def test_propose_batch_matches_scalar_sampling():
 def test_fleet_frame_stream_matches_scalar_streams():
     dataset = build_dataset("visdrone2019")
     fleet_stream = FleetFrameStream(
-        dataset, [np.random.default_rng(40 + i) for i in range(4)]
+        dataset,
+        [np.random.default_rng(40 + i) for i in range(4)],
+        latency_constraint_ms=[400.0] * 4,
     )
     scalar_streams = [
         FrameStream(dataset, np.random.default_rng(40 + i)) for i in range(4)
@@ -339,7 +379,7 @@ def test_fleet_frame_stream_matches_scalar_streams():
 def test_heterogeneous_fleet_frame_stream_matches_scalar_streams():
     """Per-session AR(1) parameters: each session's stream equals the
     scalar stream of its own dataset profile and generator, and per-session
-    constraint overrides pass through (None entries become NaN)."""
+    constraints pass through."""
     profiles = [
         build_dataset("kitti"),
         build_dataset("visdrone2019"),
@@ -348,9 +388,8 @@ def test_heterogeneous_fleet_frame_stream_matches_scalar_streams():
     fleet_stream = FleetFrameStream(
         profiles,
         [np.random.default_rng(70 + i) for i in range(3)],
-        latency_constraint_ms=[250.0, None, 410.0],
+        latency_constraint_ms=[250.0, 300.0, 410.0],
     )
-    assert fleet_stream.is_heterogeneous
     scalar_streams = [
         FrameStream(profile, np.random.default_rng(70 + i))
         for i, profile in enumerate(profiles)
@@ -358,7 +397,6 @@ def test_heterogeneous_fleet_frame_stream_matches_scalar_streams():
     for _ in range(25):
         batch = fleet_stream.next_frames()
         assert batch.latency_constraint_ms[0] == 250.0
-        assert np.isnan(batch.latency_constraint_ms[1])
         assert batch.latency_constraint_ms[2] == 410.0
         for i, stream in enumerate(scalar_streams):
             frame = stream.next_frame()

@@ -176,6 +176,36 @@ def test_cli_fleet_runs_and_prints_aggregate(capsys):
     assert "aggregate:" in out and "frames/s" in out
 
 
+def test_cli_fleet_cell_runs_faulted_under_the_supervisor(tmp_path, capsys):
+    """Cell mode honours --faults, --supervised, --checkpoint-every and
+    --report exactly like scenario mode."""
+    import json
+
+    from repro.faults import FaultPlan, SensorDropout, WorkerCrash
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        FaultPlan(
+            events=(
+                SensorDropout(start_frame=5, num_frames=6, probability=0.7),
+                WorkerCrash(frame=10, shard=1),
+            ),
+            seed=7,
+            name="cell-crash",
+        ).to_json()
+    )
+    report = tmp_path / "report.json"
+    assert main([
+        "fleet", "run", "--method", "default", "--sessions", "4", "--frames", "24",
+        "--shards", "2", "--supervised", "--faults", str(plan),
+        "--checkpoint-every", "6", "--report", str(report),
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "fleet: 4 sessions x 24 frames" in out
+    assert "1 crash(es) detected" in out
+    assert json.loads(report.read_text())["degraded_cells"] > 0
+
+
 def test_cli_fleet_reports_library_errors(capsys):
     assert main(["fleet", "--method", "nonsense", "--frames", "5"]) == 2
     assert "unknown method" in capsys.readouterr().err
