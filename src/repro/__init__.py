@@ -96,13 +96,11 @@ from repro.faults import (
     ChannelFaults,
     FaultPlan,
     FaultedFleetPolicy,
-    FaultedPolicy,
     SensorDropout,
     SensorSpike,
     ThrottlingStorm,
     WorkerCrash,
     compile_fault_plan,
-    fault_fingerprint,
     fault_plan_from_dict,
     fault_plan_from_json,
 )
@@ -139,7 +137,6 @@ from repro.runtime import (
     RecoveryReport,
     ResultCache,
     ShardPlan,
-    ShardedScenarioResult,
     SupervisedScenarioResult,
     SweepSpec,
     make_fleet_environment,
@@ -148,7 +145,6 @@ from repro.runtime import (
     pool_enabled,
     run_fleet,
     run_fleet_scenario,
-    run_scenario,
     run_sharded_fleet,
     run_sharded_scenario,
     run_supervised_scenario,
@@ -184,7 +180,6 @@ __all__ = [
     "FaultError",
     "FaultPlan",
     "FaultedFleetPolicy",
-    "FaultedPolicy",
     "FleetFrameStream",
     "FleetLotusAgent",
     "FleetMember",
@@ -217,7 +212,6 @@ __all__ = [
     "SensorDropout",
     "SensorSpike",
     "ShardPlan",
-    "ShardedScenarioResult",
     "SimulatedChannel",
     "StoreError",
     "SupervisedScenarioResult",
@@ -248,7 +242,6 @@ __all__ = [
     "compile_fault_plan",
     "default_latency_constraint",
     "execute_setting",
-    "fault_fingerprint",
     "fault_plan_from_dict",
     "fault_plan_from_json",
     "fleet_summary_table",
@@ -271,7 +264,6 @@ __all__ = [
     "run_fleet_episode",
     "run_fleet_scenario",
     "run_generalization_matrix",
-    "run_scenario",
     "run_sharded_fleet",
     "run_sharded_scenario",
     "run_supervised_scenario",

@@ -392,8 +392,6 @@ def execute_setting(
     method: str,
     ambient: AmbientProfile | None = None,
     domain_datasets: Sequence[str] | None = None,
-    faults: "FaultPlan | None" = None,
-    fault_session: int = 0,
 ) -> SessionResult:
     """Run one fully-described experiment cell to completion.
 
@@ -412,13 +410,6 @@ def execute_setting(
             workload becomes the paper's Fig. 7b domain-switch stream:
             ``setting.num_frames`` is split evenly across the datasets and
             the latency constraint switches with the domain.
-        faults: Optional :class:`~repro.faults.FaultPlan`; the evaluation
-            policy is wrapped in a :class:`~repro.faults.FaultedPolicy`
-            compiled from the plan (sensor dropouts/spikes and throttling
-            storms; channel and crash events are runtime concerns and are
-            ignored here).
-        fault_session: Global session index the plan is compiled at (the
-            column stochastic events are seeded with).
 
     Returns:
         The completed :class:`~repro.core.training.SessionResult`.
@@ -444,14 +435,6 @@ def execute_setting(
         environment = make_environment(setting, ambient=ambient)
     policy = make_policy(method, environment, total_frames, seed=setting.seed)
     _warm_up_policy(setting, policy, ambient)
-    if faults is not None:
-        from repro.faults.inject import FaultedPolicy
-        from repro.faults.plan import compile_fault_plan
-
-        schedule = compile_fault_plan(
-            faults, setting.num_frames, [int(fault_session)]
-        )
-        policy = FaultedPolicy(policy, schedule, column=0)
     return OnlineSession(environment, policy).run(setting.num_frames)
 
 

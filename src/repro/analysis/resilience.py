@@ -85,9 +85,8 @@ def resilience_report(result: Any) -> ResilienceReport:
 
     Accepts any result carrying a ``fleet_trace`` (and optionally a
     ``degraded`` mask and a supervised run's ``recovery`` report):
-    :class:`~repro.runtime.fleet.FleetScenarioResult`,
-    :class:`~repro.runtime.shards.ShardedScenarioResult` and
-    :class:`~repro.runtime.shards.SupervisedScenarioResult` all qualify.
+    :class:`~repro.runtime.fleet.FleetScenarioResult` and
+    :class:`~repro.runtime.shards.SupervisedScenarioResult` both qualify.
     """
     trace = getattr(result, "fleet_trace", None)
     if trace is None or len(trace) == 0:

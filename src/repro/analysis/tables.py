@@ -8,7 +8,7 @@ and embedded in EXPERIMENTS.md.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from typing import Dict, Mapping, Sequence, Tuple
 
 from repro.env.metrics import EpisodeMetrics
 
@@ -76,17 +76,18 @@ def comparison_table(
 
 
 def scenario_group_table(result, title: str = "") -> str:
-    """Render the per-group summary of a heterogeneous scenario run.
+    """Render the per-group summary of a completed scenario.
 
-    One row per grouped sub-fleet of a
-    :class:`~repro.runtime.fleet.FleetScenarioResult`: the group's device
-    and detector, which specs its sessions came from, and the
-    session-averaged headline metrics (mean latency, satisfaction rate,
-    mean/peak temperature, throttled share).
+    One row per (device, detector) group of a
+    :class:`~repro.runtime.fleet.FleetScenarioResult` — in-process, sharded
+    or supervised alike — in first-appearance order of its
+    ``assignments``: the group's device and detector, which specs its
+    sessions came from, and the session-averaged headline metrics (mean
+    latency, satisfaction rate, mean/peak temperature, throttled share).
 
     Args:
-        result: A completed scenario run
-            (:func:`repro.runtime.fleet.run_scenario`).
+        result: The result of running a scenario
+            (:func:`repro.runtime.fleet.run_fleet_scenario`).
         title: Optional heading line.
     """
     headers = [
@@ -99,15 +100,18 @@ def scenario_group_table(result, title: str = "") -> str:
         "T_max(C)",
         "Throttled",
     ]
+    groups: Dict[Tuple[str, str], list] = {}
+    for assignment in result.assignments:
+        key = (assignment.spec.device, assignment.spec.detector)
+        groups.setdefault(key, []).append(assignment)
     rows = []
-    for group in result.groups:
-        sessions = result.group_sessions(group)
-        metrics = [session.metrics for session in sessions]
+    for (device, detector), assignments in groups.items():
+        metrics = [result.sessions[a.index].metrics for a in assignments]
         count = len(metrics)
-        specs = sorted(set(group.spec_names))
+        specs = sorted({a.spec.name for a in assignments})
         rows.append(
             [
-                f"{group.device}/{group.detector}",
+                f"{device}/{detector}",
                 ", ".join(specs),
                 str(count),
                 f"{sum(m.mean_latency_ms for m in metrics) / count:.1f}",

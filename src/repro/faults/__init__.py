@@ -2,15 +2,14 @@
 
 Declarative, seeded :class:`FaultPlan` objects describe sensor dropouts
 and spikes, throttling storms, lossy channels and worker crashes; they
-serialise and fingerprint exactly like ambient profiles, compile into
-dense per-frame schedules (:func:`compile_fault_plan`), and inject at the
-policy boundary (:class:`FaultedFleetPolicy` / :class:`FaultedPolicy`)
-so the simulated physics — and therefore the trace schema — stay
-untouched.  See :mod:`repro.comms` for the lossy-channel consumer and
+serialise exactly like ambient profiles, compile into dense per-frame
+schedules (:func:`compile_fault_plan`), and inject at the fleet policy
+boundary (:class:`FaultedFleetPolicy`) so the simulated physics — and
+therefore the trace schema — stay untouched.  See :mod:`repro.comms` for the lossy-channel consumer and
 :mod:`repro.runtime.shards` for supervised crash recovery.
 """
 
-from repro.faults.inject import SENSOR_FIELDS, FaultedFleetPolicy, FaultedPolicy
+from repro.faults.inject import SENSOR_FIELDS, FaultedFleetPolicy
 from repro.faults.plan import (
     ChannelFaults,
     FaultEvent,
@@ -21,7 +20,6 @@ from repro.faults.plan import (
     ThrottlingStorm,
     WorkerCrash,
     compile_fault_plan,
-    fault_fingerprint,
     fault_plan_from_dict,
     fault_plan_from_json,
 )
@@ -32,14 +30,12 @@ __all__ = [
     "FaultPlan",
     "FaultSchedule",
     "FaultedFleetPolicy",
-    "FaultedPolicy",
     "SENSOR_FIELDS",
     "SensorDropout",
     "SensorSpike",
     "ThrottlingStorm",
     "WorkerCrash",
     "compile_fault_plan",
-    "fault_fingerprint",
     "fault_plan_from_dict",
     "fault_plan_from_json",
 ]

@@ -28,8 +28,6 @@ from repro.env.fleet import (
     FleetPolicy,
     FleetStartObservation,
 )
-from repro.env.environment import FrameResult, FrameStartObservation, MidFrameObservation
-from repro.env.policy import FrequencyDecision, Policy
 from repro.faults.plan import FaultSchedule
 from repro.obs import bus as _obs
 
@@ -182,87 +180,3 @@ class FaultedFleetPolicy(FleetPolicy):
         self.degraded[:] = payload["degraded"]
         if payload["inner"] is not None:
             self.inner.load_state_dict(payload["inner"])
-
-
-class FaultedPolicy(Policy):
-    """Scalar counterpart of :class:`FaultedFleetPolicy` for one session.
-
-    ``column`` selects the schedule column this session corresponds to
-    (schedules are compiled per global session index).
-    """
-
-    def __init__(self, inner: Policy, schedule: FaultSchedule, column: int = 0):
-        if not 0 <= column < schedule.num_sessions:
-            raise ValueError(
-                f"column {column} outside schedule with {schedule.num_sessions} sessions"
-            )
-        self.inner = inner
-        self.schedule = schedule
-        self.column = int(column)
-        self.name = f"faulted({inner.name})"
-        self._frame = 0
-        self._good_start: Optional[dict] = None
-        self._good_mid: Optional[dict] = None
-        self.degraded = np.zeros(schedule.num_frames, dtype=bool)
-
-    @property
-    def loss_history(self):
-        """Losses of the wrapped policy, when it records them."""
-        return getattr(self.inner, "loss_history", [])
-
-    @property
-    def reward_history(self):
-        """Rewards of the wrapped policy, when it records them."""
-        return getattr(self.inner, "reward_history", [])
-
-    def _degrade(self, observation, good_key: str):
-        frame = self._frame
-        snapshot = {name: getattr(observation, name) for name in SENSOR_FIELDS}
-        if frame >= self.schedule.num_frames:
-            setattr(self, good_key, snapshot)
-            return observation
-        drop = bool(self.schedule.dropout[frame, self.column])
-        spike = float(self.schedule.spike_c[frame, self.column])
-        good = getattr(self, good_key)
-        replaced = observation
-        if drop and good is not None:
-            replaced = dataclasses.replace(observation, **good)
-            self.degraded[frame] = True
-            _obs.inc("faults.dropout_cells")
-        if not drop or good is None:
-            setattr(self, good_key, snapshot)
-        if spike != 0.0:
-            fields = {
-                name: getattr(replaced, name) + spike for name in _TEMPERATURE_FIELDS
-            }
-            replaced = dataclasses.replace(replaced, **fields)
-            self.degraded[frame] = True
-            _obs.inc("faults.spike_cells")
-        return replaced
-
-    def _clamp(self, decision: Optional[FrequencyDecision]):
-        frame = self._frame
-        if frame >= self.schedule.num_frames:
-            return decision
-        if not self.schedule.storm[frame, self.column]:
-            return decision
-        self.degraded[frame] = True
-        _obs.inc("faults.storm_cells")
-        return FrequencyDecision(cpu_level=0, gpu_level=0)
-
-    def begin_frame(self, observation: FrameStartObservation):
-        return self._clamp(self.inner.begin_frame(self._degrade(observation, "_good_start")))
-
-    def mid_frame(self, observation: MidFrameObservation):
-        return self._clamp(self.inner.mid_frame(self._degrade(observation, "_good_mid")))
-
-    def end_frame(self, result: FrameResult) -> None:
-        self.inner.end_frame(result)
-        self._frame += 1
-
-    def reset(self) -> None:
-        self.inner.reset()
-        self._frame = 0
-        self._good_start = None
-        self._good_mid = None
-        self.degraded[:] = False

@@ -4,8 +4,9 @@ A :class:`FaultPlan` is a small, serialisable description of *what goes
 wrong* during a run: sensor dropouts and spikes, throttling storms, lossy
 communication channels, and worker crashes.  Plans follow the same
 discipline as ambient profiles (:mod:`repro.env.ambient`): they are frozen
-dataclasses with a validated dict/JSON codec and a canonical fingerprint,
-so a faulted run is exactly as cacheable and reproducible as a clean one.
+dataclasses with a validated dict/JSON codec (the canonical form a
+scenario's content fingerprint carries), so a faulted run is exactly as
+reproducible as a clean one.
 
 Two layers:
 
@@ -312,16 +313,6 @@ def fault_plan_from_json(text: str) -> FaultPlan:
     except json.JSONDecodeError as exc:
         raise FaultError(f"malformed fault plan JSON: {exc}") from exc
     return fault_plan_from_dict(payload)
-
-
-def fault_fingerprint(plan: Optional[FaultPlan]) -> Optional[Dict[str, Any]]:
-    """Canonical content fingerprint of a plan for job hashing.
-
-    ``None`` stays ``None`` so un-faulted jobs keep a stable key shape; a
-    plan fingerprints as its full codec dict (events, seed and name), the
-    same discipline ambient profiles use.
-    """
-    return None if plan is None else plan.to_dict()
 
 
 # -- compilation ------------------------------------------------------------------------

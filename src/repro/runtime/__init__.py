@@ -16,12 +16,11 @@ from repro.runtime.engine import (
     RuntimeReport,
     default_worker_count,
     execute_job,
-    scenario_jobs,
 )
 from repro.runtime.fleet import (
     FleetRunResult,
     FleetScenarioResult,
-    ScenarioGroup,
+    ShardPlan,
     collect_degraded,
     make_fleet_environment,
     make_fleet_policy,
@@ -29,7 +28,6 @@ from repro.runtime.fleet import (
     make_member_policy,
     run_fleet,
     run_fleet_scenario,
-    run_scenario,
     scalar_reference_session,
 )
 from repro.runtime.job import ExperimentJob, config_fingerprint, job_key
@@ -44,8 +42,6 @@ from repro.runtime.pool import (
 )
 from repro.runtime.shards import (
     RecoveryReport,
-    ShardPlan,
-    ShardedScenarioResult,
     SupervisedScenarioResult,
     plan_shards,
     run_sharded_fleet,
@@ -67,9 +63,7 @@ __all__ = [
     "RecoveryReport",
     "ResultCache",
     "RuntimeReport",
-    "ScenarioGroup",
     "ShardPlan",
-    "ShardedScenarioResult",
     "SupervisedScenarioResult",
     "SweepSpec",
     "acquire_pool",
@@ -87,12 +81,10 @@ __all__ = [
     "pool_enabled",
     "run_fleet",
     "run_fleet_scenario",
-    "run_scenario",
     "run_sharded_fleet",
     "run_sharded_scenario",
     "run_supervised_scenario",
     "scalar_reference_session",
-    "scenario_jobs",
     "shared_pool",
     "shutdown_shared_pool",
     "sweep_metrics_map",

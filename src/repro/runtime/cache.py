@@ -44,9 +44,6 @@ from repro.store import read_scalar_trace, write_scalar_trace
 #: Environment variable that overrides the default cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Environment variable that overrides the sidecar-blob frame threshold.
-CACHE_BLOB_ENV = "REPRO_CACHE_BLOB_FRAMES"
-
 #: Traces at least this many frames long are stored as columnar sidecar
 #: blobs instead of inline JSON rows.
 DEFAULT_BLOB_THRESHOLD_FRAMES = 512
@@ -64,16 +61,6 @@ def default_cache_dir() -> Path:
     if override:
         return Path(override).expanduser()
     return Path.home() / ".cache" / "repro-lotus"
-
-
-def _default_blob_threshold() -> int:
-    override = os.environ.get(CACHE_BLOB_ENV, "").strip()
-    if override:
-        try:
-            return max(int(override), 1)
-        except ValueError:
-            pass
-    return DEFAULT_BLOB_THRESHOLD_FRAMES
 
 
 def _tree_bytes(path: Path) -> int:
@@ -131,17 +118,8 @@ class ResultCache:
     single directory.
     """
 
-    def __init__(
-        self,
-        root: str | Path | None = None,
-        blob_threshold_frames: int | None = None,
-    ):
+    def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else default_cache_dir()
-        self.blob_threshold_frames = (
-            _default_blob_threshold()
-            if blob_threshold_frames is None
-            else max(int(blob_threshold_frames), 1)
-        )
 
     # -- paths ---------------------------------------------------------------
 
@@ -176,11 +154,11 @@ class ResultCache:
 
         Writes go through temporary files and atomic renames so a crashed
         or interrupted run never leaves a truncated payload behind.  Traces
-        of at least ``blob_threshold_frames`` frames (with contiguous frame
-        indices) are written as a columnar sidecar blob *before* the JSON
-        payload that references it — the payload is the commit point, so a
-        crash in between leaves only an orphaned blob, never a payload
-        pointing at a missing or partial blob.
+        of at least :data:`DEFAULT_BLOB_THRESHOLD_FRAMES` frames (with
+        contiguous frame indices) are written as a columnar sidecar blob
+        *before* the JSON payload that references it — the payload is the
+        commit point, so a crash in between leaves only an orphaned blob,
+        never a payload pointing at a missing or partial blob.
         """
         payload = {
             "schema": CACHE_SCHEMA_VERSION,
@@ -193,7 +171,7 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         use_blob = len(
             result.trace
-        ) >= self.blob_threshold_frames and self._trace_is_contiguous(result.trace)
+        ) >= DEFAULT_BLOB_THRESHOLD_FRAMES and self._trace_is_contiguous(result.trace)
         if use_blob:
             blob_dir = self.blob_dir_for(key)
             tmp_dir = Path(
@@ -232,7 +210,7 @@ class ResultCache:
         _obs.inc("cache.stores")
         if not use_blob:
             # A smaller re-store under the same key supersedes any stale
-            # sidecar blob from a previous schema or threshold.
+            # sidecar blob from a previous schema.
             stale = self.blob_dir_for(key)
             if stale.exists():
                 shutil.rmtree(stale, ignore_errors=True)

@@ -6,12 +6,14 @@ Ten subcommands drive the engine without writing any code:
 * ``sweep`` — expand a (devices × detectors × datasets × methods × seeds)
   grid, run it on the worker pool with result caching, and print one
   paper-style comparison table per device.
-* ``fleet`` — run one cell as N vectorized lock-step sessions in a single
-  process (the fleet engine) and print per-session plus aggregate metrics.
-* ``scenario`` — the declarative front end: ``scenario list`` names the
-  registered scenario library, ``scenario show`` prints a scenario's JSON
-  spec, and ``scenario run`` executes a (possibly heterogeneous) scenario
-  on the grouped fleet engine with a per-group summary table.
+* ``fleet`` — run one cell as N vectorized lock-step sessions (the fleet
+  engine), or ``fleet run SCENARIO`` a registered (possibly heterogeneous)
+  scenario with a per-group summary table, in one process or sharded
+  across worker processes (``--shards K``); prints aggregate and optional
+  per-session metrics.
+* ``scenario`` — the declarative library: ``scenario list`` names the
+  registered scenarios and ``scenario show`` prints a scenario's JSON
+  spec.
 * ``report`` — render the same tables purely from the cache, listing any
   missing cells instead of running them (useful on machines that only hold
   the cache, e.g. when collecting results produced elsewhere).
@@ -30,14 +32,14 @@ Ten subcommands drive the engine without writing any code:
   runs under the obs directory, ``obs report`` renders one run's spans,
   counters and exact percentiles (default: the latest run).
 
-Fault injection: ``scenario run`` and ``fleet run`` accept ``--faults
-PLAN.json`` (a serialised :class:`~repro.faults.FaultPlan`) to run the
-scenario under injected faults; ``fleet run --supervised`` additionally
-runs the crash-recovering supervisor (``--checkpoint-every`` frames
-between spooled checkpoints) and ``--report PATH`` writes the degraded-
-operation metrics as JSON.
+Fault injection: ``fleet run`` accepts ``--faults PLAN.json`` (a
+serialised :class:`~repro.faults.FaultPlan`) to run the scenario or cell
+under injected faults; ``--supervised`` additionally runs the
+crash-recovering supervisor (``--checkpoint-every`` frames between spooled
+checkpoints) and ``--report PATH`` writes the degraded-operation metrics
+as JSON.
 
-Observability: ``run``, ``fleet`` and ``scenario run`` accept ``--obs``
+Observability: ``run`` and ``fleet`` accept ``--obs``
 (equivalently ``REPRO_OBS=1``) to collect spans, counters and histograms
 while the command runs — traces stay byte-identical — then write the run
 under the obs directory (``REPRO_OBS_DIR`` or ``<cache>/obs``) and print
@@ -57,7 +59,7 @@ Examples::
     python -m repro fleet run --shards 4 --sessions 64 --frames 500
     python -m repro fleet run cctv-burst --shards 2 --per-session
     python -m repro scenario list
-    python -m repro scenario run mixed-edge-fleet --frames 300
+    python -m repro fleet run mixed-edge-fleet --frames 300
     python -m repro policy train --scenario jetson-kitti-baseline --frames 400
     python -m repro policy eval-matrix --policies 3f2a,9c1d \
         --scenarios jetson-kitti-baseline,drone-climb --frames 300
@@ -67,7 +69,7 @@ Examples::
     python -m repro devices
     python -m repro cache info
     python -m repro cache prune --keep-latest 200 --dry-run
-    python -m repro scenario run cctv-burst --faults plan.json
+    python -m repro fleet run cctv-burst --faults plan.json
     python -m repro fleet run cctv-burst --shards 2 --supervised \
         --faults plan.json --report resilience.json
     python -m repro fleet run cctv-burst --shards 2 --obs
@@ -82,7 +84,7 @@ from typing import List, Optional, Sequence
 
 from repro.errors import LotusError, ReproError
 from repro.runtime.cache import ResultCache, default_cache_dir
-from repro.runtime.engine import ExperimentRuntime, default_worker_count
+from repro.runtime.engine import ExperimentRuntime
 from repro.runtime.job import ExperimentJob
 from repro.runtime.sweep import SweepSpec, sweep_metrics_map
 
@@ -378,9 +380,9 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
     observing = _obs_begin(args)
     if args.scenario is not None:
-        # `fleet run SCENARIO --shards N`: shard a registered scenario's
-        # fleet across worker processes (trace byte-identical to the
-        # single-process `scenario run`).
+        # `fleet run SCENARIO --shards N`: a registered scenario's fleet,
+        # split across worker processes (trace byte-identical for every
+        # shard count).
         from repro.scenarios import build_scenario
 
         scenario = build_scenario(args.scenario)
@@ -437,6 +439,12 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         for assignment in result.assignments:
             session = result.sessions[assignment.index]
             print(_summary_line(session_label.format(a=assignment), session.metrics))
+    if args.scenario is not None:
+        from repro.analysis.tables import scenario_group_table
+
+        print()
+        print(scenario_group_table(result))
+        print()
     _print_fleet_aggregate(result)
     if args.supervised:
         recovery = result.recovery
@@ -481,47 +489,6 @@ def _cmd_scenario_show(args: argparse.Namespace) -> int:
     from repro.scenarios import build_scenario
 
     print(build_scenario(args.name).to_json(indent=2))
-    return 0
-
-
-def _cmd_scenario_run(args: argparse.Namespace) -> int:
-    from repro.analysis.tables import scenario_group_table
-    from repro.runtime.fleet import run_scenario
-
-    target = args.name
-    observing = _obs_begin(args)
-    plan = _load_fault_plan(args.faults)
-    if plan is not None:
-        from repro.scenarios import build_scenario
-
-        target = build_scenario(args.name).with_faults(plan)
-    result = run_scenario(
-        target, num_sessions=args.sessions, num_frames=args.frames
-    )
-    scenario = result.scenario
-    print(
-        f"scenario: {args.name} — {result.num_sessions} sessions x "
-        f"{scenario.num_frames} frames in {len(result.groups)} "
-        f"group(s)"
-    )
-    if args.per_session:
-        for assignment in result.assignments:
-            session = result.sessions[assignment.index]
-            label = f"{assignment.index}: {assignment.spec.name} (seed {assignment.seed})"
-            print(_summary_line(label, session.metrics))
-    print()
-    print(scenario_group_table(result))
-    latencies = result.fleet_trace.latencies_ms()
-    met = result.fleet_trace.constraint_met()
-    print(
-        f"\naggregate: l={latencies.mean():8.1f} ms  "
-        f"R_L={met.mean() * 100:5.1f} %  "
-        f"{result.fleet_trace.total_frames} frames in {result.elapsed_s:.2f} s "
-        f"({result.aggregate_frames_per_second:,.0f} frames/s)"
-    )
-    if plan is not None:
-        _print_resilience(result, args.report)
-    _obs_finish(observing, label=f"scenario:{args.name}")
     return 0
 
 
@@ -792,7 +759,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     sweep.add_argument(
         "--workers", type=int, default=None,
-        help=f"worker processes (default: REPRO_WORKERS or {default_worker_count()})",
+        help="worker processes (default: REPRO_WORKERS or the CPU count)",
     )
     sweep.add_argument(
         "--steady", action="store_true",
@@ -813,8 +780,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "scenario", nargs="?", default=None,
-        help="registered scenario name to run sharded (cell flags other "
-        "than --sessions/--frames/--shards are ignored)",
+        help="registered scenario name to run, printing a per-group table "
+        "(cell flags other than --sessions/--frames/--shards are ignored)",
     )
     _add_cell_arguments(fleet, plural=False)
     fleet.add_argument(
@@ -859,8 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     scenario = subparsers.add_parser(
         "scenario",
-        help="list, inspect and run declarative scenarios (incl. "
-        "heterogeneous fleets)",
+        help="list and inspect declarative scenarios (incl. heterogeneous "
+        "fleets; run them with `fleet run NAME`)",
     )
     scenario_actions = scenario.add_subparsers(dest="action", required=True)
     scenario_list = scenario_actions.add_parser(
@@ -875,36 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario_show.add_argument("name", help="registered scenario name")
     scenario_show.set_defaults(func=_cmd_scenario_show)
-    scenario_run = scenario_actions.add_parser(
-        "run", help="run a scenario on the grouped fleet engine"
-    )
-    scenario_run.add_argument("name", help="registered scenario name")
-    scenario_run.add_argument(
-        "--sessions", type=int, default=None,
-        help="total session count (default: the scenario's own)",
-    )
-    scenario_run.add_argument(
-        "--frames", type=int, default=None,
-        help="episode length override applied to every member",
-    )
-    scenario_run.add_argument(
-        "--per-session", action="store_true",
-        help="print one summary line per session in addition to the groups",
-    )
-    scenario_run.add_argument(
-        "--faults", default=None, metavar="PLAN.json",
-        help="inject the faults of this serialised FaultPlan into the run",
-    )
-    scenario_run.add_argument(
-        "--report", default=None, metavar="PATH",
-        help="write the degraded-operation metrics as JSON (faulted runs)",
-    )
-    scenario_run.add_argument(
-        "--obs", action="store_true",
-        help="collect obs metrics/spans for this run (same as REPRO_OBS=1) "
-        "and print the summary",
-    )
-    scenario_run.set_defaults(func=_cmd_scenario_run)
 
     report = subparsers.add_parser(
         "report", help="render tables from cached results only (no execution)"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.core.training import SessionResult
-from repro.errors import ExperimentError
+from repro.errors import ConfigurationError, ExperimentError
 from repro.runtime.cache import ResultCache
 from repro.runtime.job import ExperimentJob
 from repro.obs import bus as _obs
@@ -36,10 +36,19 @@ ProgressCallback = Callable[[int, int, ExperimentJob, bool], None]
 
 
 def default_worker_count() -> int:
-    """Worker count used when none is given: ``REPRO_WORKERS`` or the CPU count."""
+    """Worker count used when none is given: ``REPRO_WORKERS`` or the CPU count.
+
+    Raises:
+        ConfigurationError: ``REPRO_WORKERS`` is set but is not an integer.
+    """
     override = os.environ.get(WORKERS_ENV, "").strip()
     if override:
-        return max(1, int(override))
+        try:
+            return max(1, int(override))
+        except ValueError:
+            raise ConfigurationError(
+                f"{WORKERS_ENV} must be an integer worker count, got {override!r}"
+            ) from None
     return max(1, os.cpu_count() or 1)
 
 
@@ -58,50 +67,7 @@ def execute_job(job: ExperimentJob) -> SessionResult:
         job.method,
         ambient=job.ambient,
         domain_datasets=job.domain_datasets,
-        faults=job.faults,
     )
-
-
-def scenario_jobs(scenario, num_sessions: int | None = None) -> List[ExperimentJob]:
-    """Expand a scenario into one cacheable scalar job per session.
-
-    The process-pool counterpart of the vectorized scenario runner: session
-    ``i`` of a :class:`~repro.scenarios.ScenarioSpec` becomes the job
-    ``(spec.setting() at seed spec.seed + i, spec.method, spec.ambient)``,
-    and a :class:`~repro.scenarios.FleetScenario` expands every member the
-    same way — so a scenario can run either as one in-process batched fleet
-    (:func:`repro.runtime.fleet.run_scenario`) or as independent cached
-    cells across worker processes, with identical per-session results.
-    Fleet-only methods (``lotus-fleet``) have no scalar cell and are
-    rejected.
-    """
-    from repro.scenarios import FleetScenario, ScenarioSpec
-
-    if isinstance(scenario, ScenarioSpec):
-        scenario = FleetScenario(
-            name=scenario.name, members=(scenario,), description=scenario.description
-        )
-    if not isinstance(scenario, FleetScenario):
-        raise ExperimentError(
-            f"expected a ScenarioSpec or FleetScenario, got {type(scenario).__name__}"
-        )
-    jobs: List[ExperimentJob] = []
-    for assignment in scenario.session_assignments(num_sessions):
-        spec = assignment.spec
-        if spec.method == "lotus-fleet":
-            raise ExperimentError(
-                "lotus-fleet trains one shared network across a fleet; run it "
-                "through repro.runtime.fleet.run_scenario instead"
-            )
-        jobs.append(
-            ExperimentJob(
-                setting=spec.setting().with_overrides(seed=assignment.seed),
-                method=spec.method,
-                ambient=spec.ambient,
-                faults=spec.faults,
-            )
-        )
-    return jobs
 
 
 @dataclass
@@ -153,29 +119,6 @@ class ExperimentRuntime:
     def run(self, job: ExperimentJob) -> SessionResult:
         """Run one job (through the cache, in-process)."""
         return self.run_jobs([job])[0]
-
-    # -- scenarios -----------------------------------------------------------
-
-    def run_scenario(
-        self,
-        scenario,
-        num_sessions: int | None = None,
-        progress: ProgressCallback | None = None,
-    ) -> List[SessionResult]:
-        """Run every session of a scenario as independent cached cells.
-
-        Accepts a :class:`~repro.scenarios.ScenarioSpec`, a
-        :class:`~repro.scenarios.FleetScenario`, or a registered scenario
-        name; see :func:`scenario_jobs` for the expansion.  Results come
-        back in global session order.
-        """
-        if isinstance(scenario, str):
-            from repro.scenarios import build_scenario
-
-            scenario = build_scenario(scenario)
-        return self.run_jobs(
-            scenario_jobs(scenario, num_sessions=num_sessions), progress=progress
-        )
 
     # -- sweeps --------------------------------------------------------------
 

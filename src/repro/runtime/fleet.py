@@ -27,8 +27,8 @@ Methods map onto fleet policies as follows:
   :class:`repro.env.fleet.PerSessionPolicies`, preserving exact scalar
   behaviour while still running on the vectorized environment.
 
-Every fleet runs through the *scenario* entry points
-(:func:`run_scenario` / :func:`run_fleet_scenario`): a
+Every fleet runs through the one in-process entry point,
+:func:`run_fleet_scenario`: a
 :class:`~repro.scenarios.FleetScenario` is resolved into per-session
 assignments, sessions are partitioned into grouped sub-fleets sharing one
 device model and detector (the quantities the batched kernels require to be
@@ -38,7 +38,9 @@ results re-interleave into a single columnar :class:`FleetTrace` — with
 every session still bit-identical to the scalar run of its own spec and
 seed.  A homogeneous (setting, method) cell is the one-member scenario of
 its setting (:func:`_cell_spec`): :func:`make_fleet_environment` builds its
-one group and :func:`run_fleet` runs it as a scenario.
+one group and :func:`run_fleet` runs it as a scenario.  The sharded and
+supervised runs (:mod:`repro.runtime.shards`) return the same
+:class:`FleetScenarioResult`.
 """
 
 from __future__ import annotations
@@ -78,7 +80,6 @@ from repro.workload.fleet import FleetFrameStream
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from repro.analysis.experiments import ExperimentSetting
-    from repro.runtime.shards import ShardedScenarioResult
     from repro.scenarios import (
         FleetScenario,
         ScenarioSpec,
@@ -274,7 +275,7 @@ def make_fleet_policy(
 def _cell_result(
     setting: ExperimentSetting,
     method: str,
-    result: "FleetScenarioResult | ShardedScenarioResult",
+    result: FleetScenarioResult,
 ) -> FleetRunResult:
     """Wrap the scenario result of a cell as its :class:`FleetRunResult`."""
     return FleetRunResult(
@@ -393,44 +394,53 @@ def scalar_reference_sessions(
 
 
 @dataclass(frozen=True)
-class ScenarioGroup:
-    """One grouped sub-fleet of a scenario run, for reporting.
+class ShardPlan:
+    """One shard of a fleet run: a contiguous block of global sessions.
 
     Attributes:
-        device: Device model shared by the group.
-        detector: Detector shared by the group.
-        session_indices: Global session index of each of the group's
-            sessions, in the group's local order.
-        spec_names: Scenario-spec name of each session (same order).
-        policy_name: Name of the fleet policy that drove the group.
+        index: Shard number (``0..num_shards-1`` after empty shards are
+            dropped).
+        start: First global session index of the block (inclusive).
+        stop: One past the last global session index (exclusive).
     """
 
-    device: str
-    detector: str
-    session_indices: Tuple[int, ...]
-    spec_names: Tuple[str, ...]
-    policy_name: str
+    index: int
+    start: int
+    stop: int
+
+    @property
+    def num_sessions(self) -> int:
+        """Sessions in this shard."""
+        return self.stop - self.start
+
+    @property
+    def session_indices(self) -> np.ndarray:
+        """Global session indices of the shard, in order."""
+        return np.arange(self.start, self.stop, dtype=np.int64)
 
 
 @dataclass(frozen=True)
 class FleetScenarioResult:
-    """Outcome of one heterogeneous scenario run.
+    """Outcome of running one scenario, in-process or sharded.
 
     Attributes:
         scenario: The (possibly overridden) fleet scenario that ran.
         assignments: Per-session resolution to specs and seeds, in global
             session order.
-        groups: The grouped sub-fleets the sessions were partitioned into.
+        shards: The contiguous session blocks the fleet ran as (one block
+            covering every session for an in-process run).
         sessions: Per-session :class:`SessionResult` records, global order.
-        fleet_trace: The combined columnar trace (global session order).
-        elapsed_s: Wall-clock seconds spent in the episode loop.
+        fleet_trace: The combined columnar trace (global session order),
+            byte-identical for every shard count.
+        elapsed_s: Wall-clock seconds spent running (and, when sharded,
+            merging) the episode.
         degraded: ``(num_frames, num_sessions)`` bool mask of fault-degraded
             cells, or ``None`` when the scenario carries no fault plan.
     """
 
     scenario: FleetScenario
     assignments: Tuple[SessionAssignment, ...]
-    groups: Tuple[ScenarioGroup, ...]
+    shards: Tuple[ShardPlan, ...]
     sessions: Tuple[SessionResult, ...]
     fleet_trace: FleetTrace
     elapsed_s: float
@@ -442,15 +452,16 @@ class FleetScenarioResult:
         return self.fleet_trace.num_sessions
 
     @property
+    def num_shards(self) -> int:
+        """Number of (non-empty) shards that actually ran."""
+        return len(self.shards)
+
+    @property
     def aggregate_frames_per_second(self) -> float:
         """Total frames processed across the fleet per wall-clock second."""
         if self.elapsed_s <= 0:
             return float("inf")
         return self.fleet_trace.total_frames / self.elapsed_s
-
-    def group_sessions(self, group: ScenarioGroup) -> List[SessionResult]:
-        """The session results belonging to ``group``, in its local order."""
-        return [self.sessions[i] for i in group.session_indices]
 
 
 def make_group_environment(
@@ -730,42 +741,15 @@ def run_fleet_scenario(
     fleet_trace = run_grouped_fleet_episode(session_groups, frames)
     elapsed_s = time.perf_counter() - start
 
-    group_infos = []
-    for group in session_groups:
-        members = [assignments[i] for i in group.session_indices]
-        group_infos.append(
-            ScenarioGroup(
-                device=members[0].spec.device,
-                detector=members[0].spec.detector,
-                session_indices=group.session_indices,
-                spec_names=tuple(a.spec.name for a in members),
-                policy_name=group.policy.name,
-            )
-        )
     return FleetScenarioResult(
         scenario=scenario,
         assignments=assignments,
-        groups=tuple(group_infos),
+        shards=(ShardPlan(index=0, start=0, stop=len(assignments)),),
         sessions=_package_sessions(fleet_trace, *_group_histories(session_groups)),
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
         degraded=collect_degraded(session_groups, frames, len(assignments)),
     )
-
-
-def run_scenario(
-    scenario: Union[FleetScenario, ScenarioSpec, str],
-    num_sessions: int | None = None,
-    num_frames: int | None = None,
-) -> FleetScenarioResult:
-    """Run a scenario by object or registered name.
-
-    The front door the CLI (``python -m repro scenario run``) and the
-    examples use; an alias of :func:`run_fleet_scenario`, which resolves
-    names through the scenario registry and runs both scenario flavours on
-    the grouped fleet engine.
-    """
-    return run_fleet_scenario(scenario, num_sessions=num_sessions, num_frames=num_frames)
 
 
 def scalar_reference_session(

@@ -57,18 +57,12 @@ class ExperimentJob:
             (Fig. 7b).  When set, the executor splits ``setting.num_frames``
             evenly across the datasets and rebuilds the paper's
             ``DomainSwitchStream``.
-        faults: Optional :class:`~repro.faults.FaultPlan` injected into the
-            run (sensor dropouts/spikes and throttling storms at the policy
-            boundary).  The plan's canonical fingerprint is folded into the
-            cache key, so faulted cells cache exactly like clean ones
-            without ever colliding with them.
     """
 
     setting: Any
     method: str
     ambient: Any = None
     domain_datasets: Optional[Tuple[str, ...]] = None
-    faults: Any = None
 
     def cache_key(self) -> Optional[str]:
         """Stable hex digest identifying this job, or ``None`` if uncacheable."""
@@ -178,15 +172,12 @@ def job_key(job: ExperimentJob) -> Optional[str]:
         ambient = ambient_fingerprint(job.ambient)
     except TypeError:
         return None
-    from repro.faults.plan import fault_fingerprint
-
     payload = {
         "schema": CACHE_SCHEMA_VERSION,
         "setting": resolved_setting_dict(job.setting),
         "method": job.method,
         "ambient": ambient,
         "domain_datasets": list(job.domain_datasets) if job.domain_datasets else None,
-        "faults": fault_fingerprint(job.faults),
         "config": config_fingerprint(),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

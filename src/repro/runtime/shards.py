@@ -28,9 +28,12 @@ Every sharded fleet runs through the one scenario-shard path: a
 homogeneous (setting, method) cell (:func:`run_sharded_fleet`) is the
 one-member scenario of its setting, and the supervisor
 (:func:`run_supervised_scenario`) runs the same grouped episode loop with a
-checkpointing frame sink.  The cell entry point refuses ``lotus-fleet``
-with more than one shard outright, with a typed
-:class:`~repro.errors.ShardError`.
+checkpointing frame sink.  A plan with a single shard is the in-process
+run: :func:`run_sharded_scenario` then returns
+:func:`repro.runtime.fleet.run_fleet_scenario`'s result, and every entry
+point returns a :class:`~repro.runtime.fleet.FleetScenarioResult`.  The
+cell entry point refuses ``lotus-fleet`` with more than one shard outright,
+with a typed :class:`~repro.errors.ShardError`.
 """
 
 from __future__ import annotations
@@ -66,6 +69,8 @@ from repro.faults.plan import WorkerCrash
 from repro.runtime.pool import PoolTask, acquire_pool, scenario_shard_fingerprint
 from repro.runtime.fleet import (
     FleetRunResult,
+    FleetScenarioResult,
+    ShardPlan,
     _cell_result,
     _cell_spec,
     _group_histories,
@@ -73,6 +78,7 @@ from repro.runtime.fleet import (
     _resolve_scenario,
     _session_groups,
     collect_degraded,
+    run_fleet_scenario,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
@@ -83,32 +89,6 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 # ---------------------------------------------------------------------------
 # Shard planning
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardPlan:
-    """One shard of a fleet run: a contiguous block of global sessions.
-
-    Attributes:
-        index: Shard number (``0..num_shards-1`` after empty shards are
-            dropped).
-        start: First global session index of the block (inclusive).
-        stop: One past the last global session index (exclusive).
-    """
-
-    index: int
-    start: int
-    stop: int
-
-    @property
-    def num_sessions(self) -> int:
-        """Sessions in this shard."""
-        return self.stop - self.start
-
-    @property
-    def session_indices(self) -> np.ndarray:
-        """Global session indices of the shard, in order."""
-        return np.arange(self.start, self.stop, dtype=np.int64)
 
 
 def _forbidden_cuts(assignments: Sequence["SessionAssignment"]) -> List[bool]:
@@ -212,30 +192,25 @@ def _execute_scenario_shard(
     frames: int,
     start: int,
     stop: int,
-    spool_dir: Optional[str],
+    spool_dir: str,
 ):
     """Run one (pre-built) scenario shard's episode and collect its results.
 
-    Returns ``(payload, losses, rewards, names, degraded)``: the histories
+    Returns ``(manifest, losses, rewards, names, degraded)``: the histories
     and names are shard-local lists, ``degraded`` the shard's slice of the
-    fault mask (``None`` when unfaulted).  With ``spool_dir`` set (the
-    pooled path) the shard sinks its frames incrementally into a columnar
-    chunk store under that directory and the payload is only the manifest
-    path, so traces cross the process boundary through ``mmap``-able files
-    instead of pickled frame objects.  Without it (inline single-shard runs)
-    the payload is the in-memory :class:`FleetTrace`.
+    fault mask (``None`` when unfaulted).  The shard sinks its frames
+    incrementally into a columnar chunk store under ``spool_dir`` and
+    returns only the store's manifest path, so traces cross the process
+    boundary through ``mmap``-able files instead of pickled frame objects.
     """
     count = stop - start
     with _obs.span("shard.run", kind="scenario", start=start, stop=stop):
-        if spool_dir is None:
-            payload = run_grouped_fleet_episode(session_groups, frames)
-        else:
-            writer = FleetTraceWriter(_spool_store_path(spool_dir, start, stop), count)
-            run_grouped_fleet_episode(session_groups, frames, sink=writer)
-            payload = str(writer.close())
+        writer = FleetTraceWriter(_spool_store_path(spool_dir, start, stop), count)
+        run_grouped_fleet_episode(session_groups, frames, sink=writer)
+        manifest = str(writer.close())
         losses, rewards, names = _group_histories(session_groups)
         degraded = collect_degraded(session_groups, frames, count)
-    return payload, losses, rewards, names, degraded
+    return manifest, losses, rewards, names, degraded
 
 
 # ---------------------------------------------------------------------------
@@ -323,55 +298,6 @@ def _interleave_shard_traces(
 
 
 # ---------------------------------------------------------------------------
-# Results
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ShardedScenarioResult:
-    """Outcome of one sharded scenario run.
-
-    Attributes:
-        scenario: The (possibly overridden) fleet scenario that ran.
-        assignments: Per-session resolution to specs and seeds, global order.
-        shards: The contiguous session blocks the fleet was split into.
-        sessions: Per-session :class:`SessionResult` records, global order.
-        fleet_trace: The re-interleaved columnar trace — byte-identical to
-            the unsharded :func:`repro.runtime.fleet.run_fleet_scenario`
-            trace of the same scenario.
-        elapsed_s: Wall-clock seconds spent running and merging the shards.
-        degraded: ``(num_frames, num_sessions)`` bool mask of fault-degraded
-            cells — equal to the unsharded run's — or ``None`` when the
-            scenario carries no fault plan.
-    """
-
-    scenario: "FleetScenario"
-    assignments: tuple
-    shards: Tuple[ShardPlan, ...]
-    sessions: Tuple[SessionResult, ...]
-    fleet_trace: FleetTrace
-    elapsed_s: float
-    degraded: Optional[np.ndarray] = None
-
-    @property
-    def num_shards(self) -> int:
-        """Number of (non-empty) shards that actually ran."""
-        return len(self.shards)
-
-    @property
-    def num_sessions(self) -> int:
-        """Total fleet size."""
-        return self.fleet_trace.num_sessions
-
-    @property
-    def aggregate_frames_per_second(self) -> float:
-        """Total frames processed across the fleet per wall-clock second."""
-        if self.elapsed_s <= 0:
-            return float("inf")
-        return self.fleet_trace.total_frames / self.elapsed_s
-
-
-# ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
@@ -424,15 +350,16 @@ def run_sharded_scenario(
     num_shards: int,
     num_sessions: int | None = None,
     num_frames: int | None = None,
-) -> ShardedScenarioResult:
+) -> FleetScenarioResult:
     """Run a scenario's fleet split across ``num_shards`` worker processes.
 
-    The sharded counterpart of :func:`repro.runtime.fleet.run_scenario`:
+    The sharded counterpart of :func:`repro.runtime.fleet.run_fleet_scenario`:
     sessions are planned into contiguous shards (:func:`plan_shards`), each
     shard executes the scenario's grouped fleet episode over its own block
     in a separate process, and the results re-interleave into one trace in
-    global session order — byte-identical to the unsharded run.  A single
-    (planned) shard runs inline with no pool.
+    global session order — byte-identical to the unsharded run.  When the
+    plan has a single shard, the run is the in-process one and its result
+    is :func:`~repro.runtime.fleet.run_fleet_scenario`'s.
 
     Args:
         scenario: A :class:`~repro.scenarios.FleetScenario`, a single
@@ -446,6 +373,8 @@ def run_sharded_scenario(
     scenario, assignments, shards = _plan_scenario(
         scenario, num_shards, num_sessions, num_frames
     )
+    if len(shards) == 1:
+        return run_fleet_scenario(scenario, num_sessions)
     total = len(assignments)
 
     run_span = _obs.span(
@@ -453,44 +382,35 @@ def run_sharded_scenario(
     )
     run_span.__enter__()
     start_time = time.perf_counter()
-    if len(shards) == 1:
-        # A single planned shard runs inline and already covers every
-        # session in global order: its trace is the fleet trace.
-        groups = _build_scenario_shard(scenario, total, 0, total)
-        shard_results = [
-            _execute_scenario_shard(groups, scenario.num_frames, 0, total, None)
-        ]
-        fleet_trace = shard_results[0][0]
-    else:
-        spool = tempfile.mkdtemp(prefix="repro-shards-")
-        pool, owned = acquire_pool(len(shards))
-        try:
-            tasks = [
-                PoolTask(
-                    kind="scenario-shard",
-                    args=(scenario, total, shard.start, shard.stop, spool),
-                    fingerprint=scenario_shard_fingerprint(
-                        scenario, total, shard.start, shard.stop
-                    ),
-                    shard_index=shard.index,
-                )
-                for shard in shards
-            ]
-            shard_results = pool.run_tasks(tasks).results
-            fleet_trace = _interleave_shard_traces(
-                [result[0] for result in shard_results], shards, total
+    spool = tempfile.mkdtemp(prefix="repro-shards-")
+    pool, owned = acquire_pool(len(shards))
+    try:
+        tasks = [
+            PoolTask(
+                kind="scenario-shard",
+                args=(scenario, total, shard.start, shard.stop, spool),
+                fingerprint=scenario_shard_fingerprint(
+                    scenario, total, shard.start, shard.stop
+                ),
+                shard_index=shard.index,
             )
-        finally:
-            if owned:
-                pool.shutdown()
-            shutil.rmtree(spool, ignore_errors=True)
+            for shard in shards
+        ]
+        shard_results = pool.run_tasks(tasks).results
+        fleet_trace = _interleave_shard_traces(
+            [result[0] for result in shard_results], shards, total
+        )
+    finally:
+        if owned:
+            pool.shutdown()
+        shutil.rmtree(spool, ignore_errors=True)
     elapsed_s = time.perf_counter() - start_time
     run_span.__exit__(None, None, None)
 
     sessions, degraded = _gather_shards(
         shards, shard_results, fleet_trace, scenario.num_frames
     )
-    return ShardedScenarioResult(
+    return FleetScenarioResult(
         scenario=scenario,
         assignments=assignments,
         shards=shards,
@@ -577,11 +497,11 @@ class RecoveryReport:
 
 
 @dataclass(frozen=True)
-class SupervisedScenarioResult(ShardedScenarioResult):
-    """Outcome of one supervised (fault-tolerant) sharded scenario run.
+class SupervisedScenarioResult(FleetScenarioResult):
+    """Outcome of one supervised (fault-tolerant) sharded run of a scenario.
 
-    Carries everything :class:`ShardedScenarioResult` does, plus the
-    supervisor's :class:`RecoveryReport`.
+    Carries everything :class:`~repro.runtime.fleet.FleetScenarioResult`
+    does, plus the supervisor's :class:`RecoveryReport`.
     """
 
     recovery: RecoveryReport = field(kw_only=True)

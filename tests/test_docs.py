@@ -55,6 +55,28 @@ def test_lint_detects_stale_references(tmp_path, monkeypatch):
     assert check_docs.main() == 1
 
 
+def test_lint_detects_stale_cli_invocations(tmp_path, monkeypatch):
+    check_docs = load_check_docs()
+    stale = tmp_path / "README.md"
+    stale.write_text(
+        "# doc\n"
+        "```bash\n"
+        "python -m repro fleet run cctv-burst --shards 2\n"
+        "python -m repro scenario list\n"
+        "python -m repro run --method lotus\n"
+        "python -m repro scenario launch cctv-burst\n"
+        "python -m repro frobnicate --now\n"
+        "```\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", (stale,))
+    problems = check_docs.check()
+    assert len(problems) == 2
+    assert any("scenario 'launch'" in p for p in problems)
+    assert any("'frobnicate'" in p for p in problems)
+
+
 def test_lint_reports_missing_files(tmp_path, monkeypatch):
     check_docs = load_check_docs()
     monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)

@@ -8,9 +8,8 @@ The acceptance bar of the fault-tolerant runtime:
   uninterrupted single-process run — across registry scenarios and shard
   counts.
 * **Fault plans are part of the experiment's identity.**  The same seeded
-  plan compiles to the same schedule wherever the session lands, plans
-  round-trip through dict/JSON with strict validation, and the plan
-  fingerprint flows into job keys so faulted results cache-hit on re-run.
+  plan compiles to the same schedule wherever the session lands, and plans
+  round-trip through dict/JSON with strict validation.
 * **Reliable delivery loses nothing.**  Under 20 % channel loss the
   retry/dedup protocol completes episodes with zero lost decisions and
   reports the retries it needed.
@@ -43,16 +42,12 @@ from repro.faults import (
     ThrottlingStorm,
     WorkerCrash,
     compile_fault_plan,
-    fault_fingerprint,
     fault_plan_from_dict,
     fault_plan_from_json,
 )
 from repro.governors.static import UserspacePolicy
 from repro.runtime import (
-    ExperimentJob,
-    ExperimentRuntime,
     ResultCache,
-    job_key,
     run_fleet_scenario,
     run_sharded_scenario,
     run_supervised_scenario,
@@ -79,7 +74,7 @@ def crash_plan(seed: int = 3) -> FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Plan codec, validation and fingerprints
+# Plan codec and validation
 # ---------------------------------------------------------------------------
 
 
@@ -130,15 +125,6 @@ def test_fault_event_validation():
         ChannelFaults(drop_rate=1.5)
     with pytest.raises(FaultError):
         WorkerCrash(frame=0, shard=-1)
-
-
-def test_fault_fingerprint_is_stable_and_discriminating():
-    assert fault_fingerprint(None) is None
-    plan = crash_plan(seed=3)
-    assert fault_fingerprint(plan) == fault_fingerprint(crash_plan(seed=3))
-    assert fault_fingerprint(plan) != fault_fingerprint(crash_plan(seed=4))
-    rearmed = FaultPlan(events=plan.events[:1], seed=3, name="crash-plan")
-    assert fault_fingerprint(plan) != fault_fingerprint(rearmed)
 
 
 # ---------------------------------------------------------------------------
@@ -280,54 +266,6 @@ def test_clean_scenario_reports_no_degradation():
 
 
 # ---------------------------------------------------------------------------
-# Job fingerprints: faulted results are cacheable and distinct
-# ---------------------------------------------------------------------------
-
-
-def tiny_setting(**overrides) -> ExperimentSetting:
-    defaults = dict(
-        device="jetson-orin-nano",
-        detector="faster_rcnn",
-        dataset="kitti",
-        num_frames=20,
-        seed=0,
-    )
-    defaults.update(overrides)
-    return ExperimentSetting(**defaults)
-
-
-def test_job_key_covers_fault_plans():
-    clean = ExperimentJob(setting=tiny_setting(), method="default")
-    faulted = ExperimentJob(
-        setting=tiny_setting(), method="default", faults=crash_plan()
-    )
-    same = ExperimentJob(
-        setting=tiny_setting(), method="default", faults=crash_plan()
-    )
-    reseeded = ExperimentJob(
-        setting=tiny_setting(), method="default", faults=crash_plan(seed=9)
-    )
-    assert job_key(faulted) == job_key(same)
-    assert len({job_key(clean), job_key(faulted), job_key(reseeded)}) == 3
-
-
-def test_faulted_jobs_cache_hit_on_rerun(tmp_path):
-    job = ExperimentJob(
-        setting=tiny_setting(),
-        method="default",
-        faults=FaultPlan(events=(SensorDropout(start_frame=4, num_frames=3),), seed=1),
-    )
-    runtime = ExperimentRuntime(max_workers=1, cache=ResultCache(tmp_path))
-    first = runtime.run(job)
-    assert runtime.last_report.executed == 1
-    rerun = ExperimentRuntime(max_workers=1, cache=ResultCache(tmp_path))
-    second = rerun.run(job)
-    assert rerun.last_report.cache_hits == 1
-    assert rerun.last_report.executed == 0
-    assert list(first.trace) == list(second.trace)
-
-
-# ---------------------------------------------------------------------------
 # Reliable delivery under loss
 # ---------------------------------------------------------------------------
 
@@ -376,6 +314,18 @@ def test_channel_faults_build_a_lossy_channel():
 # ---------------------------------------------------------------------------
 # Cache pruning dry-run
 # ---------------------------------------------------------------------------
+
+
+def tiny_setting(**overrides) -> ExperimentSetting:
+    defaults = dict(
+        device="jetson-orin-nano",
+        detector="faster_rcnn",
+        dataset="kitti",
+        num_frames=20,
+        seed=0,
+    )
+    defaults.update(overrides)
+    return ExperimentSetting(**defaults)
 
 
 def test_prune_dry_run_deletes_nothing(tmp_path):

@@ -32,8 +32,9 @@ from repro.governors.registry import build_default_governor
 from repro.hardware.devices.registry import available_devices, build_device
 from repro.hardware.fleet import DeviceFleet
 from repro.runtime.fleet import (
+    _session_groups,
     run_fleet,
-    run_scenario,
+    run_fleet_scenario,
     scalar_reference_session,
     scalar_reference_sessions,
 )
@@ -129,7 +130,7 @@ def test_run_fleet_trace_matches_pinned_digest(method):
 
 
 def _assert_scenario_sessions_identical(result, num_frames, check_histories=False):
-    """Every session of a scenario run matches its own scalar reference."""
+    """Every session of a heterogeneous fleet matches its own scalar reference."""
     for assignment in result.assignments:
         reference = scalar_reference_session(
             assignment.spec, seed=assignment.seed, num_frames=num_frames
@@ -200,18 +201,21 @@ def test_heterogeneous_fleet_matches_scalar_runs_bit_for_bit():
             ),
         ),
     )
-    result = run_scenario(fleet, num_sessions=5)
+    result = run_fleet_scenario(fleet, num_sessions=5)
     assert result.num_sessions == 5
-    assert len(result.groups) == 2
+    assert len(_session_groups(result.assignments, 60)) == 2
     _assert_scenario_sessions_identical(result, num_frames=60)
 
 
 def test_mixed_method_group_learning_policies_match_scalar():
     """Learning and governor sessions sharing one device group stay exact,
     including their loss/reward histories."""
-    result = run_scenario("shared-device-mixed-load", num_sessions=4, num_frames=40)
-    assert len(result.groups) == 1
-    assert result.groups[0].policy_name.startswith("sub-fleet(")
+    result = run_fleet_scenario(
+        "shared-device-mixed-load", num_sessions=4, num_frames=40
+    )
+    groups = _session_groups(result.assignments, 40)
+    assert len(groups) == 1
+    assert groups[0].policy.name.startswith("sub-fleet(")
     _assert_scenario_sessions_identical(result, num_frames=40, check_histories=True)
 
 
@@ -223,7 +227,7 @@ def test_builtin_mixed_edge_fleet_acceptance():
     ambients = {type(member.spec.ambient) for member in fleet.members}
     assert len(devices) >= 2
     assert len(ambients) >= 2
-    result = run_scenario(fleet, num_sessions=6, num_frames=30)
+    result = run_fleet_scenario(fleet, num_sessions=6, num_frames=30)
     assert result.num_sessions == 6
     _assert_scenario_sessions_identical(result, num_frames=30)
 
@@ -240,7 +244,7 @@ def test_homogeneous_scenario_matches_homogeneous_fleet_engine():
         num_sessions=3,
         seed=2,
     )
-    scenario_result = run_scenario(spec)
+    scenario_result = run_fleet_scenario(spec)
     setting = ExperimentSetting(num_frames=50, seed=2)
     fleet_result = run_fleet(setting, "default", 3)
     for i in range(3):

@@ -22,7 +22,12 @@ import pytest
 from repro.analysis.experiments import ExperimentSetting
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.errors import ShardError
-from repro.runtime.fleet import run_fleet, run_fleet_scenario
+from repro.runtime.fleet import (
+    FleetScenarioResult,
+    ShardPlan,
+    run_fleet,
+    run_fleet_scenario,
+)
 from repro.runtime.shards import (
     _forbidden_cuts,
     plan_shards,
@@ -155,7 +160,8 @@ class TestScenarioSharding:
 
     def test_lotus_fleet_scenario_degrades_to_one_shard(self):
         """A fleet that is one big lotus-fleet atom cannot be divided — the
-        planner returns a single shard instead of erroring."""
+        planner returns a single shard instead of erroring, and that shard
+        is the in-process run with its result type."""
         spec = ScenarioSpec(
             name="one-atom",
             method="lotus-fleet",
@@ -165,6 +171,12 @@ class TestScenarioSharding:
         reference = run_fleet_scenario(spec)
         sharded = run_sharded_scenario(spec, 4)
         assert sharded.num_shards == 1
+        assert type(sharded) is type(reference) is FleetScenarioResult
+        assert sharded.shards == reference.shards == (ShardPlan(0, 0, 6),)
+        assert sharded.assignments == reference.assignments
+        for mine, theirs in zip(sharded.sessions, reference.sessions):
+            assert list(mine.trace) == list(theirs.trace)
+            assert mine.metrics == theirs.metrics
         assert_traces_identical(sharded.fleet_trace, reference.fleet_trace)
 
 

@@ -28,6 +28,7 @@ from repro.runtime import (
     job_key,
     sweep_metrics_map,
 )
+from repro.runtime.cache import DEFAULT_BLOB_THRESHOLD_FRAMES
 
 
 def tiny_setting(**overrides) -> ExperimentSetting:
@@ -154,6 +155,26 @@ def test_cache_stats_and_clear(tmp_path):
     assert stats.entries == 2 and stats.total_bytes > 0
     assert cache.clear() == 2
     assert cache.stats().entries == 0
+
+
+def test_cache_sidecar_blob_round_trip_and_clear(tmp_path):
+    """A trace past the blob threshold is stored as a columnar sidecar
+    blob, reloads bit-identically, and is removed by ``clear``."""
+    frames = 600
+    assert frames >= DEFAULT_BLOB_THRESHOLD_FRAMES
+    cache = ResultCache(tmp_path)
+    result = execute_setting(tiny_setting(num_frames=frames), "default")
+    key = "e" * 64
+    cache.store(key, result)
+    assert cache.blob_dir_for(key).is_dir()
+    assert cache.stats().blob_bytes > 0
+    loaded = cache.load(key)
+    assert loaded is not None
+    assert loaded.trace.records == result.trace.records
+    assert loaded.metrics == result.metrics
+    assert loaded.steady_metrics == result.steady_metrics
+    assert cache.clear() == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,63 @@ def test_cli_fleet_cell_runs_faulted_under_the_supervisor(tmp_path, capsys):
     assert json.loads(report.read_text())["degraded_cells"] > 0
 
 
+def test_cli_fleet_run_scenario_prints_groups_and_writes_report(tmp_path, capsys):
+    """`fleet run NAME` is the one CLI door for a scenario: per-group table,
+    aggregate, and the resilience JSON of a faulted run."""
+    import json
+
+    from repro.faults import FaultPlan, SensorDropout
+
+    plan = tmp_path / "plan.json"
+    plan.write_text(
+        FaultPlan(
+            events=(SensorDropout(start_frame=5, num_frames=6, probability=0.7),),
+            seed=7,
+            name="burst-dropout",
+        ).to_json()
+    )
+    report = tmp_path / "out.json"
+    assert main([
+        "fleet", "run", "cctv-burst", "--faults", str(plan), "--report",
+        str(report), "--sessions", "4", "--frames", "24",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "fleet: scenario cctv-burst — 4 sessions x 24 frames" in out
+    assert "| Group" in out and "raspberry-pi-5/yolo_v5" in out
+    assert "aggregate:" in out
+    payload = json.loads(report.read_text())
+    assert payload["num_sessions"] == 4 and payload["degraded_cells"] > 0
+
+
+def _group_rows(out: str) -> list:
+    return [line for line in out.splitlines() if line.startswith("| ") and "/" in line]
+
+
+def test_cli_fleet_run_scenario_group_rows_match_across_shards(capsys):
+    rows = {}
+    for shards in ("1", "2"):
+        assert main([
+            "fleet", "run", "mixed-edge-fleet", "--shards", shards,
+            "--sessions", "6", "--frames", "12",
+        ]) == 0
+        rows[shards] = _group_rows(capsys.readouterr().out)
+    assert len(rows["1"]) == 4
+    assert rows["2"] == rows["1"]
+
+
+def test_cli_malformed_worker_count_is_a_one_line_error(monkeypatch, capsys):
+    """A bad REPRO_WORKERS only fails the commands that use it."""
+    monkeypatch.setenv("REPRO_WORKERS", "two")
+    assert main(["devices"]) == 0
+    capsys.readouterr()
+    assert main([
+        "sweep", "--methods", "fixed", "--frames", "5", "--no-cache", "--quiet",
+    ]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: REPRO_WORKERS")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_cli_fleet_reports_library_errors(capsys):
     assert main(["fleet", "--method", "nonsense", "--frames", "5"]) == 2
     assert "unknown method" in capsys.readouterr().err

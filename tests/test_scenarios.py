@@ -3,10 +3,9 @@
 Covers the new ambient profiles, the spec/fleet (de)serialisation round
 trips, the validating registry (including its error paths), the weighted
 session allocation, the grouped re-interleaving order of heterogeneous
-runs, the sub-fleet policy combinator's validation, the engine's
-scenario-to-jobs expansion (with cacheable fingerprints for the new
-ambient profiles), the per-group summary table and the ``python -m repro
-scenario`` CLI.
+runs, the sub-fleet policy combinator's validation, cacheable job keys for
+the ambient profiles scenarios use, the per-group summary table and the
+``python -m repro scenario`` CLI.
 """
 
 from __future__ import annotations
@@ -24,11 +23,11 @@ from repro.env.ambient import (
     StepAmbient,
     warm_cold_warm,
 )
-from repro.errors import ConfigurationError, ExperimentError, ScenarioError
+from repro.errors import ConfigurationError, ScenarioError
 from repro.governors.fleet import BatchedPerformancePolicy, SubFleetPolicies
 from repro.runtime.cli import main
-from repro.runtime.engine import ExperimentRuntime, scenario_jobs
-from repro.runtime.fleet import run_scenario
+from repro.runtime.fleet import _session_groups, run_fleet_scenario
+from repro.runtime.job import ExperimentJob
 from repro.scenarios import (
     FleetMember,
     FleetScenario,
@@ -335,12 +334,11 @@ def test_grouped_run_preserves_global_session_order():
             ),
         ),
     )
-    result = run_scenario(fleet, num_sessions=6, num_frames=10)
+    result = run_fleet_scenario(fleet, num_sessions=6, num_frames=10)
     assert result.num_sessions == 6
+    groups = _session_groups(result.assignments, 10)
     # Groups partition the global indices exactly.
-    covered = sorted(
-        index for group in result.groups for index in group.session_indices
-    )
+    covered = sorted(index for group in groups for index in group.session_indices)
     assert covered == list(range(6))
     # Global session order equals assignment order: member a, b, then c —
     # even though a and c share one batched group.
@@ -354,8 +352,10 @@ def test_grouped_run_preserves_global_session_order():
         "a", "a", "b", "b", "c", "c",
     ][: len(result.assignments)]
     # The mi11 group interleaves members a and c.
-    mi11 = next(g for g in result.groups if g.device == "mi11-lite")
-    assert set(mi11.spec_names) == {"a", "c"}
+    mi11 = next(g for g in groups if g.environment.device.name == "mi11-lite")
+    assert {result.assignments[i].spec.name for i in mi11.session_indices} == {
+        "a", "c",
+    }
 
 
 def test_sub_fleet_policies_validate_their_partition():
@@ -378,32 +378,27 @@ def test_sub_fleet_policies_validate_their_partition():
 # ---------------------------------------------------------------------------
 
 
-def test_scenario_jobs_expand_sessions_with_cacheable_keys():
-    spec = _tiny_spec("jobs", seed=30, ambient=DiurnalAmbient(period_frames=40))
-    jobs = scenario_jobs(spec, num_sessions=3)
-    assert [job.setting.seed for job in jobs] == [30, 31, 32]
-    assert all(job.method == "default" for job in jobs)
-    # The new ambient profiles fingerprint, so scenario cells cache.
-    assert all(job.cache_key() for job in jobs)
-    ramp = scenario_jobs(
-        _tiny_spec("jobs-ramp", ambient=LinearRampAmbient(ramp_frames=20))
+def test_scenario_ambient_profiles_give_cacheable_job_keys():
+    """The cells of a scenario session are cacheable for all four ambient
+    profiles: each fingerprints, and each seed gets its own key."""
+    ambients = (
+        ConstantAmbient(28.0),
+        warm_cold_warm(10),
+        DiurnalAmbient(period_frames=40),
+        LinearRampAmbient(ramp_frames=20),
     )
-    assert all(job.cache_key() for job in ramp)
-    with pytest.raises(ExperimentError):
-        scenario_jobs(_tiny_spec("fleet-only", method="lotus-fleet"))
-
-
-def test_engine_run_scenario_matches_vectorized_scenario_run(tmp_path):
-    spec = _tiny_spec("engine-eq", num_frames=15, seed=4, ambient=ConstantAmbient(28.0))
-    runtime = ExperimentRuntime(max_workers=1, cache=None)
-    engine_sessions = runtime.run_scenario(spec, num_sessions=2)
-    fleet_result = run_scenario(spec, num_sessions=2)
-    assert len(engine_sessions) == 2
-    for engine_session, fleet_session in zip(engine_sessions, fleet_result.sessions):
-        for ours, theirs in zip(
-            engine_session.trace.records, fleet_session.trace.records
-        ):
-            assert ours == theirs
+    for ambient in ambients:
+        spec = _tiny_spec("jobs", seed=30, ambient=ambient)
+        keys = [
+            ExperimentJob(
+                setting=spec.setting().with_overrides(seed=spec.seed + i),
+                method=spec.method,
+                ambient=spec.ambient,
+            ).cache_key()
+            for i in range(3)
+        ]
+        assert all(keys), type(ambient).__name__
+        assert len(set(keys)) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +409,12 @@ def test_engine_run_scenario_matches_vectorized_scenario_run(tmp_path):
 def test_scenario_group_table_has_one_row_per_group():
     from repro.analysis.tables import scenario_group_table
 
-    result = run_scenario("mixed-edge-fleet", num_sessions=5, num_frames=8)
+    result = run_fleet_scenario("mixed-edge-fleet", num_sessions=5, num_frames=8)
     table = scenario_group_table(result, title="mixed")
     lines = table.splitlines()
     assert lines[0] == "mixed"
     # Title, header and separator, then one row per group.
-    assert len(lines) == 3 + len(result.groups)
+    assert len(lines) == 3 + len(_session_groups(result.assignments, 8))
     assert any("mi11-lite/yolo_v5" in line for line in lines)
 
 
@@ -432,12 +427,11 @@ def test_cli_scenario_list_show_run(capsys):
     out = capsys.readouterr().out
     assert '"kind": "scenario"' in out and '"linear_ramp"' in out
 
-    assert main(
-        ["scenario", "run", "shared-device-mixed-load", "--frames", "8",
-         "--sessions", "2", "--per-session"]
-    ) == 0
-    out = capsys.readouterr().out
-    assert "aggregate:" in out and "Group" in out
+    # Scenarios run through `fleet run NAME`; `scenario` only lists and shows.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["scenario", "run", "shared-device-mixed-load"])
+    assert excinfo.value.code == 2
+    capsys.readouterr()
 
     assert main(["scenario", "show", "no-such-scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err

@@ -9,13 +9,17 @@ Checks ``README.md`` and ``docs/ARCHITECTURE.md`` against the code:
    must resolve to an importable module or attribute.
 3. Every backticked identifier in the README's "Public API" section must be
    in ``repro.__all__``.
+4. Every ``python -m repro <command> [<action>]`` invocation must name a
+   command (and, for commands that take one, an action) that the CLI's
+   ``build_parser()`` accepts.
 
 Run from the repository root (CI does)::
 
     python tools/check_docs.py
 
 Exits non-zero listing each stale reference, so renaming or removing a
-public symbol without updating the documentation fails the build.
+public symbol or CLI command without updating the documentation fails the
+build.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ _IMPORT_RE = re.compile(r"from\s+repro\s+import\s+(\([^)]*\)|[^\n]+)")
 _DOTTED_RE = re.compile(r"\brepro(?:\.(?:[A-Za-z_][A-Za-z0-9_]*|__[a-z_]+__))+")
 _INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_INVOCATION_RE = re.compile(
+    r"python -m repro[ \t]+([a-z][a-z0-9-]*)(?:[ \t]+([a-z][a-z0-9-]*))?"
+)
 
 
 def _resolves(dotted: str) -> bool:
@@ -81,11 +88,39 @@ def _public_api_claims(text: str) -> list[str]:
     return claims
 
 
+def _cli_grammar() -> dict[str, tuple[str, ...] | None]:
+    """Each CLI command mapped to its accepted actions (``None``: no action).
+
+    An action is the command's first positional argument when it is
+    restricted to fixed choices (a nested subcommand or a ``choices`` list).
+    """
+    from repro.runtime.cli import build_parser
+
+    grammar: dict[str, tuple[str, ...] | None] = {}
+    for name, command in build_parser().repro_commands.items():
+        positionals = [a for a in command._actions if not a.option_strings]
+        choices = positionals[0].choices if positionals else None
+        grammar[name] = tuple(choices) if choices is not None else None
+    return grammar
+
+
+def _bad_invocations(text: str, grammar: dict[str, tuple[str, ...] | None]) -> list[str]:
+    """``python -m repro ...`` invocations the CLI would reject."""
+    bad: list[str] = []
+    for command, action in _INVOCATION_RE.findall(text):
+        if command not in grammar:
+            bad.append(f"unknown command {command!r}")
+        elif action and grammar[command] is not None and action not in grammar[command]:
+            bad.append(f"unknown action {command} {action!r}")
+    return bad
+
+
 def check() -> list[str]:
     """Run all checks; returns a list of human-readable problems."""
     import repro
 
     public = set(repro.__all__)
+    grammar = _cli_grammar()
     problems: list[str] = []
     for path in DOC_FILES:
         if not path.exists():
@@ -106,6 +141,8 @@ def check() -> list[str]:
                 problems.append(
                     f"{rel}: Public API section lists {name!r}, not in repro.__all__"
                 )
+        for bad in sorted(set(_bad_invocations(text, grammar))):
+            problems.append(f"{rel}: `python -m repro` invocation names an {bad}")
     return problems
 
 
