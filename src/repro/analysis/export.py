@@ -49,19 +49,14 @@ def trace_from_csv(path: str | Path) -> Trace:
     return Trace(records)
 
 
+#: Parser of each FrameRecord field type in a CSV row.
+_PARSERS = {"int": int, "float": float, "str": str, "bool": lambda raw: raw in ("True", "true", "1")}
+
+
 def _record_from_row(row: dict) -> FrameRecord:
-    converted = {}
-    for field in dataclasses.fields(FrameRecord):
-        raw = row[field.name]
-        if field.type in ("int", int):
-            converted[field.name] = int(raw)
-        elif field.type in ("bool", bool):
-            converted[field.name] = raw in ("True", "true", "1")
-        elif field.type in ("float", float):
-            converted[field.name] = float(raw)
-        else:
-            converted[field.name] = raw
-    return FrameRecord(**converted)
+    return FrameRecord(
+        **{f.name: _PARSERS[f.type](row[f.name]) for f in dataclasses.fields(FrameRecord)}
+    )
 
 
 def metrics_to_json(metrics: EpisodeMetrics, path: str | Path, label: str = "") -> Path:

@@ -8,8 +8,8 @@ record objects.  The consumers here speak the *column-window protocol*
 shared by the in-memory :class:`~repro.env.fleet.FleetTrace` and the
 memory-mapped :class:`~repro.store.MappedFleetTrace`:
 ``iter_column_chunks(name)`` yields ``(frame_offset, block)`` views one
-chunk at a time, which for a mapped store touches one chunk file's pages
-at a time.
+chunk at a time — slices of the in-memory trace's ``(frames, sessions)``
+columns, or for a mapped store one chunk file's pages at a time.
 
 Exact percentiles are still possible in bounded memory:
 :class:`StreamingPercentile` keeps only the top ``n - floor(q/100*(n-1))``

@@ -34,8 +34,8 @@ per-session behaviour.
 from __future__ import annotations
 
 import enum
+import operator
 from abc import ABC, abstractmethod
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -57,7 +57,14 @@ from repro.env.environment import (
     MidFrameObservation,
 )
 from repro.env.policy import Policy
-from repro.env.trace import FrameRecord, Trace
+from repro.env.trace import (
+    COLUMN_DTYPES,
+    FrameRecord,
+    Trace,
+    checked_column,
+    frame_record,
+    session_slice,
+)
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
 from repro.workload.fleet import FleetFrameStream
@@ -275,9 +282,10 @@ class FleetFrameResult:
     """Batch end-of-frame feedback: one completed frame across N sessions.
 
     Field-for-field the array counterpart of
-    :class:`~repro.env.trace.FrameRecord`; scalar records materialise
-    lazily via :meth:`record` so the hot loop never constructs N dataclasses
-    per frame.
+    :class:`~repro.env.trace.FrameRecord`, and one row of a
+    :class:`FleetTrace`'s columns; :meth:`record` is session ``i``'s
+    :class:`~repro.env.trace.FrameRecord` row view, built on demand so the
+    hot loop never constructs N dataclasses per frame.
     """
 
     index: int
@@ -315,144 +323,153 @@ class FleetFrameResult:
         return FleetFrameResult(
             index=self.index,
             datasets=tuple(self.datasets[i] for i in indices),
-            num_proposals=self.num_proposals[indices],
-            stage1_latency_ms=self.stage1_latency_ms[indices],
-            stage2_latency_ms=self.stage2_latency_ms[indices],
-            total_latency_ms=self.total_latency_ms[indices],
-            latency_constraint_ms=self.latency_constraint_ms[indices],
-            met_constraint=self.met_constraint[indices],
-            cpu_temperature_c=self.cpu_temperature_c[indices],
-            gpu_temperature_c=self.gpu_temperature_c[indices],
-            cpu_level_stage1=self.cpu_level_stage1[indices],
-            gpu_level_stage1=self.gpu_level_stage1[indices],
-            cpu_level_stage2=self.cpu_level_stage2[indices],
-            gpu_level_stage2=self.gpu_level_stage2[indices],
-            cpu_throttled=self.cpu_throttled[indices],
-            gpu_throttled=self.gpu_throttled[indices],
-            ambient_temperature_c=self.ambient_temperature_c[indices],
-            energy_j=self.energy_j[indices],
+            **{name: getattr(self, name)[indices] for name in COLUMN_DTYPES},
         )
 
     def record(self, i: int) -> FrameRecord:
-        """Materialise session ``i``'s scalar :class:`FrameRecord`."""
-        return FrameRecord(
-            index=self.index,
-            dataset=self.datasets[i],
-            num_proposals=int(self.num_proposals[i]),
-            stage1_latency_ms=float(self.stage1_latency_ms[i]),
-            stage2_latency_ms=float(self.stage2_latency_ms[i]),
-            total_latency_ms=float(self.total_latency_ms[i]),
-            latency_constraint_ms=float(self.latency_constraint_ms[i]),
-            met_constraint=bool(self.met_constraint[i]),
-            cpu_temperature_c=float(self.cpu_temperature_c[i]),
-            gpu_temperature_c=float(self.gpu_temperature_c[i]),
-            cpu_level_stage1=int(self.cpu_level_stage1[i]),
-            gpu_level_stage1=int(self.gpu_level_stage1[i]),
-            cpu_level_stage2=int(self.cpu_level_stage2[i]),
-            gpu_level_stage2=int(self.gpu_level_stage2[i]),
-            cpu_throttled=bool(self.cpu_throttled[i]),
-            gpu_throttled=bool(self.gpu_throttled[i]),
-            ambient_temperature_c=float(self.ambient_temperature_c[i]),
-            energy_j=float(self.energy_j[i]),
-        )
+        """Session ``i``'s scalar :class:`FrameRecord` row view."""
+        return frame_record(self.index, self.datasets[i], _frame_columns(self), i)
 
     def result(self, i: int) -> FrameResult:
         """Session ``i``'s scalar :class:`FrameResult`."""
         return FrameResult(record=self.record(i))
 
 
-class FleetTrace:
-    """Columnar trace of a fleet episode: one FleetFrameResult per frame."""
+#: The value columns of a frame result, in :data:`COLUMN_DTYPES` order.
+_frame_columns = operator.attrgetter(*COLUMN_DTYPES)
 
-    #: Bound on the :meth:`session_trace` memo so fleet-wide sweeps over a
-    #: large trace don't keep every materialised scalar trace alive.
-    _SESSION_CACHE_LIMIT = 64
+
+class FleetTrace:
+    """Columnar trace of a fleet episode: one ``(frames, N)`` array per column.
+
+    The columns follow :data:`~repro.env.trace.COLUMN_DTYPES`, plus one
+    dataset-name tuple per frame.  Frames are appended one
+    :class:`FleetFrameResult` at a time (the episode loop's sink protocol),
+    held by reference like a :class:`repro.store.FleetTraceWriter` chunk,
+    and stacked onto the columns by the next read; or whole columns are
+    adopted (:meth:`from_columns`).  Frames and per-session traces are
+    built from the columns on demand.
+    """
 
     def __init__(self, num_sessions: int):
         if num_sessions <= 0:
             raise ExperimentError("num_sessions must be positive")
         self.num_sessions = num_sessions
-        self._frames: List[FleetFrameResult] = []
-        self._session_cache: "OrderedDict[int, Trace]" = OrderedDict()
+        self._start_index = 0
+        self._datasets: List[tuple] = []
+        self._appended: List[FleetFrameResult] = []
+        self._columns: dict[str, np.ndarray] = {
+            name: np.empty((0, num_sessions), dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+
+    @classmethod
+    def from_columns(
+        cls,
+        columns: dict,
+        datasets: Sequence[tuple],
+        start_index: int = 0,
+    ) -> "FleetTrace":
+        """The bulk constructor: adopt whole ``(frames, N)`` columns.
+
+        ``columns`` maps every :data:`~repro.env.trace.COLUMN_DTYPES` name
+        to an array of that dtype; ``datasets`` holds one N-tuple per frame.
+        """
+        num_sessions = np.shape(columns["total_latency_ms"])[1]
+        trace = cls(num_sessions)
+        shape = (len(datasets), num_sessions)
+        trace._columns = {
+            name: checked_column(name, columns[name], shape) for name in COLUMN_DTYPES
+        }
+        trace._datasets = list(datasets)
+        trace._start_index = int(start_index)
+        return trace
 
     def append(self, frame: FleetFrameResult) -> None:
-        """Append one completed fleet frame."""
+        """Append one completed fleet frame (frame indices must be contiguous)."""
         if frame.num_sessions != self.num_sessions:
             raise ExperimentError(
                 f"frame has {frame.num_sessions} sessions, trace expects "
                 f"{self.num_sessions}"
             )
-        self._frames.append(frame)
-        if self._session_cache:
-            self._session_cache.clear()
+        size = len(self._datasets)
+        if size == 0:
+            self._start_index = int(frame.index)
+        elif frame.index != self._start_index + size:
+            raise ExperimentError(
+                f"non-contiguous frame index {frame.index} "
+                f"(expected {self._start_index + size})"
+            )
+        self._appended.append(frame)
+        self._datasets.append(frame.datasets)
+
+    def _stacked(self) -> dict:
+        """The columns, with the frames appended since the last read stacked on."""
+        if self._appended:
+            shape = (len(self._datasets), self.num_sessions)
+            rows = [vars(frame) for frame in self._appended]
+            self._columns = {
+                name: checked_column(
+                    name, np.vstack([column] + [row[name] for row in rows]), shape
+                )
+                for name, column in self._columns.items()
+            }
+            self._appended = []
+        return self._columns
+
+    def __getstate__(self) -> dict:
+        # Pickle columns only, so equal traces pickle to equal bytes.
+        self._stacked()
+        return self.__dict__
 
     def __len__(self) -> int:
-        return len(self._frames)
+        return len(self._datasets)
 
     def __iter__(self) -> Iterator[FleetFrameResult]:
-        return iter(self._frames)
+        for frame in range(len(self)):
+            yield self[frame]
 
     def __getitem__(self, index: int) -> FleetFrameResult:
-        return self._frames[index]
+        """Frame ``index`` (0-based offset) as views of the columns."""
+        index = range(len(self))[index]
+        return FleetFrameResult(
+            index=self._start_index + index,
+            datasets=self._datasets[index],
+            **{name: column[index] for name, column in self._stacked().items()},
+        )
 
     @property
     def total_frames(self) -> int:
         """Aggregate frames processed across the fleet (frames x sessions)."""
-        return len(self._frames) * self.num_sessions
+        return len(self) * self.num_sessions
 
     @property
     def start_index(self) -> int:
         """Global index of the first frame (0 for an empty trace)."""
-        return self._frames[0].index if self._frames else 0
+        return self._start_index
 
     def session_trace(self, i: int) -> Trace:
-        """Materialise session ``i``'s scalar :class:`Trace`.
-
-        Results are memoized in a bounded FIFO (invalidated on append), so
-        harnesses that revisit the same sessions — metric summaries followed
-        by equivalence sweeps — build each session's ``FrameRecord`` objects
-        once instead of once per call.
-        """
-        if not 0 <= i < self.num_sessions:
-            raise ExperimentError(f"session {i} out of range [0, {self.num_sessions - 1}]")
-        cached = self._session_cache.get(i)
-        if cached is not None:
-            return cached
-        trace = Trace([frame.record(i) for frame in self._frames])
-        self._session_cache[i] = trace
-        while len(self._session_cache) > self._SESSION_CACHE_LIMIT:
-            self._session_cache.popitem(last=False)
-        return trace
-
-    def to_traces(self) -> List[Trace]:
-        """Materialise every session's scalar trace."""
-        return [self.session_trace(i) for i in range(self.num_sessions)]
+        """Session ``i``'s scalar :class:`Trace` (contiguous column copies)."""
+        return session_slice(self, i)
 
     def column_window(self, name: str, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Frames ``[start, stop)`` of one column as a ``(frames, N)`` array.
+        """Frames ``[start, stop)`` of one column as a ``(frames, N)`` view.
 
         The in-memory counterpart of
         :meth:`repro.store.MappedFleetTrace.column_window`, so streaming
         consumers can treat both trace representations uniformly.
         """
-        frames = self._frames[start:stop]
-        if not frames:
-            dtype = (
-                getattr(self._frames[0], name).dtype if self._frames else np.float64
-            )
-            return np.empty((0, self.num_sessions), dtype=dtype)
-        return np.stack([getattr(frame, name) for frame in frames])
+        return self._stacked()[name][start:stop]
 
     def iter_column_chunks(
         self, name: str, start: int = 0, stop: int | None = None
     ) -> Iterator[tuple]:
         """Yield ``(frame_offset, block)`` windows of one column.
 
-        Mirrors :meth:`repro.store.MappedFleetTrace.iter_column_chunks`; the
-        in-memory trace serves one bounded block at a time too, so streaming
-        aggregation code paths are identical for both representations.
+        Mirrors :meth:`repro.store.MappedFleetTrace.iter_column_chunks`, so
+        streaming aggregation is identical for both representations.
         """
-        stop = len(self._frames) if stop is None else min(stop, len(self._frames))
+        stop = len(self) if stop is None else min(stop, len(self))
         chunk = 256
         for lo in range(start, stop, chunk):
             hi = min(lo + chunk, stop)
@@ -460,15 +477,15 @@ class FleetTrace:
 
     def datasets_window(self, start: int = 0, stop: int | None = None) -> List[tuple]:
         """Per-frame dataset-name tuples for frames ``[start, stop)``."""
-        return [frame.datasets for frame in self._frames[start:stop]]
+        return self._datasets[start:stop]
 
     def latencies_ms(self) -> np.ndarray:
         """Total latency as a ``(frames, sessions)`` matrix."""
-        return np.array([f.total_latency_ms for f in self._frames], dtype=float)
+        return self.column_window("total_latency_ms").copy()
 
     def constraint_met(self) -> np.ndarray:
         """Constraint satisfaction as a ``(frames, sessions)`` boolean matrix."""
-        return np.array([f.met_constraint for f in self._frames], dtype=bool)
+        return self.column_window("met_constraint").copy()
 
 
 # ---------------------------------------------------------------------------
@@ -1022,24 +1039,9 @@ class FleetSessionGroup:
             )
 
 
-_FRAME_RESULT_ARRAY_FIELDS = (
-    "num_proposals",
-    "stage1_latency_ms",
-    "stage2_latency_ms",
-    "total_latency_ms",
-    "latency_constraint_ms",
-    "met_constraint",
-    "cpu_temperature_c",
-    "gpu_temperature_c",
-    "cpu_level_stage1",
-    "gpu_level_stage1",
-    "cpu_level_stage2",
-    "gpu_level_stage2",
-    "cpu_throttled",
-    "gpu_throttled",
-    "ambient_temperature_c",
-    "energy_j",
-)
+#: The per-session array fields of a :class:`FleetFrameResult`: the trace
+#: columns of :data:`~repro.env.trace.COLUMN_DTYPES`, in the same order.
+_FRAME_RESULT_ARRAY_FIELDS = tuple(COLUMN_DTYPES)
 
 
 def validate_session_partition(
@@ -1081,10 +1083,10 @@ def _scatter_frame_results(
 ) -> FleetFrameResult:
     """Scatter pre-validated per-group results into one combined frame."""
     index = results[0].index
-    arrays: dict[str, np.ndarray] = {}
+    arrays = {
+        name: np.empty(num_sessions, dtype=dtype) for name, dtype in COLUMN_DTYPES.items()
+    }
     datasets: List[str] = [""] * num_sessions
-    for field in _FRAME_RESULT_ARRAY_FIELDS:
-        arrays[field] = np.empty(num_sessions, dtype=getattr(results[0], field).dtype)
     for result, target in zip(results, targets):
         if result.index != index:
             raise ExperimentError(

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional
 
+import numpy as np
+
 from repro.core.training import SessionResult, session_result_from_trace
 from repro.env.trace import FrameRecord, Trace
 from repro.errors import ExperimentError, StoreError
@@ -145,9 +147,7 @@ class ResultCache:
     # -- round trip ----------------------------------------------------------
 
     def _trace_is_contiguous(self, trace: Trace) -> bool:
-        records = trace.records
-        base = records[0].index if records else 0
-        return all(record.index == base + i for i, record in enumerate(records))
+        return bool(np.all(np.diff(trace.column("index")) == 1))
 
     def store(self, key: str, result: SessionResult) -> Path:
         """Persist ``result`` under ``key`` and return the payload path.

@@ -57,14 +57,14 @@ from repro.obs import bus as _obs
 # module's namespace for code that patches it here by module path.
 from repro.core.training import SessionResult, session_result_from_trace  # noqa: F401
 from repro.env.fleet import (
-    _FRAME_RESULT_ARRAY_FIELDS,
     FleetFrameResult,
     FleetSessionGroup,
     FleetTrace,
     run_grouped_fleet_episode,
     validate_session_partition,
 )
-from repro.store import FleetTraceWriter, MappedFleetTrace
+from repro.env.trace import COLUMN_DTYPES
+from repro.store import FleetTraceWriter, MappedFleetTrace, write_fleet_trace
 from repro.faults.plan import WorkerCrash
 from repro.runtime.pool import PoolTask, acquire_pool, scenario_shard_fingerprint
 from repro.runtime.fleet import (
@@ -222,20 +222,18 @@ def _interleave_shard_traces(
     shard_traces: Sequence[Union[str, Path]],
     shards: Sequence[ShardPlan],
     num_sessions: int,
-    block_frames: int = 256,
 ) -> FleetTrace:
     """Merge per-shard traces into one trace in global session order.
 
     Shard payloads are the manifest paths of spooled chunk stores, opened
     here as memory-mapped :class:`~repro.store.MappedFleetTrace` column
-    views.  The shard partition is validated
-    once, then the merge scatters ``block_frames``-frame column windows
-    straight into combined per-frame arrays: no shard trace is ever
-    unpickled or materialised frame-object by frame-object, and peak merge
-    memory is one block per column rather than every shard's full trace.
-    The scatter applies the same partition machinery the grouped episode
-    loop uses, so a sharded trace is indistinguishable from (bitwise equal
-    to) a single-process one.
+    views.  The shard partition is validated once, then each shard's
+    column chunks are scattered straight into the combined ``(frames, N)``
+    columns, which become the merged trace through
+    :meth:`FleetTrace.from_columns`: no shard trace is ever unpickled or
+    rebuilt frame by frame.  The scatter applies the same partition
+    machinery the grouped episode loop uses, so a sharded trace is
+    indistinguishable from (bitwise equal to) a single-process one.
     """
     merge_span = _obs.span("shard.merge", shards=len(shards))
     merge_span.__enter__()
@@ -255,42 +253,21 @@ def _interleave_shard_traces(
             raise ShardError(
                 f"shard frame indices diverged: starts {sorted(starts)}"
             )
-        start_index = starts.pop()
-        target_lists = [target.tolist() for target in targets]
-        merged = FleetTrace(num_sessions)
-        for lo in range(0, num_frames, block_frames):
-            hi = min(lo + block_frames, num_frames)
-            blocks: Dict[str, np.ndarray] = {}
-            for field in _FRAME_RESULT_ARRAY_FIELDS:
-                first = traces[0].column_window(field, lo, hi)
-                out = np.empty((hi - lo, num_sessions), dtype=first.dtype)
-                out[:, targets[0]] = first
-                for trace, target in zip(traces[1:], targets[1:]):
-                    window = trace.column_window(field, lo, hi)
-                    if window.dtype != first.dtype:
-                        raise ShardError(
-                            f"shard column {field!r} dtypes diverged: "
-                            f"{window.dtype} != {first.dtype}"
-                        )
-                    out[:, target] = window
-                blocks[field] = out
-            dataset_rows = [[""] * num_sessions for _ in range(hi - lo)]
-            for trace, target in zip(traces, target_lists):
-                for row, datasets in zip(dataset_rows, trace.datasets_window(lo, hi)):
-                    for local, global_index in enumerate(target):
-                        row[global_index] = datasets[local]
-            for offset in range(hi - lo):
-                merged.append(
-                    FleetFrameResult(
-                        index=start_index + lo + offset,
-                        datasets=tuple(dataset_rows[offset]),
-                        **{
-                            field: blocks[field][offset]
-                            for field in _FRAME_RESULT_ARRAY_FIELDS
-                        },
-                    )
-                )
-        return merged
+        columns = {
+            name: np.empty((num_frames, num_sessions), dtype=dtype)
+            for name, dtype in COLUMN_DTYPES.items()
+        }
+        datasets = np.empty((num_frames, num_sessions), dtype=object)
+        for trace, target in zip(traces, targets):
+            for name, column in columns.items():
+                for offset, block in trace.iter_column_chunks(name):
+                    column[offset : offset + len(block), target] = block
+            datasets[:, target] = np.array(
+                trace.datasets_window(), dtype=object
+            ).reshape(num_frames, len(target))
+        return FleetTrace.from_columns(
+            columns, [tuple(row) for row in datasets.tolist()], starts.pop()
+        )
     finally:
         for trace in traces:
             trace.close()
@@ -519,10 +496,11 @@ def _checkpoint_write(path: Path, payload: dict) -> None:
 class _SupervisedSink:
     """Frame sink of a supervised shard: record, checkpoint, crash.
 
-    ``append`` stores each frame, then spools a checkpoint every
-    ``checkpoint_every`` completed frames (never after the last), then —
-    at the boundary before ``crash_frame`` — injects the one-shot worker
-    death.  ``frames`` starts as the frames restored from a checkpoint.
+    ``append`` records each frame into ``trace``, then spools a checkpoint
+    every ``checkpoint_every`` completed frames (never after the last),
+    then — at the boundary before ``crash_frame`` — injects the one-shot
+    worker death.  ``trace`` is replaced by the trace restored from a
+    checkpoint when the shard resumes.
     """
 
     groups: Sequence[FleetSessionGroup]
@@ -532,7 +510,7 @@ class _SupervisedSink:
     crash_frame: Optional[int]
     crash_marker: Path
     shard_index: int
-    frames: List[FleetFrameResult] = field(default_factory=list)
+    trace: FleetTrace
 
     def crash_if_due(self, frame: int) -> None:
         """Kill this worker at the start of ``frame`` if it is the crash frame.
@@ -545,8 +523,8 @@ class _SupervisedSink:
             os._exit(43)
 
     def append(self, frame_result: FleetFrameResult) -> None:
-        self.frames.append(frame_result)
-        completed = len(self.frames)
+        self.trace.append(frame_result)
+        completed = len(self.trace)
         if completed >= self.num_frames:
             return
         if self.checkpoint_every > 0 and completed % self.checkpoint_every == 0:
@@ -563,7 +541,7 @@ class _SupervisedSink:
                         else None
                         for group in self.groups
                     ],
-                    "frames": self.frames,
+                    "trace": self.trace,
                 },
             )
             _obs.event("checkpoint.write", shard=self.shard_index, frame=completed)
@@ -585,7 +563,7 @@ def _run_supervised_shard(
 
     The shard runs the grouped episode loop with a :class:`_SupervisedSink`
     that spools a checkpoint (the environments' and policies'
-    ``state_dict`` snapshots plus the frames recorded so far) every
+    ``state_dict`` snapshots plus the columnar trace recorded so far) every
     ``checkpoint_every`` frames.  When a checkpoint for this shard already
     exists in the spool, the worker resumes from it instead of frame 0 —
     because every state a frame reads is captured, the resumed run's
@@ -618,6 +596,7 @@ def _run_supervised_shard(
         crash_frame=crash_frame,
         crash_marker=spool / f"shard-{shard_index}.crashed",
         shard_index=shard_index,
+        trace=FleetTrace(stop - start),
     )
     first_frame = 0
     if sink.checkpoint_path.exists():
@@ -629,7 +608,7 @@ def _run_supervised_shard(
             group.environment.load_state_dict(environment_state)
             if policy_state is not None:
                 group.policy.load_state_dict(policy_state)
-        sink.frames = payload["frames"]
+        sink.trace = payload["trace"]
         first_frame = payload["frame"]
         _obs.event("checkpoint.restore", shard=shard_index, frame=first_frame)
         _obs.inc("checkpoint.restores")
@@ -651,10 +630,7 @@ def _run_supervised_shard(
     store_dir = spool / f"shard-{shard_index}-trace"
     if store_dir.exists():
         shutil.rmtree(store_dir)
-    writer = FleetTraceWriter(store_dir, stop - start)
-    for frame_result in sink.frames:
-        writer.append(frame_result)
-    manifest = writer.close()
+    manifest = write_fleet_trace(sink.trace, store_dir)
     run_span.__exit__(None, None, None)
     return str(manifest), losses, rewards, names, degraded
 

@@ -10,7 +10,8 @@ frames each plus a JSON manifest:
 
 ``chunk-000000.bin``, ``chunk-000001.bin``, ...
     One binary blob per chunk of up to ``chunk_frames`` frames.  Inside a
-    chunk every column is a contiguous C-order ``(frames, num_sessions)``
+    chunk every column of :data:`~repro.env.trace.COLUMN_DTYPES` (the one
+    trace dtype table) is a contiguous C-order ``(frames, num_sessions)``
     block; columns are laid out in descending itemsize order (8-byte
     numerics, then the ``int32`` dataset codes, then booleans) so every
     block starts naturally aligned for its dtype.
@@ -23,7 +24,9 @@ indexes is complete, or the directory is not a store at all.
 :class:`MappedFleetTrace` serves frames, per-session scalar traces and
 column windows from ``numpy.memmap`` views without loading chunk files into
 memory, and round-trips byte-identical to the in-memory
-:class:`~repro.env.fleet.FleetTrace` it was written from.
+:class:`~repro.env.fleet.FleetTrace` it was written from.  A scalar
+:class:`~repro.env.trace.Trace` is stored as a one-session store
+(:func:`write_scalar_trace`) straight from its columns.
 """
 
 from __future__ import annotations
@@ -34,12 +37,12 @@ import os
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, FleetFrameResult, FleetTrace
-from repro.env.trace import FrameRecord, Trace
+from repro.env.fleet import FleetFrameResult, FleetTrace
+from repro.env.trace import COLUMN_DTYPES, Trace, session_slice
 from repro.errors import StoreError
 
 STORE_FORMAT = "repro-store/v1"
@@ -53,20 +56,15 @@ DATASET_CODE_COLUMN = "dataset_code"
 
 _CHUNK_NAME = "chunk-{:06d}.bin"
 
-# Dtypes the on-disk format accepts.  Everything the simulator emits is
-# float64 / int64 / bool; the dataset dictionary codes are int32.
-_ALLOWED_DTYPES = frozenset({"<f8", "<i8", "|b1", "<i4"})
+#: The store's column schema: the trace columns of
+#: :data:`~repro.env.trace.COLUMN_DTYPES` plus the int32 dataset codes.
+_SCHEMA: Dict[str, np.dtype] = {**COLUMN_DTYPES, DATASET_CODE_COLUMN: np.dtype(np.int32)}
 
-
-def _column_order(dtypes: Dict[str, np.dtype]) -> List[str]:
-    """Schema column order: descending itemsize, stable in field order.
-
-    With the chunk laid out largest-itemsize first, every column block's
-    byte offset is a multiple of its own itemsize (chunk files start
-    page-aligned under ``mmap``), so memmap views never straddle alignment.
-    """
-    names = list(_FRAME_RESULT_ARRAY_FIELDS) + [DATASET_CODE_COLUMN]
-    return sorted(names, key=lambda name: -dtypes[name].itemsize)
+#: Chunk column order: descending itemsize, stable in field order.  With
+#: the chunk laid out largest-itemsize first, every column block's byte
+#: offset is a multiple of its own itemsize (chunk files start page-aligned
+#: under ``mmap``), so memmap views never straddle alignment.
+_COLUMN_ORDER: List[str] = sorted(_SCHEMA, key=lambda name: -_SCHEMA[name].itemsize)
 
 
 def _atomic_write_bytes(path: Path, payload: bytes) -> None:
@@ -110,9 +108,7 @@ class FleetTraceWriter:
         self.chunk_frames = chunk_frames
         self._start_index = start_index
         self._frames_written = 0
-        self._dtypes: Dict[str, np.dtype] = {}
-        self._order: List[str] = []
-        self._buffers: Dict[str, List[np.ndarray]] = {}
+        self._buffers: Dict[str, List[np.ndarray]] = {name: [] for name in _COLUMN_ORDER}
         self._chunks: List[dict] = []
         self._dataset_table: List[str] = []
         self._dataset_codes: Dict[str, int] = {}
@@ -120,21 +116,7 @@ class FleetTraceWriter:
         self._last_codes: Optional[np.ndarray] = None
         self._closed = False
 
-    # -- schema ------------------------------------------------------------
-
-    def _init_schema(self, frame: FleetFrameResult) -> None:
-        dtypes: Dict[str, np.dtype] = {}
-        for name in _FRAME_RESULT_ARRAY_FIELDS:
-            dtype = np.asarray(getattr(frame, name)).dtype
-            if dtype.str not in _ALLOWED_DTYPES:
-                raise StoreError(
-                    f"column {name!r} has unsupported dtype {dtype.str!r}"
-                )
-            dtypes[name] = dtype
-        dtypes[DATASET_CODE_COLUMN] = np.dtype(np.int32)
-        self._dtypes = dtypes
-        self._order = _column_order(dtypes)
-        self._buffers = {name: [] for name in self._order}
+    # -- dataset codes -----------------------------------------------------
 
     def _encode_datasets(self, datasets: tuple) -> np.ndarray:
         if datasets == self._last_datasets and self._last_codes is not None:
@@ -155,7 +137,7 @@ class FleetTraceWriter:
 
     @property
     def frames_buffered(self) -> int:
-        return len(self._buffers[self._order[0]]) if self._order else 0
+        return len(self._buffers[DATASET_CODE_COLUMN])
 
     @property
     def frames_written(self) -> int:
@@ -182,19 +164,12 @@ class FleetTraceWriter:
             raise StoreError(
                 f"non-contiguous frame index {frame.index} (expected {expected})"
             )
-        if not self._order:
-            self._init_schema(frame)
-        for name in _FRAME_RESULT_ARRAY_FIELDS:
+        for name, dtype in COLUMN_DTYPES.items():
             array = np.asarray(getattr(frame, name))
-            if array.dtype != self._dtypes[name]:
+            if array.dtype != dtype or array.shape != (self.num_sessions,):
                 raise StoreError(
-                    f"column {name!r} changed dtype mid-trace: "
-                    f"{array.dtype.str!r} != {self._dtypes[name].str!r}"
-                )
-            if array.shape != (self.num_sessions,):
-                raise StoreError(
-                    f"column {name!r} has shape {array.shape}, expected "
-                    f"({self.num_sessions},)"
+                    f"column {name!r} is {array.dtype.str}{array.shape}, the "
+                    f"store schema is {dtype.str}({self.num_sessions},)"
                 )
             self._buffers[name].append(array)
         self._buffers[DATASET_CODE_COLUMN].append(self._encode_datasets(frame.datasets))
@@ -208,7 +183,7 @@ class FleetTraceWriter:
             return
         digest = hashlib.sha256()
         parts: List[bytes] = []
-        for name in self._order:
+        for name in _COLUMN_ORDER:
             block = np.stack(self._buffers[name])
             raw = block.tobytes()
             digest.update(raw)
@@ -245,7 +220,7 @@ class FleetTraceWriter:
             "chunk_frames": self.chunk_frames,
             "start_index": self.start_index,
             "columns": [
-                {"name": name, "dtype": self._dtypes[name].str} for name in self._order
+                {"name": name, "dtype": _SCHEMA[name].str} for name in _COLUMN_ORDER
             ],
             "datasets": self._dataset_table,
             "chunks": self._chunks,
@@ -307,9 +282,6 @@ class MappedFleetTrace:
         self.chunk_frames: int = manifest["chunk_frames"]
         self._start_index: int = manifest["start_index"]
         self._datasets: Tuple[str, ...] = tuple(manifest["datasets"])
-        self._dtypes: Dict[str, np.dtype] = {
-            column["name"]: np.dtype(column["dtype"]) for column in manifest["columns"]
-        }
         self._order: List[str] = [column["name"] for column in manifest["columns"]]
         self._chunks: List[dict] = manifest["chunks"]
         self._offsets: List[Dict[str, int]] = []
@@ -348,23 +320,23 @@ class MappedFleetTrace:
             if key not in manifest:
                 raise StoreError(f"{self.path}: manifest is missing {key!r}")
         names = [column.get("name") for column in manifest["columns"]]
-        expected = set(_FRAME_RESULT_ARRAY_FIELDS) | {DATASET_CODE_COLUMN}
-        if set(names) != expected or len(names) != len(expected):
+        if set(names) != set(_SCHEMA) or len(names) != len(_SCHEMA):
             raise StoreError(
                 f"{self.path}: manifest column schema does not match "
-                f"{len(expected)} expected trace columns"
+                f"{len(_SCHEMA)} expected trace columns"
             )
         for column in manifest["columns"]:
-            if column.get("dtype") not in _ALLOWED_DTYPES:
+            if column.get("dtype") != _SCHEMA[column["name"]].str:
                 raise StoreError(
-                    f"{self.path}: column {column.get('name')!r} has "
-                    f"unsupported dtype {column.get('dtype')!r}"
+                    f"{self.path}: column {column['name']!r} has dtype "
+                    f"{column.get('dtype')!r}, the trace schema stores "
+                    f"{_SCHEMA[column['name']].str!r}"
                 )
         return manifest
 
     def _validate_chunks(self) -> None:
         frame_bytes = sum(
-            self._dtypes[name].itemsize * self.num_sessions for name in self._order
+            _SCHEMA[name].itemsize * self.num_sessions for name in self._order
         )
         expected_start = self._start_index
         total = 0
@@ -399,7 +371,7 @@ class MappedFleetTrace:
             cursor = 0
             for name in self._order:
                 offsets[name] = cursor
-                cursor += self._dtypes[name].itemsize * self.num_sessions * frames
+                cursor += _SCHEMA[name].itemsize * self.num_sessions * frames
             self._offsets.append(offsets)
             expected_start += frames
             total += frames
@@ -440,20 +412,11 @@ class MappedFleetTrace:
     def _column_block(self, chunk: int, name: str) -> np.ndarray:
         """Column ``name`` of chunk ``chunk`` as a ``(frames, N)`` view."""
         frames = self._chunks[chunk]["frames"]
-        dtype = self._dtypes[name]
+        dtype = _SCHEMA[name]
         offset = self._offsets[chunk][name]
         nbytes = dtype.itemsize * self.num_sessions * frames
         raw = self._chunk_map(chunk)[offset : offset + nbytes]
         return raw.view(dtype).reshape(frames, self.num_sessions)
-
-    def _locate(self, frame: int) -> Tuple[int, int]:
-        """Map a 0-based frame offset to ``(chunk, row)``."""
-        cursor = 0
-        for chunk, entry in enumerate(self._chunks):
-            if frame < cursor + entry["frames"]:
-                return chunk, frame - cursor
-            cursor += entry["frames"]
-        raise StoreError(f"frame offset {frame} out of range [0, {self.num_frames})")
 
     # -- public read API ---------------------------------------------------
 
@@ -467,10 +430,6 @@ class MappedFleetTrace:
         """Aggregate frames processed across the fleet (frames x sessions)."""
         return self.num_frames * self.num_sessions
 
-    @property
-    def column_names(self) -> Tuple[str, ...]:
-        return tuple(self._order)
-
     def __len__(self) -> int:
         return self.num_frames
 
@@ -483,7 +442,7 @@ class MappedFleetTrace:
         chunk's pages at a time, which is what keeps streaming reports in
         bounded memory.
         """
-        if name not in self._dtypes:
+        if name not in _SCHEMA:
             raise StoreError(f"unknown column {name!r}")
         stop = self.num_frames if stop is None else min(stop, self.num_frames)
         cursor = 0
@@ -510,7 +469,7 @@ class MappedFleetTrace:
         blocks = list(self.iter_column_chunks(name, start, stop))
         if len(blocks) == 1 and blocks[0][1].shape[0] == stop - start:
             return blocks[0][1]
-        out = np.empty((max(stop - start, 0), self.num_sessions), dtype=self._dtypes[name])
+        out = np.empty((max(stop - start, 0), self.num_sessions), dtype=_SCHEMA[name])
         for offset, block in blocks:
             out[offset - start : offset - start + block.shape[0]] = block
         return out
@@ -538,83 +497,30 @@ class MappedFleetTrace:
             frame += self.num_frames
         if not 0 <= frame < self.num_frames:
             raise StoreError(f"frame offset {frame} out of range [0, {self.num_frames})")
-        chunk, row = self._locate(frame)
-        codes = self._column_block(chunk, DATASET_CODE_COLUMN)[row]
-        arrays = {
-            name: self._column_block(chunk, name)[row]
-            for name in _FRAME_RESULT_ARRAY_FIELDS
-        }
         return FleetFrameResult(
             index=self._start_index + frame,
-            datasets=tuple(self._datasets[code] for code in codes),
-            **arrays,
+            datasets=self.datasets_window(frame, frame + 1)[0],
+            **{
+                name: self.column_window(name, frame, frame + 1)[0]
+                for name in COLUMN_DTYPES
+            },
         )
 
     def __iter__(self) -> Iterator[FleetFrameResult]:
         for frame in range(self.num_frames):
             yield self[frame]
 
-    def session_columns(self, i: int) -> Dict[str, np.ndarray]:
-        """Session ``i``'s scalar columns, gathered chunk by chunk."""
-        if not 0 <= i < self.num_sessions:
-            raise StoreError(f"session {i} out of range [0, {self.num_sessions - 1}]")
-        columns: Dict[str, np.ndarray] = {
-            name: np.empty(self.num_frames, dtype=self._dtypes[name])
-            for name in self._order
-        }
-        for name in self._order:
-            for offset, block in self.iter_column_chunks(name):
-                columns[name][offset : offset + block.shape[0]] = block[:, i]
-        return columns
-
     def session_trace(self, i: int) -> Trace:
-        """Materialise session ``i``'s scalar :class:`Trace`."""
-        columns = self.session_columns(i)
-        codes = columns.pop(DATASET_CODE_COLUMN)
-        table = self._datasets
-        records = [
-            FrameRecord(
-                index=self._start_index + f,
-                dataset=table[codes[f]],
-                num_proposals=int(columns["num_proposals"][f]),
-                stage1_latency_ms=float(columns["stage1_latency_ms"][f]),
-                stage2_latency_ms=float(columns["stage2_latency_ms"][f]),
-                total_latency_ms=float(columns["total_latency_ms"][f]),
-                latency_constraint_ms=float(columns["latency_constraint_ms"][f]),
-                met_constraint=bool(columns["met_constraint"][f]),
-                cpu_temperature_c=float(columns["cpu_temperature_c"][f]),
-                gpu_temperature_c=float(columns["gpu_temperature_c"][f]),
-                cpu_level_stage1=int(columns["cpu_level_stage1"][f]),
-                gpu_level_stage1=int(columns["gpu_level_stage1"][f]),
-                cpu_level_stage2=int(columns["cpu_level_stage2"][f]),
-                gpu_level_stage2=int(columns["gpu_level_stage2"][f]),
-                cpu_throttled=bool(columns["cpu_throttled"][f]),
-                gpu_throttled=bool(columns["gpu_throttled"][f]),
-                ambient_temperature_c=float(columns["ambient_temperature_c"][f]),
-                energy_j=float(columns["energy_j"][f]),
-            )
-            for f in range(self.num_frames)
-        ]
-        return Trace(records)
-
-    def to_traces(self) -> List[Trace]:
-        """Materialise every session's scalar trace."""
-        return [self.session_trace(i) for i in range(self.num_sessions)]
+        """Session ``i``'s scalar :class:`Trace` (contiguous column copies)."""
+        return session_slice(self, i)
 
     def to_fleet_trace(self) -> FleetTrace:
         """Materialise the whole store as an in-memory :class:`FleetTrace`."""
-        trace = FleetTrace(self.num_sessions)
-        for frame in self:
-            trace.append(frame)
-        return trace
-
-    def latencies_ms(self) -> np.ndarray:
-        """Total latency as a ``(frames, sessions)`` matrix (materialises)."""
-        return np.asarray(self.column_window("total_latency_ms"), dtype=float)
-
-    def constraint_met(self) -> np.ndarray:
-        """Constraint satisfaction as a boolean matrix (materialises)."""
-        return np.asarray(self.column_window("met_constraint"), dtype=bool)
+        return FleetTrace.from_columns(
+            {name: np.array(self.column_window(name)) for name in COLUMN_DTYPES},
+            self.datasets_window(),
+            self.start_index,
+        )
 
     def close(self) -> None:
         """Drop the chunk memmaps (views handed out become invalid lazily)."""
@@ -638,18 +544,6 @@ def write_fleet_trace(
     return writer.close()
 
 
-_SCALAR_DTYPES = {
-    "num_proposals": np.int64,
-    "cpu_level_stage1": np.int64,
-    "gpu_level_stage1": np.int64,
-    "cpu_level_stage2": np.int64,
-    "gpu_level_stage2": np.int64,
-    "met_constraint": np.bool_,
-    "cpu_throttled": np.bool_,
-    "gpu_throttled": np.bool_,
-}
-
-
 def write_scalar_trace(
     trace: Trace,
     path: Union[str, Path],
@@ -660,19 +554,17 @@ def write_scalar_trace(
     Requires contiguous frame indices (every episode trace has them); raises
     :class:`StoreError` otherwise so callers can fall back to row formats.
     """
-    records = trace.records
-    if not records:
+    if not len(trace):
         raise StoreError("cannot store an empty trace")
-    writer = FleetTraceWriter(path, 1, chunk_frames=chunk_frames)
-    for record in records:
-        arrays = {
-            name: np.array([getattr(record, name)], dtype=_SCALAR_DTYPES.get(name, np.float64))
-            for name in _FRAME_RESULT_ARRAY_FIELDS
-        }
-        writer.append(
-            FleetFrameResult(index=record.index, datasets=(record.dataset,), **arrays)
-        )
-    return writer.close()
+    index = trace.column("index")
+    if not np.array_equal(index, np.arange(index[0], index[0] + len(index))):
+        raise StoreError("cannot store a trace with non-contiguous frame indices")
+    one_session = FleetTrace.from_columns(
+        {name: trace.column(name)[:, np.newaxis] for name in COLUMN_DTYPES},
+        [(dataset,) for dataset in trace.datasets()],
+        int(index[0]),
+    )
+    return write_fleet_trace(one_session, path, chunk_frames=chunk_frames)
 
 
 def read_scalar_trace(path: Union[str, Path]) -> Trace:
@@ -705,7 +597,7 @@ def fleet_traces_bitwise_equal(a, b, block_frames: int = 256) -> bool:
     length = len(a)
     for lo in range(0, length, block_frames):
         hi = min(lo + block_frames, length)
-        for name in _FRAME_RESULT_ARRAY_FIELDS:
+        for name in COLUMN_DTYPES:
             block_a = np.ascontiguousarray(a.column_window(name, lo, hi))
             block_b = np.ascontiguousarray(b.column_window(name, lo, hi))
             if block_a.dtype != block_b.dtype:

@@ -11,12 +11,13 @@ agents).  These tests enforce it layer by layer and end to end.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import ExperimentSetting
+from repro.analysis.experiments import ExperimentSetting, execute_setting
 from repro.detection.fleet import (
     BatchedExecutionModel,
     propose_batch,
@@ -27,6 +28,7 @@ from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
+from repro.env.trace import FrameRecord
 from repro.governors.fleet import build_batched_default_governor
 from repro.governors.registry import build_default_governor
 from repro.hardware.devices.registry import available_devices, build_device
@@ -122,6 +124,86 @@ def _fleet_trace_digest(trace) -> str:
 def test_run_fleet_trace_matches_pinned_digest(method):
     result = run_fleet(ExperimentSetting(num_frames=24, seed=0), method, 4)
     assert _fleet_trace_digest(result.fleet_trace) == PINNED_RUN_FLEET_DIGESTS[method]
+
+
+#: SHA-256 over the float64 bits of every :class:`EpisodeMetrics` field of
+#: ``metrics`` then ``steady_metrics``, session by session
+#: (:func:`_session_metrics_digest`).  ``run_fleet`` entries pin the same
+#: cells as :data:`PINNED_RUN_FLEET_DIGESTS`; ``execute_setting`` entries
+#: pin the scalar session of ``ExperimentSetting(num_frames=24, seed=0)``
+#: as ``(metrics digest, trace digest)``.
+PINNED_SESSION_METRICS_DIGESTS = {
+    ("run_fleet", "default"): "584a45644ad1ae8ee1b645bea82b94009174b4a8bb1d2bc98b01af5ad547b980",
+    ("run_fleet", "lotus"): "c3360b137b7dcdcd0f77ea64ce6025e4b86283757c5f2bd13d51bebbf902bf6d",
+    ("run_fleet", "lotus-fleet"): "122ef69aec0b1e9fff9daf7b758238de13d4b474c28e5602daa19226254b78f9",
+    ("execute_setting", "default"): (
+        "94d5f3c2c77fac4eb3f14dad534158927c2acf101a34051a69425569dfd23297",
+        "79785d19f1248b8ed1758256c8dedaa2d1c9737e0cf369f9e7df739c1613bed8",
+    ),
+    ("execute_setting", "lotus"): (
+        "38b50a0a584611b0dd27c670bf26303fce1273143fa757aa7bc7afc5b82f7a76",
+        "cb38df59286aca64c73fe18cfc511d5fd2a417b104fa20cfa7d78a72e82ee517",
+    ),
+    ("execute_setting", "ztt"): (
+        "4f5eabc22c1dd2b7a264c0c984b1c219c5e57109e385e4a0880e76497058d70d",
+        "19884c99afceaea56175bae0e35abc7a93b27f968bef18fadd24d4ce02b4ebf0",
+    ),
+}
+
+
+def _session_metrics_digest(sessions) -> str:
+    """SHA-256 over the float64 bits of every session's metric fields."""
+    digest = hashlib.sha256()
+    for session in sessions:
+        for metrics in (session.metrics, session.steady_metrics):
+            values = np.array(
+                [getattr(metrics, f.name) for f in dataclasses.fields(metrics)],
+                dtype=np.float64,
+            )
+            digest.update(values.view(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+_RECORD_DTYPES = {"int": np.int64, "float": np.float64, "bool": np.bool_}
+
+
+def _scalar_trace_digest(trace) -> str:
+    """:func:`_fleet_trace_digest`'s recipe over a scalar trace's records.
+
+    Every numeric :class:`FrameRecord` field (``index`` included) hashes
+    as one column, then the dataset names.
+    """
+    records = list(trace)
+    digest = hashlib.sha256()
+    for f in dataclasses.fields(FrameRecord):
+        if f.name == "dataset":
+            continue
+        column = np.array(
+            [getattr(record, f.name) for record in records], dtype=_RECORD_DTYPES[f.type]
+        )
+        digest.update(f"{f.name}:{column.dtype.str}:{column.shape}".encode())
+        if column.dtype.itemsize == 8:
+            column = column.view(np.int64)
+        digest.update(column.tobytes())
+    digest.update("\n".join(record.dataset for record in records).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "entry,method", sorted(PINNED_SESSION_METRICS_DIGESTS), ids="-".join
+)
+def test_session_metrics_match_pinned_digest(entry, method):
+    setting = ExperimentSetting(num_frames=24, seed=0)
+    pinned = PINNED_SESSION_METRICS_DIGESTS[(entry, method)]
+    if entry == "run_fleet":
+        sessions = run_fleet(setting, method, 4).sessions
+        assert _session_metrics_digest(sessions) == pinned
+    else:
+        result = execute_setting(setting, method)
+        assert (
+            _session_metrics_digest([result]),
+            _scalar_trace_digest(result.trace),
+        ) == pinned
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,9 @@ every execution.
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.analysis import experiments
@@ -19,6 +22,7 @@ from repro.analysis.experiments import (
     run_comparison,
 )
 from repro.env.ambient import AmbientProfile, ConstantAmbient, warm_cold_warm
+from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.errors import ExperimentError
 from repro.runtime import (
     ExperimentJob,
@@ -29,6 +33,7 @@ from repro.runtime import (
     sweep_metrics_map,
 )
 from repro.runtime.cache import DEFAULT_BLOB_THRESHOLD_FRAMES
+from repro.runtime.fleet import run_fleet
 
 
 def tiny_setting(**overrides) -> ExperimentSetting:
@@ -175,6 +180,36 @@ def test_cache_sidecar_blob_round_trip_and_clear(tmp_path):
     assert loaded.steady_metrics == result.steady_metrics
     assert cache.clear() == 1
     assert list(tmp_path.iterdir()) == []
+
+
+def _metric_bits(metrics) -> bytes:
+    values = [getattr(metrics, f.name) for f in dataclasses.fields(metrics)]
+    return np.array(values, dtype=np.float64).view(np.int64).tobytes()
+
+
+@pytest.mark.parametrize(
+    "frames", [30, DEFAULT_BLOB_THRESHOLD_FRAMES], ids=["rows", "blob"]
+)
+def test_cache_round_trip_of_fleet_derived_sessions(tmp_path, frames):
+    """A session cut from a fleet trace (NumPy-backed columns) stores and
+    reloads bit-identically through both the JSON-row and the blob path."""
+    cache = ResultCache(tmp_path)
+    fleet = run_fleet(tiny_setting(num_frames=frames), "default", 2)
+    for i, session in enumerate(fleet.sessions):
+        key = str(i) * 64
+        cache.store(key, session)
+        assert cache.blob_dir_for(key).is_dir() == (frames >= DEFAULT_BLOB_THRESHOLD_FRAMES)
+        loaded = cache.load(key)
+        assert loaded is not None
+        for name in ("index",) + _FRAME_RESULT_ARRAY_FIELDS:
+            ours, theirs = loaded.trace.column(name), session.trace.column(name)
+            assert ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes(), name
+        assert loaded.trace.datasets() == session.trace.datasets()
+        assert _metric_bits(loaded.metrics) == _metric_bits(session.metrics)
+        assert _metric_bits(loaded.steady_metrics) == _metric_bits(
+            session.steady_metrics
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ Four contracts, in the order a store lives through them:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -29,7 +30,7 @@ import numpy as np
 import pytest
 
 from repro.env.fleet import FleetFrameResult, FleetTrace, _FRAME_RESULT_ARRAY_FIELDS
-from repro.env.trace import Trace
+from repro.env.trace import COLUMN_DTYPES, Trace
 from repro.errors import ReproError, StoreError
 from repro.store import (
     DEFAULT_CHUNK_FRAMES,
@@ -149,24 +150,36 @@ class TestRoundTrip:
         assert [frame.index for frame in mapped] == [40, 41, 42, 43, 44]
         assert fleet_traces_bitwise_equal(trace, mapped)
 
-    def test_session_trace_matches_in_memory_rebuild(self, tmp_path):
-        trace = make_trace(6, 9, seed=5, special_floats=True)
-        mapped = MappedFleetTrace(write_fleet_trace(trace, tmp_path / "s", chunk_frames=2))
+    @pytest.mark.parametrize("kind", ["FleetTrace", "MappedFleetTrace"])
+    def test_session_trace_matches_in_memory_rebuild(self, tmp_path, kind):
+        trace = make_trace(6, 9, seed=5, special_floats=True, start_index=3)
+        if kind == "MappedFleetTrace":
+            trace = MappedFleetTrace(
+                write_fleet_trace(trace, tmp_path / "s", chunk_frames=2)
+            )
         for session in range(6):
-            direct = trace.session_trace(session)
-            via_store = mapped.session_trace(session)
-            assert isinstance(via_store, Trace)
-            for a, b in zip(direct, via_store):
-                assert a == b or (
-                    # NaN-salted records: compare fields bitwise.
-                    all(
-                        np.float64(getattr(a, f)).view(np.int64)
-                        == np.float64(getattr(b, f)).view(np.int64)
-                        if isinstance(getattr(a, f), float)
-                        else getattr(a, f) == getattr(b, f)
-                        for f in a.__dataclass_fields__
-                    )
-                )
+            scalar = trace.session_trace(session)
+            assert isinstance(scalar, Trace)
+            assert len(scalar) == len(trace)
+            # Every column is a contiguous, bit-equal copy of the session's
+            # slice of the fleet column.
+            for name in _FRAME_RESULT_ARRAY_FIELDS:
+                column = scalar.column(name)
+                window = trace.column_window(name)[:, session]
+                assert column.dtype == window.dtype
+                assert column.flags.c_contiguous
+                assert column.tobytes() == np.ascontiguousarray(window).tobytes()
+            assert scalar.datasets() == [
+                row[session] for row in trace.datasets_window()
+            ]
+            assert list(scalar.column("index")) == list(range(3, 3 + len(trace)))
+            # Row views carry Python scalars, which JSON rows require.
+            for record in scalar:
+                for field in dataclasses.fields(record):
+                    value = getattr(record, field.name)
+                    assert type(value) is {"int": int, "float": float, "bool": bool,
+                                           "str": str}[field.type], field.name
+            json.dumps([dataclasses.astuple(record) for record in scalar])
 
     def test_scalar_trace_round_trip(self, tmp_path):
         fleet = make_trace(1, 17, seed=21, special_floats=True)
@@ -193,6 +206,18 @@ class TestRoundTrip:
         assert fleet_traces_bitwise_equal(trace, mapped)
         with pytest.raises(StoreError):
             MappedFleetTrace(tmp_path / "s", map_cache_chunks=0)
+
+    def test_empty_trace_windows_report_the_schema_dtypes(self, tmp_path):
+        full = make_trace(3, 4)
+        mapped = MappedFleetTrace(write_fleet_trace(full, tmp_path / "s"))
+        empty = FleetTrace(3)
+        for name in _FRAME_RESULT_ARRAY_FIELDS:
+            expected = full.column_window(name).dtype
+            assert mapped.column_window(name).dtype == expected
+            assert mapped.column_window(name, 2, 2).dtype == expected
+            assert full.column_window(name, 2, 2).dtype == expected
+            assert empty.column_window(name).dtype == expected, name
+            assert empty.column_window(name).shape == (0, 3)
 
 
 class TestRejection:
@@ -421,29 +446,3 @@ class TestStreamingFleetReport:
         assert "fleet report" in table
         assert str(self.SESSIONS) in table
         assert f"{summary.p99_latency_ms:.1f}" in table
-
-
-class TestMemoizedSessionTraces:
-    def test_session_trace_is_memoized_and_invalidated_on_append(self):
-        trace = make_trace(3, 4, seed=2)
-        first = trace.session_trace(1)
-        assert trace.session_trace(1) is first
-        trace.append(
-            FleetFrameResult(
-                index=4,
-                datasets=trace[0].datasets,
-                **{
-                    field: getattr(trace[0], field).copy()
-                    for field in _FRAME_RESULT_ARRAY_FIELDS
-                },
-            )
-        )
-        rebuilt = trace.session_trace(1)
-        assert rebuilt is not first
-        assert len(rebuilt) == 5
-
-    def test_cache_is_bounded(self):
-        trace = make_trace(FleetTrace._SESSION_CACHE_LIMIT + 8, 2, seed=13)
-        for session in range(trace.num_sessions):
-            trace.session_trace(session)
-        assert len(trace._session_cache) <= FleetTrace._SESSION_CACHE_LIMIT

@@ -1,0 +1,149 @@
+#!/usr/bin/env bash
+# End-to-end smoke checks, one named entry per CI matrix job.
+#
+#   tools/ci_smoke.sh examples|policy|fault|fused-kill-switch|obs
+#
+# Run from the repository root.  Each entry writes its artefacts under
+# smoke-out/<name>/ (CI uploads that directory) and exits non-zero on the
+# first failing step.
+set -euo pipefail
+
+export PYTHONPATH=src
+name="${1:-}"
+out="smoke-out/$name"
+
+smoke_examples() {
+    python examples/quickstart.py --frames 60 --workers 1 --no-cache
+    python examples/custom_device.py --frames 60
+    python examples/autonomous_driving.py --frames 60 --training-frames 0 --workers 1 --no-cache
+    python examples/drone_surveillance.py --frames 60 --training-frames 0 --workers 1 --no-cache
+    python -m repro fleet run mixed-edge-fleet --sessions 8 --frames 40
+    python -m repro fleet run mixed-edge-fleet --sessions 8 --frames 40 --shards 2
+}
+
+smoke_policy() {
+    # Lifecycle: tiny train -> checkpoint -> resume (lineage) -> frozen
+    # evaluation on a second scenario -> 2x2 eval-matrix, then re-render it
+    # from the cache.
+    local zoo="$out/policy-zoo" id1 id2
+    id1=$(python -m repro policy train --scenario jetson-kitti-baseline \
+        --frames 120 --quiet --policy-dir "$zoo")
+    id2=$(python -m repro policy train --scenario drone-climb \
+        --frames 120 --quiet --policy-dir "$zoo")
+    python -m repro policy list --policy-dir "$zoo"
+    python -m repro policy train --scenario jetson-kitti-baseline --frames 60 \
+        --resume "$id1" --policy-dir "$zoo"
+    REPRO_POLICY_DIR="$zoo" python -m repro run --method "policy:$id1" \
+        --detector mask_rcnn --dataset visdrone2019 --frames 80 --no-cache
+    local matrix=(policy eval-matrix --policies "$id1,$id2"
+        --scenarios jetson-kitti-baseline,drone-climb --frames 80
+        --policy-dir "$zoo" --cache-dir "$out/policy-cache")
+    python -m repro "${matrix[@]}" | tee "$out/eval-matrix.txt"
+    python -m repro "${matrix[@]}" --quiet | grep "4 cache hits, 0 executed"
+    python -m repro policy export "$id1" "$out/lotus-policy.ckpt" --policy-dir "$zoo"
+}
+
+smoke_fault() {
+    # Channel loss plus one worker crash, on a scenario and on a cell.
+    cat > "$out/fault-plan.json" <<'EOF'
+{"kind": "fault-plan", "name": "ci-smoke", "seed": 7, "events": [
+  {"kind": "sensor_dropout", "start_frame": 5, "num_frames": 6, "probability": 0.7},
+  {"kind": "channel_faults", "drop_rate": 0.15, "duplicate_rate": 0.05},
+  {"kind": "worker_crash", "frame": 10, "shard": 1}
+]}
+EOF
+    python -m repro fleet run cctv-burst --shards 2 --supervised \
+        --faults "$out/fault-plan.json" --frames 24 --sessions 4 \
+        --checkpoint-every 6 --report "$out/resilience.json" | tee "$out/fault-smoke.txt"
+    grep -q "crash(es) detected" "$out/fault-smoke.txt"
+    python -m repro fleet run --method default --sessions 4 --frames 24 \
+        --shards 2 --supervised --faults "$out/fault-plan.json" \
+        --checkpoint-every 6 --report "$out/cell-resilience.json" \
+        | tee "$out/cell-fault-smoke.txt"
+    grep -q "crash(es) detected" "$out/cell-fault-smoke.txt"
+}
+
+smoke_fused_kill_switch() {
+    # The same lotus-fleet cell must hash identically with and without the
+    # fused kernels.  The digest covers the trace's column bits and
+    # datasets, and every session's metrics and histories.
+    local fused
+    for fused in 0 1; do
+        REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
+import dataclasses, hashlib, os, sys
+
+import numpy as np
+
+from repro import ExperimentSetting, run_fleet
+from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
+from repro.rl.fused import fused_adam
+
+fused = os.environ["REPRO_FUSED"] == "1"
+assert (fused_adam() is not None) == fused, "kill switch not honoured"
+result = run_fleet(ExperimentSetting(num_frames=60, seed=0), "lotus-fleet", 8)
+trace = result.fleet_trace
+digest = hashlib.sha256()
+for name in _FRAME_RESULT_ARRAY_FIELDS:
+    column = np.ascontiguousarray(trace.column_window(name))
+    digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
+    if column.dtype.itemsize == 8:
+        column = column.view(np.int64)
+    digest.update(column.tobytes())
+digest.update("\n".join("\t".join(row) for row in trace.datasets_window()).encode())
+# Session metrics and histories; timing fields (elapsed_s) are
+# legitimately nondeterministic and stay out.
+for session in result.sessions:
+    digest.update(session.policy_name.encode())
+    for metrics in (session.metrics, session.steady_metrics):
+        values = [getattr(metrics, f.name) for f in dataclasses.fields(metrics)]
+        digest.update(np.array(values, dtype=np.float64).view(np.int64).tobytes())
+    for history in (session.losses, session.rewards):
+        digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
+with open(sys.argv[1], "w") as handle:
+    handle.write(digest.hexdigest() + "\n")
+print("REPRO_FUSED=%d -> %s" % (fused, digest.hexdigest()))
+PY
+    done
+    diff "$out/trace-fused-0.sha256" "$out/trace-fused-1.sha256"
+}
+
+smoke_obs() {
+    # A supervised faulted scenario (crash + recovery) under --obs, then
+    # check the recorded run parses and re-renders.
+    local runs="$out/obs-runs"
+    cat > "$out/obs-fault-plan.json" <<'EOF'
+{"kind": "fault-plan", "name": "obs-smoke", "seed": 7, "events": [
+  {"kind": "worker_crash", "frame": 10, "shard": 0}
+]}
+EOF
+    REPRO_OBS_DIR="$runs" python -m repro fleet run cctv-burst --shards 2 \
+        --supervised --faults "$out/obs-fault-plan.json" --frames 24 \
+        --sessions 4 --checkpoint-every 6 --obs | tee "$out/obs-smoke.txt"
+    grep -q "obs: wrote" "$out/obs-smoke.txt"
+    grep -q "pool.crashes_detected" "$out/obs-smoke.txt"
+    python - "$runs" <<'PY'
+import pathlib, sys
+from repro.obs.sink import iter_events, latest_run, load_summary
+obs_dir = pathlib.Path(sys.argv[1])
+run_id = latest_run(obs_dir)
+events = list(iter_events(run_id, obs_dir))
+assert events, "events.jsonl is empty"
+summary = load_summary(run_id, obs_dir)
+assert summary["schema"] == "repro-obs-summary/v1"
+assert any(n.startswith("span.") for n in summary["histograms"])
+print(f"obs run {run_id}: {len(events)} events ok")
+PY
+    REPRO_OBS_DIR="$runs" python -m repro obs list
+    REPRO_OBS_DIR="$runs" python -m repro obs report
+}
+
+case "$name" in
+    examples | policy | fault | fused-kill-switch | obs)
+        mkdir -p "$out"
+        "smoke_${name//-/_}"
+        ;;
+    *)
+        echo "usage: $0 examples|policy|fault|fused-kill-switch|obs" >&2
+        exit 2
+        ;;
+esac
