@@ -10,7 +10,11 @@ Bit-exactness: every kernel accumulates in the same order as its scalar
 counterpart (stage costs sum left-to-right, utilisations divide before the
 ``min`` clamp), and proposal noise draws one normal from each session's own
 generator so the per-session random streams are consumed exactly as the
-scalar environment consumes them.
+scalar environment consumes them.  With the fused library, those draws run
+in one C loop (:class:`~repro.rl.fused.SessionGenerators`: NumPy's own
+``random_normal``, bit-identical to ``rng.normal``) that does not take
+``bit_generator.lock``, so the generators must be used from one thread at
+a time.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from repro.errors import DetectorError
 from repro.detection.detector import DetectorModel
-from repro.rl.fused import fused_fleet
+from repro.rl.fused import SessionGenerators, fused_fleet
 from repro.detection.latency import DeviceComputeProfile
 
 
@@ -99,8 +103,15 @@ def propose_batch(
     Mirrors :meth:`~repro.detection.proposals.ProposalModel.sample`: the
     normal draw comes from each session's own generator (keeping the
     per-session random stream identical to a scalar run); the exp/clip/round
-    tail is evaluated as array operations.
+    tail is evaluated as array operations.  Pass the generators as one
+    long-lived :class:`~repro.rl.fused.SessionGenerators` (as the fleet
+    environment does) so the fused draw's pointer table is built once; any
+    other sequence is wrapped for this call.
     """
+    if len(rngs) != len(scene_candidates):
+        raise DetectorError(
+            f"got {len(rngs)} generators for {len(scene_candidates)} sessions"
+        )
     if np.any(scene_candidates < 0):
         raise DetectorError("scene_candidates must be non-negative")
     if not detector.is_two_stage:
@@ -108,10 +119,10 @@ def propose_batch(
     model = detector.proposal_model
     factor = None
     if model.noise_std > 0:
-        draws = np.array(
-            [rng.normal(0.0, model.noise_std) for rng in rngs], dtype=float
-        )
-        factor = np.exp(draws)
+        if not isinstance(rngs, SessionGenerators):
+            rngs = SessionGenerators(rngs)
+        # np.exp, as the scalar ProposalModel.sample uses.
+        factor = np.exp(rngs.normal(model.noise_std))
     kernel = fused_fleet()
     if kernel is not None:
         scene = np.ascontiguousarray(scene_candidates, dtype=float)

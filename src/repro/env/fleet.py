@@ -67,6 +67,7 @@ from repro.env.trace import (
 )
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
+from repro.rl.fused import SessionGenerators
 from repro.workload.fleet import FleetFrameStream
 
 
@@ -96,7 +97,7 @@ class FleetState:
     """
 
     device: DeviceFleet
-    rngs: tuple
+    rngs: SessionGenerators
     previous_latency_ms: np.ndarray | None
     cpu_utilisation: np.ndarray
     gpu_utilisation: np.ndarray
@@ -740,7 +741,7 @@ class BatchedInferenceEnvironment:
         n = num_sessions
         self.state = FleetState(
             device=fleet,
-            rngs=tuple(rngs),
+            rngs=SessionGenerators(rngs),
             previous_latency_ms=None,
             cpu_utilisation=np.zeros(n),
             gpu_utilisation=np.zeros(n),

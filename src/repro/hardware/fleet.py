@@ -16,9 +16,11 @@ a handful of NumPy arrays and vectorized kernels:
 Every kernel performs the *same floating-point operations in the same
 order* as the scalar classes, so a fleet session is bit-for-bit identical
 to the equivalent scalar :class:`EdgeDevice` run — the only deliberate
-subtlety is leakage power, where ``math.exp`` is evaluated per session
-(NumPy's vectorized ``exp`` differs from libm by an ULP on ~4 % of inputs,
-which would break seed-for-seed trace equivalence).
+subtlety is leakage power, which must use libm's ``exp`` as ``math.exp``
+does (NumPy's vectorized ``exp`` differs from libm by an ULP on ~4 % of
+inputs, which would break seed-for-seed trace equivalence).  The fused
+``fleet_exp`` kernel calls libm's ``exp`` over the fleet in one C loop;
+without it, ``math.exp`` runs per session.
 
 All sessions share one device *description*; heterogeneous-hardware fleets
 run one ``DeviceFleet`` per device group (the grouped sub-fleet path built
@@ -44,7 +46,15 @@ from repro.hardware.throttle import ThrottleConfig
 
 
 def _exact_exp(exponents: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.exp``, matching the scalar power model bit-for-bit."""
+    """Elementwise ``math.exp``, matching the scalar power model bit-for-bit.
+
+    The fused kernel calls the same libm ``exp`` in one C loop, writing
+    over ``exponents``; the fallback calls ``math.exp`` per session.
+    """
+    kernel = fused_fleet()
+    if kernel is not None:
+        kernel.fleet_exp(exponents, exponents)
+        return exponents
     return np.array([math.exp(value) for value in exponents.tolist()], dtype=float)
 
 
@@ -196,6 +206,10 @@ class DeviceFleet:
         self._coup_c = np.array([c for _, _, c in self._couplings], dtype=float)
         self._dt_scratch = np.empty(num_sessions)
         self._deltas_scratch = np.empty((len(self._node_names), num_sessions))
+        # Rows of nodes other than CPU and GPU stay zero: no power enters there.
+        self._power_scratch = np.zeros((len(self._node_names), num_sessions))
+        self._remaining_scratch = np.empty(num_sessions)
+        self._kernel_addresses: tuple | None = None
 
         self._cpu_throttler = _ThrottlerArrays(template.cpu_throttle, num_sessions)
         self._gpu_throttler = _ThrottlerArrays(template.gpu_throttle, num_sessions)
@@ -218,6 +232,38 @@ class DeviceFleet:
         self.total_energy_j = np.zeros(num_sessions)
         self.elapsed_ms = np.zeros(num_sessions)
         self.reset()
+
+    def __getstate__(self) -> dict:
+        # Raw buffer addresses point into this object's arrays; a copy
+        # (pickle or deepcopy) resolves its own on first use.
+        state = self.__dict__.copy()
+        state["_kernel_addresses"] = None
+        return state
+
+    def _thermal_args(self) -> tuple:
+        """The thermal kernel's arguments before and after the ambient address.
+
+        Every buffer here is owned by this fleet and never rebound, so its
+        address is resolved once.  ``ambient_temperature_c`` is rebound by
+        ``set_ambient``, ``reset`` and ``load_state_dict``, so the caller
+        resolves it per call.
+        """
+        if self._kernel_addresses is None:
+            nodes = len(self._node_names)
+            self._kernel_addresses = (
+                (
+                    nodes, self.num_sessions, self._temperatures.ctypes.data,
+                    self._power_scratch.ctypes.data,
+                ),
+                (
+                    self._resistance.ctypes.data, self._heat_capacity.ctypes.data,
+                    self._coup_a.size, self._coup_a.ctypes.data,
+                    self._coup_b.ctypes.data, self._coup_c.ctypes.data,
+                    self._remaining_scratch.ctypes.data, self.max_substep_s,
+                    self._dt_scratch.ctypes.data, self._deltas_scratch.ctypes.data,
+                ),
+            )
+        return self._kernel_addresses
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -395,18 +441,15 @@ class DeviceFleet:
         """
         if np.any(duration_ms < 0):
             raise DeviceError("durations must be non-negative")
-        power = np.zeros_like(self._temperatures)
+        power = self._power_scratch
         power[self._cpu_node] = cpu_power_w
         power[self._gpu_node] = gpu_power_w
-        remaining = duration_ms / 1e3
+        remaining = np.divide(duration_ms, 1e3, out=self._remaining_scratch)
         kernel = fused_fleet()
         if kernel is not None:
-            kernel.fleet_thermal_advance(
-                self._temperatures, power, self.ambient_temperature_c,
-                self._resistance, self._heat_capacity,
-                self._coup_a, self._coup_b, self._coup_c,
-                remaining, self.max_substep_s,
-                self._dt_scratch, self._deltas_scratch,
+            before, after = self._thermal_args()
+            kernel.fleet_thermal_advance_raw(
+                *before, self.ambient_temperature_c.ctypes.data, *after
             )
             return
         temps = self._temperatures

@@ -13,11 +13,19 @@ The same library also carries the batched *fleet* kernels (see
 (:meth:`~repro.hardware.fleet.DeviceFleet.advance_thermal`), the AR(1)
 scene-complexity advance (:meth:`~repro.workload.fleet.FleetFrameStream.
 next_frames`), the proposal-count rint/clip tail
-(:func:`~repro.detection.fleet.propose_batch`) and the bias-add + ReLU of
-the stacked Q forward (:class:`~repro.rl.slimmable.SlimmableMLP`).  Random
-draws and transcendentals (``exp``) stay in NumPy — libm need not match
-NumPy's vectorized routines bit for bit — so each kernel covers only the
-elementwise tail whose C arithmetic is exactly reproducible.
+(:func:`~repro.detection.fleet.propose_batch`), the bias-add + ReLU of
+the stacked Q forward (:class:`~repro.rl.slimmable.SlimmableMLP`), the
+leakage-power ``exp`` and the per-session normal draws.
+
+Each kernel is exactly reproducible in C.  ``fleet_exp`` calls libm's
+``exp``, the function ``math.exp`` calls (NumPy's vectorized ``np.exp`` may
+differ from it by an ULP, so it is never replaced).  ``fleet_normal``
+calls NumPy's own ``random_normal``, statically linked from
+``numpy/random/lib/libnpyrandom.a``, on each generator's ``bitgen_t``, so
+every draw and every generator state matches ``rng.normal(0.0, scale)``;
+:class:`SessionGenerators` keeps the generators' pointer table.  When that
+archive or its header is missing, the library is built without
+``fleet_normal`` and the draws stay in NumPy.
 
 Safety model: the kernel is used only if (a) a C compiler is available,
 (b) compilation succeeds, and (c) a load-time self-test reproduces the
@@ -27,15 +35,18 @@ identical results.  Set ``REPRO_FUSED=0`` to force the fallback.
 
 The compiled library is cached in a per-user, owner-only directory
 (``$XDG_CACHE_HOME/repro-fused`` or ``~/.cache/repro-fused``), keyed by a
-hash of the C source and flags, so each machine compiles once.
+hash of the C source, the flags, the CPU, the NumPy version and the linked
+archive, so each machine compiles once per NumPy install.
 """
 
 from __future__ import annotations
 
 import ctypes
 import hashlib
+import math
 import os
 import subprocess
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -211,9 +222,18 @@ void fleet_ar1_advance(long n, double *current, const double *mean,
     }
 }
 
+/* Leakage exp: out[i] = exp(x[i]) with libm's exp, the very function
+   Python's math.exp calls, so the result matches math.exp bit for bit.
+   `out` may alias `x`. */
+void fleet_exp(long n, const double *x, double *out) {
+    for (long i = 0; i < n; i++) {
+        out[i] = exp(x[i]);
+    }
+}
+
 /* Proposal-count tail: expected = scene * keep_ratio [* noise_factor],
    counts = clip(rint(expected), min_p, max_p) as int64.  The noise factor
-   (exp of the per-session draws) is computed by NumPy and passed in; C
+   (np.exp of the per-session draws) is computed by NumPy and passed in; C
    rint() under the default rounding mode is round-half-to-even, exactly
    np.rint.  The final cast is exact: the clipped value is integral. */
 void fleet_proposal_tail(long n, const double *scene, double keep_ratio,
@@ -320,6 +340,25 @@ void q_huber_scatter(long n, long actions, const double *outputs,
         grad_flat[flat_index[i]] = c / count;
     }
 }
+
+#ifdef REPRO_NPYRANDOM
+/* One normal(0.0, scale[i]) draw from each session's own generator.
+   random_normal is NumPy's own C distribution function (linked from
+   libnpyrandom.a), the one Generator.normal calls for a scalar draw, so
+   every value is bit-identical and every generator advances exactly as
+   rng.normal(0.0, scale[i]) would advance it.  Scales are validated by the
+   caller (Generator.normal's `scale < 0` check); the generators' Python
+   locks are not taken, so a generator must not be used from two threads. */
+#include <numpy/random/bitgen.h>
+
+double random_normal(bitgen_t *bitgen_state, double loc, double scale);
+
+void fleet_normal(long n, bitgen_t **gens, const double *scale, double *out) {
+    for (long i = 0; i < n; i++) {
+        out[i] = random_normal(gens[i], 0.0, scale[i]);
+    }
+}
+#endif
 """
 
 # -ffp-contract=off: no multiply-add fusion (rounding must match NumPy's
@@ -333,10 +372,103 @@ _CFLAGS = [
     "-ffp-contract=off",
     "-shared",
     "-fPIC",
-    "-lm",
 ]
 
+#: NumPy's random C library (the distribution code ``Generator`` runs) and
+#: the include directory of the header declaring its ``bitgen_t``.  When
+#: either is missing, the library is built without ``fleet_normal`` and the
+#: per-session draws stay in NumPy.
+_NPYRANDOM_INCLUDE = Path(np.get_include())
+_NPYRANDOM_ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
+
 _DOUBLE_P = ctypes.POINTER(ctypes.c_double)
+
+
+def check_scales(scale) -> np.ndarray:
+    """Normal-draw scales as contiguous float64, checked as NumPy checks them.
+
+    ``Generator.normal`` raises ``ValueError("scale < 0")`` for a scale
+    whose sign bit is set, ``-0.0`` included (NaN passes).  The fused draw
+    does no check of its own, so every scale array it reads is built here.
+    """
+    scale = np.ascontiguousarray(scale, dtype=float)
+    if (np.signbit(scale) & ~np.isnan(scale)).any():
+        raise ValueError("scale < 0")
+    return scale
+
+
+def _bitgen_table(rngs: Sequence[np.random.Generator]):
+    """A ctypes array of the generators' ``bitgen_t`` addresses."""
+    return (ctypes.c_void_p * len(rngs))(
+        *[rng.bit_generator.ctypes.bit_generator.value for rng in rngs]
+    )
+
+
+class SessionGenerators(Sequence):
+    """One generator per session, drawn from together by the fused kernel.
+
+    A read-only sequence of the generators.  :meth:`normal` draws one
+    ``normal(0.0, scale)`` value from each generator, through the C kernel
+    when the fused library has it and through ``Generator.normal`` when it
+    does not, with bit-identical values and generator states either way.
+
+    The kernel reads each generator's ``bitgen_t`` through a pointer table
+    built on the first draw.  The table is derived state: pickling and
+    ``copy.deepcopy`` drop it, so a copy rebuilds it from its own
+    generators and never draws from its original's.  Setting
+    ``bit_generator.state`` writes the generator in place, so restoring a
+    checkpoint keeps the table valid.
+    """
+
+    def __init__(self, rngs: Iterable[np.random.Generator]):
+        self._rngs = tuple(rngs)
+        self._table = None
+        self._shared_scales: dict = {}
+
+    def __len__(self) -> int:
+        return len(self._rngs)
+
+    def __getitem__(self, index):
+        return self._rngs[index]
+
+    def __iter__(self):
+        return iter(self._rngs)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_table"] = None
+        return state
+
+    def normal(self, scale: float | np.ndarray) -> np.ndarray:
+        """One ``rng.normal(0.0, scale)`` draw per session, bit for bit.
+
+        ``scale`` is one float shared by every session, or a per-session
+        array built by :func:`check_scales`.
+        """
+        n = len(self._rngs)
+        if not isinstance(scale, np.ndarray):
+            shared = self._shared_scales.get(scale)
+            if shared is None:
+                shared = self._shared_scales[scale] = check_scales(np.full(n, scale))
+            scale = shared
+        elif (
+            scale.shape != (n,)
+            or scale.dtype != np.float64
+            or not scale.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"need {n} contiguous float64 scales, got {scale.dtype} {scale.shape}"
+            )
+        kernel = fused_fleet()
+        if kernel is not None and kernel.draws_normals:
+            if self._table is None:
+                self._table = _bitgen_table(self._rngs)
+            out = np.empty(n)
+            kernel.fleet_normal(self._table, scale, out)
+            return out
+        return np.array(
+            [rng.normal(0.0, value) for rng, value in zip(self._rngs, scale.tolist())]
+        )
 
 
 class AdamPlan:
@@ -411,6 +543,18 @@ class _FusedAdam:
             ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
         ]
+        self._fleet_exp = lib.fleet_exp
+        self._fleet_exp.restype = None
+        self._fleet_exp.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+        # Built only when NumPy's random library was found (see _compile).
+        self._fleet_normal = getattr(lib, "fleet_normal", None)
+        self.draws_normals = self._fleet_normal is not None
+        if self.draws_normals:
+            self._fleet_normal.restype = None
+            self._fleet_normal.argtypes = [
+                ctypes.c_long, ctypes.POINTER(ctypes.c_void_p), ctypes.c_void_p,
+                ctypes.c_void_p,
+            ]
         self._fleet_ar1 = lib.fleet_ar1_advance
         self._fleet_ar1.restype = None
         self._fleet_ar1.argtypes = [
@@ -574,15 +718,45 @@ class _FusedAdam:
         work buffers.  All arrays must be C-contiguous float64 (coupling
         endpoint indices int64).
         """
-        _obs.kernel_call("fleet_thermal_advance")
         nodes, n = temps.shape
-        self._fleet_thermal(
+        self.fleet_thermal_advance_raw(
             nodes, n, self._ptr(temps), self._ptr(power), self._ptr(ambient),
             self._ptr(resistance), self._ptr(heat_capacity),
             coup_a.size, self._ptr(coup_a), self._ptr(coup_b),
             self._ptr(coup_c), self._ptr(remaining), max_substep,
             self._ptr(dt_scratch), self._ptr(deltas_scratch),
         )
+
+    def fleet_thermal_advance_raw(self, *args) -> None:
+        """:meth:`fleet_thermal_advance` with precomputed buffer addresses.
+
+        ``args`` follow the C signature: ``nodes``, ``n``, the addresses of
+        temps, power, ambient, resistance and heat capacity, the coupling
+        count and the addresses of its three arrays, the address of
+        remaining, ``max_substep``, and the addresses of the two scratch
+        buffers.
+        """
+        _obs.kernel_call("fleet_thermal_advance")
+        self._fleet_thermal(*args)
+
+    def fleet_exp(self, x: np.ndarray, out: np.ndarray) -> None:
+        """``out = exp(x)`` with libm's ``exp``, i.e. ``math.exp`` bit for bit.
+
+        Contiguous float64 arrays of one size; ``out`` may be ``x``.
+        """
+        _obs.kernel_call("fleet_exp")
+        addr = self._ptr(x)
+        self._fleet_exp(x.size, addr, addr if out is x else self._ptr(out))
+
+    def fleet_normal(self, table, scale: np.ndarray, out: np.ndarray) -> None:
+        """``out[i] = normal(0.0, scale[i])`` drawn from generator ``i``.
+
+        ``table`` is a ctypes array of the generators' ``bitgen_t``
+        addresses (kept by :class:`SessionGenerators`); ``scale`` comes from
+        :func:`check_scales`; both arrays hold ``len(table)`` float64 values.
+        """
+        _obs.kernel_call("fleet_normal")
+        self._fleet_normal(len(table), table, self._ptr(scale), self._ptr(out))
 
     def fleet_ar1_advance(
         self,
@@ -1001,10 +1175,56 @@ def _self_test(kernel: _FusedAdam) -> bool:
         hb, ha, outs.ctypes.data, fi.ctypes.data, targs_h.ctypes.data,
         delta, float(hb), losses_hc.ctypes.data, grad_flat_c.ctypes.data,
     )
-    return bool(
+    if not (
         np.array_equal(losses_href.view(np.int64), losses_hc.view(np.int64))
         and np.array_equal(grad_flat_ref.view(np.int64), grad_flat_c.view(np.int64))
+    ):
+        return False
+    # Leakage exp vs. math.exp (one libm, both sides), over the leakage
+    # exponent range up to its 4.0 cap plus the edges of exp's domain.
+    exponents = np.concatenate(
+        [rng.uniform(-40.0, 4.0, 251), [0.0, -0.0, -745.0, 709.0, np.nan]]
     )
+    exp_ref = np.array([math.exp(value) for value in exponents.tolist()])
+    exp_c = np.empty_like(exponents)
+    kernel.fleet_exp(exponents, exp_c)
+    if not np.array_equal(exp_ref.view(np.int64), exp_c.view(np.int64)):
+        return False
+    kernel.fleet_exp(exponents, exponents)  # in place
+    if not np.array_equal(exp_ref.view(np.int64), exponents.view(np.int64)):
+        return False
+    if not kernel.draws_normals:
+        return True
+    # Normal draws vs. per-session Generator.normal, on two bit-generator
+    # families, zero and mixed scales, twice (so the second draw starts
+    # from the first's state): values and generator states must agree.
+    def generators():
+        return [np.random.default_rng(seed) for seed in range(5)] + [
+            np.random.Generator(np.random.Philox(seed)) for seed in range(3)
+        ]
+
+    scales = check_scales([0.0, 1.0, 0.2, 35.0, 1e-3, 7.5, 0.0, 2.0])
+    reference, fused = generators(), generators()
+    table = _bitgen_table(fused)
+    for _ in range(2):
+        normal_ref = np.array(
+            [r.normal(0.0, s) for r, s in zip(reference, scales.tolist())]
+        )
+        normal_c = np.empty(scales.size)
+        kernel.fleet_normal(table, scales, normal_c)
+        if not np.array_equal(normal_ref.view(np.int64), normal_c.view(np.int64)):
+            return False
+    return all(
+        _same_state(r.bit_generator.state, c.bit_generator.state)
+        for r, c in zip(reference, fused)
+    )
+
+
+def _same_state(a, b) -> bool:
+    """Equality of two ``bit_generator.state`` values (nested dicts of arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
 
 
 def _cache_dir() -> Path:
@@ -1048,9 +1268,33 @@ def _cpu_tag() -> str:
     return platform.machine() + platform.processor()
 
 
+def _npyrandom_build() -> tuple[list, list, str]:
+    """``(flags, link inputs, cache-key part)`` for NumPy's random library.
+
+    The library is linked statically into the ``.so``, so the cache key
+    carries the NumPy version and the archive's hash: a NumPy upgrade then
+    compiles afresh instead of loading a stale library that fails the
+    self-test (which would disable every kernel, Adam included).  With the
+    header or the archive missing, nothing is linked and ``fleet_normal``
+    is left out.
+    """
+    header = _NPYRANDOM_INCLUDE / "numpy" / "random" / "bitgen.h"
+    if not (header.is_file() and _NPYRANDOM_ARCHIVE.is_file()):
+        return [], [], "no-npyrandom"
+    archive_hash = hashlib.sha256(_NPYRANDOM_ARCHIVE.read_bytes()).hexdigest()
+    return (
+        ["-DREPRO_NPYRANDOM", f"-I{_NPYRANDOM_INCLUDE}"],
+        [str(_NPYRANDOM_ARCHIVE)],
+        archive_hash,
+    )
+
+
 def _compile() -> ctypes.CDLL | None:
+    flags, archives, archive_key = _npyrandom_build()
     digest = hashlib.sha256(
-        (_SOURCE + " ".join(_CFLAGS) + _cpu_tag()).encode()
+        " ".join(
+            [_SOURCE, *_CFLAGS, *flags, _cpu_tag(), np.__version__, archive_key]
+        ).encode()
     ).hexdigest()[:16]
     cache_dir = _cache_dir()
     lib_path = cache_dir / f"adam_{digest}.so"
@@ -1058,8 +1302,9 @@ def _compile() -> ctypes.CDLL | None:
         src_path = cache_dir / f"adam_{digest}.c"
         src_path.write_text(_SOURCE)
         tmp_path = cache_dir / f"adam_{digest}.{os.getpid()}.so"
+        # Archives resolve only symbols referenced before them: source first.
         result = subprocess.run(
-            ["cc", *_CFLAGS, "-o", str(tmp_path), str(src_path)],
+            ["cc", *_CFLAGS, *flags, "-o", str(tmp_path), str(src_path), *archives, "-lm"],
             capture_output=True,
             timeout=60,
         )

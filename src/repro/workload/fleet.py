@@ -8,6 +8,12 @@ consumes it), and the AR(1) update plus clipping run as array operations.
 Session ``i`` of a fleet stream seeded with ``rngs[i]`` therefore emits the
 bit-identical frame sequence of ``FrameStream(dataset, rngs[i])``.
 
+The draws run in one C loop when the fused library is available
+(:class:`~repro.rl.fused.SessionGenerators`: NumPy's own ``random_normal``
+on each generator, bit-identical to ``rng.normal``).  That loop does not
+take ``bit_generator.lock``, so a stream, and its generators, must be
+driven from one thread at a time.
+
 The stream may be *heterogeneous*: passing one
 :class:`~repro.workload.dataset.DatasetProfile` per session gives every
 session its own AR(1) parameters (mean, innovation std, correlation,
@@ -28,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.rl.fused import fused_fleet
+from repro.rl.fused import SessionGenerators, check_scales, fused_fleet
 from repro.workload.dataset import DatasetProfile
 
 
@@ -71,7 +77,7 @@ class FleetFrameStream:
         if not rngs:
             raise WorkloadError("need at least one generator (one per session)")
         self.num_sessions = len(rngs)
-        self._rngs = list(rngs)
+        self._rngs = SessionGenerators(rngs)
         if isinstance(dataset, DatasetProfile):
             profiles = [dataset] * self.num_sessions
         else:
@@ -99,9 +105,7 @@ class FleetFrameStream:
 
         processes = [profile.scene_process() for profile in profiles]
         self._mean = np.array([p.mean for p in processes], dtype=float)
-        self._innovation_std = np.array(
-            [p.innovation_std for p in processes], dtype=float
-        )
+        self._innovation_std = check_scales([p.innovation_std for p in processes])
         self._correlation = np.array([p.correlation for p in processes], dtype=float)
         self._minimum = np.array([p.minimum for p in processes], dtype=float)
         self._maximum = np.array([p.maximum for p in processes], dtype=float)
@@ -156,12 +160,7 @@ class FleetFrameStream:
 
     def next_frames(self) -> FleetFrameBatch:
         """Generate the next frame for every session in one array step."""
-        innovations = np.array(
-            [
-                rng.normal(0.0, std)
-                for rng, std in zip(self._rngs, self._innovation_std.tolist())
-            ]
-        )
+        innovations = self._rngs.normal(self._innovation_std)
         kernel = fused_fleet()
         if kernel is not None:
             kernel.fleet_ar1_advance(

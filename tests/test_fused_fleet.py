@@ -2,8 +2,9 @@
 
 Every fleet kernel in :mod:`repro.rl.fused` (RC thermal sub-stepping,
 clipped AR(1) stream advance, the rint/clip proposal tail, fused
-bias-add + ReLU) must produce output **bit-identical** to the NumPy
-expressions it replaces — that is the whole contract that lets
+bias-add + ReLU, the per-session normal draw and the leakage ``exp``) must
+produce output **bit-identical** to the NumPy (or ``math``) expressions it
+replaces — that is the whole contract that lets
 ``REPRO_FUSED=0`` remain a pure kill switch rather than a different
 numerical mode.  These tests re-state each kernel's NumPy reference
 inline and compare against the C output through int64 bit patterns over
@@ -11,25 +12,55 @@ randomized shapes and fill levels.
 
 When the toolchain is unavailable (``fused_fleet()`` returns ``None``)
 the kernel-vs-reference tests skip; the kill-switch test always runs,
-in a subprocess so it sees a fresh resolution cache.
+in a subprocess so it sees a fresh resolution cache.  The copy-safety and
+fused-on-vs-off tests run whole fleet frames.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import hashlib
+import math
 import os
+import pickle
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from repro.rl.fused import fused_adam, fused_fleet
+import repro.detection.fleet
+import repro.hardware.fleet
+import repro.rl.fused
+import repro.workload.fleet
+from repro.detection.fleet import propose_batch
+from repro.detection.registry import build_detector
+from repro.env.ambient import LinearRampAmbient
+from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, BatchedInferenceEnvironment
+from repro.errors import DetectorError
+from repro.hardware.devices.registry import build_device
+from repro.rl.fused import (
+    SessionGenerators,
+    _same_state,
+    check_scales,
+    fused_adam,
+    fused_fleet,
+)
+from repro.workload.dataset import build_dataset
+from repro.workload.fleet import FleetFrameStream
 
 kernel = fused_fleet()
 
 needs_kernel = pytest.mark.skipif(
     kernel is None, reason="fused kernels unavailable on this host"
 )
+needs_normal = pytest.mark.skipif(
+    kernel is None or not kernel.draws_normals,
+    reason="fused normal draws unavailable on this host",
+)
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +118,11 @@ def reference_bias_relu(z, b):
     """``z += b`` then ``maximum(z, 0.0)``."""
     z = z + b
     return z, np.maximum(z, 0.0)
+
+
+def reference_normal(rngs, scales):
+    """One ``Generator.normal(0.0, scale)`` call per session."""
+    return np.array([rng.normal(0.0, s) for rng, s in zip(rngs, scales.tolist())])
 
 
 def assert_bitwise_equal(a, b, label):
@@ -251,6 +287,230 @@ class TestBiasRelu:
         assert_bitwise_equal(act, expected_act, "ties: activations differ")
 
 
+@needs_normal
+class TestFleetNormal:
+    @staticmethod
+    def generators(family, n, seed):
+        if family == "pcg64":
+            return [np.random.default_rng(seed + i) for i in range(n)]
+        return [np.random.Generator(np.random.Philox(seed + i)) for i in range(n)]
+
+    @pytest.mark.parametrize("family", ("pcg64", "philox"))
+    @pytest.mark.parametrize("n", (1, 7, 256))
+    def test_matches_generator_normal_bitwise(self, n, family):
+        rng = np.random.default_rng(400 + n)
+        scales = rng.uniform(0.0, 40.0, n)
+        scales[rng.random(n) < 0.2] = 0.0
+        scales[0] = 0.0
+        scales = check_scales(scales)
+        reference = self.generators(family, n, seed=n)
+        fused = SessionGenerators(self.generators(family, n, seed=n))
+        for frame in range(3):
+            assert_bitwise_equal(
+                fused.normal(scales),
+                reference_normal(reference, scales),
+                f"draws differ ({family}, n={n}, frame {frame})",
+            )
+        for ref, got in zip(reference, fused):
+            assert _same_state(ref.bit_generator.state, got.bit_generator.state)
+
+    def test_shared_scale_matches_generator_normal(self):
+        reference = self.generators("pcg64", 9, seed=3)
+        fused = SessionGenerators(self.generators("pcg64", 9, seed=3))
+        expected = np.array([rng.normal(0.0, 0.08) for rng in reference])
+        assert_bitwise_equal(fused.normal(0.08), expected, "shared-scale draws differ")
+
+    def test_restored_state_draws_through_the_same_table(self):
+        """``bit_generator.state = ...`` writes in place: no table rebuild."""
+        fused = SessionGenerators(self.generators("pcg64", 5, seed=11))
+        saved = [rng.bit_generator.state for rng in fused]
+        first = fused.normal(1.5)
+        for rng, state in zip(fused, saved):
+            rng.bit_generator.state = state
+        assert_bitwise_equal(fused.normal(1.5), first, "restored draws differ")
+
+
+class TestScaleCheck:
+    @pytest.mark.parametrize("bad", (-1.0, -0.0))
+    def test_negative_scale_raises_like_generator_normal(self, bad):
+        with pytest.raises(ValueError, match="scale < 0"):
+            np.random.default_rng(0).normal(0.0, bad)
+        with pytest.raises(ValueError, match="scale < 0"):
+            check_scales([1.0, bad])
+        with pytest.raises(ValueError, match="scale < 0"):
+            SessionGenerators([np.random.default_rng(0)]).normal(bad)
+
+    def test_nan_scale_passes(self):
+        assert np.isnan(check_scales([np.nan])).all()
+
+    def test_negative_zero_innovation_std_rejected_at_construction(self):
+        """``-0.0`` passes the profile's ``< 0`` check but not NumPy's."""
+        profile = dataclasses.replace(build_dataset("kitti"), complexity_std=-0.0)
+        assert math.copysign(1.0, profile.scene_process().innovation_std) < 0
+        with pytest.raises(ValueError, match="scale < 0"):
+            np.random.default_rng(0).normal(0.0, profile.scene_process().innovation_std)
+        with pytest.raises(ValueError, match="scale < 0"):
+            FleetFrameStream(
+                profile, [np.random.default_rng(0)], latency_constraint_ms=[400.0]
+            )
+
+
+@needs_kernel
+class TestFleetExp:
+    EDGES = np.array([0.0, -0.0, -745.0, 709.0, np.nan])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_math_exp_bitwise(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        x = np.concatenate([rng.uniform(-60.0, 4.0, 997), self.EDGES])
+        expected = np.array([math.exp(value) for value in x.tolist()])
+        got = np.empty_like(x)
+        kernel.fleet_exp(x, got)
+        assert_bitwise_equal(got, expected, f"exp differs (seed {seed})")
+        kernel.fleet_exp(x, x)
+        assert_bitwise_equal(x, expected, f"in-place exp differs (seed {seed})")
+
+
+# ---------------------------------------------------------------------------
+# Fleet frames: fused on vs off, copies, bounds
+# ---------------------------------------------------------------------------
+
+
+def _use_numpy_fallback(monkeypatch):
+    """Run the fleet modules' NumPy fallbacks, as ``REPRO_FUSED=0`` does."""
+    for module in (
+        repro.rl.fused, repro.hardware.fleet, repro.workload.fleet,
+        repro.detection.fleet,
+    ):
+        monkeypatch.setattr(module, "fused_fleet", lambda: None)
+
+
+def _environment(n=6, seed=0):
+    """A two-stage fleet whose ambient ramps, so every frame rebinds it."""
+    return BatchedInferenceEnvironment(
+        device=build_device("jetson-orin-nano"),
+        detector=build_detector("faster_rcnn"),
+        streams=FleetFrameStream(
+            build_dataset("kitti"),
+            [np.random.default_rng(seed + i) for i in range(n)],
+            latency_constraint_ms=[400.0] * n,
+        ),
+        ambient=LinearRampAmbient(start_c=25.0, end_c=45.0, ramp_frames=12),
+        rngs=[np.random.default_rng(seed + i + 1) for i in range(n)],
+    )
+
+
+def _frame_digest(result) -> str:
+    digest = hashlib.sha256()
+    for name in _FRAME_RESULT_ARRAY_FIELDS:
+        column = np.ascontiguousarray(getattr(result, name))
+        if column.dtype.itemsize == 8:
+            column = column.view(np.int64)
+        digest.update(column.tobytes())
+    return digest.hexdigest()
+
+
+def _step(env) -> str:
+    env.begin_frame()
+    env.run_first_stage()
+    return _frame_digest(env.run_second_stage())
+
+
+def _interrupted_run() -> list:
+    """Frames with a mid-frame ``set_ambient`` and a mid-episode restore.
+
+    Every ambient array the device binds is kept alive, so a new one never
+    lands at a freed one's address: a stale ambient address would then read
+    an old ambient and show in the trace.
+    """
+    env = _environment()
+    ambients = []
+
+    def step():
+        digest = _step(env)
+        ambients.append(env.state.device.ambient_temperature_c)
+        return digest
+
+    digests = [step() for _ in range(4)]
+    snapshot = copy.deepcopy(env.state_dict())
+    digests += [step() for _ in range(3)]
+    env.begin_frame()
+    env.run_first_stage()
+    env.state.device.set_ambient(np.linspace(10.0, 60.0, env.num_sessions))
+    ambients.append(env.state.device.ambient_temperature_c)
+    digests.append(_frame_digest(env.run_second_stage()))
+    env.load_state_dict(snapshot)
+    digests += [step() for _ in range(6)]
+    return digests
+
+
+@needs_kernel
+def test_fused_matches_fallback_across_set_ambient_and_restore(monkeypatch):
+    fused = _interrupted_run()
+    with monkeypatch.context() as patch:
+        _use_numpy_fallback(patch)
+        fallback = _interrupted_run()
+    assert fused == fallback
+
+
+class TestCopies:
+    FRAMES, SPLIT = 10, 4
+
+    @pytest.mark.parametrize(
+        "clone", (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)))
+    )
+    def test_stream_copy_and_original_continue_uninterrupted(self, clone):
+        def stream():
+            return FleetFrameStream(
+                [build_dataset("kitti"), build_dataset("visdrone2019")] * 3,
+                [np.random.default_rng(i) for i in range(6)],
+                latency_constraint_ms=[400.0] * 6,
+            )
+
+        reference = stream()
+        expected = [reference.next_frames().scene_candidates for _ in range(self.FRAMES)]
+        original = stream()
+        for _ in range(self.SPLIT):
+            original.next_frames()
+        copied = clone(original)
+        for frame in range(self.SPLIT, self.FRAMES):
+            # Interleaved, so a copy drawing from the original's generators
+            # would shift both continuations.
+            for label, live in (("copy", copied), ("original", original)):
+                assert_bitwise_equal(
+                    live.next_frames().scene_candidates, expected[frame],
+                    f"{label} diverged at frame {frame}",
+                )
+
+    @pytest.mark.parametrize(
+        "clone", (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)))
+    )
+    def test_environment_copy_and_original_continue_uninterrupted(self, clone):
+        reference = _environment()
+        expected = [_step(reference) for _ in range(self.FRAMES)]
+        original = _environment()
+        for _ in range(self.SPLIT):
+            _step(original)
+        copied = clone(original)
+        for frame in range(self.SPLIT, self.FRAMES):
+            assert _step(copied) == expected[frame], f"copy diverged at {frame}"
+            assert _step(original) == expected[frame], f"original diverged at {frame}"
+
+
+class TestProposeBatchBounds:
+    @pytest.mark.parametrize("fused", (True, False))
+    def test_generator_count_must_match_sessions(self, fused, monkeypatch):
+        if not fused:
+            _use_numpy_fallback(monkeypatch)
+        detector = build_detector("faster_rcnn")
+        scenes = np.full(8, 300.0)
+        rngs = [np.random.default_rng(i) for i in range(2)]
+        with pytest.raises(DetectorError, match="2 generators for 8 sessions"):
+            propose_batch(detector, scenes, rngs)
+        with pytest.raises(DetectorError, match="2 generators for 8 sessions"):
+            propose_batch(detector, scenes, SessionGenerators(rngs))
+
+
 # ---------------------------------------------------------------------------
 # Kill switch
 # ---------------------------------------------------------------------------
@@ -268,11 +528,30 @@ class TestKillSwitch:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (env.get("PYTHONPATH"), "src") if p
         )
+        subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=REPO_ROOT)
+
+    @needs_kernel
+    def test_missing_numpy_random_library_keeps_every_other_kernel(self, tmp_path):
+        """No ``libnpyrandom.a``: the library still builds; draws use NumPy."""
+        code = (
+            "import sys, pathlib\n"
+            "import numpy as np\n"
+            "import repro.rl.fused as fused\n"
+            "fused._NPYRANDOM_ARCHIVE = pathlib.Path(sys.argv[1]) / 'libnpyrandom.a'\n"
+            "assert fused.fused_adam() is not None\n"
+            "assert fused.kernel_status() == 'fused'\n"
+            "assert not fused.fused_fleet().draws_normals\n"
+            "gens = fused.SessionGenerators([np.random.default_rng(0)])\n"
+            "assert gens.normal(2.0)[0] == np.random.default_rng(0).normal(0.0, 2.0)\n"
+        )
+        env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
+        env.pop("REPRO_FUSED", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (env.get("PYTHONPATH"), "src") if p
+        )
         subprocess.run(
-            [sys.executable, "-c", code],
-            check=True,
-            env=env,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            [sys.executable, "-c", code, str(tmp_path / "missing")],
+            check=True, env=env, cwd=REPO_ROOT,
         )
 
     def test_fused_fleet_shares_resolution_with_fused_adam(self):

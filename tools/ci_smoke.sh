@@ -64,9 +64,13 @@ EOF
 }
 
 smoke_fused_kill_switch() {
-    # The same lotus-fleet cell must hash identically with and without the
-    # fused kernels.  The digest covers the trace's column bits and
-    # datasets, and every session's metrics and histories.
+    # Two runs must hash identically with and without the fused kernels: a
+    # lotus-fleet cell, and the governor-only members of mixed-edge-fleet
+    # (several devices and detectors, per-session innovation std).  The
+    # digest covers each trace's column bits and datasets, and the cell's
+    # session metrics and histories.  The fused side must show, through
+    # repro.obs, that the normal-draw and exp kernels ran (no silent
+    # fallback).
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -74,22 +78,30 @@ import dataclasses, hashlib, os, sys
 
 import numpy as np
 
-from repro import ExperimentSetting, run_fleet
+from repro import ExperimentSetting, obs, run_fleet
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.rl.fused import fused_adam
+from repro.runtime.fleet import run_fleet_scenario
+from repro.scenarios import FleetScenario, build_scenario
 
 fused = os.environ["REPRO_FUSED"] == "1"
 assert (fused_adam() is not None) == fused, "kill switch not honoured"
+
+
+def trace_digest(trace):
+    digest = hashlib.sha256()
+    for name in _FRAME_RESULT_ARRAY_FIELDS:
+        column = np.ascontiguousarray(trace.column_window(name))
+        digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
+        if column.dtype.itemsize == 8:
+            column = column.view(np.int64)
+        digest.update(column.tobytes())
+    digest.update("\n".join("\t".join(row) for row in trace.datasets_window()).encode())
+    return digest
+
+
 result = run_fleet(ExperimentSetting(num_frames=60, seed=0), "lotus-fleet", 8)
-trace = result.fleet_trace
-digest = hashlib.sha256()
-for name in _FRAME_RESULT_ARRAY_FIELDS:
-    column = np.ascontiguousarray(trace.column_window(name))
-    digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
-    if column.dtype.itemsize == 8:
-        column = column.view(np.int64)
-    digest.update(column.tobytes())
-digest.update("\n".join("\t".join(row) for row in trace.datasets_window()).encode())
+digest = trace_digest(result.fleet_trace)
 # Session metrics and histories; timing fields (elapsed_s) are
 # legitimately nondeterministic and stay out.
 for session in result.sessions:
@@ -99,9 +111,32 @@ for session in result.sessions:
         digest.update(np.array(values, dtype=np.float64).view(np.int64).tobytes())
     for history in (session.losses, session.rewards):
         digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
+
+base = build_scenario("mixed-edge-fleet")
+governed = FleetScenario(
+    name="mixed-edge-fleet-governed",
+    members=tuple(
+        member
+        for member in base.members
+        if member.spec.method in ("default", "performance", "powersave", "fixed")
+    ),
+)
+registry = obs.enable()
+mixed = run_fleet_scenario(governed, num_sessions=12, num_frames=48)
+kernel_calls = {
+    dict(labels)["kernel"]: count
+    for (name, labels), count in registry.counters.items()
+    if name == "fused.kernel_calls"
+}
+obs.disable()
+for kernel in ("fleet_normal", "fleet_exp"):
+    assert (kernel_calls.get(kernel, 0) > 0) == fused, (kernel, kernel_calls)
+mixed_digest = trace_digest(mixed.fleet_trace)
+
 with open(sys.argv[1], "w") as handle:
-    handle.write(digest.hexdigest() + "\n")
-print("REPRO_FUSED=%d -> %s" % (fused, digest.hexdigest()))
+    handle.write(digest.hexdigest() + "\n" + mixed_digest.hexdigest() + "\n")
+print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s"
+      % (fused, digest.hexdigest(), mixed_digest.hexdigest()))
 PY
     done
     diff "$out/trace-fused-0.sha256" "$out/trace-fused-1.sha256"
