@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.errors import DetectorError
 from repro.detection.detector import DetectorModel
-from repro.rl.fused import SessionGenerators, fused_fleet
+from repro.rl.fused import ArgumentTable, SessionGenerators, fused_fleet
 from repro.detection.latency import DeviceComputeProfile
 
 
@@ -140,10 +140,46 @@ def propose_batch(
 
 
 class BatchedExecutionModel:
-    """Vectorized :class:`~repro.detection.latency.ExecutionModel`."""
+    """Vectorized :class:`~repro.detection.latency.ExecutionModel`.
+
+    With the fused library, :meth:`execute` is one ``fleet_segment_model``
+    call: the inputs are copied into buffers the model keeps for its fleet
+    size (their addresses are resolved once, and dropped when the model is
+    pickled or copied), and every returned array is a fresh copy.
+    """
 
     def __init__(self, profile: DeviceComputeProfile):
         self.profile = profile
+        self._kernel_table: ArgumentTable | None = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_kernel_table"] = None
+        return state
+
+    def _argument_table(self, kernel, num_sessions: int) -> ArgumentTable:
+        table = self._kernel_table
+        if table is None or table.buffers["latency"].size != num_sessions:
+            profile = self.profile
+            buffers = {
+                name: np.zeros(num_sessions)
+                for name in (
+                    "cpu_kilocycles", "gpu_kilocycles", "cpu_frequency",
+                    "gpu_frequency", "latency", "cpu_busy", "gpu_busy",
+                    "cpu_utilisation", "gpu_utilisation",
+                )
+            }
+            table = self._kernel_table = kernel.segment_table(
+                {
+                    "sessions": num_sessions,
+                    **buffers,
+                    "cpu_efficiency": profile.cpu_efficiency,
+                    "gpu_efficiency": profile.gpu_efficiency,
+                    "launch_overhead": profile.launch_overhead_ms,
+                    "host_activity": profile.host_activity,
+                }
+            )
+        return table
 
     def execute(
         self,
@@ -152,7 +188,40 @@ class BatchedExecutionModel:
         cpu_frequency_khz: np.ndarray,
         gpu_frequency_khz: np.ndarray,
     ) -> FleetSegment:
-        """Latency and utilisation of running per-session costs."""
+        """Latency and utilisation of running per-session costs.
+
+        All four arguments are length-N arrays (the frequencies may also be
+        scalars shared by every session).
+        """
+        kernel = fused_fleet()
+        if kernel is None:
+            return self._execute_numpy(
+                cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz, gpu_frequency_khz
+            )
+        table = self._argument_table(kernel, len(cpu_kilocycles))
+        buffers = table.buffers
+        buffers["cpu_kilocycles"][:] = cpu_kilocycles
+        buffers["gpu_kilocycles"][:] = gpu_kilocycles
+        buffers["cpu_frequency"][:] = cpu_frequency_khz
+        buffers["gpu_frequency"][:] = gpu_frequency_khz
+        if not kernel.fleet_segment_model(table):
+            raise DetectorError("frequencies must be positive")
+        return FleetSegment(
+            latency_ms=buffers["latency"].copy(),
+            cpu_busy_ms=buffers["cpu_busy"].copy(),
+            gpu_busy_ms=buffers["gpu_busy"].copy(),
+            cpu_utilisation=buffers["cpu_utilisation"].copy(),
+            gpu_utilisation=buffers["gpu_utilisation"].copy(),
+        )
+
+    def _execute_numpy(
+        self,
+        cpu_kilocycles: np.ndarray,
+        gpu_kilocycles: np.ndarray,
+        cpu_frequency_khz: np.ndarray,
+        gpu_frequency_khz: np.ndarray,
+    ) -> FleetSegment:
+        """The NumPy form of ``fleet_segment_model``."""
         if np.any(cpu_frequency_khz <= 0) or np.any(gpu_frequency_khz <= 0):
             raise DetectorError("frequencies must be positive")
         cpu_ms = cpu_kilocycles / (cpu_frequency_khz * self.profile.cpu_efficiency)

@@ -18,9 +18,23 @@ order* as the scalar classes, so a fleet session is bit-for-bit identical
 to the equivalent scalar :class:`EdgeDevice` run — the only deliberate
 subtlety is leakage power, which must use libm's ``exp`` as ``math.exp``
 does (NumPy's vectorized ``exp`` differs from libm by an ULP on ~4 % of
-inputs, which would break seed-for-seed trace equivalence).  The fused
-``fleet_exp`` kernel calls libm's ``exp`` over the fleet in one C loop;
-without it, ``math.exp`` runs per session.
+inputs, which would break seed-for-seed trace equivalence).
+
+With the fused library (:mod:`repro.rl.fused`), :meth:`DeviceFleet.execute`
+is one C call, ``fleet_device_execute``: power (with libm's ``exp``), RC
+sub-stepping, throttling, caps and energy in the NumPy path's operand
+order.  The kernel reads a per-fleet *argument table*
+(:class:`~repro.rl.fused.ArgumentTable`) holding the addresses of the
+fleet's state arrays, resolved once per fleet and dropped on pickle or
+``deepcopy``.  That is why the fleet's state is written **in place** on
+both paths — ``set_ambient``, ``reset``, ``load_state_dict``,
+``request_levels``, throttle updates and caps never rebind an array — and
+why per-segment inputs are copied into the fleet's own buffers and every
+array :meth:`DeviceFleet.execute` returns is a fresh copy.  The live
+attributes (``ambient_temperature_c``, ``cpu_level``, ``cpu_throttled``,
+the temperature properties, ...) change under the caller after the next
+call; copy what you keep.  Without the library, ``math.exp`` runs per
+session and the rest runs as NumPy array operations on the same buffers.
 
 All sessions share one device *description*; heterogeneous-hardware fleets
 run one ``DeviceFleet`` per device group (the grouped sub-fleet path built
@@ -39,22 +53,14 @@ import numpy as np
 
 from repro.errors import DeviceError
 from repro.hardware.device import CPU_NODE, GPU_NODE, EdgeDevice
-from repro.rl.fused import fused_fleet
+from repro.rl.fused import ArgumentTable, fused_fleet
 from repro.hardware.frequency import FrequencyTable
 from repro.hardware.power import PowerModel
 from repro.hardware.throttle import ThrottleConfig
 
 
 def _exact_exp(exponents: np.ndarray) -> np.ndarray:
-    """Elementwise ``math.exp``, matching the scalar power model bit-for-bit.
-
-    The fused kernel calls the same libm ``exp`` in one C loop, writing
-    over ``exponents``; the fallback calls ``math.exp`` per session.
-    """
-    kernel = fused_fleet()
-    if kernel is not None:
-        kernel.fleet_exp(exponents, exponents)
-        return exponents
+    """Elementwise ``math.exp``, matching the scalar power model bit-for-bit."""
     return np.array([math.exp(value) for value in exponents.tolist()], dtype=float)
 
 
@@ -136,16 +142,18 @@ class _ThrottlerArrays:
         self.throttled[:] = False
         self.engage_count[:] = 0
 
-    def update(self, temperature_c: np.ndarray) -> np.ndarray:
-        """Advance the hysteresis state machine; returns the throttled mask."""
-        released = self.throttled & (temperature_c <= self.release_temperature_c)
-        engaged = ~self.throttled & (temperature_c >= self.trip_temperature_c)
-        self.throttled = (self.throttled & ~released) | engaged
+    def update(self, temperature_c: np.ndarray) -> None:
+        """Advance the hysteresis state machine in place."""
+        throttled = self.throttled
+        released = throttled & (temperature_c <= self.release_temperature_c)
+        engaged = ~throttled & (temperature_c >= self.trip_temperature_c)
+        throttled &= ~released
+        throttled |= engaged
         self.engage_count += engaged
-        return self.throttled.copy()
 
-    def cap_levels(self, requested: np.ndarray) -> np.ndarray:
-        return np.where(
+    def cap_levels(self, requested: np.ndarray, out: np.ndarray) -> None:
+        """Write ``requested`` capped by the throttle into ``out``."""
+        out[:] = np.where(
             self.throttled, np.minimum(requested, self.throttled_level), requested
         )
 
@@ -199,8 +207,7 @@ class DeviceFleet:
             for (a, b), conductance in thermal.couplings.items()
         ]
         self.max_substep_s = thermal.max_substep_s
-        # Flat coupling tables and work buffers for the fused thermal kernel
-        # (kept even when the kernel is unavailable: they are tiny).
+        # Flat coupling tables and work buffers of the thermal step.
         self._coup_a = np.array([a for a, _, _ in self._couplings], dtype=np.int64)
         self._coup_b = np.array([b for _, b, _ in self._couplings], dtype=np.int64)
         self._coup_c = np.array([c for _, _, c in self._couplings], dtype=float)
@@ -209,21 +216,22 @@ class DeviceFleet:
         # Rows of nodes other than CPU and GPU stay zero: no power enters there.
         self._power_scratch = np.zeros((len(self._node_names), num_sessions))
         self._remaining_scratch = np.empty(num_sessions)
-        self._kernel_addresses: tuple | None = None
+        # Per-segment inputs are copied in and outputs copied out, so the
+        # fused kernel always reads and writes the same buffers.
+        self._duration_ms = np.zeros(num_sessions)
+        self._cpu_utilisation = np.zeros(num_sessions)
+        self._gpu_utilisation = np.zeros(num_sessions)
+        self._cpu_power_w = np.zeros(num_sessions)
+        self._gpu_power_w = np.zeros(num_sessions)
+        self._energy_j = np.zeros(num_sessions)
+        self._kernel_table: ArgumentTable | None = None
 
         self._cpu_throttler = _ThrottlerArrays(template.cpu_throttle, num_sessions)
         self._gpu_throttler = _ThrottlerArrays(template.gpu_throttle, num_sessions)
         self.cpu_throttle = template.cpu_throttle
         self.gpu_throttle = template.gpu_throttle
 
-        ambient = (
-            ambient_temperature_c
-            if ambient_temperature_c is not None
-            else thermal.ambient_temperature_c
-        )
-        self.ambient_temperature_c = np.broadcast_to(
-            np.asarray(ambient, dtype=float), (num_sessions,)
-        ).copy()
+        self.ambient_temperature_c = np.zeros(num_sessions)
         self._temperatures = np.zeros((len(self._node_names), num_sessions))
         self._requested_cpu_level = np.zeros(num_sessions, dtype=np.int64)
         self._requested_gpu_level = np.zeros(num_sessions, dtype=np.int64)
@@ -231,48 +239,88 @@ class DeviceFleet:
         self.gpu_level = np.zeros(num_sessions, dtype=np.int64)
         self.total_energy_j = np.zeros(num_sessions)
         self.elapsed_ms = np.zeros(num_sessions)
-        self.reset()
+        self.reset(
+            ambient_temperature_c
+            if ambient_temperature_c is not None
+            else thermal.ambient_temperature_c
+        )
 
     def __getstate__(self) -> dict:
-        # Raw buffer addresses point into this object's arrays; a copy
-        # (pickle or deepcopy) resolves its own on first use.
+        # The kernel table holds raw addresses of this object's arrays; a
+        # copy (pickle or deepcopy) builds its own on first use.
         state = self.__dict__.copy()
-        state["_kernel_addresses"] = None
+        state["_kernel_table"] = None
         return state
 
-    def _thermal_args(self) -> tuple:
-        """The thermal kernel's arguments before and after the ambient address.
+    def _argument_table(self, kernel) -> ArgumentTable:
+        """The fused kernel's arguments, resolved once per fleet.
 
-        Every buffer here is owned by this fleet and never rebound, so its
-        address is resolved once.  ``ambient_temperature_c`` is rebound by
-        ``set_ambient``, ``reset`` and ``load_state_dict``, so the caller
-        resolves it per call.
+        Every array here is owned by this fleet and only ever written in
+        place (never rebound), so its address stays valid.
         """
-        if self._kernel_addresses is None:
-            nodes = len(self._node_names)
-            self._kernel_addresses = (
+        if self._kernel_table is None:
+            arguments = {
+                "nodes": len(self._node_names),
+                "sessions": self.num_sessions,
+                "couplings": self._coup_a.size,
+                "temperatures": self._temperatures,
+                "power": self._power_scratch,
+                "ambient": self.ambient_temperature_c,
+                "resistance": self._resistance,
+                "heat_capacity": self._heat_capacity,
+                "coupling_a": self._coup_a,
+                "coupling_b": self._coup_b,
+                "conductance": self._coup_c,
+                "remaining": self._remaining_scratch,
+                "substep": self._dt_scratch,
+                "deltas": self._deltas_scratch,
+                "duration": self._duration_ms,
+                "energy": self._energy_j,
+                "total_energy": self.total_energy_j,
+                "elapsed": self.elapsed_ms,
+                "max_substep": self.max_substep_s,
+            }
+            for name, tables, throttler, node, requested, level, utilisation, power in (
                 (
-                    nodes, self.num_sessions, self._temperatures.ctypes.data,
-                    self._power_scratch.ctypes.data,
+                    "cpu", self.cpu, self._cpu_throttler, self._cpu_node,
+                    self._requested_cpu_level, self.cpu_level,
+                    self._cpu_utilisation, self._cpu_power_w,
                 ),
                 (
-                    self._resistance.ctypes.data, self._heat_capacity.ctypes.data,
-                    self._coup_a.size, self._coup_a.ctypes.data,
-                    self._coup_b.ctypes.data, self._coup_c.ctypes.data,
-                    self._remaining_scratch.ctypes.data, self.max_substep_s,
-                    self._dt_scratch.ctypes.data, self._deltas_scratch.ctypes.data,
+                    "gpu", self.gpu, self._gpu_throttler, self._gpu_node,
+                    self._requested_gpu_level, self.gpu_level,
+                    self._gpu_utilisation, self._gpu_power_w,
                 ),
-            )
-        return self._kernel_addresses
+            ):
+                domain = {
+                    "node": node,
+                    "throttled_level": throttler.throttled_level,
+                    "voltage_sq": tables.voltage_sq_mv,
+                    "frequency": tables.frequency_khz,
+                    "utilisation": utilisation,
+                    "requested": requested,
+                    "level": level,
+                    "throttled": throttler.throttled,
+                    "engage_count": throttler.engage_count,
+                    "power": power,
+                    "capacitance": tables.effective_capacitance,
+                    "idle": tables.idle_power_w,
+                    "leakage": tables.leakage_power_w,
+                    "leakage_k": tables.leakage_temp_coefficient,
+                    "leakage_ref": tables.leakage_reference_temp_c,
+                    "trip": throttler.trip_temperature_c,
+                    "release": throttler.release_temperature_c,
+                }
+                arguments.update((f"{name}_{key}", value) for key, value in domain.items())
+            self._kernel_table = kernel.device_table(arguments)
+        return self._kernel_table
 
     # -- lifecycle ----------------------------------------------------------------
 
     def reset(self, ambient_temperature_c: float | np.ndarray | None = None) -> None:
         """Return every session to a cold, un-throttled, max-frequency state."""
         if ambient_temperature_c is not None:
-            self.ambient_temperature_c = np.broadcast_to(
-                np.asarray(ambient_temperature_c, dtype=float), (self.num_sessions,)
-            ).copy()
+            self.ambient_temperature_c[:] = ambient_temperature_c
         for row, initial in enumerate(self._initial_temperature):
             self._temperatures[row] = (
                 initial if initial is not None else self.ambient_temperature_c
@@ -324,10 +372,12 @@ class DeviceFleet:
         return self._cpu_throttler.engage_count + self._gpu_throttler.engage_count
 
     def set_ambient(self, ambient_temperature_c: float | np.ndarray) -> None:
-        """Change the ambient temperature (scalar broadcasts to the fleet)."""
-        self.ambient_temperature_c = np.broadcast_to(
-            np.asarray(ambient_temperature_c, dtype=float), (self.num_sessions,)
-        ).copy()
+        """Change the ambient temperature (scalar broadcasts to the fleet).
+
+        Writes ``ambient_temperature_c`` in place: the array is the fleet's
+        own and keeps its identity for the fleet's lifetime.
+        """
+        self.ambient_temperature_c[:] = ambient_temperature_c
 
     # -- checkpointing --------------------------------------------------------------
 
@@ -365,7 +415,10 @@ class DeviceFleet:
                 f"snapshot was captured from a {payload['num_sessions']}-session "
                 f"fleet but this fleet drives {self.num_sessions} sessions"
             )
-        self.ambient_temperature_c = np.array(payload["ambient_temperature_c"], dtype=float)
+        for name, domain in (("cpu", self.cpu), ("gpu", self.gpu)):
+            for key in (f"requested_{name}_level", f"{name}_level"):
+                self._check_levels(np.asarray(payload[key]), domain, name)
+        self.ambient_temperature_c[:] = payload["ambient_temperature_c"]
         self._temperatures[:] = payload["temperatures"]
         self._cpu_throttler.throttled[:] = payload["cpu_throttled"]
         self._cpu_throttler.engage_count[:] = payload["cpu_engage_count"]
@@ -386,44 +439,50 @@ class DeviceFleet:
         gpu_levels: int | np.ndarray,
         mask: np.ndarray | None = None,
     ) -> None:
-        """Request frequency levels; ``mask`` limits which sessions change."""
-        cpu_levels = np.broadcast_to(
-            np.asarray(cpu_levels, dtype=np.int64), (self.num_sessions,)
-        )
-        gpu_levels = np.broadcast_to(
-            np.asarray(gpu_levels, dtype=np.int64), (self.num_sessions,)
-        )
-        if mask is None:
-            check_cpu, check_gpu = cpu_levels, gpu_levels
-        else:
-            check_cpu, check_gpu = cpu_levels[mask], gpu_levels[mask]
-        if check_cpu.size and (
-            check_cpu.min() < 0 or check_cpu.max() >= self.cpu.num_levels
+        """Request frequency levels; ``mask`` limits which sessions change.
+
+        Levels are integers (scalars or length-N arrays); ``mask`` is a
+        boolean array.  Only the sessions the request changes are checked
+        against the level range, and nothing changes unless all of them
+        pass.
+        """
+        n = self.num_sessions
+        if mask is not None:
+            mask = np.asarray(mask)
+            if mask.dtype != np.bool_:
+                raise DeviceError(f"the session mask must be boolean, got {mask.dtype}")
+            if mask.shape != (n,):
+                mask = np.broadcast_to(mask, (n,))
+        checked = []
+        for levels, domain, name in (
+            (cpu_levels, self.cpu, "cpu"), (gpu_levels, self.gpu, "gpu")
         ):
-            raise DeviceError(
-                f"cpu level out of range [0, {self.cpu.num_levels - 1}]"
-            )
-        if check_gpu.size and (
-            check_gpu.min() < 0 or check_gpu.max() >= self.gpu.num_levels
+            levels = np.asarray(levels)
+            if levels.shape != (n,):
+                levels = np.broadcast_to(levels, (n,))
+            self._check_levels(levels if mask is None else levels[mask], domain, name)
+            checked.append(levels)
+        for levels, requested in zip(
+            checked, (self._requested_cpu_level, self._requested_gpu_level)
         ):
-            raise DeviceError(
-                f"gpu level out of range [0, {self.gpu.num_levels - 1}]"
-            )
-        if mask is None:
-            self._requested_cpu_level = cpu_levels.copy()
-            self._requested_gpu_level = gpu_levels.copy()
-        else:
-            self._requested_cpu_level = np.where(
-                mask, cpu_levels, self._requested_cpu_level
-            )
-            self._requested_gpu_level = np.where(
-                mask, gpu_levels, self._requested_gpu_level
-            )
+            if mask is None:
+                requested[:] = levels
+            else:
+                np.copyto(requested, levels, where=mask)
         self._apply_caps()
 
+    @staticmethod
+    def _check_levels(levels: np.ndarray, domain: _DomainTables, name: str) -> None:
+        if levels.dtype.kind not in "iu":
+            raise DeviceError(f"{name} levels must be integers, got {levels.dtype}")
+        if levels.size and (levels.min() < 0 or levels.max() >= domain.num_levels):
+            raise DeviceError(
+                f"{name} level out of range [0, {domain.num_levels - 1}]"
+            )
+
     def _apply_caps(self) -> None:
-        self.cpu_level = self._cpu_throttler.cap_levels(self._requested_cpu_level)
-        self.gpu_level = self._gpu_throttler.cap_levels(self._requested_gpu_level)
+        self._cpu_throttler.cap_levels(self._requested_cpu_level, out=self.cpu_level)
+        self._gpu_throttler.cap_levels(self._requested_gpu_level, out=self.gpu_level)
 
     # -- execution --------------------------------------------------------------------
 
@@ -437,7 +496,8 @@ class DeviceFleet:
         time, and sessions that finish early take zero-length sub-steps
         (``T += 0.0``) until the longest-running session completes — the
         sequence of non-zero sub-steps per session is exactly the scalar
-        sequence.
+        sequence.  This is the NumPy form of the thermal step that the
+        fused ``fleet_device_execute`` runs in C.
         """
         if np.any(duration_ms < 0):
             raise DeviceError("durations must be non-negative")
@@ -445,13 +505,6 @@ class DeviceFleet:
         power[self._cpu_node] = cpu_power_w
         power[self._gpu_node] = gpu_power_w
         remaining = np.divide(duration_ms, 1e3, out=self._remaining_scratch)
-        kernel = fused_fleet()
-        if kernel is not None:
-            before, after = self._thermal_args()
-            kernel.fleet_thermal_advance_raw(
-                *before, self.ambient_temperature_c.ctypes.data, *after
-            )
-            return
         temps = self._temperatures
         while True:
             active = remaining > 1e-12
@@ -485,46 +538,52 @@ class DeviceFleet:
         The vectorized counterpart of :meth:`EdgeDevice.execute`: powers are
         computed at pre-segment temperatures, the thermal network advances,
         throttlers re-evaluate and the (possibly capped) levels are
-        re-applied.
+        re-applied.  With the fused library all of it is one
+        ``fleet_device_execute`` call over the fleet's argument table.
+        Every returned array is a fresh copy.
         """
-        duration_ms = np.broadcast_to(
-            np.asarray(duration_ms, dtype=float), (self.num_sessions,)
-        )
-        if np.any(duration_ms < 0):
+        duration = self._duration_ms
+        duration[:] = duration_ms
+        if np.any(duration < 0):
             raise DeviceError("durations must be non-negative")
-        cpu_utilisation = np.broadcast_to(
-            np.asarray(cpu_utilisation, dtype=float), (self.num_sessions,)
-        )
-        gpu_utilisation = np.broadcast_to(
-            np.asarray(gpu_utilisation, dtype=float), (self.num_sessions,)
-        )
-        cpu_power = self.cpu.power_w(
-            self.cpu_level, cpu_utilisation, self.cpu_temperature_c
-        )
-        gpu_power = self.gpu.power_w(
-            self.gpu_level, gpu_utilisation, self.gpu_temperature_c
-        )
-        self.advance_thermal(duration_ms, cpu_power, gpu_power)
-
-        cpu_throttled = self._cpu_throttler.update(self.cpu_temperature_c)
-        gpu_throttled = self._gpu_throttler.update(self.gpu_temperature_c)
-        self._apply_caps()
-
-        energy = (cpu_power + gpu_power) * (duration_ms / 1e3)
-        self.total_energy_j += energy
-        self.elapsed_ms += duration_ms
+        self._cpu_utilisation[:] = cpu_utilisation
+        self._gpu_utilisation[:] = gpu_utilisation
+        kernel = fused_fleet()
+        if kernel is not None:
+            kernel.fleet_device_execute(self._argument_table(kernel))
+        else:
+            self._execute_numpy()
         return FleetTelemetry(
             cpu_temperature_c=self.cpu_temperature_c.copy(),
             gpu_temperature_c=self.gpu_temperature_c.copy(),
             cpu_level=self.cpu_level.copy(),
             gpu_level=self.gpu_level.copy(),
-            cpu_power_w=cpu_power,
-            gpu_power_w=gpu_power,
-            energy_j=energy,
-            cpu_throttled=cpu_throttled,
-            gpu_throttled=gpu_throttled,
-            duration_ms=duration_ms.copy(),
+            cpu_power_w=self._cpu_power_w.copy(),
+            gpu_power_w=self._gpu_power_w.copy(),
+            energy_j=self._energy_j.copy(),
+            cpu_throttled=self._cpu_throttler.throttled.copy(),
+            gpu_throttled=self._gpu_throttler.throttled.copy(),
+            duration_ms=duration.copy(),
         )
+
+    def _execute_numpy(self) -> None:
+        """The NumPy form of ``fleet_device_execute``, on the same buffers."""
+        duration = self._duration_ms
+        cpu_power = self.cpu.power_w(
+            self.cpu_level, self._cpu_utilisation, self.cpu_temperature_c
+        )
+        gpu_power = self.gpu.power_w(
+            self.gpu_level, self._gpu_utilisation, self.gpu_temperature_c
+        )
+        self.advance_thermal(duration, cpu_power, gpu_power)
+        self._cpu_throttler.update(self.cpu_temperature_c)
+        self._gpu_throttler.update(self.gpu_temperature_c)
+        self._apply_caps()
+        self._cpu_power_w[:] = cpu_power
+        self._gpu_power_w[:] = gpu_power
+        np.multiply(cpu_power + gpu_power, duration / 1e3, out=self._energy_j)
+        self.total_energy_j += self._energy_j
+        self.elapsed_ms += duration
 
     def idle(self, duration_ms: np.ndarray) -> FleetTelemetry:
         """Let the fleet sit near-idle, mirroring :meth:`EdgeDevice.idle`."""

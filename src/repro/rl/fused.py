@@ -9,18 +9,35 @@ written in the exact operand pairing and order of the NumPy sequence in
 :meth:`repro.rl.optimizer.Adam.step_flat` — and loads it via ctypes.
 
 The same library also carries the batched *fleet* kernels (see
-:func:`fused_fleet`): RC thermal sub-stepping
-(:meth:`~repro.hardware.fleet.DeviceFleet.advance_thermal`), the AR(1)
-scene-complexity advance (:meth:`~repro.workload.fleet.FleetFrameStream.
-next_frames`), the proposal-count rint/clip tail
-(:func:`~repro.detection.fleet.propose_batch`), the bias-add + ReLU of
-the stacked Q forward (:class:`~repro.rl.slimmable.SlimmableMLP`), the
-leakage-power ``exp`` and the per-session normal draws.
+:func:`fused_fleet`):
 
-Each kernel is exactly reproducible in C.  ``fleet_exp`` calls libm's
-``exp``, the function ``math.exp`` calls (NumPy's vectorized ``np.exp`` may
-differ from it by an ULP, so it is never replaced).  ``fleet_normal``
-calls NumPy's own ``random_normal``, statically linked from
+* ``fleet_device_execute`` — all of one executed segment of
+  :meth:`~repro.hardware.fleet.DeviceFleet.execute`: both domains' power
+  (dynamic + libm-``exp`` leakage), ``fleet_thermal_advance``'s RC
+  sub-stepping, trip/hysteresis throttling, level caps and energy;
+* ``fleet_segment_model`` — the latency/utilisation model of
+  :meth:`~repro.detection.fleet.BatchedExecutionModel.execute`;
+* ``fleet_ar1_advance`` — the AR(1) scene-complexity advance
+  (:meth:`~repro.workload.fleet.FleetFrameStream.next_frames`);
+* ``fleet_proposal_tail`` — the proposal-count rint/clip tail
+  (:func:`~repro.detection.fleet.propose_batch`);
+* ``fleet_normal`` — the per-session normal draws;
+* ``bias_relu`` and friends — the bias-add + ReLU of the stacked Q forward
+  (:class:`~repro.rl.slimmable.SlimmableMLP`).
+
+The two per-segment kernels take no per-call pointers: each reads an
+:class:`ArgumentTable` (an int64 table of sizes and buffer addresses plus
+a float64 table of constants) that its owner resolves once and drops on
+pickle or copy.  The owner copies per-call inputs into the table's
+buffers and copies outputs out, so one ctypes call with two arguments
+runs a whole segment.
+
+Each kernel is exactly reproducible in C.  ``fleet_exp`` (the leakage
+term of ``fleet_device_execute``) calls libm's ``exp``, the function
+``math.exp`` calls (NumPy's vectorized ``np.exp`` may differ from it by an
+ULP, so it is never replaced).  ``np.maximum``/``np.minimum`` are mirrored
+with NumPy's NaN and tie rules.  ``fleet_normal`` calls NumPy's own
+``random_normal``, statically linked from
 ``numpy/random/lib/libnpyrandom.a``, on each generator's ``bitgen_t``, so
 every draw and every generator state matches ``rng.normal(0.0, scale)``;
 :class:`SessionGenerators` keeps the generators' pointer table.  When that
@@ -53,8 +70,63 @@ import numpy as np
 
 from repro.obs import bus as _obs
 
-_SOURCE = r"""
+# Argument-table layouts of the two per-segment kernels.  An
+# :class:`ArgumentTable` packs named values in this order (integers and
+# buffer addresses into an int64 table, constants into a float64 table),
+# and the C source gets one enum per layout generated from the same names,
+# so the two sides cannot disagree on a slot.  A device's processor-domain
+# slots repeat once per domain, CPU first, after the device's own slots.
+_DEVICE_SLOTS = (
+    "nodes", "sessions", "couplings", "temperatures", "power", "ambient",
+    "resistance", "heat_capacity", "coupling_a", "coupling_b",
+    "conductance", "remaining", "substep", "deltas", "duration", "energy",
+    "total_energy", "elapsed",
+)
+_DOMAIN_SLOTS = (
+    "node", "throttled_level", "voltage_sq", "frequency", "utilisation",
+    "requested", "level", "throttled", "engage_count", "power",
+)
+_DEVICE_CONSTANTS = ("max_substep",)
+_DOMAIN_CONSTANTS = (
+    "capacitance", "idle", "leakage", "leakage_k", "leakage_ref", "trip",
+    "release",
+)
+_SEGMENT_SLOTS = (
+    "sessions", "cpu_kilocycles", "gpu_kilocycles", "cpu_frequency",
+    "gpu_frequency", "latency", "cpu_busy", "gpu_busy", "cpu_utilisation",
+    "gpu_utilisation",
+)
+_SEGMENT_CONSTANTS = (
+    "cpu_efficiency", "gpu_efficiency", "launch_overhead", "host_activity",
+)
+_DOMAINS = ("cpu", "gpu")
+
+
+def _with_domains(own: tuple, domain: tuple) -> tuple:
+    return own + tuple(f"{name}_{slot}" for name in _DOMAINS for slot in domain)
+
+
+_DEVICE_LAYOUT = _with_domains(_DEVICE_SLOTS, _DOMAIN_SLOTS)
+_DEVICE_CONSTANT_LAYOUT = _with_domains(_DEVICE_CONSTANTS, _DOMAIN_CONSTANTS)
+
+
+def _c_enum(prefix: str, names: tuple) -> str:
+    slots = ", ".join(f"{prefix}_{name.upper()}" for name in names)
+    return f"enum {{ {slots}, {prefix}_SLOTS }};\n"
+
+
+_SOURCE = "".join(
+    [
+        _c_enum("FD", _DEVICE_SLOTS),
+        _c_enum("D", _DOMAIN_SLOTS),
+        _c_enum("FC", _DEVICE_CONSTANTS),
+        _c_enum("DC", _DOMAIN_CONSTANTS),
+        _c_enum("SM", _SEGMENT_SLOTS),
+        _c_enum("SC", _SEGMENT_CONSTANTS),
+    ]
+) + r"""
 #include <math.h>
+#include <stdint.h>
 
 /* One fused Adam step over contiguous buffers.
 
@@ -341,6 +413,168 @@ void q_huber_scatter(long n, long actions, const double *outputs,
     }
 }
 
+/* ---- one executed segment per call -------------------------------------- */
+
+/* A buffer address read from an int64 argument table. */
+#define SLOT(type, table, slot) ((type *)(intptr_t)(table)[slot])
+
+/* np.maximum / np.minimum of two doubles, operand order as written: a NaN
+   first operand propagates, and otherwise the second operand wins ties, so
+   maximum(-0.0, 0.0) is +0.0 as NumPy returns it. */
+static inline double np_maximum(double a, double b) {
+    return (isnan(a) || a > b) ? a : b;
+}
+static inline double np_minimum(double a, double b) {
+    return (isnan(a) || a < b) ? a : b;
+}
+
+/* Power of one processor domain at pre-segment temperatures, mirroring
+   _DomainTables.power_w:
+     u = minimum(maximum(u, 0.0), 1.0)
+     P = (idle + ((capacitance * V^2[level]) * f[level]) * u)
+         + leakage * exp(minimum(k * (T - ref), 4.0))
+   with fleet_exp (libm's exp, as math.exp) run over the exponents in the
+   power buffer.  P goes to the domain's power buffer and to its node's row
+   of the thermal power matrix. */
+static void domain_power(long n, const long long *d, const double *c,
+                         const double *temps, double *power_rows) {
+    const double *voltage_sq = SLOT(const double, d, D_VOLTAGE_SQ);
+    const double *frequency = SLOT(const double, d, D_FREQUENCY);
+    const double *utilisation = SLOT(const double, d, D_UTILISATION);
+    const long long *level = SLOT(const long long, d, D_LEVEL);
+    double *power = SLOT(double, d, D_POWER);
+    const double *t = temps + d[D_NODE] * n;
+    double *row = power_rows + d[D_NODE] * n;
+    for (long j = 0; j < n; j++) {
+        power[j] = np_minimum(c[DC_LEAKAGE_K] * (t[j] - c[DC_LEAKAGE_REF]), 4.0);
+    }
+    fleet_exp(n, power, power);
+    for (long j = 0; j < n; j++) {
+        double u = np_minimum(np_maximum(utilisation[j], 0.0), 1.0);
+        long long l = level[j];
+        double dynamic = ((c[DC_CAPACITANCE] * voltage_sq[l]) * frequency[l]) * u;
+        double p = (c[DC_IDLE] + dynamic) + c[DC_LEAKAGE] * power[j];
+        power[j] = p;
+        row[j] = p;
+    }
+}
+
+/* Trip/hysteresis update and level cap of one domain, mirroring
+   _ThrottlerArrays.update and cap_levels:
+     released  = throttled & (T <= release)
+     engaged   = ~throttled & (T >= trip)
+     throttled = (throttled & ~released) | engaged;  engage_count += engaged
+     level     = throttled ? minimum(requested, throttled_level) : requested */
+static void domain_throttle(long n, const long long *d, const double *c,
+                            const double *temps) {
+    unsigned char *throttled = SLOT(unsigned char, d, D_THROTTLED);
+    long long *engage_count = SLOT(long long, d, D_ENGAGE_COUNT);
+    const long long *requested = SLOT(const long long, d, D_REQUESTED);
+    long long *level = SLOT(long long, d, D_LEVEL);
+    long long cap = d[D_THROTTLED_LEVEL];
+    const double *t = temps + d[D_NODE] * n;
+    for (long j = 0; j < n; j++) {
+        int was = throttled[j];
+        int released = was && t[j] <= c[DC_RELEASE];
+        int engaged = !was && t[j] >= c[DC_TRIP];
+        int now = (was && !released) || engaged;
+        throttled[j] = (unsigned char)now;
+        engage_count[j] += engaged;
+        long long r = requested[j];
+        level[j] = (now && cap < r) ? cap : r;
+    }
+}
+
+/* All of DeviceFleet.execute for one segment, in its operand order: both
+   domains' power at pre-segment temperatures, remaining = duration / 1e3,
+   the RC sub-stepping of fleet_thermal_advance, both throttlers and caps,
+   then energy = (P_cpu + P_gpu) * (duration / 1e3) accumulated into
+   total_energy, and duration into elapsed.  `t` is the fleet's int64
+   argument table (FD_* slots, then the CPU's and the GPU's D_* slots) and
+   `c` its float64 constant table (FC_*, then DC_* per domain).  Every
+   buffer is the fleet's own, resolved once; per-call inputs (duration,
+   utilisations) are copied into them by the caller. */
+void fleet_device_execute(const long long *t, const double *c) {
+    long n = t[FD_SESSIONS];
+    const long long *cpu = t + FD_SLOTS;
+    const long long *gpu = t + FD_SLOTS + D_SLOTS;
+    const double *cpu_c = c + FC_SLOTS;
+    const double *gpu_c = c + FC_SLOTS + DC_SLOTS;
+    double *temps = SLOT(double, t, FD_TEMPERATURES);
+    double *power_rows = SLOT(double, t, FD_POWER);
+    const double *duration = SLOT(const double, t, FD_DURATION);
+    double *remaining = SLOT(double, t, FD_REMAINING);
+    domain_power(n, cpu, cpu_c, temps, power_rows);
+    domain_power(n, gpu, gpu_c, temps, power_rows);
+    for (long j = 0; j < n; j++) {
+        remaining[j] = duration[j] / 1e3;
+    }
+    fleet_thermal_advance(
+        t[FD_NODES], n, temps, power_rows, SLOT(const double, t, FD_AMBIENT),
+        SLOT(const double, t, FD_RESISTANCE),
+        SLOT(const double, t, FD_HEAT_CAPACITY), t[FD_COUPLINGS],
+        SLOT(const long, t, FD_COUPLING_A), SLOT(const long, t, FD_COUPLING_B),
+        SLOT(const double, t, FD_CONDUCTANCE), remaining, c[FC_MAX_SUBSTEP],
+        SLOT(double, t, FD_SUBSTEP), SLOT(double, t, FD_DELTAS));
+    domain_throttle(n, cpu, cpu_c, temps);
+    domain_throttle(n, gpu, gpu_c, temps);
+    const double *cpu_power = SLOT(const double, cpu, D_POWER);
+    const double *gpu_power = SLOT(const double, gpu, D_POWER);
+    double *energy = SLOT(double, t, FD_ENERGY);
+    double *total_energy = SLOT(double, t, FD_TOTAL_ENERGY);
+    double *elapsed = SLOT(double, t, FD_ELAPSED);
+    for (long j = 0; j < n; j++) {
+        double e = (cpu_power[j] + gpu_power[j]) * (duration[j] / 1e3);
+        energy[j] = e;
+        total_energy[j] += e;
+        elapsed[j] += duration[j];
+    }
+}
+
+/* BatchedExecutionModel.execute over the SM_* buffers of `t`, with the
+   SC_* constants of `c`:
+     cpu_ms  = cpu_kc / (cpu_f * cpu_eff);  gpu_ms = gpu_kc / (gpu_f * gpu_eff)
+     latency = (cpu_ms + gpu_ms) + launch_overhead
+   and, where latency > 0 (else every output is 0.0, NaN latency included),
+     cpu_util = minimum(1.0, (cpu_ms + host_activity * gpu_ms) / latency)
+     gpu_util = minimum(1.0, gpu_ms / latency)
+   Returns 1, before writing anything, when a frequency is <= 0. */
+long fleet_segment_model(const long long *t, const double *c) {
+    long n = t[SM_SESSIONS];
+    const double *cpu_kc = SLOT(const double, t, SM_CPU_KILOCYCLES);
+    const double *gpu_kc = SLOT(const double, t, SM_GPU_KILOCYCLES);
+    const double *cpu_f = SLOT(const double, t, SM_CPU_FREQUENCY);
+    const double *gpu_f = SLOT(const double, t, SM_GPU_FREQUENCY);
+    double *latency = SLOT(double, t, SM_LATENCY);
+    double *cpu_busy = SLOT(double, t, SM_CPU_BUSY);
+    double *gpu_busy = SLOT(double, t, SM_GPU_BUSY);
+    double *cpu_util = SLOT(double, t, SM_CPU_UTILISATION);
+    double *gpu_util = SLOT(double, t, SM_GPU_UTILISATION);
+    for (long j = 0; j < n; j++) {
+        if (cpu_f[j] <= 0.0 || gpu_f[j] <= 0.0) return 1;
+    }
+    for (long j = 0; j < n; j++) {
+        double cpu_ms = cpu_kc[j] / (cpu_f[j] * c[SC_CPU_EFFICIENCY]);
+        double gpu_ms = gpu_kc[j] / (gpu_f[j] * c[SC_GPU_EFFICIENCY]);
+        double l = (cpu_ms + gpu_ms) + c[SC_LAUNCH_OVERHEAD];
+        if (l > 0.0) {
+            double busy = cpu_ms + c[SC_HOST_ACTIVITY] * gpu_ms;
+            latency[j] = l;
+            cpu_busy[j] = cpu_ms;
+            gpu_busy[j] = gpu_ms;
+            cpu_util[j] = np_minimum(1.0, busy / l);
+            gpu_util[j] = np_minimum(1.0, gpu_ms / l);
+        } else {
+            latency[j] = 0.0;
+            cpu_busy[j] = 0.0;
+            gpu_busy[j] = 0.0;
+            cpu_util[j] = 0.0;
+            gpu_util[j] = 0.0;
+        }
+    }
+    return 0;
+}
+
 #ifdef REPRO_NPYRANDOM
 /* One normal(0.0, scale[i]) draw from each session's own generator.
    random_normal is NumPy's own C distribution function (linked from
@@ -471,6 +705,43 @@ class SessionGenerators(Sequence):
         )
 
 
+class ArgumentTable:
+    """A per-segment kernel's persistent arguments, resolved once.
+
+    ``slots`` names the int64 table's entries in order: an integer value is
+    stored as is, an array by the address of its first element.
+    ``constants`` names the float64 table's entries.  The table keeps every
+    array it points into alive (``buffers``, by name), so the owner must
+    write those arrays only in place: rebinding an attribute to a new array
+    would leave the kernel reading the old one.  Addresses are only valid in
+    this process, so owners drop their tables when pickled or copied.
+    """
+
+    __slots__ = ("buffers", "values", "constants", "values_address", "constants_address")
+
+    def __init__(self, slots: tuple, constants: tuple, arguments: dict):
+        expected = set(slots) | set(constants)
+        if set(arguments) != expected:
+            raise ValueError(
+                f"argument table needs {sorted(expected)}, got {sorted(arguments)}"
+            )
+        self.buffers = {}
+        values = []
+        for name in slots:
+            value = arguments[name]
+            if isinstance(value, np.ndarray):
+                if not (value.flags.c_contiguous and value.flags.writeable):
+                    raise ValueError(f"{name} must be a writeable C-contiguous array")
+                self.buffers[name] = value
+                values.append(value.ctypes.data)
+            else:
+                values.append(int(value))
+        self.values = np.array(values, dtype=np.int64)
+        self.constants = np.array([arguments[name] for name in constants], dtype=float)
+        self.values_address = self.values.ctypes.data
+        self.constants_address = self.constants.ctypes.data
+
+
 class AdamPlan:
     """Pointer/dimension tables for one fused multi-region Adam step."""
 
@@ -546,6 +817,12 @@ class _FusedAdam:
         self._fleet_exp = lib.fleet_exp
         self._fleet_exp.restype = None
         self._fleet_exp.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
+        self._device_execute = lib.fleet_device_execute
+        self._device_execute.restype = None
+        self._device_execute.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+        self._segment_model = lib.fleet_segment_model
+        self._segment_model.restype = ctypes.c_long
+        self._segment_model.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
         # Built only when NumPy's random library was found (see _compile).
         self._fleet_normal = getattr(lib, "fleet_normal", None)
         self.draws_normals = self._fleet_normal is not None
@@ -718,26 +995,15 @@ class _FusedAdam:
         work buffers.  All arrays must be C-contiguous float64 (coupling
         endpoint indices int64).
         """
+        _obs.kernel_call("fleet_thermal_advance")
         nodes, n = temps.shape
-        self.fleet_thermal_advance_raw(
+        self._fleet_thermal(
             nodes, n, self._ptr(temps), self._ptr(power), self._ptr(ambient),
             self._ptr(resistance), self._ptr(heat_capacity),
             coup_a.size, self._ptr(coup_a), self._ptr(coup_b),
             self._ptr(coup_c), self._ptr(remaining), max_substep,
             self._ptr(dt_scratch), self._ptr(deltas_scratch),
         )
-
-    def fleet_thermal_advance_raw(self, *args) -> None:
-        """:meth:`fleet_thermal_advance` with precomputed buffer addresses.
-
-        ``args`` follow the C signature: ``nodes``, ``n``, the addresses of
-        temps, power, ambient, resistance and heat capacity, the coupling
-        count and the addresses of its three arrays, the address of
-        remaining, ``max_substep``, and the addresses of the two scratch
-        buffers.
-        """
-        _obs.kernel_call("fleet_thermal_advance")
-        self._fleet_thermal(*args)
 
     def fleet_exp(self, x: np.ndarray, out: np.ndarray) -> None:
         """``out = exp(x)`` with libm's ``exp``, i.e. ``math.exp`` bit for bit.
@@ -747,6 +1013,34 @@ class _FusedAdam:
         _obs.kernel_call("fleet_exp")
         addr = self._ptr(x)
         self._fleet_exp(x.size, addr, addr if out is x else self._ptr(out))
+
+    def device_table(self, arguments: dict) -> "ArgumentTable":
+        """The argument table of :meth:`fleet_device_execute` for one fleet.
+
+        ``arguments`` maps every device slot name, and every domain slot
+        name prefixed ``cpu_`` and ``gpu_``, to its value (see
+        ``_DEVICE_SLOTS`` and ``_DOMAIN_SLOTS`` and their constants).
+        """
+        return ArgumentTable(_DEVICE_LAYOUT, _DEVICE_CONSTANT_LAYOUT, arguments)
+
+    def fleet_device_execute(self, table: "ArgumentTable") -> None:
+        """Run one segment of a device fleet through its argument table."""
+        _obs.kernel_call("fleet_device_execute")
+        self._device_execute(table.values_address, table.constants_address)
+
+    def segment_table(self, arguments: dict) -> "ArgumentTable":
+        """The argument table of :meth:`fleet_segment_model` for one size."""
+        return ArgumentTable(_SEGMENT_SLOTS, _SEGMENT_CONSTANTS, arguments)
+
+    def fleet_segment_model(self, table: "ArgumentTable") -> bool:
+        """Latency and utilisation of one segment; ``False`` if a frequency is <= 0.
+
+        Inputs and outputs are the table's ``*_kilocycles``/``*_frequency``
+        and ``latency``/``*_busy``/``*_utilisation`` buffers; on ``False``
+        the outputs are left unwritten.
+        """
+        _obs.kernel_call("fleet_segment_model")
+        return self._segment_model(table.values_address, table.constants_address) == 0
 
     def fleet_normal(self, table, scale: np.ndarray, out: np.ndarray) -> None:
         """``out[i] = normal(0.0, scale[i])`` drawn from generator ``i``.
@@ -928,6 +1222,204 @@ def _reference_step(p, g, m, v, lr, beta1, beta2, eps, bc1, bc2):
     p -= s
 
 
+def _reference_thermal(
+    temps, power, ambient, resistance, heat_capacity, couplings, remaining,
+    max_substep,
+):
+    """The DeviceFleet.advance_thermal NumPy loop, advancing ``temps`` in place."""
+    nodes, n = temps.shape
+    while True:
+        active = remaining > 1e-12
+        if not active.any():
+            break
+        dt = np.where(active, np.minimum(max_substep, remaining), 0.0)
+        deltas = np.empty_like(temps)
+        for row in range(nodes):
+            to_ambient = (temps[row] - ambient) / resistance[row]
+            coupled = np.zeros(n)
+            for node_a, node_b, conductance in couplings:
+                if row == node_a:
+                    coupled = coupled + conductance * (temps[row] - temps[node_b])
+                elif row == node_b:
+                    coupled = coupled + conductance * (temps[row] - temps[node_a])
+            net_flow_w = power[row] - to_ambient - coupled
+            deltas[row] = net_flow_w / heat_capacity[row] * dt
+        temps += deltas
+        remaining = remaining - dt
+
+
+def _bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    if a.dtype.kind == "f":
+        return np.array_equal(a.view(np.int64), b.view(np.int64))
+    return np.array_equal(a, b)
+
+
+def _device_self_test(kernel: _FusedAdam, rng: np.random.Generator) -> bool:
+    """``fleet_device_execute`` vs. the DeviceFleet.execute NumPy sequence.
+
+    A small three-node fleet whose temperatures start around both domains'
+    trip points, so sessions engage and release over a few segments, with
+    zero durations and utilisations outside [0, 1].
+    """
+    nodes, n, levels = 3, 23, 5
+    couplings = [(0, 1, 0.8), (1, 2, 0.35), (0, 2, 0.1)]
+    state = {
+        "temperatures": rng.uniform(60.0, 80.0, size=(nodes, n)),
+        "ambient": rng.uniform(20.0, 45.0, size=n),
+        "total_energy": rng.uniform(0.0, 5.0, size=n),
+        "elapsed": rng.uniform(0.0, 100.0, size=n),
+    }
+    arguments = {
+        "nodes": nodes, "sessions": n, "couplings": len(couplings),
+        "power": np.zeros((nodes, n)),
+        "resistance": rng.uniform(1.0, 4.0, size=nodes),
+        "heat_capacity": rng.uniform(0.5, 3.0, size=nodes),
+        "coupling_a": np.array([a for a, _, _ in couplings], dtype=np.int64),
+        "coupling_b": np.array([b for _, b, _ in couplings], dtype=np.int64),
+        "conductance": np.array([c for _, _, c in couplings]),
+        "remaining": np.empty(n), "substep": np.empty(n),
+        "deltas": np.empty((nodes, n)), "duration": np.empty(n),
+        "energy": np.empty(n), "max_substep": 0.05,
+        **{name: value.copy() for name, value in state.items()},
+    }
+    domains = {}
+    for node, name in enumerate(_DOMAINS):
+        domain = {
+            "node": node, "throttled_level": 1,
+            "voltage_sq": rng.uniform(0.5, 1.2, size=levels) ** 2,
+            "frequency": rng.uniform(2e5, 2e6, size=levels),
+            "utilisation": np.empty(n),
+            "requested": rng.integers(0, levels, size=n),
+            "level": np.empty(n, dtype=np.int64),
+            "throttled": rng.random(n) < 0.5,
+            "engage_count": rng.integers(0, 3, size=n),
+            "power": np.empty(n),
+            "capacitance": 1e-6 * rng.uniform(1.0, 3.0), "idle": 0.4,
+            "leakage": 0.3, "leakage_k": 0.02, "leakage_ref": 25.0,
+            "trip": 70.0, "release": 66.0,
+        }
+        domain["level"][:] = np.where(
+            domain["throttled"], np.minimum(domain["requested"], 1), domain["requested"]
+        )
+        domains[name] = domain
+        arguments.update((f"{name}_{key}", value) for key, value in domain.items())
+    table = ArgumentTable(_DEVICE_LAYOUT, _DEVICE_CONSTANT_LAYOUT, arguments)
+    reference = {name: value.copy() for name, value in state.items()}
+    for name, domain in domains.items():
+        for key in ("requested", "level", "throttled", "engage_count"):
+            reference[f"{name}_{key}"] = domain[key].copy()
+    for _ in range(4):
+        duration = rng.uniform(0.0, 400.0, size=n)
+        duration[rng.random(n) < 0.2] = 0.0
+        table.buffers["duration"][:] = duration
+        # The reference sequence, as in DeviceFleet._execute_numpy.
+        temps = reference["temperatures"]
+        power_rows = np.zeros((nodes, n))
+        powers = {}
+        for name, domain in domains.items():
+            utilisation = rng.uniform(-0.3, 1.3, size=n)
+            utilisation[0] = -0.0
+            table.buffers[f"{name}_utilisation"][:] = utilisation
+            level = reference[f"{name}_level"]
+            u = np.minimum(np.maximum(utilisation, 0.0), 1.0)
+            dynamic = (
+                domain["capacitance"] * domain["voltage_sq"][level]
+                * domain["frequency"][level] * u
+            )
+            exponent = np.minimum(
+                domain["leakage_k"] * (temps[domain["node"]] - domain["leakage_ref"]),
+                4.0,
+            )
+            leakage = domain["leakage"] * np.array(
+                [math.exp(value) for value in exponent.tolist()]
+            )
+            powers[name] = domain["idle"] + dynamic + leakage
+            power_rows[domain["node"]] = powers[name]
+        _reference_thermal(
+            temps, power_rows, reference["ambient"], arguments["resistance"],
+            arguments["heat_capacity"], couplings, duration / 1e3, 0.05,
+        )
+        for name, domain in domains.items():
+            throttled = reference[f"{name}_throttled"]
+            t = temps[domain["node"]]
+            released = throttled & (t <= domain["release"])
+            engaged = ~throttled & (t >= domain["trip"])
+            throttled[:] = (throttled & ~released) | engaged
+            reference[f"{name}_engage_count"] += engaged
+            requested = reference[f"{name}_requested"]
+            reference[f"{name}_level"][:] = np.where(
+                throttled, np.minimum(requested, 1), requested
+            )
+        energy = (powers["cpu"] + powers["gpu"]) * (duration / 1e3)
+        reference["total_energy"] += energy
+        reference["elapsed"] += duration
+        kernel.fleet_device_execute(table)
+        if not (
+            _bits_equal(energy, table.buffers["energy"])
+            and all(
+                _bits_equal(powers[name], table.buffers[f"{name}_power"])
+                for name in _DOMAINS
+            )
+            and all(
+                _bits_equal(value, table.buffers[name])
+                for name, value in reference.items()
+            )
+        ):
+            return False
+    return True
+
+
+def _segment_self_test(kernel: _FusedAdam, rng: np.random.Generator) -> bool:
+    """``fleet_segment_model`` vs. the BatchedExecutionModel NumPy body.
+
+    With a zero launch overhead, so zero-work sessions take the idle
+    branch, plus NaN costs and an infinite one; then a zero frequency,
+    which must be refused.
+    """
+    n = 29
+    cpu_eff, gpu_eff, launch, host = 0.9, 0.7, 0.0, 0.15
+    cpu_kc = rng.uniform(0.0, 5e4, size=n)
+    gpu_kc = rng.uniform(0.0, 5e4, size=n)
+    cpu_kc[:4] = gpu_kc[:4] = 0.0
+    cpu_kc[4], gpu_kc[5], cpu_kc[6] = np.nan, np.nan, np.inf
+    cpu_f = rng.uniform(1e5, 2e6, size=n)
+    gpu_f = rng.uniform(1e5, 2e6, size=n)
+    table = ArgumentTable(
+        _SEGMENT_SLOTS,
+        _SEGMENT_CONSTANTS,
+        {
+            "sessions": n, "cpu_kilocycles": cpu_kc.copy(),
+            "gpu_kilocycles": gpu_kc.copy(), "cpu_frequency": cpu_f.copy(),
+            "gpu_frequency": gpu_f.copy(), "latency": np.empty(n),
+            "cpu_busy": np.empty(n), "gpu_busy": np.empty(n),
+            "cpu_utilisation": np.empty(n), "gpu_utilisation": np.empty(n),
+            "cpu_efficiency": cpu_eff, "gpu_efficiency": gpu_eff,
+            "launch_overhead": launch, "host_activity": host,
+        },
+    )
+    cpu_ms = cpu_kc / (cpu_f * cpu_eff)
+    gpu_ms = gpu_kc / (gpu_f * gpu_eff)
+    latency = cpu_ms + gpu_ms + launch
+    positive = latency > 0
+    safe = np.where(positive, latency, 1.0)
+    expected = {
+        "latency": np.where(positive, latency, 0.0),
+        "cpu_busy": np.where(positive, cpu_ms, 0.0),
+        "gpu_busy": np.where(positive, gpu_ms, 0.0),
+        "gpu_utilisation": np.where(positive, np.minimum(1.0, gpu_ms / safe), 0.0),
+    }
+    with np.errstate(invalid="ignore"):  # inf / inf, as NumPy warns
+        expected["cpu_utilisation"] = np.where(
+            positive, np.minimum(1.0, (cpu_ms + host * gpu_ms) / safe), 0.0
+        )
+    if not kernel.fleet_segment_model(table) or not all(
+        _bits_equal(value, table.buffers[name]) for name, value in expected.items()
+    ):
+        return False
+    table.buffers["gpu_frequency"][n // 2] = 0.0
+    return not kernel.fleet_segment_model(table)
+
+
 def _self_test(kernel: _FusedAdam) -> bool:
     rng = np.random.default_rng(12345)
     n = 1337
@@ -1027,25 +1519,10 @@ def _self_test(kernel: _FusedAdam) -> bool:
         [np.zeros(2), rng.uniform(0.0, 0.3, size=n - 2)]
     )
     t_ref = temps0.copy()
-    remaining = remaining0.copy()
-    while True:
-        active = remaining > 1e-12
-        if not active.any():
-            break
-        dt = np.where(active, np.minimum(max_substep, remaining), 0.0)
-        deltas = np.empty_like(t_ref)
-        for row in range(nodes):
-            to_ambient = (t_ref[row] - ambient) / resistance[row]
-            coupled = np.zeros(n)
-            for node_a, node_b, conductance in couplings:
-                if row == node_a:
-                    coupled = coupled + conductance * (t_ref[row] - t_ref[node_b])
-                elif row == node_b:
-                    coupled = coupled + conductance * (t_ref[row] - t_ref[node_a])
-            net_flow_w = power[row] - to_ambient - coupled
-            deltas[row] = net_flow_w / heat_capacity[row] * dt
-        t_ref += deltas
-        remaining = remaining - dt
+    _reference_thermal(
+        t_ref, power, ambient, resistance, heat_capacity, couplings,
+        remaining0.copy(), max_substep,
+    )
     t_c = temps0.copy()
     kernel.fleet_thermal_advance(
         t_c, power, ambient, resistance, heat_capacity,
@@ -1192,6 +1669,8 @@ def _self_test(kernel: _FusedAdam) -> bool:
         return False
     kernel.fleet_exp(exponents, exponents)  # in place
     if not np.array_equal(exp_ref.view(np.int64), exponents.view(np.int64)):
+        return False
+    if not (_device_self_test(kernel, rng) and _segment_self_test(kernel, rng)):
         return False
     if not kernel.draws_normals:
         return True

@@ -212,6 +212,55 @@ def test_batched_default_governor_registry_falls_back():
     assert "schedutil" in unknown.name and "simple_ondemand" in unknown.name
 
 
+class TestRequestLevels:
+    @staticmethod
+    def fleet():
+        fleet = DeviceFleet(build_device("jetson-orin-nano"), 4)
+        fleet.request_levels(2, 1)
+        return fleet
+
+    @staticmethod
+    def levels(fleet):
+        return fleet.state_dict()["requested_cpu_level"], fleet.cpu_level.copy()
+
+    def test_integer_mask_is_rejected(self):
+        """An integer mask would validate as an index but apply as a truth mask."""
+        fleet = self.fleet()
+        before = self.levels(fleet)
+        with pytest.raises(DeviceError, match="mask must be boolean"):
+            fleet.request_levels(np.array([0, 0, 99, 0]), 1, mask=np.array([1, 0, 1, 0]))
+        for got, expected in zip(self.levels(fleet), before):
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("levels", (np.array([1.7, 0.0, 1.0, 2.0]), 1.0, True))
+    def test_non_integer_levels_are_rejected(self, levels):
+        fleet = self.fleet()
+        before = self.levels(fleet)
+        with pytest.raises(DeviceError, match="cpu levels must be integers"):
+            fleet.request_levels(levels, 1)
+        with pytest.raises(DeviceError, match="gpu levels must be integers"):
+            fleet.request_levels(1, levels, mask=np.zeros(4, dtype=bool))
+        for got, expected in zip(self.levels(fleet), before):
+            assert np.array_equal(got, expected)
+
+    def test_only_changed_sessions_are_validated(self):
+        fleet = self.fleet()
+        mask = np.array([True, False, True, False])
+        fleet.request_levels(np.array([0, 99, 3, -1]), np.array([1, 0, 0, 77]), mask=mask)
+        assert fleet.state_dict()["requested_cpu_level"].tolist() == [0, 2, 3, 2]
+        assert fleet.state_dict()["requested_gpu_level"].tolist() == [1, 1, 0, 1]
+        with pytest.raises(DeviceError, match="gpu level out of range"):
+            fleet.request_levels(0, np.array([0, 0, 0, 77]), mask=~mask)
+        assert fleet.state_dict()["requested_cpu_level"].tolist() == [0, 2, 3, 2]
+
+    def test_snapshot_levels_are_validated(self):
+        fleet = self.fleet()
+        snapshot = fleet.state_dict()
+        snapshot["cpu_level"] = np.array([0, 0, 99, 0])
+        with pytest.raises(DeviceError, match="cpu level out of range"):
+            fleet.load_state_dict(snapshot)
+
+
 def test_device_fleet_rejects_bad_inputs():
     with pytest.raises(DeviceError):
         DeviceFleet(build_device("jetson-orin-nano"), 0)

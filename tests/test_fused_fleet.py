@@ -2,7 +2,8 @@
 
 Every fleet kernel in :mod:`repro.rl.fused` (RC thermal sub-stepping,
 clipped AR(1) stream advance, the rint/clip proposal tail, fused
-bias-add + ReLU, the per-session normal draw and the leakage ``exp``) must
+bias-add + ReLU, the per-session normal draw, the leakage ``exp``, and the
+per-segment ``fleet_device_execute`` and ``fleet_segment_model``) must
 produce output **bit-identical** to the NumPy (or ``math``) expressions it
 replaces — that is the whole contract that lets
 ``REPRO_FUSED=0`` remain a pure kill switch rather than a different
@@ -12,8 +13,8 @@ randomized shapes and fill levels.
 
 When the toolchain is unavailable (``fused_fleet()`` returns ``None``)
 the kernel-vs-reference tests skip; the kill-switch test always runs,
-in a subprocess so it sees a fresh resolution cache.  The copy-safety and
-fused-on-vs-off tests run whole fleet frames.
+in a subprocess so it sees a fresh resolution cache.  The copy-safety,
+no-aliasing and fused-on-vs-off tests run whole fleet segments and frames.
 """
 
 from __future__ import annotations
@@ -34,12 +35,14 @@ import repro.detection.fleet
 import repro.hardware.fleet
 import repro.rl.fused
 import repro.workload.fleet
-from repro.detection.fleet import propose_batch
+from repro.detection.fleet import BatchedExecutionModel, propose_batch
+from repro.detection.latency import compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import LinearRampAmbient
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, BatchedInferenceEnvironment
 from repro.errors import DetectorError
 from repro.hardware.devices.registry import build_device
+from repro.hardware.fleet import DeviceFleet
 from repro.rl.fused import (
     SessionGenerators,
     _same_state,
@@ -417,30 +420,17 @@ def _step(env) -> str:
 
 
 def _interrupted_run() -> list:
-    """Frames with a mid-frame ``set_ambient`` and a mid-episode restore.
-
-    Every ambient array the device binds is kept alive, so a new one never
-    lands at a freed one's address: a stale ambient address would then read
-    an old ambient and show in the trace.
-    """
+    """Frames with a mid-frame ``set_ambient`` and a mid-episode restore."""
     env = _environment()
-    ambients = []
-
-    def step():
-        digest = _step(env)
-        ambients.append(env.state.device.ambient_temperature_c)
-        return digest
-
-    digests = [step() for _ in range(4)]
+    digests = [_step(env) for _ in range(4)]
     snapshot = copy.deepcopy(env.state_dict())
-    digests += [step() for _ in range(3)]
+    digests += [_step(env) for _ in range(3)]
     env.begin_frame()
     env.run_first_stage()
     env.state.device.set_ambient(np.linspace(10.0, 60.0, env.num_sessions))
-    ambients.append(env.state.device.ambient_temperature_c)
     digests.append(_frame_digest(env.run_second_stage()))
     env.load_state_dict(snapshot)
-    digests += [step() for _ in range(6)]
+    digests += [_step(env) for _ in range(6)]
     return digests
 
 
@@ -451,6 +441,156 @@ def test_fused_matches_fallback_across_set_ambient_and_restore(monkeypatch):
         _use_numpy_fallback(patch)
         fallback = _interrupted_run()
     assert fused == fallback
+
+
+def _device_run(n: int) -> tuple[list, int, int]:
+    """300 segments of a hot fleet through every kind of state change.
+
+    Starts near the trip point, then cools (scalar ``set_ambient``), heats
+    again (array ``set_ambient``), resets hot and restores a snapshot, with
+    masked level requests, zero durations and utilisations outside
+    [0, 1].  Returns every telemetry array and final state array, and how
+    often a session engaged and released a throttle.
+    """
+    rng = np.random.default_rng(n)
+    fleet = DeviceFleet(build_device("jetson-orin-nano"), n, rng.uniform(65.0, 75.0, n))
+    cpu_levels, gpu_levels = fleet.cpu.num_levels, fleet.gpu.num_levels
+    recorded, engaged, released = [], 0, 0
+    previous = fleet.cpu_throttled | fleet.gpu_throttled
+    for step in range(300):
+        if step == 100:
+            fleet.set_ambient(20.0)
+        elif step == 150:
+            fleet.set_ambient(rng.uniform(60.0, 90.0, n))
+        elif step == 200:
+            snapshot = fleet.state_dict()
+        elif step == 230:
+            fleet.reset(rng.uniform(75.0, 85.0, n))
+        elif step == 260:
+            fleet.load_state_dict(snapshot)
+        if step % 5 == 0:
+            mask = rng.random(n) < 0.5
+            cpu = rng.integers(0, cpu_levels, n)
+            cpu[~mask] = 99  # out of range, but masked out
+            fleet.request_levels(cpu, rng.integers(0, gpu_levels, n), mask=mask)
+        elif step % 5 == 2:
+            fleet.request_levels(cpu_levels - 1, int(rng.integers(0, gpu_levels)))
+        duration = rng.uniform(0.0, 400.0, n)
+        duration[rng.random(n) < 0.1] = 0.0
+        utilisation = rng.uniform(0.5, 1.2, (2, n))
+        utilisation[:, rng.random(n) < 0.1] = -0.25
+        telemetry = fleet.execute(duration, utilisation[0], utilisation[1])
+        recorded += [getattr(telemetry, f.name) for f in dataclasses.fields(telemetry)]
+        throttled = telemetry.any_throttled
+        engaged += int((~previous & throttled).sum())
+        released += int((previous & ~throttled).sum())
+        previous = throttled
+    idle = fleet.idle(np.full(n, 50.0))
+    recorded += [getattr(idle, f.name) for f in dataclasses.fields(idle)]
+    recorded += [np.asarray(value) for value in fleet.state_dict().values()]
+    return recorded, engaged, released
+
+
+@needs_kernel
+@pytest.mark.parametrize("n", (1, 7, 256))
+def test_device_execute_fused_matches_fallback(n, monkeypatch):
+    fused, engaged, released = _device_run(n)
+    assert engaged > 0 and released > 0, "the run must cross trip and release"
+    with monkeypatch.context() as patch:
+        _use_numpy_fallback(patch)
+        fallback, *_ = _device_run(n)
+    assert len(fused) == len(fallback)
+    for index, (got, expected) in enumerate(zip(fused, fallback)):
+        assert_bitwise_equal(got, expected, f"array {index} differs (n={n})")
+
+
+class TestSegmentModel:
+    @staticmethod
+    def inputs(rng, n):
+        cpu_kc = rng.uniform(0.0, 5e4, n)
+        gpu_kc = rng.uniform(0.0, 5e4, n)
+        cpu_kc[: n // 4] = gpu_kc[: n // 4] = 0.0  # zero work
+        if n > 4:
+            cpu_kc[n // 4], gpu_kc[n // 4 + 1] = np.nan, np.nan
+        return cpu_kc, gpu_kc, rng.uniform(1e5, 2e6, n), rng.uniform(1e5, 2e6, n)
+
+    @needs_kernel
+    @pytest.mark.parametrize("launch_overhead_ms", (0.0, 2.0))
+    def test_fused_matches_numpy_body(self, launch_overhead_ms):
+        model = BatchedExecutionModel(
+            dataclasses.replace(
+                compute_profile_for("jetson-orin-nano"),
+                launch_overhead_ms=launch_overhead_ms,
+            )
+        )
+        rng = np.random.default_rng(600)
+        for n in (1, 7, 256, 7):  # a new size rebuilds the model's table
+            args = self.inputs(rng, n)
+            got = model.execute(*args)
+            expected = model._execute_numpy(*args)
+            for field in dataclasses.fields(got):
+                assert_bitwise_equal(
+                    getattr(got, field.name), getattr(expected, field.name),
+                    f"{field.name} differs (n={n})",
+                )
+        if launch_overhead_ms == 0.0:
+            assert got.latency_ms[0] == 0.0 and got.cpu_utilisation[0] == 0.0
+
+    @pytest.mark.parametrize("fused", (True, False))
+    @pytest.mark.parametrize("bad", (0.0, -5.0))
+    def test_non_positive_frequency_raises(self, fused, bad, monkeypatch):
+        if not fused:
+            _use_numpy_fallback(monkeypatch)
+        model = BatchedExecutionModel(compute_profile_for("jetson-orin-nano"))
+        cpu_kc, gpu_kc, cpu_f, gpu_f = self.inputs(np.random.default_rng(1), 8)
+        gpu_f[5] = bad
+        with pytest.raises(DetectorError, match="frequencies must be positive"):
+            model.execute(cpu_kc, gpu_kc, cpu_f, gpu_f)
+
+
+def _frozen(value):
+    """A deep snapshot of every array reachable from an observation/result."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _frozen(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    return copy.deepcopy(value)
+
+
+def _assert_unchanged(kept, snapshot, label):
+    for name, expected in snapshot.items():
+        got = getattr(kept, name)
+        if isinstance(expected, np.ndarray):
+            assert_bitwise_equal(got, expected, f"{label}.{name} changed")
+        elif isinstance(expected, dict):
+            _assert_unchanged(got, expected, f"{label}.{name}")
+        else:
+            assert got == expected, f"{label}.{name} changed"
+
+
+@pytest.mark.parametrize("fused", (True, False))
+def test_returned_arrays_do_not_alias_device_state(fused, monkeypatch):
+    """What execute, the segment model and the environment return is never
+    written by later calls, although the device writes its state in place."""
+    if not fused:
+        _use_numpy_fallback(monkeypatch)
+    env = _environment(n=5)
+    device = env.state.device
+    kept = [env.begin_frame(), env.run_first_stage(), env.run_second_stage()]
+    kept.append(env.execution.execute(
+        np.full(5, 1e4), np.full(5, 2e4), device.cpu_frequency_khz,
+        device.gpu_frequency_khz,
+    ))
+    kept.append(device.execute(np.full(5, 30.0), 0.8, 0.9))
+    snapshots = [_frozen(value) for value in kept]
+    for frame in range(4):
+        device.request_levels(frame % 2, 0)
+        device.set_ambient(80.0 + frame)
+        device.execute(np.full(5, 200.0), 1.0, 1.0)
+        env.execution.execute(np.full(5, 3e4), np.full(5, 1e3), 1e5, 2e5)
+        _step(env)
+    for value, snapshot in zip(kept, snapshots):
+        _assert_unchanged(value, snapshot, type(value).__name__)
 
 
 class TestCopies:

@@ -69,8 +69,10 @@ smoke_fused_kill_switch() {
     # (several devices and detectors, per-session innovation std).  The
     # digest covers each trace's column bits and datasets, and the cell's
     # session metrics and histories.  The fused side must show, through
-    # repro.obs, that the normal-draw and exp kernels ran (no silent
-    # fallback).
+    # repro.obs, that the normal-draw, device-segment and segment-model
+    # kernels ran (no silent fallback).  The governed run must throttle at
+    # least once (its thermal-soak member does), so the throttle branch is
+    # under the digest comparison.
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -129,8 +131,12 @@ kernel_calls = {
     if name == "fused.kernel_calls"
 }
 obs.disable()
-for kernel in ("fleet_normal", "fleet_exp"):
+for kernel in ("fleet_normal", "fleet_device_execute", "fleet_segment_model"):
     assert (kernel_calls.get(kernel, 0) > 0) == fused, (kernel, kernel_calls)
+assert any(
+    mixed.fleet_trace.column_window(name).any()
+    for name in ("cpu_throttled", "gpu_throttled")
+), "the governed mixed-edge-fleet run never throttled"
 mixed_digest = trace_digest(mixed.fleet_trace)
 
 with open(sys.argv[1], "w") as handle:
