@@ -8,12 +8,12 @@ diagnostics into a single :class:`SessionResult`.  The experiment runners in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List
+from dataclasses import dataclass, field
+from typing import List, Tuple, Union
 
 from repro.env.environment import InferenceEnvironment
 from repro.env.episode import run_episode
-from repro.env.metrics import EpisodeMetrics, summarize_trace
+from repro.env.metrics import EpisodeMetrics, summarize_sessions
 from repro.env.policy import Policy
 from repro.env.trace import Trace
 
@@ -24,7 +24,9 @@ class SessionResult:
 
     Attributes:
         policy_name: Name of the policy that produced the trace.
-        trace: Per-frame records of the whole session.
+        trace: Per-frame records of the whole session.  A session packaged
+            from a fleet trace holds the fleet trace and its session index,
+            and builds this :class:`Trace` on first read.
         metrics: Summary statistics over the whole trace.
         steady_metrics: Summary statistics over the second half of the trace
             only — for learning policies this excludes most of the
@@ -35,11 +37,26 @@ class SessionResult:
     """
 
     policy_name: str
-    trace: Trace
+    _trace: Union[Trace, Tuple[object, int]] = field(repr=False, compare=False)
     metrics: EpisodeMetrics
     steady_metrics: EpisodeMetrics
     losses: List[float]
     rewards: List[float]
+
+    @property
+    def trace(self) -> Trace:
+        """Per-frame records of the whole session."""
+        trace = self._trace
+        if isinstance(trace, tuple):
+            fleet_trace, session = trace
+            trace = fleet_trace.session_trace(session)
+            object.__setattr__(self, "_trace", trace)
+        return trace
+
+    def __getstate__(self) -> dict:
+        # The session's own trace, never the fleet trace behind it, so a
+        # lazy result pickles (and deep-copies) exactly like an eager one.
+        return {**self.__dict__, "_trace": self.trace}
 
 
 def session_result_from_trace(
@@ -50,17 +67,14 @@ def session_result_from_trace(
 ) -> SessionResult:
     """Package a completed trace into a :class:`SessionResult`.
 
-    This is the single place where the whole-episode and steady-state
-    summaries are derived from a trace, shared by :class:`OnlineSession`
-    (fresh runs) and the runtime's result cache (deserialised runs) so both
-    paths produce bit-identical metrics.
+    Shared by :class:`OnlineSession` (fresh runs) and the runtime's result
+    cache (deserialised runs); fleet packaging runs the same reducer over
+    all sessions at once, so every path produces bit-identical metrics.
     """
-    metrics = summarize_trace(trace)
-    steady_trace = trace.skip(len(trace) // 2) if len(trace) >= 4 else trace
-    steady_metrics = summarize_trace(steady_trace)
+    (metrics,), (steady_metrics,) = summarize_sessions(trace)
     return SessionResult(
         policy_name=policy_name,
-        trace=trace,
+        _trace=trace,
         metrics=metrics,
         steady_metrics=steady_metrics,
         losses=list(losses) if losses else [],

@@ -3,18 +3,20 @@
 The quantitative results of the paper (Tables 1 and 2) report, per
 (detector, dataset, method) combination: the mean latency ``l``, the latency
 standard deviation ``sigma_l`` and the satisfaction rate ``R_L`` (fraction
-of frames meeting the latency constraint).  :func:`summarize_trace` computes
-these plus the thermal and energy metrics used in the discussion sections.
+of frames meeting the latency constraint).  :func:`summarize_sessions`
+computes these plus the thermal and energy metrics used in the discussion
+sections, for every session of a trace at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from repro.errors import ExperimentError
-from repro.env.trace import Trace
+from repro.env.trace import COLUMN_DTYPES, Trace
 
 
 @dataclass(frozen=True)
@@ -65,37 +67,86 @@ class EpisodeMetrics:
         return self.mean_stage1_latency_ms / total
 
 
-def summarize_trace(trace: Trace) -> EpisodeMetrics:
-    """Compute :class:`EpisodeMetrics` for a trace.
+#: The trace columns the metrics read.
+_METRIC_COLUMNS = (
+    "total_latency_ms", "stage1_latency_ms", "stage2_latency_ms", "met_constraint",
+    "cpu_temperature_c", "gpu_temperature_c", "cpu_throttled", "gpu_throttled",
+    "energy_j", "num_proposals",
+)
+
+
+def _session_rows(trace) -> Dict[str, np.ndarray]:
+    """The metric columns as C-contiguous ``(sessions, frames)`` rows.
+
+    A scalar :class:`Trace` is one row; a column-window fleet trace is
+    transposed chunk by chunk, so every session's frames are contiguous,
+    as in a trace built frame by frame.
+    """
+    if isinstance(trace, Trace):
+        return {name: trace.column(name)[np.newaxis] for name in _METRIC_COLUMNS}
+    rows = {}
+    for name in _METRIC_COLUMNS:
+        rows[name] = np.empty((trace.num_sessions, len(trace)), dtype=COLUMN_DTYPES[name])
+        for offset, block in trace.iter_column_chunks(name):
+            rows[name][:, offset : offset + len(block)] = block.T
+    return rows
+
+
+def _summarize_rows(rows: Mapping[str, np.ndarray]) -> List[EpisodeMetrics]:
+    """One :class:`EpisodeMetrics` per row: each statistic is one reduction
+    along ``axis=1``, bit for bit the 1-D reduction of each row's frames."""
+    latency = rows["total_latency_ms"]
+    if latency.shape[1] == 0:
+        raise ExperimentError("cannot summarise an empty trace")
+    stage2 = rows["stage2_latency_ms"]
+    mean_temps = 0.5 * (rows["cpu_temperature_c"] + rows["gpu_temperature_c"])
+    statistics = (  # in EpisodeMetrics field order, after num_frames
+        np.mean(latency, axis=1),
+        np.std(latency, axis=1),
+        np.min(latency, axis=1),
+        np.max(latency, axis=1),
+        np.percentile(latency, 95, axis=1),
+        np.mean(rows["met_constraint"], axis=1),
+        np.mean(rows["stage1_latency_ms"], axis=1),
+        np.mean(stage2, axis=1),
+        np.std(stage2, axis=1),
+        np.mean(mean_temps, axis=1),
+        np.max(mean_temps, axis=1),
+        np.max(rows["cpu_temperature_c"], axis=1),
+        np.max(rows["gpu_temperature_c"], axis=1),
+        np.mean(rows["cpu_throttled"] | rows["gpu_throttled"], axis=1),
+        np.sum(rows["energy_j"], axis=1),
+        np.mean(rows["num_proposals"], axis=1),
+    )
+    return [
+        EpisodeMetrics(latency.shape[1], *values)
+        for values in zip(*(statistic.tolist() for statistic in statistics))
+    ]
+
+
+def summarize_sessions(trace) -> Tuple[List[EpisodeMetrics], List[EpisodeMetrics]]:
+    """Whole-episode and steady-half :class:`EpisodeMetrics` of every session.
+
+    ``trace`` is a scalar :class:`Trace` or a column-window fleet trace.
+    The steady half is the second half of the frames (all of them below
+    four frames).
 
     Raises:
         ExperimentError: If the trace is empty.
     """
-    if len(trace) == 0:
-        raise ExperimentError("cannot summarise an empty trace")
-    latencies = trace.latencies_ms()
-    stage1 = trace.stage1_latencies_ms()
-    stage2 = trace.stage2_latencies_ms()
-    mean_temps = trace.mean_temperatures_c()
-    return EpisodeMetrics(
-        num_frames=len(trace),
-        mean_latency_ms=float(np.mean(latencies)),
-        latency_std_ms=float(np.std(latencies)),
-        min_latency_ms=float(np.min(latencies)),
-        max_latency_ms=float(np.max(latencies)),
-        p95_latency_ms=float(np.percentile(latencies, 95)),
-        satisfaction_rate=float(np.mean(trace.constraint_met())),
-        mean_stage1_latency_ms=float(np.mean(stage1)),
-        mean_stage2_latency_ms=float(np.mean(stage2)),
-        stage2_latency_std_ms=float(np.std(stage2)),
-        mean_temperature_c=float(np.mean(mean_temps)),
-        max_temperature_c=float(np.max(mean_temps)),
-        max_cpu_temperature_c=float(np.max(trace.cpu_temperatures_c())),
-        max_gpu_temperature_c=float(np.max(trace.gpu_temperatures_c())),
-        throttled_fraction=float(np.mean(trace.throttled())),
-        total_energy_j=float(np.sum(trace.energies_j())),
-        mean_proposals=float(np.mean(trace.proposals())),
-    )
+    rows = _session_rows(trace)
+    start = len(trace) // 2 if len(trace) >= 4 else 0
+    steady = {name: row[:, start:] for name, row in rows.items()}
+    return _summarize_rows(rows), _summarize_rows(steady)
+
+
+def summarize_trace(trace: Trace) -> EpisodeMetrics:
+    """Compute :class:`EpisodeMetrics` for a trace (the one-session reduction).
+
+    Raises:
+        ExperimentError: If the trace is empty.
+    """
+    return _summarize_rows(_session_rows(trace))[0]
 
 
 def downsample_series(values: np.ndarray, max_points: int = 100) -> np.ndarray:

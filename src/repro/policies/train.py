@@ -109,7 +109,6 @@ def train_policy(
         from repro.env.fleet import FleetSessionGroup, run_grouped_fleet_episode
         from repro.runtime.fleet import (
             _group_histories,
-            _package_sessions,
             make_fleet_environment,
             make_fleet_policy,
         )
@@ -165,8 +164,11 @@ def train_policy(
         fleet_trace = run_grouped_fleet_episode(groups, setting.num_frames)
         # The zoo records one SessionResult per training run; for a fleet
         # run that is session 0's trace (every session shares the same
-        # network and loss history).
-        result = _package_sessions(fleet_trace, *_group_histories(groups))[0]
+        # network and loss history), so only session 0 is packaged.
+        losses, rewards, names = _group_histories(groups)
+        result = session_result_from_trace(
+            names[0], fleet_trace.session_trace(0), losses=losses[0], rewards=rewards[0]
+        )
     else:
         trace = run_episode(environment, policy, setting.num_frames)
         result = session_result_from_trace(

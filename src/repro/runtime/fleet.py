@@ -53,10 +53,13 @@ import numpy as np
 
 from repro.errors import ExperimentError, ScenarioError
 from repro.core.fleet import FleetLotusAgent
-from repro.core.training import SessionResult, session_result_from_trace
+# ``session_result_from_trace`` is re-exported: it stays part of this
+# module's namespace for code that patches it here by module path.
+from repro.core.training import SessionResult, session_result_from_trace  # noqa: F401
 from repro.detection.fleet import proposal_scale
 from repro.detection.registry import build_detector
 from repro.env.ambient import AmbientProfile, ConstantAmbient
+from repro.env.metrics import summarize_sessions
 from repro.env.fleet import (
     BatchedInferenceEnvironment,
     FleetPolicy,
@@ -357,15 +360,15 @@ def _package_sessions(
     """One :class:`SessionResult` per trace column, in global session order.
 
     The single packaging step of every fleet entry point (unsharded,
-    sharded, supervised and policy training): ``losses``/``rewards``/
-    ``names`` are indexed by global session.
+    sharded and supervised): ``losses``/``rewards``/``names`` are indexed
+    by global session.  Every session's metrics come from one batched pass
+    over the columns; its :class:`~repro.env.trace.Trace` is built only
+    when read.
     """
+    metrics, steady = summarize_sessions(fleet_trace)
     return tuple(
-        session_result_from_trace(
-            names[i],
-            fleet_trace.session_trace(i),
-            losses=losses[i],
-            rewards=rewards[i],
+        SessionResult(
+            names[i], (fleet_trace, i), metrics[i], steady[i], list(losses[i]), list(rewards[i])
         )
         for i in range(fleet_trace.num_sessions)
     )
