@@ -15,11 +15,34 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import AgentError
-from repro.rl.fused import fused_adam
+from repro.rl.fused import ArgumentTable, fused_dqn
 from repro.rl.optimizer import Adam, Optimizer
 from repro.rl.replay import Transition, TransitionBatch
 from repro.rl.schedule import Schedule
 from repro.rl.slimmable import SlimmableMLP
+
+
+#: DqnLearner attributes built by ``_init_derived``, which copies rebuild.
+_DERIVED = (
+    "_dqn", "_pair_views", "_pair_scratch", "_scratch", "_regions_cache",
+    "_grad_scratch", "_step_tables", "_greedy_tables", "_params",
+)
+
+
+def _gemm_rows(a: np.ndarray, cols: int) -> bool:
+    """Whether ``np.matmul`` hands ``a`` to gemm as it is.
+
+    That is float64 rows of ``cols`` values at unit stride, with a row
+    stride of at least ``cols`` (replay samples are row-strided views).
+    """
+    return (
+        a.dtype == np.float64
+        and a.ndim == 2
+        and a.shape[1] == cols
+        and a.strides[1] == 8
+        and a.strides[0] >= 8 * cols
+        and a.strides[0] % 8 == 0
+    )
 
 
 @dataclass(frozen=True)
@@ -83,28 +106,41 @@ class DqnLearner:
         self._pair_buffer: np.ndarray | None = None
         if hasattr(network, "rebase"):
             # Rebasing captures raw buffer addresses in this learner's view
-            # and kernel-plan caches, so a network may belong to exactly one
-            # learner; a second rebase would leave the first learner's
+            # and kernel-table caches, so a network may belong to exactly
+            # one learner; a second rebase would leave the first learner's
             # caches dangling on the abandoned buffer.
             if getattr(network, "_pair_owner", None) is not None:
                 raise AgentError(
                     "network is already owned by another DqnLearner; build a "
                     "fresh network (or clone()) per learner"
                 )
-            total = network.flat_parameters.size
-            self._pair_buffer = np.zeros(2 * total)
-            network.rebase(self._pair_buffer[:total])
-            self.target_network.rebase(self._pair_buffer[total:])
-            network._pair_owner = self
-        self._pair_views: Dict[float, List[Tuple[np.ndarray, np.ndarray]]] = {}
-        self._pair_scratch: Dict[Tuple[float, int], List[np.ndarray]] = {}
-        self._kernel = fused_adam()
+            self._pair_buffer = np.zeros(2 * network.flat_parameters.size)
+            self._rebase_pair()
         # An optimizer that overrides step_sliced (Adam, Sgd) gets the
         # sliced/flat fast paths; one that only implements the historical
         # masked step() gets padded gradients.
         self._sliced_capable = (
             type(self.optimizer).step_sliced is not Optimizer.step_sliced
         )
+        self._init_derived()
+
+    def _rebase_pair(self) -> None:
+        """Back the online and target parameters by the pair buffer's halves."""
+        total = self._pair_buffer.size // 2
+        self.network.rebase(self._pair_buffer[:total])
+        self.target_network.rebase(self._pair_buffer[total:])
+        self.network._pair_owner = self
+
+    def _init_derived(self) -> None:
+        """Kernel handles and caches, rebuilt rather than copied.
+
+        Each is a function of the configuration and of this learner's
+        buffers: the tables and plans hold raw addresses, the caches views.
+        """
+        # The whole-step and greedy-action kernels, when they run here.
+        self._dqn = fused_dqn()
+        self._pair_views: Dict[float, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._pair_scratch: Dict[Tuple[float, int], List[np.ndarray]] = {}
         # Scratch buffers reused across train_batch calls, keyed by batch
         # size (agents use one fixed batch size, so this holds one entry);
         # see _scratch_for for the tuple layout.
@@ -119,7 +155,27 @@ class DqnLearner:
         # the buffer wholesale (step_flat).
         # See _grad_scratch_for for the tuple layout.
         self._grad_scratch: Dict[float, tuple] = {}
-        self._params = network.parameters()
+        # dqn_train_step tables per (width, next width, batch size) and
+        # dqn_greedy tables per width; None marks a NumPy-path key.
+        self._step_tables: Dict[tuple, ArgumentTable | None] = {}
+        self._greedy_tables: Dict[float, ArgumentTable | None] = {}
+        self._params = self.network.parameters()
+
+    def __getstate__(self) -> dict:
+        # A copy (pickle or deepcopy) drops the kernel handles and caches
+        # and builds its own; see _init_derived.
+        return {k: v for k, v in self.__dict__.items() if k not in _DERIVED}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        pair = self._pair_buffer
+        if pair is not None and not np.may_share_memory(
+            pair, self.network.flat_parameters
+        ):
+            # Pickling copies each view on its own: move the copied
+            # networks back into the copied pair buffer.
+            self._rebase_pair()
+        self._init_derived()
 
     # -- action selection ----------------------------------------------------------
 
@@ -130,7 +186,32 @@ class DqnLearner:
 
     def greedy_action(self, state: np.ndarray, width: float = 1.0) -> int:
         """Index of the highest-valued action in ``state``."""
-        return int(np.argmax(self.q_values(state, width)))
+        x = np.asarray(state, dtype=float)
+        if self._dqn is not None and x.ndim == 1 and x.strides == (8,):
+            table = self._greedy_table(width)
+            if table is not None and x.shape[0] == self.network.input_dim:
+                return self._dqn.dqn_greedy(table, x)
+        return int(np.argmax(self.q_values(x, width)))
+
+    def _greedy_table(self, width: float) -> ArgumentTable | None:
+        """``dqn_greedy``'s table for ``width``, or ``None`` for NumPy.
+
+        A unit-sized layer makes NumPy use dot or its own loop instead of
+        gemv, so those networks stay on the NumPy path.
+        """
+        try:
+            return self._greedy_tables[width]
+        except KeyError:
+            pass
+        table = None
+        if self._pair_buffer is not None:
+            units = self.network.active_units_for_width(width)
+            if min(units) > 1:
+                table = self._dqn.greedy_table(
+                    self.network.weights, self.network.biases, units
+                )
+        self._greedy_tables[width] = table
+        return table
 
     def select_action(
         self,
@@ -153,40 +234,23 @@ class DqnLearner:
         """Reusable per-batch-size buffers.
 
         Layout: ``(batch_indices, max_next_q, grad_outputs, huber_scratch,
-        row_offsets, flat_index, flat_grad_outputs, prediction_scratch,
-        huber_addrs)`` — see the construction below for each entry's role.
+        row_offsets, flat_index, flat_grad_outputs)`` — see the construction
+        below for each entry's role.
         """
         scratch = self._scratch.get(batch_size)
         if scratch is None:
             grad_outputs = np.zeros((batch_size, self.network.output_dim))
-            max_next_q = np.zeros(batch_size)
-            predictions = np.zeros(batch_size)
-            huber = (np.zeros(batch_size), np.zeros(batch_size), np.zeros(batch_size))
-            error, _abs_error, quadratic = huber
-            flat_index = np.zeros(batch_size, dtype=np.intp)
             scratch = (
                 np.arange(batch_size),
-                max_next_q,
+                np.zeros(batch_size),
                 grad_outputs,
-                huber,
+                (np.zeros(batch_size), np.zeros(batch_size), np.zeros(batch_size)),
                 # Flat-index machinery: row offsets into the ravelled
                 # (batch, actions) plane, a reusable index buffer, and the
                 # ravelled view itself.
                 np.arange(batch_size) * self.network.output_dim,
-                flat_index,
+                np.zeros(batch_size, dtype=np.intp),
                 grad_outputs.reshape(-1),
-                predictions,
-                # Fixed buffer addresses for the fused Huber kernels:
-                # (predictions, targets==max_next_q, losses, grad,
-                #  flat_index, flat grad_outputs plane).
-                (
-                    predictions.ctypes.data,
-                    max_next_q.ctypes.data,
-                    quadratic.ctypes.data,
-                    error.ctypes.data,
-                    flat_index.ctypes.data,
-                    grad_outputs.ctypes.data,
-                ),
             )
             self._scratch[batch_size] = scratch
         return scratch
@@ -327,51 +391,13 @@ class DqnLearner:
         views = self._pair_views_for(width)
         scratch = self._pair_scratch_for(width, x.shape[0])
         last = len(views) - 1
-        kernel = self._kernel
         current: np.ndarray = x
         for layer_index, (w, b) in enumerate(views):
             z = scratch[layer_index]
             np.matmul(current, w, out=z)
-            if kernel is not None:
-                # One fused C pass over both halves: bias add plus (on
-                # hidden layers) the ReLU, bit-identical to the ufunc pair.
-                kernel.pair_bias_relu(z, b, relu=layer_index != last)
-                current = z
-            else:
-                z += b
-                current = z if layer_index == last else np.maximum(z, 0.0, out=z)
+            z += b
+            current = z if layer_index == last else np.maximum(z, 0.0, out=z)
         return current[0], current[1]
-
-    def _pair_targets_fused(
-        self, x: np.ndarray, width: float, rewards: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Fused double-DQN TD-target pass (requires the C kernels).
-
-        Runs the stacked pair forward with matmul + fused pair bias/ReLU
-        per hidden layer; the final layer's matmul output (bias not yet
-        added) feeds straight into the ``pair_q_targets`` kernel, which
-        folds in the bias, takes the online argmax with NumPy's exact
-        semantics, gathers the target value at that action and writes
-        ``(target_q * discount) + rewards`` into ``out`` — the same
-        operand pairings as the NumPy sequence, in one pass.
-        """
-        if not rewards.flags["C_CONTIGUOUS"]:
-            # Ring buffers hand out a strided column view of the scalar
-            # plane; the kernel wants unit stride.
-            rewards = np.ascontiguousarray(rewards)
-        views = self._pair_views_for(width)
-        scratch = self._pair_scratch_for(width, x.shape[0])
-        last = len(views) - 1
-        kernel = self._kernel
-        current: np.ndarray = x
-        for layer_index, (w, b) in enumerate(views):
-            z = scratch[layer_index]
-            np.matmul(current, w, out=z)
-            if layer_index == last:
-                kernel.pair_q_targets(z, b, self.config.discount, rewards, out)
-            else:
-                kernel.pair_bias_relu(z, b, relu=True)
-                current = z
 
     def train_batch(
         self,
@@ -401,11 +427,21 @@ class DqnLearner:
         if len(transitions) == 0:
             raise AgentError("cannot train on an empty batch")
 
+        next_widths = transitions.next_widths
+        uniform = transitions.uniform_next_width
+        if uniform is None:
+            first_width = float(next_widths[0])
+            if np.all(next_widths == first_width):
+                uniform = first_width
+        if uniform is not None and self._dqn is not None:
+            loss = self._train_fused(transitions, width, uniform)
+            if loss is not None:
+                return self._end_step(loss)
+
         states = transitions.states
         actions = transitions.actions
         rewards = transitions.rewards
         next_states = transitions.next_states
-        next_widths = transitions.next_widths
         batch_size = states.shape[0]
         (
             batch_indices,
@@ -415,31 +451,13 @@ class DqnLearner:
             row_offsets,
             flat_index,
             flat_grad_outputs,
-            prediction_scratch,
-            huber_addrs,
         ) = self._scratch_for(batch_size)
-
-        uniform = transitions.uniform_next_width
-        if uniform is None:
-            first_width = float(next_widths[0])
-            if np.all(next_widths == first_width):
-                uniform = first_width
-        fused_targets = False
         if uniform is not None:
             # Uniform next width (each Lotus buffer bootstraps at one fixed
             # width): a single grouped pass, no per-group index arrays; with
             # the pair buffer in place, the online and target forwards run
             # as one stacked pass.
-            if (
-                self._pair_buffer is not None
-                and self.config.double_dqn
-                and self._kernel is not None
-            ):
-                # Fully fused tail: argmax + gather + discount/reward fold
-                # happen inside the C kernel, straight off the last matmul.
-                self._pair_targets_fused(next_states, uniform, rewards, max_next_q)
-                fused_targets = True
-            elif self._pair_buffer is not None and self.config.double_dqn:
+            if self._pair_buffer is not None and self.config.double_dqn:
                 online_q, target_q = self._predict_pair(next_states, uniform)
                 best_actions = online_q.argmax(axis=1)
                 max_next_q[...] = target_q[batch_indices, best_actions]
@@ -464,11 +482,9 @@ class DqnLearner:
                 else:
                     max_next_q[group] = np.max(target_q, axis=1)
         # targets = rewards + discount * max_next_q, in place in the scratch
-        # (the exact addend pairs of the original expression; the fused
-        # kernel already folded them in).
-        if not fused_targets:
-            max_next_q *= self.config.discount
-            max_next_q += rewards
+        # (the exact addend pairs of the original expression).
+        max_next_q *= self.config.discount
+        max_next_q += rewards
         targets = max_next_q
 
         if self._pair_buffer is not None:
@@ -478,43 +494,20 @@ class DqnLearner:
         # One shared flat index addresses the taken (row, action) cells for
         # both the prediction gather and the gradient scatter.
         np.add(row_offsets, actions, out=flat_index)
-        if self._kernel is not None:
-            # One fused C call for the whole Huber tail: gather the taken
-            # predictions, elementwise loss/gradient prep, and zero-fill +
-            # scatter into the (batch, actions) gradient scratch (addresses
-            # precomputed; the pairwise loss mean stays with NumPy).
-            self._kernel.q_huber_scatter_raw(
-                batch_size,
-                self.network.output_dim,
-                outputs.ctypes.data,
-                huber_addrs[4],
-                huber_addrs[1],
-                self.config.huber_delta,
-                float(batch_size),
-                huber_addrs[2],
-                huber_addrs[5],
-            )
-            loss = float(np.add.reduce(huber_scratch[2]) / batch_size)
-        else:
-            predictions = outputs.reshape(-1)[flat_index]
-            loss, grad_predictions = self._huber_scratch(
-                predictions, targets, huber_scratch
-            )
-            # Huber-gradient scatter into the reusable (batch, actions)
-            # scratch: only the taken actions carry gradient, everything
-            # else stays at the zeros the buffer was (re)set to.
-            grad_outputs.fill(0.0)
-            flat_grad_outputs[flat_index] = grad_predictions
+        predictions = outputs.reshape(-1)[flat_index]
+        loss, grad_predictions = self._huber_scratch(predictions, targets, huber_scratch)
+        # Huber-gradient scatter into the reusable (batch, actions) scratch:
+        # only the taken actions carry gradient, everything else stays at
+        # the zeros the buffer was (re)set to.
+        grad_outputs.fill(0.0)
+        flat_grad_outputs[flat_index] = grad_predictions
         flat_grad, weight_views, bias_views, gradients, full_width, plan = (
             self._grad_scratch_for(width)
         )
         self.network.backward_into(cache, grad_outputs, weight_views, bias_views)
         self._clip_flat(flat_grad)
 
-        if self.learning_rate_schedule is not None:
-            self.optimizer.set_learning_rate(
-                max(1e-6, self.learning_rate_schedule.value(self.train_steps))
-            )
+        self._schedule_learning_rate()
         if plan is not None:
             # Prepared fused step: the whole Adam update in one C call.
             self.optimizer.step_planned(plan)
@@ -541,11 +534,87 @@ class DqnLearner:
                 full_grads.append(padded)
                 masks.append(mask)
             self.optimizer.step(self._params, full_grads, masks)
+        return self._end_step(loss)
 
+    def _schedule_learning_rate(self) -> None:
+        if self.learning_rate_schedule is not None:
+            self.optimizer.set_learning_rate(
+                max(1e-6, self.learning_rate_schedule.value(self.train_steps))
+            )
+
+    def _end_step(self, loss: float) -> float:
         self.train_steps += 1
         if self.train_steps % self.config.target_sync_interval == 0:
             self.sync_target()
         return loss
+
+    def _train_fused(
+        self, batch: TransitionBatch, width: float, next_width: float
+    ) -> float | None:
+        """The whole step as one ``dqn_train_step`` call.
+
+        Returns ``None``, having changed nothing, when the kernel cannot
+        reproduce the NumPy path bit for bit: an ineligible learner or
+        geometry (see :meth:`_step_table`), states that ``np.matmul`` would
+        not hand to gemm as they are, or an action out of range.
+        """
+        key = (width, next_width, len(batch))
+        try:
+            table = self._step_tables[key]
+        except KeyError:
+            table = self._step_tables[key] = self._step_table(*key)
+        states, next_states = batch.states, batch.next_states
+        dim = self.network.input_dim
+        if (
+            table is None
+            or not (_gemm_rows(states, dim) and _gemm_rows(next_states, dim))
+            or next_states.shape[0] != states.shape[0]
+        ):
+            return None
+        self._schedule_learning_rate()
+        optimizer = self.optimizer
+        step = optimizer.step_count + 1
+        adam = (
+            optimizer.learning_rate, optimizer.beta1, optimizer.beta2,
+            optimizer.epsilon, 1.0 - optimizer.beta1**step,
+            1.0 - optimizer.beta2**step,
+        )
+        if not self._dqn.dqn_train_step(
+            table, states, next_states, batch.rewards, batch.actions, adam
+        ):
+            return None
+        optimizer.step_count = step
+        return float(np.add.reduce(table.buffers["losses"]) / len(batch))
+
+    def _step_table(
+        self, width: float, next_width: float, batch_size: int
+    ) -> ArgumentTable | None:
+        """``dqn_train_step``'s table, or ``None`` to stay on the NumPy path.
+
+        The kernel runs the double-DQN step of a pair-buffer learner with
+        Adam, when every product has all dimensions above one: NumPy sends
+        the others to gemv, dot or its own loop instead of gemm.
+        """
+        network, optimizer = self.network, self.optimizer
+        if (
+            self._pair_buffer is None
+            or not self.config.double_dqn
+            or type(optimizer) is not Adam
+        ):
+            return None
+        train = network.active_units_for_width(width)
+        boot = network.active_units_for_width(next_width)
+        if min(batch_size, *train, *boot) < 2:
+            return None
+        optimizer._ensure_state(self._params)
+        config = self.config
+        return self._dqn.train_table(
+            network.weights, network.biases,
+            (optimizer._first_moment, optimizer._second_moment),
+            train, boot, batch_size, network.flat_parameters.size,
+            {"discount": config.discount, "huber_delta": config.huber_delta,
+             "max_grad_norm": config.max_grad_norm},
+        )
 
     def _clip_flat(self, flat_grad: np.ndarray) -> None:
         """Global-norm clipping of the flat gradient buffer: one dot, one
@@ -566,26 +635,6 @@ class DqnLearner:
         total = float(np.sqrt(np.dot(flat_grad, flat_grad)))
         if total > self.config.max_grad_norm and total > 0:
             flat_grad *= self.config.max_grad_norm / total
-
-    def _clip_gradients(self, gradients: Sequence[np.ndarray]) -> None:
-        """Global-norm clipping in one vectorized pass per array.
-
-        List-of-arrays variant of :meth:`_clip_flat` (the hot path clips the
-        flat buffer directly): the squared norm is accumulated with
-        ``dot(flat, flat)`` — no ``g**2`` temporaries — and the rescale loop
-        runs only when the norm actually exceeds the configured maximum.
-        """
-        if self.config.max_grad_norm <= 0:
-            return
-        total_sq = 0.0
-        for grad in gradients:
-            flat = grad.reshape(-1)
-            total_sq += float(np.dot(flat, flat))
-        total = float(np.sqrt(total_sq))
-        if total > self.config.max_grad_norm and total > 0:
-            scale = self.config.max_grad_norm / total
-            for grad in gradients:
-                grad *= scale
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Optional C fused kernels for the optimizer and fleet hot loops (self-verified).
+"""Optional C fused kernels for the DQN, optimizer and fleet hot loops (self-verified).
 
 The Adam update is elementwise over five same-sized buffers; in NumPy it
 takes ~14 whole-array passes (each a separate ufunc call reading and
@@ -22,15 +22,26 @@ The same library also carries the batched *fleet* kernels (see
 * ``fleet_proposal_tail`` — the proposal-count rint/clip tail
   (:func:`~repro.detection.fleet.propose_batch`);
 * ``fleet_normal`` — the per-session normal draws;
-* ``bias_relu`` and friends — the bias-add + ReLU of the stacked Q forward
+* ``bias_relu`` — the bias-add + ReLU of the Q forward
   (:class:`~repro.rl.slimmable.SlimmableMLP`).
 
-The two per-segment kernels take no per-call pointers: each reads an
+Two kernels run a whole :class:`~repro.rl.dqn.DqnLearner` call:
+``dqn_train_step`` one ``train_batch`` (double-DQN targets from the stacked
+online/target pass, training forward, Huber loss, backward, global-norm
+clip and Adam) and ``dqn_greedy`` one greedy action.  Their matrix
+products call the BLAS NumPy itself loaded (see ``_BLAS_SYMBOLS``, looked
+up at run time, not linked) with the arguments ``np.matmul``/``np.dot``
+pass, so every product is NumPy's bit for bit.  They resolve on their
+own, when the first learner asks (:func:`fused_dqn`): a NumPy on another
+BLAS or a failed self-test turns off only these two.
+
+The per-segment and DQN kernels take no per-call pointers: each reads an
 :class:`ArgumentTable` (an int64 table of sizes and buffer addresses plus
 a float64 table of constants) that its owner resolves once and drops on
 pickle or copy.  The owner copies per-call inputs into the table's
-buffers and copies outputs out, so one ctypes call with two arguments
-runs a whole segment.
+buffers (the DQN step reads its batch's states in place) and copies
+outputs out, so one ctypes call with two arguments runs a whole segment
+or train step.
 
 Each kernel is exactly reproducible in C.  ``fleet_exp`` (the leakage
 term of ``fleet_device_execute``) calls libm's ``exp``, the function
@@ -102,12 +113,41 @@ _SEGMENT_CONSTANTS = (
 _DOMAINS = ("cpu", "gpu")
 
 
-def _with_domains(own: tuple, domain: tuple) -> tuple:
-    return own + tuple(f"{name}_{slot}" for name in _DOMAINS for slot in domain)
+def _repeated(own: tuple, prefixes, slots: tuple) -> tuple:
+    return own + tuple(f"{prefix}_{slot}" for prefix in prefixes for slot in slots)
 
 
-_DEVICE_LAYOUT = _with_domains(_DEVICE_SLOTS, _DOMAIN_SLOTS)
-_DEVICE_CONSTANT_LAYOUT = _with_domains(_DEVICE_CONSTANTS, _DOMAIN_CONSTANTS)
+# The DQN kernels' layouts: a learner's own slots, then one block of layer
+# slots per dense layer (see :func:`_layers`).  ``half`` is the distance in
+# elements from an online parameter to its target twin in the pair buffer;
+# the last four slots (the states' addresses and row strides) are written
+# per step.
+_DQN_SLOTS = (
+    "gemm", "dot", "layers", "batch", "actions", "half", "grad_size",
+    "targets", "losses", "grad_outputs", "grad", "rewards", "taken",
+    "states", "states_ld", "next_states", "next_states_ld",
+)
+_DQN_LAYER_SLOTS = (
+    "inputs", "outputs", "boot_outputs", "stride", "weight", "bias", "pre",
+    "act", "delta", "pair", "weight_grad", "bias_grad", "weight_m",
+    "weight_v", "bias_m", "bias_v",
+)
+_DQN_CONSTANTS = (
+    "discount", "huber_delta", "count", "max_grad_norm", "learning_rate",
+    "beta1", "beta2", "epsilon", "bias_correction1", "bias_correction2",
+)
+_GREEDY_SLOTS = ("gemv", "layers", "state")
+_GREEDY_LAYER_SLOTS = ("inputs", "outputs", "stride", "weight", "bias", "act")
+_BATCH_SLOTS = slice(_DQN_SLOTS.index("states"), len(_DQN_SLOTS))
+_ADAM_CONSTANTS = slice(_DQN_CONSTANTS.index("learning_rate"), len(_DQN_CONSTANTS))
+
+
+def _layers(own: tuple, slots: tuple, layers: int) -> tuple:
+    return _repeated(own, (f"layer{i}" for i in range(layers)), slots)
+
+
+_DEVICE_LAYOUT = _repeated(_DEVICE_SLOTS, _DOMAINS, _DOMAIN_SLOTS)
+_DEVICE_CONSTANT_LAYOUT = _repeated(_DEVICE_CONSTANTS, _DOMAINS, _DOMAIN_CONSTANTS)
 
 
 def _c_enum(prefix: str, names: tuple) -> str:
@@ -123,10 +163,29 @@ _SOURCE = "".join(
         _c_enum("DC", _DOMAIN_CONSTANTS),
         _c_enum("SM", _SEGMENT_SLOTS),
         _c_enum("SC", _SEGMENT_CONSTANTS),
+        _c_enum("Q", _DQN_SLOTS),
+        _c_enum("QL", _DQN_LAYER_SLOTS),
+        _c_enum("QC", _DQN_CONSTANTS),
+        _c_enum("G", _GREEDY_SLOTS),
+        _c_enum("GL", _GREEDY_LAYER_SLOTS),
     ]
 ) + r"""
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
+
+/* A buffer address read from an int64 argument table. */
+#define SLOT(type, table, slot) ((type *)(intptr_t)(table)[slot])
+
+/* np.maximum / np.minimum of two doubles, operand order as written: a NaN
+   first operand propagates, and otherwise the second operand wins ties, so
+   maximum(-0.0, 0.0) is +0.0 as NumPy returns it. */
+static inline double np_maximum(double a, double b) {
+    return (isnan(a) || a > b) ? a : b;
+}
+static inline double np_minimum(double a, double b) {
+    return (isnan(a) || a < b) ? a : b;
+}
 
 /* One fused Adam step over contiguous buffers.
 
@@ -173,33 +232,6 @@ void adam_step_region(long rows, long cols, long stride,
             vr[c] = vi;
             pr[c] -= (lr * (mi / bc1)) / (sqrt(vi / bc2) + eps);
         }
-    }
-}
-
-/* grad *= (pre > 0): the ReLU backward mask, as an exact multiply by
-   1.0/0.0 (matching NumPy's float-by-bool multiply, including the sign of
-   zero on masked-out negative entries). */
-void relu_mask(long n, double *grad, const double *pre) {
-    for (long i = 0; i < n; i++) {
-        grad[i] = grad[i] * (pre[i] > 0.0 ? 1.0 : 0.0);
-    }
-}
-
-/* Huber loss elementwise prep: per-element losses and the clipped,
-   count-normalised gradient.  The mean over losses stays with NumPy (its
-   pairwise summation order must be preserved); everything here is
-   elementwise with the exact operand pairings of the NumPy sequence. */
-void huber_prep(long n, const double *pred, const double *targets,
-                double delta, double count, double *losses, double *grad) {
-    for (long i = 0; i < n; i++) {
-        double e = pred[i] - targets[i];
-        double a = fabs(e);
-        double q = a < delta ? a : delta;       /* minimum(abs, delta) */
-        double l = a - q;                       /* linear part */
-        losses[i] = (0.5 * (q * q)) + (delta * l);
-        double c = e > -delta ? e : -delta;     /* maximum(e, -delta) */
-        c = c < delta ? c : delta;              /* minimum(., delta)  */
-        grad[i] = c / count;
     }
 }
 
@@ -321,112 +353,25 @@ void fleet_proposal_tail(long n, const double *scene, double keep_ratio,
     }
 }
 
-/* Fused bias add + ReLU for one hidden layer of the stacked Q forward:
+/* Fused bias add + ReLU for one layer of the Q forward:
      z[i][j] += b[j];  act[i][j] = maximum(z[i][j], 0.0)
-   `act` may alias `z` (the inference path reuses the matmul output).  The
-   comparison is `zv >= 0.0 ? zv : 0.0`, NumPy maximum's tie rule, so the
-   sign of a -0.0 pre-activation survives exactly as in NumPy. */
+   `act` may alias `z` (the inference path reuses the matmul output), and
+   is NULL for the output layer (bias add only).  The ReLU is np_maximum,
+   so a NaN propagates and a -0.0 pre-activation becomes +0.0, as in
+   NumPy. */
 void bias_relu(long rows, long cols, double *z, const double *b,
                double *act) {
     for (long r = 0; r < rows; r++) {
         double *zr = z + r * cols;
-        double *ar = act + r * cols;
         for (long c = 0; c < cols; c++) {
             double zv = zr[c] + b[c];
             zr[c] = zv;
-            ar[c] = zv >= 0.0 ? zv : 0.0;
+            if (act) act[r * cols + c] = np_maximum(zv, 0.0);
         }
-    }
-}
-
-/* Fused bias add (+ optional ReLU) over one (2, batch, units) layer of the
-   stacked online/target pair forward, in place.  The two halves carry
-   different bias vectors (the online and target parameters live a fixed
-   byte offset apart in the shared pair buffer), hence two base pointers.
-   Ops per element match `z += b; maximum(z, 0, out=z)` exactly — same
-   addition, same `zv >= 0.0 ? zv : 0.0` tie rule as bias_relu above. */
-void pair_bias_relu(long batch, long units, double *z, const double *b0,
-                    const double *b1, long relu) {
-    for (long h = 0; h < 2; h++) {
-        const double *b = h ? b1 : b0;
-        double *zh = z + h * batch * units;
-        for (long r = 0; r < batch; r++) {
-            double *zr = zh + r * units;
-            for (long c = 0; c < units; c++) {
-                double zv = zr[c] + b[c];
-                zr[c] = relu ? (zv >= 0.0 ? zv : 0.0) : zv;
-            }
-        }
-    }
-}
-
-/* The double-DQN TD-target tail, fused over the final (2, batch, actions)
-   pair layer straight after its matmul (bias not yet added): per sample,
-   bias-add the online row, argmax it with NumPy's exact semantics (first
-   occurrence wins ties, any NaN wins immediately at its first position),
-   gather the target Q at that action (bias added on the fly — same
-   addition as the full broadcast, just only at the gathered cell), and
-   emit `(target_q * discount) + rewards[i]` — the exact operand pairing
-   of the NumPy sequence `max_next_q *= discount; max_next_q += rewards`. */
-void pair_q_targets(long batch, long actions, const double *z,
-                    const double *b0, const double *b1, double discount,
-                    const double *rewards, double *out) {
-    const double *ztgt = z + batch * actions;
-    for (long i = 0; i < batch; i++) {
-        const double *onl = z + i * actions;
-        long best = 0;
-        double bestv = onl[0] + b0[0];
-        if (!isnan(bestv)) {
-            for (long c = 1; c < actions; c++) {
-                double v = onl[c] + b0[c];
-                if (isnan(v)) { best = c; break; }
-                if (v > bestv) { bestv = v; best = c; }
-            }
-        }
-        double tv = ztgt[i * actions + best] + b1[best];
-        out[i] = (tv * discount) + rewards[i];
-    }
-}
-
-/* Fused Q gather + Huber prep + gradient scatter: gathers the taken
-   (row, action) predictions from the ravelled (batch, actions) output
-   plane, runs the exact huber_prep op sequence against the targets, and
-   scatters the per-sample gradients into a zeroed (batch * actions) flat
-   gradient plane.  Replaces take + huber_prep + fill(0) + fancy-index
-   scatter with one pass; the loss mean over `losses` stays with NumPy. */
-void q_huber_scatter(long n, long actions, const double *outputs,
-                     const long *flat_index, const double *targets,
-                     double delta, double count, double *losses,
-                     double *grad_flat) {
-    for (long i = 0; i < n * actions; i++) {
-        grad_flat[i] = 0.0;
-    }
-    for (long i = 0; i < n; i++) {
-        double e = outputs[flat_index[i]] - targets[i];
-        double a = fabs(e);
-        double q = a < delta ? a : delta;       /* minimum(abs, delta) */
-        double l = a - q;                       /* linear part */
-        losses[i] = (0.5 * (q * q)) + (delta * l);
-        double c = e > -delta ? e : -delta;     /* maximum(e, -delta) */
-        c = c < delta ? c : delta;              /* minimum(., delta)  */
-        grad_flat[flat_index[i]] = c / count;
     }
 }
 
 /* ---- one executed segment per call -------------------------------------- */
-
-/* A buffer address read from an int64 argument table. */
-#define SLOT(type, table, slot) ((type *)(intptr_t)(table)[slot])
-
-/* np.maximum / np.minimum of two doubles, operand order as written: a NaN
-   first operand propagates, and otherwise the second operand wins ties, so
-   maximum(-0.0, 0.0) is +0.0 as NumPy returns it. */
-static inline double np_maximum(double a, double b) {
-    return (isnan(a) || a > b) ? a : b;
-}
-static inline double np_minimum(double a, double b) {
-    return (isnan(a) || a < b) ? a : b;
-}
 
 /* Power of one processor domain at pre-segment temperatures, mirroring
    _DomainTables.power_w:
@@ -575,6 +520,204 @@ long fleet_segment_model(const long long *t, const double *c) {
     return 0;
 }
 
+/* ---- a whole DQN train step, or a greedy action, per call ---------------- */
+
+/* NumPy's own ILP64 CBLAS entry points (addresses in the argument tables,
+   see _numpy_blas) and cblas.h's enum values.  Every product passes the
+   arguments np.matmul or np.dot passes for the same operands, so each
+   result is NumPy's bit for bit. */
+typedef void (*dgemm_fn)(int, int, int, int64_t, int64_t, int64_t, double,
+                         const double *, int64_t, const double *, int64_t,
+                         double, double *, int64_t);
+typedef void (*dgemv_fn)(int, int, int64_t, int64_t, double, const double *,
+                         int64_t, const double *, int64_t, double, double *,
+                         int64_t);
+typedef double (*ddot_fn)(int64_t, const double *, int64_t, const double *,
+                          int64_t);
+enum { ROW_MAJOR = 101, NO_TRANS = 111, TRANS = 112 };
+
+/* np.argmax over row[c] (+ bias[c] when bias is not NULL): the first
+   maximum, or the first NaN. */
+static long np_argmax(long n, const double *row, const double *bias) {
+    long best = 0;
+    double top = bias ? row[0] + bias[0] : row[0];
+    if (isnan(top)) return 0;
+    for (long c = 1; c < n; c++) {
+        double v = bias ? row[c] + bias[c] : row[c];
+        if (isnan(v)) return c;
+        if (v > top) { top = v; best = c; }
+    }
+    return best;
+}
+
+/* out (m x n, row stride n) = op(A) @ op(B) as np.matmul issues it for
+   row-major operands: A is (m x k) with row stride lda, or stored (k x m)
+   when ta is TRANS; B is (k x n) with row stride ldb, or stored (n x k). */
+static void matmul(const long long *t, int ta, int tb, int64_t m, int64_t n,
+                   int64_t k, const double *a, int64_t lda, const double *b,
+                   int64_t ldb, double *out) {
+    ((dgemm_fn)(intptr_t)t[Q_GEMM])(ROW_MAJOR, ta, tb, m, n, k, 1.0, a, lda,
+                                    b, ldb, 0.0, out, n);
+}
+
+/* One DqnLearner.train_batch step (double-DQN targets, Huber loss, Adam)
+   over the Q_* slots of `t`, a QL_* block per layer after them and the
+   QC_* constants of `c`, in the NumPy path's operand order:
+     1. the online and target networks (the pair buffer's halves, `half`
+        elements apart) on next_states at the bootstrap width, one gemm per
+        half per layer; per sample the online argmax a* and
+        targets = (target_q[a*] * discount) + rewards;
+     2. the training forward at the train width into pre/act;
+     3. Huber loss and clipped gradient of the taken actions' Q-values,
+        scattered into the zeroed (batch x actions) grad_outputs;
+     4. backward per layer: ReLU mask, weight gradient U^T g, bias gradient
+        (a column sum from +0.0, as np.add.reduce), propagated g W^T;
+     5. the global-norm clip (0.0 + ddot, as np.dot) and the Adam update of
+        every active region.
+   Returns 1, before writing anything, when a taken action is out of
+   range. */
+long dqn_train_step(const long long *t, const double *c) {
+#define LAYER(l) (t + Q_SLOTS + (l) * QL_SLOTS)
+    long layers = t[Q_LAYERS], n = t[Q_BATCH], actions = t[Q_ACTIONS];
+    int64_t half = t[Q_HALF], in = LAYER(0)[QL_INPUTS], out;
+    const long long *taken = SLOT(const long long, t, Q_TAKEN);
+    for (long i = 0; i < n; i++) {
+        if (taken[i] < 0 || taken[i] >= actions) return 1;
+    }
+    const double *x = SLOT(const double, t, Q_NEXT_STATES);
+    int64_t ldx = t[Q_NEXT_STATES_LD], x_half = 0;
+    for (long l = 0; l < layers; l++) {
+        const long long *y = LAYER(l);
+        const double *w = SLOT(const double, y, QL_WEIGHT);
+        const double *b = SLOT(const double, y, QL_BIAS);
+        double *z = SLOT(double, y, QL_PAIR);
+        out = y[QL_BOOT_OUTPUTS];
+        for (long h = 0; h < 2; h++) {
+            double *zh = z + h * n * out;
+            matmul(t, NO_TRANS, NO_TRANS, n, out, in, x + h * x_half, ldx,
+                   w + h * half, y[QL_STRIDE], zh);
+            if (l < layers - 1) bias_relu(n, out, zh, b + h * half, zh);
+        }
+        x = z; ldx = out; x_half = n * out; in = out;
+    }
+    const double *bias = SLOT(const double, LAYER(layers - 1), QL_BIAS);
+    const double *rewards = SLOT(const double, t, Q_REWARDS);
+    double *targets = SLOT(double, t, Q_TARGETS);
+    for (long i = 0; i < n; i++) {
+        long best = np_argmax(actions, x + i * actions, bias);
+        double q = x[(n + i) * actions + best] + bias[half + best];
+        targets[i] = (q * c[QC_DISCOUNT]) + rewards[i];
+    }
+
+    const double *states = SLOT(const double, t, Q_STATES);
+    x = states; ldx = t[Q_STATES_LD]; in = LAYER(0)[QL_INPUTS];
+    for (long l = 0; l < layers; l++) {
+        const long long *y = LAYER(l);
+        double *pre = SLOT(double, y, QL_PRE);
+        double *act = l < layers - 1 ? SLOT(double, y, QL_ACT) : NULL;
+        out = y[QL_OUTPUTS];
+        matmul(t, NO_TRANS, NO_TRANS, n, out, in, x, ldx,
+               SLOT(const double, y, QL_WEIGHT), y[QL_STRIDE], pre);
+        bias_relu(n, out, pre, SLOT(const double, y, QL_BIAS), act);
+        x = act; ldx = out; in = out;
+    }
+
+    const double *q = SLOT(const double, LAYER(layers - 1), QL_PRE);
+    double *losses = SLOT(double, t, Q_LOSSES);
+    double *g = SLOT(double, t, Q_GRAD_OUTPUTS);
+    double delta = c[QC_HUBER_DELTA];
+    for (long i = 0; i < n * actions; i++) g[i] = 0.0;
+    for (long i = 0; i < n; i++) {
+        long k = i * actions + taken[i];
+        double e = q[k] - targets[i];
+        double a = fabs(e);
+        double m = np_minimum(a, delta);
+        losses[i] = ((m * m) * 0.5) + ((a - m) * delta);
+        g[k] = np_minimum(np_maximum(e, -delta), delta) / c[QC_COUNT];
+    }
+
+    for (long l = layers - 1; l >= 0; l--) {
+        const long long *y = LAYER(l);
+        in = y[QL_INPUTS];
+        out = y[QL_OUTPUTS];
+        if (l < layers - 1) {
+            const double *pre = SLOT(const double, y, QL_PRE);
+            for (long k = 0; k < n * out; k++) {
+                g[k] = g[k] * (pre[k] > 0.0 ? 1.0 : 0.0);
+            }
+        }
+        const double *u = l ? SLOT(const double, LAYER(l - 1), QL_ACT) : states;
+        matmul(t, TRANS, NO_TRANS, in, out, n, u, l ? in : t[Q_STATES_LD],
+               g, out, SLOT(double, y, QL_WEIGHT_GRAD));
+        double *bg = SLOT(double, y, QL_BIAS_GRAD);
+        for (long j = 0; j < out; j++) bg[j] = 0.0;
+        for (long r = 0; r < n; r++) {
+            for (long j = 0; j < out; j++) bg[j] = bg[j] + g[r * out + j];
+        }
+        if (l > 0) {
+            double *d = SLOT(double, y, QL_DELTA);
+            matmul(t, NO_TRANS, TRANS, n, in, out, g, out,
+                   SLOT(const double, y, QL_WEIGHT), y[QL_STRIDE], d);
+            g = d;
+        }
+    }
+
+    double *grad = SLOT(double, t, Q_GRAD);
+    int64_t size = t[Q_GRAD_SIZE];
+    double max_norm = c[QC_MAX_GRAD_NORM];
+    if (max_norm > 0.0) {
+        double sq = 0.0;
+        sq += ((ddot_fn)(intptr_t)t[Q_DOT])(size, grad, 1, grad, 1);
+        double total = sqrt(sq);
+        if (total > max_norm && total > 0.0) {
+            double scale = max_norm / total;
+            for (int64_t i = 0; i < size; i++) grad[i] = grad[i] * scale;
+        }
+    }
+    for (long l = 0; l < layers; l++) {
+        const long long *y = LAYER(l);
+        out = y[QL_OUTPUTS];
+        adam_step_region(y[QL_INPUTS], out, y[QL_STRIDE],
+                         SLOT(double, y, QL_WEIGHT),
+                         SLOT(const double, y, QL_WEIGHT_GRAD),
+                         SLOT(double, y, QL_WEIGHT_M),
+                         SLOT(double, y, QL_WEIGHT_V), c[QC_LEARNING_RATE],
+                         c[QC_BETA1], c[QC_BETA2], c[QC_EPSILON],
+                         c[QC_BIAS_CORRECTION1], c[QC_BIAS_CORRECTION2]);
+        adam_step_region(1, out, out, SLOT(double, y, QL_BIAS),
+                         SLOT(const double, y, QL_BIAS_GRAD),
+                         SLOT(double, y, QL_BIAS_M), SLOT(double, y, QL_BIAS_V),
+                         c[QC_LEARNING_RATE], c[QC_BETA1], c[QC_BETA2],
+                         c[QC_EPSILON], c[QC_BIAS_CORRECTION1],
+                         c[QC_BIAS_CORRECTION2]);
+    }
+    return 0;
+#undef LAYER
+}
+
+/* DqnLearner.greedy_action for the state in the G_* slots of `t`, with a
+   GL_* block per layer: per layer one gemv, as np.matmul issues it for a
+   (1 x in) row times a row-strided (in x out) weight view, then the bias
+   add (+ ReLU on hidden layers) in the layer's act buffer; returns the
+   np.argmax of the last one. */
+long dqn_greedy(const long long *t) {
+    long layers = t[G_LAYERS];
+    int64_t out = 0;
+    const double *x = SLOT(const double, t, G_STATE);
+    for (long l = 0; l < layers; l++) {
+        const long long *y = t + G_SLOTS + l * GL_SLOTS;
+        double *act = SLOT(double, y, GL_ACT);
+        out = y[GL_OUTPUTS];
+        ((dgemv_fn)(intptr_t)t[G_GEMV])(
+            ROW_MAJOR, TRANS, y[GL_INPUTS], out, 1.0,
+            SLOT(const double, y, GL_WEIGHT), y[GL_STRIDE], x, 1, 0.0, act, 1);
+        bias_relu(1, out, act, SLOT(const double, y, GL_BIAS),
+                  l < layers - 1 ? act : NULL);
+        x = act;
+    }
+    return np_argmax(out, x, NULL);
+}
+
 #ifdef REPRO_NPYRANDOM
 /* One normal(0.0, scale[i]) draw from each session's own generator.
    random_normal is NumPy's own C distribution function (linked from
@@ -614,9 +757,6 @@ _CFLAGS = [
 #: per-session draws stay in NumPy.
 _NPYRANDOM_INCLUDE = Path(np.get_include())
 _NPYRANDOM_ARCHIVE = Path(np.__file__).parent / "random" / "lib" / "libnpyrandom.a"
-
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-
 
 def check_scales(scale) -> np.ndarray:
     """Normal-draw scales as contiguous float64, checked as NumPy checks them.
@@ -763,10 +903,8 @@ class _FusedAdam:
     """ctypes wrapper around the compiled kernels.
 
     All pointer arguments are typed ``c_void_p`` so callers can pass raw
-    integer addresses (``array.ctypes.data``); hot paths cache those
-    addresses for their long-lived scratch buffers instead of paying the
-    ctypes pointer-conversion machinery on every call (the ``*_raw``
-    methods).
+    integer addresses (``array.ctypes.data``); the per-segment and DQN
+    kernels read theirs from an :class:`ArgumentTable` resolved once.
     """
 
     def __init__(self, lib: ctypes.CDLL):
@@ -775,14 +913,6 @@ class _FusedAdam:
         self._flat.argtypes = [
             ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
-            ctypes.c_double, ctypes.c_double,
-        ]
-        self._region = lib.adam_step_region
-        self._region.restype = None
-        self._region.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_long,
-            ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_double, ctypes.c_double,
         ]
@@ -796,15 +926,6 @@ class _FusedAdam:
             ctypes.POINTER(ctypes.c_void_p), ctypes.POINTER(ctypes.c_void_p),
             ctypes.c_double, ctypes.c_double, ctypes.c_double, ctypes.c_double,
             ctypes.c_double, ctypes.c_double,
-        ]
-        self._relu_mask = lib.relu_mask
-        self._relu_mask.restype = None
-        self._relu_mask.argtypes = [ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p]
-        self._huber_prep = lib.huber_prep
-        self._huber_prep.restype = None
-        self._huber_prep.argtypes = [
-            ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_double, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
         ]
         self._fleet_thermal = lib.fleet_thermal_advance
         self._fleet_thermal.restype = None
@@ -851,25 +972,16 @@ class _FusedAdam:
             ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
             ctypes.c_void_p,
         ]
-        self._pair_bias_relu = lib.pair_bias_relu
-        self._pair_bias_relu.restype = None
-        self._pair_bias_relu.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_long,
-        ]
-        self._pair_q_targets = lib.pair_q_targets
-        self._pair_q_targets.restype = None
-        self._pair_q_targets.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_void_p,
-        ]
-        self._q_huber_scatter = lib.q_huber_scatter
-        self._q_huber_scatter.restype = None
-        self._q_huber_scatter.argtypes = [
-            ctypes.c_long, ctypes.c_long, ctypes.c_void_p, ctypes.c_void_p,
-            ctypes.c_void_p, ctypes.c_double, ctypes.c_double, ctypes.c_void_p,
-            ctypes.c_void_p,
-        ]
+        self._train_step = lib.dqn_train_step
+        self._train_step.restype = ctypes.c_long
+        self._train_step.argtypes = [ctypes.c_void_p, ctypes.c_void_p]
+        self._greedy = lib.dqn_greedy
+        self._greedy.restype = ctypes.c_long
+        self._greedy.argtypes = [ctypes.c_void_p]
+        # NumPy's own (dgemm, dgemv, ddot) addresses, and whether the DQN
+        # kernels run: None until the first learner asks (see fused_dqn).
+        self.blas: tuple | None = None
+        self.runs_dqn: bool | None = None
 
     @staticmethod
     def _ptr(array: np.ndarray) -> int:
@@ -926,49 +1038,6 @@ class _FusedAdam:
             plan.k, plan.rows, plan.cols, plan.strides,
             plan.ps, plan.gs, plan.ms, plan.vs,
             lr, beta1, beta2, eps, bc1, bc2,
-        )
-
-    def relu_mask(self, grad: np.ndarray, pre: np.ndarray) -> None:
-        """``grad *= pre > 0`` over contiguous same-sized arrays."""
-        _obs.kernel_call("relu_mask")
-        self._relu_mask(grad.size, self._ptr(grad), self._ptr(pre))
-
-    def relu_mask_raw(self, n: int, grad_addr: int, pre_addr: int) -> None:
-        """:meth:`relu_mask` with precomputed buffer addresses."""
-        _obs.kernel_call("relu_mask_raw")
-        self._relu_mask(n, grad_addr, pre_addr)
-
-    def huber_prep(
-        self,
-        predictions: np.ndarray,
-        targets: np.ndarray,
-        delta: float,
-        count: float,
-        losses: np.ndarray,
-        grad: np.ndarray,
-    ) -> None:
-        """Per-element Huber losses and clipped gradient (contiguous 1-D)."""
-        _obs.kernel_call("huber_prep")
-        self._huber_prep(
-            predictions.size, self._ptr(predictions), self._ptr(targets),
-            delta, count, self._ptr(losses), self._ptr(grad),
-        )
-
-    def huber_prep_raw(
-        self,
-        n: int,
-        predictions_addr: int,
-        targets_addr: int,
-        delta: float,
-        count: float,
-        losses_addr: int,
-        grad_addr: int,
-    ) -> None:
-        """:meth:`huber_prep` with precomputed buffer addresses."""
-        _obs.kernel_call("huber_prep_raw")
-        self._huber_prep(
-            n, predictions_addr, targets_addr, delta, count,
-            losses_addr, grad_addr,
         )
 
     # -- fleet kernels -------------------------------------------------------
@@ -1097,68 +1166,97 @@ class _FusedAdam:
         rows, cols = z.shape
         self._bias_relu(rows, cols, self._ptr(z), self._ptr(b), self._ptr(act))
 
-    def pair_bias_relu(self, z: np.ndarray, b: np.ndarray, relu: bool) -> None:
-        """Bias add (+ ReLU when ``relu``) over one stacked pair layer.
+    # -- DQN kernels -----------------------------------------------------------
 
-        ``z`` is the C-contiguous ``(2, batch, units)`` activation scratch
-        (online half first); ``b`` is the strided ``(2, 1, units)`` pair
-        bias view, whose two halves sit ``b.strides[0]`` bytes apart in the
-        shared pair parameter buffer.
+    def train_table(
+        self, weights, biases, moments, train, boot, batch, half, constants
+    ) -> "ArgumentTable":
+        """The argument table of :meth:`dqn_train_step` for one learner.
+
+        ``weights``/``biases`` are the online network's full parameters,
+        each ``half`` elements before its target twin; ``moments`` holds
+        Adam's first and second moment lists (weights and biases
+        interleaved); ``train``/``boot`` are the active units per layer
+        boundary at the train and bootstrap widths; ``constants`` maps
+        ``discount``, ``huber_delta`` and ``max_grad_norm``.
         """
-        _obs.kernel_call("pair_bias_relu")
-        _, batch, units = z.shape
-        b0 = b.ctypes.data
-        self._pair_bias_relu(
-            batch, units, self._ptr(z), b0, b0 + b.strides[0], 1 if relu else 0
+        (first, second), layers, actions = moments, len(weights), train[-1]
+        grad = np.zeros(sum(i * o + o for i, o in zip(train[:-1], train[1:])))
+        arguments = {
+            "gemm": self.blas[0], "dot": self.blas[2], "layers": layers,
+            "batch": batch, "actions": actions, "half": half,
+            "grad_size": grad.size, "targets": np.zeros(batch),
+            "losses": np.zeros(batch), "grad_outputs": np.zeros((batch, actions)),
+            "grad": grad, "rewards": np.zeros(batch),
+            "taken": np.zeros(batch, dtype=np.int64), "states": 0,
+            "states_ld": 0, "next_states": 0, "next_states_ld": 0,
+            "count": float(batch), **constants,
+            **dict.fromkeys(_DQN_CONSTANTS[_ADAM_CONSTANTS], 0.0),
+        }
+        offset = 0
+        for i in range(layers):
+            ins, outs = train[i], train[i + 1]
+            end = offset + ins * outs
+            layer = {
+                "inputs": ins, "outputs": outs, "boot_outputs": boot[i + 1],
+                "stride": weights[i].shape[1], "weight": weights[i],
+                "bias": biases[i], "pre": np.zeros((batch, outs)),
+                "act": np.zeros((batch, outs)), "delta": np.zeros((batch, ins)),
+                "pair": np.zeros((2, batch, boot[i + 1])),
+                "weight_grad": grad[offset:end], "bias_grad": grad[end : end + outs],
+                "weight_m": first[2 * i], "weight_v": second[2 * i],
+                "bias_m": first[2 * i + 1], "bias_v": second[2 * i + 1],
+            }
+            offset = end + outs
+            arguments.update((f"layer{i}_{key}", value) for key, value in layer.items())
+        return ArgumentTable(
+            _layers(_DQN_SLOTS, _DQN_LAYER_SLOTS, layers), _DQN_CONSTANTS, arguments
         )
 
-    def pair_q_targets(
-        self,
-        z: np.ndarray,
-        b: np.ndarray,
-        discount: float,
-        rewards: np.ndarray,
-        out: np.ndarray,
-    ) -> None:
-        """Double-DQN TD targets from the biasless final pair layer.
+    def dqn_train_step(
+        self, table: "ArgumentTable", states, next_states, rewards, actions, adam
+    ) -> bool:
+        """One DQN train step through ``table`` (see :meth:`train_table`).
 
-        ``z`` is the ``(2, batch, actions)`` output of the last stacked
-        matmul (bias NOT yet added — the kernel folds it in); ``b`` the
-        ``(2, 1, actions)`` pair bias view.  Writes
-        ``(target_q[argmax online_q] * discount) + rewards`` into ``out``.
+        ``states``/``next_states`` are float64 ``(batch, inputs)`` arrays
+        with unit column stride, read in place with their row strides as
+        ``np.matmul`` reads them; ``adam`` is ``(learning_rate, beta1,
+        beta2, epsilon, bias_correction1, bias_correction2)``.  Returns
+        ``False``, with nothing updated, when an action is out of range.
         """
-        _obs.kernel_call("pair_q_targets")
-        _, batch, actions = z.shape
-        b0 = b.ctypes.data
-        self._pair_q_targets(
-            batch, actions, self._ptr(z), b0, b0 + b.strides[0],
-            discount, self._ptr(rewards), self._ptr(out),
+        table.buffers["rewards"][...] = rewards
+        table.buffers["taken"][...] = actions
+        table.values[_BATCH_SLOTS] = (
+            states.ctypes.data, states.strides[0] // 8,
+            next_states.ctypes.data, next_states.strides[0] // 8,
+        )
+        table.constants[_ADAM_CONSTANTS] = adam
+        _obs.kernel_call("dqn_train_step")
+        return self._train_step(table.values_address, table.constants_address) == 0
+
+    def greedy_table(self, weights, biases, units) -> "ArgumentTable":
+        """The argument table of :meth:`dqn_greedy` for one network width."""
+        layers = len(weights)
+        arguments = {"gemv": self.blas[1], "layers": layers, "state": np.zeros(units[0])}
+        for i in range(layers):
+            layer = {
+                "inputs": units[i], "outputs": units[i + 1],
+                "stride": weights[i].shape[1], "weight": weights[i],
+                "bias": biases[i], "act": np.zeros(units[i + 1]),
+            }
+            arguments.update((f"layer{i}_{key}", value) for key, value in layer.items())
+        return ArgumentTable(
+            _layers(_GREEDY_SLOTS, _GREEDY_LAYER_SLOTS, layers), (), arguments
         )
 
-    def q_huber_scatter_raw(
-        self,
-        n: int,
-        actions: int,
-        outputs_addr: int,
-        flat_index_addr: int,
-        targets_addr: int,
-        delta: float,
-        count: float,
-        losses_addr: int,
-        grad_flat_addr: int,
-    ) -> None:
-        """Fused Q gather + Huber prep + gradient scatter (raw addresses).
+    def dqn_greedy(self, table: "ArgumentTable", state: np.ndarray) -> int:
+        """``np.argmax`` of the Q-values of one float64 ``state``.
 
-        Zero-fills the ``n * actions`` flat gradient plane, then per sample
-        gathers ``outputs[flat_index[i]]``, computes the Huber loss/gradient
-        against ``targets`` with the exact ``huber_prep`` op sequence, and
-        scatters the gradient back at ``flat_index[i]``.
+        The Q-values are left in the last layer's ``act`` buffer.
         """
-        _obs.kernel_call("q_huber_scatter_raw")
-        self._q_huber_scatter(
-            n, actions, outputs_addr, flat_index_addr, targets_addr,
-            delta, count, losses_addr, grad_flat_addr,
-        )
+        table.buffers["state"][...] = state
+        _obs.kernel_call("dqn_greedy")
+        return self._greedy(table.values_address)
 
     def step_flat(
         self,
@@ -1177,34 +1275,6 @@ class _FusedAdam:
         self._flat(
             params.size, self._ptr(params), self._ptr(grads),
             self._ptr(m), self._ptr(v), lr, beta1, beta2, eps, bc1, bc2,
-        )
-
-    def step_region(
-        self,
-        param_view: np.ndarray,
-        grad: np.ndarray,
-        m_view: np.ndarray,
-        v_view: np.ndarray,
-        lr: float,
-        beta1: float,
-        beta2: float,
-        eps: float,
-        bc1: float,
-        bc2: float,
-    ) -> None:
-        """Update a (rows, cols) row-strided view from a contiguous gradient."""
-        _obs.kernel_call("step_region")
-        if param_view.ndim == 1:
-            rows, cols = 1, param_view.shape[0]
-            stride = cols
-        else:
-            rows, cols = param_view.shape
-            stride = param_view.strides[0] // param_view.itemsize
-        self._region(
-            rows, cols, stride,
-            self._ptr(param_view), self._ptr(grad),
-            self._ptr(m_view), self._ptr(v_view),
-            lr, beta1, beta2, eps, bc1, bc2,
         )
 
 
@@ -1420,6 +1490,98 @@ def _segment_self_test(kernel: _FusedAdam, rng: np.random.Generator) -> bool:
     return not kernel.fleet_segment_model(table)
 
 
+def _dqn_self_test(kernel: _FusedAdam, rng: np.random.Generator) -> bool:
+    """``dqn_train_step`` and ``dqn_greedy`` vs. the NumPy path of DqnLearner.
+
+    On a small pair buffer: the step trains at a reduced width (row-strided
+    weight views) and bootstraps at the full one, reads row-strided states
+    as replay samples are, has a dead hidden unit and clips; the greedy
+    action runs at the reduced width on the updated parameters.
+    """
+    full, train = [5, 6, 5, 3], [5, 4, 3, 3]
+    batch, delta, discount, max_norm = 7, 1.0, 0.9, 0.05
+    adam = (0.01, 0.9, 0.99, 1e-8, 1.0 - 0.9**3, 1.0 - 0.99**3)
+    half = sum(i * o + o for i, o in zip(full[:-1], full[1:]))
+
+    def views(flat, offset=0):
+        # [w0, b0, w1, b1, ...] of one network in the flat parameter layout.
+        out = []
+        for fan_in, fan_out in zip(full[:-1], full[1:]):
+            end = offset + fan_in * fan_out
+            out += [flat[offset:end].reshape(fan_in, fan_out), flat[end : end + fan_out]]
+            offset = end + fan_out
+        return out
+
+    def forward(x, params, units):
+        pre, act = [], []
+        for i, (w, b) in enumerate(zip(params[::2], params[1::2])):
+            z = x @ w[: units[i], : units[i + 1]]
+            z += b[: units[i + 1]]
+            pre.append(z)
+            x = np.maximum(z, 0.0) if i < len(full) - 2 else z
+            act.append(x)
+        return pre, act
+
+    pair = rng.normal(size=2 * half)
+    pair[full[0] * full[1] + 1] = -1e3  # hidden unit 1 never fires
+    moments = np.concatenate([rng.normal(size=half) * 0.1, rng.normal(size=half) ** 2])
+    samples = rng.normal(size=(batch, 2 * full[0]))
+    states, next_states = samples[:, : full[0]], samples[:, full[0] :]
+    rewards, actions = rng.normal(size=batch), rng.integers(full[-1], size=batch)
+    # The NumPy reference, op for op.
+    ref, ref_m, ref_v = pair.copy(), moments[:half].copy(), moments[half:].copy()
+    params, rows = views(ref), np.arange(batch)
+    online = forward(next_states, params, full)[1][-1]
+    target = forward(next_states, views(ref, half), full)[1][-1]
+    targets = target[rows, online.argmax(axis=1)] * discount + rewards
+    pre, act = forward(states, params, train)
+    error = act[-1][rows, actions] - targets
+    magnitude = np.abs(error)
+    quadratic = np.minimum(magnitude, delta)
+    losses = quadratic * quadratic * 0.5 + (magnitude - quadratic) * delta
+    g = np.zeros((batch, full[-1]))
+    g[rows, actions] = np.minimum(np.maximum(error, -delta), delta) / batch
+    grads = []
+    for i in reversed(range(len(full) - 1)):
+        if i < len(full) - 2:
+            g = g * (pre[i] > 0.0)
+        upstream = states if i == 0 else act[i - 1]
+        grads[:0] = [upstream.T @ g, np.add.reduce(g, axis=0)]
+        if i:
+            g = g @ params[2 * i][: train[i], : train[i + 1]].T
+    flat = np.concatenate([grad.ravel() for grad in grads])
+    norm = float(np.sqrt(np.dot(flat, flat)))
+    if norm > max_norm:
+        flat *= max_norm / norm
+    offset = 0
+    for i, (p, m, v) in enumerate(zip(params, views(ref_m), views(ref_v))):
+        region = (slice(0, train[i // 2]), slice(0, train[i // 2 + 1]))[-p.ndim :]
+        grad = flat[offset : offset + grads[i].size].reshape(grads[i].shape)
+        _reference_step(p[region], grad, m[region], v[region], *adam)
+        offset += grads[i].size
+    # The kernels on copies of the same buffers.
+    live, live_moments = pair.copy(), moments.copy()
+    net = views(live)
+    table = kernel.train_table(
+        net[::2], net[1::2], (views(live_moments), views(live_moments, half)),
+        train, full, batch, half,
+        {"discount": discount, "huber_delta": delta, "max_grad_norm": max_norm},
+    )
+    if not (
+        kernel.dqn_train_step(table, states, next_states, rewards, actions, adam)
+        and _bits_equal(table.buffers["losses"], losses)
+        and _bits_equal(live, ref)
+        and _bits_equal(live_moments, np.concatenate([ref_m, ref_v]))
+    ):
+        return False
+    state = rng.normal(size=full[0])
+    q = forward(state[None, :], params, train)[1][-1][0]
+    greedy = kernel.greedy_table(net[::2], net[1::2], train)
+    return kernel.dqn_greedy(greedy, state) == int(np.argmax(q)) and _bits_equal(
+        greedy.buffers[f"layer{len(full) - 2}_act"], q
+    )
+
+
 def _self_test(kernel: _FusedAdam) -> bool:
     rng = np.random.default_rng(12345)
     n = 1337
@@ -1436,22 +1598,6 @@ def _self_test(kernel: _FusedAdam) -> bool:
         np.array_equal(p_ref, p_c)
         and np.array_equal(m_ref, m_c)
         and np.array_equal(v_ref, v_c)
-    ):
-        return False
-    # Region variant on a strided rectangle.
-    full = rng.normal(size=(24, 32))
-    mf = rng.normal(size=(24, 32)) * 0.1
-    vf = np.abs(rng.normal(size=(24, 32))) * 0.01
-    grad = rng.normal(size=(20, 24)).copy()
-    p_ref2, m_ref2, v_ref2 = full.copy(), mf.copy(), vf.copy()
-    _reference_step(
-        p_ref2[:20, :24], grad, m_ref2[:20, :24], v_ref2[:20, :24], *args
-    )
-    kernel.step_region(full[:20, :24], grad, mf[:20, :24], vf[:20, :24], *args)
-    if not (
-        np.array_equal(p_ref2, full)
-        and np.array_equal(m_ref2, mf)
-        and np.array_equal(v_ref2, vf)
     ):
         return False
     # Plan/multi plumbing: a strided matrix region plus a vector in one call.
@@ -1476,32 +1622,6 @@ def _self_test(kernel: _FusedAdam) -> bool:
     if not all(
         np.array_equal(ref, live)
         for ref, live in zip(refs, (pw, mw, vw, pb, mb, vb))
-    ):
-        return False
-    # ReLU mask: must match NumPy's float-by-bool multiply bit for bit,
-    # including the sign of zero on masked-out entries.
-    pre = rng.normal(size=256)
-    g_ref = rng.normal(size=256)
-    g_c = g_ref.copy()
-    g_ref *= pre > 0.0
-    kernel.relu_mask(g_c, pre)
-    if not np.array_equal(g_ref.view(np.int64), g_c.view(np.int64)):
-        return False
-    # Huber elementwise prep vs. the NumPy op sequence.
-    preds = rng.normal(size=97)
-    targs = rng.normal(size=97)
-    delta, cnt = 1.0, 97.0
-    err = preds - targs
-    abs_err = np.abs(err)
-    quad = np.minimum(abs_err, delta)
-    losses_ref = 0.5 * (quad * quad) + delta * (abs_err - quad)
-    grad_ref = np.minimum(np.maximum(err, -delta), delta) / cnt
-    losses_c = np.empty(97)
-    grad_c = np.empty(97)
-    kernel.huber_prep(preds, targs, delta, cnt, losses_c, grad_c)
-    if not (
-        np.array_equal(losses_ref.view(np.int64), losses_c.view(np.int64))
-        and np.array_equal(grad_ref.view(np.int64), grad_c.view(np.int64))
     ):
         return False
     # Fleet thermal sub-stepping vs. the DeviceFleet.advance_thermal NumPy
@@ -1564,9 +1684,11 @@ def _self_test(kernel: _FusedAdam) -> bool:
         if not np.array_equal(counts_ref, counts_c):
             return False
     # Bias add + ReLU vs. `z += b; maximum(z, 0)`, separate-output and
-    # aliased (act is z) forms.
+    # aliased (act is z) forms, with a -0.0 pre-activation and a NaN.
     z0 = rng.normal(size=(17, 23))
     bias = rng.normal(size=23)
+    z0[0, 0] = bias[0] = -0.0
+    z0[1, 1] = np.nan
     z_ref = z0.copy()
     z_ref += bias
     act_ref = np.maximum(z_ref, 0.0)
@@ -1581,81 +1703,6 @@ def _self_test(kernel: _FusedAdam) -> bool:
     z_alias = z0.copy()
     kernel.bias_relu(z_alias, bias, z_alias)
     if not np.array_equal(act_ref.view(np.int64), z_alias.view(np.int64)):
-        return False
-    # Pair bias add (+ ReLU) over a (2, batch, units) stacked layer, with
-    # the two bias halves living `half` bytes apart like the real pair
-    # parameter buffer (strided (2, 1, units) view), relu and no-relu forms.
-    units, half_elems, off = 23, 40, 3
-    pair_flat = rng.normal(size=off + half_elems + units)
-    pair_b = np.lib.stride_tricks.as_strided(
-        pair_flat[off : off + units],
-        shape=(2, 1, units),
-        strides=(half_elems * pair_flat.itemsize, 0, pair_flat.itemsize),
-    )
-    zp0 = rng.normal(size=(2, 17, units))
-    for relu in (True, False):
-        zp_ref = zp0.copy()
-        zp_ref += pair_b
-        if relu:
-            np.maximum(zp_ref, 0.0, out=zp_ref)
-        zp_c = zp0.copy()
-        kernel.pair_bias_relu(zp_c, pair_b, relu)
-        if not np.array_equal(zp_ref.view(np.int64), zp_c.view(np.int64)):
-            return False
-    # Double-DQN TD targets from the biasless final pair layer, including
-    # an exact post-bias tie (first occurrence must win), a NaN mid-row and
-    # a NaN at position 0 (NumPy argmax returns the first NaN's index).
-    actions, bq_half, bq_off = 5, 12, 2
-    bq_flat = rng.normal(size=bq_off + bq_half + actions)
-    bq = np.lib.stride_tricks.as_strided(
-        bq_flat[bq_off : bq_off + actions],
-        shape=(2, 1, actions),
-        strides=(bq_half * bq_flat.itemsize, 0, bq_flat.itemsize),
-    )
-    zq = rng.normal(size=(2, 9, actions))
-    bq_flat[bq_off + 1] = 0.25
-    bq_flat[bq_off + 4] = 0.25
-    zq[0, 2] = 0.0
-    zq[0, 2, 1] = 3.5
-    zq[0, 2, 4] = 3.5
-    zq[0, 1, 2] = np.nan
-    zq[0, 3, 0] = np.nan
-    rewards_q = rng.normal(size=9)
-    discount_q = 0.9
-    zq_biased = zq + bq
-    best_q = np.argmax(zq_biased[0], axis=1)
-    tv = zq_biased[1][np.arange(9), best_q]
-    out_ref = (tv * discount_q) + rewards_q
-    out_c = np.empty(9)
-    kernel.pair_q_targets(zq, bq, discount_q, rewards_q, out_c)
-    if not np.array_equal(out_ref.view(np.int64), out_c.view(np.int64)):
-        return False
-    # Fused gather + Huber prep + gradient scatter vs. the NumPy take /
-    # huber sequence / fill-and-fancy-index scatter, with errors on both
-    # sides of delta.
-    hb, ha = 13, 5
-    outs = rng.normal(scale=3.0, size=(hb, ha))
-    taken = rng.integers(ha, size=hb)
-    fi = (np.arange(hb) * ha + taken).astype(np.intp)
-    targs_h = rng.normal(size=hb)
-    preds_h = outs.reshape(-1)[fi]
-    err_h = preds_h - targs_h
-    abs_h = np.abs(err_h)
-    quad_h = np.minimum(abs_h, delta)
-    losses_href = 0.5 * (quad_h * quad_h) + delta * (abs_h - quad_h)
-    grad_vals = np.minimum(np.maximum(err_h, -delta), delta) / float(hb)
-    grad_flat_ref = np.zeros(hb * ha)
-    grad_flat_ref[fi] = grad_vals
-    losses_hc = np.empty(hb)
-    grad_flat_c = np.empty(hb * ha)
-    kernel.q_huber_scatter_raw(
-        hb, ha, outs.ctypes.data, fi.ctypes.data, targs_h.ctypes.data,
-        delta, float(hb), losses_hc.ctypes.data, grad_flat_c.ctypes.data,
-    )
-    if not (
-        np.array_equal(losses_href.view(np.int64), losses_hc.view(np.int64))
-        and np.array_equal(grad_flat_ref.view(np.int64), grad_flat_c.view(np.int64))
-    ):
         return False
     # Leakage exp vs. math.exp (one libm, both sides), over the leakage
     # exponent range up to its 4.0 cap plus the edges of exp's domain.
@@ -1768,6 +1815,32 @@ def _npyrandom_build() -> tuple[list, list, str]:
     )
 
 
+#: The CBLAS functions NumPy's matmul and dot call, (dgemm, dgemv, ddot), as
+#: the ILP64 scipy-openblas build bundled with NumPy's wheels exports them.
+#: A NumPy built on another BLAS exports none of them.
+_BLAS_SYMBOLS = (
+    "scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddot64_",
+)
+
+
+def _numpy_blas() -> tuple | None:
+    """Addresses of the BLAS functions NumPy calls, or ``None`` if missing.
+
+    Looked up through NumPy's core extension, which links the BLAS library:
+    the copy NumPy has already loaded.
+    """
+    from numpy._core import _multiarray_umath
+
+    lib = ctypes.CDLL(_multiarray_umath.__file__)
+    try:
+        return tuple(
+            ctypes.cast(getattr(lib, name), ctypes.c_void_p).value
+            for name in _BLAS_SYMBOLS
+        )
+    except AttributeError:
+        return None
+
+
 def _compile() -> ctypes.CDLL | None:
     flags, archives, archive_key = _npyrandom_build()
     digest = hashlib.sha256(
@@ -1836,6 +1909,32 @@ def fused_fleet() -> _FusedAdam | None:
     optimizer.
     """
     return fused_adam()
+
+
+def fused_dqn() -> _FusedAdam | None:
+    """The verified kernels with ``dqn_train_step`` and ``dqn_greedy``, or ``None``.
+
+    Resolved once per process, when a learner first asks, so a process that
+    trains no DQN never makes the self-test's BLAS calls.  Any failure
+    (symbols missing, a mismatch, an error) turns off only these two; a
+    ``fused.resolved`` obs event with ``family="dqn"`` reports the outcome.
+    """
+    kernel = fused_adam()
+    if kernel is None:
+        return None
+    if kernel.runs_dqn is None:
+        try:
+            kernel.blas = _numpy_blas()
+            kernel.runs_dqn = kernel.blas is not None and _dqn_self_test(
+                kernel, np.random.default_rng(2024)
+            )
+        except Exception:
+            kernel.runs_dqn = False
+        _obs.event(
+            "fused.resolved", family="dqn",
+            status="fused" if kernel.runs_dqn else "numpy",
+        )
+    return kernel if kernel.runs_dqn else None
 
 
 def kernel_status() -> str:

@@ -57,11 +57,27 @@ def _flat_views(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarr
 class Optimizer:
     """Base class: holds the learning rate and the step counter."""
 
+    #: ``(flat buffer, per-parameter views)`` attribute pairs of the state.
+    _viewed_state: Tuple[Tuple[str, str], ...] = ()
+
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ConfigurationError("learning rate must be positive")
         self.learning_rate = learning_rate
         self.step_count = 0
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Pickling copies each view on its own: re-view every per-parameter
+        # list into its flat buffer, so the flat and sliced steps keep
+        # updating one state.
+        for flat_name, views_name in self._viewed_state:
+            flat = getattr(self, flat_name)
+            if flat is not None:
+                new_flat, views = _flat_views(getattr(self, views_name))
+                new_flat[...] = flat
+                setattr(self, flat_name, new_flat)
+                setattr(self, views_name, views)
 
     def set_learning_rate(self, learning_rate: float) -> None:
         """Update the learning rate (called by schedules between steps)."""
@@ -172,6 +188,8 @@ def _validate_sliced_args(
 class Sgd(Optimizer):
     """Stochastic gradient descent with optional momentum."""
 
+    _viewed_state = (("_velocity_flat", "_velocity"),)
+
     def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0):
         super().__init__(learning_rate)
         if not 0.0 <= momentum < 1.0:
@@ -278,6 +296,8 @@ class Adam(Optimizer):
     ``beta2 = 0.99`` and a 0.01 learning rate under cosine decay; those are
     the defaults here.
     """
+
+    _viewed_state = (("_m_flat", "_first_moment"), ("_v_flat", "_second_moment"))
 
     def __init__(
         self,

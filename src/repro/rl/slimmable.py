@@ -27,7 +27,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rl.fused import fused_adam, fused_fleet
+from repro.rl.fused import fused_fleet
 from repro.rl.network import he_init
 
 
@@ -102,10 +102,20 @@ class SlimmableMLP:
         self._layer_views_cache: Dict[float, List[Tuple[np.ndarray, np.ndarray]]] = {}
         self._backprop_scratch: Dict[Tuple[float, int], List[np.ndarray]] = {}
         self._forward_scratch: Dict[Tuple[float, int], ForwardCache] = {}
-        # Precomputed (size, grad_addr, pre_addr) per hidden layer for the
-        # fused ReLU-mask kernel; valid only for the scratch-backed cache
-        # object stored alongside.
-        self._mask_plans: Dict[Tuple[float, int], Tuple[ForwardCache, List[Tuple[int, int, int]]]] = {}
+
+    def __getstate__(self) -> dict:
+        # Pickling copies each view on its own, so the parameter views and
+        # view caches are rebuilt over the copied flat buffer instead.  The
+        # owning learner re-registers itself (see DqnLearner.__setstate__).
+        state = self.__dict__.copy()
+        for name in ("weights", "biases", "_pair_owner"):
+            state.pop(name, None)
+        state.update(_layer_views_cache={}, _backprop_scratch={}, _forward_scratch={})
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._build_views()
 
     def _allocate_flat(self, layer_dims: Sequence[int]) -> None:
         """Back all parameters by one contiguous buffer.
@@ -166,7 +176,6 @@ class SlimmableMLP:
         self._layer_views_cache = {}
         self._backprop_scratch = {}
         self._forward_scratch = {}
-        self._mask_plans = {}
 
     def _active_for(self, width: float) -> List[int]:
         """Cached active-unit counts for ``width``, validating on a miss.
@@ -418,8 +427,6 @@ class SlimmableMLP:
         views = self._views_for(cache.width)
         num_layers = len(views)
         propagate_scratch: List[np.ndarray] | None = None
-        kernel = None
-        mask_addrs: List[Tuple[int, int, int]] | None = None
         if out:
             batch = grad.shape[0]
             key = (cache.width, batch)
@@ -430,25 +437,6 @@ class SlimmableMLP:
                     np.empty((batch, active[i])) for i in range(1, num_layers)
                 ]
                 self._backprop_scratch[key] = propagate_scratch
-            kernel = fused_adam()
-            if kernel is not None:
-                # For the reused training cache, the mask operands are the
-                # same buffers every call — precompute their addresses.
-                plan = self._mask_plans.get(key)
-                if plan is None or plan[0] is not cache:
-                    if cache is self._forward_scratch.get(key):
-                        addrs = [
-                            (
-                                propagate_scratch[i].size,
-                                propagate_scratch[i].ctypes.data,
-                                cache.pre_activations[i].ctypes.data,
-                            )
-                            for i in range(num_layers - 1)
-                        ]
-                        self._mask_plans[key] = (cache, addrs)
-                        mask_addrs = addrs
-                else:
-                    mask_addrs = plan[1]
         for layer_index in range(num_layers - 1, -1, -1):
             if layer_index < num_layers - 1:
                 # ``grad`` is a scratch/fresh array here (written by the
@@ -456,13 +444,8 @@ class SlimmableMLP:
                 # never touches the caller's ``grad_outputs``.  Multiplying
                 # by the boolean mask directly (True -> 1.0, False -> 0.0)
                 # equals multiplying by relu_grad without materialising the
-                # float mask; the C kernel applies the identical multiply.
-                if mask_addrs is not None:
-                    kernel.relu_mask_raw(*mask_addrs[layer_index])
-                elif kernel is not None:
-                    kernel.relu_mask(grad, cache.pre_activations[layer_index])
-                else:
-                    grad *= cache.pre_activations[layer_index] > 0.0
+                # float mask.
+                grad *= cache.pre_activations[layer_index] > 0.0
             upstream = (
                 cache.inputs if layer_index == 0 else cache.activations[layer_index - 1]
             )
@@ -553,7 +536,6 @@ class SlimmableMLP:
         copy._layer_views_cache = {}
         copy._backprop_scratch = {}
         copy._forward_scratch = {}
-        copy._mask_plans = {}
         return copy
 
     @property

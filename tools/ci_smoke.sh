@@ -72,11 +72,13 @@ EOF
 
 smoke_fused_kill_switch() {
     # Two runs must hash identically with and without the fused kernels: a
-    # lotus-fleet cell, and the governor-only members of mixed-edge-fleet
-    # (several devices and detectors, per-session innovation std).  The
-    # digest covers each trace's column bits and datasets, and the cell's
-    # session metrics and histories.  The fused side must show, through
-    # repro.obs, that the normal-draw, device-segment and segment-model
+    # lotus-fleet cell, the governor-only members of mixed-edge-fleet
+    # (several devices and detectors, per-session innovation std), and
+    # scalar lotus and ztt sessions.  The digest covers each trace's column
+    # bits and datasets, the cell's session metrics, and every session's
+    # loss and reward histories.
+    # The fused side must show, through repro.obs, that the normal-draw,
+    # device-segment, segment-model, DQN train-step and greedy-action
     # kernels ran (no silent fallback).  The governed run must throttle at
     # least once (its thermal-soak member does), so the throttle branch is
     # under the digest comparison.
@@ -87,8 +89,9 @@ import dataclasses, hashlib, os, sys
 
 import numpy as np
 
-from repro import ExperimentSetting, obs, run_fleet
+from repro import ExperimentSetting, execute_setting, obs, run_fleet
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
+from repro.env.trace import COLUMN_DTYPES
 from repro.rl.fused import fused_adam
 from repro.runtime.fleet import run_fleet_scenario
 from repro.scenarios import FleetScenario, build_scenario
@@ -146,10 +149,37 @@ assert any(
 ), "the governed mixed-edge-fleet run never throttled"
 mixed_digest = trace_digest(mixed.fleet_trace)
 
+# Scalar lotus and ztt sessions: both train (learning starts after 64
+# transitions), so the fused side must have run the whole-step and greedy
+# DQN kernels.
+registry = obs.enable()
+scalar_digest = hashlib.sha256()
+for method in ("lotus", "ztt"):
+    session = execute_setting(ExperimentSetting(num_frames=160, seed=0), method)
+    assert session.losses, method
+    for name in COLUMN_DTYPES:
+        column = np.ascontiguousarray(session.trace.column(name))
+        if column.dtype.itemsize == 8:
+            column = column.view(np.int64)
+        scalar_digest.update(name.encode() + column.tobytes())
+    scalar_digest.update("\n".join(session.trace.datasets()).encode())
+    for history in (session.losses, session.rewards):
+        scalar_digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
+dqn_calls = {
+    dict(labels)["kernel"]: count
+    for (name, labels), count in registry.counters.items()
+    if name == "fused.kernel_calls"
+}
+obs.disable()
+for kernel in ("dqn_train_step", "dqn_greedy"):
+    assert (dqn_calls.get(kernel, 0) > 0) == fused, (kernel, dqn_calls)
+
 with open(sys.argv[1], "w") as handle:
-    handle.write(digest.hexdigest() + "\n" + mixed_digest.hexdigest() + "\n")
-print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s"
-      % (fused, digest.hexdigest(), mixed_digest.hexdigest()))
+    handle.write(
+        "\n".join(d.hexdigest() for d in (digest, mixed_digest, scalar_digest)) + "\n"
+    )
+print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s, scalar lotus+ztt %s"
+      % (fused, digest.hexdigest(), mixed_digest.hexdigest(), scalar_digest.hexdigest()))
 PY
     done
     diff "$out/trace-fused-0.sha256" "$out/trace-fused-1.sha256"
