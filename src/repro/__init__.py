@@ -3,6 +3,8 @@ management for two-stage detectors on edge devices (DAC 2024).
 
 The package is organised bottom-up:
 
+* :mod:`repro.kernels` — the optional, self-verified C kernels the layers
+  below reach for their hot loops (one family each resolves on its own).
 * :mod:`repro.hardware` — simulated edge devices (DVFS, power, RC thermal
   network, throttling, sysfs).
 * :mod:`repro.detection` — two-stage detector cost models (FasterRCNN,

@@ -10,11 +10,13 @@ Bit-exactness: every kernel accumulates in the same order as its scalar
 counterpart (stage costs sum left-to-right, utilisations divide before the
 ``min`` clamp), and proposal noise draws one normal from each session's own
 generator so the per-session random streams are consumed exactly as the
-scalar environment consumes them.  With the fused library, those draws run
-in one C loop (:class:`~repro.rl.fused.SessionGenerators`: NumPy's own
+scalar environment consumes them.  With the ``random`` kernels, those draws
+run in one C loop (:class:`~repro.kernels.SessionGenerators`: NumPy's own
 ``random_normal``, bit-identical to ``rng.normal``) that does not take
 ``bit_generator.lock``, so the generators must be used from one thread at
-a time.
+a time.  With the ``fleet`` kernels (:mod:`repro.kernels`), the segment
+model and the proposal-count tail run in C too; their references are
+:meth:`BatchedExecutionModel._execute_numpy` and :func:`proposal_tail`.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from repro.errors import DetectorError
 from repro.detection.detector import DetectorModel
-from repro.rl.fused import ArgumentTable, SessionGenerators, fused_fleet
+from repro.kernels import ArgumentTable, SessionGenerators, fused_fleet
 from repro.detection.latency import DeviceComputeProfile
 
 
@@ -104,7 +106,7 @@ def propose_batch(
     normal draw comes from each session's own generator (keeping the
     per-session random stream identical to a scalar run); the exp/clip/round
     tail is evaluated as array operations.  Pass the generators as one
-    long-lived :class:`~repro.rl.fused.SessionGenerators` (as the fleet
+    long-lived :class:`~repro.kernels.SessionGenerators` (as the fleet
     environment does) so the fused draw's pointer table is built once; any
     other sequence is wrapped for this call.
     """
@@ -124,25 +126,31 @@ def propose_batch(
         # np.exp, as the scalar ProposalModel.sample uses.
         factor = np.exp(rngs.normal(model.noise_std))
     kernel = fused_fleet()
-    if kernel is not None:
-        scene = np.ascontiguousarray(scene_candidates, dtype=float)
-        counts = np.empty(scene.size, dtype=np.int64)
-        kernel.fleet_proposal_tail(
-            scene, float(model.keep_ratio), factor,
-            float(model.min_proposals), float(model.max_proposals), counts,
-        )
-        return counts
-    expected = scene_candidates * model.keep_ratio
+    tail = proposal_tail if kernel is None else kernel.fleet_proposal_tail
+    scene = np.ascontiguousarray(scene_candidates, dtype=float)
+    counts = np.empty(scene.size, dtype=np.int64)
+    tail(
+        scene, float(model.keep_ratio), factor,
+        float(model.min_proposals), float(model.max_proposals), counts,
+    )
+    return counts
+
+
+def proposal_tail(scene_candidates, keep_ratio, factor, min_proposals, max_proposals, out):
+    """``clip(rint(scene * keep_ratio [* factor]))`` into the int64 ``out``.
+
+    The NumPy form of the ``fleet_proposal_tail`` kernel.
+    """
+    expected = scene_candidates * keep_ratio
     if factor is not None:
         expected = expected * factor
-    counts = np.clip(np.rint(expected), model.min_proposals, model.max_proposals)
-    return counts.astype(np.int64)
+    out[...] = np.clip(np.rint(expected), min_proposals, max_proposals)
 
 
 class BatchedExecutionModel:
     """Vectorized :class:`~repro.detection.latency.ExecutionModel`.
 
-    With the fused library, :meth:`execute` is one ``fleet_segment_model``
+    With the ``fleet`` kernels, :meth:`execute` is one ``fleet_segment_model``
     call: the inputs are copied into buffers the model keeps for its fleet
     size (their addresses are resolved once, and dropped when the model is
     pickled or copied), and every returned array is a fresh copy.
@@ -193,7 +201,14 @@ class BatchedExecutionModel:
         All four arguments are length-N arrays (the frequencies may also be
         scalars shared by every session).
         """
-        kernel = fused_fleet()
+        return self._execute(
+            fused_fleet(), cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz,
+            gpu_frequency_khz,
+        )
+
+    def _execute(self, kernel, cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz,
+                 gpu_frequency_khz) -> FleetSegment:
+        """:meth:`execute` on the given ``fleet`` kernels, or NumPy for ``None``."""
         if kernel is None:
             return self._execute_numpy(
                 cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz, gpu_frequency_khz

@@ -67,7 +67,7 @@ from repro.env.trace import (
 )
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
-from repro.rl.fused import SessionGenerators
+from repro.kernels import SessionGenerators
 from repro.workload.fleet import FleetFrameStream
 
 

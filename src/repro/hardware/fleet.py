@@ -20,11 +20,12 @@ subtlety is leakage power, which must use libm's ``exp`` as ``math.exp``
 does (NumPy's vectorized ``exp`` differs from libm by an ULP on ~4 % of
 inputs, which would break seed-for-seed trace equivalence).
 
-With the fused library (:mod:`repro.rl.fused`), :meth:`DeviceFleet.execute`
+With the ``fleet`` kernels (:mod:`repro.kernels`), :meth:`DeviceFleet.execute`
 is one C call, ``fleet_device_execute``: power (with libm's ``exp``), RC
-sub-stepping, throttling, caps and energy in the NumPy path's operand
-order.  The kernel reads a per-fleet *argument table*
-(:class:`~repro.rl.fused.ArgumentTable`) holding the addresses of the
+sub-stepping, throttling, caps and energy in the operand order of
+``DeviceFleet._execute_numpy``, which is the kernel's reference and the
+``REPRO_FUSED=0`` path.  The kernel reads a per-fleet *argument table*
+(:class:`~repro.kernels.ArgumentTable`) holding the addresses of the
 fleet's state arrays, resolved once per fleet and dropped on pickle or
 ``deepcopy``.  That is why the fleet's state is written **in place** on
 both paths — ``set_ambient``, ``reset``, ``load_state_dict``,
@@ -53,7 +54,7 @@ import numpy as np
 
 from repro.errors import DeviceError
 from repro.hardware.device import CPU_NODE, GPU_NODE, EdgeDevice
-from repro.rl.fused import ArgumentTable, fused_fleet
+from repro.kernels import ArgumentTable, fused_fleet
 from repro.hardware.frequency import FrequencyTable
 from repro.hardware.power import PowerModel
 from repro.hardware.throttle import ThrottleConfig
@@ -538,17 +539,21 @@ class DeviceFleet:
         The vectorized counterpart of :meth:`EdgeDevice.execute`: powers are
         computed at pre-segment temperatures, the thermal network advances,
         throttlers re-evaluate and the (possibly capped) levels are
-        re-applied.  With the fused library all of it is one
+        re-applied.  With the ``fleet`` kernels all of it is one
         ``fleet_device_execute`` call over the fleet's argument table.
         Every returned array is a fresh copy.
         """
+        kernel = fused_fleet()
+        return self._execute(kernel, duration_ms, cpu_utilisation, gpu_utilisation)
+
+    def _execute(self, kernel, duration_ms, cpu_utilisation, gpu_utilisation):
+        """:meth:`execute` on the given ``fleet`` kernels, or NumPy for ``None``."""
         duration = self._duration_ms
         duration[:] = duration_ms
         if np.any(duration < 0):
             raise DeviceError("durations must be non-negative")
         self._cpu_utilisation[:] = cpu_utilisation
         self._gpu_utilisation[:] = gpu_utilisation
-        kernel = fused_fleet()
         if kernel is not None:
             kernel.fleet_device_execute(self._argument_table(kernel))
         else:

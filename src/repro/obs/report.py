@@ -1,7 +1,7 @@
 """Render an obs run summary as the ``obs report`` text table.
 
 Stdlib-only on purpose: :mod:`repro.obs` is imported from deep library
-layers (``rl/fused.py``), so the render path must not pull in the
+layers (``repro.kernels``), so the render path must not pull in the
 analysis stack.
 """
 
@@ -42,10 +42,10 @@ def render_summary(summary: Dict[str, Any]) -> str:
     title = f"obs run {run_id}" + (f" ({label})" if label else "")
     lines.append(title)
     lines.append("=" * len(title))
-    lines.append(
-        f"events: {summary.get('num_events', 0)}"
-        f"  fused: {summary.get('fused_status', 'unknown')}"
-    )
+    fused = summary.get("fused_status", "unknown")
+    if isinstance(fused, dict):
+        fused = " ".join(f"{family}={status}" for family, status in fused.items())
+    lines.append(f"events: {summary.get('num_events', 0)}  fused: {fused}")
 
     histograms: Dict[str, Any] = summary.get("histograms", {})
     spans = {k: v for k, v in histograms.items() if k.startswith("span.")}

@@ -50,11 +50,11 @@ def format_metric(key: MetricKey) -> str:
     return f"{name}{{{rendered}}}"
 
 
-def _fused_status() -> str:
+def _fused_status() -> Dict[str, str] | str:
     # Lazy and failure-tolerant: the sink must not force a kernel build
-    # (or an import of the rl stack) just to stamp the summary.
+    # (or an import of the kernel package) just to stamp the summary.
     try:
-        from repro.rl.fused import kernel_status
+        from repro.kernels import kernel_status
 
         return kernel_status()
     except Exception:  # pragma: no cover - defensive

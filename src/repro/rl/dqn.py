@@ -15,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import AgentError
-from repro.rl.fused import ArgumentTable, fused_dqn
+from repro.kernels import ArgumentTable, fused_dqn
 from repro.rl.optimizer import Adam, Optimizer
 from repro.rl.replay import Transition, TransitionBatch
 from repro.rl.schedule import Schedule

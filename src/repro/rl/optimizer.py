@@ -34,7 +34,7 @@ from typing import List, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rl.fused import fused_adam
+from repro.kernels import fused_adam
 
 #: Index region addressing the active part of one parameter array: a slice
 #: tuple such as ``(slice(0, in_active), slice(0, out_active))`` for a weight
@@ -420,6 +420,10 @@ class Adam(Optimizer):
         kernel = fused_adam()
         if kernel is None:
             return None
+        return self.plan_for(kernel, parameters, gradients, regions)
+
+    def plan_for(self, kernel, parameters, gradients, regions):
+        """:meth:`plan_step` on the given ``adam`` kernels."""
         if not all(g.flags.c_contiguous for g in gradients):
             return None
         self._ensure_state(parameters)
@@ -436,12 +440,10 @@ class Adam(Optimizer):
         """Execute a plan from :meth:`plan_step`: one fused C call.
 
         Bitwise-identical to :meth:`step_sliced` on the same buffers
-        (verified at kernel load time).
+        (verified when the ``adam`` kernels resolve).
         """
-        kernel = fused_adam()
         self.step_count += 1
-        kernel.step_multi(
-            plan,
+        plan.step(
             self.learning_rate,
             self.beta1,
             self.beta2,
@@ -468,23 +470,6 @@ class Adam(Optimizer):
         self.step_count += 1
         bias_correction1 = 1.0 - self.beta1**self.step_count
         bias_correction2 = 1.0 - self.beta2**self.step_count
-        kernel = fused_adam()
-        if kernel is not None:
-            # Single C pass over the whole buffer — bitwise-identical to
-            # the NumPy sequence below (verified at kernel load).
-            kernel.step_flat(
-                flat_parameters,
-                flat_gradients,
-                m,
-                v,
-                self.learning_rate,
-                self.beta1,
-                self.beta2,
-                self.epsilon,
-                bias_correction1,
-                bias_correction2,
-            )
-            return
         m *= self.beta1
         np.multiply(flat_gradients, 1.0 - self.beta1, out=s)
         m += s

@@ -27,8 +27,18 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.rl.fused import fused_fleet
+from repro.kernels import fused_adam
 from repro.rl.network import he_init
+
+
+def bias_relu(z: np.ndarray, b: np.ndarray, act: np.ndarray) -> None:
+    """``z += b`` then ``act = maximum(z, 0.0)``; ``act`` may be ``z``.
+
+    The NumPy form of the ``bias_relu`` kernel, which hidden layers run
+    when the ``adam`` kernels are available.
+    """
+    z += b
+    np.maximum(z, 0.0, out=act)
 
 
 @dataclass
@@ -309,17 +319,14 @@ class SlimmableMLP:
             self._forward_scratch[key] = cache
         cache.inputs = x
         current = x
-        kernel = fused_fleet()
+        kernel = fused_adam()
+        relu = bias_relu if kernel is None else kernel.bias_relu
         for layer_index, (w, b) in enumerate(views):
             z = cache.pre_activations[layer_index]
             np.matmul(current, w, out=z)
             if layer_index < last:
-                if kernel is not None:
-                    current = cache.activations[layer_index]
-                    kernel.bias_relu(z, b, current)
-                else:
-                    z += b
-                    current = np.maximum(z, 0.0, out=cache.activations[layer_index])
+                current = cache.activations[layer_index]
+                relu(z, b, current)
             else:
                 z += b
                 current = z
@@ -345,17 +352,16 @@ class SlimmableMLP:
         """Trusted inference path: ``x`` must be a 2-D float batch."""
         views = self._views_for(width)
         last = len(views) - 1
-        kernel = fused_fleet()
+        kernel = fused_adam()
+        relu = bias_relu if kernel is None else kernel.bias_relu
         for layer_index, (w, b) in enumerate(views):
-            z = x @ w
-            if layer_index < last and kernel is not None:
-                # Fused bias + ReLU in place: z is this layer's fresh matmul
-                # output, so the pre-activation need not survive.
-                kernel.bias_relu(z, b, z)
-                x = z
+            x = x @ w
+            if layer_index < last:
+                # In place: x is this layer's fresh matmul output, so the
+                # pre-activation need not survive.
+                relu(x, b, x)
             else:
-                z += b
-                x = np.maximum(z, 0.0) if layer_index < last else z
+                x += b
         return x
 
     def backward_sliced(

@@ -8,11 +8,12 @@ consumes it), and the AR(1) update plus clipping run as array operations.
 Session ``i`` of a fleet stream seeded with ``rngs[i]`` therefore emits the
 bit-identical frame sequence of ``FrameStream(dataset, rngs[i])``.
 
-The draws run in one C loop when the fused library is available
-(:class:`~repro.rl.fused.SessionGenerators`: NumPy's own ``random_normal``
-on each generator, bit-identical to ``rng.normal``).  That loop does not
-take ``bit_generator.lock``, so a stream, and its generators, must be
-driven from one thread at a time.
+The draws run in one C loop when the ``random`` kernels are available
+(:class:`~repro.kernels.SessionGenerators`: NumPy's own ``random_normal``
+on each generator, bit-identical to ``rng.normal``), and the AR(1) update
+as ``fleet_ar1_advance`` when the ``fleet`` kernels are (its reference is
+:func:`ar1_advance`).  The draw loop does not take ``bit_generator.lock``,
+so a stream, and its generators, must be driven from one thread at a time.
 
 The stream may be *heterogeneous*: passing one
 :class:`~repro.workload.dataset.DatasetProfile` per session gives every
@@ -34,8 +35,17 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.rl.fused import SessionGenerators, check_scales, fused_fleet
+from repro.kernels import SessionGenerators, check_scales, fused_fleet
 from repro.workload.dataset import DatasetProfile
+
+
+def ar1_advance(current, mean, correlation, innovations, minimum, maximum) -> None:
+    """One clipped AR(1) step of every session's scene complexity, in place.
+
+    The NumPy form of the ``fleet_ar1_advance`` kernel.
+    """
+    value = mean + correlation * (current - mean) + innovations
+    np.clip(value, minimum, maximum, out=current)
 
 
 @dataclass(frozen=True)
@@ -162,18 +172,11 @@ class FleetFrameStream:
         """Generate the next frame for every session in one array step."""
         innovations = self._rngs.normal(self._innovation_std)
         kernel = fused_fleet()
-        if kernel is not None:
-            kernel.fleet_ar1_advance(
-                self._current, self._mean, self._correlation,
-                innovations, self._minimum, self._maximum,
-            )
-        else:
-            value = (
-                self._mean
-                + self._correlation * (self._current - self._mean)
-                + innovations
-            )
-            self._current = np.clip(value, self._minimum, self._maximum)
+        advance = ar1_advance if kernel is None else kernel.fleet_ar1_advance
+        advance(
+            self._current, self._mean, self._correlation,
+            innovations, self._minimum, self._maximum,
+        )
         batch = FleetFrameBatch(
             index=self._index,
             datasets=self._names,

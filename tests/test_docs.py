@@ -1,8 +1,9 @@
 """Repository lints as tier-1 tests.
 
-Imports ``tools/check_docs.py`` and ``tools/check_no_print.py`` and
-asserts the committed tree passes both, plus negative checks proving each
-lint actually catches violations (so they cannot rot into no-ops).
+Imports ``tools/check_docs.py``, ``tools/check_no_print.py`` and
+``tools/check_layers.py`` and asserts the committed tree passes each, plus
+negative checks proving each lint actually catches violations (so they
+cannot rot into no-ops).
 """
 
 from __future__ import annotations
@@ -107,3 +108,42 @@ def test_print_lint_detects_stray_prints(tmp_path):
     )
     problems = check_no_print.check(package)
     assert problems == ["src/repro/core.py:4"]
+
+
+def test_committed_packages_keep_their_layers():
+    check_layers = _load_tool("check_layers")
+    assert check_layers.check() == []
+    assert check_layers.main() == 0
+
+
+def test_layer_lint_detects_forbidden_imports(tmp_path):
+    check_layers = _load_tool("check_layers")
+    package = tmp_path / "repro"
+    for name in ("hardware", "workload", "kernels", "rl"):
+        (package / name).mkdir(parents=True)
+    (package / "hardware" / "fleet.py").write_text(
+        '"""Mentions repro.rl in a docstring, which is fine."""\n'
+        "from repro.kernels import fused_fleet\n"
+        "def execute():\n"
+        "    from repro.rl.fused import fused_adam  # nested, still forbidden\n",
+        encoding="utf-8",
+    )
+    (package / "workload" / "stream.py").write_text(
+        "from repro import rl\n", encoding="utf-8"
+    )
+    (package / "kernels" / "__init__.py").write_text(
+        "from . import build\n"
+        "from repro.obs import bus\n"
+        "from ..hardware import fleet\n"
+        "def self_test():\n"
+        "    from repro.hardware.fleet import DeviceFleet  # lazy owner import\n",
+        encoding="utf-8",
+    )
+    (package / "rl" / "dqn.py").write_text(
+        "from repro.rl import fused\n", encoding="utf-8"
+    )
+    assert check_layers.check(package) == [
+        "src/repro/hardware/fleet.py:4: imports repro.rl.fused",
+        "src/repro/kernels/__init__.py:3: imports repro.hardware at module level",
+        "src/repro/workload/stream.py:1: imports repro.rl",
+    ]

@@ -24,8 +24,11 @@ import sys
 import numpy as np
 import pytest
 
-import repro.rl.fused as fused
+import repro.kernels as kernels
 from repro import obs
+from repro.hardware.devices.registry import build_device
+from repro.hardware.fleet import DeviceFleet
+from repro.kernels import build, resolve
 from repro.core.agent import LotusAgent
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam, Sgd
@@ -34,7 +37,7 @@ from repro.rl.schedule import CosineDecaySchedule
 from repro.rl.slimmable import SlimmableMLP
 
 needs_dqn = pytest.mark.skipif(
-    fused.fused_dqn() is None, reason="fused DQN kernels unavailable on this host"
+    kernels.fused_dqn() is None, reason="fused DQN kernels unavailable on this host"
 )
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -43,12 +46,12 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def _resolution(monkeypatch, enabled: bool, blas: bool = True):
     """A fresh kernel resolution (restored on exit), as a new process gets."""
     with monkeypatch.context() as patch:
-        patch.setattr(fused, "_resolved", False)
-        patch.setattr(fused, "_kernel", None)
+        patch.setattr(resolve, "_kernels", {})
+        patch.setattr(resolve, "_status", {})
         patch.setenv("REPRO_FUSED", "1" if enabled else "0")
         if not blas:
-            patch.setattr(fused, "_numpy_blas", lambda: None)
-        yield fused.fused_adam()
+            patch.setattr(build, "numpy_blas", lambda: None)
+        yield kernels.fused_adam()
 
 
 _TRAIN_STEP_CALLS = ("fused.kernel_calls", (("kernel", "dqn_train_step"),))
@@ -447,15 +450,14 @@ def test_blas_lookup_failure_turns_off_only_the_dqn_kernels(monkeypatch):
     with _resolution(monkeypatch, enabled=True, blas=False) as kernel:
         if kernel is None:
             pytest.skip("fused kernels unavailable on this host")
-        assert fused.fused_dqn() is None and kernel.runs_dqn is False
-        assert fused.kernel_status() == "fused"
-        assert fused.fused_fleet() is kernel
+        assert kernels.fused_dqn() is None and kernels.fused_fleet() is not None
+        status = kernels.kernel_status()
+        assert (status["adam"], status["fleet"], status["dqn"]) == ("fused", "fused", "numpy")
         registry = obs.enable()
         try:
             result, learner = _trajectory(_learner, 8, 16)
             learner.greedy_action(np.ones(7))
-            out = np.empty(7)
-            kernel.fleet_exp(np.linspace(-3.0, 3.0, 7), out)
+            DeviceFleet(build_device("jetson-orin-nano"), 7).execute(np.full(7, 20.0), 0.5, 0.5)
         finally:
             obs.disable()
         assert learner._dqn is None
@@ -464,7 +466,7 @@ def test_blas_lookup_failure_turns_off_only_the_dqn_kernels(monkeypatch):
             for name, labels in registry.counters
             if name == "fused.kernel_calls"
         }
-        assert {"fleet_exp", "step_multi", "bias_relu"} <= names
+        assert {"fleet_device_execute", "step_multi", "bias_relu"} <= names
         assert not names & {"dqn_train_step", "dqn_greedy"}
     _assert_same(result, reference, grads=False)
 
@@ -475,29 +477,34 @@ def test_dqn_resolution_is_its_own_event(monkeypatch):
         with _resolution(monkeypatch, enabled=True, blas=False) as kernel:
             if kernel is None:
                 pytest.skip("fused kernels unavailable on this host")
-            assert fused.fused_dqn() is None
-            assert fused.fused_dqn() is None  # resolved once
+            assert kernels.fused_dqn() is None
+            assert kernels.fused_dqn() is None  # resolved once
     finally:
         obs.disable()
     events = [e["fields"] for e in registry.events if e["name"] == "fused.resolved"]
-    assert events == [{"status": "fused"}, {"family": "dqn", "status": "numpy"}]
+    assert events == [
+        {"family": "adam", "status": "fused"},
+        {"family": "dqn", "status": "numpy", "reason": "symbol missing"},
+    ]
 
 
 def test_dqn_kernels_resolve_where_numpy_exports_its_blas():
     """Where NumPy's BLAS is found, a self-test failure would be a bug."""
-    if fused.fused_adam() is None or fused._numpy_blas() is None:
+    if kernels.fused_adam() is None or build.numpy_blas() is None:
         pytest.skip("no fused kernels, or NumPy is built on another BLAS")
-    assert fused.fused_dqn() is not None
+    assert kernels.fused_dqn() is not None
 
 
 def test_a_process_without_a_learner_never_resolves_the_dqn_kernels():
-    """Fleet-only processes skip the DQN self-test (and OpenBLAS's buffers)."""
+    """Fleet-only processes skip the Adam, bias + ReLU and DQN self-tests
+    (and OpenBLAS's buffers)."""
     code = (
         "from repro import ExperimentSetting, run_fleet\n"
-        "from repro.rl.fused import fused_adam\n"
+        "from repro.kernels import kernel_status\n"
         "run_fleet(ExperimentSetting(num_frames=8, seed=0), 'default', 4)\n"
-        "kernel = fused_adam()\n"
-        "assert kernel is None or kernel.runs_dqn is None\n"
+        "status = kernel_status()\n"
+        "assert status['adam'] in ('unresolved', 'disabled'), status\n"
+        "assert status['dqn'] in ('unresolved', 'disabled'), status\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (env.get("PYTHONPATH"), "src") if p)

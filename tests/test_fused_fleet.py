@@ -1,15 +1,16 @@
-"""Bitwise agreement tests for the fused fleet kernels.
+"""Bitwise agreement tests for the fleet, random and bias + ReLU kernels.
 
-Every fleet kernel in :mod:`repro.rl.fused` (RC thermal sub-stepping,
-clipped AR(1) stream advance, the rint/clip proposal tail, fused
-bias-add + ReLU, the per-session normal draw, the leakage ``exp``, and the
-per-segment ``fleet_device_execute`` and ``fleet_segment_model``) must
-produce output **bit-identical** to the NumPy (or ``math``) expressions it
-replaces — that is the whole contract that lets
-``REPRO_FUSED=0`` remain a pure kill switch rather than a different
+Every kernel in :mod:`repro.kernels` that the batched simulator uses (the
+per-segment ``fleet_device_execute`` with its RC sub-stepping and leakage
+``exp``, ``fleet_segment_model``, the clipped AR(1) stream advance, the
+rint/clip proposal tail, the per-session normal draw, and the bias-add +
+ReLU of the Q forward) must produce output **bit-identical** to the NumPy
+(or ``math``) expressions it replaces — that is the whole contract that
+lets ``REPRO_FUSED=0`` remain a pure kill switch rather than a different
 numerical mode.  These tests re-state each kernel's NumPy reference
 inline and compare against the C output through int64 bit patterns over
-randomized shapes and fill levels.
+randomized shapes and fill levels; the device kernel is driven through
+:class:`~repro.hardware.fleet.DeviceFleet` against its NumPy path.
 
 When the toolchain is unavailable (``fused_fleet()`` returns ``None``)
 the kernel-vs-reference tests skip; the kill-switch test always runs,
@@ -33,7 +34,7 @@ import pytest
 
 import repro.detection.fleet
 import repro.hardware.fleet
-import repro.rl.fused
+import repro.kernels.random
 import repro.workload.fleet
 from repro.detection.fleet import BatchedExecutionModel, propose_batch
 from repro.detection.latency import compute_profile_for
@@ -43,24 +44,28 @@ from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, BatchedInferenceEnvironm
 from repro.errors import DetectorError
 from repro.hardware.devices.registry import build_device
 from repro.hardware.fleet import DeviceFleet
-from repro.rl.fused import (
+from repro.hardware.thermal import ThermalNetwork, ThermalNodeConfig
+from repro.kernels import (
     SessionGenerators,
-    _same_state,
     check_scales,
     fused_adam,
     fused_fleet,
+    fused_random,
 )
 from repro.workload.dataset import build_dataset
 from repro.workload.fleet import FleetFrameStream
 
 kernel = fused_fleet()
+relu_kernel = fused_adam()
 
 needs_kernel = pytest.mark.skipif(
     kernel is None, reason="fused kernels unavailable on this host"
 )
+needs_relu = pytest.mark.skipif(
+    relu_kernel is None, reason="fused bias + ReLU unavailable on this host"
+)
 needs_normal = pytest.mark.skipif(
-    kernel is None or not kernel.draws_normals,
-    reason="fused normal draws unavailable on this host",
+    fused_random() is None, reason="fused normal draws unavailable on this host"
 )
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -128,6 +133,13 @@ def reference_normal(rngs, scales):
     return np.array([rng.normal(0.0, s) for rng, s in zip(rngs, scales.tolist())])
 
 
+def _same_state(a, b) -> bool:
+    """Equality of two ``bit_generator.state`` values (nested dicts of arrays)."""
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_state(a[k], b[k]) for k in a)
+    return bool(np.array_equal(a, b))
+
+
 def assert_bitwise_equal(a, b, label):
     __tracebackhide__ = True
     assert a.dtype == b.dtype and a.shape == b.shape
@@ -142,66 +154,90 @@ def assert_bitwise_equal(a, b, label):
 # ---------------------------------------------------------------------------
 
 
+def _device_fleet(rng, nodes, couplings, n, temperatures):
+    """A ``nodes``-node Jetson fleet (CPU, GPU, then passive nodes) at the
+    given temperatures, with random per-session ambients."""
+    device = build_device("jetson-orin-nano")
+    names = ["cpu", "gpu", *[f"node{i}" for i in range(2, nodes)]]
+    thermal = ThermalNetwork(
+        nodes=[
+            ThermalNodeConfig(
+                name=name,
+                heat_capacity_j_per_c=float(rng.uniform(2.0, 20.0)),
+                resistance_to_ambient_c_per_w=float(rng.uniform(1.0, 6.0)),
+            )
+            for name in names
+        ],
+        couplings={(names[a], names[b]): c for a, b, c in couplings},
+    )
+    fleet = DeviceFleet(
+        dataclasses.replace(device, thermal=thermal), n, rng.uniform(15.0, 35.0, n)
+    )
+    state = fleet.state_dict()
+    state["temperatures"][:] = temperatures
+    fleet.load_state_dict(state)
+    return fleet
+
+
+def _fused_and_numpy(fleet, monkeypatch, *segment):
+    """One segment on the kernel and, on a copy, on the NumPy path."""
+    twin = copy.deepcopy(fleet)
+    fused = fleet.execute(*segment)
+    with monkeypatch.context() as patch:
+        _use_numpy_fallback(patch)
+        expected = twin.execute(*segment)
+    for field in dataclasses.fields(fused):
+        assert_bitwise_equal(
+            getattr(fused, field.name), getattr(expected, field.name),
+            f"{field.name} differs",
+        )
+    for name, value in fleet.state_dict().items():
+        assert_bitwise_equal(np.asarray(value), np.asarray(twin.state_dict()[name]), name)
+    return fused
+
+
 @needs_kernel
 class TestFleetThermalAdvance:
+    """The RC sub-stepping inside ``fleet_device_execute``, driven through
+    ``DeviceFleet``: kernel vs. ``_execute_numpy`` and vs. the inline
+    reference loop, over zero, sub-step-length and multi-step durations."""
+
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_numpy_substepping_bitwise(self, seed):
+    def test_matches_numpy_substepping_bitwise(self, seed, monkeypatch):
         rng = np.random.default_rng(seed)
         nodes = int(rng.integers(2, 5))
         n = int(rng.integers(1, 40))
-        temps = rng.uniform(30.0, 80.0, (nodes, n))
-        power = rng.uniform(0.5, 8.0, (nodes, n))
-        ambient = rng.uniform(15.0, 35.0, n)
-        resistance = rng.uniform(1.0, 6.0, nodes)
-        heat_capacity = rng.uniform(2.0, 20.0, nodes)
         couplings = [
             (a, b, float(rng.uniform(0.05, 1.0)))
             for a in range(nodes)
             for b in range(a + 1, nodes)
             if rng.random() < 0.6
         ]
+        temps = rng.uniform(30.0, 80.0, (nodes, n))
+        fleet = _device_fleet(rng, nodes, couplings, n, temps)
         # Mixed durations: some sessions idle (zero), some mid-sub-step.
-        remaining = rng.uniform(0.0, 0.33, n)
-        remaining[rng.random(n) < 0.25] = 0.0
-        max_substep = 0.05
-
+        duration = rng.uniform(0.0, 330.0, n)
+        duration[rng.random(n) < 0.25] = 0.0
+        telemetry = _fused_and_numpy(
+            fleet, monkeypatch, duration, rng.uniform(0.2, 1.0, n), rng.uniform(0.2, 1.0, n)
+        )
+        power = np.zeros((nodes, n))
+        power[0], power[1] = telemetry.cpu_power_w, telemetry.gpu_power_w
         expected = reference_thermal_advance(
-            temps, power, ambient, resistance, heat_capacity, couplings,
-            remaining, max_substep,
+            temps, power, fleet.ambient_temperature_c, fleet._resistance,
+            fleet._heat_capacity, fleet._couplings, duration / 1e3, fleet.max_substep_s,
+        )
+        assert_bitwise_equal(
+            fleet._temperatures, expected, f"thermal temps differ (seed {seed})"
         )
 
-        got = np.ascontiguousarray(temps)
-        coup_a = np.array([a for a, _, _ in couplings], dtype=np.int64)
-        coup_b = np.array([b for _, b, _ in couplings], dtype=np.int64)
-        coup_c = np.array([c for _, _, c in couplings], dtype=float)
-        rem = remaining.copy()
-        kernel.fleet_thermal_advance(
-            got, power, ambient, resistance, heat_capacity,
-            coup_a, coup_b, coup_c, rem, max_substep,
-            np.empty(n), np.empty((nodes, n)),
-        )
-        assert_bitwise_equal(got, expected, f"thermal temps differ (seed {seed})")
-        assert np.all(rem <= 1e-12)
-
-    def test_zero_duration_is_a_no_op(self):
+    def test_zero_duration_is_a_no_op(self, monkeypatch):
         rng = np.random.default_rng(99)
         temps = rng.uniform(30.0, 80.0, (2, 7))
-        before = temps.copy()
-        kernel.fleet_thermal_advance(
-            temps,
-            rng.uniform(0.5, 8.0, (2, 7)),
-            rng.uniform(15.0, 35.0, 7),
-            rng.uniform(1.0, 6.0, 2),
-            rng.uniform(2.0, 20.0, 2),
-            np.array([0], dtype=np.int64),
-            np.array([1], dtype=np.int64),
-            np.array([0.4]),
-            np.zeros(7),
-            0.05,
-            np.empty(7),
-            np.empty((2, 7)),
-        )
-        assert_bitwise_equal(temps, before, "zero-duration advance mutated temps")
+        fleet = _device_fleet(rng, 2, [(0, 1, 0.4)], 7, temps)
+        telemetry = _fused_and_numpy(fleet, monkeypatch, np.zeros(7), 0.8, 0.9)
+        assert_bitwise_equal(fleet._temperatures, temps, "zero-duration advance mutated temps")
+        assert not telemetry.energy_j.any()
 
 
 @needs_kernel
@@ -253,7 +289,7 @@ class TestFleetProposalTail:
         assert got.tolist() == [0, 2, 2, 4, 4, -0]
 
 
-@needs_kernel
+@needs_relu
 class TestBiasRelu:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_numpy_bitwise(self, seed):
@@ -266,7 +302,7 @@ class TestBiasRelu:
         expected_z, expected_act = reference_bias_relu(z, b)
         got_z = z.copy()
         got_act = np.empty_like(z)
-        kernel.bias_relu(got_z, b, got_act)
+        relu_kernel.bias_relu(got_z, b, got_act)
         assert_bitwise_equal(got_z, expected_z, "pre-activations differ")
         assert_bitwise_equal(got_act, expected_act, "activations differ")
 
@@ -276,7 +312,7 @@ class TestBiasRelu:
         z = rng.normal(0.0, 1.0, (9, 33))
         b = rng.normal(0.0, 1.0, 33)
         _, expected_act = reference_bias_relu(z, b)
-        kernel.bias_relu(z, b, z)
+        relu_kernel.bias_relu(z, b, z)
         assert_bitwise_equal(z, expected_act, "aliased activations differ")
 
     def test_negative_zero_bias_tie(self):
@@ -285,7 +321,7 @@ class TestBiasRelu:
         b = np.array([1.0, -1.0, 0.0])
         expected_z, expected_act = reference_bias_relu(z, b)
         act = np.empty_like(z)
-        kernel.bias_relu(z, b, act)
+        relu_kernel.bias_relu(z, b, act)
         assert_bitwise_equal(z, expected_z, "ties: pre-activations differ")
         assert_bitwise_equal(act, expected_act, "ties: activations differ")
 
@@ -360,18 +396,36 @@ class TestScaleCheck:
 
 @needs_kernel
 class TestFleetExp:
+    """The leakage ``exp`` of ``fleet_device_execute`` must be libm's, as
+    ``math.exp``: leakage exponents across the capped range, and the edges
+    of ``exp``'s domain written into the fleet's temperature buffer."""
+
     EDGES = np.array([0.0, -0.0, -745.0, 709.0, np.nan])
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_math_exp_bitwise(self, seed):
+    def test_matches_math_exp_bitwise(self, seed, monkeypatch):
         rng = np.random.default_rng(500 + seed)
-        x = np.concatenate([rng.uniform(-60.0, 4.0, 997), self.EDGES])
-        expected = np.array([math.exp(value) for value in x.tolist()])
-        got = np.empty_like(x)
-        kernel.fleet_exp(x, got)
-        assert_bitwise_equal(got, expected, f"exp differs (seed {seed})")
-        kernel.fleet_exp(x, x)
-        assert_bitwise_equal(x, expected, f"in-place exp differs (seed {seed})")
+        device = build_device("jetson-orin-nano")
+        models = (device.cpu.power_model, device.gpu.power_model)
+        exponents = np.concatenate([rng.uniform(-60.0, 4.0, 997), self.EDGES])
+        # The CPU's temperatures give these leakage exponents; the GPU's
+        # last five are the edges themselves.
+        temps = np.stack([
+            m.leakage_reference_temp_c + exponents / m.leakage_temp_coefficient
+            for m in models
+        ])
+        temps[1, -5:] = self.EDGES
+        n = temps.shape[1]
+        fleet = _device_fleet(rng, 2, [(0, 1, 0.4)], n, temps)
+        # Zero work and zero duration: each power is idle + 0.0 + leakage.
+        telemetry = _fused_and_numpy(fleet, monkeypatch, np.zeros(n), 0.0, 0.0)
+        for got, t, m in zip((telemetry.cpu_power_w, telemetry.gpu_power_w), temps, models):
+            k, ref = m.leakage_temp_coefficient, m.leakage_reference_temp_c
+            expected = np.array([
+                (m.idle_power_w + 0.0) + m.leakage_power_w * math.exp(min(k * (v - ref), 4.0))
+                for v in t.tolist()
+            ])
+            assert_bitwise_equal(got, expected, f"leakage exp differs (seed {seed})")
 
 
 # ---------------------------------------------------------------------------
@@ -381,11 +435,9 @@ class TestFleetExp:
 
 def _use_numpy_fallback(monkeypatch):
     """Run the fleet modules' NumPy fallbacks, as ``REPRO_FUSED=0`` does."""
-    for module in (
-        repro.rl.fused, repro.hardware.fleet, repro.workload.fleet,
-        repro.detection.fleet,
-    ):
+    for module in (repro.hardware.fleet, repro.workload.fleet, repro.detection.fleet):
         monkeypatch.setattr(module, "fused_fleet", lambda: None)
+    monkeypatch.setattr(repro.kernels.random, "fused_random", lambda: None)
 
 
 def _environment(n=6, seed=0):
@@ -658,11 +710,12 @@ class TestProposeBatchBounds:
 
 class TestKillSwitch:
     def test_repro_fused_zero_disables_every_kernel(self):
-        """REPRO_FUSED=0 must turn off Adam and fleet kernels alike."""
+        """REPRO_FUSED=0 must turn off every kernel family."""
         code = (
-            "from repro.rl.fused import fused_adam, fused_fleet\n"
-            "assert fused_adam() is None\n"
-            "assert fused_fleet() is None\n"
+            "import repro.kernels as kernels\n"
+            "for family in kernels.FAMILIES:\n"
+            "    assert getattr(kernels, 'fused_' + family)() is None\n"
+            "assert set(kernels.kernel_status().values()) == {'disabled'}\n"
         )
         env = dict(os.environ, REPRO_FUSED="0")
         env["PYTHONPATH"] = os.pathsep.join(
@@ -676,12 +729,20 @@ class TestKillSwitch:
         code = (
             "import sys, pathlib\n"
             "import numpy as np\n"
-            "import repro.rl.fused as fused\n"
-            "fused._NPYRANDOM_ARCHIVE = pathlib.Path(sys.argv[1]) / 'libnpyrandom.a'\n"
-            "assert fused.fused_adam() is not None\n"
-            "assert fused.kernel_status() == 'fused'\n"
-            "assert not fused.fused_fleet().draws_normals\n"
-            "gens = fused.SessionGenerators([np.random.default_rng(0)])\n"
+            "import repro.kernels as kernels\n"
+            "from repro import obs\n"
+            "from repro.kernels import build\n"
+            "build.NPYRANDOM_ARCHIVE = pathlib.Path(sys.argv[1]) / 'libnpyrandom.a'\n"
+            "registry = obs.enable()\n"
+            "assert kernels.fused_random() is None\n"
+            "assert kernels.fused_adam() is not None\n"
+            "assert kernels.fused_fleet() is not None\n"
+            "status = kernels.kernel_status()\n"
+            "assert status == {'adam': 'fused', 'random': 'numpy', 'fleet': 'fused',\n"
+            "                  'dqn': 'unresolved'}, status\n"
+            "assert registry.events[0]['fields'] == {\n"
+            "    'family': 'random', 'status': 'numpy', 'reason': 'symbol missing'}\n"
+            "gens = kernels.SessionGenerators([np.random.default_rng(0)])\n"
             "assert gens.normal(2.0)[0] == np.random.default_rng(0).normal(0.0, 2.0)\n"
         )
         env = dict(os.environ, XDG_CACHE_HOME=str(tmp_path / "cache"))
@@ -693,7 +754,3 @@ class TestKillSwitch:
             [sys.executable, "-c", code, str(tmp_path / "missing")],
             check=True, env=env, cwd=REPO_ROOT,
         )
-
-    def test_fused_fleet_shares_resolution_with_fused_adam(self):
-        """Both accessors return the same cached object (or both None)."""
-        assert fused_fleet() is fused_adam()

@@ -272,11 +272,11 @@ def test_clipped_updates_match_seed_within_float_tolerance():
 
 def test_fused_kernel_disabled_gives_identical_results(monkeypatch):
     """REPRO_FUSED=0 (pure NumPy) and the C kernels must agree exactly."""
-    import repro.rl.fused as fused
+    from repro.kernels import resolve
 
     def run_with(kernel_enabled: bool):
-        monkeypatch.setattr(fused, "_resolved", False)
-        monkeypatch.setattr(fused, "_kernel", None)
+        monkeypatch.setattr(resolve, "_kernels", {})
+        monkeypatch.setattr(resolve, "_status", {})
         monkeypatch.setenv("REPRO_FUSED", "1" if kernel_enabled else "0")
         learner = DqnLearner(
             network=SlimmableMLP(4, (12, 12), 5, rng=np.random.default_rng(9)),
@@ -303,5 +303,5 @@ def test_fused_kernel_disabled_gives_identical_results(monkeypatch):
     for a, b in zip(state_numpy, state_fused):
         assert np.array_equal(a, b)
     # Restore the module-level kernel resolution for subsequent tests.
-    monkeypatch.setattr(fused, "_resolved", False)
-    monkeypatch.setattr(fused, "_kernel", None)
+    monkeypatch.setattr(resolve, "_kernels", {})
+    monkeypatch.setattr(resolve, "_status", {})

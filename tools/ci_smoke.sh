@@ -74,14 +74,15 @@ smoke_fused_kill_switch() {
     # Two runs must hash identically with and without the fused kernels: a
     # lotus-fleet cell, the governor-only members of mixed-edge-fleet
     # (several devices and detectors, per-session innovation std), and
-    # scalar lotus and ztt sessions.  The digest covers each trace's column
-    # bits and datasets, the cell's session metrics, and every session's
-    # loss and reward histories.
-    # The fused side must show, through repro.obs, that the normal-draw,
-    # device-segment, segment-model, DQN train-step and greedy-action
-    # kernels ran (no silent fallback).  The governed run must throttle at
-    # least once (its thermal-soak member does), so the throttle branch is
-    # under the digest comparison.
+    # scalar lotus, ztt and lotus-shared-buffer sessions (the last trains on
+    # the NumPy-path learner, which runs the adam family's kernels).  The
+    # digest covers each trace's column bits and datasets, the cell's
+    # session metrics, and every session's loss and reward histories.
+    # The fused side must show, through repro.obs, that every kernel family
+    # ran, each of the fleet family's four kernels included (no silent
+    # fallback), and the other side that none did.  The governed run must
+    # throttle at least once (its thermal-soak member does), so the
+    # throttle branch is under the digest comparison.
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -92,12 +93,12 @@ import numpy as np
 from repro import ExperimentSetting, execute_setting, obs, run_fleet
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.env.trace import COLUMN_DTYPES
-from repro.rl.fused import fused_adam
+from repro.kernels import kernel_status
 from repro.runtime.fleet import run_fleet_scenario
 from repro.scenarios import FleetScenario, build_scenario
 
 fused = os.environ["REPRO_FUSED"] == "1"
-assert (fused_adam() is not None) == fused, "kill switch not honoured"
+registry = obs.enable()
 
 
 def trace_digest(trace):
@@ -133,28 +134,16 @@ governed = FleetScenario(
         if member.spec.method in ("default", "performance", "powersave", "fixed")
     ),
 )
-registry = obs.enable()
 mixed = run_fleet_scenario(governed, num_sessions=12, num_frames=48)
-kernel_calls = {
-    dict(labels)["kernel"]: count
-    for (name, labels), count in registry.counters.items()
-    if name == "fused.kernel_calls"
-}
-obs.disable()
-for kernel in ("fleet_normal", "fleet_device_execute", "fleet_segment_model"):
-    assert (kernel_calls.get(kernel, 0) > 0) == fused, (kernel, kernel_calls)
 assert any(
     mixed.fleet_trace.column_window(name).any()
     for name in ("cpu_throttled", "gpu_throttled")
 ), "the governed mixed-edge-fleet run never throttled"
 mixed_digest = trace_digest(mixed.fleet_trace)
 
-# Scalar lotus and ztt sessions: both train (learning starts after 64
-# transitions), so the fused side must have run the whole-step and greedy
-# DQN kernels.
-registry = obs.enable()
+# Scalar sessions that train (learning starts after 64 transitions).
 scalar_digest = hashlib.sha256()
-for method in ("lotus", "ztt"):
+for method in ("lotus", "ztt", "lotus-shared-buffer"):
     session = execute_setting(ExperimentSetting(num_frames=160, seed=0), method)
     assert session.losses, method
     for name in COLUMN_DTYPES:
@@ -165,20 +154,32 @@ for method in ("lotus", "ztt"):
     scalar_digest.update("\n".join(session.trace.datasets()).encode())
     for history in (session.losses, session.rewards):
         scalar_digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
-dqn_calls = {
+kernel_calls = {
     dict(labels)["kernel"]: count
     for (name, labels), count in registry.counters.items()
     if name == "fused.kernel_calls"
 }
 obs.disable()
-for kernel in ("dqn_train_step", "dqn_greedy"):
-    assert (dqn_calls.get(kernel, 0) > 0) == fused, (kernel, dqn_calls)
+families = {
+    "adam": ("step_multi", "bias_relu"),
+    "random": ("fleet_normal",),
+    "fleet": ("fleet_device_execute", "fleet_segment_model",
+              "fleet_ar1_advance", "fleet_proposal_tail"),
+    "dqn": ("dqn_train_step", "dqn_greedy"),
+}
+for family, kernels in families.items():
+    ran = [kernel for kernel in kernels if kernel_calls.get(kernel, 0) > 0]
+    assert bool(ran) == fused, (family, kernel_calls)
+for kernel in families["fleet"]:
+    assert (kernel_calls.get(kernel, 0) > 0) == fused, (kernel, kernel_calls)
+status = set(kernel_status().values())
+assert status == ({"fused"} if fused else {"disabled"}), kernel_status()
 
 with open(sys.argv[1], "w") as handle:
     handle.write(
         "\n".join(d.hexdigest() for d in (digest, mixed_digest, scalar_digest)) + "\n"
     )
-print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s, scalar lotus+ztt %s"
+print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s, scalar sessions %s"
       % (fused, digest.hexdigest(), mixed_digest.hexdigest(), scalar_digest.hexdigest()))
 PY
     done
