@@ -10,6 +10,8 @@ gradients, fancy-indexed Adam).
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.analysis.experiments import (
     make_policy,
 )
 from repro.core.training import OnlineSession
+from repro.env.trace import COLUMN_DTYPES
 from repro.rl.legacy import (
     LegacyDqnLearner,
     LegacyReplayBuffer,
@@ -31,6 +34,38 @@ from repro.rl.replay import ReplayBuffer, Transition
 from repro.rl.slimmable import SlimmableMLP
 
 
+def _bits(values) -> bytes:
+    """The int64 bit view of float64 values (``-0.0`` and NaN payloads count)."""
+    return np.ascontiguousarray(values, dtype=np.float64).view(np.int64).tobytes()
+
+
+def _session_digest(result) -> str:
+    """SHA-256 over every trace column's bits, the datasets, the losses and
+    the rewards of a scalar session."""
+    digest = hashlib.sha256()
+    for name, dtype in COLUMN_DTYPES.items():
+        column = np.ascontiguousarray(result.trace.column(name))
+        digest.update(f"{name}:{column.dtype.str}:{column.shape}".encode())
+        digest.update(_bits(column) if dtype.itemsize == 8 else column.tobytes())
+    digest.update("\n".join(result.trace.datasets()).encode())
+    digest.update(b"losses" + _bits(result.losses))
+    digest.update(b"rewards" + _bits(result.rewards))
+    return digest.hexdigest()
+
+
+#: :func:`_session_digest` of the 220-frame seed-0 session of each learning
+#: method on the reference cell.  Each one trains (the 24-frame fleet pins
+#: never fill a batch), and each equals the frozen seed implementation's
+#: session (:func:`use_legacy_rl_path`).
+PINNED_SESSION_DIGESTS = {
+    "lotus": "0cc86da39172e6ae104e59c534f4ccfc976d2408d6924abc4a5e607256446a6b",
+    "lotus-no-slim": "609c373e7612b65bce774577a2e49c9acef4e65bccde6c34c1e4910c3a242e30",
+    "lotus-shared-buffer": "842cbd04f8350037454d00323df0ec912f83cfa912f2d8822fe9d356aef0d21f",
+    "lotus-single-action": "951cc1fe260184adfb55f718d85c7a650eb033f57cdc38a0a7c22cf564c0e1c9",
+    "ztt": "e1c06028f647d9470551a3788a265572f8743f3b85af4f3f6128a1f341b0b6f7",
+}
+
+
 def _run_session(method: str, legacy: bool, frames: int = 220):
     setting = ExperimentSetting(num_frames=frames, seed=0)
     environment = make_environment(setting)
@@ -40,9 +75,11 @@ def _run_session(method: str, legacy: bool, frames: int = 220):
     return OnlineSession(environment, policy).run(frames)
 
 
-@pytest.mark.parametrize("method", ["lotus", "ztt"])
+@pytest.mark.parametrize("method", sorted(PINNED_SESSION_DIGESTS))
 def test_full_session_is_bit_identical_to_seed_implementation(method):
     current = _run_session(method, legacy=False)
+    assert current.losses
+    assert _session_digest(current) == PINNED_SESSION_DIGESTS[method]
     seed = _run_session(method, legacy=True)
     # Losses and rewards: exact float equality, not allclose.
     assert current.losses == seed.losses
@@ -75,6 +112,21 @@ def _make_learner_pair():
     return current, legacy
 
 
+def _learner_digest(learner, losses, greedy=()) -> str:
+    """SHA-256 over a learner's losses, greedy probe actions and final
+    online and target parameter bits."""
+    digest = hashlib.sha256(b"losses" + _bits(losses))
+    digest.update(b"greedy" + np.asarray(greedy, dtype=np.int64).tobytes())
+    digest.update(b"online" + _bits(learner.network.flat_parameters))
+    digest.update(b"target" + _bits(learner.target_network.flat_parameters))
+    return digest.hexdigest()
+
+
+#: :func:`_learner_digest` of the 60-step alternating-width sequence below,
+#: whose batches mix both next widths; equal to the seed implementation's.
+PINNED_LEARNER_DIGEST = "c590193aeec0df28675136d9b5eaddae98658297698dda043bfc0cffaed41618"
+
+
 def test_learner_losses_and_greedy_actions_match_seed_step_for_step():
     current, legacy = _make_learner_pair()
     buffer = ReplayBuffer(256)
@@ -92,16 +144,25 @@ def test_learner_losses_and_greedy_actions_match_seed_step_for_step():
     rng_a = np.random.default_rng(42)
     rng_b = np.random.default_rng(42)
     probe_rng = np.random.default_rng(7)
+    losses, greedy = [], []
     for step in range(60):
         width = 0.75 if step % 2 == 0 else 1.0
         loss_a = current.train_batch(buffer.sample(16, rng_a), width=width)
         loss_b = legacy.train_batch(legacy_buffer.sample(16, rng_b), width=width)
         assert loss_a == loss_b, f"loss diverged at step {step}"
         probe = probe_rng.normal(size=5)
-        assert current.greedy_action(probe, width) == legacy.greedy_action(probe, width)
+        greedy.append(current.greedy_action(probe, width))
+        assert greedy[-1] == legacy.greedy_action(probe, width)
+        losses.append(loss_a)
+    assert _learner_digest(current, losses, greedy) == PINNED_LEARNER_DIGEST
     # Final parameters are bit-identical too.
     for ours, theirs in zip(current.network.get_state(), legacy.network.get_state()):
         assert np.array_equal(ours, theirs)
+
+
+#: SHA-256 over the column bits of the 20 batches sampled below from a
+#: ring that wrapped twice; the seed deque returned the same rows.
+PINNED_REPLAY_DIGEST = "4c69a169ad74765c4feb752aae2e72b7be665c553446e7a7c44033c7769895c2"
 
 
 def test_replay_sampling_consumes_rng_identically():
@@ -120,8 +181,12 @@ def test_replay_sampling_consumes_rng_identically():
         legacy_buffer.push(t)
     rng_a = np.random.default_rng(5)
     rng_b = np.random.default_rng(5)
+    digest = hashlib.sha256()
     for _ in range(20):
         batch = buffer.sample(10, rng_a)
+        for column in (batch.states, batch.rewards, batch.next_states, batch.next_widths):
+            digest.update(_bits(column))
+        digest.update(np.asarray(batch.actions, dtype=np.int64).tobytes())
         legacy_batch = legacy_buffer.sample(10, rng_b)
         for row, legacy_t in zip(batch, legacy_batch):
             assert np.array_equal(row.state, legacy_t.state)
@@ -129,6 +194,7 @@ def test_replay_sampling_consumes_rng_identically():
             assert row.reward == legacy_t.reward
             assert np.array_equal(row.next_state, legacy_t.next_state)
             assert row.next_width == legacy_t.next_width
+    assert digest.hexdigest() == PINNED_REPLAY_DIGEST
 
 
 def test_backward_sliced_matches_finite_differences_at_reduced_width():
@@ -234,6 +300,10 @@ def test_masked_only_optimizer_still_trains_through_the_learner():
     assert np.array_equal(learner.network.weights[1][6:, :], inactive_before)
 
 
+#: :func:`_learner_digest` of the 40 clipped steps below.
+PINNED_CLIPPED_DIGEST = "6f9b16a436872f83627dd02ac8a7fd6a7401d337fd15908eda1cfad32b35307b"
+
+
 def test_clipped_updates_match_seed_within_float_tolerance():
     """When the global-norm clip actually fires, the norm is accumulated in
     a different (mathematically equal) order than the seed code, so the
@@ -262,10 +332,22 @@ def test_clipped_updates_match_seed_within_float_tolerance():
         )
         for _ in range(16)
     ]
+    losses = []
     for _ in range(40):
         loss_a = current.train_batch(transitions, width=1.0)
         loss_b = legacy.train_batch(transitions, width=1.0)
         assert loss_a == pytest.approx(loss_b, rel=1e-9)
+        losses.append(loss_a)
+    assert _learner_digest(current, losses) == PINNED_CLIPPED_DIGEST
+    # The same steps on the NumPy learner, whatever the kernels resolve to.
+    numpy_learner = DqnLearner(
+        network=SlimmableMLP(5, (16, 16), 6, rng=np.random.default_rng(3)),
+        config=config,
+        optimizer=Adam(learning_rate=0.01),
+    )
+    numpy_learner._dqn = None
+    losses = [numpy_learner.train_batch(transitions, width=1.0) for _ in range(40)]
+    assert _learner_digest(numpy_learner, losses) == PINNED_CLIPPED_DIGEST
     for ours, theirs in zip(current.network.get_state(), legacy.network.get_state()):
         assert np.allclose(ours, theirs, rtol=1e-9, atol=1e-12)
 
