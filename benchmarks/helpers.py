@@ -1,16 +1,20 @@
-"""Utilities shared by the benchmark harness.
+"""Utilities shared by the paper suite.
 
-The benchmarks favour a single deterministic run per experiment
-(``benchmark.pedantic(..., rounds=1, iterations=1)``): the quantity of
-interest is the regenerated table/figure, not the runtime of the simulator,
-and the learning-based methods are far too slow to repeat dozens of times.
-Every benchmark prints its output and also writes it to
-``benchmarks/results/<name>.txt`` so the numbers quoted in EXPERIMENTS.md
-can be regenerated and inspected after the run.
+Each test regenerates one table or figure of the paper in a single
+deterministic run (``benchmark.pedantic(..., rounds=1, iterations=1)``):
+the quantity of interest is the regenerated text, not the simulator's
+speed, which ``perfbench/`` measures.  :func:`emit` prints each result and
+writes it to ``benchmarks/results/<name>.txt``.  At the default scale those
+files are committed, so :func:`emit` also pins them: a regenerated text
+that differs from the committed one is written (``git diff`` shows the
+change) and fails the test with the diff.  Any other ``LOTUS_BENCH_*``
+scale writes to a subdirectory named after the scale and never touches the
+committed files.
 """
 
 from __future__ import annotations
 
+import difflib
 import os
 from pathlib import Path
 from typing import Mapping
@@ -34,22 +38,26 @@ TRAINING_FRAMES = int(os.environ.get("LOTUS_BENCH_TRAINING_FRAMES", "1800"))
 #: Frames used by the fixed-frequency profiling experiments (Fig. 1/2, §4.2).
 PROFILE_FRAMES = int(os.environ.get("LOTUS_BENCH_PROFILE_FRAMES", "300"))
 
-#: Worker processes used by the multi-cell benchmark sweeps.  The default of
-#: 1 keeps the benches serial (and their timings meaningful); export e.g.
-#: ``LOTUS_BENCH_WORKERS=8`` to regenerate a full table across cores.
+#: The ``(EVAL_FRAMES, TRAINING_FRAMES, PROFILE_FRAMES)`` the committed
+#: ``benchmarks/results/*.txt`` were generated at.
+DEFAULT_SCALE = (1000, 1800, 300)
+
+#: Worker processes used by the multi-cell sweeps (default 1, serial).
+#: Results are byte-identical at any worker count; export e.g.
+#: ``LOTUS_BENCH_WORKERS=8`` to regenerate a paper-scale table across cores.
 BENCH_WORKERS = int(os.environ.get("LOTUS_BENCH_WORKERS", "1"))
 
-#: Result-cache directory for the benches.  Empty (the default) disables
-#: caching so every benchmark run measures real executions; point it at a
-#: directory (e.g. ``~/.cache/repro-lotus``) to re-render tables instantly.
+#: Result-cache directory for the sweeps.  Empty (the default) disables
+#: caching, so every run executes its cells; point it at a directory (e.g.
+#: ``~/.cache/repro-lotus``) to re-render unchanged tables instantly.
 BENCH_CACHE_DIR = os.environ.get("LOTUS_BENCH_CACHE", "")
 
 
 def bench_runtime() -> ExperimentRuntime:
-    """The experiment runtime the benchmark sweeps route through.
+    """The experiment runtime the paper suite's sweeps route through.
 
     Configured by ``LOTUS_BENCH_WORKERS`` and ``LOTUS_BENCH_CACHE``; the
-    default is a serial, uncached engine so benchmark timings stay honest.
+    default is a serial, uncached engine.
     """
     cache = ResultCache(BENCH_CACHE_DIR) if BENCH_CACHE_DIR else None
     return ExperimentRuntime(max_workers=BENCH_WORKERS, cache=cache)
@@ -66,19 +74,41 @@ def phone_frames(frames: int) -> int:
     return frames
 
 
+def results_dir() -> Path:
+    """``benchmarks/results`` at the default scale, else its subdirectory
+    named after the scale (``frames3000-training10000-profile300``)."""
+    scale = (EVAL_FRAMES, TRAINING_FRAMES, PROFILE_FRAMES)
+    if scale == DEFAULT_SCALE:
+        return RESULTS_DIR
+    return RESULTS_DIR / "frames{}-training{}-profile{}".format(*scale)
+
+
 def save_result(name: str, text: str) -> Path:
-    """Persist a benchmark's textual output under ``benchmarks/results``."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    path = RESULTS_DIR / f"{name}.txt"
+    """Write a result's text to ``<name>.txt`` in :func:`results_dir`."""
+    path = results_dir() / f"{name}.txt"
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n", encoding="utf-8")
     return path
 
 
 def emit(name: str, text: str) -> None:
-    """Print a benchmark's output and persist it."""
-    banner = f"\n===== {name} =====\n"
-    print(banner + text)
+    """Print a result and save it; at the default scale, fail with a diff
+    if it differs from the committed ``benchmarks/results/<name>.txt``."""
+    print(f"\n===== {name} =====\n" + text)
+    committed = RESULTS_DIR / f"{name}.txt"
+    pinned = results_dir() == RESULTS_DIR
+    before = committed.read_text(encoding="utf-8") if pinned and committed.exists() else ""
     save_result(name, text)
+    after = text + "\n"
+    if pinned and after != before:
+        diff = difflib.unified_diff(
+            before.splitlines(keepends=True), after.splitlines(keepends=True),
+            f"committed/{name}.txt", f"regenerated/{name}.txt",
+        )
+        raise AssertionError(
+            f"{name}: the regenerated result differs from the committed "
+            f"{committed} (now rewritten; see git diff):\n" + "".join(diff)
+        )
 
 
 def method_summary_line(method: str, metrics: EpisodeMetrics) -> str:
@@ -120,8 +150,7 @@ def assert_paper_ordering(
 
     Absolute values are not asserted — the substrate is a simulator, not the
     authors' hardware — only the direction of the comparisons.  The
-    quantitative margins (typically 10-30 % mean-latency and 30-80 %
-    variation reduction) are reported by the benches and in EXPERIMENTS.md.
+    quantitative margins are reported in the pinned result files.
     """
     default = metrics["default"]
     lotus = metrics["lotus"]

@@ -67,9 +67,10 @@ def test_ablation_lotus_design_choices(benchmark):
     # Sanity of the full agent: it never collapses — a reasonable
     # satisfaction rate, no sustained hardware throttling, and a latency in
     # the same range as every ablated variant.  The quantitative differences
-    # between variants are reported (table above / EXPERIMENTS.md) rather
-    # than asserted: with online learning over a few thousand frames the
-    # per-variant results carry noticeable seed-to-seed variance.
+    # between variants are reported (the table above, which emit pins to
+    # benchmarks/results/ablation_design_choices.txt) rather than asserted:
+    # with online learning over a few thousand frames the per-variant
+    # results carry noticeable seed-to-seed variance.
     assert full.satisfaction_rate >= 0.5
     assert full.throttled_fraction <= 0.1
     for name, variant in metrics.items():

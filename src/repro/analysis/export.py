@@ -2,8 +2,8 @@
 
 Experiments produce :class:`~repro.env.trace.Trace` objects; this module
 serialises them to CSV (for plotting with any external tool) and JSON (for
-archiving alongside EXPERIMENTS.md), and loads them back, so long runs do
-not need to be repeated to re-analyse their results.
+archiving), and loads them back, so long runs do not need to be repeated
+to re-analyse their results.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Produces the Table 1/2 layout of the paper: one block per detector, one row
 per method, with mean latency, latency standard deviation and satisfaction
-rate per dataset.  Output is plain text so it can be printed by benchmarks
-and embedded in EXPERIMENTS.md.
+rate per dataset.  Output is plain text, so the paper suite prints it and
+pins it in ``benchmarks/results/``.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-FAMILIES = ("adam", "random", "fleet", "dqn")
+FAMILIES = ("random", "fleet", "dqn")
 
 #: The C sources: one file per kernel family plus their shared header.
 SOURCE_DIR = Path(__file__).parent

@@ -22,10 +22,4 @@ static inline double np_minimum(double a, double b) {
     return (isnan(a) || a < b) ? a : b;
 }
 
-/* Shared with the dqn family; defined in adam.c. */
-void adam_region(long rows, long cols, long stride, double *p, const double *g,
-                 double *m, double *v, double lr, double beta1, double beta2,
-                 double eps, double bc1, double bc2);
-void bias_relu(long rows, long cols, double *z, const double *b, double *act);
-
 #endif

@@ -66,7 +66,6 @@ def _accessor(family: str, kernels: str):
     return fused
 
 
-fused_adam = _accessor("adam", "``adam_step_multi``, ``bias_relu``")
 fused_random = _accessor("random", "``fleet_normal``")
 fused_fleet = _accessor("fleet", "device segment, segment model, AR(1), proposal tail")
 fused_dqn = _accessor("dqn", "``dqn_train_step``, ``dqn_greedy``")

@@ -9,8 +9,8 @@ implementation of
 * :mod:`repro.rl.slimmable` — :class:`SlimmableMLP`, an MLP whose hidden
   layers can execute at a reduced width (the paper's [0.75x, 1.0x] design),
   with gradients confined to the active slice.
-* :mod:`repro.rl.optimizer` — Adam and SGD with optional per-parameter
-  update masks.
+* :mod:`repro.rl.optimizer` — Adam and SGD, each updating only the active
+  region of every parameter.
 * :mod:`repro.rl.schedule` — learning-rate and exploration schedules
   (cosine decay, linear/exponential epsilon decay, the sinusoidal
   epsilon_t decay of the cool-down mechanism).
@@ -18,10 +18,11 @@ implementation of
   storage with column-batch sampling).
 * :mod:`repro.rl.dqn` — a generic DQN learner (online + target network,
   epsilon-greedy action selection, Huber TD loss) that both the Lotus agent
-  and the zTT baseline build on.
-* :mod:`repro.rl.legacy` — the frozen pre-vectorization hot path (deque
-  replay, mask-padded gradients), kept only as the equivalence oracle the
-  seed-for-seed tests compare against; not exported.
+  and the zTT baseline build on.  It has two update paths with the same
+  bits: the NumPy one (also the ``REPRO_FUSED=0`` reference) and the fused
+  ``dqn`` kernels of :mod:`repro.kernels`.
+* :mod:`repro.rl.fused` — the two kernel entry points the benchmark scripts
+  import; not exported.
 """
 
 from repro.rl.dqn import DqnConfig, DqnLearner

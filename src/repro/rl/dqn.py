@@ -92,6 +92,11 @@ class DqnLearner:
         optimizer: Optimizer | None = None,
         learning_rate_schedule: Schedule | None = None,
     ):
+        if not (hasattr(network, "rebase") and hasattr(network, "flat_parameters")):
+            raise AgentError(
+                f"{type(network).__name__} has no flat parameter buffer to "
+                "rebase; DqnLearner trains SlimmableMLP-like networks"
+            )
         self.network = network
         self.target_network = network.clone()
         self.config = config if config is not None else DqnConfig()
@@ -103,25 +108,17 @@ class DqnLearner:
         # share the same internal layout, so a zero-copy strided view can
         # stack the two networks' weights layer by layer and both TD
         # bootstrap forwards run as ONE batched matmul per layer.
-        self._pair_buffer: np.ndarray | None = None
-        if hasattr(network, "rebase"):
-            # Rebasing captures raw buffer addresses in this learner's view
-            # and kernel-table caches, so a network may belong to exactly
-            # one learner; a second rebase would leave the first learner's
-            # caches dangling on the abandoned buffer.
-            if getattr(network, "_pair_owner", None) is not None:
-                raise AgentError(
-                    "network is already owned by another DqnLearner; build a "
-                    "fresh network (or clone()) per learner"
-                )
-            self._pair_buffer = np.zeros(2 * network.flat_parameters.size)
-            self._rebase_pair()
-        # An optimizer that overrides step_sliced (Adam, Sgd) gets the
-        # sliced/flat fast paths; one that only implements the historical
-        # masked step() gets padded gradients.
-        self._sliced_capable = (
-            type(self.optimizer).step_sliced is not Optimizer.step_sliced
-        )
+        # Rebasing captures raw buffer addresses in this learner's view and
+        # kernel-table caches, so a network may belong to exactly one
+        # learner; a second rebase would leave the first learner's caches
+        # dangling on the abandoned buffer.
+        if getattr(network, "_pair_owner", None) is not None:
+            raise AgentError(
+                "network is already owned by another DqnLearner; build a "
+                "fresh network (or clone()) per learner"
+            )
+        self._pair_buffer = np.zeros(2 * network.flat_parameters.size)
+        self._rebase_pair()
         self._init_derived()
 
     def _rebase_pair(self) -> None:
@@ -150,10 +147,8 @@ class DqnLearner:
         self._regions_cache: Dict[float, List[Tuple[slice, ...]]] = {}
         # Per-width flat gradient buffer with per-layer views, interleaved
         # like the network's flat parameter layout ([w0, b0, w1, b1, ...]);
-        # the backward pass writes into the views, clipping runs one dot
-        # over the flat buffer, and at full width the optimizer consumes
-        # the buffer wholesale (step_flat).
-        # See _grad_scratch_for for the tuple layout.
+        # the backward pass writes into the views and clipping runs one dot
+        # over the flat buffer.  See _grad_scratch_for for the tuple layout.
         self._grad_scratch: Dict[float, tuple] = {}
         # dqn_train_step tables per (width, next width, batch size) and
         # dqn_greedy tables per width; None marks a NumPy-path key.
@@ -168,10 +163,7 @@ class DqnLearner:
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
-        pair = self._pair_buffer
-        if pair is not None and not np.may_share_memory(
-            pair, self.network.flat_parameters
-        ):
+        if not np.may_share_memory(self._pair_buffer, self.network.flat_parameters):
             # Pickling copies each view on its own: move the copied
             # networks back into the copied pair buffer.
             self._rebase_pair()
@@ -204,12 +196,11 @@ class DqnLearner:
         except KeyError:
             pass
         table = None
-        if self._pair_buffer is not None:
-            units = self.network.active_units_for_width(width)
-            if min(units) > 1:
-                table = self._dqn.greedy_table(
-                    self.network.weights, self.network.biases, units
-                )
+        units = self.network.active_units_for_width(width)
+        if min(units) > 1:
+            table = self._dqn.greedy_table(
+                self.network.weights, self.network.biases, units
+            )
         self._greedy_tables[width] = table
         return table
 
@@ -304,12 +295,8 @@ class DqnLearner:
     def _grad_scratch_for(self, width: float) -> tuple:
         """Flat gradient buffer + per-layer views for ``width``.
 
-        Returns ``(flat, weight_views, bias_views, interleaved, full_width,
-        plan)`` where ``interleaved`` matches the parameter order,
-        ``full_width`` says whether the layout coincides with the network's
-        flat parameter buffer (every unit active), and ``plan`` is the
-        optimizer's prepared fused-step plan for these buffers (``None``
-        when unsupported).
+        Returns ``(flat, weight_views, bias_views, interleaved)`` where
+        ``interleaved`` matches the parameter order.
         """
         scratch = self._grad_scratch.get(width)
         if scratch is None:
@@ -332,16 +319,7 @@ class DqnLearner:
                 weight_views.append(w_view)
                 bias_views.append(b_view)
                 interleaved.extend((w_view, b_view))
-            full_width = (
-                self._pair_buffer is not None
-                and total == self.network.flat_parameters.size
-            )
-            plan = None
-            if hasattr(self.optimizer, "plan_step"):
-                plan = self.optimizer.plan_step(
-                    self._params, interleaved, self._regions_for(width)
-                )
-            scratch = (flat, weight_views, bias_views, interleaved, full_width, plan)
+            scratch = (flat, weight_views, bias_views, interleaved)
             self._grad_scratch[width] = scratch
         return scratch
 
@@ -454,17 +432,11 @@ class DqnLearner:
         ) = self._scratch_for(batch_size)
         if uniform is not None:
             # Uniform next width (each Lotus buffer bootstraps at one fixed
-            # width): a single grouped pass, no per-group index arrays; with
-            # the pair buffer in place, the online and target forwards run
-            # as one stacked pass.
-            if self._pair_buffer is not None and self.config.double_dqn:
+            # width): a single grouped pass, no per-group index arrays; the
+            # online and target forwards run as one stacked pass.
+            if self.config.double_dqn:
                 online_q, target_q = self._predict_pair(next_states, uniform)
                 best_actions = online_q.argmax(axis=1)
-                max_next_q[...] = target_q[batch_indices, best_actions]
-            elif self.config.double_dqn:
-                target_q = self.target_network.predict(next_states, uniform)
-                online_q = self.network.predict(next_states, uniform)
-                best_actions = np.argmax(online_q, axis=1)
                 max_next_q[...] = target_q[batch_indices, best_actions]
             else:
                 target_q = self.target_network.predict(next_states, uniform)
@@ -487,10 +459,7 @@ class DqnLearner:
         max_next_q += rewards
         targets = max_next_q
 
-        if self._pair_buffer is not None:
-            outputs, cache = self.network._forward_train(states, width)
-        else:
-            outputs, cache = self.network.forward(states, width)
+        outputs, cache = self.network._forward_train(states, width)
         # One shared flat index addresses the taken (row, action) cells for
         # both the prediction gather and the gradient scatter.
         np.add(row_offsets, actions, out=flat_index)
@@ -501,39 +470,12 @@ class DqnLearner:
         # the zeros the buffer was (re)set to.
         grad_outputs.fill(0.0)
         flat_grad_outputs[flat_index] = grad_predictions
-        flat_grad, weight_views, bias_views, gradients, full_width, plan = (
-            self._grad_scratch_for(width)
-        )
+        flat_grad, weight_views, bias_views, gradients = self._grad_scratch_for(width)
         self.network.backward_into(cache, grad_outputs, weight_views, bias_views)
         self._clip_flat(flat_grad)
 
         self._schedule_learning_rate()
-        if plan is not None:
-            # Prepared fused step: the whole Adam update in one C call.
-            self.optimizer.step_planned(plan)
-        elif full_width and self._sliced_capable:
-            # Gradient layout coincides with the flat parameter buffer:
-            # update everything with whole-buffer ufuncs (consumes the
-            # gradient scratch).
-            self.optimizer.step_flat(
-                self._params, self.network.flat_parameters, flat_grad
-            )
-        elif self._sliced_capable:
-            self.optimizer.step_sliced(self._params, gradients, self._regions_for(width))
-        else:
-            # Compatibility for optimizers that only implement the masked
-            # step(): pad the sliced gradients back to full shape.
-            regions = self._regions_for(width)
-            full_grads: List[np.ndarray] = []
-            masks: List[np.ndarray] = []
-            for param, grad, region in zip(self._params, gradients, regions):
-                padded = np.zeros_like(param)
-                padded[region] = grad
-                mask = np.zeros(param.shape, dtype=bool)
-                mask[region] = True
-                full_grads.append(padded)
-                masks.append(mask)
-            self.optimizer.step(self._params, full_grads, masks)
+        self.optimizer.step_sliced(self._params, gradients, self._regions_for(width))
         return self._end_step(loss)
 
     def _schedule_learning_rate(self) -> None:
@@ -596,11 +538,7 @@ class DqnLearner:
         the others to gemv, dot or its own loop instead of gemm.
         """
         network, optimizer = self.network, self.optimizer
-        if (
-            self._pair_buffer is None
-            or not self.config.double_dqn
-            or type(optimizer) is not Adam
-        ):
+        if not self.config.double_dqn or type(optimizer) is not Adam:
             return None
         train = network.active_units_for_width(width)
         boot = network.active_units_for_width(next_width)
@@ -620,15 +558,11 @@ class DqnLearner:
         """Global-norm clipping of the flat gradient buffer: one dot, one
         conditional in-place rescale.
 
-        Equivalence boundary: the squared norm is accumulated in a
-        different (mathematically equal) summation order than the original
-        ``sum(np.sum(g**2))`` over zero-padded arrays, so the two can
-        differ in the last ulps.  While the norm stays below
-        ``max_grad_norm`` — true for every paper-default configuration the
-        equivalence suite runs — no rescale happens and seeded runs remain
-        bit-identical to the seed implementation; when a clip does fire,
-        the rescale factor (and everything downstream) may differ at
-        ~1e-16 relative magnitude.
+        The squared norm is a single ``np.dot`` over the whole flat buffer,
+        the summation order ``dqn_train_step`` reproduces; a sum of
+        per-parameter squared sums would round differently in the last ulp
+        whenever the clip fires.  The clipped sequence in
+        ``tests/test_rl_equivalence.py`` pins this bit for bit.
         """
         if self.config.max_grad_norm <= 0:
             return
@@ -671,10 +605,7 @@ class DqnLearner:
 
     def sync_target(self) -> None:
         """Copy the online network's parameters into the target network."""
-        if self._pair_buffer is not None:
-            # Online and target halves share one buffer: the sync is a
-            # single contiguous copy, no per-parameter allocations.
-            total = self._pair_buffer.size // 2
-            self._pair_buffer[total:] = self._pair_buffer[:total]
-        else:
-            self.target_network.set_state(self.network.get_state())
+        # Online and target halves share one buffer: the sync is a single
+        # contiguous copy, no per-parameter allocations.
+        total = self._pair_buffer.size // 2
+        self._pair_buffer[total:] = self._pair_buffer[:total]

@@ -9,13 +9,12 @@ two decisions of the same frame — the core architectural idea of §4.3.4.
 
 :class:`SlimmableMLP` implements this with plain NumPy: ``forward`` takes a
 width multiplier and only uses the active slice of each hidden layer.  The
-training path uses :meth:`SlimmableMLP.backward_sliced`, which returns
-gradients *sliced to the active extents* plus the ``(in_active, out_active)``
-extents themselves, so neither the backward pass nor the optimizer ever
-allocates full-shape zero arrays or boolean masks; the optimizer updates the
-active rectangle through views (the paper: "the remaining weights are not
-updated").  The mask-based :meth:`SlimmableMLP.backward` remains as a
-compatibility wrapper that pads the sliced gradients back to full shape.
+training path backpropagates into gradients *sliced to the active extents*
+(:meth:`SlimmableMLP.backward_into`, or :meth:`SlimmableMLP.backward_sliced`
+which also returns the ``(in_active, out_active)`` extents), so neither the
+backward pass nor the optimizer ever allocates full-shape zero arrays or
+boolean masks; the optimizer updates the active rectangle through views
+(the paper: "the remaining weights are not updated").
 """
 
 from __future__ import annotations
@@ -27,18 +26,7 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.kernels import fused_adam
 from repro.rl.network import he_init
-
-
-def bias_relu(z: np.ndarray, b: np.ndarray, act: np.ndarray) -> None:
-    """``z += b`` then ``act = maximum(z, 0.0)``; ``act`` may be ``z``.
-
-    The NumPy form of the ``bias_relu`` kernel, which hidden layers run
-    when the ``adam`` kernels are available.
-    """
-    z += b
-    np.maximum(z, 0.0, out=act)
 
 
 @dataclass
@@ -319,16 +307,13 @@ class SlimmableMLP:
             self._forward_scratch[key] = cache
         cache.inputs = x
         current = x
-        kernel = fused_adam()
-        relu = bias_relu if kernel is None else kernel.bias_relu
         for layer_index, (w, b) in enumerate(views):
             z = cache.pre_activations[layer_index]
             np.matmul(current, w, out=z)
+            z += b
             if layer_index < last:
-                current = cache.activations[layer_index]
-                relu(z, b, current)
+                current = np.maximum(z, 0.0, out=cache.activations[layer_index])
             else:
-                z += b
                 current = z
         return current, cache
 
@@ -352,16 +337,13 @@ class SlimmableMLP:
         """Trusted inference path: ``x`` must be a 2-D float batch."""
         views = self._views_for(width)
         last = len(views) - 1
-        kernel = fused_adam()
-        relu = bias_relu if kernel is None else kernel.bias_relu
         for layer_index, (w, b) in enumerate(views):
             x = x @ w
+            x += b
             if layer_index < last:
                 # In place: x is this layer's fresh matmul output, so the
                 # pre-activation need not survive.
-                relu(x, b, x)
-            else:
-                x += b
+                np.maximum(x, 0.0, out=x)
         return x
 
     def backward_sliced(
@@ -468,31 +450,6 @@ class SlimmableMLP:
                     grad = next_grad
                 else:
                     grad = grad @ views[layer_index][0].T
-
-    def backward(
-        self, cache: ForwardCache, grad_outputs: np.ndarray
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[np.ndarray], List[np.ndarray]]:
-        """Back-propagate ``grad_outputs`` through the cached forward pass.
-
-        Compatibility wrapper around :meth:`backward_sliced`.
-
-        Returns:
-            ``(weight_grads, bias_grads, weight_masks, bias_masks)``.  The
-            gradients are full-shaped with zeros outside the active slices;
-            the boolean masks mark the active slices so that the optimizer
-            can skip inactive parameters entirely.
-        """
-        sliced_w, sliced_b, extents = self.backward_sliced(cache, grad_outputs)
-        weight_grads = [np.zeros_like(w) for w in self.weights]
-        bias_grads = [np.zeros_like(b) for b in self.biases]
-        weight_masks = [np.zeros(w.shape, dtype=bool) for w in self.weights]
-        bias_masks = [np.zeros(b.shape, dtype=bool) for b in self.biases]
-        for layer_index, (in_active, out_active) in enumerate(extents):
-            weight_grads[layer_index][:in_active, :out_active] = sliced_w[layer_index]
-            bias_grads[layer_index][:out_active] = sliced_b[layer_index]
-            weight_masks[layer_index][:in_active, :out_active] = True
-            bias_masks[layer_index][:out_active] = True
-        return weight_grads, bias_grads, weight_masks, bias_masks
 
     # -- parameter management ------------------------------------------------------------
 

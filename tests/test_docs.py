@@ -78,6 +78,29 @@ def test_lint_detects_stale_cli_invocations(tmp_path, monkeypatch):
     assert any("'frobnicate'" in p for p in problems)
 
 
+def test_lint_detects_missing_file_paths(tmp_path, monkeypatch):
+    check_docs = load_check_docs()
+    for path in ("tools/check_docs.py", "src/repro/rl/dqn.py", "docs/NOTES.md"):
+        (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / path).write_text("", encoding="utf-8")
+    stale = tmp_path / "README.md"
+    stale.write_text(
+        "# doc\n"
+        "Present: `tools/check_docs.py`, `rl/dqn.py:12`, `NOTES.md`, `README.md`.\n"
+        "Not repo paths: `numpy/random/bitgen.h`, `smoke-out/<name>/`, `a/b`.\n"
+        "Gone: `tools/check_everything.py`, `rl/oracle.py:40`, `EXPERIMENTS.md`.\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", (stale,))
+    problems = check_docs.check()
+    assert problems == [
+        f"README.md: file path `{path}` does not exist"
+        for path in ("EXPERIMENTS.md", "rl/oracle.py", "tools/check_everything.py")
+    ]
+    assert check_docs.main() == 1
+
+
 def test_lint_reports_missing_files(tmp_path, monkeypatch):
     check_docs = load_check_docs()
     monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)

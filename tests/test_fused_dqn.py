@@ -44,14 +44,15 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @contextlib.contextmanager
 def _resolution(monkeypatch, enabled: bool, blas: bool = True):
-    """A fresh kernel resolution (restored on exit), as a new process gets."""
+    """A fresh kernel resolution (restored on exit), as a new process gets;
+    yields the kernel library, or ``None`` when kernels are off or unbuilt."""
     with monkeypatch.context() as patch:
         patch.setattr(resolve, "_kernels", {})
         patch.setattr(resolve, "_status", {})
         patch.setenv("REPRO_FUSED", "1" if enabled else "0")
         if not blas:
             patch.setattr(build, "numpy_blas", lambda: None)
-        yield kernels.fused_adam()
+        yield build.library()[0] if build.enabled() else None
 
 
 _TRAIN_STEP_CALLS = ("fused.kernel_calls", (("kernel", "dqn_train_step"),))
@@ -94,12 +95,8 @@ def _buffers(learner, widths, rewards=(0.0, 1.0), size=96, seed=11):
 
 
 def _grad(learner, width, next_width, batch_size):
-    """The flat (clipped) gradient of the learner's last step at ``width``.
-
-    Read before the next step; ``Adam.step_flat`` (the full-width update
-    under ``REPRO_FUSED=0``) consumes it, so only the kernels' runs and
-    the NumPy path next to them are compared on it.
-    """
+    """The flat (clipped) gradient of the learner's last step at ``width``,
+    from the kernel's table or the NumPy path's gradient scratch."""
     table = learner._step_tables.get((width, next_width, batch_size))
     if table is not None:
         return table.buffers["grad"]
@@ -140,13 +137,12 @@ def _trajectory(
     return {"losses": _bits(losses), "grads": grads, **_snapshot(learner)}, learner
 
 
-def _assert_same(a: dict, b: dict, grads: bool = True) -> None:
+def _assert_same(a: dict, b: dict) -> None:
     for key in a:
         if key == "grads":
-            if grads:
-                assert len(a[key]) == len(b[key])
-                for step, (x, y) in enumerate(zip(a[key], b[key])):
-                    assert np.array_equal(x, y), f"gradient of step {step} differs"
+            assert len(a[key]) == len(b[key])
+            for step, (x, y) in enumerate(zip(a[key], b[key])):
+                assert np.array_equal(x, y), f"gradient of step {step} differs"
         else:
             assert np.array_equal(a[key], b[key]), f"{key} differs"
 
@@ -158,7 +154,7 @@ def _fused_vs_numpy(monkeypatch, make, steps, batch_size, **kwargs):
     with _resolution(monkeypatch, enabled=True):
         numpy_path, _ = _trajectory(make, steps, batch_size, numpy_path=True, **kwargs)
         result, learner = _trajectory(make, steps, batch_size, **kwargs)
-    _assert_same(result, reference, grads=False)
+    _assert_same(result, reference)
     _assert_same(result, numpy_path)
     return learner
 
@@ -452,7 +448,7 @@ def test_blas_lookup_failure_turns_off_only_the_dqn_kernels(monkeypatch):
             pytest.skip("fused kernels unavailable on this host")
         assert kernels.fused_dqn() is None and kernels.fused_fleet() is not None
         status = kernels.kernel_status()
-        assert (status["adam"], status["fleet"], status["dqn"]) == ("fused", "fused", "numpy")
+        assert (status["fleet"], status["dqn"]) == ("fused", "numpy")
         registry = obs.enable()
         try:
             result, learner = _trajectory(_learner, 8, 16)
@@ -466,9 +462,9 @@ def test_blas_lookup_failure_turns_off_only_the_dqn_kernels(monkeypatch):
             for name, labels in registry.counters
             if name == "fused.kernel_calls"
         }
-        assert {"fleet_device_execute", "step_multi", "bias_relu"} <= names
+        assert "fleet_device_execute" in names
         assert not names & {"dqn_train_step", "dqn_greedy"}
-    _assert_same(result, reference, grads=False)
+    _assert_same(result, reference)
 
 
 def test_dqn_resolution_is_its_own_event(monkeypatch):
@@ -482,28 +478,23 @@ def test_dqn_resolution_is_its_own_event(monkeypatch):
     finally:
         obs.disable()
     events = [e["fields"] for e in registry.events if e["name"] == "fused.resolved"]
-    assert events == [
-        {"family": "adam", "status": "fused"},
-        {"family": "dqn", "status": "numpy", "reason": "symbol missing"},
-    ]
+    assert events == [{"family": "dqn", "status": "numpy", "reason": "symbol missing"}]
 
 
 def test_dqn_kernels_resolve_where_numpy_exports_its_blas():
     """Where NumPy's BLAS is found, a self-test failure would be a bug."""
-    if kernels.fused_adam() is None or build.numpy_blas() is None:
+    if kernels.fused_fleet() is None or build.numpy_blas() is None:
         pytest.skip("no fused kernels, or NumPy is built on another BLAS")
     assert kernels.fused_dqn() is not None
 
 
 def test_a_process_without_a_learner_never_resolves_the_dqn_kernels():
-    """Fleet-only processes skip the Adam, bias + ReLU and DQN self-tests
-    (and OpenBLAS's buffers)."""
+    """Fleet-only processes skip the DQN self-test (and OpenBLAS's buffers)."""
     code = (
         "from repro import ExperimentSetting, run_fleet\n"
         "from repro.kernels import kernel_status\n"
         "run_fleet(ExperimentSetting(num_frames=8, seed=0), 'default', 4)\n"
         "status = kernel_status()\n"
-        "assert status['adam'] in ('unresolved', 'disabled'), status\n"
         "assert status['dqn'] in ('unresolved', 'disabled'), status\n"
     )
     env = dict(os.environ)

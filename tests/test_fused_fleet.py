@@ -3,14 +3,15 @@
 Every kernel in :mod:`repro.kernels` that the batched simulator uses (the
 per-segment ``fleet_device_execute`` with its RC sub-stepping and leakage
 ``exp``, ``fleet_segment_model``, the clipped AR(1) stream advance, the
-rint/clip proposal tail, the per-session normal draw, and the bias-add +
-ReLU of the Q forward) must produce output **bit-identical** to the NumPy
-(or ``math``) expressions it replaces — that is the whole contract that
-lets ``REPRO_FUSED=0`` remain a pure kill switch rather than a different
-numerical mode.  These tests re-state each kernel's NumPy reference
+rint/clip proposal tail, the per-session normal draw), and the bias-add +
+ReLU the DQN kernels run for each hidden layer, must produce output
+**bit-identical** to the NumPy (or ``math``) expressions it replaces —
+that is the whole contract that lets ``REPRO_FUSED=0`` remain a pure kill
+switch rather than a different numerical mode.  These tests re-state each kernel's NumPy reference
 inline and compare against the C output through int64 bit patterns over
 randomized shapes and fill levels; the device kernel is driven through
-:class:`~repro.hardware.fleet.DeviceFleet` against its NumPy path.
+:class:`~repro.hardware.fleet.DeviceFleet` against its NumPy path, and the
+bias + ReLU through a :class:`~repro.rl.dqn.DqnLearner`'s kernels.
 
 When the toolchain is unavailable (``fused_fleet()`` returns ``None``)
 the kernel-vs-reference tests skip; the kill-switch test always runs,
@@ -48,21 +49,24 @@ from repro.hardware.thermal import ThermalNetwork, ThermalNodeConfig
 from repro.kernels import (
     SessionGenerators,
     check_scales,
-    fused_adam,
+    fused_dqn,
     fused_fleet,
     fused_random,
 )
+from repro.rl.dqn import DqnConfig, DqnLearner
+from repro.rl.optimizer import Adam
+from repro.rl.replay import TransitionBatch
+from repro.rl.slimmable import SlimmableMLP
 from repro.workload.dataset import build_dataset
 from repro.workload.fleet import FleetFrameStream
 
 kernel = fused_fleet()
-relu_kernel = fused_adam()
 
 needs_kernel = pytest.mark.skipif(
     kernel is None, reason="fused kernels unavailable on this host"
 )
 needs_relu = pytest.mark.skipif(
-    relu_kernel is None, reason="fused bias + ReLU unavailable on this host"
+    fused_dqn() is None, reason="fused DQN kernels (bias + ReLU) unavailable on this host"
 )
 needs_normal = pytest.mark.skipif(
     fused_random() is None, reason="fused normal draws unavailable on this host"
@@ -122,9 +126,12 @@ def reference_proposal_tail(
     ).astype(np.int64)
 
 
-def reference_bias_relu(z, b):
-    """``z += b`` then ``maximum(z, 0.0)``."""
-    z = z + b
+def reference_layer0(learner, x):
+    """``SlimmableMLP``'s first hidden layer on ``x``: ``z = x @ w``,
+    ``z += b``, then ``maximum(z, 0.0)``."""
+    network = learner.network
+    z = np.matmul(x, network.weights[0])
+    z += network.biases[0]
     return z, np.maximum(z, 0.0)
 
 
@@ -289,41 +296,70 @@ class TestFleetProposalTail:
         assert got.tolist() == [0, 2, 2, 4, 4, -0]
 
 
+def relu_learner(inputs, units, seed=0):
+    """A learner whose first hidden layer has ``units`` units."""
+    network = SlimmableMLP(
+        inputs, (units, 3), 3, widths=(1.0,), rng=np.random.default_rng(seed)
+    )
+    return DqnLearner(network, DqnConfig(), Adam())
+
+
+def kernel_layer0(learner, states):
+    """The first hidden layer as the DQN kernels compute it, with NumPy's.
+
+    ``dqn_greedy`` on ``states[0]`` writes the activation over the
+    pre-activation; the training forward of one ``dqn_train_step`` on
+    ``states`` keeps them apart.  Returns ``(greedy activation, training
+    pre-activation, training activation)`` and the same from
+    :func:`reference_layer0`, on the parameters before the step.
+    """
+    rows = states.shape[0]
+    expected = (reference_layer0(learner, states[:1])[1], *reference_layer0(learner, states))
+    learner.greedy_action(states[0])
+    greedy = learner._greedy_tables[1.0].buffers["layer0_act"].copy()
+    batch = TransitionBatch(
+        states, np.zeros(rows, dtype=np.int64), np.zeros(rows), states,
+        np.ones(rows), 1.0,
+    )
+    learner.train_batch(batch)
+    table = learner._step_tables[(1.0, 1.0, rows)]
+    got = (greedy[None, :], table.buffers["layer0_pre"], table.buffers["layer0_act"])
+    return got, expected
+
+
+def assert_layer0_matches(learner, states, label):
+    __tracebackhide__ = True
+    got, expected = kernel_layer0(learner, states)
+    for part, a, b in zip(("greedy", "pre-activations", "activations"), got, expected):
+        assert_bitwise_equal(a, b, f"{label}: {part} differ")
+
+
 @needs_relu
 class TestBiasRelu:
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_numpy_bitwise(self, seed):
         rng = np.random.default_rng(300 + seed)
-        rows = int(rng.integers(1, 65))
-        cols = int(rng.integers(1, 129))
-        z = rng.normal(0.0, 1.0, (rows, cols))
-        b = rng.normal(0.0, 1.0, cols)
-
-        expected_z, expected_act = reference_bias_relu(z, b)
-        got_z = z.copy()
-        got_act = np.empty_like(z)
-        relu_kernel.bias_relu(got_z, b, got_act)
-        assert_bitwise_equal(got_z, expected_z, "pre-activations differ")
-        assert_bitwise_equal(got_act, expected_act, "activations differ")
+        rows = int(rng.integers(2, 65))
+        inputs = int(rng.integers(2, 9))
+        learner = relu_learner(inputs, int(rng.integers(2, 129)), seed)
+        assert_layer0_matches(learner, rng.normal(0.0, 1.0, (rows, inputs)), "random")
 
     def test_aliased_output_matches(self):
-        """``_predict_2d`` calls the kernel with act aliased onto z."""
-        rng = np.random.default_rng(7)
-        z = rng.normal(0.0, 1.0, (9, 33))
-        b = rng.normal(0.0, 1.0, 33)
-        _, expected_act = reference_bias_relu(z, b)
-        relu_kernel.bias_relu(z, b, z)
-        assert_bitwise_equal(z, expected_act, "aliased activations differ")
+        """``dqn_greedy`` runs the bias + ReLU in place: the activation
+        overwrites the pre-activation buffer."""
+        learner = relu_learner(5, 33, seed=7)
+        state = np.random.default_rng(7).normal(0.0, 1.0, (1, 5))
+        got, expected = kernel_layer0(learner, np.repeat(state, 2, axis=0))
+        assert_bitwise_equal(got[0], expected[0], "aliased activations differ")
 
     def test_negative_zero_bias_tie(self):
-        """maximum(-0.0, 0.0) keeps NumPy's in1-wins tie rule bitwise."""
-        z = np.array([[-1.0, 1.0, -0.0]])
-        b = np.array([1.0, -1.0, 0.0])
-        expected_z, expected_act = reference_bias_relu(z, b)
-        act = np.empty_like(z)
-        relu_kernel.bias_relu(z, b, act)
-        assert_bitwise_equal(z, expected_z, "ties: pre-activations differ")
-        assert_bitwise_equal(act, expected_act, "ties: activations differ")
+        """maximum(±0.0, 0.0) keeps NumPy's tie rule bitwise, a NaN
+        propagates: zero weights leave the bias (and signed-zero sums)."""
+        learner = relu_learner(3, 6)
+        learner.network.weights[0][...] = 0.0
+        learner.network.biases[0][...] = [-0.0, 0.0, -0.0, 1.0, -1.0, np.nan]
+        states = np.array([[-1.0, -2.0, -0.0], [1.0, -1.0, 0.0], [-0.0, -0.0, -0.0]])
+        assert_layer0_matches(learner, states, "ties")
 
 
 @needs_normal
@@ -735,11 +771,9 @@ class TestKillSwitch:
             "build.NPYRANDOM_ARCHIVE = pathlib.Path(sys.argv[1]) / 'libnpyrandom.a'\n"
             "registry = obs.enable()\n"
             "assert kernels.fused_random() is None\n"
-            "assert kernels.fused_adam() is not None\n"
             "assert kernels.fused_fleet() is not None\n"
             "status = kernels.kernel_status()\n"
-            "assert status == {'adam': 'fused', 'random': 'numpy', 'fleet': 'fused',\n"
-            "                  'dqn': 'unresolved'}, status\n"
+            "assert status == {'random': 'numpy', 'fleet': 'fused', 'dqn': 'unresolved'}, status\n"
             "assert registry.events[0]['fields'] == {\n"
             "    'family': 'random', 'status': 'numpy', 'reason': 'symbol missing'}\n"
             "gens = kernels.SessionGenerators([np.random.default_rng(0)])\n"

@@ -1,9 +1,9 @@
 """Per-family resolution of the C kernels (:mod:`repro.kernels`).
 
-Each kernel family (``adam``, ``random``, ``fleet``, ``dqn``) resolves on
-its own, when its first owner asks, and a failure turns off only that
-family.  These tests inject a self-test mismatch into one family at a time
-and check that the other three stay on, that the outcome is reported per
+Each kernel family (``random``, ``fleet``, ``dqn``) resolves on its own,
+when its first owner asks, and a failure turns off only that family.
+These tests inject a self-test mismatch into one family at a time and
+check that the other two stay on, that the outcome is reported per
 family with its reason, and that the traces still equal the
 ``REPRO_FUSED=0`` ones.  They also check the generic differential helper
 the self-tests share.
@@ -39,9 +39,9 @@ def _bits(values) -> bytes:
 
 
 def _digest() -> str:
-    """A scalar session on the NumPy-path learner (``adam``, ``dqn``) and a
-    trained fleet (``random``, ``fleet``, ``dqn``): every trace column, loss
-    and reward, as bits."""
+    """A scalar session whose batches mix next widths (the NumPy learner)
+    and a trained fleet (``random``, ``fleet``, ``dqn``): every trace
+    column, loss and reward, as bits."""
     digest = hashlib.sha256()
     session = execute_setting(ExperimentSetting(num_frames=80, seed=0), "lotus-shared-buffer")
     for name in COLUMN_DTYPES:
@@ -63,7 +63,6 @@ def numpy_digest():
 
 #: The kernels each family runs, as ``fused.kernel_calls`` labels them.
 _FAMILY_KERNELS = {
-    "adam": ("step_multi", "bias_relu"),
     "random": ("fleet_normal",),
     "fleet": (
         "fleet_device_execute", "fleet_segment_model", "fleet_ar1_advance",
@@ -127,17 +126,17 @@ def test_a_raising_self_test_reports_the_exception_type(monkeypatch):
         raise ZeroDivisionError
 
     with _fresh_resolution(monkeypatch):
-        if kernels.fused_adam() is None:
+        if kernels.fused_fleet() is None:
             pytest.skip("fused kernels unavailable on this host")
         resolve._kernels.clear()
-        monkeypatch.setattr(importlib.import_module("repro.kernels.adam"), "self_test", boom)
+        monkeypatch.setattr(importlib.import_module("repro.kernels.fleet"), "self_test", boom)
         registry = obs.enable()
         try:
-            assert kernels.fused_adam() is None
+            assert kernels.fused_fleet() is None
         finally:
             obs.disable()
     assert registry.events[-1]["fields"] == {
-        "family": "adam", "status": "numpy", "reason": "ZeroDivisionError",
+        "family": "fleet", "status": "numpy", "reason": "ZeroDivisionError",
     }
 
 

@@ -410,15 +410,17 @@ class TestOptimizerRollback:
         params_b = [np.ones((3, 2)), np.ones(2)]
         grads = [np.full((3, 2), 0.5), np.full(2, 0.25)]
 
+        regions = [(slice(None), slice(None)), (slice(None),)]
+
         stepped = Adam(learning_rate=0.01)
         pristine_snapshot = stepped.state_dict()  # before any step
-        stepped.step(params_a, grads)
+        stepped.step_sliced(params_a, grads, regions)
         stepped.load_state_dict(params_a, pristine_snapshot)
         params_a = [np.ones((3, 2)), np.ones(2)]  # roll parameters back too
 
         fresh = Adam(learning_rate=0.01)
-        stepped.step(params_a, grads)
-        fresh.step(params_b, grads)
+        stepped.step_sliced(params_a, grads, regions)
+        fresh.step_sliced(params_b, grads, regions)
         assert all(np.array_equal(a, b) for a, b in zip(params_a, params_b))
 
     def test_sgd_rollback_clears_velocity(self):
@@ -428,15 +430,17 @@ class TestOptimizerRollback:
         params_b = [np.ones(4)]
         grads = [np.full(4, 0.5)]
 
+        regions = [(slice(None),)]
+
         stepped = Sgd(learning_rate=0.1, momentum=0.9)
         pristine_snapshot = stepped.state_dict()
-        stepped.step(params_a, grads)
+        stepped.step_sliced(params_a, grads, regions)
         stepped.load_state_dict(params_a, pristine_snapshot)
         params_a = [np.ones(4)]
 
         fresh = Sgd(learning_rate=0.1, momentum=0.9)
-        stepped.step(params_a, grads)
-        fresh.step(params_b, grads)
+        stepped.step_sliced(params_a, grads, regions)
+        fresh.step_sliced(params_b, grads, regions)
         assert np.array_equal(params_a[0], params_b[0])
 
 

@@ -181,3 +181,20 @@ def test_empty_batch_rejected():
     learner = make_learner()
     with pytest.raises(AgentError):
         learner.train_batch([], width=1.0)
+
+
+def test_network_without_a_flat_parameter_buffer_is_refused():
+    """The learner keeps its online and target networks in one pair buffer,
+    so a network it cannot rebase into one is refused up front."""
+
+    class PlainNetwork:
+        input_dim, output_dim = 3, 4
+
+        def clone(self):
+            return PlainNetwork()
+
+    with pytest.raises(AgentError, match="PlainNetwork has no flat parameter buffer"):
+        DqnLearner(network=PlainNetwork())
+    network = make_learner().network
+    with pytest.raises(AgentError, match="already owned"):
+        DqnLearner(network=network)

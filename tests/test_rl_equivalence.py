@@ -1,11 +1,14 @@
-"""Seed-for-seed equivalence of the vectorized RL hot path.
+"""Absolute digests of the RL hot path's seeded results.
 
-The PR that introduced the ring-buffer replay, sliced-gradient backward,
-flat-parameter optimizer and fused kernels came with a hard guarantee:
-same seeds => exactly the same losses, rewards, greedy actions and traces
-as the pre-refactor implementation.  These tests enforce it against the
-frozen seed code in :mod:`repro.rl.legacy` (deque replay, mask-padded
-gradients, fancy-indexed Adam).
+The vectorized hot path (ring-buffer replay, sliced-gradient backward,
+region-sliced Adam, the fused ``dqn_train_step`` kernel) was introduced
+with a hard guarantee: same seeds => exactly the same losses, rewards,
+greedy actions and traces as the original pure-Python implementation
+(deque replay, mask-padded gradients, fancy-indexed Adam).  That original
+was kept as a frozen oracle until the digests below were recorded; each
+digest marked "equal to the seed implementation's" was checked against it,
+under ``REPRO_FUSED=0`` and ``REPRO_FUSED=1``, before the oracle was
+deleted.  A change that moves any of them changes the training results.
 """
 
 from __future__ import annotations
@@ -22,12 +25,6 @@ from repro.analysis.experiments import (
 )
 from repro.core.training import OnlineSession
 from repro.env.trace import COLUMN_DTYPES
-from repro.rl.legacy import (
-    LegacyDqnLearner,
-    LegacyReplayBuffer,
-    LegacySlimmableMLP,
-    use_legacy_rl_path,
-)
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
 from repro.rl.replay import ReplayBuffer, Transition
@@ -55,8 +52,7 @@ def _session_digest(result) -> str:
 
 #: :func:`_session_digest` of the 220-frame seed-0 session of each learning
 #: method on the reference cell.  Each one trains (the 24-frame fleet pins
-#: never fill a batch), and each equals the frozen seed implementation's
-#: session (:func:`use_legacy_rl_path`).
+#: never fill a batch), and each is equal to the seed implementation's.
 PINNED_SESSION_DIGESTS = {
     "lotus": "0cc86da39172e6ae104e59c534f4ccfc976d2408d6924abc4a5e607256446a6b",
     "lotus-no-slim": "609c373e7612b65bce774577a2e49c9acef4e65bccde6c34c1e4910c3a242e30",
@@ -66,50 +62,28 @@ PINNED_SESSION_DIGESTS = {
 }
 
 
-def _run_session(method: str, legacy: bool, frames: int = 220):
+def _run_session(method: str, frames: int = 220):
     setting = ExperimentSetting(num_frames=frames, seed=0)
     environment = make_environment(setting)
     policy = make_policy(method, environment, frames, seed=setting.seed)
-    if legacy:
-        use_legacy_rl_path(policy)
     return OnlineSession(environment, policy).run(frames)
 
 
 @pytest.mark.parametrize("method", sorted(PINNED_SESSION_DIGESTS))
 def test_full_session_is_bit_identical_to_seed_implementation(method):
-    current = _run_session(method, legacy=False)
-    assert current.losses
-    assert _session_digest(current) == PINNED_SESSION_DIGESTS[method]
-    seed = _run_session(method, legacy=True)
-    # Losses and rewards: exact float equality, not allclose.
-    assert current.losses == seed.losses
-    assert current.rewards == seed.rewards
-    # Every frequency decision and resulting latency matches frame by frame.
-    for ours, theirs in zip(current.trace.records, seed.trace.records):
-        assert ours.cpu_level_stage1 == theirs.cpu_level_stage1
-        assert ours.gpu_level_stage1 == theirs.gpu_level_stage1
-        assert ours.cpu_level_stage2 == theirs.cpu_level_stage2
-        assert ours.gpu_level_stage2 == theirs.gpu_level_stage2
-        assert ours.total_latency_ms == theirs.total_latency_ms
+    result = _run_session(method)
+    assert result.losses
+    assert _session_digest(result) == PINNED_SESSION_DIGESTS[method]
 
 
-def _make_learner_pair():
-    """Current and legacy learners with identical weights and hyper-params."""
-    current = DqnLearner(
+def _learner(**config) -> DqnLearner:
+    return DqnLearner(
         network=SlimmableMLP(
             5, (16, 16), 6, widths=(0.75, 1.0), rng=np.random.default_rng(3)
         ),
-        config=DqnConfig(batch_size=16, target_sync_interval=7),
+        config=DqnConfig(**config),
         optimizer=Adam(learning_rate=0.01),
     )
-    legacy = LegacyDqnLearner(
-        network=LegacySlimmableMLP(
-            5, (16, 16), 6, widths=(0.75, 1.0), rng=np.random.default_rng(3)
-        ),
-        config=DqnConfig(batch_size=16, target_sync_interval=7),
-        optimizer=Adam(learning_rate=0.01),
-    )
-    return current, legacy
 
 
 def _learner_digest(learner, losses, greedy=()) -> str:
@@ -128,9 +102,8 @@ PINNED_LEARNER_DIGEST = "c590193aeec0df28675136d9b5eaddae98658297698dda043bfc0cf
 
 
 def test_learner_losses_and_greedy_actions_match_seed_step_for_step():
-    current, legacy = _make_learner_pair()
+    learner = _learner(batch_size=16, target_sync_interval=7)
     buffer = ReplayBuffer(256)
-    legacy_buffer = LegacyReplayBuffer(256)
     fill_rng = np.random.default_rng(11)
     for _ in range(256):
         state = fill_rng.normal(size=5)
@@ -139,25 +112,15 @@ def test_learner_losses_and_greedy_actions_match_seed_step_for_step():
         reward = float(fill_rng.normal())
         next_width = 1.0 if fill_rng.random() < 0.5 else 0.75
         buffer.append(state, action, reward, next_state, next_width)
-        legacy_buffer.append(state, action, reward, next_state, next_width)
 
-    rng_a = np.random.default_rng(42)
-    rng_b = np.random.default_rng(42)
+    rng = np.random.default_rng(42)
     probe_rng = np.random.default_rng(7)
     losses, greedy = [], []
     for step in range(60):
         width = 0.75 if step % 2 == 0 else 1.0
-        loss_a = current.train_batch(buffer.sample(16, rng_a), width=width)
-        loss_b = legacy.train_batch(legacy_buffer.sample(16, rng_b), width=width)
-        assert loss_a == loss_b, f"loss diverged at step {step}"
-        probe = probe_rng.normal(size=5)
-        greedy.append(current.greedy_action(probe, width))
-        assert greedy[-1] == legacy.greedy_action(probe, width)
-        losses.append(loss_a)
-    assert _learner_digest(current, losses, greedy) == PINNED_LEARNER_DIGEST
-    # Final parameters are bit-identical too.
-    for ours, theirs in zip(current.network.get_state(), legacy.network.get_state()):
-        assert np.array_equal(ours, theirs)
+        losses.append(learner.train_batch(buffer.sample(16, rng), width=width))
+        greedy.append(learner.greedy_action(probe_rng.normal(size=5), width))
+    assert _learner_digest(learner, losses, greedy) == PINNED_LEARNER_DIGEST
 
 
 #: SHA-256 over the column bits of the 20 batches sampled below from a
@@ -168,7 +131,6 @@ PINNED_REPLAY_DIGEST = "4c69a169ad74765c4feb752aae2e72b7be665c553446e7a7c44033c7
 def test_replay_sampling_consumes_rng_identically():
     """Same seed => the ring buffer returns the same rows as the seed deque."""
     buffer = ReplayBuffer(64)
-    legacy_buffer = LegacyReplayBuffer(64)
     for i in range(150):  # wraps the ring / evicts from the deque
         t = Transition(
             state=np.array([float(i), 1.0]),
@@ -178,22 +140,13 @@ def test_replay_sampling_consumes_rng_identically():
             next_width=0.75 if i % 3 == 0 else 1.0,
         )
         buffer.push(t)
-        legacy_buffer.push(t)
-    rng_a = np.random.default_rng(5)
-    rng_b = np.random.default_rng(5)
+    rng = np.random.default_rng(5)
     digest = hashlib.sha256()
     for _ in range(20):
-        batch = buffer.sample(10, rng_a)
+        batch = buffer.sample(10, rng)
         for column in (batch.states, batch.rewards, batch.next_states, batch.next_widths):
             digest.update(_bits(column))
         digest.update(np.asarray(batch.actions, dtype=np.int64).tobytes())
-        legacy_batch = legacy_buffer.sample(10, rng_b)
-        for row, legacy_t in zip(batch, legacy_batch):
-            assert np.array_equal(row.state, legacy_t.state)
-            assert row.action == legacy_t.action
-            assert row.reward == legacy_t.reward
-            assert np.array_equal(row.next_state, legacy_t.next_state)
-            assert row.next_width == legacy_t.next_width
     assert digest.hexdigest() == PINNED_REPLAY_DIGEST
 
 
@@ -240,87 +193,28 @@ def test_backward_sliced_matches_finite_differences_at_reduced_width():
         assert numeric == pytest.approx(bias_grads[layer][0], rel=1e-3, abs=1e-4)
 
 
-def test_backward_sliced_agrees_with_mask_padded_backward():
+def test_backward_into_agrees_with_backward_sliced():
+    """The learner's in-place backward writes what backward_sliced returns."""
     net = SlimmableMLP(6, (12, 12), 4, rng=np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(5, 6))
     grad_out = np.random.default_rng(3).normal(size=(5, 4))
     for width in (0.75, 1.0):
         _, cache = net.forward(x, width)
         sliced_w, sliced_b, extents = net.backward_sliced(cache, grad_out)
-        full_w, full_b, masks_w, masks_b = net.backward(cache, grad_out)
-        for layer, (in_active, out_active) in enumerate(extents):
-            assert np.array_equal(
-                full_w[layer][:in_active, :out_active], sliced_w[layer]
-            )
-            assert np.array_equal(full_b[layer][:out_active], sliced_b[layer])
-            assert not full_w[layer][in_active:, :].any()
-            assert not full_w[layer][:, out_active:].any()
-            assert masks_w[layer][:in_active, :out_active].all()
-
-
-def test_masked_only_optimizer_still_trains_through_the_learner():
-    """A custom Optimizer overriding only the historical step() interface
-    must keep working: the learner pads the sliced gradients back to
-    full shape with masks for it."""
-    from repro.rl.optimizer import Optimizer
-
-    class MaskedSgd(Optimizer):
-        def __init__(self):
-            super().__init__(learning_rate=0.05)
-            self.mask_calls = 0
-
-        def step(self, parameters, gradients, masks=None):
-            self.step_count += 1
-            self.mask_calls += 1
-            assert masks is not None
-            for param, grad, mask in zip(parameters, gradients, masks):
-                assert param.shape == grad.shape == mask.shape
-                param[mask] -= self.learning_rate * grad[mask]
-
-    optimizer = MaskedSgd()
-    learner = DqnLearner(
-        network=SlimmableMLP(4, (8, 8), 3, rng=np.random.default_rng(5)),
-        config=DqnConfig(batch_size=8),
-        optimizer=optimizer,
-    )
-    fill = np.random.default_rng(6)
-    transitions = [
-        Transition(
-            state=fill.normal(size=4), action=int(fill.integers(3)),
-            reward=float(fill.normal()), next_state=fill.normal(size=4),
-        )
-        for _ in range(8)
-    ]
-    for _ in range(2):
-        assert np.isfinite(learner.train_batch(transitions, width=1.0))
-    inactive_before = learner.network.weights[1][6:, :].copy()
-    assert np.isfinite(learner.train_batch(transitions, width=0.75))
-    assert optimizer.mask_calls == 3
-    # The reduced-width update left the inactive slice untouched.
-    assert np.array_equal(learner.network.weights[1][6:, :], inactive_before)
+        into_w = [np.full(extent, np.nan) for extent in extents]
+        into_b = [np.full(out_active, np.nan) for _, out_active in extents]
+        net.backward_into(cache, grad_out, into_w, into_b)
+        for ours, theirs in zip(into_w + into_b, sliced_w + sliced_b):
+            assert np.array_equal(_bits(ours), _bits(theirs))
 
 
 #: :func:`_learner_digest` of the 40 clipped steps below.
 PINNED_CLIPPED_DIGEST = "6f9b16a436872f83627dd02ac8a7fd6a7401d337fd15908eda1cfad32b35307b"
 
 
-def test_clipped_updates_match_seed_within_float_tolerance():
-    """When the global-norm clip actually fires, the norm is accumulated in
-    a different (mathematically equal) order than the seed code, so the
-    guarantee weakens from bit-exact to ~1e-12 relative (see
-    ``DqnLearner._clip_flat``).  Force clipping with a tiny max_grad_norm
-    and check the paths still track each other tightly."""
-    config = DqnConfig(batch_size=16, max_grad_norm=0.001)
-    current = DqnLearner(
-        network=SlimmableMLP(5, (16, 16), 6, rng=np.random.default_rng(3)),
-        config=config,
-        optimizer=Adam(learning_rate=0.01),
-    )
-    legacy = LegacyDqnLearner(
-        network=LegacySlimmableMLP(5, (16, 16), 6, rng=np.random.default_rng(3)),
-        config=config,
-        optimizer=Adam(learning_rate=0.01),
-    )
+def test_clipped_updates_match_pinned_bits():
+    """40 steps on one batch whose gradient norm always exceeds the clip,
+    on the learner as the kernels resolve and on the NumPy learner."""
     fill = np.random.default_rng(11)
     transitions = [
         Transition(
@@ -332,24 +226,12 @@ def test_clipped_updates_match_seed_within_float_tolerance():
         )
         for _ in range(16)
     ]
-    losses = []
-    for _ in range(40):
-        loss_a = current.train_batch(transitions, width=1.0)
-        loss_b = legacy.train_batch(transitions, width=1.0)
-        assert loss_a == pytest.approx(loss_b, rel=1e-9)
-        losses.append(loss_a)
-    assert _learner_digest(current, losses) == PINNED_CLIPPED_DIGEST
-    # The same steps on the NumPy learner, whatever the kernels resolve to.
-    numpy_learner = DqnLearner(
-        network=SlimmableMLP(5, (16, 16), 6, rng=np.random.default_rng(3)),
-        config=config,
-        optimizer=Adam(learning_rate=0.01),
-    )
-    numpy_learner._dqn = None
-    losses = [numpy_learner.train_batch(transitions, width=1.0) for _ in range(40)]
-    assert _learner_digest(numpy_learner, losses) == PINNED_CLIPPED_DIGEST
-    for ours, theirs in zip(current.network.get_state(), legacy.network.get_state()):
-        assert np.allclose(ours, theirs, rtol=1e-9, atol=1e-12)
+    for numpy_path in (False, True):
+        learner = _learner(batch_size=16, max_grad_norm=0.001)
+        if numpy_path:
+            learner._dqn = None
+        losses = [learner.train_batch(transitions, width=1.0) for _ in range(40)]
+        assert _learner_digest(learner, losses) == PINNED_CLIPPED_DIGEST
 
 
 def test_fused_kernel_disabled_gives_identical_results(monkeypatch):

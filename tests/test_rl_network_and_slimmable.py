@@ -106,21 +106,20 @@ def test_reduced_width_uses_shared_parameters():
     assert not np.allclose(net.predict(x, 1.0), net.predict(x, 0.75))
 
 
-def test_backward_masks_cover_only_active_slices():
+def test_backward_sliced_covers_only_active_slices():
     net = make_net()
     x = np.random.default_rng(3).normal(size=(4, 7))
     out, cache = net.forward(x, 0.75)
-    grads_w, grads_b, masks_w, masks_b = net.backward(cache, np.ones_like(out))
-    # Hidden-to-hidden layer: only the 12x12 active block is touched.
-    assert masks_w[1][:12, :12].all()
-    assert not masks_w[1][12:, :].any()
-    assert not masks_w[1][:, 12:].any()
-    assert np.all(grads_w[1][12:, :] == 0.0)
-    assert masks_b[1][:12].all() and not masks_b[1][12:].any()
-    # Full width touches everything.
+    grads_w, grads_b, extents = net.backward_sliced(cache, np.ones_like(out))
+    # Hidden-to-hidden layer: only the 12x12 active block has a gradient.
+    assert extents[1] == (12, 12)
+    assert grads_w[1].shape == (12, 12) and grads_b[1].shape == (12,)
+    assert [g.shape for g in grads_w] == extents
+    # Full width covers every parameter.
     out_full, cache_full = net.forward(x, 1.0)
-    _, _, masks_w_full, _ = net.backward(cache_full, np.ones_like(out_full))
-    assert all(mask.all() for mask in masks_w_full)
+    grads_w, grads_b, _ = net.backward_sliced(cache_full, np.ones_like(out_full))
+    assert [g.shape for g in grads_w] == [w.shape for w in net.weights]
+    assert [g.shape for g in grads_b] == [b.shape for b in net.biases]
 
 
 @pytest.mark.parametrize("width", [0.75, 1.0])
@@ -135,7 +134,7 @@ def test_backward_gradients_match_finite_differences(width):
         return float(np.sum(out * grad_out))
 
     out, cache = net.forward(x, width)
-    grads_w, grads_b, _, _ = net.backward(cache, grad_out)
+    grads_w, grads_b, _ = net.backward_sliced(cache, grad_out)
     eps = 1e-6
     # Spot-check a handful of weight entries in every layer.
     for layer in range(net.num_layers):

@@ -27,33 +27,42 @@ def quadratic_loss_grad(param: np.ndarray) -> np.ndarray:
     return param - 3.0
 
 
+WHOLE = (slice(None),)
+
+
 @pytest.mark.parametrize("optimizer", [Sgd(learning_rate=0.1, momentum=0.5), Adam(learning_rate=0.1)])
 def test_optimizers_minimise_a_quadratic(optimizer):
     param = np.zeros(4)
     for _ in range(300):
-        optimizer.step([param], [quadratic_loss_grad(param)])
+        optimizer.step_sliced([param], [quadratic_loss_grad(param)], [WHOLE])
     assert np.allclose(param, 3.0, atol=0.05)
     assert optimizer.step_count == 300
 
 
 def test_masked_update_leaves_inactive_entries_untouched():
+    """Adam masked to the active region: outside it, neither the parameters
+    nor the moments move."""
     param = np.zeros(6)
-    mask = np.array([True, True, True, False, False, False])
+    region = (slice(0, 3),)
     adam = Adam(learning_rate=0.05)
     for _ in range(100):
-        adam.step([param], [quadratic_loss_grad(param)], [mask])
+        adam.step_sliced([param], [quadratic_loss_grad(param[region])], [region])
     assert np.allclose(param[:3], 3.0, atol=0.2)
     assert np.all(param[3:] == 0.0)
+    assert not adam._m_flat[3:].any() and not adam._v_flat[3:].any()
 
 
 def test_sgd_masked_update():
-    param = np.zeros(4)
-    mask = np.array([True, False, True, False])
-    sgd = Sgd(learning_rate=0.2)
+    """Sgd masked to the active block of a weight matrix."""
+    param = np.zeros((3, 4))
+    region = (slice(0, 2), slice(0, 3))
+    sgd = Sgd(learning_rate=0.2, momentum=0.5)
     for _ in range(100):
-        sgd.step([param], [quadratic_loss_grad(param)], [mask])
-    assert np.allclose(param[[0, 2]], 3.0, atol=0.05)
-    assert np.all(param[[1, 3]] == 0.0)
+        sgd.step_sliced([param], [quadratic_loss_grad(param[region])], [region])
+    assert np.allclose(param[region], 3.0, atol=0.05)
+    assert np.all(param[2:, :] == 0.0) and np.all(param[:, 3:] == 0.0)
+    velocity = sgd._velocity[0]
+    assert not velocity[2:, :].any() and not velocity[:, 3:].any()
 
 
 def test_optimizer_validation():
@@ -61,11 +70,15 @@ def test_optimizer_validation():
         Adam(learning_rate=0.0)
     with pytest.raises(ConfigurationError):
         Sgd(momentum=1.0)
+    for optimizer in (Adam(), Sgd()):
+        with pytest.raises(ConfigurationError, match="active region shape"):
+            optimizer.step_sliced([np.zeros(3)], [np.zeros(4)], [WHOLE])
+        with pytest.raises(ConfigurationError, match="active region shape"):
+            optimizer.step_sliced([np.zeros(3)], [np.zeros(3)], [(slice(0, 2),)])
+        with pytest.raises(ConfigurationError, match="2 regions"):
+            optimizer.step_sliced([np.zeros(3)], [np.zeros(3)], [WHOLE, WHOLE])
+        assert optimizer.step_count == 0
     adam = Adam()
-    with pytest.raises(ConfigurationError):
-        adam.step([np.zeros(3)], [np.zeros(4)])
-    with pytest.raises(ConfigurationError):
-        adam.step([np.zeros(3)], [np.zeros(3)], [np.zeros(4, dtype=bool)])
     with pytest.raises(ConfigurationError):
         adam.set_learning_rate(-1.0)
 

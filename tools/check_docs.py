@@ -12,6 +12,11 @@ Checks ``README.md`` and ``docs/ARCHITECTURE.md`` against the code:
 4. Every ``python -m repro <command> [<action>]`` invocation must name a
    command (and, for commands that take one, an action) that the CLI's
    ``build_parser()`` accepts.
+5. Every backticked repo file path must exist: a path whose first
+   component is a top-level directory of the repo (``tests/test_docs.py``)
+   or a subpackage of ``src/repro`` (``rl/dqn.py``, an optional ``:line``
+   suffix allowed), and a bare Markdown file name (``ROADMAP.md``, looked
+   up at the root and in ``docs/``).
 
 Run from the repository root (CI does)::
 
@@ -39,6 +44,7 @@ _IMPORT_RE = re.compile(r"from\s+repro\s+import\s+(\([^)]*\)|[^\n]+)")
 _DOTTED_RE = re.compile(r"\brepro(?:\.(?:[A-Za-z_][A-Za-z0-9_]*|__[a-z_]+__))+")
 _INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+_PATH_RE = re.compile(r"([\w.\-]+(?:/[\w.\-]+)*/?)(?::\d+(?:[–-]\d+)?)?")
 _INVOCATION_RE = re.compile(
     r"python -m repro[ \t]+([a-z][a-z0-9-]*)(?:[ \t]+([a-z][a-z0-9-]*))?"
 )
@@ -86,6 +92,26 @@ def _public_api_claims(text: str) -> list[str]:
         if _IDENTIFIER_RE.match(token) and not token.startswith("__"):
             claims.append(token)
     return claims
+
+
+def _missing_paths(text: str) -> list[str]:
+    """Backticked repo file paths (see the module docstring) that do not exist."""
+    package = REPO_ROOT / "src" / "repro"
+    missing: list[str] = []
+    for token in _INLINE_CODE_RE.findall(text):
+        match = _PATH_RE.fullmatch(token.strip())
+        if not match:
+            continue
+        path = match.group(1)
+        first, _, rest = path.partition("/")
+        if rest:
+            roots = [root for root in (REPO_ROOT, package) if (root / first).is_dir()]
+            if roots and not any((root / path).exists() for root in roots):
+                missing.append(path)
+        elif path.endswith(".md"):
+            if not any((root / path).exists() for root in (REPO_ROOT, REPO_ROOT / "docs")):
+                missing.append(path)
+    return missing
 
 
 def _cli_grammar() -> dict[str, tuple[str, ...] | None]:
@@ -143,6 +169,8 @@ def check() -> list[str]:
                 )
         for bad in sorted(set(_bad_invocations(text, grammar))):
             problems.append(f"{rel}: `python -m repro` invocation names an {bad}")
+        for missing in sorted(set(_missing_paths(text))):
+            problems.append(f"{rel}: file path `{missing}` does not exist")
     return problems
 
 

@@ -74,8 +74,9 @@ smoke_fused_kill_switch() {
     # Two runs must hash identically with and without the fused kernels: a
     # lotus-fleet cell, the governor-only members of mixed-edge-fleet
     # (several devices and detectors, per-session innovation std), and
-    # scalar lotus, ztt and lotus-shared-buffer sessions (the last trains on
-    # the NumPy-path learner, which runs the adam family's kernels).  The
+    # scalar lotus, ztt and lotus-shared-buffer sessions (the last mixes next
+    # widths in its batches, so it trains on the NumPy learner on both
+    # sides and only its greedy actions use the dqn kernels).  The
     # digest covers each trace's column bits and datasets, the cell's
     # session metrics, and every session's loss and reward histories.
     # The fused side must show, through repro.obs, that every kernel family
@@ -93,7 +94,7 @@ import numpy as np
 from repro import ExperimentSetting, execute_setting, obs, run_fleet
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.env.trace import COLUMN_DTYPES
-from repro.kernels import kernel_status
+from repro.kernels import FAMILIES, kernel_status
 from repro.runtime.fleet import run_fleet_scenario
 from repro.scenarios import FleetScenario, build_scenario
 
@@ -161,12 +162,12 @@ kernel_calls = {
 }
 obs.disable()
 families = {
-    "adam": ("step_multi", "bias_relu"),
     "random": ("fleet_normal",),
     "fleet": ("fleet_device_execute", "fleet_segment_model",
               "fleet_ar1_advance", "fleet_proposal_tail"),
     "dqn": ("dqn_train_step", "dqn_greedy"),
 }
+assert set(families) == set(FAMILIES) == set(kernel_status()), kernel_status()
 for family, kernels in families.items():
     ran = [kernel for kernel in kernels if kernel_calls.get(kernel, 0) > 0]
     assert bool(ran) == fused, (family, kernel_calls)
