@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.detection.detector import DetectorModel
 from repro.detection.proposals import ProposalModel
-from repro.detection.stages import CycleCost, StageCost, reference_cost
+from repro.detection.stages import StageCost, reference_cost
 
 
 def faster_rcnn() -> DetectorModel:
@@ -56,20 +56,3 @@ def faster_rcnn() -> DetectorModel:
             "followed by an RoI-pooled classification/regression head."
         ),
     )
-
-
-def faster_rcnn_stage2_per_proposal_ms_at_reference() -> float:
-    """Marginal second-stage cost per proposal (ms) at reference frequency.
-
-    Exposed for calibration tests and the Fig. 2 bench.
-    """
-    model = faster_rcnn()
-    base = model.stage2_cost(0)
-    plus_one = model.stage2_cost(1)
-    delta: CycleCost = CycleCost(
-        cpu_kilocycles=plus_one.cpu_kilocycles - base.cpu_kilocycles,
-        gpu_kilocycles=plus_one.gpu_kilocycles - base.gpu_kilocycles,
-    )
-    from repro.detection.stages import REFERENCE_CPU_KHZ, REFERENCE_GPU_KHZ
-
-    return delta.cpu_kilocycles / REFERENCE_CPU_KHZ + delta.gpu_kilocycles / REFERENCE_GPU_KHZ

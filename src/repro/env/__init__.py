@@ -36,7 +36,6 @@ from repro.env.fleet import (
     FleetTrace,
     PerSessionPolicies,
     SessionAmbient,
-    interleave_frame_results,
     run_fleet_episode,
     run_grouped_fleet_episode,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "SessionAmbient",
     "StepAmbient",
     "Trace",
-    "interleave_frame_results",
     "run_episode",
     "run_fleet_episode",
     "run_grouped_fleet_episode",

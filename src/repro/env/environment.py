@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 import numpy as np
 
@@ -390,10 +390,3 @@ class InferenceEnvironment:
             self.device.cpu.frequency_table.frequency_khz(cpu_level),
             self.device.gpu.frequency_table.frequency_khz(gpu_level),
         )
-
-
-def iterate_frames(environment: InferenceEnvironment, count: int) -> Iterable[int]:
-    """Yield ``count`` frame indices, for simple ``for`` loops over frames."""
-    if count < 0:
-        raise ExperimentError("count must be non-negative")
-    return range(environment.frames_processed, environment.frames_processed + count)

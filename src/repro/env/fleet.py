@@ -1053,9 +1053,9 @@ def validate_session_partition(
     """Check that the index groups partition ``0..N-1``; return int arrays.
 
     The single definition of the partition invariant shared by the grouped
-    episode loop, :func:`interleave_frame_results` and the sub-fleet policy
-    combinator (:class:`repro.governors.fleet.SubFleetPolicies`): indices in
-    range, disjoint across groups, and together covering every session.
+    episode loop and the sub-fleet policy combinator
+    (:class:`repro.governors.fleet.SubFleetPolicies`): indices in range,
+    disjoint across groups, and together covering every session.
     """
     targets = [
         np.asarray(indices, dtype=np.int64) for indices in session_indices
@@ -1098,31 +1098,6 @@ def _scatter_frame_results(
         for local, global_index in enumerate(target.tolist()):
             datasets[global_index] = result.datasets[local]
     return FleetFrameResult(index=index, datasets=tuple(datasets), **arrays)
-
-
-def interleave_frame_results(
-    results: Sequence[FleetFrameResult],
-    session_indices: Sequence[Sequence[int]],
-    num_sessions: int,
-) -> FleetFrameResult:
-    """Scatter per-group frame results back into one combined fleet frame.
-
-    The inverse of the partitioning that built the groups: array element
-    ``session_indices[g][j]`` of the combined result is element ``j`` of
-    group ``g``'s result, so the combined :class:`FleetFrameResult` is
-    ordered by global session index regardless of how sessions were grouped.
-    The episode loop validates the (fixed) partition once and scatters per
-    frame; this entry point validates on every call.
-    """
-    if not results:
-        raise ExperimentError("need at least one group result")
-    if len(results) != len(session_indices):
-        raise ExperimentError(
-            f"got {len(results)} group results for {len(session_indices)} "
-            f"index groups"
-        )
-    targets = validate_session_partition(session_indices, num_sessions)
-    return _scatter_frame_results(results, targets, num_sessions)
 
 
 def run_grouped_fleet_episode(

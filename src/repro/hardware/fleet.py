@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -593,27 +593,3 @@ class DeviceFleet:
     def idle(self, duration_ms: np.ndarray) -> FleetTelemetry:
         """Let the fleet sit near-idle, mirroring :meth:`EdgeDevice.idle`."""
         return self.execute(duration_ms, cpu_utilisation=0.02, gpu_utilisation=0.0)
-
-    # -- misc -------------------------------------------------------------------------
-
-    def session_temperatures(self, session: int) -> dict:
-        """Node temperatures of one session keyed by node name (debugging)."""
-        return {
-            name: float(self._temperatures[row, session])
-            for name, row in self._node_index.items()
-        }
-
-
-def fleet_from_sessions(devices: Sequence[EdgeDevice]) -> DeviceFleet:
-    """Build a fleet from N identically configured scalar devices.
-
-    Convenience for tests: the first device acts as the template; all
-    devices must share its name (the registry guarantees identical
-    configuration for equal names).
-    """
-    if not devices:
-        raise DeviceError("need at least one device")
-    names = {device.name for device in devices}
-    if len(names) != 1:
-        raise DeviceError(f"fleet sessions must share one device model, got {names}")
-    return DeviceFleet(devices[0], len(devices))

@@ -311,7 +311,7 @@ def _inference_state(state: Dict[str, Any]) -> Dict[str, Any]:
     """Prune a state snapshot down to what evaluation-mode decisions read.
 
     Frozen deployment never samples replay, never steps the optimizer and
-    never reports training histories, so the replay rings, Adam/Sgd moments
+    never reports training histories, so the replay rings, Adam moments
     and loss/reward histories — the bulk of a checkpoint — are dropped
     (rings restore empty, moments zero).  Everything a greedy decision
     touches (network parameters, RNG, counters, in-flight frame
@@ -324,9 +324,7 @@ def _inference_state(state: Dict[str, Any]) -> Dict[str, Any]:
     pruned = dict(state)
     learner = dict(pruned["learner"])
     optimizer = dict(learner["optimizer"])
-    for key in ("first_moment", "second_moment", "velocity"):
-        if key in optimizer:
-            optimizer[key] = None
+    optimizer["first_moment"] = optimizer["second_moment"] = None
     learner["optimizer"] = optimizer
     pruned["learner"] = learner
     for key in ("start_buffer", "mid_buffer", "buffer"):

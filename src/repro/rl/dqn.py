@@ -1,23 +1,23 @@
 """Generic DQN learner.
 
-Wraps an online :class:`~repro.rl.slimmable.SlimmableMLP`, a target copy, an
-optimizer and the TD-learning update rule.  Both the Lotus agent (which
-calls it with alternating widths and two replay buffers) and the zTT
-baseline (single width, single buffer) drive this class; it contains no
-Lotus-specific logic.
+Wraps an online :class:`~repro.rl.slimmable.SlimmableMLP`, a target copy,
+an :class:`~repro.rl.optimizer.Adam` optimizer and the double-DQN update
+rule.  Both the Lotus agent (which calls it with alternating widths and two
+replay buffers) and the zTT baseline (single width, single buffer) drive
+this class; it contains no Lotus-specific logic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from repro.errors import AgentError
 from repro.kernels import ArgumentTable, fused_dqn
-from repro.rl.optimizer import Adam, Optimizer
-from repro.rl.replay import Transition, TransitionBatch
+from repro.rl.optimizer import Adam
+from repro.rl.replay import TransitionBatch
 from repro.rl.schedule import Schedule
 from repro.rl.slimmable import SlimmableMLP
 
@@ -56,10 +56,11 @@ class DqnConfig:
             synchronisations.
         huber_delta: Transition point of the Huber loss.
         max_grad_norm: Global gradient-norm clip (0 disables clipping).
-        double_dqn: Use Double-DQN targets (argmax from the online network,
-            value from the target network) to curb Q-value overestimation —
-            particularly helpful when bootstrapping across the two widths of
-            the slimmable Lotus Q-network.
+
+    The TD targets are always double-DQN ones (argmax from the online
+    network, value from the target network), which curbs Q-value
+    overestimation when bootstrapping across the two widths of the
+    slimmable Lotus Q-network.
     """
 
     discount: float = 0.9
@@ -67,7 +68,6 @@ class DqnConfig:
     target_sync_interval: int = 100
     huber_delta: float = 1.0
     max_grad_norm: float = 5.0
-    double_dqn: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.discount < 1.0:
@@ -89,7 +89,7 @@ class DqnLearner:
         self,
         network: SlimmableMLP,
         config: DqnConfig | None = None,
-        optimizer: Optimizer | None = None,
+        optimizer: Adam | None = None,
         learning_rate_schedule: Schedule | None = None,
     ):
         if not (hasattr(network, "rebase") and hasattr(network, "flat_parameters")):
@@ -377,31 +377,25 @@ class DqnLearner:
             current = z if layer_index == last else np.maximum(z, 0.0, out=z)
         return current[0], current[1]
 
-    def train_batch(
-        self,
-        transitions: Union[TransitionBatch, Sequence[Transition]],
-        width: float = 1.0,
-    ) -> float:
-        """One DQN update on a batch of transitions.
+    def train_batch(self, transitions: TransitionBatch, width: float = 1.0) -> float:
+        """One double-DQN update on a batch of transitions.
 
         Args:
-            transitions: Batch sampled from a replay buffer — either a
-                :class:`~repro.rl.replay.TransitionBatch` of column arrays
-                (the hot path; what :meth:`ReplayBuffer.sample` returns) or a
-                sequence of :class:`Transition` objects (converted on entry).
-                Transitions may carry different ``next_width`` values (e.g.
-                when a shared buffer mixes both Lotus decision points); the
-                TD targets are computed per width group.
+            transitions: Batch sampled from a replay buffer (what
+                :meth:`ReplayBuffer.sample` returns).  Transitions may carry
+                different ``next_width`` values (e.g. when a shared buffer
+                mixes both Lotus decision points); the TD targets are then
+                computed per width group.
             width: Width at which the *current* states' Q-values are computed
                 and trained.
 
         Returns:
             The Huber TD loss of the batch.
+
+        Raises:
+            AgentError: If the batch is empty or holds an action outside
+                ``[0, num_actions)``; the learner is left unchanged.
         """
-        if not isinstance(transitions, TransitionBatch):
-            if not transitions:
-                raise AgentError("cannot train on an empty batch")
-            transitions = TransitionBatch.from_transitions(transitions)
         if len(transitions) == 0:
             raise AgentError("cannot train on an empty batch")
 
@@ -420,6 +414,14 @@ class DqnLearner:
         actions = transitions.actions
         rewards = transitions.rewards
         next_states = transitions.next_states
+        # The kernel declines such a batch, so only this path checks; the
+        # flat gather below would read a neighbouring row's Q-value instead.
+        lowest, highest = int(actions.min()), int(actions.max())
+        if lowest < 0 or highest >= self.network.output_dim:
+            raise AgentError(
+                f"batch actions must lie in [0, {self.network.output_dim}), "
+                f"got actions from {lowest} to {highest}"
+            )
         batch_size = states.shape[0]
         (
             batch_indices,
@@ -434,32 +436,25 @@ class DqnLearner:
             # Uniform next width (each Lotus buffer bootstraps at one fixed
             # width): a single grouped pass, no per-group index arrays; the
             # online and target forwards run as one stacked pass.
-            if self.config.double_dqn:
-                online_q, target_q = self._predict_pair(next_states, uniform)
-                best_actions = online_q.argmax(axis=1)
-                max_next_q[...] = target_q[batch_indices, best_actions]
-            else:
-                target_q = self.target_network.predict(next_states, uniform)
-                np.max(target_q, axis=1, out=max_next_q)
+            online_q, target_q = self._predict_pair(next_states, uniform)
+            best_actions = online_q.argmax(axis=1)
+            max_next_q[...] = target_q[batch_indices, best_actions]
         else:
             for next_width in np.unique(next_widths):
                 group = next_widths == next_width
                 target_q = self.target_network.predict(
                     next_states[group], float(next_width)
                 )
-                if self.config.double_dqn:
-                    online_q = self.network.predict(next_states[group], float(next_width))
-                    best_actions = np.argmax(online_q, axis=1)
-                    max_next_q[group] = target_q[np.arange(len(best_actions)), best_actions]
-                else:
-                    max_next_q[group] = np.max(target_q, axis=1)
+                online_q = self.network.predict(next_states[group], float(next_width))
+                best_actions = np.argmax(online_q, axis=1)
+                max_next_q[group] = target_q[np.arange(len(best_actions)), best_actions]
         # targets = rewards + discount * max_next_q, in place in the scratch
         # (the exact addend pairs of the original expression).
         max_next_q *= self.config.discount
         max_next_q += rewards
         targets = max_next_q
 
-        outputs, cache = self.network._forward_train(states, width)
+        outputs, cache = self.network.forward(states, width)
         # One shared flat index addresses the taken (row, action) cells for
         # both the prediction gather and the gradient scatter.
         np.add(row_offsets, actions, out=flat_index)
@@ -496,9 +491,9 @@ class DqnLearner:
         """The whole step as one ``dqn_train_step`` call.
 
         Returns ``None``, having changed nothing, when the kernel cannot
-        reproduce the NumPy path bit for bit: an ineligible learner or
-        geometry (see :meth:`_step_table`), states that ``np.matmul`` would
-        not hand to gemm as they are, or an action out of range.
+        reproduce the NumPy path bit for bit: an ineligible geometry (see
+        :meth:`_step_table`), states that ``np.matmul`` would not hand to
+        gemm as they are, or an action out of range.
         """
         key = (width, next_width, len(batch))
         try:
@@ -533,13 +528,11 @@ class DqnLearner:
     ) -> ArgumentTable | None:
         """``dqn_train_step``'s table, or ``None`` to stay on the NumPy path.
 
-        The kernel runs the double-DQN step of a pair-buffer learner with
-        Adam, when every product has all dimensions above one: NumPy sends
-        the others to gemv, dot or its own loop instead of gemm.
+        The kernel runs the step when every product has all dimensions
+        above one: NumPy sends the others to gemv, dot or its own loop
+        instead of gemm.
         """
         network, optimizer = self.network, self.optimizer
-        if not self.config.double_dqn or type(optimizer) is not Adam:
-            return None
         train = network.active_units_for_width(width)
         boot = network.active_units_for_width(next_width)
         if min(batch_size, *train, *boot) < 2:

@@ -1,8 +1,9 @@
 """Neural-network primitives shared by the Q-network implementations.
 
-Plain NumPy building blocks: ReLU and its derivative, the Huber loss used by
-DQN, and He weight initialisation.  Kept free of any class structure so they
-are trivially testable (including finite-difference gradient checks).
+Plain NumPy building blocks: He weight initialisation and the Huber loss
+used by DQN (the reference the learner's in-place Huber step reproduces).
+Kept free of any class structure so they are trivially testable (including
+finite-difference gradient checks).
 """
 
 from __future__ import annotations
@@ -10,16 +11,6 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-
-
-def relu(x: np.ndarray) -> np.ndarray:
-    """Rectified linear unit."""
-    return np.maximum(x, 0.0)
-
-
-def relu_grad(pre_activation: np.ndarray) -> np.ndarray:
-    """Derivative of ReLU with respect to its input."""
-    return (pre_activation > 0.0).astype(pre_activation.dtype)
 
 
 def he_init(

@@ -1,20 +1,18 @@
-"""Gradient-descent optimizers that update only the active region of each
-parameter.
+"""Adam, updating only the active region of each parameter.
 
 Partial updates matter for the slimmable Q-network: when a batch is trained
 at the reduced width, only the active slice of each layer may be touched —
 the paper is explicit that "the remaining weights are not updated" — so the
-optimizer must skip inactive entries entirely (including their moment
-estimates, in the case of Adam).
+optimizer must skip inactive entries entirely, moment estimates included.
 
-:meth:`Optimizer.step_sliced` is the one update: it takes gradients already
+:meth:`Adam.step_sliced` is the one update: it takes gradients already
 sliced to the active extents plus an index region per parameter (a slice
 tuple, see :data:`Region`), and updates parameters and moments through
 views of those rectangles with reusable scratch buffers — no boolean masks,
 no full-shape padding, no per-step temporaries.  A full-width step is the
 same call with every region spanning its whole parameter.  The fused
 ``dqn_train_step`` kernel (:mod:`repro.kernels.dqn`) applies the same
-elementwise Adam operations in the same order, so a seeded run produces
+elementwise operations in the same order, so a seeded run produces
 bit-identical parameters on either path.  Moment estimates are views into
 one flat buffer per moment, in parameter order, which is what checkpoints
 copy and the kernel addresses.
@@ -46,67 +44,6 @@ def _flat_views(arrays: Sequence[np.ndarray]) -> Tuple[np.ndarray, List[np.ndarr
     return flat, views
 
 
-class Optimizer:
-    """Base class: holds the learning rate and the step counter."""
-
-    #: ``(flat buffer, per-parameter views)`` attribute pairs of the state.
-    _viewed_state: Tuple[Tuple[str, str], ...] = ()
-
-    def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
-        self.learning_rate = learning_rate
-        self.step_count = 0
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Pickling copies each view on its own: re-view every per-parameter
-        # list into its flat buffer, so the sliced steps keep updating the
-        # state that checkpoints copy and the dqn kernel addresses.
-        for flat_name, views_name in self._viewed_state:
-            flat = getattr(self, flat_name)
-            if flat is not None:
-                new_flat, views = _flat_views(getattr(self, views_name))
-                new_flat[...] = flat
-                setattr(self, flat_name, new_flat)
-                setattr(self, views_name, views)
-
-    def set_learning_rate(self, learning_rate: float) -> None:
-        """Update the learning rate (called by schedules between steps)."""
-        if learning_rate <= 0:
-            raise ConfigurationError("learning rate must be positive")
-        self.learning_rate = learning_rate
-
-    def step_sliced(
-        self,
-        parameters: Sequence[np.ndarray],
-        gradients: Sequence[np.ndarray],
-        regions: Sequence[Region],
-    ) -> None:
-        """Apply one in-place update to the active region of each parameter.
-
-        Args:
-            parameters: Full parameter arrays.
-            gradients: Gradients already sliced to the active region, i.e.
-                ``gradients[i].shape == parameters[i][regions[i]].shape``.
-            regions: One index region per parameter (see :data:`Region`).
-        """
-        raise NotImplementedError
-
-    def state_dict(self) -> dict:
-        """Copyable snapshot of the optimizer's mutable state (moments,
-        step counter, learning rate) for checkpointing."""
-        raise NotImplementedError
-
-    def load_state_dict(self, parameters: Sequence[np.ndarray], payload: dict) -> None:
-        """Restore a :meth:`state_dict` snapshot in place.
-
-        ``parameters`` sizes the moment store when the snapshot carries
-        moments (the parameter list must match the one training used).
-        """
-        raise NotImplementedError
-
-
 def _validate_sliced_args(
     parameters: Sequence[np.ndarray],
     gradients: Sequence[np.ndarray],
@@ -126,81 +63,13 @@ def _validate_sliced_args(
             )
 
 
-class Sgd(Optimizer):
-    """Stochastic gradient descent with optional momentum."""
-
-    _viewed_state = (("_velocity_flat", "_velocity"),)
-
-    def __init__(self, learning_rate: float = 0.01, momentum: float = 0.0):
-        super().__init__(learning_rate)
-        if not 0.0 <= momentum < 1.0:
-            raise ConfigurationError("momentum must lie in [0, 1)")
-        self.momentum = momentum
-        self._velocity: List[np.ndarray] | None = None
-        self._velocity_flat: np.ndarray | None = None
-
-    def _ensure_state(self, parameters: Sequence[np.ndarray]) -> None:
-        if self._velocity is None:
-            self._velocity_flat, self._velocity = _flat_views(parameters)
-
-    def step_sliced(
-        self,
-        parameters: Sequence[np.ndarray],
-        gradients: Sequence[np.ndarray],
-        regions: Sequence[Region],
-    ) -> None:
-        _validate_sliced_args(parameters, gradients, regions)
-        self._ensure_state(parameters)
-        self.step_count += 1
-        for param, grad, region, velocity in zip(
-            parameters, gradients, regions, self._velocity
-        ):
-            v = velocity[region]
-            v *= self.momentum
-            v += grad
-            param[region] -= self.learning_rate * v
-
-    def state_dict(self) -> dict:
-        return {
-            "kind": "sgd",
-            "learning_rate": float(self.learning_rate),
-            "momentum": float(self.momentum),
-            "step_count": int(self.step_count),
-            "velocity": None if self._velocity_flat is None else self._velocity_flat.copy(),
-        }
-
-    def load_state_dict(self, parameters: Sequence[np.ndarray], payload: dict) -> None:
-        if payload.get("kind") != "sgd":
-            raise ConfigurationError(
-                f"expected an 'sgd' optimizer snapshot, got {payload.get('kind')!r}"
-            )
-        self.set_learning_rate(float(payload["learning_rate"]))
-        self.step_count = int(payload["step_count"])
-        velocity = payload.get("velocity")
-        if velocity is not None:
-            self._ensure_state(parameters)
-            velocity = np.asarray(velocity, dtype=float)
-            if velocity.shape != self._velocity_flat.shape:
-                raise ConfigurationError(
-                    f"velocity snapshot has shape {velocity.shape}, optimizer "
-                    f"state has {self._velocity_flat.shape}"
-                )
-            self._velocity_flat[...] = velocity
-        elif self._velocity_flat is not None:
-            # Snapshot taken before the first step: rolling a live optimizer
-            # back must clear its momentum, not keep it.
-            self._velocity_flat.fill(0.0)
-
-
-class Adam(Optimizer):
+class Adam:
     """Adam optimizer (Kingma & Ba) with active-region updates.
 
     The paper trains the Lotus Q-network with Adam, ``beta1 = 0.9``,
     ``beta2 = 0.99`` and a 0.01 learning rate under cosine decay; those are
     the defaults here.
     """
-
-    _viewed_state = (("_m_flat", "_first_moment"), ("_v_flat", "_second_moment"))
 
     def __init__(
         self,
@@ -209,7 +78,7 @@ class Adam(Optimizer):
         beta2: float = 0.99,
         epsilon: float = 1e-8,
     ):
-        super().__init__(learning_rate)
+        self.set_learning_rate(learning_rate)
         if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
             raise ConfigurationError("beta1 and beta2 must lie in [0, 1)")
         if epsilon <= 0:
@@ -217,11 +86,33 @@ class Adam(Optimizer):
         self.beta1 = beta1
         self.beta2 = beta2
         self.epsilon = epsilon
+        self.step_count = 0
         self._first_moment: List[np.ndarray] | None = None
         self._second_moment: List[np.ndarray] | None = None
         self._m_flat: np.ndarray | None = None
         self._v_flat: np.ndarray | None = None
         self._sliced_scratch: dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        # Pickling copies each view on its own: re-view the per-parameter
+        # moments into their flat buffers, so the sliced steps keep updating
+        # the state that checkpoints copy and the dqn kernel addresses.
+        for flat_name, views_name in (
+            ("_m_flat", "_first_moment"), ("_v_flat", "_second_moment")
+        ):
+            flat = getattr(self, flat_name)
+            if flat is not None:
+                new_flat, views = _flat_views(getattr(self, views_name))
+                new_flat[...] = flat
+                setattr(self, flat_name, new_flat)
+                setattr(self, views_name, views)
+
+    def set_learning_rate(self, learning_rate: float) -> None:
+        """Update the learning rate (called by schedules between steps)."""
+        if learning_rate <= 0:
+            raise ConfigurationError("learning rate must be positive")
+        self.learning_rate = learning_rate
 
     def _ensure_state(self, parameters: Sequence[np.ndarray]) -> None:
         if self._first_moment is None:
@@ -241,6 +132,14 @@ class Adam(Optimizer):
         gradients: Sequence[np.ndarray],
         regions: Sequence[Region],
     ) -> None:
+        """Apply one in-place update to the active region of each parameter.
+
+        Args:
+            parameters: Full parameter arrays.
+            gradients: Gradients already sliced to the active region, i.e.
+                ``gradients[i].shape == parameters[i][regions[i]].shape``.
+            regions: One index region per parameter (see :data:`Region`).
+        """
         _validate_sliced_args(parameters, gradients, regions)
         self._ensure_state(parameters)
         assert self._second_moment is not None
@@ -274,6 +173,8 @@ class Adam(Optimizer):
             param[region] -= s1
 
     def state_dict(self) -> dict:
+        """Copyable snapshot of the mutable state (moments, step counter,
+        learning rate) for checkpointing."""
         return {
             "kind": "adam",
             "learning_rate": float(self.learning_rate),
@@ -286,6 +187,11 @@ class Adam(Optimizer):
         }
 
     def load_state_dict(self, parameters: Sequence[np.ndarray], payload: dict) -> None:
+        """Restore a :meth:`state_dict` snapshot in place.
+
+        ``parameters`` sizes the moment store when the snapshot carries
+        moments (the parameter list must match the one training used).
+        """
         if payload.get("kind") != "adam":
             raise ConfigurationError(
                 f"expected an 'adam' optimizer snapshot, got {payload.get('kind')!r}"

@@ -6,13 +6,11 @@ decision point, so that batches used to train the reduced-width Q-values
 never mix with batches used to train the full-width ones (paper §4.3.4);
 that pairing lives in the Lotus agent, not here.
 
-Storage is a ring of preallocated column arrays (one ``(capacity, dim)``
-array per transition field) rather than a deque of per-transition Python
-objects: pushes write into the ring in place and :meth:`ReplayBuffer.sample`
-gathers whole column batches with a single fancy-index per field, so the
-training hot path never materialises a ``Transition`` object.  The
-:class:`Transition` dataclass remains as the convenience push/iteration
-format, and sampling draws indices with the same
+Storage is a ring of preallocated column arrays rather than a deque of
+per-transition Python objects: :meth:`ReplayBuffer.append` writes one
+transition's fields into the ring in place, and :meth:`ReplayBuffer.sample`
+gathers a whole :class:`TransitionBatch` of columns with one fancy-index
+per column pair.  Sampling draws indices with the same
 ``rng.choice(len, size, replace=False)`` call as the original deque
 implementation, keeping seeded runs bit-identical.
 """
@@ -20,7 +18,6 @@ implementation, keeping seeded runs bit-identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -28,48 +25,23 @@ from repro.errors import ReplayBufferError
 
 
 @dataclass(frozen=True)
-class Transition:
-    """One (s, a, r, s') transition.
-
-    Attributes:
-        state: Observation vector the action was taken in.
-        action: Index of the action taken.
-        reward: Reward received after the action.
-        next_state: Observation vector of the following time step.
-        next_width: Width multiplier at which the *next* state's Q-values
-            should be evaluated when bootstrapping (the Lotus transition at
-            time ``2i`` bootstraps through a full-width evaluation of
-            ``s_{2i+1}``, and vice versa).
-    """
-
-    state: np.ndarray
-    action: int
-    reward: float
-    next_state: np.ndarray
-    next_width: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.action < 0:
-            raise ReplayBufferError("action index must be non-negative")
-        object.__setattr__(self, "state", np.asarray(self.state, dtype=float))
-        object.__setattr__(self, "next_state", np.asarray(self.next_state, dtype=float))
-
-
-@dataclass(frozen=True)
 class TransitionBatch:
     """A batch of transitions in structure-of-arrays (column) form.
 
     This is what :meth:`ReplayBuffer.sample` returns and what
-    :meth:`~repro.rl.dqn.DqnLearner.train_batch` consumes directly — the
-    training path never touches row-wise ``Transition`` objects.  Iteration
-    lazily materialises :class:`Transition` rows for inspection and tests.
+    :meth:`~repro.rl.dqn.DqnLearner.train_batch` consumes.
 
     Attributes:
-        states: Array of shape ``(batch, dim)``.
-        actions: Integer array of shape ``(batch,)``.
+        states: Array of shape ``(batch, dim)``: the observations the
+            actions were taken in.
+        actions: Integer array of shape ``(batch,)``: the actions taken.
         rewards: Array of shape ``(batch,)``.
-        next_states: Array of shape ``(batch, dim)``.
-        next_widths: Array of shape ``(batch,)``.
+        next_states: Array of shape ``(batch, dim)``: the observations of
+            the following time step.
+        next_widths: Array of shape ``(batch,)``: the width multiplier at
+            which each next state's Q-values are evaluated when
+            bootstrapping (the Lotus transition at time ``2i`` bootstraps
+            through a full-width evaluation of ``s_{2i+1}``, and vice versa).
     """
 
     states: np.ndarray
@@ -84,35 +56,6 @@ class TransitionBatch:
 
     def __len__(self) -> int:
         return self.states.shape[0]
-
-    def __iter__(self) -> Iterator[Transition]:
-        for i in range(len(self)):
-            yield self[i]
-
-    def __getitem__(self, index: int) -> Transition:
-        return Transition(
-            state=self.states[index],
-            action=int(self.actions[index]),
-            reward=float(self.rewards[index]),
-            next_state=self.next_states[index],
-            next_width=float(self.next_widths[index]),
-        )
-
-    @classmethod
-    def from_transitions(cls, transitions) -> "TransitionBatch":
-        """Build a column batch from row-wise transitions (compat path)."""
-        transitions = list(transitions)
-        if not transitions:
-            raise ReplayBufferError("cannot build a batch from zero transitions")
-        return cls(
-            states=np.stack([np.asarray(t.state, dtype=float) for t in transitions]),
-            actions=np.array([t.action for t in transitions], dtype=np.intp),
-            rewards=np.array([t.reward for t in transitions], dtype=float),
-            next_states=np.stack(
-                [np.asarray(t.next_state, dtype=float) for t in transitions]
-            ),
-            next_widths=np.array([t.next_width for t in transitions], dtype=float),
-        )
 
 
 class ReplayBuffer:
@@ -155,10 +98,12 @@ class ReplayBuffer:
         next_state: np.ndarray,
         next_width: float = 1.0,
     ) -> None:
-        """Store one transition from its fields, without a wrapper object.
+        """Store one transition, evicting the oldest if the buffer is full.
 
-        This is the hot-path push used by the agents; :meth:`push` is the
-        thin :class:`Transition` front end on top of it.
+        Raises:
+            ReplayBufferError: If ``action`` is negative, or the states are
+                not 1-D vectors of the buffer's dimension (fixed by the
+                first transition).
         """
         if action < 0:
             raise ReplayBufferError("action index must be non-negative")
@@ -193,16 +138,6 @@ class ReplayBuffer:
         self._next = (index + 1) % self.capacity
         self._size = min(self._size + 1, self.capacity)
         self._total_pushed += 1
-
-    def push(self, transition: Transition) -> None:
-        """Store a transition, evicting the oldest if the buffer is full."""
-        self.append(
-            transition.state,
-            transition.action,
-            transition.reward,
-            transition.next_state,
-            transition.next_width,
-        )
 
     def __len__(self) -> int:
         return self._size
@@ -346,17 +281,3 @@ class ReplayBuffer:
         self._next = next_index
         self._total_pushed = total_pushed
         self._uniform_next_width = None if uniform is None else float(uniform)
-
-    def latest(self) -> Transition:
-        """The most recently pushed transition."""
-        if self._size == 0:
-            raise ReplayBufferError("buffer is empty")
-        index = (self._next - 1) % self.capacity
-        dim = self._dim
-        return Transition(
-            state=self._state_pairs[index, :dim].copy(),
-            action=int(self._actions[index]),
-            reward=float(self._scalar_pairs[index, 0]),
-            next_state=self._state_pairs[index, dim:].copy(),
-            next_width=float(self._scalar_pairs[index, 1]),
-        )

@@ -1,10 +1,9 @@
 """Learning-rate and exploration schedules.
 
-Four schedule shapes are used in the reproduction:
+Three schedule shapes are used in the reproduction:
 
 * cosine decay — the learning-rate schedule of the Lotus Q-network training;
-* linear and exponential decay — the usual epsilon-greedy exploration
-  schedules;
+* linear decay — the epsilon-greedy exploration schedule;
 * sinusoidal decay — the epsilon_t of the cool-down action selection, which
   decays "sinusoidally as the agent accumulates more experience in handling
   the overheating case" (paper §4.3.5).
@@ -36,17 +35,6 @@ def _check_step(step: int) -> None:
 
 
 @dataclass(frozen=True)
-class ConstantSchedule(Schedule):
-    """A constant value — useful for disabling decay in ablations."""
-
-    constant: float
-
-    def value(self, step: int) -> float:
-        _check_step(step)
-        return self.constant
-
-
-@dataclass(frozen=True)
 class LinearDecaySchedule(Schedule):
     """Linear decay from ``initial`` to ``final`` over ``decay_steps``."""
 
@@ -62,23 +50,6 @@ class LinearDecaySchedule(Schedule):
         _check_step(step)
         fraction = min(1.0, step / self.decay_steps)
         return self.initial + fraction * (self.final - self.initial)
-
-
-@dataclass(frozen=True)
-class ExponentialDecaySchedule(Schedule):
-    """Exponential decay ``initial * rate**step`` floored at ``final``."""
-
-    initial: float
-    final: float
-    rate: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rate <= 1.0:
-            raise ConfigurationError("rate must lie in (0, 1]")
-
-    def value(self, step: int) -> float:
-        _check_step(step)
-        return max(self.final, self.initial * self.rate**step)
 
 
 @dataclass(frozen=True)

@@ -7,14 +7,15 @@ while the second pair uses the full network.  The two computations therefore
 share the bulk of their parameters, preserving the correlation between the
 two decisions of the same frame — the core architectural idea of §4.3.4.
 
-:class:`SlimmableMLP` implements this with plain NumPy: ``forward`` takes a
-width multiplier and only uses the active slice of each hidden layer.  The
-training path backpropagates into gradients *sliced to the active extents*
-(:meth:`SlimmableMLP.backward_into`, or :meth:`SlimmableMLP.backward_sliced`
-which also returns the ``(in_active, out_active)`` extents), so neither the
-backward pass nor the optimizer ever allocates full-shape zero arrays or
-boolean masks; the optimizer updates the active rectangle through views
-(the paper: "the remaining weights are not updated").
+:class:`SlimmableMLP` implements this with plain NumPy.  Its public passes
+take a width multiplier and only use the active slice of each hidden layer:
+:meth:`~SlimmableMLP.predict` is validated inference,
+:meth:`~SlimmableMLP.forward` the training forward into reusable buffers,
+and :meth:`~SlimmableMLP.backward_into` backpropagates into caller buffers
+*sliced to the active extents*, so neither the backward pass nor the
+optimizer ever allocates full-shape zero arrays or boolean masks; the
+optimizer updates the active rectangle through views (the paper: "the
+remaining weights are not updated").
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.rl.network import he_init
 
 @dataclass
 class ForwardCache:
-    """Intermediate activations stored by :meth:`SlimmableMLP.forward`.
+    """Intermediate activations kept by :meth:`SlimmableMLP.forward`.
 
     Attributes:
         inputs: The input batch.
@@ -123,8 +124,8 @@ class SlimmableMLP:
         contiguous backing lets full-width optimizer steps run as a few
         whole-buffer ufuncs instead of dozens of per-parameter calls.
         Parameter mutation must always go through the views in place
-        (``param[...] = ...``), never rebind them — which is what
-        :meth:`set_state` and the optimizers do.
+        (``param[...] = ...``), never rebind them — which is what the
+        optimizer does.
         """
         sizes = [
             fan_in * fan_out + fan_out
@@ -237,53 +238,15 @@ class SlimmableMLP:
 
     # -- forward / backward -----------------------------------------------------------
 
-    def forward(self, inputs: np.ndarray, width: float = 1.0) -> Tuple[np.ndarray, ForwardCache]:
-        """Run the network at ``width``.
+    def forward(
+        self, x: np.ndarray, width: float = 1.0
+    ) -> Tuple[np.ndarray, ForwardCache]:
+        """Training forward at ``width``, for :meth:`backward_into`.
 
-        Args:
-            inputs: Batch of shape ``(batch, input_dim)`` (a single sample of
-                shape ``(input_dim,)`` is also accepted).
-            width: Width multiplier; must be one of :attr:`widths`.
-
-        Returns:
-            ``(outputs, cache)`` where outputs has shape ``(batch, output_dim)``.
-        """
-        x = np.asarray(inputs, dtype=float)
-        if x.ndim != 2:
-            x = np.atleast_2d(x)
-        if x.shape[1] != self.input_dim:
-            raise ConfigurationError(
-                f"expected input dimension {self.input_dim}, got {x.shape[1]}"
-            )
-        active = self._active_for(width)
-        views = self._views_for(width)
-        last = len(views) - 1
-        pre_activations: List[np.ndarray] = []
-        activations: List[np.ndarray] = []
-        current = x
-        for layer_index, (w, b) in enumerate(views):
-            z = current @ w
-            z += b
-            pre_activations.append(z)
-            current = np.maximum(z, 0.0) if layer_index < last else z
-            activations.append(current)
-        cache = ForwardCache(
-            inputs=x,
-            pre_activations=pre_activations,
-            activations=activations,
-            active_units=active,
-            width=width,
-        )
-        return current, cache
-
-    def _forward_train(self, x: np.ndarray, width: float) -> Tuple[np.ndarray, ForwardCache]:
-        """Trusted forward into reusable cache buffers (training hot path).
-
-        ``x`` must be a 2-D float batch.  The returned cache (and its
-        arrays) is reused by the next ``_forward_train`` call with the same
-        ``(width, batch)``, so it is only valid until then — long enough for
-        the backward pass of the same training step, which is the sole
-        intended consumer.
+        ``x`` must be a 2-D float batch of ``input_dim`` columns (unchecked:
+        this is the training hot path).  The outputs and the cache live in
+        buffers this network reuses: the next ``forward`` with the same
+        ``(width, batch)`` overwrites them, so consume both first.
         """
         batch = x.shape[0]
         key = (width, batch)
@@ -318,11 +281,12 @@ class SlimmableMLP:
         return current, cache
 
     def predict(self, inputs: np.ndarray, width: float = 1.0) -> np.ndarray:
-        """Forward pass returning only the outputs.
+        """Validated inference: the outputs at ``width``, freshly allocated.
 
-        Unlike :meth:`forward` this does not build a :class:`ForwardCache`
-        — it is the inference path used by action selection and TD-target
-        bootstrapping, where no backward pass follows.
+        Accepts a batch of shape ``(batch, input_dim)`` or a single sample
+        of shape ``(input_dim,)`` and keeps no :class:`ForwardCache` — it is
+        the path of action selection and TD-target bootstrapping, where no
+        backward pass follows.
         """
         x = np.asarray(inputs, dtype=float)
         if x.ndim != 2:
@@ -346,38 +310,6 @@ class SlimmableMLP:
                 np.maximum(x, 0.0, out=x)
         return x
 
-    def backward_sliced(
-        self, cache: ForwardCache, grad_outputs: np.ndarray
-    ) -> Tuple[List[np.ndarray], List[np.ndarray], List[Tuple[int, int]]]:
-        """Back-propagate, returning gradients sliced to the active extents.
-
-        This is the allocation-lean training path: each returned weight
-        gradient has shape ``(in_active, out_active)`` and each bias gradient
-        shape ``(out_active,)`` — no full-shape zero padding, no boolean
-        masks.  The accompanying extents let the optimizer address the active
-        rectangle of each parameter as a view
-        (``param[:in_active, :out_active]``).
-
-        Returns:
-            ``(weight_grads, bias_grads, extents)`` where ``extents[i]`` is
-            the ``(in_active, out_active)`` pair of layer ``i``.
-        """
-        grad = np.atleast_2d(np.asarray(grad_outputs, dtype=float))
-        if grad.shape != cache.activations[-1].shape:
-            raise ConfigurationError(
-                f"grad_outputs shape {grad.shape} does not match network output "
-                f"shape {cache.activations[-1].shape}"
-            )
-        active = cache.active_units
-        num_layers = len(self.weights)
-        weight_grads: List[np.ndarray] = [None] * num_layers  # type: ignore[list-item]
-        bias_grads: List[np.ndarray] = [None] * num_layers  # type: ignore[list-item]
-        extents: List[Tuple[int, int]] = [
-            (active[i], active[i + 1]) for i in range(num_layers)
-        ]
-        self._backprop(cache, grad, weight_grads, bias_grads, out=False)
-        return weight_grads, bias_grads, extents
-
     def backward_into(
         self,
         cache: ForwardCache,
@@ -385,14 +317,17 @@ class SlimmableMLP:
         weight_grads: List[np.ndarray],
         bias_grads: List[np.ndarray],
     ) -> None:
-        """Like :meth:`backward_sliced`, but writing into caller buffers.
+        """Back-propagate ``grad_outputs`` into gradients sliced to the
+        active extents.
 
-        ``weight_grads[i]`` / ``bias_grads[i]`` must be preallocated arrays
-        of the active-extent shapes for ``cache.width`` (typically views
-        into one flat gradient buffer, see
-        :meth:`~repro.rl.dqn.DqnLearner.train_batch`); the matmuls and
-        reductions write straight into them, so the backward pass allocates
-        nothing but the small per-layer propagated-gradient temporaries.
+        ``cache`` comes from :meth:`forward`.  ``weight_grads[i]`` /
+        ``bias_grads[i]`` must be preallocated arrays of the active-extent
+        shapes ``(in_active, out_active)`` / ``(out_active,)`` of layer
+        ``i`` at ``cache.width`` (typically views into one flat gradient
+        buffer, see :meth:`~repro.rl.dqn.DqnLearner.train_batch`); the
+        matmuls and reductions write straight into them, and the propagated
+        gradients go through reusable scratch, so the backward pass
+        allocates nothing but the boolean ReLU masks.
         """
         grad = grad_outputs
         if grad.__class__ is not np.ndarray or grad.ndim != 2:
@@ -402,54 +337,34 @@ class SlimmableMLP:
                 f"grad_outputs shape {grad.shape} does not match network output "
                 f"shape {cache.activations[-1].shape}"
             )
-        self._backprop(cache, grad, weight_grads, bias_grads, out=True)
-
-    def _backprop(
-        self,
-        cache: ForwardCache,
-        grad: np.ndarray,
-        weight_grads: List[np.ndarray],
-        bias_grads: List[np.ndarray],
-        out: bool,
-    ) -> None:
         views = self._views_for(cache.width)
         num_layers = len(views)
-        propagate_scratch: List[np.ndarray] | None = None
-        if out:
-            batch = grad.shape[0]
-            key = (cache.width, batch)
-            propagate_scratch = self._backprop_scratch.get(key)
-            if propagate_scratch is None:
-                active = cache.active_units
-                propagate_scratch = [
-                    np.empty((batch, active[i])) for i in range(1, num_layers)
-                ]
-                self._backprop_scratch[key] = propagate_scratch
+        batch = grad.shape[0]
+        key = (cache.width, batch)
+        propagate_scratch = self._backprop_scratch.get(key)
+        if propagate_scratch is None:
+            active = cache.active_units
+            propagate_scratch = [
+                np.empty((batch, active[i])) for i in range(1, num_layers)
+            ]
+            self._backprop_scratch[key] = propagate_scratch
         for layer_index in range(num_layers - 1, -1, -1):
             if layer_index < num_layers - 1:
                 # ``grad`` is a scratch/fresh array here (written by the
                 # matmul of the previous iteration), so the in-place multiply
                 # never touches the caller's ``grad_outputs``.  Multiplying
                 # by the boolean mask directly (True -> 1.0, False -> 0.0)
-                # equals multiplying by relu_grad without materialising the
-                # float mask.
+                # is the ReLU derivative without materialising a float mask.
                 grad *= cache.pre_activations[layer_index] > 0.0
             upstream = (
                 cache.inputs if layer_index == 0 else cache.activations[layer_index - 1]
             )
-            if out:
-                np.matmul(upstream.T, grad, out=weight_grads[layer_index])
-                np.add.reduce(grad, axis=0, out=bias_grads[layer_index])
-            else:
-                weight_grads[layer_index] = upstream.T @ grad
-                bias_grads[layer_index] = np.sum(grad, axis=0)
+            np.matmul(upstream.T, grad, out=weight_grads[layer_index])
+            np.add.reduce(grad, axis=0, out=bias_grads[layer_index])
             if layer_index > 0:
-                if propagate_scratch is not None:
-                    next_grad = propagate_scratch[layer_index - 1]
-                    np.matmul(grad, views[layer_index][0].T, out=next_grad)
-                    grad = next_grad
-                else:
-                    grad = grad @ views[layer_index][0].T
+                next_grad = propagate_scratch[layer_index - 1]
+                np.matmul(grad, views[layer_index][0].T, out=next_grad)
+                grad = next_grad
 
     # -- parameter management ------------------------------------------------------------
 
@@ -460,24 +375,6 @@ class SlimmableMLP:
             params.append(w)
             params.append(b)
         return params
-
-    def get_state(self) -> List[np.ndarray]:
-        """Deep copy of all parameters (for target-network snapshots)."""
-        return [p.copy() for p in self.parameters()]
-
-    def set_state(self, state: Sequence[np.ndarray]) -> None:
-        """Load parameters previously produced by :meth:`get_state`."""
-        params = self.parameters()
-        if len(state) != len(params):
-            raise ConfigurationError(
-                f"state has {len(state)} arrays, expected {len(params)}"
-            )
-        for target, source in zip(params, state):
-            if target.shape != source.shape:
-                raise ConfigurationError(
-                    f"parameter shape mismatch: {target.shape} vs {source.shape}"
-                )
-            target[...] = source
 
     def clone(self) -> "SlimmableMLP":
         """Create a copy of this network with identical parameters.
@@ -500,8 +397,3 @@ class SlimmableMLP:
         copy._backprop_scratch = {}
         copy._forward_scratch = {}
         return copy
-
-    @property
-    def num_parameters(self) -> int:
-        """Total number of scalar parameters."""
-        return int(sum(p.size for p in self.parameters()))

@@ -140,11 +140,6 @@ class FleetTraceWriter:
         return len(self._buffers[DATASET_CODE_COLUMN])
 
     @property
-    def frames_written(self) -> int:
-        """Frames accepted so far (buffered plus flushed)."""
-        return self._frames_written
-
-    @property
     def start_index(self) -> int:
         return 0 if self._start_index is None else self._start_index
 
@@ -513,14 +508,6 @@ class MappedFleetTrace:
     def session_trace(self, i: int) -> Trace:
         """Session ``i``'s scalar :class:`Trace` (contiguous column copies)."""
         return session_slice(self, i)
-
-    def to_fleet_trace(self) -> FleetTrace:
-        """Materialise the whole store as an in-memory :class:`FleetTrace`."""
-        return FleetTrace.from_columns(
-            {name: np.array(self.column_window(name)) for name in COLUMN_DTYPES},
-            self.datasets_window(),
-            self.start_index,
-        )
 
     def close(self) -> None:
         """Drop the chunk memmaps (views handed out become invalid lazily)."""

@@ -30,8 +30,9 @@ from repro.hardware.devices.registry import build_device
 from repro.hardware.fleet import DeviceFleet
 from repro.kernels import build, resolve
 from repro.core.agent import LotusAgent
+from repro.errors import AgentError
 from repro.rl.dqn import DqnConfig, DqnLearner
-from repro.rl.optimizer import Adam, Sgd
+from repro.rl.optimizer import Adam
 from repro.rl.replay import ReplayBuffer, TransitionBatch
 from repro.rl.schedule import CosineDecaySchedule
 from repro.rl.slimmable import SlimmableMLP
@@ -238,7 +239,7 @@ class TestTrainStep:
             batch.next_widths, batch.uniform_next_width,
         )
         before = _snapshot(learner)
-        with pytest.raises(IndexError):
+        with pytest.raises(AgentError, match="actions must lie in"):
             learner.train_batch(bad, width=1.0)
         assert learner.optimizer.step_count == 0
         assert np.array_equal(before["online"], _bits(learner.network.flat_parameters))
@@ -262,17 +263,6 @@ class TestNumpyPathKept:
             monkeypatch, lambda: _learner(**kwargs), 6, batch_size, widths=widths
         )
         assert len(learner._step_tables) == 2
-        assert _fused_steps(learner) == 0
-
-    def test_plain_dqn_targets(self, monkeypatch):
-        learner = _fused_vs_numpy(monkeypatch, lambda: _learner(double_dqn=False), 6, 8)
-        assert _fused_steps(learner) == 0
-
-    def test_other_optimizer(self):
-        network = SlimmableMLP(7, (12, 10), 9, rng=np.random.default_rng(3))
-        learner = DqnLearner(network, optimizer=Sgd(learning_rate=0.01))
-        batch = _buffers(learner, (0.75, 1.0))[1.0].sample(8, np.random.default_rng(0))
-        learner.train_batch(batch, width=1.0)
         assert _fused_steps(learner) == 0
 
     def test_mixed_next_widths(self, monkeypatch):
@@ -328,6 +318,32 @@ class TestNumpyPathKept:
         assert _TRAIN_STEP_CALLS not in counters
         assert np.array_equal(loss, loss_ref)
         _assert_same(state, state_ref)
+
+
+@pytest.mark.parametrize("enabled", [False, True], ids=["numpy", "fused"])
+@pytest.mark.parametrize(
+    "row, action", [(0, 3), (7, 3), (1, -1)], ids=["first-row", "last-row", "negative"]
+)
+def test_out_of_range_actions_are_refused(monkeypatch, enabled, row, action):
+    """An action outside a 3-action network is an AgentError and changes
+    nothing, whichever path trains: unchecked, the flat gather would read a
+    neighbouring row's Q-value (or index past the batch)."""
+    with _resolution(monkeypatch, enabled=enabled):
+        learner = _learner(outputs=3)
+        batch = _buffers(learner, (0.75, 1.0))[1.0].sample(8, np.random.default_rng(0))
+        actions = batch.actions.copy()
+        actions[row] = action
+        bad = TransitionBatch(
+            batch.states, actions, batch.rewards, batch.next_states,
+            batch.next_widths, batch.uniform_next_width,
+        )
+        online = _bits(learner.network.flat_parameters)
+        target = _bits(learner.target_network.flat_parameters)
+        with pytest.raises(AgentError, match=r"actions must lie in \[0, 3\)"):
+            learner.train_batch(bad, width=1.0)
+        assert learner.train_steps == 0 and learner.optimizer.step_count == 0
+        assert np.array_equal(_bits(learner.network.flat_parameters), online)
+        assert np.array_equal(_bits(learner.target_network.flat_parameters), target)
 
 
 @needs_dqn

@@ -27,7 +27,7 @@ from repro.core.training import OnlineSession
 from repro.env.trace import COLUMN_DTYPES
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
-from repro.rl.replay import ReplayBuffer, Transition
+from repro.rl.replay import ReplayBuffer, TransitionBatch
 from repro.rl.slimmable import SlimmableMLP
 
 
@@ -132,14 +132,13 @@ def test_replay_sampling_consumes_rng_identically():
     """Same seed => the ring buffer returns the same rows as the seed deque."""
     buffer = ReplayBuffer(64)
     for i in range(150):  # wraps the ring / evicts from the deque
-        t = Transition(
+        buffer.append(
             state=np.array([float(i), 1.0]),
             action=i % 4,
             reward=float(i),
             next_state=np.array([float(i + 1), 1.0]),
             next_width=0.75 if i % 3 == 0 else 1.0,
         )
-        buffer.push(t)
     rng = np.random.default_rng(5)
     digest = hashlib.sha256()
     for _ in range(20):
@@ -150,8 +149,47 @@ def test_replay_sampling_consumes_rng_identically():
     assert digest.hexdigest() == PINNED_REPLAY_DIGEST
 
 
+def _extents(net: SlimmableMLP, width: float):
+    """The ``(in_active, out_active)`` extents of every layer at ``width``."""
+    active = net.active_units_for_width(width)
+    return [(active[i], active[i + 1]) for i in range(net.num_layers)]
+
+
+def _backward_into(net: SlimmableMLP, x, width: float, grad_out):
+    """``forward`` then ``backward_into`` NaN-filled buffers of the active
+    extents (so an entry the pass skips shows)."""
+    _, cache = net.forward(x, width)
+    extents = _extents(net, width)
+    weight_grads = [np.full(extent, np.nan) for extent in extents]
+    bias_grads = [np.full(out_active, np.nan) for _, out_active in extents]
+    net.backward_into(cache, grad_out, weight_grads, bias_grads)
+    return weight_grads, bias_grads
+
+
+def _backward_sliced(net: SlimmableMLP, x, width: float, grad_out):
+    """Independent allocating reference: backpropagation through the
+    active slices with fresh arrays and NumPy's plain operators."""
+    extents = _extents(net, width)
+    inputs, pre = [x], []
+    for layer, (in_active, out_active) in enumerate(extents):
+        z = inputs[-1] @ net.weights[layer][:in_active, :out_active]
+        z = z + net.biases[layer][:out_active]
+        pre.append(z)
+        inputs.append(np.maximum(z, 0.0))
+    weight_grads, bias_grads = [None] * len(extents), [None] * len(extents)
+    grad = grad_out
+    for layer in range(len(extents) - 1, -1, -1):
+        if layer < len(extents) - 1:
+            grad = grad * (pre[layer] > 0.0)
+        weight_grads[layer] = inputs[layer].T @ grad
+        bias_grads[layer] = np.sum(grad, axis=0)
+        in_active, out_active = extents[layer]
+        grad = grad @ net.weights[layer][:in_active, :out_active].T
+    return weight_grads, bias_grads
+
+
 def test_backward_sliced_matches_finite_differences_at_reduced_width():
-    """Gradient check of the sliced fast path at width 0.75 (satellite)."""
+    """Gradient check of the sliced backward at width 0.75."""
     net = SlimmableMLP(7, (16, 16, 16), 10, widths=(0.75, 1.0),
                        rng=np.random.default_rng(0))
     rng = np.random.default_rng(4)
@@ -162,15 +200,12 @@ def test_backward_sliced_matches_finite_differences_at_reduced_width():
     def loss_fn() -> float:
         return float(np.sum(net.predict(x, width) * grad_out))
 
-    _, cache = net.forward(x, width)
-    weight_grads, bias_grads, extents = net.backward_sliced(cache, grad_out)
-    active = net.active_units_for_width(width)
+    weight_grads, bias_grads = _backward_into(net, x, width, grad_out)
+    extents = _extents(net, width)
+    assert extents[1] == (12, 12)
     eps = 1e-6
     for layer in range(net.num_layers):
         in_active, out_active = extents[layer]
-        assert (in_active, out_active) == (active[layer], active[layer + 1])
-        assert weight_grads[layer].shape == (in_active, out_active)
-        assert bias_grads[layer].shape == (out_active,)
         # Spot-check entries inside the active rectangle.
         for index in [(0, 0), (in_active - 1, out_active - 1)]:
             original = net.weights[layer][index]
@@ -194,17 +229,16 @@ def test_backward_sliced_matches_finite_differences_at_reduced_width():
 
 
 def test_backward_into_agrees_with_backward_sliced():
-    """The learner's in-place backward writes what backward_sliced returns."""
+    """The learner's in-place backward writes the bits of the allocating
+    reference :func:`_backward_sliced`."""
     net = SlimmableMLP(6, (12, 12), 4, rng=np.random.default_rng(1))
     x = np.random.default_rng(2).normal(size=(5, 6))
     grad_out = np.random.default_rng(3).normal(size=(5, 4))
     for width in (0.75, 1.0):
-        _, cache = net.forward(x, width)
-        sliced_w, sliced_b, extents = net.backward_sliced(cache, grad_out)
-        into_w = [np.full(extent, np.nan) for extent in extents]
-        into_b = [np.full(out_active, np.nan) for _, out_active in extents]
-        net.backward_into(cache, grad_out, into_w, into_b)
+        into_w, into_b = _backward_into(net, x, width, grad_out)
+        sliced_w, sliced_b = _backward_sliced(net, x, width, grad_out)
         for ours, theirs in zip(into_w + into_b, sliced_w + sliced_b):
+            assert ours.shape == theirs.shape
             assert np.array_equal(_bits(ours), _bits(theirs))
 
 
@@ -216,16 +250,19 @@ def test_clipped_updates_match_pinned_bits():
     """40 steps on one batch whose gradient norm always exceeds the clip,
     on the learner as the kernels resolve and on the NumPy learner."""
     fill = np.random.default_rng(11)
-    transitions = [
-        Transition(
-            state=fill.normal(size=5),
-            action=int(fill.integers(6)),
-            reward=float(fill.normal()) * 10.0,
-            next_state=fill.normal(size=5),
-            next_width=1.0,
-        )
+    rows = [
+        (fill.normal(size=5), int(fill.integers(6)), float(fill.normal()) * 10.0,
+         fill.normal(size=5))
         for _ in range(16)
     ]
+    states, actions, rewards, next_states = zip(*rows)
+    transitions = TransitionBatch(
+        states=np.stack(states),
+        actions=np.array(actions, dtype=np.intp),
+        rewards=np.array(rewards),
+        next_states=np.stack(next_states),
+        next_widths=np.ones(16),
+    )
     for numpy_path in (False, True):
         learner = _learner(batch_size=16, max_grad_norm=0.001)
         if numpy_path:
@@ -259,7 +296,7 @@ def test_fused_kernel_disabled_gives_identical_results(monkeypatch):
             learner.train_batch(buffer.sample(8, rng), width=w)
             for w in (1.0, 0.75) * 15
         ]
-        return losses, learner.network.get_state()
+        return losses, [p.copy() for p in learner.network.parameters()]
 
     losses_numpy, state_numpy = run_with(False)
     losses_fused, state_fused = run_with(True)

@@ -8,17 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.rl.network import he_init, huber_loss_and_grad, relu, relu_grad
+from repro.rl.network import he_init, huber_loss_and_grad
 from repro.rl.slimmable import SlimmableMLP
 
 
 # -- primitives -----------------------------------------------------------------
-
-
-def test_relu_and_gradient():
-    x = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    assert list(relu(x)) == [0.0, 0.0, 0.0, 0.5, 2.0]
-    assert list(relu_grad(x)) == [0.0, 0.0, 0.0, 1.0, 1.0]
 
 
 def test_he_init_shapes_and_scale():
@@ -70,6 +64,17 @@ def make_net(widths=(0.75, 1.0)) -> SlimmableMLP:
     )
 
 
+def backward(net: SlimmableMLP, x: np.ndarray, width: float, grad_out: np.ndarray):
+    """``forward`` then ``backward_into`` buffers of the active extents."""
+    _, cache = net.forward(x, width)
+    active = net.active_units_for_width(width)
+    layers = range(net.num_layers)
+    weight_grads = [np.full((active[i], active[i + 1]), np.nan) for i in layers]
+    bias_grads = [np.full(active[i + 1], np.nan) for i in layers]
+    net.backward_into(cache, grad_out, weight_grads, bias_grads)
+    return weight_grads, bias_grads
+
+
 def test_forward_shapes_at_both_widths():
     net = make_net()
     x = np.random.default_rng(1).normal(size=(5, 7))
@@ -107,19 +112,27 @@ def test_reduced_width_uses_shared_parameters():
 
 
 def test_backward_sliced_covers_only_active_slices():
+    """``backward_into`` fills buffers of the active extents, every entry."""
     net = make_net()
     x = np.random.default_rng(3).normal(size=(4, 7))
-    out, cache = net.forward(x, 0.75)
-    grads_w, grads_b, extents = net.backward_sliced(cache, np.ones_like(out))
+    ones = np.ones((4, 10))
+    grads_w, grads_b = backward(net, x, 0.75, ones)
     # Hidden-to-hidden layer: only the 12x12 active block has a gradient.
-    assert extents[1] == (12, 12)
     assert grads_w[1].shape == (12, 12) and grads_b[1].shape == (12,)
-    assert [g.shape for g in grads_w] == extents
+    assert [g.shape for g in grads_w] == [(7, 12), (12, 12), (12, 12), (12, 10)]
+    assert all(np.isfinite(g).all() for g in grads_w + grads_b)
+    # Full-shape buffers do not fit a reduced-width pass.
+    _, cache = net.forward(x, 0.75)
+    with pytest.raises(ValueError):
+        net.backward_into(
+            cache, ones, [np.empty_like(w) for w in net.weights],
+            [np.empty_like(b) for b in net.biases],
+        )
     # Full width covers every parameter.
-    out_full, cache_full = net.forward(x, 1.0)
-    grads_w, grads_b, _ = net.backward_sliced(cache_full, np.ones_like(out_full))
+    grads_w, grads_b = backward(net, x, 1.0, ones)
     assert [g.shape for g in grads_w] == [w.shape for w in net.weights]
     assert [g.shape for g in grads_b] == [b.shape for b in net.biases]
+    assert all(np.isfinite(g).all() for g in grads_w + grads_b)
 
 
 @pytest.mark.parametrize("width", [0.75, 1.0])
@@ -133,8 +146,7 @@ def test_backward_gradients_match_finite_differences(width):
         out = net.predict(x, width)
         return float(np.sum(out * grad_out))
 
-    out, cache = net.forward(x, width)
-    grads_w, grads_b, _ = net.backward_sliced(cache, grad_out)
+    grads_w, grads_b = backward(net, x, width, grad_out)
     eps = 1e-6
     # Spot-check a handful of weight entries in every layer.
     for layer in range(net.num_layers):
@@ -165,12 +177,20 @@ def test_state_round_trip_and_clone():
     assert np.allclose(net.predict(x), clone.predict(x))
     clone.weights[0][:] += 1.0
     assert not np.allclose(net.predict(x), clone.predict(x))
-    net2 = make_net()
-    net2.set_state(net.get_state())
-    assert np.allclose(net.predict(x), net2.predict(x))
+    net2 = SlimmableMLP(
+        input_dim=7, hidden_dims=(16, 16, 16), output_dim=10,
+        rng=np.random.default_rng(1),
+    )
+    assert not np.allclose(net.predict(x), net2.predict(x))
+    net2.flat_parameters[...] = net.flat_parameters
+    assert np.array_equal(net.predict(x), net2.predict(x))
+    # The parameter list views the flat buffer, in [w0, b0, w1, b1, ...] order.
+    params = net.parameters()
+    flat = np.concatenate([p.ravel() for p in params])
+    assert np.array_equal(flat, net.flat_parameters)
+    assert all(np.shares_memory(p, net.flat_parameters) for p in params)
     with pytest.raises(ConfigurationError):
-        net.set_state(net.get_state()[:-1])
-    assert net.num_parameters == sum(p.size for p in net.parameters())
+        net.rebase(np.zeros(net.flat_parameters.size - 1))
 
 
 def test_constructor_validation():
@@ -180,8 +200,8 @@ def test_constructor_validation():
         SlimmableMLP(4, (), 4)
     with pytest.raises(ConfigurationError):
         SlimmableMLP(4, (8,), 4, widths=(0.5, 0.75))  # 1.0 missing
-    with pytest.raises(ConfigurationError):
-        make_net().forward(np.zeros((2, 3)))  # wrong input dim
+    with pytest.raises(ConfigurationError, match="input dimension 7"):
+        make_net().predict(np.zeros((2, 3)))  # wrong input dim
 
 
 @settings(max_examples=25, deadline=None)
