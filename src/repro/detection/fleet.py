@@ -14,9 +14,13 @@ scalar environment consumes them.  With the ``random`` kernels, those draws
 run in one C loop (:class:`~repro.kernels.SessionGenerators`: NumPy's own
 ``random_normal``, bit-identical to ``rng.normal``) that does not take
 ``bit_generator.lock``, so the generators must be used from one thread at
-a time.  With the ``fleet`` kernels (:mod:`repro.kernels`), the segment
-model and the proposal-count tail run in C too; their references are
-:meth:`BatchedExecutionModel._execute_numpy` and :func:`proposal_tail`.
+a time.  With the ``fleet`` kernels (:mod:`repro.kernels`), the
+proposal-count tail runs in C too (its reference is :func:`proposal_tail`),
+and the fleet environment runs a whole stage -- the costs of
+:func:`stage_cost_tables`, the segment model and the device segment -- as
+one ``fleet_stage`` call; :func:`stage1_cost_arrays`,
+:func:`stage2_cost_arrays` and :meth:`BatchedExecutionModel.execute` are
+that kernel's ``REPRO_FUSED=0`` reference.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 
 from repro.errors import DetectorError
 from repro.detection.detector import DetectorModel
-from repro.kernels import ArgumentTable, SessionGenerators, fused_fleet
+from repro.kernels import SessionGenerators, fused_fleet
 from repro.detection.latency import DeviceComputeProfile
 
 
@@ -81,6 +85,30 @@ def stage2_cost_arrays(
         cpu = cpu + (fixed_cpu + stage.per_proposal.cpu_kilocycles * proposals)
         gpu = gpu + (fixed_gpu + stage.per_proposal.gpu_kilocycles * proposals)
     return cpu, gpu
+
+
+def stage_cost_tables(detector: DetectorModel, second: bool) -> dict:
+    """One stage's cost constants as the ``fleet_stage`` kernel reads them.
+
+    The kernel sums ``stages`` entries in list order, as
+    :func:`stage1_cost_arrays` (``second`` false) and
+    :func:`stage2_cost_arrays` do; ``per_proposal`` adds each entry's
+    per-proposal cost times the proposal count.
+    """
+    stages = detector.stage2 if second else detector.stage1
+    return {
+        "stages": len(stages),
+        "per_proposal": int(second),
+        "scales": np.array([stage.scales_with_image for stage in stages], dtype=np.int64),
+        "fixed_cpu": np.array([stage.fixed.cpu_kilocycles for stage in stages], dtype=float),
+        "fixed_gpu": np.array([stage.fixed.gpu_kilocycles for stage in stages], dtype=float),
+        "proposal_cpu": np.array(
+            [stage.per_proposal.cpu_kilocycles for stage in stages], dtype=float
+        ),
+        "proposal_gpu": np.array(
+            [stage.per_proposal.gpu_kilocycles for stage in stages], dtype=float
+        ),
+    }
 
 
 def proposal_scale(detector: DetectorModel) -> float:
@@ -150,44 +178,13 @@ def proposal_tail(scene_candidates, keep_ratio, factor, min_proposals, max_propo
 class BatchedExecutionModel:
     """Vectorized :class:`~repro.detection.latency.ExecutionModel`.
 
-    With the ``fleet`` kernels, :meth:`execute` is one ``fleet_segment_model``
-    call: the inputs are copied into buffers the model keeps for its fleet
-    size (their addresses are resolved once, and dropped when the model is
-    pickled or copied), and every returned array is a fresh copy.
+    The fleet environment runs this model inside its ``fleet_stage``
+    kernel; :meth:`execute` is the NumPy form of that kernel's segment
+    model and its ``REPRO_FUSED=0`` reference.
     """
 
     def __init__(self, profile: DeviceComputeProfile):
         self.profile = profile
-        self._kernel_table: ArgumentTable | None = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_kernel_table"] = None
-        return state
-
-    def _argument_table(self, kernel, num_sessions: int) -> ArgumentTable:
-        table = self._kernel_table
-        if table is None or table.buffers["latency"].size != num_sessions:
-            profile = self.profile
-            buffers = {
-                name: np.zeros(num_sessions)
-                for name in (
-                    "cpu_kilocycles", "gpu_kilocycles", "cpu_frequency",
-                    "gpu_frequency", "latency", "cpu_busy", "gpu_busy",
-                    "cpu_utilisation", "gpu_utilisation",
-                )
-            }
-            table = self._kernel_table = kernel.segment_table(
-                {
-                    "sessions": num_sessions,
-                    **buffers,
-                    "cpu_efficiency": profile.cpu_efficiency,
-                    "gpu_efficiency": profile.gpu_efficiency,
-                    "launch_overhead": profile.launch_overhead_ms,
-                    "host_activity": profile.host_activity,
-                }
-            )
-        return table
 
     def execute(
         self,
@@ -201,42 +198,6 @@ class BatchedExecutionModel:
         All four arguments are length-N arrays (the frequencies may also be
         scalars shared by every session).
         """
-        return self._execute(
-            fused_fleet(), cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz,
-            gpu_frequency_khz,
-        )
-
-    def _execute(self, kernel, cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz,
-                 gpu_frequency_khz) -> FleetSegment:
-        """:meth:`execute` on the given ``fleet`` kernels, or NumPy for ``None``."""
-        if kernel is None:
-            return self._execute_numpy(
-                cpu_kilocycles, gpu_kilocycles, cpu_frequency_khz, gpu_frequency_khz
-            )
-        table = self._argument_table(kernel, len(cpu_kilocycles))
-        buffers = table.buffers
-        buffers["cpu_kilocycles"][:] = cpu_kilocycles
-        buffers["gpu_kilocycles"][:] = gpu_kilocycles
-        buffers["cpu_frequency"][:] = cpu_frequency_khz
-        buffers["gpu_frequency"][:] = gpu_frequency_khz
-        if not kernel.fleet_segment_model(table):
-            raise DetectorError("frequencies must be positive")
-        return FleetSegment(
-            latency_ms=buffers["latency"].copy(),
-            cpu_busy_ms=buffers["cpu_busy"].copy(),
-            gpu_busy_ms=buffers["gpu_busy"].copy(),
-            cpu_utilisation=buffers["cpu_utilisation"].copy(),
-            gpu_utilisation=buffers["gpu_utilisation"].copy(),
-        )
-
-    def _execute_numpy(
-        self,
-        cpu_kilocycles: np.ndarray,
-        gpu_kilocycles: np.ndarray,
-        cpu_frequency_khz: np.ndarray,
-        gpu_frequency_khz: np.ndarray,
-    ) -> FleetSegment:
-        """The NumPy form of ``fleet_segment_model``."""
         if np.any(cpu_frequency_khz <= 0) or np.any(gpu_frequency_khz <= 0):
             raise DetectorError("frequencies must be positive")
         cpu_ms = cpu_kilocycles / (cpu_frequency_khz * self.profile.cpu_efficiency)
@@ -259,3 +220,13 @@ class BatchedExecutionModel:
             cpu_utilisation=cpu_utilisation,
             gpu_utilisation=gpu_utilisation,
         )
+
+    def kernel_constants(self) -> dict:
+        """The profile as the ``fleet_stage`` kernel's segment constants."""
+        profile = self.profile
+        return {
+            "cpu_efficiency": profile.cpu_efficiency,
+            "gpu_efficiency": profile.gpu_efficiency,
+            "launch_overhead": profile.launch_overhead_ms,
+            "host_activity": profile.host_activity,
+        }

@@ -19,6 +19,17 @@ scalar arithmetic elementwise, and the per-session random streams are
 consumed in the same order.  ``tests/test_fleet_equivalence.py`` enforces
 this.
 
+With the ``fleet`` kernels (:mod:`repro.kernels`), each detector stage is
+one ``fleet_stage`` call: the stage costs, the segment model, the device
+segment and the frame-energy sum run in C over a per-environment argument
+table that points at the fleet's own.  The NumPy composition of
+:func:`~repro.detection.fleet.stage1_cost_arrays` /
+:func:`~repro.detection.fleet.stage2_cost_arrays`,
+:meth:`~repro.detection.fleet.BatchedExecutionModel.execute` and
+:meth:`~repro.hardware.fleet.DeviceFleet.execute` is its ``REPRO_FUSED=0``
+reference.  Observation and result arrays are fresh copies either way:
+policies keep references to them.
+
 There is one fleet frame loop, :func:`run_grouped_fleet_episode`: a fleet
 is a list of :class:`FleetSessionGroup` sub-fleets (one per device and
 detector), and :func:`run_fleet_episode` runs a single group.
@@ -41,13 +52,14 @@ from typing import Iterator, List, Sequence
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, DetectorError, ExperimentError
 from repro.detection.detector import DetectorModel
 from repro.detection.fleet import (
     BatchedExecutionModel,
     propose_batch,
     stage1_cost_arrays,
     stage2_cost_arrays,
+    stage_cost_tables,
 )
 from repro.detection.latency import compute_profile_for
 from repro.env.ambient import AmbientProfile, ConstantAmbient
@@ -67,7 +79,7 @@ from repro.env.trace import (
 )
 from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import DeviceFleet
-from repro.kernels import SessionGenerators
+from repro.kernels import ArgumentTable, SessionGenerators, fused_fleet
 from repro.workload.fleet import FleetFrameStream
 
 
@@ -93,7 +105,8 @@ class FleetState:
         datasets: Current frame's dataset name per session.
         num_proposals: Stage-1 proposal counts of the current frame.
         stage1_latency_ms: Stage-1 latency of the current frame.
-        frame_energy_j: Energy accumulated by the current frame.
+        frame_energy_j: Energy accumulated by the current frame, written in
+            place (the ``fleet_stage`` kernel holds its address).
     """
 
     device: DeviceFleet
@@ -757,7 +770,81 @@ class BatchedInferenceEnvironment:
         self._frame_index = 0
         self._stage1_levels = (fleet.cpu_level.copy(), fleet.gpu_level.copy())
         self._stage1_throttled = np.zeros(n, dtype=bool)
+        self._stage_tables: tuple[ArgumentTable, ArgumentTable] | None = None
         self.state.device.reset(self.ambient.initial_temperature())
+
+    def __getstate__(self) -> dict:
+        # The stage tables hold raw addresses of this environment's and its
+        # fleet's arrays; a copy (pickle or deepcopy) builds its own.
+        state = self.__dict__.copy()
+        state["_stage_tables"] = None
+        return state
+
+    def _stage_table(self, kernel, second: bool) -> ArgumentTable:
+        """The ``fleet_stage`` table of stage 1 or 2, resolved once.
+
+        Both point at the fleet's own argument table and share the
+        environment's input, output and frame-energy buffers, which are
+        only ever written in place.
+        """
+        if self._stage_tables is None:
+            device = self.state.device.argument_table(kernel)
+            n = self.num_sessions
+            shared = {
+                "device": device.values,
+                "device_constants": device.constants,
+                "image_scale": np.zeros(n),
+                "proposals": np.zeros(n, dtype=np.int64),
+                "latency": np.zeros(n),
+                "cpu_utilisation": np.zeros(n),
+                "gpu_utilisation": np.zeros(n),
+                "frame_energy": self.state.frame_energy_j,
+                **self.execution.kernel_constants(),
+            }
+            self._stage_tables = tuple(
+                kernel.stage_table({**shared, **stage_cost_tables(self.detector, second)})
+                for second in (False, True)
+            )
+        return self._stage_tables[second]
+
+    def _run_stage(self, kernel, second: bool):
+        """Execute stage 1 or 2 at the current levels, adding its energy to
+        the frame's: ``(latency, cpu utilisation, gpu utilisation,
+        throttled)``, each a fresh array.  One ``fleet_stage`` call on the
+        given ``fleet`` kernels, its NumPy reference for ``None``."""
+        state = self.state
+        device = state.device
+        if kernel is None:
+            if second:
+                cpu_kc, gpu_kc = stage2_cost_arrays(
+                    self.detector, state.num_proposals, state.image_scale
+                )
+            else:
+                cpu_kc, gpu_kc = stage1_cost_arrays(self.detector, state.image_scale)
+            segment = self.execution.execute(
+                cpu_kc, gpu_kc, device.cpu_frequency_khz, device.gpu_frequency_khz
+            )
+            telemetry = device.execute(
+                segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
+            )
+            state.frame_energy_j += telemetry.energy_j
+            return (
+                segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation,
+                telemetry.any_throttled,
+            )
+        table = self._stage_table(kernel, second)
+        buffers = table.buffers
+        buffers["image_scale"][:] = state.image_scale
+        if second:
+            buffers["proposals"][:] = state.num_proposals
+        if not kernel.fleet_stage(table):
+            raise DetectorError("frequencies must be positive")
+        return (
+            buffers["latency"].copy(),
+            buffers["cpu_utilisation"].copy(),
+            buffers["gpu_utilisation"].copy(),
+            device.cpu_throttled | device.gpu_throttled,
+        )
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -875,7 +962,7 @@ class BatchedInferenceEnvironment:
         state.scene_candidates = batch.scene_candidates
         state.constraint_ms = constraint
         state.datasets = batch.datasets
-        state.frame_energy_j = np.zeros(self.num_sessions)
+        state.frame_energy_j.fill(0.0)
         self._phase = _Phase.STARTED
         device = state.device
         return FleetStartObservation(
@@ -899,24 +986,28 @@ class BatchedInferenceEnvironment:
         )
 
     def run_first_stage(self) -> FleetMidObservation:
-        """Execute stage 1 for every session; return the batch observation."""
+        """Execute stage 1 for every session; return the batch observation.
+
+        With the ``fleet`` kernels, the stage's costs, segment model,
+        device segment and frame energy are one ``fleet_stage`` call.
+        """
+        return self._first_stage(fused_fleet())
+
+    def _first_stage(self, kernel) -> FleetMidObservation:
+        """:meth:`run_first_stage` on the given ``fleet`` kernels, or NumPy for ``None``."""
         if self._phase is not _Phase.STARTED:
             raise ExperimentError("run_first_stage must follow begin_frame")
         state = self.state
         device = state.device
-        cpu_kc, gpu_kc = stage1_cost_arrays(self.detector, state.image_scale)
-        segment = self.execution.execute(
-            cpu_kc, gpu_kc, device.cpu_frequency_khz, device.gpu_frequency_khz
+        levels = (device.cpu_level.copy(), device.gpu_level.copy())
+        latency, cpu_utilisation, gpu_utilisation, throttled = self._run_stage(
+            kernel, second=False
         )
-        self._stage1_levels = (device.cpu_level.copy(), device.gpu_level.copy())
-        telemetry = device.execute(
-            segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
-        )
-        state.stage1_latency_ms = segment.latency_ms
-        self._stage1_throttled = telemetry.any_throttled
-        state.frame_energy_j = state.frame_energy_j + telemetry.energy_j
-        state.cpu_utilisation = segment.cpu_utilisation
-        state.gpu_utilisation = segment.gpu_utilisation
+        self._stage1_levels = levels
+        state.stage1_latency_ms = latency
+        self._stage1_throttled = throttled
+        state.cpu_utilisation = cpu_utilisation
+        state.gpu_utilisation = gpu_utilisation
         state.num_proposals = propose_batch(
             self.detector, state.scene_candidates, state.rngs
         )
@@ -934,8 +1025,8 @@ class BatchedInferenceEnvironment:
             remaining_budget_ms=state.constraint_ms - state.stage1_latency_ms,
             stage1_latency_ms=state.stage1_latency_ms,
             num_proposals=state.num_proposals,
-            cpu_utilisation=segment.cpu_utilisation,
-            gpu_utilisation=segment.gpu_utilisation,
+            cpu_utilisation=cpu_utilisation,
+            gpu_utilisation=gpu_utilisation,
             ambient_temperature_c=device.ambient_temperature_c.copy(),
             throttle_threshold_c=self.throttle_threshold_c,
             cpu_throttled=device.cpu_throttled.copy(),
@@ -943,7 +1034,14 @@ class BatchedInferenceEnvironment:
         )
 
     def run_second_stage(self) -> FleetFrameResult:
-        """Execute stage 2 (if any) for every session; finish the frame."""
+        """Execute stage 2 (if any) for every session; finish the frame.
+
+        With the ``fleet`` kernels, stage 2 is one ``fleet_stage`` call.
+        """
+        return self._second_stage(fused_fleet())
+
+    def _second_stage(self, kernel) -> FleetFrameResult:
+        """:meth:`run_second_stage` on the given ``fleet`` kernels, or NumPy for ``None``."""
         if self._phase is not _Phase.AFTER_STAGE1:
             raise ExperimentError("run_second_stage must follow run_first_stage")
         state = self.state
@@ -953,24 +1051,13 @@ class BatchedInferenceEnvironment:
         stage2_levels = (device.cpu_level.copy(), device.gpu_level.copy())
         stage2_throttled = np.zeros(n, dtype=bool)
         if self.detector.is_two_stage:
-            cpu_kc, gpu_kc = stage2_cost_arrays(
-                self.detector, state.num_proposals, state.image_scale
-            )
-            segment = self.execution.execute(
-                cpu_kc, gpu_kc, device.cpu_frequency_khz, device.gpu_frequency_khz
-            )
-            stage2_levels = (device.cpu_level.copy(), device.gpu_level.copy())
-            telemetry = device.execute(
-                segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
-            )
-            stage2_latency = segment.latency_ms
-            stage2_throttled = telemetry.any_throttled
-            state.frame_energy_j = state.frame_energy_j + telemetry.energy_j
-            state.cpu_utilisation = segment.cpu_utilisation
-            state.gpu_utilisation = segment.gpu_utilisation
+            (
+                stage2_latency, state.cpu_utilisation, state.gpu_utilisation,
+                stage2_throttled,
+            ) = self._run_stage(kernel, second=True)
         if self.idle_between_frames_ms > 0:
             idle_telemetry = device.idle(np.full(n, self.idle_between_frames_ms))
-            state.frame_energy_j = state.frame_energy_j + idle_telemetry.energy_j
+            state.frame_energy_j += idle_telemetry.energy_j
 
         total_latency = state.stage1_latency_ms + stage2_latency
         result = FleetFrameResult(
@@ -995,7 +1082,7 @@ class BatchedInferenceEnvironment:
             | stage2_throttled
             | device.gpu_throttled,
             ambient_temperature_c=device.ambient_temperature_c.copy(),
-            energy_j=state.frame_energy_j,
+            energy_j=state.frame_energy_j.copy(),
         )
         state.previous_latency_ms = total_latency
         self._frame_index += 1

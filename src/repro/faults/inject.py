@@ -77,7 +77,8 @@ class FaultedFleetPolicy(FleetPolicy):
         spike = self.schedule.spike_c[frame]
         good = getattr(self, good_key)
         replaced = observation
-        if drop.any() and good is not None:
+        dropped = bool(drop.any())
+        if dropped and good is not None:
             fields = {
                 name: np.where(drop, good[name], getattr(observation, name))
                 for name in SENSOR_FIELDS
@@ -87,8 +88,10 @@ class FaultedFleetPolicy(FleetPolicy):
             if _obs.active():
                 _obs.inc("faults.dropout_cells", int(drop.sum()))
         # Last-known-good holds the final reading *before* the outage: only
-        # non-dropped sessions refresh the snapshot.
-        if good is None:
+        # non-dropped sessions refresh the snapshot.  With no session
+        # dropped that is the whole fresh snapshot (an all-False np.where
+        # would return its values exactly).
+        if good is None or not dropped:
             setattr(self, good_key, snapshot)
         else:
             for name in SENSOR_FIELDS:

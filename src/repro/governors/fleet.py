@@ -7,7 +7,10 @@ call.  Each ``select_levels`` kernel performs the same arithmetic as the
 scalar ``select_level``, so a fleet driven by
 :class:`BatchedDefaultGovernorPolicy` makes the *identical* per-session
 decisions the scalar :class:`~repro.governors.base.DefaultGovernorPolicy`
-makes (the equivalence tests run both and compare traces).
+makes (the equivalence tests run both and compare traces).  With the
+``fleet`` kernels (:mod:`repro.kernels`), each governor's
+``select_levels`` is one ``fleet_select_levels`` call; its NumPy form,
+``_select_numpy``, is the kernel's ``REPRO_FUSED=0`` reference.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.kernels import fused_fleet
 from repro.env.fleet import (
     FleetDecision,
     FleetFrameResult,
@@ -26,6 +30,9 @@ from repro.env.fleet import (
     FleetStartObservation,
     validate_session_partition,
 )
+
+
+_FLOAT64, _INT64 = np.dtype(np.float64), np.dtype(np.int64)
 
 
 class BatchedLevelSelector(ABC):
@@ -40,20 +47,89 @@ class BatchedLevelSelector(ABC):
         """Select per-session frequency levels from observed utilisations."""
 
 
-class BatchedSchedutilGovernor(BatchedLevelSelector):
+class _FusedSelector(BatchedLevelSelector):
+    """A governor whose ``select_levels`` runs as one ``fleet_select_levels``
+    call, with its ``_select_numpy`` as the ``REPRO_FUSED=0`` reference.
+
+    The kernel's table holds the governor's parameters as they were when it
+    was built (the first call at a fleet size), so set them only in
+    ``__init__``.  Inputs are copied into the table's buffers and the levels
+    out of it.  Anything the kernel would not reproduce bit for bit -- other
+    types, dtypes or shapes, a non-finite utilisation -- takes the NumPy
+    path.
+    """
+
+    kind: str
+    _kernel_table = None
+
+    def __getstate__(self) -> dict:
+        # The table holds raw addresses; a copy (pickle or deepcopy) builds
+        # its own.
+        state = self.__dict__.copy()
+        state.pop("_kernel_table", None)
+        return state
+
+    def select_levels(
+        self, utilisation: np.ndarray, current_levels: np.ndarray, num_levels: int
+    ) -> np.ndarray:
+        return self._select(fused_fleet(), utilisation, current_levels, num_levels)
+
+    def _select(self, kernel, utilisation, current_levels, num_levels) -> np.ndarray:
+        """:meth:`select_levels` on the given ``fleet`` kernels, or NumPy for ``None``."""
+        if (
+            kernel is not None
+            and type(num_levels) is int
+            and type(utilisation) is np.ndarray
+            and type(current_levels) is np.ndarray
+            and utilisation.dtype is _FLOAT64
+            and current_levels.dtype is _INT64
+            and utilisation.ndim == 1
+            and utilisation.shape == current_levels.shape
+        ):
+            table = self._kernel_table
+            if table is None or table.buffers["levels"].size != utilisation.size:
+                table = self._kernel_table = kernel.governor_table(
+                    self.kind, utilisation.size, self._kernel_parameters()
+                )
+            buffers = table.buffers
+            buffers["utilisation"][:] = utilisation
+            buffers["current"][:] = current_levels
+            if kernel.fleet_select_levels(table, num_levels):
+                return buffers["levels"].copy()
+        return self._select_numpy(utilisation, current_levels, num_levels)
+
+    @abstractmethod
+    def _kernel_parameters(self) -> dict:
+        """This governor's ``step`` and its ``margin``, ``up_threshold`` and
+        ``down_threshold`` constants (0 where it has none)."""
+
+    @abstractmethod
+    def _select_numpy(
+        self, utilisation: np.ndarray, current_levels: np.ndarray, num_levels: int
+    ) -> np.ndarray:
+        """The NumPy form of ``fleet_select_levels`` for this governor."""
+
+
+class BatchedSchedutilGovernor(_FusedSelector):
     """Vectorized :class:`~repro.governors.cpu.SchedutilGovernor`."""
 
-    name = "schedutil"
+    name = kind = "schedutil"
 
     def __init__(self, margin: float = 1.25, max_step_down: int = 1):
         if margin <= 0:
             raise ConfigurationError("margin must be positive")
-        if max_step_down < 0:
-            raise ConfigurationError("max_step_down must be non-negative")
+        if not isinstance(max_step_down, (int, np.integer)) or max_step_down < 0:
+            raise ConfigurationError("max_step_down must be a non-negative integer")
         self.margin = margin
         self.max_step_down = max_step_down
 
-    def select_levels(
+    def _kernel_parameters(self) -> dict:
+        return {
+            "step": self.max_step_down, "margin": self.margin, "up_threshold": 0.0,
+            "down_threshold": 0.0,
+        }
+
+    def _select_numpy(
         self, utilisation: np.ndarray, current_levels: np.ndarray, num_levels: int
     ) -> np.ndarray:
         utilisation = np.minimum(np.maximum(utilisation, 0.0), 1.0)
@@ -67,17 +143,23 @@ class BatchedSchedutilGovernor(BatchedLevelSelector):
         return np.clip(target, 0, num_levels - 1)
 
 
-class BatchedOndemandGovernor(BatchedLevelSelector):
+class BatchedOndemandGovernor(_FusedSelector):
     """Vectorized :class:`~repro.governors.cpu.OndemandGovernor`."""
 
-    name = "ondemand"
+    name = kind = "ondemand"
 
     def __init__(self, up_threshold: float = 0.8):
         if not 0.0 < up_threshold <= 1.0:
             raise ConfigurationError("up_threshold must lie in (0, 1]")
         self.up_threshold = up_threshold
 
-    def select_levels(
+    def _kernel_parameters(self) -> dict:
+        return {
+            "step": 0, "margin": 0.0, "up_threshold": self.up_threshold,
+            "down_threshold": 0.0,
+        }
+
+    def _select_numpy(
         self, utilisation: np.ndarray, current_levels: np.ndarray, num_levels: int
     ) -> np.ndarray:
         utilisation = np.minimum(np.maximum(utilisation, 0.0), 1.0)
@@ -88,7 +170,7 @@ class BatchedOndemandGovernor(BatchedLevelSelector):
         return np.clip(target, 0, num_levels - 1)
 
 
-class BatchedSimpleOndemandGovernor(BatchedLevelSelector):
+class BatchedSimpleOndemandGovernor(_FusedSelector):
     """Vectorized :class:`~repro.governors.gpu.SimpleOndemandGovernor`.
 
     The ``nvhost_podgov`` and ``msm-adreno-tz`` pairings are this kernel
@@ -96,20 +178,26 @@ class BatchedSimpleOndemandGovernor(BatchedLevelSelector):
     hierarchy).
     """
 
-    name = "simple_ondemand"
+    name = kind = "simple_ondemand"
 
     def __init__(
         self, up_threshold: float = 0.85, down_threshold: float = 0.3, up_step: int = 2
     ):
         if not 0.0 < down_threshold < up_threshold <= 1.0:
             raise ConfigurationError("require 0 < down_threshold < up_threshold <= 1")
-        if up_step <= 0:
-            raise ConfigurationError("up_step must be positive")
+        if not isinstance(up_step, (int, np.integer)) or up_step <= 0:
+            raise ConfigurationError("up_step must be a positive integer")
         self.up_threshold = up_threshold
         self.down_threshold = down_threshold
         self.up_step = up_step
 
-    def select_levels(
+    def _kernel_parameters(self) -> dict:
+        return {
+            "step": self.up_step, "margin": 0.0, "up_threshold": self.up_threshold,
+            "down_threshold": self.down_threshold,
+        }
+
+    def _select_numpy(
         self, utilisation: np.ndarray, current_levels: np.ndarray, num_levels: int
     ) -> np.ndarray:
         utilisation = np.minimum(np.maximum(utilisation, 0.0), 1.0)

@@ -24,13 +24,17 @@ With the ``fleet`` kernels (:mod:`repro.kernels`), :meth:`DeviceFleet.execute`
 is one C call, ``fleet_device_execute``: power (with libm's ``exp``), RC
 sub-stepping, throttling, caps and energy in the operand order of
 ``DeviceFleet._execute_numpy``, which is the kernel's reference and the
-``REPRO_FUSED=0`` path.  The kernel reads a per-fleet *argument table*
-(:class:`~repro.kernels.ArgumentTable`) holding the addresses of the
-fleet's state arrays, resolved once per fleet and dropped on pickle or
-``deepcopy``.  That is why the fleet's state is written **in place** on
+``REPRO_FUSED=0`` path.  :meth:`DeviceFleet.request_levels` is one call
+too, ``fleet_request_levels`` (range check, masked write and caps; its
+reference is ``DeviceFleet._request_numpy``), and the fleet environment's
+``fleet_stage`` runs ``fleet_device_execute`` on the fleet's buffers
+inside each detector stage.  The kernels read a per-fleet *argument
+table* (:class:`~repro.kernels.ArgumentTable`) holding the addresses of
+the fleet's state arrays, resolved once per fleet and dropped on pickle
+or ``deepcopy``.  That is why the fleet's state is written **in place** on
 both paths — ``set_ambient``, ``reset``, ``load_state_dict``,
 ``request_levels``, throttle updates and caps never rebind an array — and
-why per-segment inputs are copied into the fleet's own buffers and every
+why per-call inputs are copied into the fleet's own buffers and every
 array :meth:`DeviceFleet.execute` returns is a fresh copy.  The live
 attributes (``ambient_temperature_c``, ``cpu_level``, ``cpu_throttled``,
 the temperature properties, ...) change under the caller after the next
@@ -159,6 +163,18 @@ class _ThrottlerArrays:
         )
 
 
+def _check_shape(values: np.ndarray, num_sessions: int, what: str) -> None:
+    if values.shape not in ((), (num_sessions,)):
+        raise DeviceError(
+            f"{what} must be a scalar or of shape ({num_sessions},), "
+            f"got shape {values.shape}"
+        )
+
+
+def _out_of_range(name: str, domain: _DomainTables) -> str:
+    return f"{name} level out of range [0, {domain.num_levels - 1}]"
+
+
 class DeviceFleet:
     """N lock-step instances of one edge device as struct-of-arrays state.
 
@@ -225,6 +241,10 @@ class DeviceFleet:
         self._cpu_power_w = np.zeros(num_sessions)
         self._gpu_power_w = np.zeros(num_sessions)
         self._energy_j = np.zeros(num_sessions)
+        # A level request is staged here until the fused kernel accepts it.
+        self._cpu_request = np.zeros(num_sessions, dtype=np.int64)
+        self._gpu_request = np.zeros(num_sessions, dtype=np.int64)
+        self._request_mask = np.zeros(num_sessions, dtype=bool)
         self._kernel_table: ArgumentTable | None = None
 
         self._cpu_throttler = _ThrottlerArrays(template.cpu_throttle, num_sessions)
@@ -253,11 +273,12 @@ class DeviceFleet:
         state["_kernel_table"] = None
         return state
 
-    def _argument_table(self, kernel) -> ArgumentTable:
-        """The fused kernel's arguments, resolved once per fleet.
+    def argument_table(self, kernel) -> ArgumentTable:
+        """The fused kernels' arguments, resolved once per fleet.
 
         Every array here is owned by this fleet and only ever written in
-        place (never rebound), so its address stays valid.
+        place (never rebound), so its address stays valid.  The
+        environment's ``fleet_stage`` tables point at this table.
         """
         if self._kernel_table is None:
             arguments = {
@@ -279,26 +300,32 @@ class DeviceFleet:
                 "energy": self._energy_j,
                 "total_energy": self.total_energy_j,
                 "elapsed": self.elapsed_ms,
+                "request_mask": self._request_mask,
                 "max_substep": self.max_substep_s,
             }
-            for name, tables, throttler, node, requested, level, utilisation, power in (
+            for (
+                name, tables, throttler, node, request, requested, level, utilisation,
+                power,
+            ) in (
                 (
                     "cpu", self.cpu, self._cpu_throttler, self._cpu_node,
-                    self._requested_cpu_level, self.cpu_level,
+                    self._cpu_request, self._requested_cpu_level, self.cpu_level,
                     self._cpu_utilisation, self._cpu_power_w,
                 ),
                 (
                     "gpu", self.gpu, self._gpu_throttler, self._gpu_node,
-                    self._requested_gpu_level, self.gpu_level,
+                    self._gpu_request, self._requested_gpu_level, self.gpu_level,
                     self._gpu_utilisation, self._gpu_power_w,
                 ),
             ):
                 domain = {
                     "node": node,
                     "throttled_level": throttler.throttled_level,
+                    "num_levels": tables.num_levels,
                     "voltage_sq": tables.voltage_sq_mv,
                     "frequency": tables.frequency_khz,
                     "utilisation": utilisation,
+                    "request": request,
                     "requested": requested,
                     "level": level,
                     "throttled": throttler.throttled,
@@ -442,25 +469,53 @@ class DeviceFleet:
     ) -> None:
         """Request frequency levels; ``mask`` limits which sessions change.
 
-        Levels are integers (scalars or length-N arrays); ``mask`` is a
-        boolean array.  Only the sessions the request changes are checked
-        against the level range, and nothing changes unless all of them
-        pass.
+        Levels are integers, each a scalar or a length-N array; ``mask`` is
+        a boolean scalar or length-N array.  Only the sessions the request
+        changes are checked against the level range, CPU first, and nothing
+        changes unless all of them pass.  With the ``fleet`` kernels the
+        range check, the masked write and both caps are one
+        ``fleet_request_levels`` call on the fleet's own buffers.
         """
+        self._request(fused_fleet(), cpu_levels, gpu_levels, mask)
+
+    def _request(self, kernel, cpu_levels, gpu_levels, mask) -> None:
+        """:meth:`request_levels` on the given ``fleet`` kernels, or NumPy for ``None``."""
         n = self.num_sessions
         if mask is not None:
             mask = np.asarray(mask)
             if mask.dtype != np.bool_:
                 raise DeviceError(f"the session mask must be boolean, got {mask.dtype}")
-            if mask.shape != (n,):
-                mask = np.broadcast_to(mask, (n,))
+            _check_shape(mask, n, "the session mask")
+        levels = []
+        for values, name in ((cpu_levels, "cpu"), (gpu_levels, "gpu")):
+            values = np.asarray(values)
+            _check_shape(values, n, f"{name} levels")
+            if values.dtype.kind not in "iu":
+                raise DeviceError(f"{name} levels must be integers, got {values.dtype}")
+            levels.append(values)
+        if kernel is None:
+            self._request_numpy(*levels, mask)
+            return
+        table = self.argument_table(kernel)
+        self._cpu_request[:] = levels[0]
+        self._gpu_request[:] = levels[1]
+        if mask is not None:
+            self._request_mask[:] = mask
+        refused = kernel.fleet_request_levels(table, mask is not None)
+        if refused:
+            domain = (self.cpu, self.gpu)[refused - 1]
+            raise DeviceError(_out_of_range(("cpu", "gpu")[refused - 1], domain))
+
+    def _request_numpy(self, cpu_levels, gpu_levels, mask) -> None:
+        """The NumPy form of ``fleet_request_levels`` on checked requests."""
+        n = self.num_sessions
+        if mask is not None:
+            mask = np.broadcast_to(mask, (n,))
         checked = []
         for levels, domain, name in (
             (cpu_levels, self.cpu, "cpu"), (gpu_levels, self.gpu, "gpu")
         ):
-            levels = np.asarray(levels)
-            if levels.shape != (n,):
-                levels = np.broadcast_to(levels, (n,))
+            levels = np.broadcast_to(levels, (n,))
             self._check_levels(levels if mask is None else levels[mask], domain, name)
             checked.append(levels)
         for levels, requested in zip(
@@ -477,9 +532,7 @@ class DeviceFleet:
         if levels.dtype.kind not in "iu":
             raise DeviceError(f"{name} levels must be integers, got {levels.dtype}")
         if levels.size and (levels.min() < 0 or levels.max() >= domain.num_levels):
-            raise DeviceError(
-                f"{name} level out of range [0, {domain.num_levels - 1}]"
-            )
+            raise DeviceError(_out_of_range(name, domain))
 
     def _apply_caps(self) -> None:
         self._cpu_throttler.cap_levels(self._requested_cpu_level, out=self.cpu_level)
@@ -555,7 +608,7 @@ class DeviceFleet:
         self._cpu_utilisation[:] = cpu_utilisation
         self._gpu_utilisation[:] = gpu_utilisation
         if kernel is not None:
-            kernel.fleet_device_execute(self._argument_table(kernel))
+            kernel.fleet_device_execute(self.argument_table(kernel))
         else:
             self._execute_numpy()
         return FleetTelemetry(

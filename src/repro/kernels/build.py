@@ -56,27 +56,38 @@ BLAS_SYMBOLS = ("scipy_cblas_dgemm64_", "scipy_cblas_dgemv64_", "scipy_cblas_ddo
 
 
 # A device's processor-domain slots repeat once per domain, CPU first,
-# after the device's own slots.
+# after the device's own slots.  ``request_mask`` and each domain's
+# ``request`` hold a level request until ``fleet_request_levels`` accepts it.
 DEVICE_SLOTS = (
     "nodes", "sessions", "couplings", "temperatures", "power", "ambient", "resistance",
     "heat_capacity", "coupling_a", "coupling_b", "conductance", "remaining", "substep",
-    "deltas", "duration", "energy", "total_energy", "elapsed",
+    "deltas", "duration", "energy", "total_energy", "elapsed", "request_mask",
 )
 DOMAIN_SLOTS = (
-    "node", "throttled_level", "voltage_sq", "frequency", "utilisation", "requested",
-    "level", "throttled", "engage_count", "power",
+    "node", "throttled_level", "num_levels", "voltage_sq", "frequency", "utilisation",
+    "request", "requested", "level", "throttled", "engage_count", "power",
 )
 DEVICE_CONSTANTS = ("max_substep",)
 DOMAIN_CONSTANTS = (
     "capacitance", "idle", "leakage", "leakage_k", "leakage_ref", "trip", "release",
 )
-SEGMENT_SLOTS = (
-    "sessions", "cpu_kilocycles", "gpu_kilocycles", "cpu_frequency", "gpu_frequency",
-    "latency", "cpu_busy", "gpu_busy", "cpu_utilisation", "gpu_utilisation",
+# One detector stage of a fleet environment: ``device`` and
+# ``device_constants`` are the addresses of the fleet's own two tables, the
+# five per-stage cost tables have ``stages`` entries each, and the segment
+# constants are the device's compute profile.
+STAGE_SLOTS = (
+    "device", "device_constants", "stages", "per_proposal", "scales", "fixed_cpu",
+    "fixed_gpu", "proposal_cpu", "proposal_gpu", "image_scale", "proposals", "latency",
+    "cpu_utilisation", "gpu_utilisation", "frame_energy",
 )
 SEGMENT_CONSTANTS = (
     "cpu_efficiency", "gpu_efficiency", "launch_overhead", "host_activity",
 )
+# One batched governor at one fleet size: ``step`` is schedutil's
+# ``max_step_down`` or simple_ondemand's ``up_step``.
+GOVERNOR_KINDS = ("schedutil", "ondemand", "simple_ondemand")
+GOVERNOR_SLOTS = ("kind", "step", "sessions", "utilisation", "current", "levels")
+GOVERNOR_CONSTANTS = ("margin", "up_threshold", "down_threshold")
 DOMAINS = ("cpu", "gpu")
 
 # The DQN kernels' layouts: a learner's own slots, then one block of layer
@@ -118,8 +129,9 @@ def c_prelude() -> str:
     """One ``enum { PREFIX_NAME, ..., PREFIX_SLOTS };`` per layout, for C."""
     enums = (
         ("FD", DEVICE_SLOTS), ("D", DOMAIN_SLOTS), ("FC", DEVICE_CONSTANTS),
-        ("DC", DOMAIN_CONSTANTS), ("SM", SEGMENT_SLOTS),
-        ("SC", SEGMENT_CONSTANTS), ("Q", DQN_SLOTS), ("QL", DQN_LAYER_SLOTS),
+        ("DC", DOMAIN_CONSTANTS), ("ST", STAGE_SLOTS),
+        ("SC", SEGMENT_CONSTANTS), ("GK", GOVERNOR_KINDS), ("GV", GOVERNOR_SLOTS),
+        ("GC", GOVERNOR_CONSTANTS), ("Q", DQN_SLOTS), ("QL", DQN_LAYER_SLOTS),
         ("QC", DQN_CONSTANTS), ("G", GREEDY_SLOTS), ("GL", GREEDY_LAYER_SLOTS),
     )
     return "".join(

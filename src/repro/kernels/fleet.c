@@ -1,6 +1,8 @@
-/* The fleet family: one executed segment of DeviceFleet.execute, the
-   segment model of BatchedExecutionModel.execute, and the AR(1) and
-   proposal-count tails of the batched workload and detector. */
+/* The fleet family: one executed segment of DeviceFleet.execute, one
+   detector stage of BatchedInferenceEnvironment (stage costs, segment model,
+   device segment and frame energy), DeviceFleet.request_levels, the batched
+   governors' select_levels, and the AR(1) and proposal-count tails of the
+   batched workload and detector. */
 #include "kernels.h"
 
 /* RC thermal sub-stepping over a (nodes x n) fleet temperature matrix,
@@ -203,46 +205,204 @@ void fleet_device_execute(const long long *t, const double *c) {
     }
 }
 
-/* BatchedExecutionModel.execute over the SM_* buffers of `t`, with the
-   SC_* constants of `c`:
+/* BatchedExecutionModel.execute for one session, with the SC_* constants
+   of `c`:
      cpu_ms  = cpu_kc / (cpu_f * cpu_eff);  gpu_ms = gpu_kc / (gpu_f * gpu_eff)
      latency = (cpu_ms + gpu_ms) + launch_overhead
-   and, where latency > 0 (else every output is 0.0, NaN latency included),
+   and, where latency > 0 (else both outputs are 0.0, NaN latency included),
      cpu_util = minimum(1.0, (cpu_ms + host_activity * gpu_ms) / latency)
-     gpu_util = minimum(1.0, gpu_ms / latency)
-   Returns 1, before writing anything, when a frequency is <= 0. */
-long fleet_segment_model(const long long *t, const double *c) {
-    long n = t[SM_SESSIONS];
-    const double *cpu_kc = SLOT(const double, t, SM_CPU_KILOCYCLES);
-    const double *gpu_kc = SLOT(const double, t, SM_GPU_KILOCYCLES);
-    const double *cpu_f = SLOT(const double, t, SM_CPU_FREQUENCY);
-    const double *gpu_f = SLOT(const double, t, SM_GPU_FREQUENCY);
-    double *latency = SLOT(double, t, SM_LATENCY);
-    double *cpu_busy = SLOT(double, t, SM_CPU_BUSY);
-    double *gpu_busy = SLOT(double, t, SM_GPU_BUSY);
-    double *cpu_util = SLOT(double, t, SM_CPU_UTILISATION);
-    double *gpu_util = SLOT(double, t, SM_GPU_UTILISATION);
+     gpu_util = minimum(1.0, gpu_ms / latency) */
+static void segment_model(double cpu_kc, double gpu_kc, double cpu_f, double gpu_f,
+                          const double *c, double *latency, double *cpu_util,
+                          double *gpu_util) {
+    double cpu_ms = cpu_kc / (cpu_f * c[SC_CPU_EFFICIENCY]);
+    double gpu_ms = gpu_kc / (gpu_f * c[SC_GPU_EFFICIENCY]);
+    double l = (cpu_ms + gpu_ms) + c[SC_LAUNCH_OVERHEAD];
+    if (l > 0.0) {
+        double busy = cpu_ms + c[SC_HOST_ACTIVITY] * gpu_ms;
+        *latency = l;
+        *cpu_util = np_minimum(1.0, busy / l);
+        *gpu_util = np_minimum(1.0, gpu_ms / l);
+    } else {
+        *latency = 0.0;
+        *cpu_util = 0.0;
+        *gpu_util = 0.0;
+    }
+}
+
+/* One detector stage of BatchedInferenceEnvironment.run_first_stage or
+   run_second_stage over the ST_* slots of `t` and the SC_* constants of
+   `c`, per session:
+     costs   -- stage1_cost_arrays / stage2_cost_arrays: sums run over the
+                stages left to right from +0.0, a stage's fixed cost times
+                the image scale where it scales with the image, and (stage
+                2, `per_proposal`) plus per_proposal * proposals;
+     segment -- segment_model at the frequencies of the current levels;
+   then the segment's latency and utilisations go to the fleet's duration
+   and utilisation buffers, fleet_device_execute runs the fleet's own
+   tables, and the segment energy is added to the frame energy.  Returns 1,
+   before writing anything, when a frequency is <= 0. */
+long fleet_stage(const long long *t, const double *c) {
+    const long long *device = SLOT(const long long, t, ST_DEVICE);
+    const long long *cpu = device + FD_SLOTS;
+    const long long *gpu = device + FD_SLOTS + D_SLOTS;
+    long n = device[FD_SESSIONS];
+    const double *cpu_frequency = SLOT(const double, cpu, D_FREQUENCY);
+    const double *gpu_frequency = SLOT(const double, gpu, D_FREQUENCY);
+    const long long *cpu_level = SLOT(const long long, cpu, D_LEVEL);
+    const long long *gpu_level = SLOT(const long long, gpu, D_LEVEL);
     for (long j = 0; j < n; j++) {
-        if (cpu_f[j] <= 0.0 || gpu_f[j] <= 0.0) return 1;
+        if (cpu_frequency[cpu_level[j]] <= 0.0 || gpu_frequency[gpu_level[j]] <= 0.0) {
+            return 1;
+        }
+    }
+    long stages = t[ST_STAGES];
+    long per_proposal = t[ST_PER_PROPOSAL];
+    const long long *scales = SLOT(const long long, t, ST_SCALES);
+    const double *fixed_cpu = SLOT(const double, t, ST_FIXED_CPU);
+    const double *fixed_gpu = SLOT(const double, t, ST_FIXED_GPU);
+    const double *proposal_cpu = SLOT(const double, t, ST_PROPOSAL_CPU);
+    const double *proposal_gpu = SLOT(const double, t, ST_PROPOSAL_GPU);
+    const double *image_scale = SLOT(const double, t, ST_IMAGE_SCALE);
+    const long long *proposals = SLOT(const long long, t, ST_PROPOSALS);
+    double *latency = SLOT(double, t, ST_LATENCY);
+    double *cpu_util = SLOT(double, t, ST_CPU_UTILISATION);
+    double *gpu_util = SLOT(double, t, ST_GPU_UTILISATION);
+    double *duration = SLOT(double, device, FD_DURATION);
+    double *cpu_in = SLOT(double, cpu, D_UTILISATION);
+    double *gpu_in = SLOT(double, gpu, D_UTILISATION);
+    for (long j = 0; j < n; j++) {
+        double scale = image_scale[j];
+        double count = per_proposal ? (double)proposals[j] : 0.0;
+        double cpu_kc = 0.0, gpu_kc = 0.0;
+        for (long s = 0; s < stages; s++) {
+            double fc = scales[s] ? fixed_cpu[s] * scale : fixed_cpu[s];
+            double fg = scales[s] ? fixed_gpu[s] * scale : fixed_gpu[s];
+            if (per_proposal) {
+                cpu_kc = cpu_kc + (fc + proposal_cpu[s] * count);
+                gpu_kc = gpu_kc + (fg + proposal_gpu[s] * count);
+            } else {
+                cpu_kc = cpu_kc + fc;
+                gpu_kc = gpu_kc + fg;
+            }
+        }
+        segment_model(cpu_kc, gpu_kc, cpu_frequency[cpu_level[j]],
+                      gpu_frequency[gpu_level[j]], c, &latency[j], &cpu_util[j],
+                      &gpu_util[j]);
+        duration[j] = latency[j];
+        cpu_in[j] = cpu_util[j];
+        gpu_in[j] = gpu_util[j];
+    }
+    fleet_device_execute(device, SLOT(const double, t, ST_DEVICE_CONSTANTS));
+    const double *energy = SLOT(const double, device, FD_ENERGY);
+    double *frame_energy = SLOT(double, t, ST_FRAME_ENERGY);
+    for (long j = 0; j < n; j++) {
+        frame_energy[j] = frame_energy[j] + energy[j];
+    }
+    return 0;
+}
+
+/* Whether a domain's D_REQUEST levels all lie in [0, num_levels) where the
+   request applies (`mask` NULL: everywhere). */
+static int request_in_range(long n, const long long *d, const unsigned char *mask) {
+    const long long *request = SLOT(const long long, d, D_REQUEST);
+    long long num_levels = d[D_NUM_LEVELS];
+    for (long j = 0; j < n; j++) {
+        if ((mask == NULL || mask[j]) && (request[j] < 0 || request[j] >= num_levels)) {
+            return 0;
+        }
+    }
+    return 1;
+}
+
+/* DeviceFleet.request_levels over the fleet's table, once the caller has
+   copied the request into the FD_REQUEST_MASK and D_REQUEST buffers: the
+   CPU's applied levels are range-checked, then the GPU's, and only if both
+   pass are they written into D_REQUESTED (where the mask is set, or
+   everywhere when `masked` is 0) and both domains' caps re-applied:
+     level = throttled ? minimum(requested, throttled_level) : requested
+   Returns 0, or 1 (CPU) / 2 (GPU) for the first domain out of range, before
+   writing anything. */
+long fleet_request_levels(const long long *t, long masked) {
+    long n = t[FD_SESSIONS];
+    const unsigned char *mask = masked ? SLOT(const unsigned char, t, FD_REQUEST_MASK) : NULL;
+    const long long *domains[2] = {t + FD_SLOTS, t + FD_SLOTS + D_SLOTS};
+    for (int k = 0; k < 2; k++) {
+        if (!request_in_range(n, domains[k], mask)) return k + 1;
+    }
+    for (int k = 0; k < 2; k++) {
+        const long long *d = domains[k];
+        const long long *request = SLOT(const long long, d, D_REQUEST);
+        long long *requested = SLOT(long long, d, D_REQUESTED);
+        long long *level = SLOT(long long, d, D_LEVEL);
+        const unsigned char *throttled = SLOT(const unsigned char, d, D_THROTTLED);
+        long long cap = d[D_THROTTLED_LEVEL];
+        for (long j = 0; j < n; j++) {
+            if (mask == NULL || mask[j]) requested[j] = request[j];
+            long long r = requested[j];
+            level[j] = (throttled[j] && cap < r) ? cap : r;
+        }
+    }
+    return 0;
+}
+
+/* int64 arithmetic that wraps, as NumPy's does. */
+static inline long long wrapping_add(long long a, long long b) {
+    return (long long)((unsigned long long)a + (unsigned long long)b);
+}
+
+/* select_levels of the batched governor whose GV_* slots and GC_*
+   constants are `t` and `c`, into GV_LEVELS, for `num_levels` levels
+   (top = num_levels - 1).  Every kind first clips the utilisation,
+   u = minimum(maximum(u, 0.0), 1.0); np.round is rint (half to even) and
+   astype(int64) truncates an integral value:
+     schedutil:  target = int(minimum(top, rint(minimum(1.0, margin * u) * top
+                          + 0.49))); with a step, target < current - step
+                          becomes current - step; then clip(target, 0, top)
+     ondemand:   target = u >= up ? top : int(rint(u / up * top));
+                 clip(target, 0, top)
+     simple_ondemand: u >= up ? minimum(top, current + step)
+                      : u <= down ? maximum(0, current - 1) : current
+   Returns 1, before writing anything, when a utilisation is not finite. */
+long fleet_select_levels(const long long *t, const double *c, long num_levels) {
+    long n = t[GV_SESSIONS];
+    const double *utilisation = SLOT(const double, t, GV_UTILISATION);
+    const long long *current = SLOT(const long long, t, GV_CURRENT);
+    long long *out = SLOT(long long, t, GV_LEVELS);
+    long long step = t[GV_STEP];
+    long long top = (long long)num_levels - 1;
+    double top_f = (double)top;
+    for (long j = 0; j < n; j++) {
+        if (!isfinite(utilisation[j])) return 1;
     }
     for (long j = 0; j < n; j++) {
-        double cpu_ms = cpu_kc[j] / (cpu_f[j] * c[SC_CPU_EFFICIENCY]);
-        double gpu_ms = gpu_kc[j] / (gpu_f[j] * c[SC_GPU_EFFICIENCY]);
-        double l = (cpu_ms + gpu_ms) + c[SC_LAUNCH_OVERHEAD];
-        if (l > 0.0) {
-            double busy = cpu_ms + c[SC_HOST_ACTIVITY] * gpu_ms;
-            latency[j] = l;
-            cpu_busy[j] = cpu_ms;
-            gpu_busy[j] = gpu_ms;
-            cpu_util[j] = np_minimum(1.0, busy / l);
-            gpu_util[j] = np_minimum(1.0, gpu_ms / l);
-        } else {
-            latency[j] = 0.0;
-            cpu_busy[j] = 0.0;
-            gpu_busy[j] = 0.0;
-            cpu_util[j] = 0.0;
-            gpu_util[j] = 0.0;
+        double u = np_minimum(np_maximum(utilisation[j], 0.0), 1.0);
+        long long target;
+        switch (t[GV_KIND]) {
+        case GK_SCHEDUTIL: {
+            double fraction = np_minimum(1.0, c[GC_MARGIN] * u);
+            target = (long long)np_minimum(top_f, rint(fraction * top_f + 0.49));
+            if (step) {
+                long long floor = wrapping_add(current[j], -step);
+                if (target < floor) target = floor;
+            }
+            break;
         }
+        case GK_ONDEMAND:
+            target = u >= c[GC_UP_THRESHOLD] ? top
+                                             : (long long)rint(u / c[GC_UP_THRESHOLD] * top_f);
+            break;
+        default: {
+            long long up = wrapping_add(current[j], step);
+            long long down = wrapping_add(current[j], -1);
+            out[j] = u >= c[GC_UP_THRESHOLD] ? (top < up ? top : up)
+                     : u <= c[GC_DOWN_THRESHOLD] ? (down > 0 ? down : 0)
+                                                 : current[j];
+            continue;
+        }
+        }
+        target = target > 0 ? target : 0;
+        out[j] = target < top ? target : top;
     }
     return 0;
 }

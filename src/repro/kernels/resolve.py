@@ -67,7 +67,9 @@ def _accessor(family: str, kernels: str):
 
 
 fused_random = _accessor("random", "``fleet_normal``")
-fused_fleet = _accessor("fleet", "device segment, segment model, AR(1), proposal tail")
+fused_fleet = _accessor(
+    "fleet", "device segment, stage, level request, governor, AR(1), proposal tail"
+)
 fused_dqn = _accessor("dqn", "``dqn_train_step``, ``dqn_greedy``")
 
 

@@ -473,11 +473,15 @@ class DqnLearner:
         self.optimizer.step_sliced(self._params, gradients, self._regions_for(width))
         return self._end_step(loss)
 
+    def _scheduled_learning_rate(self) -> float:
+        """The learning rate of the next step."""
+        if self.learning_rate_schedule is None:
+            return self.optimizer.learning_rate
+        return max(1e-6, self.learning_rate_schedule.value(self.train_steps))
+
     def _schedule_learning_rate(self) -> None:
         if self.learning_rate_schedule is not None:
-            self.optimizer.set_learning_rate(
-                max(1e-6, self.learning_rate_schedule.value(self.train_steps))
-            )
+            self.optimizer.set_learning_rate(self._scheduled_learning_rate())
 
     def _end_step(self, loss: float) -> float:
         self.train_steps += 1
@@ -490,10 +494,12 @@ class DqnLearner:
     ) -> float | None:
         """The whole step as one ``dqn_train_step`` call.
 
-        Returns ``None``, having changed nothing, when the kernel cannot
-        reproduce the NumPy path bit for bit: an ineligible geometry (see
-        :meth:`_step_table`), states that ``np.matmul`` would not hand to
-        gemm as they are, or an action out of range.
+        Returns ``None``, having changed nothing a checkpoint sees (the
+        learning rate, the step count and the moments are committed only
+        after the kernel ran), when the kernel cannot reproduce the NumPy
+        path bit for bit: an ineligible geometry (see :meth:`_step_table`),
+        states that ``np.matmul`` would not hand to gemm as they are, or an
+        action out of range.
         """
         key = (width, next_width, len(batch))
         try:
@@ -508,11 +514,11 @@ class DqnLearner:
             or next_states.shape[0] != states.shape[0]
         ):
             return None
-        self._schedule_learning_rate()
         optimizer = self.optimizer
+        learning_rate = self._scheduled_learning_rate()
         step = optimizer.step_count + 1
         adam = (
-            optimizer.learning_rate, optimizer.beta1, optimizer.beta2,
+            learning_rate, optimizer.beta1, optimizer.beta2,
             optimizer.epsilon, 1.0 - optimizer.beta1**step,
             1.0 - optimizer.beta2**step,
         )
@@ -520,7 +526,9 @@ class DqnLearner:
             table, states, next_states, batch.rewards, batch.actions, adam
         ):
             return None
+        optimizer.set_learning_rate(learning_rate)
         optimizer.step_count = step
+        optimizer._ensure_state(self._params)
         return float(np.add.reduce(table.buffers["losses"]) / len(batch))
 
     def _step_table(
@@ -537,11 +545,9 @@ class DqnLearner:
         boot = network.active_units_for_width(next_width)
         if min(batch_size, *train, *boot) < 2:
             return None
-        optimizer._ensure_state(self._params)
         config = self.config
         return self._dqn.train_table(
-            network.weights, network.biases,
-            (optimizer._first_moment, optimizer._second_moment),
+            network.weights, network.biases, optimizer._moments(self._params),
             train, boot, batch_size, network.flat_parameters.size,
             {"discount": config.discount, "huber_delta": config.huber_delta,
              "max_grad_norm": config.max_grad_norm},

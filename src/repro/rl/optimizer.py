@@ -91,10 +91,14 @@ class Adam:
         self._second_moment: List[np.ndarray] | None = None
         self._m_flat: np.ndarray | None = None
         self._v_flat: np.ndarray | None = None
+        # Whether a step or a restore has used the moments: allocating them
+        # (see _moments) changes no state a checkpoint sees.
+        self._has_moments = False
         self._sliced_scratch: dict[Tuple[int, ...], Tuple[np.ndarray, np.ndarray]] = {}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self.__dict__.setdefault("_has_moments", self._m_flat is not None)
         # Pickling copies each view on its own: re-view the per-parameter
         # moments into their flat buffers, so the sliced steps keep updating
         # the state that checkpoints copy and the dqn kernel addresses.
@@ -114,10 +118,19 @@ class Adam:
             raise ConfigurationError("learning rate must be positive")
         self.learning_rate = learning_rate
 
-    def _ensure_state(self, parameters: Sequence[np.ndarray]) -> None:
+    def _moments(self, parameters: Sequence[np.ndarray]) -> Tuple[list, list]:
+        """The per-parameter moment views, allocated as zeros on first use
+        and never reallocated (the ``dqn`` kernel's table holds their
+        addresses).  Allocating them is not a step: :meth:`state_dict`
+        reports no moments until :meth:`_ensure_state` marks them used."""
         if self._first_moment is None:
             self._m_flat, self._first_moment = _flat_views(parameters)
             self._v_flat, self._second_moment = _flat_views(parameters)
+        return self._first_moment, self._second_moment
+
+    def _ensure_state(self, parameters: Sequence[np.ndarray]) -> None:
+        self._moments(parameters)
+        self._has_moments = True
 
     def _scratch_for(self, shape: Tuple[int, ...]) -> Tuple[np.ndarray, np.ndarray]:
         scratch = self._sliced_scratch.get(shape)
@@ -182,8 +195,8 @@ class Adam:
             "beta2": float(self.beta2),
             "epsilon": float(self.epsilon),
             "step_count": int(self.step_count),
-            "first_moment": None if self._m_flat is None else self._m_flat.copy(),
-            "second_moment": None if self._v_flat is None else self._v_flat.copy(),
+            "first_moment": self._m_flat.copy() if self._has_moments else None,
+            "second_moment": self._v_flat.copy() if self._has_moments else None,
         }
 
     def load_state_dict(self, parameters: Sequence[np.ndarray], payload: dict) -> None:

@@ -147,11 +147,6 @@ class ReplayBuffer:
         """Total number of transitions ever pushed (including evicted ones)."""
         return self._total_pushed
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the buffer has reached its capacity."""
-        return self._size == self.capacity
-
     def _physical(self, logical: np.ndarray) -> np.ndarray:
         """Map logical indices (0 = oldest) onto ring positions."""
         if self._size < self.capacity or self._next == 0:
@@ -191,11 +186,6 @@ class ReplayBuffer:
             next_widths=scalar_pairs[:, 1],
             uniform_next_width=self._uniform_next_width,
         )
-
-    def clear(self) -> None:
-        """Discard all stored transitions (the ring storage is reused)."""
-        self._size = 0
-        self._next = 0
 
     # -- checkpointing -------------------------------------------------------
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.hardware.fleet
 from repro.errors import DeviceError, ExperimentError
 from repro.analysis.experiments import ExperimentSetting
 from repro.core.fleet import FleetLotusAgent
@@ -252,6 +253,29 @@ class TestRequestLevels:
         with pytest.raises(DeviceError, match="gpu level out of range"):
             fleet.request_levels(0, np.array([0, 0, 0, 77]), mask=~mask)
         assert fleet.state_dict()["requested_cpu_level"].tolist() == [0, 2, 3, 2]
+
+    @pytest.mark.parametrize("fused", (False, True), ids=("numpy", "fused"))
+    @pytest.mark.parametrize(
+        "arguments, what",
+        [
+            ((np.zeros(6, dtype=np.int64), 0, None), r"cpu levels"),
+            ((0, np.zeros((5, 1), dtype=np.int64), None), r"gpu levels"),
+            ((0, 0, np.ones(3, dtype=bool)), r"the session mask"),
+        ],
+        ids=("six-levels", "column-levels", "three-mask"),
+    )
+    def test_malformed_shapes_are_refused(self, fused, arguments, what, monkeypatch):
+        """A level array or mask that is neither a scalar nor length N is a
+        DeviceError naming the expected shape, and changes nothing."""
+        if not fused:
+            monkeypatch.setattr(repro.hardware.fleet, "fused_fleet", lambda: None)
+        fleet = DeviceFleet(build_device("jetson-orin-nano"), 5)
+        fleet.request_levels(2, 1)
+        before = fleet.state_dict()
+        with pytest.raises(DeviceError, match=what + r" must be a scalar or of shape \(5,\)"):
+            fleet.request_levels(*arguments)
+        after = fleet.state_dict()
+        assert all(np.array_equal(after[key], value) for key, value in before.items())
 
     def test_snapshot_levels_are_validated(self):
         fleet = self.fleet()

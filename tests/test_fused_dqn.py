@@ -346,6 +346,33 @@ def test_out_of_range_actions_are_refused(monkeypatch, enabled, row, action):
         assert np.array_equal(_bits(learner.target_network.flat_parameters), target)
 
 
+@pytest.mark.parametrize("enabled", [False, True], ids=["numpy", "fused"])
+@pytest.mark.parametrize("steps", [0, 3], ids=["fresh", "trained"])
+def test_a_refused_batch_changes_no_state(monkeypatch, enabled, steps):
+    """A batch with an out-of-range action leaves ``state_dict()`` as it
+    was, optimizer included: a fresh learner gains no moments and a trained
+    one keeps its scheduled learning rate."""
+    with _resolution(monkeypatch, enabled=enabled):
+        learner = _learner(outputs=3)
+        buffer = _buffers(learner, (0.75, 1.0))[1.0]
+        rng = np.random.default_rng(0)
+        for _ in range(steps):
+            learner.train_batch(buffer.sample(8, rng), width=1.0)
+        batch = buffer.sample(8, rng)
+        bad = TransitionBatch(
+            batch.states, np.full(8, 3), batch.rewards, batch.next_states,
+            batch.next_widths, batch.uniform_next_width,
+        )
+        before = copy.deepcopy(learner.state_dict())
+        with pytest.raises(AgentError, match="actions must lie in"):
+            learner.train_batch(bad, width=1.0)
+        assert resolve.same_bits(learner.state_dict(), before)
+        # The learner then trains as if the batch never came.
+        expected = copy.deepcopy(learner)
+        assert learner.train_batch(batch, width=1.0) == expected.train_batch(batch, width=1.0)
+        assert resolve.same_bits(learner.state_dict(), expected.state_dict())
+
+
 @needs_dqn
 def test_one_kernel_call_per_train_batch():
     learner = _learner()

@@ -2,7 +2,8 @@
 
 Every kernel in :mod:`repro.kernels` that the batched simulator uses (the
 per-segment ``fleet_device_execute`` with its RC sub-stepping and leakage
-``exp``, ``fleet_segment_model``, the clipped AR(1) stream advance, the
+``exp``, the per-stage ``fleet_stage``, ``fleet_request_levels``, the
+governors' ``fleet_select_levels``, the clipped AR(1) stream advance, the
 rint/clip proposal tail, the per-session normal draw), and the bias-add +
 ReLU the DQN kernels run for each hidden layer, must produce output
 **bit-identical** to the NumPy (or ``math``) expressions it replaces —
@@ -11,7 +12,10 @@ switch rather than a different numerical mode.  These tests re-state each kernel
 inline and compare against the C output through int64 bit patterns over
 randomized shapes and fill levels; the device kernel is driven through
 :class:`~repro.hardware.fleet.DeviceFleet` against its NumPy path, and the
-bias + ReLU through a :class:`~repro.rl.dqn.DqnLearner`'s kernels.
+bias + ReLU through a :class:`~repro.rl.dqn.DqnLearner`'s kernels.  The
+stage, request and governor kernels are bound without their family's
+self-test (``raw``), so a kernel that disagrees with NumPy fails here
+rather than falling back in silence.
 
 When the toolchain is unavailable (``fused_fleet()`` returns ``None``)
 the kernel-vs-reference tests skip; the kill-switch test always runs,
@@ -34,7 +38,10 @@ import numpy as np
 import pytest
 
 import repro.detection.fleet
+import repro.env.fleet
+import repro.governors.fleet
 import repro.hardware.fleet
+import repro.kernels.fleet
 import repro.kernels.random
 import repro.workload.fleet
 from repro.detection.fleet import BatchedExecutionModel, propose_batch
@@ -42,12 +49,20 @@ from repro.detection.latency import compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import LinearRampAmbient
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, BatchedInferenceEnvironment
-from repro.errors import DetectorError
+from repro.errors import DetectorError, DeviceError
+from repro.governors.fleet import (
+    BatchedOndemandGovernor,
+    BatchedSchedutilGovernor,
+    BatchedSimpleOndemandGovernor,
+    batched_msm_adreno_tz,
+    batched_nvhost_podgov,
+)
 from repro.hardware.devices.registry import build_device
 from repro.hardware.fleet import DeviceFleet
 from repro.hardware.thermal import ThermalNetwork, ThermalNodeConfig
 from repro.kernels import (
     SessionGenerators,
+    build,
     check_scales,
     fused_dqn,
     fused_fleet,
@@ -62,8 +77,24 @@ from repro.workload.fleet import FleetFrameStream
 
 kernel = fused_fleet()
 
+
+def _raw_fleet_kernels():
+    """The fleet kernels bound straight from the library, without the
+    family's self-test, or ``None`` where they cannot be built."""
+    library = build.library()[0] if build.enabled() else None
+    try:
+        return None if library is None else repro.kernels.fleet.bind(library)
+    except AttributeError:
+        return None
+
+
+raw = _raw_fleet_kernels()
+
 needs_kernel = pytest.mark.skipif(
     kernel is None, reason="fused kernels unavailable on this host"
+)
+needs_raw = pytest.mark.skipif(
+    raw is None, reason="fleet kernels unavailable on this host"
 )
 needs_relu = pytest.mark.skipif(
     fused_dqn() is None, reason="fused DQN kernels (bias + ReLU) unavailable on this host"
@@ -471,7 +502,10 @@ class TestFleetExp:
 
 def _use_numpy_fallback(monkeypatch):
     """Run the fleet modules' NumPy fallbacks, as ``REPRO_FUSED=0`` does."""
-    for module in (repro.hardware.fleet, repro.workload.fleet, repro.detection.fleet):
+    for module in (
+        repro.hardware.fleet, repro.workload.fleet, repro.detection.fleet,
+        repro.env.fleet, repro.governors.fleet,
+    ):
         monkeypatch.setattr(module, "fused_fleet", lambda: None)
     monkeypatch.setattr(repro.kernels.random, "fused_random", lambda: None)
 
@@ -602,28 +636,6 @@ class TestSegmentModel:
             cpu_kc[n // 4], gpu_kc[n // 4 + 1] = np.nan, np.nan
         return cpu_kc, gpu_kc, rng.uniform(1e5, 2e6, n), rng.uniform(1e5, 2e6, n)
 
-    @needs_kernel
-    @pytest.mark.parametrize("launch_overhead_ms", (0.0, 2.0))
-    def test_fused_matches_numpy_body(self, launch_overhead_ms):
-        model = BatchedExecutionModel(
-            dataclasses.replace(
-                compute_profile_for("jetson-orin-nano"),
-                launch_overhead_ms=launch_overhead_ms,
-            )
-        )
-        rng = np.random.default_rng(600)
-        for n in (1, 7, 256, 7):  # a new size rebuilds the model's table
-            args = self.inputs(rng, n)
-            got = model.execute(*args)
-            expected = model._execute_numpy(*args)
-            for field in dataclasses.fields(got):
-                assert_bitwise_equal(
-                    getattr(got, field.name), getattr(expected, field.name),
-                    f"{field.name} differs (n={n})",
-                )
-        if launch_overhead_ms == 0.0:
-            assert got.latency_ms[0] == 0.0 and got.cpu_utilisation[0] == 0.0
-
     @pytest.mark.parametrize("fused", (True, False))
     @pytest.mark.parametrize("bad", (0.0, -5.0))
     def test_non_positive_frequency_raises(self, fused, bad, monkeypatch):
@@ -634,6 +646,210 @@ class TestSegmentModel:
         gpu_f[5] = bad
         with pytest.raises(DetectorError, match="frequencies must be positive"):
             model.execute(cpu_kc, gpu_kc, cpu_f, gpu_f)
+
+
+def _assert_same(got, expected, label):
+    """Nested observation/result/state dicts, arrays bit for bit."""
+    __tracebackhide__ = True
+    assert type(got) is type(expected), label
+    if isinstance(expected, dict):
+        assert got.keys() == expected.keys(), label
+        for key in expected:
+            _assert_same(got[key], expected[key], f"{label}.{key}")
+    elif isinstance(expected, np.ndarray):
+        assert_bitwise_equal(got, expected, label)
+    else:
+        assert got == expected or (got != got and expected != expected), label
+
+
+class TestFleetStage:
+    """``fleet_stage`` against the environment's NumPy stages, frame by
+    frame: observations, results, frame energy and device state."""
+
+    @staticmethod
+    def pair(n, detector="faster_rcnn", launch_overhead_ms=2.0):
+        envs = []
+        for _ in range(2):
+            env = _environment(n)
+            env.detector = build_detector(detector)
+            env.execution = BatchedExecutionModel(
+                dataclasses.replace(
+                    env.execution.profile, launch_overhead_ms=launch_overhead_ms
+                )
+            )
+            # Start around the trip points so throttles engage and release.
+            device = env.state.device
+            state = device.state_dict()
+            trip = device.cpu_throttle.trip_temperature_c
+            state["temperatures"][:] = trip + np.linspace(4.0, -4.0, n)
+            device.load_state_dict(state)
+            envs.append(env)
+        return envs
+
+    @staticmethod
+    def frames(fused_env, numpy_env, count, zero_work):
+        rng = np.random.default_rng(7)
+        n = fused_env.num_sessions
+        for frame in range(count):
+            # Varied image scales, so every order of the stage sums shows.
+            scale = np.where(rng.random(n) < zero_work, 0.0, rng.uniform(0.2, 3.0, n))
+            zero = scale == 0.0
+            for env in (fused_env, numpy_env):
+                env.begin_frame()
+                env.state.image_scale = scale
+            got = vars(fused_env._first_stage(raw))
+            expected = vars(numpy_env._first_stage(None))
+            _assert_same(got, expected, f"frame {frame} stage 1")
+            for env in (fused_env, numpy_env):
+                env.state.num_proposals = np.where(zero, 0, env.state.num_proposals)
+            got = vars(fused_env._second_stage(raw))
+            expected = vars(numpy_env._second_stage(None))
+            _assert_same(got, expected, f"frame {frame} stage 2")
+            _assert_same(
+                fused_env.state.device.state_dict(), numpy_env.state.device.state_dict(),
+                f"frame {frame} device",
+            )
+
+    @needs_raw
+    @pytest.mark.parametrize("launch_overhead_ms", (0.0, 2.0))
+    def test_fused_matches_numpy(self, launch_overhead_ms):
+        for n in (1, 7, 256):
+            fused_env, numpy_env = self.pair(n, launch_overhead_ms=launch_overhead_ms)
+            self.frames(fused_env, numpy_env, 12, zero_work=0.25)
+            throttled = fused_env.state.device.throttle_engage_count
+            assert throttled.any(), "the run must throttle"
+
+    @needs_raw
+    @pytest.mark.parametrize("detector", ("mask_rcnn", "yolo_v5"))
+    def test_other_detectors(self, detector):
+        fused_env, numpy_env = self.pair(9, detector=detector, launch_overhead_ms=0.0)
+        self.frames(fused_env, numpy_env, 4, zero_work=0.5)
+
+    @needs_raw
+    def test_zero_frequency_is_refused_before_writing(self):
+        env = _environment(5)
+        env.begin_frame()
+        device = env.state.device
+        before = device.state_dict(), env.state.frame_energy_j.copy()
+        device.gpu.frequency_khz[device.gpu_level[3]] = 0.0
+        with pytest.raises(DetectorError, match="frequencies must be positive"):
+            env._first_stage(raw)
+        _assert_same(device.state_dict(), before[0], "device")
+        assert_bitwise_equal(env.state.frame_energy_j, before[1], "frame energy")
+
+
+class TestRequestLevelsKernel:
+    """``fleet_request_levels`` against ``DeviceFleet._request_numpy``."""
+
+    @needs_raw
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_numpy_request_by_request(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        make = repro.kernels.fleet._device_fleet(rng)
+        requests = repro.kernels.fleet._requests(rng, make())
+        got = repro.kernels.fleet._requested(raw)(make, requests)
+        expected = repro.kernels.fleet._requested(None)(make, requests)
+        assert [o for o in got if not isinstance(o, dict)] == [
+            o for o in expected if not isinstance(o, dict)
+        ]
+        for index, (a, b) in enumerate(zip(got, expected)):
+            if isinstance(b, dict):
+                _assert_same(a, b, f"state after request {index // 2}")
+        refusals = [o for o in expected if isinstance(o, str)]
+        assert any(o.startswith("cpu") for o in refusals)
+        assert any(o.startswith("gpu") for o in refusals)
+
+    @needs_raw
+    def test_mask_limits_the_check_and_the_write(self):
+        fleet = DeviceFleet(build_device("jetson-orin-nano"), 4)
+        fleet._request(raw, 2, 1, None)
+        mask = np.array([True, False, True, False])
+        fleet._request(raw, np.array([0, 99, 3, -1]), np.array([1, -5, 0, 77]), mask)
+        state = fleet.state_dict()
+        assert state["requested_cpu_level"].tolist() == [0, 2, 3, 2]
+        assert state["requested_gpu_level"].tolist() == [1, 1, 0, 1]
+        with pytest.raises(DeviceError, match="gpu level out of range"):
+            fleet._request(raw, 0, np.array([0, 0, 0, 77]), ~mask)
+        _assert_same(fleet.state_dict(), state, "refused request")
+
+    @needs_raw
+    def test_caps_follow_the_throttle(self):
+        fleet = DeviceFleet(build_device("jetson-orin-nano"), 3)
+        cap = fleet.cpu_throttle.throttled_level
+        fleet._cpu_throttler.throttled[:] = [True, False, True]
+        top = fleet.cpu.num_levels - 1
+        fleet._request(raw, np.array([top, top, cap - 1]), 0, None)
+        assert fleet.cpu_level.tolist() == [cap, top, cap - 1]
+        assert fleet.state_dict()["requested_cpu_level"].tolist() == [top, top, cap - 1]
+
+
+class TestSelectLevels:
+    """``fleet_select_levels`` against each governor's ``_select_numpy``."""
+
+    GOVERNORS = (
+        BatchedSchedutilGovernor(), BatchedSchedutilGovernor(margin=1.0, max_step_down=0),
+        BatchedSchedutilGovernor(max_step_down=3), BatchedOndemandGovernor(),
+        BatchedOndemandGovernor(0.6), BatchedSimpleOndemandGovernor(),
+        batched_nvhost_podgov(), batched_msm_adreno_tz(),
+    )
+
+    @needs_raw
+    @pytest.mark.parametrize("governor", GOVERNORS, ids=lambda g: f"{g.kind}-{g.name}")
+    @pytest.mark.parametrize("num_levels", (1, 2, 7, 12, 30))
+    def test_matches_numpy_bitwise(self, governor, num_levels):
+        rng = np.random.default_rng(num_levels)
+        utilisation = repro.kernels.fleet._utilisations(rng, governor, num_levels - 1)
+        current = rng.integers(0, num_levels, utilisation.size)
+        current[:3] = num_levels - 1
+        governor = copy.deepcopy(governor)
+        got = governor._select(raw, utilisation, current, num_levels)
+        assert got is not governor._kernel_table.buffers["levels"]
+        assert_bitwise_equal(got, governor._kernel_table.buffers["levels"], "kernel ran")
+        expected = governor._select_numpy(utilisation, current, num_levels)
+        assert_bitwise_equal(got, expected.astype(np.int64), "levels")
+        assert expected.dtype == np.int64
+
+    @pytest.mark.parametrize("governor", GOVERNORS[:5], ids=lambda g: g.kind)
+    def test_inputs_hit_rounding_ties(self, governor):
+        """The half-way inputs are exact ties that half-to-even and
+        half-away-from-zero round apart."""
+        top = 11
+        utilisation = repro.kernels.fleet._utilisations(np.random.default_rng(0), governor, top)
+        clipped = np.clip(utilisation, 0.0, 1.0)
+        if isinstance(governor, BatchedSchedutilGovernor):
+            values = np.minimum(1.0, governor.margin * clipped) * top + 0.49
+        else:
+            values = clipped / governor.up_threshold * top
+        ties = values[values % 1.0 == 0.5]
+        assert (np.floor(ties) % 2 == 0).any()
+        assert (np.rint(ties) != np.floor(ties + 0.5)).any()
+
+    @needs_raw
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_non_finite_utilisation_takes_numpy(self, bad):
+        governor = BatchedSimpleOndemandGovernor()
+        utilisation = np.array([0.5, bad, 0.9])
+        current = np.array([3, 3, 3])
+        got = governor._select(raw, utilisation, current, 7)
+        assert_bitwise_equal(got, governor._select_numpy(utilisation, current, 7), "levels")
+        assert not raw.fleet_select_levels(governor._kernel_table, 7)
+
+    @needs_raw
+    def test_other_dtypes_take_numpy(self):
+        governor = BatchedSchedutilGovernor()
+        utilisation = np.linspace(0.0, 1.0, 6, dtype=np.float32)
+        current = np.arange(6, dtype=np.int32)
+        got = governor._select(raw, utilisation, current, 7)
+        assert governor._kernel_table is None
+        assert_bitwise_equal(got, governor._select_numpy(utilisation, current, 7), "levels")
+
+    def test_a_copy_builds_its_own_table(self):
+        governor = BatchedOndemandGovernor()
+        utilisation, current = np.linspace(0.0, 1.0, 5), np.zeros(5, dtype=np.int64)
+        expected = governor.select_levels(utilisation, current, 7)
+        for clone in (copy.deepcopy(governor), pickle.loads(pickle.dumps(governor))):
+            assert "_kernel_table" not in vars(clone)
+            assert_bitwise_equal(clone.select_levels(utilisation, current, 7), expected, "copy")
 
 
 def _frozen(value):

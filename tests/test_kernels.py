@@ -39,9 +39,10 @@ def _bits(values) -> bytes:
 
 
 def _digest() -> str:
-    """A scalar session whose batches mix next widths (the NumPy learner)
-    and a trained fleet (``random``, ``fleet``, ``dqn``): every trace
-    column, loss and reward, as bits."""
+    """A scalar session whose batches mix next widths (the NumPy learner),
+    a trained fleet (``random``, ``fleet``, ``dqn``) and a governed one
+    (the governors' ``fleet_select_levels``): every trace column, loss and
+    reward, as bits."""
     digest = hashlib.sha256()
     session = execute_setting(ExperimentSetting(num_frames=80, seed=0), "lotus-shared-buffer")
     for name in COLUMN_DTYPES:
@@ -51,6 +52,9 @@ def _digest() -> str:
         digest.update(_bits(fleet.fleet_trace.column_window(name).astype(np.float64)))
     for each in (session, *fleet.sessions):
         digest.update(_bits(each.losses) + _bits(each.rewards))
+    governed = run_fleet(ExperimentSetting(num_frames=24, seed=0), "default", 4)
+    for name in COLUMN_DTYPES:
+        digest.update(_bits(governed.fleet_trace.column_window(name).astype(np.float64)))
     return digest.hexdigest()
 
 
@@ -65,8 +69,8 @@ def numpy_digest():
 _FAMILY_KERNELS = {
     "random": ("fleet_normal",),
     "fleet": (
-        "fleet_device_execute", "fleet_segment_model", "fleet_ar1_advance",
-        "fleet_proposal_tail",
+        "fleet_stage", "fleet_request_levels", "fleet_select_levels",
+        "fleet_device_execute", "fleet_ar1_advance", "fleet_proposal_tail",
     ),
     "dqn": ("dqn_train_step", "dqn_greedy"),
 }

@@ -359,7 +359,7 @@ class TestReplayRingRoundTrip:
 
         assert len(restored) == len(original)
         assert restored.total_pushed == original.total_pushed
-        assert restored.is_full == original.is_full
+        assert (len(restored) == restored.capacity) == (len(original) == original.capacity)
         if pushes:
             assert self._rings_equal(restored, original)
             # Seeded sampling is bit-identical (same physical layout, same

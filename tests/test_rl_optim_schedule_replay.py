@@ -128,8 +128,7 @@ def test_replay_buffer_push_and_sample(rng):
     buffer = ReplayBuffer(capacity=100)
     for i in range(50):
         append_transition(buffer, i)
-    assert len(buffer) == 50
-    assert not buffer.is_full
+    assert len(buffer) == 50 < buffer.capacity
     batch = buffer.sample(16, rng)
     assert len(batch) == 16
     assert len(set(batch.rewards.tolist())) == 16  # sampling without replacement
@@ -144,8 +143,7 @@ def test_replay_buffer_eviction_keeps_most_recent(rng):
     buffer = ReplayBuffer(capacity=10)
     for i in range(25):
         append_transition(buffer, i)
-    assert len(buffer) == 10
-    assert buffer.is_full
+    assert len(buffer) == 10 == buffer.capacity
     assert buffer.total_pushed == 25
     rewards = set(buffer.sample(10, rng).rewards.tolist())
     assert rewards == {float(i) for i in range(15, 25)}
@@ -158,6 +156,7 @@ def test_replay_buffer_errors(rng):
     with pytest.raises(ReplayBufferError):
         buffer.sample(1, rng)
     append_transition(buffer, 0)
+    before = buffer.state_dict()
     with pytest.raises(ReplayBufferError):
         buffer.sample(2, rng)
     with pytest.raises(ReplayBufferError):
@@ -169,8 +168,11 @@ def test_replay_buffer_errors(rng):
     with pytest.raises(ReplayBufferError):
         # Dimension mismatch with the buffer's first transition.
         buffer.append(np.zeros(1), 0, 0.0, np.zeros(1))
-    buffer.clear()
-    assert len(buffer) == 0
+    # A refused append or sample leaves the ring as it was.
+    after = buffer.state_dict()
+    assert len(buffer) == 1 and after.keys() == before.keys()
+    for key, value in before.items():
+        assert np.array_equal(after[key], value), key
 
 
 @settings(max_examples=30, deadline=None)
@@ -184,4 +186,4 @@ def test_replay_buffer_never_exceeds_capacity(capacity, pushes):
         append_transition(buffer, i)
     assert len(buffer) == min(capacity, pushes)
     assert buffer.total_pushed == pushes
-    assert buffer.is_full == (pushes >= capacity)
+    assert (len(buffer) == buffer.capacity) == (pushes >= capacity)

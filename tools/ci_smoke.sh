@@ -80,7 +80,7 @@ smoke_fused_kill_switch() {
     # digest covers each trace's column bits and datasets, the cell's
     # session metrics, and every session's loss and reward histories.
     # The fused side must show, through repro.obs, that every kernel family
-    # ran, each of the fleet family's four kernels included (no silent
+    # ran, each of the fleet family's six kernels included (no silent
     # fallback), and the other side that none did.  The governed run must
     # throttle at least once (its thermal-soak member does), so the
     # throttle branch is under the digest comparison.
@@ -163,8 +163,8 @@ kernel_calls = {
 obs.disable()
 families = {
     "random": ("fleet_normal",),
-    "fleet": ("fleet_device_execute", "fleet_segment_model",
-              "fleet_ar1_advance", "fleet_proposal_tail"),
+    "fleet": ("fleet_stage", "fleet_request_levels", "fleet_select_levels",
+              "fleet_device_execute", "fleet_ar1_advance", "fleet_proposal_tail"),
     "dqn": ("dqn_train_step", "dqn_greedy"),
 }
 assert set(families) == set(FAMILIES) == set(kernel_status()), kernel_status()
