@@ -123,10 +123,24 @@ def proposal_scale(detector: DetectorModel) -> float:
     return float(detector.proposal_model.max_proposals if detector.is_two_stage else 100)
 
 
+def proposal_tail_table(kernel, detector: DetectorModel, num_sessions: int):
+    """A ``fleet_proposal_tail`` table of one two-stage detector at one
+    fleet size, with its own scene, noise-factor and count buffers."""
+    model = detector.proposal_model
+    n = num_sessions
+    return kernel.proposal_table(
+        np.zeros(n), float(model.keep_ratio),
+        np.zeros(n) if model.noise_std > 0 else None,
+        float(model.min_proposals), float(model.max_proposals),
+        np.zeros(n, dtype=np.int64),
+    )
+
+
 def propose_batch(
     detector: DetectorModel,
     scene_candidates: np.ndarray,
     rngs: Sequence[np.random.Generator],
+    table=None,
 ) -> np.ndarray:
     """Per-session RPN proposal counts, one noise draw per session stream.
 
@@ -135,8 +149,11 @@ def propose_batch(
     per-session random stream identical to a scalar run); the exp/clip/round
     tail is evaluated as array operations.  Pass the generators as one
     long-lived :class:`~repro.kernels.SessionGenerators` (as the fleet
-    environment does) so the fused draw's pointer table is built once; any
-    other sequence is wrapped for this call.
+    environment does) so the fused draw's table is built once; any other
+    sequence is wrapped for this call.  Likewise ``table``, the fused
+    tail's :func:`proposal_tail_table` for this detector and fleet size,
+    which a caller drawing every frame keeps; without it the call builds
+    its own.
     """
     if len(rngs) != len(scene_candidates):
         raise DetectorError(
@@ -154,14 +171,22 @@ def propose_batch(
         # np.exp, as the scalar ProposalModel.sample uses.
         factor = np.exp(rngs.normal(model.noise_std))
     kernel = fused_fleet()
-    tail = proposal_tail if kernel is None else kernel.fleet_proposal_tail
-    scene = np.ascontiguousarray(scene_candidates, dtype=float)
-    counts = np.empty(scene.size, dtype=np.int64)
-    tail(
-        scene, float(model.keep_ratio), factor,
-        float(model.min_proposals), float(model.max_proposals), counts,
-    )
-    return counts
+    if kernel is None:
+        counts = np.empty(len(scene_candidates), dtype=np.int64)
+        proposal_tail(
+            np.ascontiguousarray(scene_candidates, dtype=float),
+            float(model.keep_ratio), factor,
+            float(model.min_proposals), float(model.max_proposals), counts,
+        )
+        return counts
+    if table is None:
+        table = proposal_tail_table(kernel, detector, len(scene_candidates))
+    buffers = table.buffers
+    buffers["scene"][:] = scene_candidates
+    if factor is not None:
+        buffers["factor"][:] = factor
+    kernel.fleet_proposal_tail(table)
+    return buffers["counts"].copy()
 
 
 def proposal_tail(scene_candidates, keep_ratio, factor, min_proposals, max_proposals, out):

@@ -57,6 +57,7 @@ from repro.detection.detector import DetectorModel
 from repro.detection.fleet import (
     BatchedExecutionModel,
     propose_batch,
+    proposal_tail_table,
     stage1_cost_arrays,
     stage2_cost_arrays,
     stage_cost_tables,
@@ -771,13 +772,15 @@ class BatchedInferenceEnvironment:
         self._stage1_levels = (fleet.cpu_level.copy(), fleet.gpu_level.copy())
         self._stage1_throttled = np.zeros(n, dtype=bool)
         self._stage_tables: tuple[ArgumentTable, ArgumentTable] | None = None
+        self._proposal_table: ArgumentTable | None = None
         self.state.device.reset(self.ambient.initial_temperature())
 
     def __getstate__(self) -> dict:
-        # The stage tables hold raw addresses of this environment's and its
+        # The kernel tables hold raw addresses of this environment's and its
         # fleet's arrays; a copy (pickle or deepcopy) builds its own.
         state = self.__dict__.copy()
         state["_stage_tables"] = None
+        state["_proposal_table"] = None
         return state
 
     def _stage_table(self, kernel, second: bool) -> ArgumentTable:
@@ -1008,8 +1011,15 @@ class BatchedInferenceEnvironment:
         self._stage1_throttled = throttled
         state.cpu_utilisation = cpu_utilisation
         state.gpu_utilisation = gpu_utilisation
+        table = None
+        if kernel is not None and self.detector.is_two_stage:
+            if self._proposal_table is None:
+                self._proposal_table = proposal_tail_table(
+                    kernel, self.detector, self.num_sessions
+                )
+            table = self._proposal_table
         state.num_proposals = propose_batch(
-            self.detector, state.scene_candidates, state.rngs
+            self.detector, state.scene_candidates, state.rngs, table
         )
         self._phase = _Phase.AFTER_STAGE1
         return FleetMidObservation(

@@ -89,6 +89,17 @@ GOVERNOR_KINDS = ("schedutil", "ondemand", "simple_ondemand")
 GOVERNOR_SLOTS = ("kind", "step", "sessions", "utilisation", "current", "levels")
 GOVERNOR_CONSTANTS = ("margin", "up_threshold", "down_threshold")
 DOMAINS = ("cpu", "gpu")
+# One clipped AR(1) step over a fleet's scene-complexity streams.
+AR1_SLOTS = (
+    "sessions", "current", "mean", "correlation", "innovations", "minimum", "maximum",
+)
+# The proposal-count tail: ``has_factor`` is 0 when the detector draws no
+# proposal noise (``factor`` is then never read).
+PROPOSAL_SLOTS = ("sessions", "has_factor", "scene", "factor", "counts")
+PROPOSAL_CONSTANTS = ("keep_ratio", "min_proposals", "max_proposals")
+# One normal draw per session: ``generators`` holds each generator's
+# ``bitgen_t`` address.
+NORMAL_SLOTS = ("sessions", "generators", "scale", "out")
 
 # The DQN kernels' layouts: a learner's own slots, then one block of layer
 # slots per dense layer (see :func:`layered`).  ``half`` is the distance in
@@ -131,8 +142,9 @@ def c_prelude() -> str:
         ("FD", DEVICE_SLOTS), ("D", DOMAIN_SLOTS), ("FC", DEVICE_CONSTANTS),
         ("DC", DOMAIN_CONSTANTS), ("ST", STAGE_SLOTS),
         ("SC", SEGMENT_CONSTANTS), ("GK", GOVERNOR_KINDS), ("GV", GOVERNOR_SLOTS),
-        ("GC", GOVERNOR_CONSTANTS), ("Q", DQN_SLOTS), ("QL", DQN_LAYER_SLOTS),
-        ("QC", DQN_CONSTANTS), ("G", GREEDY_SLOTS), ("GL", GREEDY_LAYER_SLOTS),
+        ("GC", GOVERNOR_CONSTANTS), ("AR", AR1_SLOTS), ("PT", PROPOSAL_SLOTS),
+        ("PC", PROPOSAL_CONSTANTS), ("NR", NORMAL_SLOTS), ("Q", DQN_SLOTS),
+        ("QL", DQN_LAYER_SLOTS), ("QC", DQN_CONSTANTS), ("G", GREEDY_SLOTS), ("GL", GREEDY_LAYER_SLOTS),
     )
     return "".join(
         f"enum {{ {', '.join(f'{prefix}_{name.upper()}' for name in names)}, "

@@ -70,9 +70,14 @@ static void thermal_advance(long nodes, long n, double *temps,
      v = (mean + corr * (current - mean)) + innovation; clip to [lo, hi]
    Clip as minimum(maximum(v, lo), hi) with NumPy's `in1 >= in2 ? in1 : in2`
    tie handling. */
-void fleet_ar1_advance(long n, double *current, const double *mean,
-                       const double *corr, const double *innov,
-                       const double *lo, const double *hi) {
+void fleet_ar1_advance(const long long *t) {
+    long n = t[AR_SESSIONS];
+    double *current = SLOT(double, t, AR_CURRENT);
+    const double *mean = SLOT(const double, t, AR_MEAN);
+    const double *corr = SLOT(const double, t, AR_CORRELATION);
+    const double *innov = SLOT(const double, t, AR_INNOVATIONS);
+    const double *lo = SLOT(const double, t, AR_MINIMUM);
+    const double *hi = SLOT(const double, t, AR_MAXIMUM);
     for (long i = 0; i < n; i++) {
         double v = (mean[i] + corr[i] * (current[i] - mean[i])) + innov[i];
         v = v >= lo[i] ? v : lo[i];   /* maximum(v, lo) */
@@ -86,9 +91,14 @@ void fleet_ar1_advance(long n, double *current, const double *mean,
    (np.exp of the per-session draws) is computed by NumPy and passed in; C
    rint() under the default rounding mode is round-half-to-even, exactly
    np.rint.  The final cast is exact: the clipped value is integral. */
-void fleet_proposal_tail(long n, const double *scene, double keep_ratio,
-                         long has_factor, const double *factor,
-                         double min_p, double max_p, long long *out) {
+void fleet_proposal_tail(const long long *t, const double *c) {
+    long n = t[PT_SESSIONS];
+    long has_factor = t[PT_HAS_FACTOR];
+    const double *scene = SLOT(const double, t, PT_SCENE);
+    const double *factor = SLOT(const double, t, PT_FACTOR);
+    long long *out = SLOT(long long, t, PT_COUNTS);
+    double keep_ratio = c[PC_KEEP_RATIO];
+    double min_p = c[PC_MIN_PROPOSALS], max_p = c[PC_MAX_PROPOSALS];
     for (long i = 0; i < n; i++) {
         double e = scene[i] * keep_ratio;
         if (has_factor) e = e * factor[i];

@@ -20,11 +20,14 @@ import dataclasses
 import numpy as np
 
 from repro.kernels.build import (
+    AR1_SLOTS,
     DEVICE_CONSTANT_LAYOUT,
     DEVICE_LAYOUT,
     GOVERNOR_CONSTANTS,
     GOVERNOR_KINDS,
     GOVERNOR_SLOTS,
+    PROPOSAL_CONSTANTS,
+    PROPOSAL_SLOTS,
     SEGMENT_CONSTANTS,
     STAGE_SLOTS,
     ArgumentTable,
@@ -45,11 +48,8 @@ class FleetKernels:
         self._select_levels = function(
             lib, "fleet_select_levels", long, pointer, pointer, long
         )
-        self._ar1 = function(lib, "fleet_ar1_advance", None, long, *[pointer] * 6)
-        self._proposal_tail = function(
-            lib, "fleet_proposal_tail", None, long, pointer, double, long, pointer,
-            double, double, pointer,
-        )
+        self._ar1 = function(lib, "fleet_ar1_advance", None, pointer)
+        self._proposal_tail = function(lib, "fleet_proposal_tail", None, pointer, pointer)
 
     def device_table(self, arguments: dict) -> ArgumentTable:
         """The table of :meth:`fleet_device_execute` and
@@ -104,23 +104,40 @@ class FleetKernels:
             table.values_address, table.constants_address, num_levels
         ) == 0
 
-    def fleet_ar1_advance(self, current, mean, corr, innovations, minimum, maximum) -> None:
+    def ar1_table(
+        self, current, mean, correlation, innovations, minimum, maximum
+    ) -> ArgumentTable:
+        """The table of :meth:`fleet_ar1_advance` over one stream's arrays."""
+        return ArgumentTable(
+            AR1_SLOTS, (),
+            {"sessions": current.size, "current": current, "mean": mean,
+             "correlation": correlation, "innovations": innovations,
+             "minimum": minimum, "maximum": maximum},
+        )
+
+    def fleet_ar1_advance(self, table: ArgumentTable) -> None:
         """One clipped AR(1) step over per-session streams, ``current`` in place."""
         _obs.kernel_call("fleet_ar1_advance")
-        arrays = (current, mean, corr, innovations, minimum, maximum)
-        self._ar1(current.size, *[a.ctypes.data for a in arrays])
+        self._ar1(table.values_address)
 
-    def fleet_proposal_tail(
+    def proposal_table(
         self, scene_candidates, keep_ratio, factor, min_proposals, max_proposals, out
-    ) -> None:
-        """rint/clip tail of the batched proposal draw into int64 ``out``."""
-        _obs.kernel_call("fleet_proposal_tail")
-        self._proposal_tail(
-            scene_candidates.size, scene_candidates.ctypes.data, keep_ratio,
-            0 if factor is None else 1,
-            0 if factor is None else factor.ctypes.data,
-            min_proposals, max_proposals, out.ctypes.data,
+    ) -> ArgumentTable:
+        """The table of :meth:`fleet_proposal_tail` over these arrays
+        (``factor`` ``None`` for a detector without proposal noise)."""
+        return ArgumentTable(
+            PROPOSAL_SLOTS, PROPOSAL_CONSTANTS,
+            {"sessions": scene_candidates.size, "has_factor": factor is not None,
+             "scene": scene_candidates,
+             "factor": np.zeros(0) if factor is None else factor, "counts": out,
+             "keep_ratio": keep_ratio, "min_proposals": min_proposals,
+             "max_proposals": max_proposals},
         )
+
+    def fleet_proposal_tail(self, table: ArgumentTable) -> None:
+        """rint/clip tail of the batched proposal draw into the int64 ``counts``."""
+        _obs.kernel_call("fleet_proposal_tail")
+        self._proposal_tail(table.values_address, table.constants_address)
 
 
 bind = FleetKernels
@@ -377,14 +394,18 @@ def _cases(kernel: FleetKernels):
         rng.uniform(0.2, 0.99, 64), rng.normal(0.0, 20.0, 64),
         np.full(64, 10.0), np.full(64, 90.0),
     )
-    yield streams, in_place(kernel.fleet_ar1_advance), in_place(ar1_advance)
+    ar1 = in_place(lambda *arrays: kernel.fleet_ar1_advance(kernel.ar1_table(*arrays)))
+    yield streams, ar1, in_place(ar1_advance)
     # Proposal tails with the half-way values (a round-half-away rint would
     # show) and values above the maximum, with and without the noise factor.
     scene = np.concatenate([[0.5, 1.5, 2.5, 3.5, 250.0, 1e4], rng.uniform(0, 400, 57)])
     counts = np.zeros(scene.size, dtype=np.int64)
     for factor in (None, np.exp(rng.normal(0.0, 0.2, scene.size))):
         inputs = (scene, 1.0, factor, 1.0, 300.0, counts)
-        yield inputs, in_place(kernel.fleet_proposal_tail), in_place(proposal_tail)
+        tail = in_place(
+            lambda *arguments: kernel.fleet_proposal_tail(kernel.proposal_table(*arguments))
+        )
+        yield inputs, tail, in_place(proposal_tail)
 
 
 def self_test(kernel: FleetKernels) -> bool:

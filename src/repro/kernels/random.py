@@ -13,9 +13,24 @@ from collections.abc import Iterable, Sequence
 
 import numpy as np
 
-from repro.kernels.build import function
+from repro.kernels.build import NORMAL_SLOTS, ArgumentTable, function
 from repro.kernels.resolve import differential, fused_random
 from repro.obs import bus as _obs
+
+#: ``PyCapsule_GetPointer``, typed here rather than on the shared
+#: ``ctypes.pythonapi`` entry.
+_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+    ("PyCapsule_GetPointer", ctypes.pythonapi)
+)
+
+
+def bitgen_address(rng: np.random.Generator) -> int:
+    """The address of a generator's ``bitgen_t``, from its capsule.
+
+    The same address ``bit_generator.ctypes.bit_generator`` reports, without
+    building that interface's ctypes function wrappers.
+    """
+    return _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
 
 
 def check_scales(scale) -> np.ndarray:
@@ -39,9 +54,10 @@ class SessionGenerators(Sequence):
     when the ``random`` family runs and through ``Generator.normal`` when it
     does not, with bit-identical values and generator states either way.
 
-    The kernel reads each generator's ``bitgen_t`` through a pointer table
-    built on the first draw.  The table is derived state: pickling and
-    ``copy.deepcopy`` drop it, so a copy rebuilds it from its own
+    The kernel reads an argument table built on the first draw: the
+    generators' ``bitgen_t`` addresses and the scale and output buffers,
+    which every draw writes in place.  The table is derived state: pickling
+    and ``copy.deepcopy`` drop it, so a copy rebuilds it from its own
     generators and never draws from its original's.  Setting
     ``bit_generator.state`` writes the generator in place, so restoring a
     checkpoint keeps the table valid.
@@ -95,31 +111,40 @@ class SessionGenerators(Sequence):
                 [rng.normal(0.0, value) for rng, value in zip(self._rngs, scale.tolist())]
             )
         if self._table is None:
-            self._table = (ctypes.c_void_p * len(self._rngs))(
-                *[rng.bit_generator.ctypes.bit_generator.value for rng in self._rngs]
-            )
-        out = np.empty(len(self._rngs))
-        kernel.fleet_normal(self._table, scale, out)
-        return out
+            n = len(self._rngs)
+            addresses = np.array([bitgen_address(rng) for rng in self._rngs], np.int64)
+            self._table = kernel.normal_table(addresses, np.zeros(n), np.zeros(n))
+        buffers = self._table.buffers
+        buffers["scale"][:] = scale
+        kernel.fleet_normal(self._table)
+        return buffers["out"].copy()
 
 
 class RandomKernels:
     """ctypes binding of ``fleet_normal``."""
 
     def __init__(self, lib: ctypes.CDLL):
-        pointer = ctypes.c_void_p
-        argtypes = ctypes.c_long, ctypes.POINTER(pointer), pointer, pointer
-        self._fleet_normal = function(lib, "fleet_normal", None, *argtypes)
+        self._fleet_normal = function(lib, "fleet_normal", None, ctypes.c_void_p)
 
-    def fleet_normal(self, table, scale: np.ndarray, out: np.ndarray) -> None:
+    def normal_table(
+        self, generators: np.ndarray, scale: np.ndarray, out: np.ndarray
+    ) -> ArgumentTable:
+        """The table of :meth:`fleet_normal`: the int64 ``bitgen_t``
+        addresses of the generators, and one float64 scale and output per
+        generator."""
+        return ArgumentTable(
+            NORMAL_SLOTS, (),
+            {"sessions": generators.size, "generators": generators, "scale": scale,
+             "out": out},
+        )
+
+    def fleet_normal(self, table: ArgumentTable) -> None:
         """``out[i] = normal(0.0, scale[i])`` drawn from generator ``i``.
 
-        ``table`` is a ctypes array of the generators' ``bitgen_t``
-        addresses (kept by :class:`SessionGenerators`); ``scale`` comes from
-        :func:`check_scales`; both arrays hold ``len(table)`` float64 values.
+        The ``scale`` buffer holds values checked by :func:`check_scales`.
         """
         _obs.kernel_call("fleet_normal")
-        self._fleet_normal(len(table), table, scale.ctypes.data, out.ctypes.data)
+        self._fleet_normal(table.values_address)
 
 
 bind = RandomKernels

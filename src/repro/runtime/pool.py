@@ -52,8 +52,13 @@ pipe itself.
 Worker death (injected ``os._exit`` crashes or real faults) is detected as
 an EOF on the worker's pipe; the supervisor respawns a fresh process *into
 the same pool slot* and resubmits the task, which — for supervised shards —
-resumes from its spooled checkpoint exactly as PR 7's round-based
-supervisor did.
+resumes from its spooled checkpoint and replays only the frames after it.
+
+Under the ``fork`` start method the parent resolves every kernel family
+(:mod:`repro.kernels`) before it starts a worker, so initial and respawned
+workers inherit verified kernels and never run a self-test: a crash costs
+its replayed frames, not a fresh process's kernel checks.  Under ``spawn``
+or ``forkserver`` each worker re-imports and resolves for itself.
 
 ``REPRO_POOL=0`` disables the shared pool: entry points fall back to a
 private single-use pool per call (still clamped and wave-scheduled).
@@ -73,6 +78,7 @@ from dataclasses import dataclass, field
 from multiprocessing import connection, get_context
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import repro.kernels as kernels
 from repro.errors import ShardError
 from repro.obs import bus as _obs
 
@@ -440,6 +446,12 @@ class FleetWorkerPool:
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, handle: _WorkerHandle) -> None:
+        if self._context.get_start_method() == "fork":
+            # A forked worker inherits the parent's verified kernels, so
+            # each family's self-test runs once per parent, not once per
+            # (re)spawned worker.  Spawned workers re-import and resolve.
+            for family in kernels.FAMILIES:
+                getattr(kernels, f"fused_{family}")()
         parent_conn, child_conn = self._context.Pipe()
         process = self._context.Process(
             target=_worker_main,

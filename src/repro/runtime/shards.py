@@ -64,7 +64,12 @@ from repro.env.fleet import (
     validate_session_partition,
 )
 from repro.env.trace import COLUMN_DTYPES
-from repro.store import FleetTraceWriter, MappedFleetTrace, write_fleet_trace
+from repro.store import (
+    DEFAULT_CHUNK_FRAMES,
+    MANIFEST_NAME,
+    FleetTraceWriter,
+    MappedFleetTrace,
+)
 from repro.faults.plan import WorkerCrash
 from repro.runtime.pool import PoolTask, acquire_pool, scenario_shard_fingerprint
 from repro.runtime.fleet import (
@@ -494,13 +499,15 @@ def _checkpoint_write(path: Path, payload: dict) -> None:
 
 @dataclass
 class _SupervisedSink:
-    """Frame sink of a supervised shard: record, checkpoint, crash.
+    """Frame sink of a supervised shard: spool, checkpoint, crash.
 
-    ``append`` records each frame into ``trace``, then spools a checkpoint
-    every ``checkpoint_every`` completed frames (never after the last),
-    then — at the boundary before ``crash_frame`` — injects the one-shot
-    worker death.  ``trace`` is replaced by the trace restored from a
-    checkpoint when the shard resumes.
+    ``append`` spools each frame to the shard's chunk store through
+    ``writer``, whose chunks are ``checkpoint_every`` frames long, so every
+    checkpoint follows a chunk flush.  Every ``checkpoint_every`` completed
+    frames (never after the last) it writes a checkpoint: the environments'
+    and policies' ``state_dict`` snapshots and the writer's sealed-chunk
+    :meth:`~repro.store.FleetTraceWriter.index`, no frames.  Then, at the
+    boundary before ``crash_frame``, it injects the one-shot worker death.
     """
 
     groups: Sequence[FleetSessionGroup]
@@ -510,7 +517,7 @@ class _SupervisedSink:
     crash_frame: Optional[int]
     crash_marker: Path
     shard_index: int
-    trace: FleetTrace
+    writer: FleetTraceWriter
 
     def crash_if_due(self, frame: int) -> None:
         """Kill this worker at the start of ``frame`` if it is the crash frame.
@@ -523,8 +530,8 @@ class _SupervisedSink:
             os._exit(43)
 
     def append(self, frame_result: FleetFrameResult) -> None:
-        self.trace.append(frame_result)
-        completed = len(self.trace)
+        self.writer.append(frame_result)
+        completed = self.writer.frames_written
         if completed >= self.num_frames:
             return
         if self.checkpoint_every > 0 and completed % self.checkpoint_every == 0:
@@ -541,7 +548,7 @@ class _SupervisedSink:
                         else None
                         for group in self.groups
                     ],
-                    "trace": self.trace,
+                    "store": self.writer.index(),
                 },
             )
             _obs.event("checkpoint.write", shard=self.shard_index, frame=completed)
@@ -562,19 +569,21 @@ def _run_supervised_shard(
     """Run one scenario shard with periodic checkpoints and crash injection.
 
     The shard runs the grouped episode loop with a :class:`_SupervisedSink`
-    that spools a checkpoint (the environments' and policies'
-    ``state_dict`` snapshots plus the columnar trace recorded so far) every
+    that spools its frames to a columnar chunk store in the spool as they
+    run and writes a checkpoint (the environments' and policies'
+    ``state_dict`` snapshots plus the store's sealed-chunk index) every
     ``checkpoint_every`` frames.  When a checkpoint for this shard already
-    exists in the spool, the worker resumes from it instead of frame 0 —
-    because every state a frame reads is captured, the resumed run's
-    remaining frames are bit-identical to an uninterrupted one.
+    exists in the spool, the worker resumes from it instead of frame 0: the
+    states are loaded, the store's writer is rebuilt from the index, and
+    the frames after it are replayed, each rewritten chunk replacing the
+    crashed incarnation's.  Because every state a frame reads is captured,
+    the resumed run's frames are bit-identical to an uninterrupted one.
 
     ``crash_frame`` injects a worker death: the process calls ``os._exit``
     at the start of that frame, once — a marker file in the spool keeps the
     restarted worker from crashing again.
 
-    The completed trace is spooled as a columnar chunk store next to the
-    checkpoints and only its manifest path is returned, so the supervisor
+    Only the sealed store's manifest path is returned, so the supervisor
     merges memory-mapped columns instead of unpickling frame lists.
     """
     run_span = _obs.span("shard.run", kind="supervised", shard=shard_index)
@@ -588,19 +597,12 @@ def _run_supervised_shard(
         group.policy.reset()
 
     spool = Path(spool_dir)
-    sink = _SupervisedSink(
-        groups=session_groups,
-        num_frames=num_frames,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=spool / f"shard-{shard_index}.ckpt",
-        crash_frame=crash_frame,
-        crash_marker=spool / f"shard-{shard_index}.crashed",
-        shard_index=shard_index,
-        trace=FleetTrace(stop - start),
-    )
+    checkpoint_path = spool / f"shard-{shard_index}.ckpt"
+    store_dir = spool / f"shard-{shard_index}-trace"
+    chunk_frames = checkpoint_every or DEFAULT_CHUNK_FRAMES
     first_frame = 0
-    if sink.checkpoint_path.exists():
-        with open(sink.checkpoint_path, "rb") as handle:
+    if checkpoint_path.exists():
+        with open(checkpoint_path, "rb") as handle:
             payload = pickle.load(handle)
         for group, environment_state, policy_state in zip(
             session_groups, payload["environments"], payload["policies"]
@@ -608,11 +610,29 @@ def _run_supervised_shard(
             group.environment.load_state_dict(environment_state)
             if policy_state is not None:
                 group.policy.load_state_dict(policy_state)
-        sink.trace = payload["trace"]
         first_frame = payload["frame"]
+        # An incarnation that finished, but whose result was lost when
+        # another worker broke the pool, left its store sealed.
+        (store_dir / MANIFEST_NAME).unlink(missing_ok=True)
+        writer = FleetTraceWriter.resume(
+            store_dir, stop - start, payload["store"], chunk_frames
+        )
         _obs.event("checkpoint.restore", shard=shard_index, frame=first_frame)
         _obs.inc("checkpoint.restores")
+    else:
+        shutil.rmtree(store_dir, ignore_errors=True)
+        writer = FleetTraceWriter(store_dir, stop - start, chunk_frames)
 
+    sink = _SupervisedSink(
+        groups=session_groups,
+        num_frames=num_frames,
+        checkpoint_every=checkpoint_every,
+        checkpoint_path=checkpoint_path,
+        crash_frame=crash_frame,
+        crash_marker=spool / f"shard-{shard_index}.crashed",
+        shard_index=shard_index,
+        writer=writer,
+    )
     sink.crash_if_due(first_frame)
     run_grouped_fleet_episode(
         session_groups,
@@ -621,16 +641,9 @@ def _run_supervised_shard(
         reset_policies=False,
         sink=sink,
     )
+    manifest = writer.close()
     losses, rewards, names = _group_histories(session_groups)
     degraded = collect_degraded(session_groups, num_frames, stop - start)
-
-    # Spool the completed trace as a chunk store.  A stale store can exist
-    # if this worker's previous incarnation finished but its result was
-    # lost when another worker broke the pool; rebuild it from scratch.
-    store_dir = spool / f"shard-{shard_index}-trace"
-    if store_dir.exists():
-        shutil.rmtree(store_dir)
-    manifest = write_fleet_trace(sink.trace, store_dir)
     run_span.__exit__(None, None, None)
     return str(manifest), losses, rewards, names, degraded
 
@@ -641,23 +654,26 @@ def run_supervised_scenario(
     num_sessions: int | None = None,
     num_frames: int | None = None,
     checkpoint_every: int = 25,
-    spool_dir: "str | Path | None" = None,
     crashes: Sequence[WorkerCrash] = (),
     max_restarts: int = 3,
 ) -> SupervisedScenarioResult:
     """Run a sharded scenario under a crash-recovering supervisor.
 
     The fault-tolerant counterpart of :func:`run_sharded_scenario`: every
-    shard always runs in a worker process and spools a checkpoint every
-    ``checkpoint_every`` frames.  When a worker dies — injected through a
+    shard always runs in a worker process, spools its trace to a chunk
+    store as it runs, and checkpoints its state every ``checkpoint_every``
+    frames.  When a worker dies — injected through a
     :class:`~repro.faults.WorkerCrash` event (on the scenario's fault plans
     or passed via ``crashes``) or for real — the supervisor observes the
     dead pipe, respawns a fresh worker into the same pool slot, and
     resubmits the unfinished shard, which resumes from its latest
-    checkpoint while the other shards keep running.  Because the
-    checkpoints capture every bit of state the frame loop reads, the
-    recovered trace is byte-identical to an uninterrupted run of the same
-    scenario.
+    checkpoint and replays only the frames after it while the other shards
+    keep running.  Because the checkpoints capture every bit of state the
+    frame loop reads, the recovered trace is byte-identical to an
+    uninterrupted run of the same scenario.
+
+    Each run owns a fresh temporary spool (checkpoints, crash markers and
+    shard stores), removed when the run ends, whether it succeeded or not.
 
     Args:
         scenario: A fleet scenario, single spec, or registered name.
@@ -667,8 +683,6 @@ def run_supervised_scenario(
         checkpoint_every: Frames between spooled checkpoints (``0``
             disables periodic checkpoints; a crashed shard then restarts
             from frame 0, still bit-identically).
-        spool_dir: Directory for checkpoints and crash markers; a
-            temporary directory (cleaned up on success) by default.
         crashes: Extra injected worker crashes, merged with the crash
             events of the scenario's fault plans.
         max_restarts: Restart budget per shard; exceeding it raises
@@ -698,48 +712,49 @@ def run_supervised_scenario(
             crash.frame if frame is None else min(frame, crash.frame)
         )
 
-    own_spool = spool_dir is None
-    spool = Path(tempfile.mkdtemp(prefix="repro-spool-")) if own_spool else Path(spool_dir)
-    spool.mkdir(parents=True, exist_ok=True)
-
     run_span = _obs.span(
         "runtime.run_supervised_scenario", shards=len(shards), sessions=total
     )
     run_span.__enter__()
     start_time = time.perf_counter()
-    tasks = [
-        PoolTask(
-            kind="supervised-shard",
-            args=(
-                scenario,
-                total,
-                shard.start,
-                shard.stop,
-                shard.index,
-                str(spool),
-                checkpoint_every,
-                crash_by_shard.get(shard.index),
-            ),
-            shard_index=shard.index,
-        )
-        for shard in shards
-    ]
-    pool, owned = acquire_pool(len(shards))
+    spool = tempfile.mkdtemp(prefix="repro-spool-")
     try:
-        # A dying worker (injected ``os._exit`` or a real fault) shows up
-        # as an EOF on its pipe; the pool respawns a fresh process into the
-        # same slot and resubmits the shard, which resumes from its latest
-        # spooled checkpoint.  Other shards keep running undisturbed.
-        run_report = pool.run_tasks(tasks, max_restarts=max_restarts)
+        tasks = [
+            PoolTask(
+                kind="supervised-shard",
+                args=(
+                    scenario,
+                    total,
+                    shard.start,
+                    shard.stop,
+                    shard.index,
+                    spool,
+                    checkpoint_every,
+                    crash_by_shard.get(shard.index),
+                ),
+                shard_index=shard.index,
+            )
+            for shard in shards
+        ]
+        pool, owned = acquire_pool(len(shards))
+        try:
+            # A dying worker (injected ``os._exit`` or a real fault) shows
+            # up as an EOF on its pipe; the pool respawns a fresh process
+            # into the same slot and resubmits the shard, which resumes from
+            # its latest spooled checkpoint.  Other shards keep running
+            # undisturbed.
+            run_report = pool.run_tasks(tasks, max_restarts=max_restarts)
+        finally:
+            if owned:
+                pool.shutdown()
+        shard_results = run_report.results
+        fleet_trace = _interleave_shard_traces(
+            [result[0] for result in shard_results], shards, total
+        )
+        elapsed_s = time.perf_counter() - start_time
     finally:
-        if owned:
-            pool.shutdown()
-    shard_results = run_report.results
-    fleet_trace = _interleave_shard_traces(
-        [result[0] for result in shard_results], shards, total
-    )
-    elapsed_s = time.perf_counter() - start_time
-    run_span.__exit__(None, None, None)
+        shutil.rmtree(spool, ignore_errors=True)
+        run_span.__exit__(None, None, None)
     recovery_s = (
         0.0
         if run_report.first_death is None
@@ -748,11 +763,6 @@ def run_supervised_scenario(
     sessions, degraded = _gather_shards(
         shards, shard_results, fleet_trace, scenario.num_frames
     )
-
-    if own_spool:
-        # The spool now holds directories (spooled trace stores) alongside
-        # checkpoint and marker files.
-        shutil.rmtree(spool, ignore_errors=True)
 
     recovery = RecoveryReport(
         crashes_detected=run_report.crashes_detected,

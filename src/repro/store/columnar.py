@@ -87,6 +87,11 @@ class FleetTraceWriter:
     every ``chunk_frames`` frames, so peak writer memory is one chunk
     regardless of episode length.  ``close()`` flushes the tail chunk and
     writes the manifest; until then the directory is not a readable store.
+
+    At a chunk boundary, :meth:`index` is the writer's whole state without
+    its frames (sealed chunk entries, dataset table, frames written), and
+    :meth:`resume` continues a store from such an index: the chunks after
+    it are written again, each replacing its old file atomically.
     """
 
     def __init__(
@@ -140,8 +145,60 @@ class FleetTraceWriter:
         return len(self._buffers[DATASET_CODE_COLUMN])
 
     @property
+    def frames_written(self) -> int:
+        return self._frames_written
+
+    @property
     def start_index(self) -> int:
         return 0 if self._start_index is None else self._start_index
+
+    # -- resuming ----------------------------------------------------------
+
+    def index(self) -> dict:
+        """The sealed-chunk index: everything but the frames themselves.
+
+        Taken at a chunk boundary only (nothing buffered), so the chunks it
+        lists hold every frame written.
+        """
+        if self.frames_buffered:
+            raise StoreError(
+                f"{self.frames_buffered} frame(s) are buffered; the index is "
+                f"taken at a chunk boundary"
+            )
+        return {
+            "start_index": self._start_index,
+            "frames_written": self._frames_written,
+            "chunks": [dict(entry) for entry in self._chunks],
+            "datasets": list(self._dataset_table),
+        }
+
+    @classmethod
+    def resume(
+        cls,
+        path: Union[str, Path],
+        num_sessions: int,
+        index: dict,
+        chunk_frames: int = DEFAULT_CHUNK_FRAMES,
+    ) -> "FleetTraceWriter":
+        """A writer continuing the unsealed store at ``path`` from ``index``.
+
+        Only what the index lists is kept: every chunk it indexes must be on
+        disk at its declared size, and any later chunk file (written after
+        the index was taken) is replaced when its frames are appended again.
+        """
+        writer = cls(path, num_sessions, chunk_frames=chunk_frames)
+        for entry in index["chunks"]:
+            chunk = writer.path / entry["file"]
+            if not chunk.is_file() or chunk.stat().st_size != entry["bytes"]:
+                raise StoreError(f"{writer.path}: indexed chunk {entry['file']} is missing")
+        writer._start_index = index["start_index"]
+        writer._frames_written = int(index["frames_written"])
+        writer._chunks = [dict(entry) for entry in index["chunks"]]
+        writer._dataset_table = [str(name) for name in index["datasets"]]
+        writer._dataset_codes = {
+            name: code for code, name in enumerate(writer._dataset_table)
+        }
+        return writer
 
     def append(self, frame: FleetFrameResult) -> None:
         """Append one completed fleet frame; flush a chunk when full."""

@@ -12,7 +12,9 @@ The draws run in one C loop when the ``random`` kernels are available
 (:class:`~repro.kernels.SessionGenerators`: NumPy's own ``random_normal``
 on each generator, bit-identical to ``rng.normal``), and the AR(1) update
 as ``fleet_ar1_advance`` when the ``fleet`` kernels are (its reference is
-:func:`ar1_advance`).  The draw loop does not take ``bit_generator.lock``,
+:func:`ar1_advance`), through an argument table over the stream's own
+arrays, built on the first fused frame and dropped by pickling and
+copying.  The draw loop does not take ``bit_generator.lock``,
 so a stream, and its generators, must be driven from one thread at a time.
 
 The stream may be *heterogeneous*: passing one
@@ -132,7 +134,16 @@ class FleetFrameStream:
                 for rng, process in zip(self._rngs, processes)
             ]
         )
+        # Written only in place: the AR(1) kernel's table holds its address.
         self._current = np.clip(initial, self._minimum, self._maximum)
+        self._ar1_table = None
+
+    def __getstate__(self) -> dict:
+        # The table holds raw addresses of this stream's arrays; a copy
+        # (pickle or deepcopy) builds its own.
+        state = self.__dict__.copy()
+        state["_ar1_table"] = None
+        return state
 
     @property
     def frames_emitted(self) -> int:
@@ -165,18 +176,26 @@ class FleetFrameStream:
             )
         for rng, state in zip(self._rngs, payload["rngs"]):
             rng.bit_generator.state = state
-        self._current = np.array(payload["current"], dtype=float)
+        self._current[:] = np.asarray(payload["current"], dtype=float)
         self._index = int(payload["index"])
 
     def next_frames(self) -> FleetFrameBatch:
         """Generate the next frame for every session in one array step."""
         innovations = self._rngs.normal(self._innovation_std)
         kernel = fused_fleet()
-        advance = ar1_advance if kernel is None else kernel.fleet_ar1_advance
-        advance(
-            self._current, self._mean, self._correlation,
-            innovations, self._minimum, self._maximum,
-        )
+        if kernel is None:
+            ar1_advance(
+                self._current, self._mean, self._correlation,
+                innovations, self._minimum, self._maximum,
+            )
+        else:
+            if self._ar1_table is None:
+                self._ar1_table = kernel.ar1_table(
+                    self._current, self._mean, self._correlation,
+                    np.zeros(self.num_sessions), self._minimum, self._maximum,
+                )
+            self._ar1_table.buffers["innovations"][:] = innovations
+            kernel.fleet_ar1_advance(self._ar1_table)
         batch = FleetFrameBatch(
             index=self._index,
             datasets=self._names,

@@ -17,6 +17,10 @@ The acceptance bar of the fault-tolerant runtime:
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import pickle
+
 import numpy as np
 import pytest
 
@@ -45,6 +49,7 @@ from repro.faults import (
     fault_plan_from_dict,
     fault_plan_from_json,
 )
+from repro import obs
 from repro.governors.static import UserspacePolicy
 from repro.runtime import (
     ResultCache,
@@ -52,6 +57,9 @@ from repro.runtime import (
     run_sharded_scenario,
     run_supervised_scenario,
 )
+from repro.runtime import shards
+from repro.runtime.fleet import _resolve_scenario
+from repro.runtime.pool import POOL_ENV
 from repro.scenarios import build_scenario
 
 from tests.conftest import make_small_environment
@@ -194,11 +202,13 @@ class TestCrashRecovery:
         assert_traces_identical(first.fleet_trace, second.fleet_trace)
         assert np.array_equal(first.degraded, second.degraded)
 
-    @pytest.mark.parametrize("checkpoint_every", [0, 6])
-    @pytest.mark.parametrize("crash_frame", [0, 7, FRAMES - 1])
+    @pytest.mark.parametrize("checkpoint_every", [0, 5, 6])
+    @pytest.mark.parametrize("crash_frame", [0, 6, 7, 12, FRAMES - 1])
     def test_explicit_crash_without_plan_recovers(self, crash_frame, checkpoint_every):
-        """Crashes at the episode's ends and mid-interval, with and without
-        periodic checkpoints, all recover to the uninterrupted trace."""
+        """Crashes at the episode's ends, mid-interval and exactly at a
+        checkpoint frame, without periodic checkpoints and with intervals
+        that divide the episode or do not, all recover to the uninterrupted
+        trace."""
         spec = build_scenario("cctv-burst").with_overrides(
             num_frames=FRAMES, num_sessions=SESSIONS
         )
@@ -212,6 +222,95 @@ class TestCrashRecovery:
         assert recovered.recovery.crashes_detected == 1
         assert recovered.recovery.recovered_shards == (0,)
         assert_traces_identical(recovered.fleet_trace, reference.fleet_trace)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patch reaches the workers only when they are forked",
+    )
+    def test_crash_between_chunk_flush_and_checkpoint_recovers(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker dying after a chunk flush but before that boundary's
+        checkpoint resumes from the previous checkpoint's store index and
+        rewrites the flushed chunk."""
+        spec = build_scenario("cctv-burst").with_overrides(
+            num_frames=FRAMES, num_sessions=SESSIONS
+        )
+        reference = run_fleet_scenario(spec)
+        marker = tmp_path / "died"
+        write = shards._checkpoint_write
+
+        def dying_write(path, payload):
+            if path.name == "shard-0.ckpt" and payload["frame"] == 12:
+                if not marker.exists():
+                    chunk = path.parent / "shard-0-trace" / "chunk-000001.bin"
+                    assert chunk.is_file(), "the chunk is flushed first"
+                    marker.write_text("12")
+                    os._exit(44)
+            write(path, payload)
+
+        monkeypatch.setattr(shards, "_checkpoint_write", dying_write)
+        # A private pool, so its workers are forked after the patch.
+        monkeypatch.setenv(POOL_ENV, "0")
+        recovered = run_supervised_scenario(spec, 2, checkpoint_every=6)
+        assert marker.exists()
+        assert recovered.recovery.crashes_detected == 1
+        assert recovered.recovery.recovered_shards == (0,)
+        assert_traces_identical(recovered.fleet_trace, reference.fleet_trace)
+
+    def test_checkpoints_hold_state_not_frames(self, tmp_path, monkeypatch):
+        """A checkpoint carries the states and the store's chunk index: no
+        frames, so it grows only by one index entry per chunk."""
+        payloads = []
+        write = shards._checkpoint_write
+
+        def recording_write(path, payload):
+            payloads.append(payload)
+            write(path, payload)
+
+        monkeypatch.setattr(shards, "_checkpoint_write", recording_write)
+        scenario = _resolve_scenario(
+            build_scenario("cctv-burst").with_faults(crash_plan()), 48
+        )
+        shards._run_supervised_shard(scenario, 16, 0, 8, 0, str(tmp_path), 6, None)
+        assert [payload["frame"] for payload in payloads] == list(range(6, 48, 6))
+        for payload in payloads:
+            assert set(payload) == {"frame", "environments", "policies", "store"}
+            assert len(payload["store"]["chunks"]) == payload["frame"] // 6
+        sizes = [
+            len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
+            for payload in payloads
+        ]
+        frame_bytes = (tmp_path / "shard-0-trace" / "chunk-000000.bin").stat().st_size / 6
+        # Six more frames of trace would add 6 * frame_bytes per interval.
+        assert max(np.diff(sizes)) < 256 < frame_bytes
+
+    def test_a_failed_run_removes_its_spool_and_closes_its_span(
+        self, tmp_path, monkeypatch
+    ):
+        spec = build_scenario("cctv-burst").with_overrides(
+            num_frames=FRAMES, num_sessions=SESSIONS
+        )
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        registry = obs.enable()
+        try:
+            with pytest.raises(ShardError, match="kept dying"):
+                run_supervised_scenario(
+                    spec,
+                    2,
+                    checkpoint_every=6,
+                    crashes=(WorkerCrash(frame=7, shard=1),),
+                    max_restarts=0,
+                )
+        finally:
+            obs.disable()
+        assert list(tmp_path.iterdir()) == []
+        ends = [
+            event["name"]
+            for event in registry.events
+            if event.get("phase") == "end" and "origin" not in event
+        ]
+        assert "runtime.run_supervised_scenario" in ends
 
     def test_invalid_supervision_arguments_are_typed(self):
         spec = build_scenario("cctv-burst").with_overrides(

@@ -68,6 +68,7 @@ from repro.kernels import (
     fused_fleet,
     fused_random,
 )
+from repro.kernels.random import bitgen_address
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
 from repro.rl.replay import TransitionBatch
@@ -296,7 +297,9 @@ class TestFleetAr1Advance:
             current, mean, corr, innovations, minimum, maximum
         )
         got = current.copy()
-        kernel.fleet_ar1_advance(got, mean, corr, innovations, minimum, maximum)
+        kernel.fleet_ar1_advance(
+            kernel.ar1_table(got, mean, corr, innovations, minimum, maximum)
+        )
         assert_bitwise_equal(got, expected, f"AR(1) values differ (seed {seed})")
 
 
@@ -318,12 +321,16 @@ class TestFleetProposalTail:
 
         expected = reference_proposal_tail(scene, keep_ratio, factor, min_p, max_p)
         got = np.empty(scene.size, dtype=np.int64)
-        kernel.fleet_proposal_tail(scene, keep_ratio, factor, min_p, max_p, got)
+        kernel.fleet_proposal_tail(
+            kernel.proposal_table(scene, keep_ratio, factor, min_p, max_p, got)
+        )
         assert_bitwise_equal(got, expected, f"proposal counts differ (seed {seed})")
 
     def test_half_to_even_rounding(self):
         got = np.empty(self.HALFWAY.size, dtype=np.int64)
-        kernel.fleet_proposal_tail(self.HALFWAY, 1.0, None, -100.0, 100.0, got)
+        kernel.fleet_proposal_tail(
+            kernel.proposal_table(self.HALFWAY, 1.0, None, -100.0, 100.0, got)
+        )
         assert got.tolist() == [0, 2, 2, 4, 4, -0]
 
 
@@ -419,6 +426,11 @@ class TestFleetNormal:
             )
         for ref, got in zip(reference, fused):
             assert _same_state(ref.bit_generator.state, got.bit_generator.state)
+
+    @pytest.mark.parametrize("family", ("pcg64", "philox"))
+    def test_capsule_address_is_the_ctypes_interface_address(self, family):
+        for rng in self.generators(family, 4, seed=21):
+            assert bitgen_address(rng) == rng.bit_generator.ctypes.bit_generator.value
 
     def test_shared_scale_matches_generator_normal(self):
         reference = self.generators("pcg64", 9, seed=3)

@@ -21,12 +21,14 @@ The acceptance bar of :mod:`repro.runtime.pool`:
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import pickle
 
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.analysis.experiments import ExperimentSetting
 from repro.errors import ShardError
 from repro.faults import FaultPlan, SensorDropout, WorkerCrash
@@ -51,6 +53,7 @@ from repro.runtime.pool import (
     shared_pool,
     shutdown_shared_pool,
 )
+from repro.kernels import FAMILIES, resolve
 from repro.scenarios import ScenarioSpec, build_scenario
 
 from tests.test_fleet_sharding import assert_traces_identical
@@ -194,6 +197,37 @@ class TestCrashRecoveryOnPool:
             "cctv-burst", SHARDS, num_sessions=SESSIONS, num_frames=FRAMES
         )
         assert_traces_identical(after.fleet_trace, before.fleet_trace)
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only forked workers inherit the parent's kernels",
+)
+def test_forked_workers_inherit_the_parents_resolved_kernels(monkeypatch):
+    """Every worker, a respawned one included, runs its tasks on the
+    kernels the parent resolved before forking it: no task resolves a
+    family, so none of their obs snapshots carries ``fused.resolved``."""
+    monkeypatch.setattr(resolve, "_kernels", {})
+    monkeypatch.setattr(resolve, "_status", {})
+    monkeypatch.setenv(POOL_ENV, "0")
+    registry = obs.enable()
+    try:
+        result = run_supervised_scenario(
+            "cctv-burst",
+            SHARDS,
+            num_sessions=SESSIONS,
+            num_frames=FRAMES,
+            checkpoint_every=4,
+            crashes=(WorkerCrash(frame=6, shard=0),),
+        )
+    finally:
+        obs.disable()
+    assert result.recovery.recovered_shards == (0,)
+    origins = {event.get("origin") for event in registry.events}
+    assert {"worker-0", "worker-1"} <= origins
+    resolved = [event for event in registry.events if event["name"] == "fused.resolved"]
+    assert sorted(event["fields"]["family"] for event in resolved) == sorted(FAMILIES)
+    assert all("origin" not in event for event in resolved)
 
 
 class TestPoolProtocol:

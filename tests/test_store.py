@@ -316,6 +316,30 @@ class TestRejection:
         with pytest.raises(StoreError):
             MappedFleetTrace(tmp_path / "w")
 
+    def test_writer_resumes_from_its_index_not_from_the_disk(self, tmp_path):
+        """A writer rebuilt from an index taken at frame 8 ignores the chunk
+        written after it (frames 8-11) and replaces that file on replay."""
+        trace = make_trace(3, 14, seed=8)
+        writer = FleetTraceWriter(tmp_path / "w", 3, chunk_frames=4)
+        for frame in list(trace)[:10]:
+            writer.append(frame)
+            if writer.frames_written == 8:
+                index = writer.index()
+        with pytest.raises(StoreError, match="chunk boundary"):
+            writer.index()
+        for frame in list(trace)[10:12]:
+            writer.append(frame)  # flushes chunk 2; then the writer dies
+        resumed = FleetTraceWriter.resume(tmp_path / "w", 3, index, chunk_frames=4)
+        for frame in list(trace)[8:]:
+            resumed.append(frame)
+        mapped = MappedFleetTrace(resumed.close(), verify=True)
+        assert fleet_traces_bitwise_equal(mapped, trace)
+        mapped.close()
+        (tmp_path / "w" / MANIFEST_NAME).unlink()
+        (tmp_path / "w" / "chunk-000001.bin").unlink()
+        with pytest.raises(StoreError, match="chunk-000001.bin is missing"):
+            FleetTraceWriter.resume(tmp_path / "w", 3, index, chunk_frames=4)
+
     def test_scalar_reader_rejects_fleet_stores(self, tmp_path):
         _, path = self.setup_store(tmp_path)
         with pytest.raises(StoreError, match="1-session"):
