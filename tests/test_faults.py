@@ -63,6 +63,7 @@ from repro.runtime.pool import POOL_ENV
 from repro.scenarios import build_scenario
 
 from tests.conftest import make_small_environment
+from tests.test_fleet_equivalence import scenario_result_digest
 from tests.test_fleet_sharding import assert_traces_identical
 
 FRAMES = 24
@@ -340,6 +341,68 @@ def test_dropout_marks_degraded_frames():
     assert result.degraded[5:11].all()
     assert not result.degraded[:5].any()
     assert not result.degraded[11:].any()
+
+
+#: Fault frames the wrapper may or may not skip, each with a crash of
+#: shard 1 so that shard resumes from a checkpoint (every 6 frames):
+#: ``(events, crash frame, pinned scenario_result_digest)``.  The runs are
+#: 2-shard supervised ``mixed-edge-fleet`` at 8 sessions and 24 frames.
+FAST_PATH_CASES = {
+    "dropout-at-frame-0": (
+        (SensorDropout(start_frame=0, num_frames=3, probability=0.7),),
+        9,
+        "029a4ac77eed380d72b308134e3af1ec37d30d0e16529d04082a9c7af0c1daad",
+    ),
+    "windows-one-clean-frame-apart": (
+        (
+            SensorDropout(start_frame=5, num_frames=3),
+            SensorDropout(start_frame=9, num_frames=3, probability=0.7),
+        ),
+        14,
+        "9a48529ec46ca336fc6bd22e6f916bfa72f02a3790318a203b611913fa5bc6eb",
+    ),
+    "dropout-on-the-last-frame": (
+        (SensorDropout(start_frame=FRAMES - 1, num_frames=1),),
+        20,
+        "2d91a8577ecebfcb1d6d9e0edfdffc34d39fe7b78ad1195547daa5b3c33f5199",
+    ),
+    "spike-without-dropout": (
+        (SensorSpike(frame=7, delta_c=12.0),),
+        10,
+        "847da6ef224299190f0f12620b029fd641531d7d6b8a8a91a51e4fad251ce8c2",
+    ),
+    "checkpoint-right-before-the-window": (
+        (SensorDropout(start_frame=6, num_frames=4, probability=0.7),),
+        8,
+        "e7dc0c752ac48c5c38a3832edb2972cea7963c5af1a84088623ff58f3c862340",
+    ),
+    "checkpoint-inside-the-window": (
+        (SensorDropout(start_frame=3, num_frames=7, probability=0.7),),
+        8,
+        "9e44dd875dee6a9c018f68410e77aa9836facbfebcd4f2b55b53507a52f6597e",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAST_PATH_CASES))
+def test_fault_frames_match_the_unsharded_run_and_the_pin(case):
+    """Last-known-good is read on dropout frames only: whichever frames the
+    fault wrapper skips, a resumed supervised run equals the unsharded run
+    and its pinned digest."""
+    events, crash_frame, pinned = FAST_PATH_CASES[case]
+    plan = FaultPlan(
+        events=events + (WorkerCrash(frame=crash_frame, shard=1),), seed=5
+    )
+    scenario = build_scenario("mixed-edge-fleet").with_faults(plan)
+    reference = run_fleet_scenario(scenario, num_sessions=8, num_frames=FRAMES)
+    recovered = run_supervised_scenario(
+        scenario, 2, num_sessions=8, num_frames=FRAMES, checkpoint_every=6
+    )
+    assert recovered.recovery.recovered_shards == (1,)
+    assert reference.degraded.any()
+    digest = scenario_result_digest(recovered)
+    assert digest == scenario_result_digest(reference)
+    assert digest == pinned
 
 
 @pytest.mark.parametrize("num_shards", [2, 3])

@@ -29,6 +29,13 @@ from repro.detection.registry import build_detector
 from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.env.trace import FrameRecord
+from repro.faults import (
+    FaultPlan,
+    SensorDropout,
+    SensorSpike,
+    ThrottlingStorm,
+    WorkerCrash,
+)
 from repro.governors.fleet import build_batched_default_governor
 from repro.governors.registry import build_default_governor
 from repro.hardware.devices.registry import available_devices, build_device
@@ -40,6 +47,7 @@ from repro.runtime.fleet import (
     scalar_reference_session,
     scalar_reference_sessions,
 )
+from repro.runtime.shards import run_sharded_scenario, run_supervised_scenario
 from repro.scenarios import FleetMember, FleetScenario, ScenarioSpec, build_scenario
 from repro.workload.dataset import build_dataset
 from repro.workload.fleet import FleetFrameStream
@@ -124,6 +132,73 @@ def _fleet_trace_digest(trace) -> str:
 def test_run_fleet_trace_matches_pinned_digest(method):
     result = run_fleet(ExperimentSetting(num_frames=24, seed=0), method, 4)
     assert _fleet_trace_digest(result.fleet_trace) == PINNED_RUN_FLEET_DIGESTS[method]
+
+
+#: Fault plan of the supervised pin: a dropout window across the frame-6
+#: checkpoint, a spike, a storm and a crash on shard 1.
+PIN_FAULT_PLAN = FaultPlan(
+    events=(
+        SensorDropout(start_frame=4, num_frames=5, probability=0.6),
+        SensorSpike(frame=13, delta_c=9.0),
+        ThrottlingStorm(start_frame=16, num_frames=3),
+        WorkerCrash(frame=10, shard=1),
+    ),
+    seed=11,
+    name="pin",
+)
+
+#: SHA-256 (:func:`scenario_result_digest`) of 2-shard runs of
+#: ``mixed-edge-fleet`` at 8 sessions and 24 frames: ``supervised`` with
+#: :data:`PIN_FAULT_PLAN` and a checkpoint every 6 frames, ``sharded``
+#: unfaulted and unsupervised.  Its two shards hold different dataset
+#: tables.
+PINNED_SCENARIO_RUN_DIGESTS = {
+    "supervised": "ff95073b40d1fe6770ab76ff92adef598b51215d6b1b0e86b1716c8fa2ccba6f",
+    "sharded": "9686b8e3666ae59cd908ec87a5e34db2130bea1e28b7489d974eb5d5b82d75cb",
+}
+
+
+def scenario_result_digest(result) -> str:
+    """SHA-256 over a scenario result: the trace (:func:`_fleet_trace_digest`),
+    the ``degraded`` mask, every session's metrics, policy name, losses and
+    rewards."""
+    digest = hashlib.sha256(_fleet_trace_digest(result.fleet_trace).encode())
+    if result.degraded is None:
+        digest.update(b"degraded:none")
+    else:
+        digest.update(f"degraded:{result.degraded.shape}".encode())
+        digest.update(np.ascontiguousarray(result.degraded).tobytes())
+    digest.update(_session_metrics_digest(result.sessions).encode())
+    for session in result.sessions:
+        digest.update(session.policy_name.encode())
+        for history in (session.losses, session.rewards):
+            values = np.asarray(history, dtype=np.float64)
+            digest.update(f"{values.shape}".encode())
+            digest.update(values.view(np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _pinned_scenario_run(entry):
+    scenario = build_scenario("mixed-edge-fleet")
+    if entry == "supervised":
+        return run_supervised_scenario(
+            scenario.with_faults(PIN_FAULT_PLAN),
+            2,
+            num_sessions=8,
+            num_frames=24,
+            checkpoint_every=6,
+        )
+    return run_sharded_scenario(scenario, 2, num_sessions=8, num_frames=24)
+
+
+@pytest.mark.parametrize("entry", sorted(PINNED_SCENARIO_RUN_DIGESTS))
+def test_sharded_scenario_run_matches_pinned_digest(entry):
+    result = _pinned_scenario_run(entry)
+    assert result.num_shards == 2
+    if entry == "supervised":
+        assert result.recovery.recovered_shards == (1,)
+        assert result.degraded.any()
+    assert scenario_result_digest(result) == PINNED_SCENARIO_RUN_DIGESTS[entry]
 
 
 #: SHA-256 over the float64 bits of every :class:`EpisodeMetrics` field of
