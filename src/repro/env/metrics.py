@@ -78,12 +78,14 @@ _METRIC_COLUMNS = (
 def _session_rows(trace) -> Dict[str, np.ndarray]:
     """The metric columns as C-contiguous ``(sessions, frames)`` rows.
 
-    A scalar :class:`Trace` is one row; a column-window fleet trace is
-    transposed chunk by chunk, so every session's frames are contiguous,
-    as in a trace built frame by frame.
+    A scalar :class:`Trace` is one row; a column-window fleet trace (or a
+    mapping of its columns) is transposed, chunk by chunk, so every
+    session's frames are contiguous, as in a trace built frame by frame.
     """
     if isinstance(trace, Trace):
         return {name: trace.column(name)[np.newaxis] for name in _METRIC_COLUMNS}
+    if isinstance(trace, Mapping):
+        return {name: np.ascontiguousarray(trace[name].T) for name in _METRIC_COLUMNS}
     rows = {}
     for name in _METRIC_COLUMNS:
         rows[name] = np.empty((trace.num_sessions, len(trace)), dtype=COLUMN_DTYPES[name])
@@ -127,15 +129,17 @@ def _summarize_rows(rows: Mapping[str, np.ndarray]) -> List[EpisodeMetrics]:
 def summarize_sessions(trace) -> Tuple[List[EpisodeMetrics], List[EpisodeMetrics]]:
     """Whole-episode and steady-half :class:`EpisodeMetrics` of every session.
 
-    ``trace`` is a scalar :class:`Trace` or a column-window fleet trace.
-    The steady half is the second half of the frames (all of them below
-    four frames).
+    ``trace`` is a scalar :class:`Trace`, a column-window fleet trace, or a
+    mapping of ``(frames, sessions)`` columns (a slice of a fleet's columns
+    summarises just those sessions, bit for bit).  The steady half is the
+    second half of the frames (all of them below four frames).
 
     Raises:
         ExperimentError: If the trace is empty.
     """
     rows = _session_rows(trace)
-    start = len(trace) // 2 if len(trace) >= 4 else 0
+    frames = rows["total_latency_ms"].shape[1]
+    start = frames // 2 if frames >= 4 else 0
     steady = {name: row[:, start:] for name, row in rows.items()}
     return _summarize_rows(rows), _summarize_rows(steady)
 

@@ -52,6 +52,13 @@ class FaultedFleetPolicy(FleetPolicy):
     temperature offset; storm frames force the affected sessions to level 0
     on both domains.  The wrapper records which (frame, session) cells were
     degraded in :attr:`degraded`.
+
+    Last-known-good is read only on a dropout frame, and a frame without a
+    dropout replaces the whole snapshot, so the snapshot is taken only on
+    a dropout frame and on the frame before one.  Every other frame without
+    a spike reaches the inner policy untouched and uncopied; the snapshot
+    then held (and checkpointed by :meth:`state_dict`) may be older than
+    the last frame, which changes no decision.
     """
 
     def __init__(self, inner: FleetPolicy, schedule: FaultSchedule):
@@ -64,17 +71,38 @@ class FaultedFleetPolicy(FleetPolicy):
         self.degraded = np.zeros(
             (schedule.num_frames, schedule.num_sessions), dtype=bool
         )
+        # Per-frame flags, so a frame that needs no work costs a lookup.
+        dropped = schedule.dropout.any(axis=1)
+        self._spiked = (schedule.spike_c != 0.0).any(axis=1).tolist()
+        self._stormed = schedule.storm.any(axis=1).tolist()
+        # A snapshot is due on a dropout frame and on the frame before one.
+        self._snapshot = (dropped | np.append(dropped[1:], False)).tolist()
 
     # -- degradation ---------------------------------------------------------------------
 
     def _degrade(self, observation, good_key: str):
         frame = self._frame
-        snapshot = {name: np.copy(getattr(observation, name)) for name in SENSOR_FIELDS}
         if frame >= self.schedule.num_frames:
-            setattr(self, good_key, snapshot)
             return observation
+        replaced = observation
+        if self._snapshot[frame]:
+            replaced = self._hold_last_known_good(observation, good_key)
+        if self._spiked[frame]:
+            spike = self.schedule.spike_c[frame]
+            fields = {
+                name: getattr(replaced, name) + spike for name in _TEMPERATURE_FIELDS
+            }
+            replaced = dataclasses.replace(replaced, **fields)
+            self.degraded[frame] |= spike != 0.0
+            if _obs.active():
+                _obs.inc("faults.spike_cells", int(np.count_nonzero(spike != 0.0)))
+        return replaced
+
+    def _hold_last_known_good(self, observation, good_key: str):
+        """Replace dropped sessions' readings; refresh the snapshot."""
+        frame = self._frame
+        snapshot = {name: np.copy(getattr(observation, name)) for name in SENSOR_FIELDS}
         drop = self.schedule.dropout[frame]
-        spike = self.schedule.spike_c[frame]
         good = getattr(self, good_key)
         replaced = observation
         dropped = bool(drop.any())
@@ -96,23 +124,13 @@ class FaultedFleetPolicy(FleetPolicy):
         else:
             for name in SENSOR_FIELDS:
                 good[name] = np.where(drop, good[name], snapshot[name])
-        if np.any(spike != 0.0):
-            fields = {
-                name: getattr(replaced, name) + spike for name in _TEMPERATURE_FIELDS
-            }
-            replaced = dataclasses.replace(replaced, **fields)
-            self.degraded[frame] |= spike != 0.0
-            if _obs.active():
-                _obs.inc("faults.spike_cells", int(np.count_nonzero(spike != 0.0)))
         return replaced
 
     def _clamp(self, decision: Optional[FleetDecision]) -> Optional[FleetDecision]:
         frame = self._frame
-        if frame >= self.schedule.num_frames:
+        if frame >= self.schedule.num_frames or not self._stormed[frame]:
             return decision
         storm = self.schedule.storm[frame]
-        if not storm.any():
-            return decision
         self.degraded[frame] |= storm
         if _obs.active():
             _obs.inc("faults.storm_cells", int(storm.sum()))

@@ -59,7 +59,7 @@ from repro.core.training import SessionResult, session_result_from_trace  # noqa
 from repro.detection.fleet import proposal_scale
 from repro.detection.registry import build_detector
 from repro.env.ambient import AmbientProfile, ConstantAmbient
-from repro.env.metrics import summarize_sessions
+from repro.env.metrics import EpisodeMetrics, summarize_sessions
 from repro.env.fleet import (
     BatchedInferenceEnvironment,
     FleetPolicy,
@@ -353,6 +353,7 @@ def _session_policy_names(policy: FleetPolicy, num_sessions: int) -> List[str]:
 
 def _package_sessions(
     fleet_trace: FleetTrace,
+    summaries: Tuple[Sequence[EpisodeMetrics], Sequence[EpisodeMetrics]],
     losses: Sequence[List[float]],
     rewards: Sequence[List[float]],
     names: Sequence[str],
@@ -360,12 +361,12 @@ def _package_sessions(
     """One :class:`SessionResult` per trace column, in global session order.
 
     The single packaging step of every fleet entry point (unsharded,
-    sharded and supervised): ``losses``/``rewards``/``names`` are indexed
-    by global session.  Every session's metrics come from one batched pass
-    over the columns; its :class:`~repro.env.trace.Trace` is built only
-    when read.
+    sharded and supervised): ``summaries`` is the ``(metrics, steady)``
+    pair of :func:`~repro.env.metrics.summarize_sessions` and
+    ``losses``/``rewards``/``names`` are indexed by global session.  Each
+    session's :class:`~repro.env.trace.Trace` is built only when read.
     """
-    metrics, steady = summarize_sessions(fleet_trace)
+    metrics, steady = summaries
     return tuple(
         SessionResult(
             names[i], (fleet_trace, i), metrics[i], steady[i], list(losses[i]), list(rewards[i])
@@ -748,7 +749,11 @@ def run_fleet_scenario(
         scenario=scenario,
         assignments=assignments,
         shards=(ShardPlan(index=0, start=0, stop=len(assignments)),),
-        sessions=_package_sessions(fleet_trace, *_group_histories(session_groups)),
+        sessions=_package_sessions(
+            fleet_trace,
+            summarize_sessions(fleet_trace),
+            *_group_histories(session_groups),
+        ),
         fleet_trace=fleet_trace,
         elapsed_s=elapsed_s,
         degraded=collect_degraded(session_groups, frames, len(assignments)),

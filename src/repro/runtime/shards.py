@@ -5,9 +5,8 @@ scenario inside one NumPy program; this module splits that program across
 the process-pool runtime.  A scenario's session assignments are partitioned
 into contiguous *shards*, each shard runs as an independent grouped fleet
 episode in its own worker process, and the per-shard columnar traces are
-re-interleaved (via the grouped-partition machinery of
-:mod:`repro.env.fleet`) into a single :class:`~repro.env.fleet.FleetTrace`
-in global session order.
+merged, each as it arrives, into a single
+:class:`~repro.env.fleet.FleetTrace` in global session order.
 
 Because sessions never interact inside the engine — every session's
 streams, proposal noise, device column and policy state are its own — the
@@ -63,8 +62,10 @@ from repro.env.fleet import (
     run_grouped_fleet_episode,
     validate_session_partition,
 )
+from repro.env.metrics import EpisodeMetrics, summarize_sessions
 from repro.env.trace import COLUMN_DTYPES
 from repro.store import (
+    DATASET_CODE_COLUMN,
     DEFAULT_CHUNK_FRAMES,
     MANIFEST_NAME,
     FleetTraceWriter,
@@ -219,64 +220,148 @@ def _execute_scenario_shard(
 
 
 # ---------------------------------------------------------------------------
-# Re-interleave
+# Merge on arrival
 # ---------------------------------------------------------------------------
 
 
-def _interleave_shard_traces(
-    shard_traces: Sequence[Union[str, Path]],
-    shards: Sequence[ShardPlan],
-    num_sessions: int,
-) -> FleetTrace:
-    """Merge per-shard traces into one trace in global session order.
+class _ShardMerge:
+    """The combined result of a sharded run, filled in as shards arrive.
 
-    Shard payloads are the manifest paths of spooled chunk stores, opened
-    here as memory-mapped :class:`~repro.store.MappedFleetTrace` column
-    views.  The shard partition is validated once, then each shard's
-    column chunks are scattered straight into the combined ``(frames, N)``
-    columns, which become the merged trace through
-    :meth:`FleetTrace.from_columns`: no shard trace is ever unpickled or
-    rebuilt frame by frame.  The scatter applies the same partition
-    machinery the grouped episode loop uses, so a sharded trace is
-    indistinguishable from (bitwise equal to) a single-process one.
+    Holds the ``(frames, N)`` trace columns, the dataset codes against one
+    merged dataset table, every session's summaries and histories and the
+    degraded mask.  :meth:`add` is the pool's ``on_result`` callback: each
+    shard is merged (:func:`_interleave_shard_traces`) and summarised as
+    soon as its worker finishes, while the other shards still run, so only
+    the last shard's share is left when the last worker ends.
     """
-    merge_span = _obs.span("shard.merge", shards=len(shards))
-    merge_span.__enter__()
-    targets = validate_session_partition(
-        [shard.session_indices for shard in shards], num_sessions
-    )
-    traces = [MappedFleetTrace(path) for path in shard_traces]
-    try:
-        lengths = {len(trace) for trace in traces}
-        if len(lengths) != 1:
-            raise ShardError(
-                f"shards returned unequal frame counts: {sorted(lengths)}"
-            )
-        num_frames = lengths.pop()
-        starts = {trace.start_index for trace in traces}
-        if len(starts) != 1:
-            raise ShardError(
-                f"shard frame indices diverged: starts {sorted(starts)}"
-            )
-        columns = {
+
+    def __init__(
+        self, shards: Sequence[ShardPlan], num_sessions: int, num_frames: int
+    ):
+        validate_session_partition(
+            [shard.session_indices for shard in shards], num_sessions
+        )
+        self.shards = tuple(shards)
+        self.num_frames = num_frames
+        self.columns = {
             name: np.empty((num_frames, num_sessions), dtype=dtype)
             for name, dtype in COLUMN_DTYPES.items()
         }
-        datasets = np.empty((num_frames, num_sessions), dtype=object)
-        for trace, target in zip(traces, targets):
-            for name, column in columns.items():
-                for offset, block in trace.iter_column_chunks(name):
-                    column[offset : offset + len(block), target] = block
-            datasets[:, target] = np.array(
-                trace.datasets_window(), dtype=object
-            ).reshape(num_frames, len(target))
-        return FleetTrace.from_columns(
-            columns, [tuple(row) for row in datasets.tolist()], starts.pop()
+        self.codes = np.empty((num_frames, num_sessions), dtype=np.int32)
+        self.dataset_table: List[str] = []
+        self.dataset_codes: Dict[str, int] = {}
+        self.start_index: Optional[int] = None
+        self.metrics: List[Optional[EpisodeMetrics]] = [None] * num_sessions
+        self.steady: List[Optional[EpisodeMetrics]] = [None] * num_sessions
+        self.losses: List[List[float]] = [[] for _ in range(num_sessions)]
+        self.rewards: List[List[float]] = [[] for _ in range(num_sessions)]
+        self.names: List[str] = [""] * num_sessions
+        self.degraded: Optional[np.ndarray] = None
+        self.merged = [False] * len(self.shards)
+
+    def add(self, position: int, result: tuple) -> None:
+        """Merge and summarise the shard at ``position`` of the plan.
+
+        ``result`` is the shard worker's ``(manifest, losses, rewards,
+        names, degraded)``, with shard-local lists.  The shard's session
+        metrics are reduced from its slice of the merged columns: each
+        reduction is per session, so they are bitwise those of the whole
+        trace.
+        """
+        shard = self.shards[position]
+        if self.merged[position]:
+            raise ShardError(f"shard {shard.index} returned twice")
+        manifest, losses, rewards, names, degraded = result
+        sessions = slice(shard.start, shard.stop)
+        with _obs.span("shard.merge", shard=shard.index):
+            _interleave_shard_traces(self, shard, manifest)
+            self.metrics[sessions], self.steady[sessions] = summarize_sessions(
+                {name: column[:, sessions] for name, column in self.columns.items()}
+            )
+        self.losses[sessions] = losses
+        self.rewards[sessions] = rewards
+        self.names[sessions] = names
+        if degraded is not None:
+            if self.degraded is None:
+                self.degraded = np.zeros(self.codes.shape, dtype=bool)
+            self.degraded[:, sessions] = degraded
+        self.merged[position] = True
+
+    def code_of(self, name: str) -> int:
+        """The merged dataset table's code for ``name`` (added if new)."""
+        code = self.dataset_codes.get(name)
+        if code is None:
+            code = self.dataset_codes[name] = len(self.dataset_table)
+            self.dataset_table.append(name)
+        return code
+
+    def finish(
+        self,
+    ) -> Tuple[FleetTrace, Tuple[SessionResult, ...], Optional[np.ndarray]]:
+        """The merged trace, the session results and the degraded mask."""
+        missing = [
+            shard.index for shard, done in zip(self.shards, self.merged) if not done
+        ]
+        if missing:
+            raise ShardError(f"shards {missing} returned no result")
+        rows: Dict[bytes, tuple] = {}
+        datasets = []
+        for codes in self.codes:
+            key = codes.tobytes()
+            row = rows.get(key)
+            if row is None:
+                table = self.dataset_table
+                row = rows[key] = tuple(table[code] for code in codes.tolist())
+            datasets.append(row)
+        fleet_trace = FleetTrace.from_columns(self.columns, datasets, self.start_index)
+        sessions = _package_sessions(
+            fleet_trace,
+            (self.metrics, self.steady),
+            self.losses,
+            self.rewards,
+            self.names,
         )
+        return fleet_trace, sessions, self.degraded
+
+
+def _interleave_shard_traces(
+    merge: _ShardMerge, shard: ShardPlan, manifest: Union[str, Path]
+) -> None:
+    """Copy one finished shard's trace into ``merge``'s columns, in place.
+
+    The shard's chunk store is opened as a
+    :class:`~repro.store.MappedFleetTrace` (manifest and sizes validated),
+    each chunk file is read once, and every column block is copied into
+    the shard's ``[:, start:stop]`` slice of the merged columns; the
+    shard's dataset codes are remapped through a lookup table into the
+    merged dataset table.  Shards may arrive in any order; the merged
+    trace is bitwise the single-process one.
+    """
+    sessions = slice(shard.start, shard.stop)
+    trace = MappedFleetTrace(manifest)
+    try:
+        if len(trace) != merge.num_frames:
+            raise ShardError(
+                f"shard {shard.index} returned {len(trace)} frames, "
+                f"expected {merge.num_frames}"
+            )
+        if merge.start_index is None:
+            merge.start_index = trace.start_index
+        elif trace.start_index != merge.start_index:
+            raise ShardError(
+                f"shard frame indices diverged: starts {merge.start_index} "
+                f"and {trace.start_index}"
+            )
+        remap = np.array(
+            [merge.code_of(name) for name in trace.dataset_table], dtype=np.int32
+        )
+        for offset, blocks in trace.iter_chunks():
+            frames = slice(offset, offset + len(blocks[DATASET_CODE_COLUMN]))
+            for name, column in merge.columns.items():
+                column[frames, sessions] = blocks[name]
+            merge.codes[frames, sessions] = remap[blocks[DATASET_CODE_COLUMN]]
     finally:
-        for trace in traces:
-            trace.close()
-        merge_span.__exit__(None, None, None)
+        trace.close()
 
 
 # ---------------------------------------------------------------------------
@@ -296,37 +381,6 @@ def _plan_scenario(
     return scenario, assignments, tuple(plan_shards(assignments, num_shards))
 
 
-def _gather_shards(
-    shards: Sequence[ShardPlan],
-    shard_results: Sequence[tuple],
-    fleet_trace: FleetTrace,
-    num_frames: int,
-) -> Tuple[Tuple[SessionResult, ...], Optional[np.ndarray]]:
-    """Per-session results and the fleet degraded mask from shard results.
-
-    Each shard result is ``(payload, losses, rewards, names, degraded)``
-    with shard-local lists; shards are contiguous and in order, so
-    concatenating them gives global session order.
-    """
-    losses: List[List[float]] = []
-    rewards: List[List[float]] = []
-    names: List[str] = []
-    degraded: Optional[np.ndarray] = None
-    for shard, (_, shard_losses, shard_rewards, shard_names, shard_degraded) in zip(
-        shards, shard_results
-    ):
-        losses.extend(shard_losses)
-        rewards.extend(shard_rewards)
-        names.extend(shard_names)
-        if shard_degraded is not None:
-            if degraded is None:
-                degraded = np.zeros(
-                    (num_frames, fleet_trace.num_sessions), dtype=bool
-                )
-            degraded[:, shard.start : shard.stop] = shard_degraded
-    return _package_sessions(fleet_trace, losses, rewards, names), degraded
-
-
 def run_sharded_scenario(
     scenario: Union["FleetScenario", "ScenarioSpec", str],
     num_shards: int,
@@ -339,9 +393,11 @@ def run_sharded_scenario(
     sessions are planned into contiguous shards (:func:`plan_shards`), each
     shard executes the scenario's grouped fleet episode over its own block
     in a separate process, and the results re-interleave into one trace in
-    global session order — byte-identical to the unsharded run.  When the
-    plan has a single shard, the run is the in-process one and its result
-    is :func:`~repro.runtime.fleet.run_fleet_scenario`'s.
+    global session order — byte-identical to the unsharded run.  Each
+    shard's trace, session summaries and histories are merged as soon as
+    its worker finishes (:class:`_ShardMerge`), while the others still
+    run.  When the plan has a single shard, the run is the in-process one
+    and its result is :func:`~repro.runtime.fleet.run_fleet_scenario`'s.
 
     Args:
         scenario: A :class:`~repro.scenarios.FleetScenario`, a single
@@ -365,6 +421,7 @@ def run_sharded_scenario(
     run_span.__enter__()
     start_time = time.perf_counter()
     spool = tempfile.mkdtemp(prefix="repro-shards-")
+    merge = _ShardMerge(shards, total, scenario.num_frames)
     pool, owned = acquire_pool(len(shards))
     try:
         tasks = [
@@ -378,10 +435,8 @@ def run_sharded_scenario(
             )
             for shard in shards
         ]
-        shard_results = pool.run_tasks(tasks).results
-        fleet_trace = _interleave_shard_traces(
-            [result[0] for result in shard_results], shards, total
-        )
+        pool.run_tasks(tasks, on_result=merge.add)
+        fleet_trace, sessions, degraded = merge.finish()
     finally:
         if owned:
             pool.shutdown()
@@ -389,9 +444,6 @@ def run_sharded_scenario(
     elapsed_s = time.perf_counter() - start_time
     run_span.__exit__(None, None, None)
 
-    sessions, degraded = _gather_shards(
-        shards, shard_results, fleet_trace, scenario.num_frames
-    )
     return FleetScenarioResult(
         scenario=scenario,
         assignments=assignments,
@@ -584,7 +636,7 @@ def _run_supervised_shard(
     restarted worker from crashing again.
 
     Only the sealed store's manifest path is returned, so the supervisor
-    merges memory-mapped columns instead of unpickling frame lists.
+    merges the store's chunks instead of unpickling frame lists.
     """
     run_span = _obs.span("shard.run", kind="supervised", shard=shard_index)
     run_span.__enter__()
@@ -670,7 +722,10 @@ def run_supervised_scenario(
     checkpoint and replays only the frames after it while the other shards
     keep running.  Because the checkpoints capture every bit of state the
     frame loop reads, the recovered trace is byte-identical to an
-    uninterrupted run of the same scenario.
+    uninterrupted run of the same scenario.  Finished shards are merged as
+    they arrive, through the same :class:`_ShardMerge` as
+    :func:`run_sharded_scenario`, so a shard that finishes before a
+    crashed one is merged while the crashed one replays.
 
     Each run owns a fresh temporary spool (checkpoints, crash markers and
     shard stores), removed when the run ends, whether it succeeded or not.
@@ -718,6 +773,7 @@ def run_supervised_scenario(
     run_span.__enter__()
     start_time = time.perf_counter()
     spool = tempfile.mkdtemp(prefix="repro-spool-")
+    merge = _ShardMerge(shards, total, scenario.num_frames)
     try:
         tasks = [
             PoolTask(
@@ -743,14 +799,13 @@ def run_supervised_scenario(
             # into the same slot and resubmits the shard, which resumes from
             # its latest spooled checkpoint.  Other shards keep running
             # undisturbed.
-            run_report = pool.run_tasks(tasks, max_restarts=max_restarts)
+            run_report = pool.run_tasks(
+                tasks, max_restarts=max_restarts, on_result=merge.add
+            )
         finally:
             if owned:
                 pool.shutdown()
-        shard_results = run_report.results
-        fleet_trace = _interleave_shard_traces(
-            [result[0] for result in shard_results], shards, total
-        )
+        fleet_trace, sessions, degraded = merge.finish()
         elapsed_s = time.perf_counter() - start_time
     finally:
         shutil.rmtree(spool, ignore_errors=True)
@@ -759,9 +814,6 @@ def run_supervised_scenario(
         0.0
         if run_report.first_death is None
         else time.perf_counter() - run_report.first_death
-    )
-    sessions, degraded = _gather_shards(
-        shards, shard_results, fleet_trace, scenario.num_frames
     )
 
     recovery = RecoveryReport(

@@ -509,6 +509,39 @@ class MappedFleetTrace:
             if cursor >= stop:
                 break
 
+    @property
+    def dataset_table(self) -> Tuple[str, ...]:
+        """The dataset names that the ``dataset_code`` column indexes."""
+        return self._datasets
+
+    def iter_chunks(self) -> Iterator[Tuple[int, Dict[str, np.ndarray]]]:
+        """Yield ``(frame_offset, blocks)`` per chunk, reading each file once.
+
+        ``blocks`` maps every store column (the trace columns and
+        ``dataset_code``) to a ``(frames, N)`` view of one in-memory copy
+        of the chunk, so a pass over the whole store costs one read per
+        chunk rather than a mapping and a view per column.
+        """
+        cursor = 0
+        for chunk, entry in enumerate(self._chunks):
+            frames = entry["frames"]
+            raw = np.fromfile(self.path / entry["file"], dtype=np.uint8)
+            if raw.size != entry["bytes"]:
+                raise StoreError(
+                    f"{self.path}: chunk {entry['file']} changed size since open"
+                )
+            blocks = {}
+            for name in self._order:
+                offset = self._offsets[chunk][name]
+                nbytes = _SCHEMA[name].itemsize * self.num_sessions * frames
+                blocks[name] = (
+                    raw[offset : offset + nbytes]
+                    .view(_SCHEMA[name])
+                    .reshape(frames, self.num_sessions)
+                )
+            yield cursor, blocks
+            cursor += frames
+
     def column_window(
         self, name: str, start: int = 0, stop: Optional[int] = None
     ) -> np.ndarray:

@@ -28,12 +28,19 @@ from repro.runtime.fleet import (
     run_fleet,
     run_fleet_scenario,
 )
+from repro.faults import FaultPlan, SensorDropout, WorkerCrash
+from repro.runtime.fleet import _resolve_scenario
 from repro.runtime.shards import (
+    _build_scenario_shard,
+    _execute_scenario_shard,
     _forbidden_cuts,
+    _ShardMerge,
     plan_shards,
     run_sharded_fleet,
     run_sharded_scenario,
+    run_supervised_scenario,
 )
+from repro.store import MappedFleetTrace
 from repro.scenarios import (
     FleetMember,
     FleetScenario,
@@ -41,6 +48,8 @@ from repro.scenarios import (
     available_scenarios,
     build_scenario,
 )
+
+from tests.test_fleet_equivalence import scenario_result_digest
 
 #: Short episodes keep the full-registry sweep fast; byte-identity either
 #: holds from frame zero or not at all.
@@ -178,6 +187,62 @@ class TestScenarioSharding:
             assert list(mine.trace) == list(theirs.trace)
             assert mine.metrics == theirs.metrics
         assert_traces_identical(sharded.fleet_trace, reference.fleet_trace)
+
+
+class TestMergeOnArrival:
+    """Shards merge as they arrive, in whichever order that is."""
+
+    PLAN = FaultPlan(
+        events=(SensorDropout(start_frame=3, num_frames=6, probability=0.6),), seed=2
+    )
+
+    def _scenario(self):
+        # At 8 sessions, shard 0 is all KITTI and shard 1 mostly VisDrone:
+        # their stores hold different dataset tables.
+        return build_scenario("mixed-edge-fleet").with_faults(self.PLAN)
+
+    def test_shards_merge_in_reverse_order(self, tmp_path):
+        scenario = _resolve_scenario(self._scenario(), 24)
+        reference = run_fleet_scenario(scenario, num_sessions=8)
+        shards = plan_shards(scenario.session_assignments(8), 2)
+        results = [
+            _execute_scenario_shard(
+                _build_scenario_shard(scenario, 8, shard.start, shard.stop),
+                24,
+                shard.start,
+                shard.stop,
+                str(tmp_path),
+            )
+            for shard in shards
+        ]
+        tables = [MappedFleetTrace(result[0]).dataset_table for result in results]
+        assert tables[0] != tables[1]
+        merge = _ShardMerge(shards, 8, 24)
+        for position in (1, 0):
+            merge.add(position, results[position])
+        fleet_trace, sessions, degraded = merge.finish()
+        assert_traces_identical(fleet_trace, reference.fleet_trace)
+        assert np.array_equal(degraded, reference.degraded)
+        for mine, theirs in zip(sessions, reference.sessions):
+            assert mine.metrics == theirs.metrics
+            assert mine.steady_metrics == theirs.steady_metrics
+            assert mine.policy_name == theirs.policy_name
+            assert mine.losses == theirs.losses
+
+    def test_a_crashed_first_shard_matches_the_unsharded_run(self):
+        """With shard 0 replaying from frame 0, shard 1 usually arrives first."""
+        scenario = self._scenario()
+        reference = run_fleet_scenario(scenario, num_sessions=8, num_frames=24)
+        recovered = run_supervised_scenario(
+            scenario,
+            2,
+            num_sessions=8,
+            num_frames=24,
+            checkpoint_every=0,
+            crashes=(WorkerCrash(frame=23, shard=0),),
+        )
+        assert recovered.recovery.recovered_shards == (0,)
+        assert scenario_result_digest(recovered) == scenario_result_digest(reference)
 
 
 class TestCellSharding:

@@ -360,11 +360,11 @@ class TestShardedMergeIdentity:
         )
 
     def test_interleave_accepts_manifest_paths(self, tmp_path):
-        from repro.runtime.shards import ShardPlan, _interleave_shard_traces
+        from repro.runtime.shards import ShardPlan, _ShardMerge
 
         full = make_trace(6, 8, seed=30, special_floats=True)
         shards = [ShardPlan(0, 0, 2), ShardPlan(1, 2, 6)]
-        payloads = []
+        merge = _ShardMerge(shards, 6, len(full))
         for shard in shards:
             part = FleetTrace(shard.num_sessions)
             for frame in full:
@@ -378,10 +378,10 @@ class TestShardedMergeIdentity:
                         },
                     )
                 )
-            payloads.append(
-                str(write_fleet_trace(part, tmp_path / f"shard-{shard.index}"))
-            )
-        merged = _interleave_shard_traces(payloads, shards, 6)
+            manifest = str(write_fleet_trace(part, tmp_path / f"shard-{shard.index}"))
+            count = shard.num_sessions
+            merge.add(shard.index, (manifest, [[]] * count, [[]] * count, [""] * count, None))
+        merged, _, _ = merge.finish()
         assert fleet_traces_bitwise_equal(merged, full)
 
     def test_store_is_smaller_than_or_close_to_pickle(self, tmp_path):

@@ -44,10 +44,14 @@ smoke_policy() {
 }
 
 smoke_fault() {
-    # Channel loss plus one worker crash, on a scenario and on a cell.
+    # Channel loss plus one worker crash, on a scenario and on a cell.  The
+    # dropout, spike and storm give each per-frame flag of the fault
+    # wrapper a frame, after the crashed shard's resume (frame 6).
     cat > "$out/fault-plan.json" <<'EOF'
 {"kind": "fault-plan", "name": "ci-smoke", "seed": 7, "events": [
   {"kind": "sensor_dropout", "start_frame": 5, "num_frames": 6, "probability": 0.7},
+  {"kind": "sensor_spike", "frame": 14, "delta_c": 8.0},
+  {"kind": "throttling_storm", "start_frame": 16, "num_frames": 3},
   {"kind": "channel_faults", "drop_rate": 0.15, "duplicate_rate": 0.05},
   {"kind": "worker_crash", "frame": 10, "shard": 1}
 ]}
