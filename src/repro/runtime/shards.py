@@ -269,8 +269,6 @@ class _ShardMerge:
         trace.
         """
         shard = self.shards[position]
-        if self.merged[position]:
-            raise ShardError(f"shard {shard.index} returned twice")
         manifest, losses, rewards, names, degraded = result
         sessions = slice(shard.start, shard.stop)
         with _obs.span("shard.merge", shard=shard.index):
@@ -304,13 +302,13 @@ class _ShardMerge:
         ]
         if missing:
             raise ShardError(f"shards {missing} returned no result")
+        table = self.dataset_table
         rows: Dict[bytes, tuple] = {}
         datasets = []
         for codes in self.codes:
             key = codes.tobytes()
             row = rows.get(key)
             if row is None:
-                table = self.dataset_table
                 row = rows[key] = tuple(table[code] for code in codes.tolist())
             datasets.append(row)
         fleet_trace = FleetTrace.from_columns(self.columns, datasets, self.start_index)

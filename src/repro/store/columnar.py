@@ -461,14 +461,18 @@ class MappedFleetTrace:
             self._maps.move_to_end(chunk)
         return mapped
 
-    def _column_block(self, chunk: int, name: str) -> np.ndarray:
-        """Column ``name`` of chunk ``chunk`` as a ``(frames, N)`` view."""
+    def _column_view(self, raw: np.ndarray, chunk: int, name: str) -> np.ndarray:
+        """Column ``name`` of chunk ``chunk`` as a ``(frames, N)`` view of
+        the chunk's bytes ``raw``."""
         frames = self._chunks[chunk]["frames"]
         dtype = _SCHEMA[name]
         offset = self._offsets[chunk][name]
         nbytes = dtype.itemsize * self.num_sessions * frames
-        raw = self._chunk_map(chunk)[offset : offset + nbytes]
-        return raw.view(dtype).reshape(frames, self.num_sessions)
+        return raw[offset : offset + nbytes].view(dtype).reshape(frames, self.num_sessions)
+
+    def _column_block(self, chunk: int, name: str) -> np.ndarray:
+        """Column ``name`` of chunk ``chunk`` as a ``(frames, N)`` memmap view."""
+        return self._column_view(self._chunk_map(chunk), chunk, name)
 
     # -- public read API ---------------------------------------------------
 
@@ -524,23 +528,13 @@ class MappedFleetTrace:
         """
         cursor = 0
         for chunk, entry in enumerate(self._chunks):
-            frames = entry["frames"]
             raw = np.fromfile(self.path / entry["file"], dtype=np.uint8)
             if raw.size != entry["bytes"]:
                 raise StoreError(
                     f"{self.path}: chunk {entry['file']} changed size since open"
                 )
-            blocks = {}
-            for name in self._order:
-                offset = self._offsets[chunk][name]
-                nbytes = _SCHEMA[name].itemsize * self.num_sessions * frames
-                blocks[name] = (
-                    raw[offset : offset + nbytes]
-                    .view(_SCHEMA[name])
-                    .reshape(frames, self.num_sessions)
-                )
-            yield cursor, blocks
-            cursor += frames
+            yield cursor, {name: self._column_view(raw, chunk, name) for name in self._order}
+            cursor += entry["frames"]
 
     def column_window(
         self, name: str, start: int = 0, stop: Optional[int] = None

@@ -33,6 +33,7 @@ from repro.env.fleet import FleetFrameResult, FleetTrace, _FRAME_RESULT_ARRAY_FI
 from repro.env.trace import COLUMN_DTYPES, Trace
 from repro.errors import ReproError, StoreError
 from repro.store import (
+    DATASET_CODE_COLUMN,
     DEFAULT_CHUNK_FRAMES,
     MANIFEST_NAME,
     FleetTraceWriter,
@@ -206,6 +207,27 @@ class TestRoundTrip:
         assert fleet_traces_bitwise_equal(trace, mapped)
         with pytest.raises(StoreError):
             MappedFleetTrace(tmp_path / "s", map_cache_chunks=0)
+
+    def test_whole_chunk_reads_match_the_mapped_views(self, tmp_path):
+        trace = make_trace(3, 10, seed=4, special_floats=True)
+        mapped = MappedFleetTrace(write_fleet_trace(trace, tmp_path / "s", chunk_frames=4))
+        offsets = []
+        for offset, blocks in mapped.iter_chunks():
+            offsets.append(offset)
+            frames = len(blocks[DATASET_CODE_COLUMN])
+            for name in _FRAME_RESULT_ARRAY_FIELDS:
+                expected = mapped.column_window(name, offset, offset + frames)
+                assert blocks[name].tobytes() == expected.tobytes(), name
+            names = [
+                tuple(mapped.dataset_table[code] for code in row)
+                for row in blocks[DATASET_CODE_COLUMN].tolist()
+            ]
+            assert names == mapped.datasets_window(offset, offset + frames)
+        assert offsets == [0, 4, 8]
+        chunk = tmp_path / "s" / "chunk-000001.bin"
+        chunk.write_bytes(chunk.read_bytes()[:-8])
+        with pytest.raises(StoreError, match="changed size since open"):
+            list(mapped.iter_chunks())
 
     def test_empty_trace_windows_report_the_schema_dtypes(self, tmp_path):
         full = make_trace(3, 4)
