@@ -22,14 +22,14 @@ import pytest
 from repro.analysis.experiments import ExperimentSetting
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.errors import ShardError
+from repro.faults import FaultPlan, SensorDropout, WorkerCrash
 from repro.runtime.fleet import (
     FleetScenarioResult,
     ShardPlan,
+    _resolve_scenario,
     run_fleet,
     run_fleet_scenario,
 )
-from repro.faults import FaultPlan, SensorDropout, WorkerCrash
-from repro.runtime.fleet import _resolve_scenario
 from repro.runtime.shards import (
     _build_scenario_shard,
     _execute_scenario_shard,
@@ -40,7 +40,6 @@ from repro.runtime.shards import (
     run_sharded_scenario,
     run_supervised_scenario,
 )
-from repro.store import MappedFleetTrace
 from repro.scenarios import (
     FleetMember,
     FleetScenario,
@@ -48,6 +47,7 @@ from repro.scenarios import (
     available_scenarios,
     build_scenario,
 )
+from repro.store import MappedFleetTrace
 
 from tests.test_fleet_equivalence import scenario_result_digest
 
