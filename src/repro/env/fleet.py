@@ -1174,49 +1174,27 @@ def validate_session_partition(
     return targets
 
 
-class _FrameScatter:
-    """Scatters pre-validated per-group results into one combined frame.
-
-    The combined dataset tuple is rebuilt only when some group hands back a
-    different dataset tuple object than on the previous frame; the
-    workload streams hand back the same one every frame.
-    """
-
-    def __init__(self, targets: Sequence[np.ndarray], num_sessions: int):
-        self.targets = targets
-        self.num_sessions = num_sessions
-        self._group_datasets: tuple = ()
-        self._datasets: tuple | None = None
-
-    def _combined_datasets(self, results: Sequence[FleetFrameResult]) -> tuple:
-        group_datasets = tuple(result.datasets for result in results)
-        if self._datasets is None or any(
-            new is not old for new, old in zip(group_datasets, self._group_datasets)
-        ):
-            datasets: List[str] = [""] * self.num_sessions
-            for names, target in zip(group_datasets, self.targets):
-                for local, global_index in enumerate(target.tolist()):
-                    datasets[global_index] = names[local]
-            self._group_datasets = group_datasets
-            self._datasets = tuple(datasets)
-        return self._datasets
-
-    def __call__(self, results: Sequence[FleetFrameResult]) -> FleetFrameResult:
-        index = results[0].index
-        arrays = {
-            name: np.empty(self.num_sessions, dtype=dtype)
-            for name, dtype in COLUMN_DTYPES.items()
-        }
-        for result, target in zip(results, self.targets):
-            if result.index != index:
-                raise ExperimentError(
-                    f"group frame indices diverged ({result.index} != {index})"
-                )
-            for field in _FRAME_RESULT_ARRAY_FIELDS:
-                arrays[field][target] = getattr(result, field)
-        return FleetFrameResult(
-            index=index, datasets=self._combined_datasets(results), **arrays
-        )
+def _scatter_frame_results(
+    results: Sequence[FleetFrameResult],
+    targets: Sequence[np.ndarray],
+    num_sessions: int,
+) -> FleetFrameResult:
+    """Scatter pre-validated per-group results into one combined frame."""
+    index = results[0].index
+    arrays = {
+        name: np.empty(num_sessions, dtype=dtype) for name, dtype in COLUMN_DTYPES.items()
+    }
+    datasets: List[str] = [""] * num_sessions
+    for result, target in zip(results, targets):
+        if result.index != index:
+            raise ExperimentError(
+                f"group frame indices diverged ({result.index} != {index})"
+            )
+        for field in _FRAME_RESULT_ARRAY_FIELDS:
+            arrays[field][target] = getattr(result, field)
+        for local, global_index in enumerate(target.tolist()):
+            datasets[global_index] = result.datasets[local]
+    return FleetFrameResult(index=index, datasets=tuple(datasets), **arrays)
 
 
 def run_grouped_fleet_episode(
@@ -1262,7 +1240,6 @@ def run_grouped_fleet_episode(
         [group.session_indices for group in groups], num_sessions
     )
     in_order = len(groups) == 1 and np.array_equal(targets[0], np.arange(num_sessions))
-    scatter = _FrameScatter(targets, num_sessions)
     for group in groups:
         if reset_environments:
             group.environment.reset()
@@ -1284,7 +1261,7 @@ def run_grouped_fleet_episode(
         if in_order:
             trace.append(results[0])
         else:
-            trace.append(scatter(results))
+            trace.append(_scatter_frame_results(results, targets, num_sessions))
     return trace
 
 

@@ -688,9 +688,6 @@ class FleetWorkerPool:
         if not ready:
             # Nothing readable within the timeout: check for silent deaths.
             ready = [handle.conn for handle in busy if not handle.alive()]
-        # Deaths first, each task resubmitted at once, so a respawned worker
-        # rebuilds while ``on_result`` handles this wake-up's replies.
-        ready = sorted(ready, key=lambda conn: by_conn[conn].alive())
         for conn in ready:
             handle = by_conn[conn]
             try:
@@ -701,7 +698,6 @@ class FleetWorkerPool:
                 self._handle_death(
                     handle, tasks, pending, attempts, max_restarts, report
                 )
-                self._dispatch(tasks, pending, attempts, report)
                 continue
             tag = message[0]
             if tag == "DONE":

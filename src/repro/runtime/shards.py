@@ -412,6 +412,7 @@ def run_sharded_scenario(
     if len(shards) == 1:
         return run_fleet_scenario(scenario, num_sessions)
     total = len(assignments)
+    merge = _ShardMerge(shards, total, scenario.num_frames)
 
     run_span = _obs.span(
         "runtime.run_sharded_scenario", shards=len(shards), sessions=total
@@ -419,8 +420,6 @@ def run_sharded_scenario(
     run_span.__enter__()
     start_time = time.perf_counter()
     spool = tempfile.mkdtemp(prefix="repro-shards-")
-    merge = _ShardMerge(shards, total, scenario.num_frames)
-    pool, owned = acquire_pool(len(shards))
     try:
         tasks = [
             PoolTask(
@@ -433,14 +432,17 @@ def run_sharded_scenario(
             )
             for shard in shards
         ]
-        pool.run_tasks(tasks, on_result=merge.add)
+        pool, owned = acquire_pool(len(shards))
+        try:
+            pool.run_tasks(tasks, on_result=merge.add)
+        finally:
+            if owned:
+                pool.shutdown()
         fleet_trace, sessions, degraded = merge.finish()
+        elapsed_s = time.perf_counter() - start_time
     finally:
-        if owned:
-            pool.shutdown()
         shutil.rmtree(spool, ignore_errors=True)
-    elapsed_s = time.perf_counter() - start_time
-    run_span.__exit__(None, None, None)
+        run_span.__exit__(None, None, None)
 
     return FleetScenarioResult(
         scenario=scenario,
@@ -765,13 +767,13 @@ def run_supervised_scenario(
             crash.frame if frame is None else min(frame, crash.frame)
         )
 
+    merge = _ShardMerge(shards, total, scenario.num_frames)
     run_span = _obs.span(
         "runtime.run_supervised_scenario", shards=len(shards), sessions=total
     )
     run_span.__enter__()
     start_time = time.perf_counter()
     spool = tempfile.mkdtemp(prefix="repro-spool-")
-    merge = _ShardMerge(shards, total, scenario.num_frames)
     try:
         tasks = [
             PoolTask(

@@ -313,6 +313,35 @@ class TestCrashRecovery:
         ]
         assert "runtime.run_supervised_scenario" in ends
 
+    @pytest.mark.parametrize(
+        "run", [run_sharded_scenario, run_supervised_scenario]
+    )
+    def test_a_merge_that_cannot_be_built_leaves_no_spool_or_open_span(
+        self, tmp_path, monkeypatch, run
+    ):
+        spec = build_scenario("cctv-burst").with_overrides(
+            num_frames=FRAMES, num_sessions=SESSIONS
+        )
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("merge columns")
+
+        monkeypatch.setattr(shards, "_ShardMerge", no_memory)
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        registry = obs.enable()
+        try:
+            with pytest.raises(MemoryError, match="merge columns"):
+                run(spec, 2)
+        finally:
+            obs.disable()
+        assert list(tmp_path.iterdir()) == []
+        phases = [
+            event["phase"]
+            for event in registry.events
+            if event.get("name", "").startswith("runtime.run_")
+        ]
+        assert phases.count("start") == phases.count("end")
+
     def test_invalid_supervision_arguments_are_typed(self):
         spec = build_scenario("cctv-burst").with_overrides(
             num_frames=8, num_sessions=2

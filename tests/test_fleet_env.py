@@ -13,13 +13,11 @@ from repro.detection.registry import build_detector
 from repro.env.fleet import (
     BatchedInferenceEnvironment,
     FleetDecision,
-    FleetFrameResult,
     FleetTrace,
     PerSessionPolicies,
-    _FrameScatter,
     run_fleet_episode,
 )
-from repro.env.trace import COLUMN_DTYPES, FrameRecord
+from repro.env.trace import FrameRecord
 from repro.governors.fleet import (
     BatchedPerformancePolicy,
     BatchedUserspacePolicy,
@@ -116,29 +114,6 @@ def test_fleet_trace_materialises_per_session_traces():
         trace.session_trace(2)
     with pytest.raises(ExperimentError):
         FleetTrace(0)
-
-
-def test_frame_scatter_rebuilds_datasets_when_a_group_tuple_changes():
-    scatter = _FrameScatter([np.array([0, 2]), np.array([1])], 3)
-
-    def results(first, second):
-        return [
-            FleetFrameResult(
-                index=0,
-                datasets=names,
-                **{name: np.zeros(len(names), dtype=dtype) for name, dtype in COLUMN_DTYPES.items()},
-            )
-            for names in (first, second)
-        ]
-
-    kitti = ("kitti", "kitti")
-    assert scatter(results(kitti, ("visdrone2019",))).datasets == (
-        "kitti", "visdrone2019", "kitti",
-    )
-    same = scatter(results(kitti, ("visdrone2019",)))
-    assert same.datasets == ("kitti", "visdrone2019", "kitti")
-    switched = scatter(results(("visdrone2019", "kitti"), ("visdrone2019",)))
-    assert switched.datasets == ("visdrone2019", "visdrone2019", "kitti")
 
 
 def test_per_session_adapter_reports_mixed_none_decisions():
