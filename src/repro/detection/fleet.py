@@ -14,13 +14,14 @@ scalar environment consumes them.  With the ``random`` kernels, those draws
 run in one C loop (:class:`~repro.kernels.SessionGenerators`: NumPy's own
 ``random_normal``, bit-identical to ``rng.normal``) that does not take
 ``bit_generator.lock``, so the generators must be used from one thread at
-a time.  With the ``fleet`` kernels (:mod:`repro.kernels`), the
-proposal-count tail runs in C too (its reference is :func:`proposal_tail`),
-and the fleet environment runs a whole stage -- the costs of
-:func:`stage_cost_tables`, the segment model and the device segment -- as
-one ``fleet_stage`` call; :func:`stage1_cost_arrays`,
-:func:`stage2_cost_arrays` and :meth:`BatchedExecutionModel.execute` are
-that kernel's ``REPRO_FUSED=0`` reference.
+a time.  With the ``fleet`` kernels (:mod:`repro.kernels`), the fleet
+environment runs each frame phase as one call: a stage's costs (from
+:func:`stage_cost_tables`), its segment model and its device segment, and
+the proposal-count tail (``fleet_proposal_tail`` on the table of
+:func:`proposal_tail_table`).  :func:`stage1_cost_arrays`,
+:func:`stage2_cost_arrays`, :meth:`BatchedExecutionModel.execute`,
+:func:`propose_batch` and :func:`proposal_tail` are the ``REPRO_FUSED=0``
+reference, which :func:`propose_batch` runs whatever the kernels.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from repro.errors import DetectorError
 from repro.detection.detector import DetectorModel
-from repro.kernels import SessionGenerators, fused_fleet
+from repro.kernels import SessionGenerators
 from repro.detection.latency import DeviceComputeProfile
 
 
@@ -88,7 +89,7 @@ def stage2_cost_arrays(
 
 
 def stage_cost_tables(detector: DetectorModel, second: bool) -> dict:
-    """One stage's cost constants as the ``fleet_stage`` kernel reads them.
+    """One stage's cost constants as the stage kernels read them.
 
     The kernel sums ``stages`` entries in list order, as
     :func:`stage1_cost_arrays` (``second`` false) and
@@ -123,16 +124,14 @@ def proposal_scale(detector: DetectorModel) -> float:
     return float(detector.proposal_model.max_proposals if detector.is_two_stage else 100)
 
 
-def proposal_tail_table(kernel, detector: DetectorModel, num_sessions: int):
-    """A ``fleet_proposal_tail`` table of one two-stage detector at one
-    fleet size, with its own scene, noise-factor and count buffers."""
+def proposal_tail_table(kernel, detector: DetectorModel, scene_candidates, factor, counts):
+    """A ``fleet_proposal_tail`` table of one two-stage detector over the
+    caller's float64 scene values, noise factors (``None`` when the
+    detector draws no noise) and int64 ``counts``, written in place."""
     model = detector.proposal_model
-    n = num_sessions
     return kernel.proposal_table(
-        np.zeros(n), float(model.keep_ratio),
-        np.zeros(n) if model.noise_std > 0 else None,
-        float(model.min_proposals), float(model.max_proposals),
-        np.zeros(n, dtype=np.int64),
+        scene_candidates, float(model.keep_ratio), factor,
+        float(model.min_proposals), float(model.max_proposals), counts,
     )
 
 
@@ -140,20 +139,16 @@ def propose_batch(
     detector: DetectorModel,
     scene_candidates: np.ndarray,
     rngs: Sequence[np.random.Generator],
-    table=None,
 ) -> np.ndarray:
     """Per-session RPN proposal counts, one noise draw per session stream.
 
     Mirrors :meth:`~repro.detection.proposals.ProposalModel.sample`: the
     normal draw comes from each session's own generator (keeping the
     per-session random stream identical to a scalar run); the exp/clip/round
-    tail is evaluated as array operations.  Pass the generators as one
-    long-lived :class:`~repro.kernels.SessionGenerators` (as the fleet
-    environment does) so the fused draw's table is built once; any other
-    sequence is wrapped for this call.  Likewise ``table``, the fused
-    tail's :func:`proposal_tail_table` for this detector and fleet size,
-    which a caller drawing every frame keeps; without it the call builds
-    its own.
+    tail is evaluated as array operations (:func:`proposal_tail`).  Pass
+    the generators as one long-lived
+    :class:`~repro.kernels.SessionGenerators` so the fused draw's table is
+    built once; any other sequence is wrapped for this call.
     """
     if len(rngs) != len(scene_candidates):
         raise DetectorError(
@@ -170,23 +165,13 @@ def propose_batch(
             rngs = SessionGenerators(rngs)
         # np.exp, as the scalar ProposalModel.sample uses.
         factor = np.exp(rngs.normal(model.noise_std))
-    kernel = fused_fleet()
-    if kernel is None:
-        counts = np.empty(len(scene_candidates), dtype=np.int64)
-        proposal_tail(
-            np.ascontiguousarray(scene_candidates, dtype=float),
-            float(model.keep_ratio), factor,
-            float(model.min_proposals), float(model.max_proposals), counts,
-        )
-        return counts
-    if table is None:
-        table = proposal_tail_table(kernel, detector, len(scene_candidates))
-    buffers = table.buffers
-    buffers["scene"][:] = scene_candidates
-    if factor is not None:
-        buffers["factor"][:] = factor
-    kernel.fleet_proposal_tail(table)
-    return buffers["counts"].copy()
+    counts = np.empty(len(scene_candidates), dtype=np.int64)
+    proposal_tail(
+        np.ascontiguousarray(scene_candidates, dtype=float),
+        float(model.keep_ratio), factor,
+        float(model.min_proposals), float(model.max_proposals), counts,
+    )
+    return counts
 
 
 def proposal_tail(scene_candidates, keep_ratio, factor, min_proposals, max_proposals, out):
@@ -203,9 +188,9 @@ def proposal_tail(scene_candidates, keep_ratio, factor, min_proposals, max_propo
 class BatchedExecutionModel:
     """Vectorized :class:`~repro.detection.latency.ExecutionModel`.
 
-    The fleet environment runs this model inside its ``fleet_stage``
-    kernel; :meth:`execute` is the NumPy form of that kernel's segment
-    model and its ``REPRO_FUSED=0`` reference.
+    The fleet environment runs this model inside its stage kernels;
+    :meth:`execute` is the NumPy form of their segment model and its
+    ``REPRO_FUSED=0`` reference.
     """
 
     def __init__(self, profile: DeviceComputeProfile):
@@ -247,7 +232,7 @@ class BatchedExecutionModel:
         )
 
     def kernel_constants(self) -> dict:
-        """The profile as the ``fleet_stage`` kernel's segment constants."""
+        """The profile as the stage kernels' segment constants."""
         profile = self.profile
         return {
             "cpu_efficiency": profile.cpu_efficiency,

@@ -19,16 +19,26 @@ scalar arithmetic elementwise, and the per-session random streams are
 consumed in the same order.  ``tests/test_fleet_equivalence.py`` enforces
 this.
 
-With the ``fleet`` kernels (:mod:`repro.kernels`), each detector stage is
-one ``fleet_stage`` call: the stage costs, the segment model, the device
-segment and the frame-energy sum run in C over a per-environment argument
-table that points at the fleet's own.  The NumPy composition of
+With the ``fleet`` kernels (:mod:`repro.kernels`), each frame phase is one
+C call on a table bound once to the environment's, its fleet's and its
+stream's own arrays: ``fleet_begin_frame`` (ambient, AR(1) workload step,
+start observation), ``fleet_first_stage`` (stage 1, proposal counts, mid
+observation) and ``fleet_second_stage`` (stage 2, idle gap, frame result).
+``begin_frame`` also draws the frame's stream innovations and proposal
+noise in one ``fleet_normal`` call (each generator's own sequence is
+unchanged: draws from different generators commute) and takes NumPy's
+``exp`` of the noise in place.  The ``REPRO_FUSED=0`` reference is the
+NumPy composition of :meth:`~repro.workload.fleet.FleetFrameStream.next_frames`,
 :func:`~repro.detection.fleet.stage1_cost_arrays` /
 :func:`~repro.detection.fleet.stage2_cost_arrays`,
-:meth:`~repro.detection.fleet.BatchedExecutionModel.execute` and
-:meth:`~repro.hardware.fleet.DeviceFleet.execute` is its ``REPRO_FUSED=0``
-reference.  Observation and result arrays are fresh copies either way:
-policies keep references to them.
+:meth:`~repro.detection.fleet.BatchedExecutionModel.execute`,
+:func:`~repro.detection.fleet.propose_batch` and the
+:class:`~repro.hardware.fleet.DeviceFleet` calls.  Either way, each phase
+writes what a policy observes into one staging block per dtype (float64,
+int64, bool) and hands out a fresh copy of each block, the observation's
+fields being its rows, so nothing a policy receives aliases a value the
+environment or the trace reads later; a frame result's blocks are also
+read-only, as the trace sink keeps them by reference.
 
 There is one fleet frame loop, :func:`run_grouped_fleet_episode`: a fleet
 is a list of :class:`FleetSessionGroup` sub-fleets (one per device and
@@ -79,8 +89,16 @@ from repro.env.trace import (
     session_slice,
 )
 from repro.hardware.device import EdgeDevice
-from repro.hardware.fleet import DeviceFleet
-from repro.kernels import ArgumentTable, SessionGenerators, fused_fleet
+from repro.hardware.fleet import IDLE_CPU_UTILISATION, IDLE_GPU_UTILISATION, DeviceFleet
+from repro.kernels import SessionGenerators, check_scales, fused_fleet
+from repro.kernels.build import (
+    OBSERVATION_FLAGS,
+    OBSERVATION_FLOATS,
+    OBSERVATION_INTS,
+    RESULT_FLAGS,
+    RESULT_FLOATS,
+    RESULT_INTS,
+)
 from repro.workload.fleet import FleetFrameStream
 
 
@@ -106,8 +124,11 @@ class FleetState:
         datasets: Current frame's dataset name per session.
         num_proposals: Stage-1 proposal counts of the current frame.
         stage1_latency_ms: Stage-1 latency of the current frame.
-        frame_energy_j: Energy accumulated by the current frame, written in
-            place (the ``fleet_stage`` kernel holds its address).
+        frame_energy_j: Energy accumulated by the current frame.
+
+    Every array is written in place, never rebound: the fused frame's table
+    holds their addresses (``previous_latency_ms`` is ``None`` or the
+    environment's own array).
     """
 
     device: DeviceFleet
@@ -657,7 +678,8 @@ class SessionAmbient:
                 slots[id(profile)] = len(distinct)
                 distinct.append(profile)
         self._distinct = tuple(distinct)
-        self._slot = np.array(
+        #: Each session's index into the distinct profiles.
+        self.slot = np.array(
             [slots[id(profile)] for profile in self.profiles], dtype=np.int64
         )
 
@@ -666,15 +688,24 @@ class SessionAmbient:
         """Fleet size N."""
         return len(self.profiles)
 
+    @property
+    def num_distinct(self) -> int:
+        """The number of distinct profile objects."""
+        return len(self._distinct)
+
+    def distinct_at(self, frame_index: int) -> list:
+        """Each distinct profile's temperature at ``frame_index``; session
+        ``i`` follows entry ``slot[i]``."""
+        return [profile.temperature_at(frame_index) for profile in self._distinct]
+
     def temperature_at(self, frame_index: int) -> np.ndarray:
         """Per-session ambient temperatures when processing ``frame_index``."""
-        values = [profile.temperature_at(frame_index) for profile in self._distinct]
-        return np.array(values)[self._slot]
+        return np.array(self.distinct_at(frame_index))[self.slot]
 
     def initial_temperature(self) -> np.ndarray:
         """Per-session ambient temperatures before the first frame."""
         values = [profile.initial_temperature() for profile in self._distinct]
-        return np.array(values)[self._slot]
+        return np.array(values)[self.slot]
 
 
 class _Phase(enum.Enum):
@@ -769,85 +800,83 @@ class BatchedInferenceEnvironment:
         )
         self._phase = _Phase.IDLE
         self._frame_index = 0
-        self._stage1_levels = (fleet.cpu_level.copy(), fleet.gpu_level.copy())
+        # The frame's own arrays and the phases' staging blocks, written
+        # only in place like the state's.
+        self._previous_latency = np.zeros(n)
+        self._stage2_latency = np.zeros(n)
+        self._stage1_levels = np.zeros((2, n), dtype=np.int64)
         self._stage1_throttled = np.zeros(n, dtype=bool)
-        self._stage_tables: tuple[ArgumentTable, ArgumentTable] | None = None
-        self._proposal_table: ArgumentTable | None = None
+        # A fused frame's draws: the stream innovations, then the proposal
+        # noise factors, which run_first_stage reads.
+        self._draws = np.zeros(2 * n)
+        self._start_blocks = _blocks(OBSERVATION_FLOATS, OBSERVATION_INTS, OBSERVATION_FLAGS, n)
+        self._mid_blocks = _blocks(OBSERVATION_FLOATS, OBSERVATION_INTS, OBSERVATION_FLAGS, n)
+        self._result_blocks = _blocks(RESULT_FLOATS, RESULT_INTS, RESULT_FLAGS, n)
+        self._fused: _FusedFrame | None = None
         self.state.device.reset(self.ambient.initial_temperature())
 
     def __getstate__(self) -> dict:
-        # The kernel tables hold raw addresses of this environment's and its
-        # fleet's arrays; a copy (pickle or deepcopy) builds its own.
+        # The fused frame holds raw addresses of this environment's arrays
+        # and generators; a copy (pickle or deepcopy) binds its own.
         state = self.__dict__.copy()
-        state["_stage_tables"] = None
-        state["_proposal_table"] = None
+        state["_fused"] = None
         return state
 
-    def _stage_table(self, kernel, second: bool) -> ArgumentTable:
-        """The ``fleet_stage`` table of stage 1 or 2, resolved once.
+    def _fused_frame(self, kernel) -> "_FusedFrame":
+        if self._fused is None:
+            self._fused = _FusedFrame(self, kernel)
+        return self._fused
 
-        Both point at the fleet's own argument table and share the
-        environment's input, output and frame-energy buffers, which are
-        only ever written in place.
-        """
-        if self._stage_tables is None:
-            device = self.state.device.argument_table(kernel)
-            n = self.num_sessions
-            shared = {
-                "device": device.values,
-                "device_constants": device.constants,
-                "image_scale": np.zeros(n),
-                "proposals": np.zeros(n, dtype=np.int64),
-                "latency": np.zeros(n),
-                "cpu_utilisation": np.zeros(n),
-                "gpu_utilisation": np.zeros(n),
-                "frame_energy": self.state.frame_energy_j,
-                **self.execution.kernel_constants(),
-            }
-            self._stage_tables = tuple(
-                kernel.stage_table({**shared, **stage_cost_tables(self.detector, second)})
-                for second in (False, True)
-            )
-        return self._stage_tables[second]
-
-    def _run_stage(self, kernel, second: bool):
+    def _run_stage(self, second: bool):
         """Execute stage 1 or 2 at the current levels, adding its energy to
         the frame's: ``(latency, cpu utilisation, gpu utilisation,
-        throttled)``, each a fresh array.  One ``fleet_stage`` call on the
-        given ``fleet`` kernels, its NumPy reference for ``None``."""
+        throttled)``, each a fresh array.  The NumPy reference of the
+        stage the phase kernels run."""
         state = self.state
         device = state.device
-        if kernel is None:
-            if second:
-                cpu_kc, gpu_kc = stage2_cost_arrays(
-                    self.detector, state.num_proposals, state.image_scale
-                )
-            else:
-                cpu_kc, gpu_kc = stage1_cost_arrays(self.detector, state.image_scale)
-            segment = self.execution.execute(
-                cpu_kc, gpu_kc, device.cpu_frequency_khz, device.gpu_frequency_khz
-            )
-            telemetry = device.execute(
-                segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
-            )
-            state.frame_energy_j += telemetry.energy_j
-            return (
-                segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation,
-                telemetry.any_throttled,
-            )
-        table = self._stage_table(kernel, second)
-        buffers = table.buffers
-        buffers["image_scale"][:] = state.image_scale
         if second:
-            buffers["proposals"][:] = state.num_proposals
-        if not kernel.fleet_stage(table):
-            raise DetectorError("frequencies must be positive")
-        return (
-            buffers["latency"].copy(),
-            buffers["cpu_utilisation"].copy(),
-            buffers["gpu_utilisation"].copy(),
-            device.cpu_throttled | device.gpu_throttled,
+            cpu_kc, gpu_kc = stage2_cost_arrays(
+                self.detector, state.num_proposals, state.image_scale
+            )
+        else:
+            cpu_kc, gpu_kc = stage1_cost_arrays(self.detector, state.image_scale)
+        segment = self.execution.execute(
+            cpu_kc, gpu_kc, device.cpu_frequency_khz, device.gpu_frequency_khz
         )
+        telemetry = device.execute(
+            segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
+        )
+        state.frame_energy_j += telemetry.energy_j
+        return (
+            segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation,
+            telemetry.any_throttled,
+        )
+
+    @staticmethod
+    def _snapshot(blocks, read_only: bool = False) -> tuple:
+        """Fresh copies of a phase's staging blocks, whose rows (in the
+        ``OBSERVATION_*`` or ``RESULT_*`` order of
+        :mod:`repro.kernels.build`) become the fields handed out."""
+        floats, ints, flags = blocks
+        snapshot = floats.copy(), ints.copy(), flags.copy()
+        if read_only:
+            for block in snapshot:
+                block.setflags(write=False)
+        return snapshot
+
+    def _observe(self, blocks, latency: np.ndarray, remaining: np.ndarray) -> None:
+        """The NumPy form of the phase kernels' observation rows, in the
+        ``OBSERVATION_*`` order of :mod:`repro.kernels.build`."""
+        floats, ints, flags = blocks
+        state = self.state
+        device = state.device
+        floats[:] = (
+            device.cpu_temperature_c, device.gpu_temperature_c, state.constraint_ms,
+            remaining, latency, state.cpu_utilisation, state.gpu_utilisation,
+            device.ambient_temperature_c,
+        )
+        ints[:2] = (device.cpu_level, device.gpu_level)
+        flags[:] = (device.cpu_throttled, device.gpu_throttled)
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -867,8 +896,8 @@ class BatchedInferenceEnvironment:
         self._phase = _Phase.IDLE
         self._frame_index = 0
         self.state.previous_latency_ms = None
-        self.state.cpu_utilisation = np.zeros(self.num_sessions)
-        self.state.gpu_utilisation = np.zeros(self.num_sessions)
+        self.state.cpu_utilisation.fill(0.0)
+        self.state.gpu_utilisation.fill(0.0)
 
     # -- checkpointing ---------------------------------------------------------------
 
@@ -922,13 +951,13 @@ class BatchedInferenceEnvironment:
         self._stream.load_state_dict(payload["stream"])
         for rng, rng_state in zip(state.rngs, payload["rngs"]):
             rng.bit_generator.state = rng_state
-        state.previous_latency_ms = (
-            None
-            if payload["previous_latency_ms"] is None
-            else np.array(payload["previous_latency_ms"], dtype=float)
-        )
-        state.cpu_utilisation = np.array(payload["cpu_utilisation"], dtype=float)
-        state.gpu_utilisation = np.array(payload["gpu_utilisation"], dtype=float)
+        if payload["previous_latency_ms"] is None:
+            state.previous_latency_ms = None
+        else:
+            self._previous_latency[:] = payload["previous_latency_ms"]
+            state.previous_latency_ms = self._previous_latency
+        state.cpu_utilisation[:] = payload["cpu_utilisation"]
+        state.gpu_utilisation[:] = payload["gpu_utilisation"]
         self._phase = _Phase.IDLE
         self._frame_index = int(payload["frame_index"])
 
@@ -952,47 +981,74 @@ class BatchedInferenceEnvironment:
     # -- frame protocol ----------------------------------------------------------------
 
     def begin_frame(self) -> FleetStartObservation:
-        """Draw every session's next frame; return the batch observation."""
+        """Draw every session's next frame; return the batch observation.
+
+        With the ``fleet`` kernels: one ``fleet_normal`` draw (stream
+        innovations and proposal noise), NumPy's ``exp`` of the noise, and
+        one ``fleet_begin_frame`` call.  The proposal noise is drawn here
+        rather than in :meth:`run_first_stage`, so a frame abandoned in
+        between has advanced the proposal generators on this path only;
+        to continue identically on both paths, restore a
+        :meth:`state_dict` taken at a frame boundary.
+        """
+        return self._begin_frame(fused_fleet())
+
+    def _begin_frame(self, kernel) -> FleetStartObservation:
+        """:meth:`begin_frame` on the given ``fleet`` kernels, or NumPy for ``None``."""
         if self._phase is not _Phase.IDLE:
             raise ExperimentError(
                 f"begin_frame called while a frame is in phase {self._phase.value!r}"
             )
         state = self.state
-        state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
-        batch = self._stream.next_frames()
-        constraint = batch.latency_constraint_ms
-        state.image_scale = batch.image_scale
-        state.scene_candidates = batch.scene_candidates
-        state.constraint_ms = constraint
-        state.datasets = batch.datasets
-        state.frame_energy_j.fill(0.0)
+        if kernel is None:
+            state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
+            batch = self._stream.next_frames()
+            state.image_scale[:] = batch.image_scale
+            state.scene_candidates[:] = batch.scene_candidates
+            state.constraint_ms[:] = batch.latency_constraint_ms
+            state.datasets = batch.datasets
+            state.frame_energy_j.fill(0.0)
+            self._observe(self._start_blocks, self._previous_latency, state.constraint_ms)
+        else:
+            fused = self._fused or self._fused_frame(kernel)
+            fused.ambient_values[:] = self.ambient.distinct_at(self._frame_index)
+            fused.draw()
+            if fused.noise is not None:
+                # np.exp, as the scalar ProposalModel.sample uses.
+                np.exp(fused.noise, out=fused.noise)
+            kernel.fleet_begin_frame(fused.table)
+            self._stream.count_frame()
+            state.datasets = fused.datasets
         self._phase = _Phase.STARTED
+        floats, ints, flags = self._snapshot(self._start_blocks)
         device = state.device
-        return FleetStartObservation(
+        return _frozen(
+            FleetStartObservation,
             frame_index=self._frame_index,
             datasets=state.datasets,
-            cpu_temperature_c=device.cpu_temperature_c.copy(),
-            gpu_temperature_c=device.gpu_temperature_c.copy(),
-            cpu_level=device.cpu_level.copy(),
-            gpu_level=device.gpu_level.copy(),
+            cpu_temperature_c=floats[0],
+            gpu_temperature_c=floats[1],
+            cpu_level=ints[0],
+            gpu_level=ints[1],
             cpu_num_levels=device.cpu.num_levels,
             gpu_num_levels=device.gpu.num_levels,
-            latency_constraint_ms=constraint,
-            remaining_budget_ms=constraint,
-            previous_latency_ms=state.previous_latency_ms,
-            cpu_utilisation=state.cpu_utilisation,
-            gpu_utilisation=state.gpu_utilisation,
-            ambient_temperature_c=device.ambient_temperature_c.copy(),
+            latency_constraint_ms=floats[2],
+            remaining_budget_ms=floats[3],
+            previous_latency_ms=None if state.previous_latency_ms is None else floats[4],
+            cpu_utilisation=floats[5],
+            gpu_utilisation=floats[6],
+            ambient_temperature_c=floats[7],
             throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=device.cpu_throttled.copy(),
-            gpu_throttled=device.gpu_throttled.copy(),
+            cpu_throttled=flags[0],
+            gpu_throttled=flags[1],
         )
 
     def run_first_stage(self) -> FleetMidObservation:
         """Execute stage 1 for every session; return the batch observation.
 
         With the ``fleet`` kernels, the stage's costs, segment model,
-        device segment and frame energy are one ``fleet_stage`` call.
+        device segment and frame energy, the proposal counts and the
+        observation are one ``fleet_first_stage`` call.
         """
         return self._first_stage(fused_fleet())
 
@@ -1002,51 +1058,56 @@ class BatchedInferenceEnvironment:
             raise ExperimentError("run_first_stage must follow begin_frame")
         state = self.state
         device = state.device
-        levels = (device.cpu_level.copy(), device.gpu_level.copy())
-        latency, cpu_utilisation, gpu_utilisation, throttled = self._run_stage(
-            kernel, second=False
-        )
-        self._stage1_levels = levels
-        state.stage1_latency_ms = latency
-        self._stage1_throttled = throttled
-        state.cpu_utilisation = cpu_utilisation
-        state.gpu_utilisation = gpu_utilisation
-        table = None
-        if kernel is not None and self.detector.is_two_stage:
-            if self._proposal_table is None:
-                self._proposal_table = proposal_tail_table(
-                    kernel, self.detector, self.num_sessions
-                )
-            table = self._proposal_table
-        state.num_proposals = propose_batch(
-            self.detector, state.scene_candidates, state.rngs, table
-        )
+        if kernel is None:
+            levels = (device.cpu_level.copy(), device.gpu_level.copy())
+            latency, cpu_utilisation, gpu_utilisation, throttled = self._run_stage(
+                second=False
+            )
+            self._stage1_levels[:] = levels
+            state.stage1_latency_ms[:] = latency
+            self._stage1_throttled[:] = throttled
+            state.cpu_utilisation[:] = cpu_utilisation
+            state.gpu_utilisation[:] = gpu_utilisation
+            state.num_proposals[:] = propose_batch(
+                self.detector, state.scene_candidates, state.rngs
+            )
+            self._observe(
+                self._mid_blocks, state.stage1_latency_ms,
+                state.constraint_ms - state.stage1_latency_ms,
+            )
+            self._mid_blocks[1][2] = state.num_proposals
+        elif not kernel.fleet_first_stage((self._fused or self._fused_frame(kernel)).table):
+            raise DetectorError("frequencies must be positive")
         self._phase = _Phase.AFTER_STAGE1
-        return FleetMidObservation(
+        floats, ints, flags = self._snapshot(self._mid_blocks)
+        return _frozen(
+            FleetMidObservation,
             frame_index=self._frame_index,
             datasets=state.datasets,
-            cpu_temperature_c=device.cpu_temperature_c.copy(),
-            gpu_temperature_c=device.gpu_temperature_c.copy(),
-            cpu_level=device.cpu_level.copy(),
-            gpu_level=device.gpu_level.copy(),
+            cpu_temperature_c=floats[0],
+            gpu_temperature_c=floats[1],
+            cpu_level=ints[0],
+            gpu_level=ints[1],
             cpu_num_levels=device.cpu.num_levels,
             gpu_num_levels=device.gpu.num_levels,
-            latency_constraint_ms=state.constraint_ms,
-            remaining_budget_ms=state.constraint_ms - state.stage1_latency_ms,
-            stage1_latency_ms=state.stage1_latency_ms,
-            num_proposals=state.num_proposals,
-            cpu_utilisation=cpu_utilisation,
-            gpu_utilisation=gpu_utilisation,
-            ambient_temperature_c=device.ambient_temperature_c.copy(),
+            latency_constraint_ms=floats[2],
+            remaining_budget_ms=floats[3],
+            stage1_latency_ms=floats[4],
+            num_proposals=ints[2],
+            cpu_utilisation=floats[5],
+            gpu_utilisation=floats[6],
+            ambient_temperature_c=floats[7],
             throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=device.cpu_throttled.copy(),
-            gpu_throttled=device.gpu_throttled.copy(),
+            cpu_throttled=flags[0],
+            gpu_throttled=flags[1],
         )
 
     def run_second_stage(self) -> FleetFrameResult:
         """Execute stage 2 (if any) for every session; finish the frame.
 
-        With the ``fleet`` kernels, stage 2 is one ``fleet_stage`` call.
+        With the ``fleet`` kernels, stage 2, the idle gap and the frame
+        result are one ``fleet_second_stage`` call.  The result's arrays
+        are read-only.
         """
         return self._second_stage(fused_fleet())
 
@@ -1055,49 +1116,184 @@ class BatchedInferenceEnvironment:
         if self._phase is not _Phase.AFTER_STAGE1:
             raise ExperimentError("run_second_stage must follow run_first_stage")
         state = self.state
-        device = state.device
-        n = self.num_sessions
-        stage2_latency = np.zeros(n)
-        stage2_levels = (device.cpu_level.copy(), device.gpu_level.copy())
-        stage2_throttled = np.zeros(n, dtype=bool)
-        if self.detector.is_two_stage:
-            (
-                stage2_latency, state.cpu_utilisation, state.gpu_utilisation,
-                stage2_throttled,
-            ) = self._run_stage(kernel, second=True)
-        if self.idle_between_frames_ms > 0:
-            idle_telemetry = device.idle(np.full(n, self.idle_between_frames_ms))
-            state.frame_energy_j += idle_telemetry.energy_j
-
-        total_latency = state.stage1_latency_ms + stage2_latency
-        result = FleetFrameResult(
+        if kernel is None:
+            device = state.device
+            n = self.num_sessions
+            stage2_levels = (device.cpu_level.copy(), device.gpu_level.copy())
+            stage2_throttled = np.zeros(n, dtype=bool)
+            if self.detector.is_two_stage:
+                (
+                    latency, cpu_utilisation, gpu_utilisation, stage2_throttled,
+                ) = self._run_stage(second=True)
+                self._stage2_latency[:] = latency
+                state.cpu_utilisation[:] = cpu_utilisation
+                state.gpu_utilisation[:] = gpu_utilisation
+            else:
+                self._stage2_latency.fill(0.0)
+            if self.idle_between_frames_ms > 0:
+                idle_telemetry = device.idle(np.full(n, self.idle_between_frames_ms))
+                state.frame_energy_j += idle_telemetry.energy_j
+            total = state.stage1_latency_ms + self._stage2_latency
+            throttled = self._stage1_throttled | stage2_throttled
+            floats, ints, flags = self._result_blocks
+            floats[:] = (
+                state.stage1_latency_ms, self._stage2_latency, total, state.constraint_ms,
+                device.cpu_temperature_c, device.gpu_temperature_c,
+                device.ambient_temperature_c, state.frame_energy_j,
+            )
+            ints[:] = (state.num_proposals, *self._stage1_levels, *stage2_levels)
+            flags[:] = (
+                total <= state.constraint_ms, throttled | device.cpu_throttled,
+                throttled | device.gpu_throttled,
+            )
+            self._previous_latency[:] = total
+        elif not kernel.fleet_second_stage((self._fused or self._fused_frame(kernel)).table):
+            raise DetectorError("frequencies must be positive")
+        floats, ints, flags = self._snapshot(self._result_blocks, read_only=True)
+        result = _frozen(
+            FleetFrameResult,
             index=self._frame_index,
             datasets=state.datasets,
-            num_proposals=state.num_proposals,
-            stage1_latency_ms=state.stage1_latency_ms,
-            stage2_latency_ms=stage2_latency,
-            total_latency_ms=total_latency,
-            latency_constraint_ms=state.constraint_ms,
-            met_constraint=total_latency <= state.constraint_ms,
-            cpu_temperature_c=device.cpu_temperature_c.copy(),
-            gpu_temperature_c=device.gpu_temperature_c.copy(),
-            cpu_level_stage1=self._stage1_levels[0],
-            gpu_level_stage1=self._stage1_levels[1],
-            cpu_level_stage2=stage2_levels[0],
-            gpu_level_stage2=stage2_levels[1],
-            cpu_throttled=self._stage1_throttled
-            | stage2_throttled
-            | device.cpu_throttled,
-            gpu_throttled=self._stage1_throttled
-            | stage2_throttled
-            | device.gpu_throttled,
-            ambient_temperature_c=device.ambient_temperature_c.copy(),
-            energy_j=state.frame_energy_j.copy(),
+            num_proposals=ints[0],
+            stage1_latency_ms=floats[0],
+            stage2_latency_ms=floats[1],
+            total_latency_ms=floats[2],
+            latency_constraint_ms=floats[3],
+            met_constraint=flags[0],
+            cpu_temperature_c=floats[4],
+            gpu_temperature_c=floats[5],
+            cpu_level_stage1=ints[1],
+            gpu_level_stage1=ints[2],
+            cpu_level_stage2=ints[3],
+            gpu_level_stage2=ints[4],
+            cpu_throttled=flags[1],
+            gpu_throttled=flags[2],
+            ambient_temperature_c=floats[6],
+            energy_j=floats[7],
         )
-        state.previous_latency_ms = total_latency
+        state.previous_latency_ms = self._previous_latency
         self._frame_index += 1
         self._phase = _Phase.IDLE
         return result
+
+
+def _frozen(cls, **fields):
+    """``cls(**fields)`` for the frozen observation and result dataclasses
+    (every field given; none has a ``__post_init__``), with the instance
+    dict set at once: their ``__init__`` sets each field through
+    ``object.__setattr__``, several microseconds per snapshot, three
+    snapshots per frame."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
+def _blocks(floats: tuple, ints: tuple, flags: tuple, n: int) -> tuple:
+    """One phase's staging blocks: a row per field, per dtype."""
+    return (
+        np.zeros((len(floats), n)),
+        np.zeros((len(ints), n), dtype=np.int64),
+        np.zeros((len(flags), n), dtype=bool),
+    )
+
+
+class _FusedFrame:
+    """One environment's fused frame: the three phase kernels' table.
+
+    Bound on the environment's first fused frame to its own, its fleet's
+    and its stream's arrays (all written only in place), through the
+    sub-tables the phases run, which it keeps alive.  It also holds the
+    frame's draw (:meth:`~repro.kernels.SessionGenerators.bind_normal`:
+    the stream's generators, then, for a detector with proposal noise, the
+    environment's, into the environment's draw buffer) and the distinct
+    ambient values ``begin_frame`` fills before the kernel.  The
+    environment drops it when pickled or copied, so everything a frame
+    carries from one phase to the next lives in the environment's arrays.
+    """
+
+    def __init__(self, env: "BatchedInferenceEnvironment", kernel):
+        state, n, detector = env.state, env.num_sessions, env.detector
+        stream = env._stream.kernel_arguments()
+        device = state.device.argument_table(kernel)
+        model = detector.proposal_model
+        noisy = detector.is_two_stage and model.noise_std > 0
+        scales, generators = stream["innovation_std"], stream["rngs"]
+        if noisy:
+            scales = np.concatenate([scales, check_scales(np.full(n, model.noise_std))])
+            generators = SessionGenerators([*generators, *state.rngs])
+        draws = env._draws[: scales.size]
+        self.draw = generators.bind_normal(scales, draws)
+        self.noise = draws[n:] if noisy else None
+        self.ambient_values = np.zeros(env.ambient.num_distinct)
+        self.datasets = stream["names"]
+        ar1 = kernel.ar1_table(
+            stream["current"], stream["mean"], stream["correlation"], draws[:n],
+            stream["minimum"], stream["maximum"],
+        )
+        shared = {
+            "device": device.values,
+            "device_constants": device.constants,
+            "image_scale": state.image_scale,
+            "proposals": state.num_proposals,
+            "cpu_utilisation": state.cpu_utilisation,
+            "gpu_utilisation": state.gpu_utilisation,
+            "frame_energy": state.frame_energy_j,
+        }
+        stages = [
+            kernel.stage_table(
+                {**shared, "latency": latency, **stage_cost_tables(detector, second)}
+            )
+            for second, latency in (
+                (False, state.stage1_latency_ms), (True, env._stage2_latency),
+            )
+        ]
+        tail = None
+        if detector.is_two_stage:
+            tail = proposal_tail_table(
+                kernel, detector, state.scene_candidates, self.noise, state.num_proposals
+            )
+        blocks = {
+            f"{phase}_{kind}": block
+            for phase, phase_blocks in (
+                ("start", env._start_blocks), ("mid", env._mid_blocks),
+                ("result", env._result_blocks),
+            )
+            for kind, block in zip(("floats", "ints", "flags"), phase_blocks)
+        }
+        self._tables = (stages, ar1, tail)
+        self.table = kernel.frame_table({
+            "device": device.values,
+            "device_constants": device.constants,
+            "stage1": stages[0].values,
+            "stage2": stages[1].values,
+            "ar1": ar1.values,
+            "proposal": 0 if tail is None else tail.values,
+            "proposal_constants": 0 if tail is None else tail.constants,
+            "two_stage": detector.is_two_stage,
+            "idle": env.idle_between_frames_ms > 0,
+            "ambient_values": self.ambient_values,
+            "ambient_slot": env.ambient.slot,
+            "stream_image_scale": stream["image_scale"],
+            "stream_constraint": stream["constraint"],
+            "image_scale": state.image_scale,
+            "scene": state.scene_candidates,
+            "constraint": state.constraint_ms,
+            "previous_latency": env._previous_latency,
+            "cpu_utilisation": state.cpu_utilisation,
+            "gpu_utilisation": state.gpu_utilisation,
+            "frame_energy": state.frame_energy_j,
+            "stage1_latency": state.stage1_latency_ms,
+            "stage2_latency": env._stage2_latency,
+            "num_proposals": state.num_proposals,
+            "stage1_cpu_level": env._stage1_levels[0],
+            "stage1_gpu_level": env._stage1_levels[1],
+            "stage1_throttled": env._stage1_throttled,
+            **blocks,
+            **env.execution.kernel_constants(),
+            "idle_ms": env.idle_between_frames_ms,
+            "idle_cpu_utilisation": IDLE_CPU_UTILISATION,
+            "idle_gpu_utilisation": IDLE_GPU_UTILISATION,
+        })
 
 
 # ---------------------------------------------------------------------------

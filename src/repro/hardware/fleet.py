@@ -27,8 +27,8 @@ sub-stepping, throttling, caps and energy in the operand order of
 ``REPRO_FUSED=0`` path.  :meth:`DeviceFleet.request_levels` is one call
 too, ``fleet_request_levels`` (range check, masked write and caps; its
 reference is ``DeviceFleet._request_numpy``), and the fleet environment's
-``fleet_stage`` runs ``fleet_device_execute`` on the fleet's buffers
-inside each detector stage.  The kernels read a per-fleet *argument
+phase kernels run ``fleet_device_execute`` on the fleet's buffers inside
+each detector stage and idle gap.  The kernels read a per-fleet *argument
 table* (:class:`~repro.kernels.ArgumentTable`) holding the addresses of
 the fleet's state arrays, resolved once per fleet and dropped on pickle
 or ``deepcopy``.  That is why the fleet's state is written **in place** on
@@ -62,6 +62,12 @@ from repro.kernels import ArgumentTable, fused_fleet
 from repro.hardware.frequency import FrequencyTable
 from repro.hardware.power import PowerModel
 from repro.hardware.throttle import ThrottleConfig
+
+
+#: The utilisations of an idle gap (:meth:`DeviceFleet.idle`, as
+#: :meth:`EdgeDevice.idle <repro.hardware.device.EdgeDevice.idle>`).
+IDLE_CPU_UTILISATION = 0.02
+IDLE_GPU_UTILISATION = 0.0
 
 
 def _exact_exp(exponents: np.ndarray) -> np.ndarray:
@@ -278,7 +284,7 @@ class DeviceFleet:
 
         Every array here is owned by this fleet and only ever written in
         place (never rebound), so its address stays valid.  The
-        environment's ``fleet_stage`` tables point at this table.
+        environment's frame and stage tables point at this table.
         """
         if self._kernel_table is None:
             arguments = {
@@ -645,4 +651,8 @@ class DeviceFleet:
 
     def idle(self, duration_ms: np.ndarray) -> FleetTelemetry:
         """Let the fleet sit near-idle, mirroring :meth:`EdgeDevice.idle`."""
-        return self.execute(duration_ms, cpu_utilisation=0.02, gpu_utilisation=0.0)
+        return self.execute(
+            duration_ms,
+            cpu_utilisation=IDLE_CPU_UTILISATION,
+            gpu_utilisation=IDLE_GPU_UTILISATION,
+        )

@@ -72,9 +72,9 @@ DOMAIN_CONSTANTS = (
     "capacitance", "idle", "leakage", "leakage_k", "leakage_ref", "trip", "release",
 )
 # One detector stage of a fleet environment: ``device`` and
-# ``device_constants`` are the addresses of the fleet's own two tables, the
-# five per-stage cost tables have ``stages`` entries each, and the segment
-# constants are the device's compute profile.
+# ``device_constants`` are the addresses of the fleet's own two tables and
+# the five per-stage cost tables have ``stages`` entries each.  The segment
+# constants, the device's compute profile, lead the frame's constants.
 STAGE_SLOTS = (
     "device", "device_constants", "stages", "per_proposal", "scales", "fixed_cpu",
     "fixed_gpu", "proposal_cpu", "proposal_gpu", "image_scale", "proposals", "latency",
@@ -83,6 +83,44 @@ STAGE_SLOTS = (
 SEGMENT_CONSTANTS = (
     "cpu_efficiency", "gpu_efficiency", "launch_overhead", "host_activity",
 )
+# One fleet environment's frame, read by its three phase kernels:
+# ``device``/``device_constants``, ``stage1``/``stage2``, ``ar1`` and
+# ``proposal``/``proposal_constants`` are the addresses of the sub-tables
+# the phases run (``proposal`` is 0 for a one-stage detector), then the
+# per-frame inputs, the environment's state arrays, and one staging block
+# per phase and dtype whose rows follow the layouts below.
+FRAME_SLOTS = (
+    "device", "device_constants", "stage1", "stage2", "ar1", "proposal",
+    "proposal_constants", "two_stage", "idle", "ambient_values", "ambient_slot",
+    "stream_image_scale", "stream_constraint", "image_scale", "scene", "constraint",
+    "previous_latency", "cpu_utilisation", "gpu_utilisation", "frame_energy",
+    "stage1_latency", "stage2_latency", "num_proposals", "stage1_cpu_level",
+    "stage1_gpu_level", "stage1_throttled", "start_floats", "start_ints", "start_flags",
+    "mid_floats", "mid_ints", "mid_flags", "result_floats", "result_ints", "result_flags",
+)
+FRAME_CONSTANTS = SEGMENT_CONSTANTS + (
+    "idle_ms", "idle_cpu_utilisation", "idle_gpu_utilisation",
+)
+# The rows of the observation blocks (both observations; ``latency_ms`` is
+# the start observation's previous latency and the mid observation's
+# stage-1 latency, and the start observation leaves ``num_proposals``
+# unused) and of the frame result's, which hold every trace column.
+OBSERVATION_FLOATS = (
+    "cpu_temperature_c", "gpu_temperature_c", "latency_constraint_ms",
+    "remaining_budget_ms", "latency_ms", "cpu_utilisation", "gpu_utilisation",
+    "ambient_temperature_c",
+)
+OBSERVATION_INTS = ("cpu_level", "gpu_level", "num_proposals")
+OBSERVATION_FLAGS = ("cpu_throttled", "gpu_throttled")
+RESULT_FLOATS = (
+    "stage1_latency_ms", "stage2_latency_ms", "total_latency_ms", "latency_constraint_ms",
+    "cpu_temperature_c", "gpu_temperature_c", "ambient_temperature_c", "energy_j",
+)
+RESULT_INTS = (
+    "num_proposals", "cpu_level_stage1", "gpu_level_stage1", "cpu_level_stage2",
+    "gpu_level_stage2",
+)
+RESULT_FLAGS = ("met_constraint", "cpu_throttled", "gpu_throttled")
 # One batched governor at one fleet size: ``step`` is schedutil's
 # ``max_step_down`` or simple_ondemand's ``up_step``.
 GOVERNOR_KINDS = ("schedutil", "ondemand", "simple_ondemand")
@@ -141,7 +179,10 @@ def c_prelude() -> str:
     enums = (
         ("FD", DEVICE_SLOTS), ("D", DOMAIN_SLOTS), ("FC", DEVICE_CONSTANTS),
         ("DC", DOMAIN_CONSTANTS), ("ST", STAGE_SLOTS),
-        ("SC", SEGMENT_CONSTANTS), ("GK", GOVERNOR_KINDS), ("GV", GOVERNOR_SLOTS),
+        ("SC", SEGMENT_CONSTANTS), ("FR", FRAME_SLOTS), ("FRC", FRAME_CONSTANTS),
+        ("OF", OBSERVATION_FLOATS), ("OI", OBSERVATION_INTS), ("OB", OBSERVATION_FLAGS),
+        ("RF", RESULT_FLOATS), ("RI", RESULT_INTS), ("RB", RESULT_FLAGS),
+        ("GK", GOVERNOR_KINDS), ("GV", GOVERNOR_SLOTS),
         ("GC", GOVERNOR_CONSTANTS), ("AR", AR1_SLOTS), ("PT", PROPOSAL_SLOTS),
         ("PC", PROPOSAL_CONSTANTS), ("NR", NORMAL_SLOTS), ("Q", DQN_SLOTS),
         ("QL", DQN_LAYER_SLOTS), ("QC", DQN_CONSTANTS), ("G", GREEDY_SLOTS), ("GL", GREEDY_LAYER_SLOTS),

@@ -1,8 +1,8 @@
-/* The fleet family: one executed segment of DeviceFleet.execute, one
-   detector stage of BatchedInferenceEnvironment (stage costs, segment model,
-   device segment and frame energy), DeviceFleet.request_levels, the batched
-   governors' select_levels, and the AR(1) and proposal-count tails of the
-   batched workload and detector. */
+/* The fleet family: one executed segment of DeviceFleet.execute,
+   DeviceFleet.request_levels, the batched governors' select_levels, the
+   AR(1) and proposal-count tails of the batched workload and detector, and
+   one call per frame phase of BatchedInferenceEnvironment (begin_frame,
+   run_first_stage, run_second_stage), built from the others. */
 #include "kernels.h"
 
 /* RC thermal sub-stepping over a (nodes x n) fleet temperature matrix,
@@ -16,8 +16,12 @@
 
    Couplings are visited in list order per row (first as node_a, then as
    node_b), accumulating `coupled = coupled + c * (T_row - T_other)` in the
-   same addition order as the NumPy loop.  Sessions that finish early take
-   zero-length sub-steps until the longest-running session completes. */
+   same addition order as the NumPy loop: each row's couplings accumulate
+   in its deltas row, one pass per coupling over the sessions (the
+   per-session operations and their order are those of the NumPy loop, so
+   the passes vectorize without changing a bit).  Sessions that finish
+   early take zero-length sub-steps until the longest-running session
+   completes. */
 static void thermal_advance(long nodes, long n, double *temps,
                             const double *power, const double *ambient,
                             const double *resistance,
@@ -43,17 +47,17 @@ static void thermal_advance(long nodes, long n, double *temps,
             double *dr = deltas + r * n;
             double res = resistance[r];
             double hc = heat_capacity[r];
+            for (long j = 0; j < n; j++) dr[j] = 0.0;
+            for (long k = 0; k < ncoup; k++) {
+                long other = ca[k] == r ? cb[k] : cb[k] == r ? ca[k] : -1;
+                if (other < 0) continue;
+                const double *to = temps + other * n;
+                double c = cc[k];
+                for (long j = 0; j < n; j++) dr[j] = dr[j] + c * (tr[j] - to[j]);
+            }
             for (long j = 0; j < n; j++) {
                 double to_ambient = (tr[j] - ambient[j]) / res;
-                double coupled = 0.0;
-                for (long k = 0; k < ncoup; k++) {
-                    if (ca[k] == r) {
-                        coupled = coupled + cc[k] * (tr[j] - temps[cb[k] * n + j]);
-                    } else if (cb[k] == r) {
-                        coupled = coupled + cc[k] * (tr[j] - temps[ca[k] * n + j]);
-                    }
-                }
-                double net_flow = (pr[j] - to_ambient) - coupled;
+                double net_flow = (pr[j] - to_ambient) - dr[j];
                 dr[j] = (net_flow / hc) * dt[j];
             }
         }
@@ -240,9 +244,25 @@ static void segment_model(double cpu_kc, double gpu_kc, double cpu_f, double gpu
     }
 }
 
-/* One detector stage of BatchedInferenceEnvironment.run_first_stage or
-   run_second_stage over the ST_* slots of `t` and the SC_* constants of
-   `c`, per session:
+/* Whether a session's current CPU or GPU level runs at a frequency <= 0,
+   which the segment model refuses: checked before a phase writes anything. */
+static int frequency_refused(const long long *device) {
+    const long long *cpu = device + FD_SLOTS;
+    const long long *gpu = device + FD_SLOTS + D_SLOTS;
+    const double *cpu_frequency = SLOT(const double, cpu, D_FREQUENCY);
+    const double *gpu_frequency = SLOT(const double, gpu, D_FREQUENCY);
+    const long long *cpu_level = SLOT(const long long, cpu, D_LEVEL);
+    const long long *gpu_level = SLOT(const long long, gpu, D_LEVEL);
+    for (long j = 0; j < device[FD_SESSIONS]; j++) {
+        if (cpu_frequency[cpu_level[j]] <= 0.0 || gpu_frequency[gpu_level[j]] <= 0.0) {
+            return 1;
+        }
+    }
+    return 0;
+}
+
+/* One detector stage of BatchedInferenceEnvironment._run_stage over the
+   ST_* slots of `t` and the SC_* constants of `c`, per session:
      costs   -- stage1_cost_arrays / stage2_cost_arrays: sums run over the
                 stages left to right from +0.0, a stage's fixed cost times
                 the image scale where it scales with the image, and (stage
@@ -250,9 +270,9 @@ static void segment_model(double cpu_kc, double gpu_kc, double cpu_f, double gpu
      segment -- segment_model at the frequencies of the current levels;
    then the segment's latency and utilisations go to the fleet's duration
    and utilisation buffers, fleet_device_execute runs the fleet's own
-   tables, and the segment energy is added to the frame energy.  Returns 1,
-   before writing anything, when a frequency is <= 0. */
-long fleet_stage(const long long *t, const double *c) {
+   tables, and the segment energy is added to the frame energy.  The
+   caller has checked the frequencies (frequency_refused). */
+static void stage(const long long *t, const double *c) {
     const long long *device = SLOT(const long long, t, ST_DEVICE);
     const long long *cpu = device + FD_SLOTS;
     const long long *gpu = device + FD_SLOTS + D_SLOTS;
@@ -261,11 +281,6 @@ long fleet_stage(const long long *t, const double *c) {
     const double *gpu_frequency = SLOT(const double, gpu, D_FREQUENCY);
     const long long *cpu_level = SLOT(const long long, cpu, D_LEVEL);
     const long long *gpu_level = SLOT(const long long, gpu, D_LEVEL);
-    for (long j = 0; j < n; j++) {
-        if (cpu_frequency[cpu_level[j]] <= 0.0 || gpu_frequency[gpu_level[j]] <= 0.0) {
-            return 1;
-        }
-    }
     long stages = t[ST_STAGES];
     long per_proposal = t[ST_PER_PROPOSAL];
     const long long *scales = SLOT(const long long, t, ST_SCALES);
@@ -309,7 +324,6 @@ long fleet_stage(const long long *t, const double *c) {
     for (long j = 0; j < n; j++) {
         frame_energy[j] = frame_energy[j] + energy[j];
     }
-    return 0;
 }
 
 /* Whether a domain's D_REQUEST levels all lie in [0, num_levels) where the
@@ -413,6 +427,216 @@ long fleet_select_levels(const long long *t, const double *c, long num_levels) {
         }
         target = target > 0 ? target : 0;
         out[j] = target < top ? target : top;
+    }
+    return 0;
+}
+
+/* ---- one call per frame phase ------------------------------------------ */
+
+/* The fields both observations share, as of now, into their blocks
+   (`floats`, `ints`, `flags`, in the OF_*, OI_* and OB_* row order): the
+   temperatures, the constraint, the utilisations, the ambient, the
+   levels and the throttle flags.  Rows OF_REMAINING_BUDGET_MS and
+   OF_LATENCY_MS, and OI_NUM_PROPOSALS, are the phase's own. */
+static void observe(const long long *t, long n, double *floats, long long *ints,
+                    unsigned char *flags) {
+    const long long *device = SLOT(const long long, t, FR_DEVICE);
+    const long long *domains[2] = {device + FD_SLOTS, device + FD_SLOTS + D_SLOTS};
+    const double *temps = SLOT(const double, device, FD_TEMPERATURES);
+    const double *sources[] = {
+        temps + domains[0][D_NODE] * n, temps + domains[1][D_NODE] * n,
+        SLOT(const double, t, FR_CONSTRAINT), SLOT(const double, t, FR_CPU_UTILISATION),
+        SLOT(const double, t, FR_GPU_UTILISATION), SLOT(const double, device, FD_AMBIENT),
+    };
+    const long rows[] = {
+        OF_CPU_TEMPERATURE_C, OF_GPU_TEMPERATURE_C, OF_LATENCY_CONSTRAINT_MS,
+        OF_CPU_UTILISATION, OF_GPU_UTILISATION, OF_AMBIENT_TEMPERATURE_C,
+    };
+    for (int k = 0; k < 6; k++) {
+        memcpy(floats + rows[k] * n, sources[k], n * sizeof(double));
+    }
+    for (int k = 0; k < 2; k++) {
+        memcpy(ints + (OI_CPU_LEVEL + k) * n, SLOT(const long long, domains[k], D_LEVEL),
+               n * sizeof(long long));
+        memcpy(flags + (OB_CPU_THROTTLED + k) * n,
+               SLOT(const unsigned char, domains[k], D_THROTTLED), n);
+    }
+}
+
+/* BatchedInferenceEnvironment.begin_frame over the FR_* table `t`, once
+   the caller has drawn the frame's stream innovations into the AR(1)
+   table's `innovations` (and the proposal noise factors):
+     ambient     -- each session's value of its distinct profile,
+                    ambient[j] = values[slot[j]] (set_ambient);
+     workload    -- fleet_ar1_advance, then the stream's image scales,
+                    scene values and constraints into the environment's;
+     frame       -- frame energy 0.0;
+   then the start observation's rows into FR_START_*: the shared fields,
+   the constraint as the remaining budget and the previous frame's
+   latency as the latency row. */
+void fleet_begin_frame(const long long *t) {
+    const long long *device = SLOT(const long long, t, FR_DEVICE);
+    const long long *ar1 = SLOT(const long long, t, FR_AR1);
+    long n = device[FD_SESSIONS];
+    double *ambient = SLOT(double, device, FD_AMBIENT);
+    const double *values = SLOT(const double, t, FR_AMBIENT_VALUES);
+    const long long *slot = SLOT(const long long, t, FR_AMBIENT_SLOT);
+    for (long j = 0; j < n; j++) ambient[j] = values[slot[j]];
+    fleet_ar1_advance(ar1);
+    const double *current = SLOT(const double, ar1, AR_CURRENT);
+    const double *stream_scale = SLOT(const double, t, FR_STREAM_IMAGE_SCALE);
+    const double *stream_constraint = SLOT(const double, t, FR_STREAM_CONSTRAINT);
+    double *image_scale = SLOT(double, t, FR_IMAGE_SCALE);
+    double *scene = SLOT(double, t, FR_SCENE);
+    double *constraint = SLOT(double, t, FR_CONSTRAINT);
+    double *frame_energy = SLOT(double, t, FR_FRAME_ENERGY);
+    for (long j = 0; j < n; j++) {
+        image_scale[j] = stream_scale[j];
+        scene[j] = current[j];
+        constraint[j] = stream_constraint[j];
+        frame_energy[j] = 0.0;
+    }
+    double *floats = SLOT(double, t, FR_START_FLOATS);
+    observe(t, n, floats, SLOT(long long, t, FR_START_INTS),
+            SLOT(unsigned char, t, FR_START_FLAGS));
+    memcpy(floats + OF_REMAINING_BUDGET_MS * n, constraint, n * sizeof(double));
+    memcpy(floats + OF_LATENCY_MS * n, SLOT(const double, t, FR_PREVIOUS_LATENCY),
+           n * sizeof(double));
+}
+
+/* BatchedInferenceEnvironment.run_first_stage over the FR_* table `t` and
+   the FRC_* constants `c` (the SC_* segment constants first): the current
+   levels become the stage-1 levels, stage 1 runs (stage), either
+   throttle flag afterwards becomes the stage-1 throttle flag, and a
+   two-stage detector's proposal counts come from fleet_proposal_tail on
+   the scene values and the noise factors the caller computed (zero for a
+   one-stage detector); then the mid observation's rows into FR_MID_*:
+   the shared fields, constraint - stage-1 latency as the remaining
+   budget, the stage-1 latency as the latency row and the proposal counts.
+   Returns 1, before writing anything, when a frequency is <= 0. */
+long fleet_first_stage(const long long *t, const double *c) {
+    const long long *device = SLOT(const long long, t, FR_DEVICE);
+    const long long *cpu = device + FD_SLOTS;
+    const long long *gpu = device + FD_SLOTS + D_SLOTS;
+    long n = device[FD_SESSIONS];
+    if (frequency_refused(device)) return 1;
+    memcpy(SLOT(long long, t, FR_STAGE1_CPU_LEVEL), SLOT(const long long, cpu, D_LEVEL),
+           n * sizeof(long long));
+    memcpy(SLOT(long long, t, FR_STAGE1_GPU_LEVEL), SLOT(const long long, gpu, D_LEVEL),
+           n * sizeof(long long));
+    stage(SLOT(const long long, t, FR_STAGE1), c);
+    const unsigned char *cpu_throttled = SLOT(const unsigned char, cpu, D_THROTTLED);
+    const unsigned char *gpu_throttled = SLOT(const unsigned char, gpu, D_THROTTLED);
+    unsigned char *throttled = SLOT(unsigned char, t, FR_STAGE1_THROTTLED);
+    for (long j = 0; j < n; j++) throttled[j] = cpu_throttled[j] | gpu_throttled[j];
+    long long *proposals = SLOT(long long, t, FR_NUM_PROPOSALS);
+    if (t[FR_TWO_STAGE]) {
+        fleet_proposal_tail(SLOT(const long long, t, FR_PROPOSAL),
+                            SLOT(const double, t, FR_PROPOSAL_CONSTANTS));
+    } else {
+        memset(proposals, 0, n * sizeof(long long));
+    }
+    double *floats = SLOT(double, t, FR_MID_FLOATS);
+    long long *ints = SLOT(long long, t, FR_MID_INTS);
+    observe(t, n, floats, ints, SLOT(unsigned char, t, FR_MID_FLAGS));
+    const double *constraint = SLOT(const double, t, FR_CONSTRAINT);
+    const double *latency = SLOT(const double, t, FR_STAGE1_LATENCY);
+    double *remaining = floats + OF_REMAINING_BUDGET_MS * n;
+    for (long j = 0; j < n; j++) remaining[j] = constraint[j] - latency[j];
+    memcpy(floats + OF_LATENCY_MS * n, latency, n * sizeof(double));
+    memcpy(ints + OI_NUM_PROPOSALS * n, proposals, n * sizeof(long long));
+    return 0;
+}
+
+/* BatchedInferenceEnvironment.run_second_stage over the FR_* table `t` and
+   the FRC_* constants `c`: the current levels become the stage-2 levels; a
+   two-stage detector runs stage 2 (stage), a one-stage one takes stage-2
+   latency +0.0 and no throttle; with FR_IDLE the fleet idles for
+   FRC_IDLE_MS at the FRC_IDLE_* utilisations (fleet_device_execute) and
+   that energy is added to the frame's; then the frame result's rows into
+   FR_RESULT_* (RF_*, RI_*, RB_* order):
+     total = stage-1 latency + stage-2 latency;  met = total <= constraint
+     throttled = stage-1 flag | stage-2 flag | the domain's flag now
+   and the total becomes the previous frame's latency.  Returns 1, before
+   writing anything, when stage 2 runs and a frequency is <= 0. */
+long fleet_second_stage(const long long *t, const double *c) {
+    const long long *device = SLOT(const long long, t, FR_DEVICE);
+    const long long *domains[2] = {device + FD_SLOTS, device + FD_SLOTS + D_SLOTS};
+    long n = device[FD_SESSIONS];
+    long two_stage = t[FR_TWO_STAGE];
+    if (two_stage && frequency_refused(device)) return 1;
+    double *floats = SLOT(double, t, FR_RESULT_FLOATS);
+    long long *ints = SLOT(long long, t, FR_RESULT_INTS);
+    unsigned char *flags = SLOT(unsigned char, t, FR_RESULT_FLAGS);
+    for (int k = 0; k < 2; k++) {
+        memcpy(ints + (RI_CPU_LEVEL_STAGE2 + k) * n,
+               SLOT(const long long, domains[k], D_LEVEL), n * sizeof(long long));
+    }
+    /* The result's throttle rows hold the stage-1 | stage-2 flag until the
+       idle gap has run. */
+    const unsigned char *stage1_throttled = SLOT(const unsigned char, t, FR_STAGE1_THROTTLED);
+    unsigned char *throttled = flags + RB_CPU_THROTTLED * n;
+    double *stage2_latency = SLOT(double, t, FR_STAGE2_LATENCY);
+    if (two_stage) {
+        stage(SLOT(const long long, t, FR_STAGE2), c);
+        const unsigned char *cpu_throttled = SLOT(const unsigned char, domains[0], D_THROTTLED);
+        const unsigned char *gpu_throttled = SLOT(const unsigned char, domains[1], D_THROTTLED);
+        for (long j = 0; j < n; j++) {
+            throttled[j] = stage1_throttled[j] | cpu_throttled[j] | gpu_throttled[j];
+        }
+    } else {
+        for (long j = 0; j < n; j++) stage2_latency[j] = 0.0;
+        memcpy(throttled, stage1_throttled, n);
+    }
+    double *frame_energy = SLOT(double, t, FR_FRAME_ENERGY);
+    if (t[FR_IDLE]) {
+        double *duration = SLOT(double, device, FD_DURATION);
+        double *cpu_in = SLOT(double, domains[0], D_UTILISATION);
+        double *gpu_in = SLOT(double, domains[1], D_UTILISATION);
+        for (long j = 0; j < n; j++) {
+            duration[j] = c[FRC_IDLE_MS];
+            cpu_in[j] = c[FRC_IDLE_CPU_UTILISATION];
+            gpu_in[j] = c[FRC_IDLE_GPU_UTILISATION];
+        }
+        fleet_device_execute(device, SLOT(const double, t, FR_DEVICE_CONSTANTS));
+        const double *energy = SLOT(const double, device, FD_ENERGY);
+        for (long j = 0; j < n; j++) frame_energy[j] = frame_energy[j] + energy[j];
+    }
+    const double *stage1_latency = SLOT(const double, t, FR_STAGE1_LATENCY);
+    const double *constraint = SLOT(const double, t, FR_CONSTRAINT);
+    double *previous = SLOT(double, t, FR_PREVIOUS_LATENCY);
+    double *total = floats + RF_TOTAL_LATENCY_MS * n;
+    unsigned char *met = flags + RB_MET_CONSTRAINT * n;
+    for (long j = 0; j < n; j++) {
+        total[j] = stage1_latency[j] + stage2_latency[j];
+        met[j] = total[j] <= constraint[j];
+        previous[j] = total[j];
+    }
+    const double *temps = SLOT(const double, device, FD_TEMPERATURES);
+    const double *float_sources[] = {
+        stage1_latency, stage2_latency, constraint, temps + domains[0][D_NODE] * n,
+        temps + domains[1][D_NODE] * n, SLOT(const double, device, FD_AMBIENT), frame_energy,
+    };
+    const long float_rows[] = {
+        RF_STAGE1_LATENCY_MS, RF_STAGE2_LATENCY_MS, RF_LATENCY_CONSTRAINT_MS,
+        RF_CPU_TEMPERATURE_C, RF_GPU_TEMPERATURE_C, RF_AMBIENT_TEMPERATURE_C, RF_ENERGY_J,
+    };
+    for (int k = 0; k < 7; k++) {
+        memcpy(floats + float_rows[k] * n, float_sources[k], n * sizeof(double));
+    }
+    memcpy(ints + RI_NUM_PROPOSALS * n, SLOT(const long long, t, FR_NUM_PROPOSALS),
+           n * sizeof(long long));
+    memcpy(ints + RI_CPU_LEVEL_STAGE1 * n, SLOT(const long long, t, FR_STAGE1_CPU_LEVEL),
+           n * sizeof(long long));
+    memcpy(ints + RI_GPU_LEVEL_STAGE1 * n, SLOT(const long long, t, FR_STAGE1_GPU_LEVEL),
+           n * sizeof(long long));
+    const unsigned char *cpu_now = SLOT(const unsigned char, domains[0], D_THROTTLED);
+    const unsigned char *gpu_now = SLOT(const unsigned char, domains[1], D_THROTTLED);
+    unsigned char *gpu_row = flags + RB_GPU_THROTTLED * n;
+    for (long j = 0; j < n; j++) {
+        unsigned char stages = throttled[j];
+        gpu_row[j] = stages | gpu_now[j];
+        throttled[j] = stages | cpu_now[j];
     }
     return 0;
 }

@@ -2,14 +2,18 @@
 
 Each kernel's reference is its owner's ``REPRO_FUSED=0`` NumPy code:
 
+* ``fleet_begin_frame``, ``fleet_first_stage`` and ``fleet_second_stage``
+  (one call per frame phase of a fleet environment):
+  ``BatchedInferenceEnvironment._begin_frame``, ``_first_stage`` and
+  ``_second_stage`` without kernels;
 * ``fleet_device_execute``: ``DeviceFleet._execute_numpy``;
-* ``fleet_stage`` (one detector stage: costs, segment model, device
-  segment, frame energy): ``BatchedInferenceEnvironment._run_stage``
-  without kernels;
 * ``fleet_request_levels``: ``DeviceFleet._request_numpy``;
 * ``fleet_select_levels``: each batched governor's ``_select_numpy``;
 * ``fleet_ar1_advance``: :func:`repro.workload.fleet.ar1_advance`;
 * ``fleet_proposal_tail``: :func:`repro.detection.fleet.proposal_tail`.
+
+The phase kernels run the last two, and a detector stage's costs, segment
+model and ``fleet_device_execute``, inside them.
 """
 
 from __future__ import annotations
@@ -23,12 +27,13 @@ from repro.kernels.build import (
     AR1_SLOTS,
     DEVICE_CONSTANT_LAYOUT,
     DEVICE_LAYOUT,
+    FRAME_CONSTANTS,
+    FRAME_SLOTS,
     GOVERNOR_CONSTANTS,
     GOVERNOR_KINDS,
     GOVERNOR_SLOTS,
     PROPOSAL_CONSTANTS,
     PROPOSAL_SLOTS,
-    SEGMENT_CONSTANTS,
     STAGE_SLOTS,
     ArgumentTable,
     function,
@@ -43,7 +48,9 @@ class FleetKernels:
     def __init__(self, lib: ctypes.CDLL):
         long, double, pointer = ctypes.c_long, ctypes.c_double, ctypes.c_void_p
         self._device_execute = function(lib, "fleet_device_execute", None, pointer, pointer)
-        self._stage = function(lib, "fleet_stage", long, pointer, pointer)
+        self._begin_frame = function(lib, "fleet_begin_frame", None, pointer)
+        self._first_stage = function(lib, "fleet_first_stage", long, pointer, pointer)
+        self._second_stage = function(lib, "fleet_second_stage", long, pointer, pointer)
         self._request_levels = function(lib, "fleet_request_levels", long, pointer, long)
         self._select_levels = function(
             lib, "fleet_select_levels", long, pointer, pointer, long
@@ -70,15 +77,31 @@ class FleetKernels:
         return self._request_levels(table.values_address, masked)
 
     def stage_table(self, arguments: dict) -> ArgumentTable:
-        """The table of :meth:`fleet_stage` for one detector stage of one
-        environment: every ``STAGE_SLOTS`` and ``SEGMENT_CONSTANTS`` name."""
-        return ArgumentTable(STAGE_SLOTS, SEGMENT_CONSTANTS, arguments)
+        """The table of one detector stage of one environment, which its
+        frame phases run: every ``STAGE_SLOTS`` name."""
+        return ArgumentTable(STAGE_SLOTS, (), arguments)
 
-    def fleet_stage(self, table: ArgumentTable) -> bool:
-        """Costs, segment model, device segment and frame energy of one
-        stage; ``False``, with nothing written, if a frequency is <= 0."""
-        _obs.kernel_call("fleet_stage")
-        return self._stage(table.values_address, table.constants_address) == 0
+    def frame_table(self, arguments: dict) -> ArgumentTable:
+        """The table of one environment's three frame phases: every
+        ``FRAME_SLOTS`` and ``FRAME_CONSTANTS`` name."""
+        return ArgumentTable(FRAME_SLOTS, FRAME_CONSTANTS, arguments)
+
+    def fleet_begin_frame(self, table: ArgumentTable) -> None:
+        """Ambient, workload step and start observation of one frame."""
+        _obs.kernel_call("fleet_begin_frame")
+        self._begin_frame(table.values_address)
+
+    def fleet_first_stage(self, table: ArgumentTable) -> bool:
+        """Stage 1, proposal counts and mid observation of one frame;
+        ``False``, with nothing written, if a frequency is <= 0."""
+        _obs.kernel_call("fleet_first_stage")
+        return self._first_stage(table.values_address, table.constants_address) == 0
+
+    def fleet_second_stage(self, table: ArgumentTable) -> bool:
+        """Stage 2, idle gap and frame result of one frame; ``False``, with
+        nothing written, if stage 2 runs and a frequency is <= 0."""
+        _obs.kernel_call("fleet_second_stage")
+        return self._second_stage(table.values_address, table.constants_address) == 0
 
     def governor_table(self, kind: str, num_sessions: int, parameters: dict) -> ArgumentTable:
         """The table of :meth:`fleet_select_levels` for one governor (``kind``
@@ -190,61 +213,87 @@ def _device_fleet(rng: np.random.Generator):
     return make
 
 
-def _environment(make_fleet, detector: str, launch_overhead_ms: float):
+def _environment(make_fleet, detector: str, launch_overhead_ms: float, idle_ms: float):
     """A factory of one environment on a copy of the fleet ``make_fleet``
-    builds, its frame's inputs set by hand (no draws): a third of the
-    sessions with zero work (image scale 0.0, no proposals), one at a NaN
-    scale."""
+    builds, with its own stream and proposal generators, constraints from
+    50 to 400 ms, and sessions alternating between a constant ambient and
+    one that ramps every frame."""
     from repro.detection.fleet import BatchedExecutionModel
     from repro.detection.registry import build_detector
+    from repro.env.ambient import ConstantAmbient, LinearRampAmbient
     from repro.env.fleet import BatchedInferenceEnvironment
     from repro.workload.dataset import build_dataset
     from repro.workload.fleet import FleetFrameStream
 
-    # Nothing draws from the generators here, so every session of every
-    # environment shares one.
     fleet = make_fleet()
-    rngs = [np.random.default_rng(0)] * fleet.num_sessions
+    n = fleet.num_sessions
+    # Throttled CPUs (row 0) cooling through their release point, one
+    # after another, in every stage of the three frames.
+    state = fleet.state_dict()
+    throttle = fleet.cpu_throttle
+    release = throttle.trip_temperature_c - throttle.hysteresis_c
+    state["temperatures"][0, 8:] = release + np.linspace(0.05, 2.5, n - 8)
+    state["cpu_throttled"][8:] = True
+    ambient = [ConstantAmbient(30.0), LinearRampAmbient(20.0, 60.0, ramp_frames=4)]
+    # Generators are slow to seed: every environment restores these.
+    rngs = [np.random.default_rng(i) for i in range(2 * n)]
+    seeded = [rng.bit_generator.state for rng in rngs]
 
     def make():
-        n = fleet.num_sessions
+        for rng, seed_state in zip(rngs, seeded):
+            rng.bit_generator.state = seed_state
         env = BatchedInferenceEnvironment(
             fleet.template, build_detector(detector),
-            FleetFrameStream(build_dataset("kitti"), rngs, latency_constraint_ms=[400.0] * n),
-            rngs=rngs,
+            FleetFrameStream(
+                build_dataset("kitti"), rngs[:n],
+                latency_constraint_ms=np.linspace(50.0, 400.0, n),
+            ),
+            ambient=[ambient[i % 2] for i in range(n)],
+            rngs=rngs[n:],
+            idle_between_frames_ms=idle_ms,
         )
         env.execution = BatchedExecutionModel(
             dataclasses.replace(env.execution.profile, launch_overhead_ms=launch_overhead_ms)
         )
-        env.state.device.load_state_dict(fleet.state_dict())
-        state = env.state
-        state.image_scale = np.linspace(0.5, 2.0, n)
-        state.image_scale[::3] = 0.0
-        state.image_scale[1] = np.nan
-        state.num_proposals = np.arange(n, dtype=np.int64) * 20
-        state.num_proposals[::3] = 0
+        env.state.device.load_state_dict(state)
         return env
 
     return make
 
 
-def _staged(kernel):
-    """Stage 1 then stage 2 through ``make()._run_stage`` (with
-    ``zero_frequency``, one CPU at 0 kHz in stage 2): each stage's outputs
-    or refusal, the frame energy and the fleet's state afterwards."""
+def _framed(kernel):
+    """Three frames through ``make()``'s phases on the given kernels, a
+    third of the sessions at zero work (image scale 0.0, no proposals) and
+    one at a NaN scale, and in the second frame a zero CPU frequency that
+    the ``refused`` stage (1 or 2) meets before it is restored: every
+    observation, result and refusal, the device state after the refusal
+    and the environment's snapshot at the end."""
     from repro.errors import DetectorError
 
-    def run(make, zero_frequency):
+    def run(make, refused):
         env = make()
-        device = env.state.device
-        outcomes = [env._run_stage(kernel, second=False)]
-        if zero_frequency:
-            device.cpu.frequency_khz[device.cpu_level[5]] = 0.0
-        try:
-            outcomes.append(env._run_stage(kernel, second=True))
-        except DetectorError as error:
-            outcomes.append(str(error))
-        return outcomes, env.state.frame_energy_j, device.state_dict()
+        state = env.state
+        device = state.device
+        outcomes = []
+        for frame in range(3):
+            outcomes.append(vars(env._begin_frame(kernel)))
+            state.image_scale[::3] = 0.0
+            state.image_scale[1] = np.nan
+            for stage, phase in ((1, env._first_stage), (2, env._second_stage)):
+                if frame == 1 and stage == refused:
+                    level = device.cpu_level[5]
+                    frequency = device.cpu.frequency_khz[level]
+                    device.cpu.frequency_khz[level] = 0.0
+                    try:
+                        phase(kernel)
+                    except DetectorError as error:
+                        outcomes.append(str(error))
+                    outcomes.append((device.state_dict(), state.frame_energy_j.copy()))
+                    device.cpu.frequency_khz[level] = frequency
+                outcomes.append(vars(phase(kernel)))
+                state.num_proposals[::3] = 0
+        outcomes.append(env.state_dict())
+        return outcomes
 
     return run
 
@@ -359,15 +408,15 @@ def _cases(kernel: FleetKernels):
         segments.append((duration, *utilisation))
     make_fleet = _device_fleet(rng)
     yield (make_fleet, segments), _executed(kernel), _executed(None)
-    # Both stages on the hot fleet (throttles engage and release): a
+    # Whole frames on the hot fleet (throttles engage and release): a
     # two-stage detector without launch overhead (zero work takes the
-    # segment model's idle branch), then a one-stage detector's stage 1
-    # with overhead and a zero frequency refused in stage 2.
-    for detector, overhead, zero_frequency in (
-        ("faster_rcnn", 0.0, False), ("yolo_v5", 2.0, True),
+    # segment model's idle branch), with an idle gap and stage 2 refused
+    # once; a one-stage detector with overhead and stage 1 refused once.
+    for detector, overhead, idle_ms, refused in (
+        ("faster_rcnn", 0.0, 5.0, 2), ("yolo_v5", 2.0, 0.0, 1),
     ):
-        make = _environment(make_fleet, detector, overhead)
-        yield (make, zero_frequency), _staged(kernel), _staged(None)
+        make = _environment(make_fleet, detector, overhead, idle_ms)
+        yield (make, refused), _framed(kernel), _framed(None)
     yield (make_fleet, _requests(rng, make_fleet())), _requested(kernel), _requested(None)
     # Governors at each rounding half-way point, the step-down floor (the
     # current levels run up to the top), and non-finite utilisations, which

@@ -8,6 +8,7 @@
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* A buffer address read from an int64 argument table. */
 #define SLOT(type, table, slot) ((type *)(intptr_t)(table)[slot])

@@ -112,12 +112,36 @@ class SessionGenerators(Sequence):
             )
         if self._table is None:
             n = len(self._rngs)
-            addresses = np.array([bitgen_address(rng) for rng in self._rngs], np.int64)
-            self._table = kernel.normal_table(addresses, np.zeros(n), np.zeros(n))
+            self._table = kernel.normal_table(self._addresses(), np.zeros(n), np.zeros(n))
         buffers = self._table.buffers
         buffers["scale"][:] = scale
         kernel.fleet_normal(self._table)
         return buffers["out"].copy()
+
+    def _addresses(self) -> np.ndarray:
+        return np.array([bitgen_address(rng) for rng in self._rngs], np.int64)
+
+    def bind_normal(self, scale: np.ndarray, out: np.ndarray):
+        """A zero-argument draw of :meth:`normal` from ``scale`` into ``out``.
+
+        For an owner that draws every frame with the same per-session
+        scales (built by :func:`check_scales`) into the same ``out``, both
+        read and written in place: one ``fleet_normal`` call per draw when
+        the ``random`` family resolves (it resolves here), one
+        ``Generator.normal`` per generator otherwise, with the same values
+        and generator states.  The draw holds the generators' addresses,
+        so an owner drops it when pickled or copied.
+        """
+        kernel = fused_random()
+        if kernel is None:
+            rngs = self._rngs
+
+            def draw() -> None:
+                out[:] = [rng.normal(0.0, value) for rng, value in zip(rngs, scale.tolist())]
+
+            return draw
+        table = kernel.normal_table(self._addresses(), scale, out)
+        return lambda: kernel.fleet_normal(table)
 
 
 class RandomKernels:

@@ -3,7 +3,8 @@
 Each family resolves on its own, the first time one of its owners asks:
 the library is built (once per process), the family's symbols are bound,
 and its self-test runs every kernel and the owners' ``REPRO_FUSED=0`` code
-on copies of the same generated inputs (:func:`differential`).  Only if
+on copies of the same generated inputs (:func:`differential`), with any
+family not yet resolved on its NumPy path.  Only if
 every result agrees bit for bit does the family run; any failure turns off
 that family alone.  A ``fused.resolved`` obs event reports each outcome
 with the family and, on failure, the reason.
@@ -26,6 +27,10 @@ from repro.obs import bus as _obs
 _kernels: dict = {}
 _status: dict = {}
 _UNRESOLVED = object()
+#: The families whose self-test is running: meanwhile an unresolved family
+#: reads as ``None`` and stays unresolved, so one family's self-test runs
+#: the others' NumPy code and never resolves them.
+_resolving: list = []
 
 
 def _verified(family: str):
@@ -45,10 +50,13 @@ def _resolve(family: str):
     _kernels[family] = None
     kernel, reason, status = None, None, "disabled"
     if build.enabled():
+        _resolving.append(family)
         try:
             kernel, reason = _verified(family)
         except Exception as exc:  # noqa: BLE001 - any failure means NumPy
             reason = type(exc).__name__
+        finally:
+            _resolving.remove(family)
         status = "numpy" if kernel is None else "fused"
     _kernels[family], _status[family] = kernel, status
     fields = {"family": family, "status": status}
@@ -59,7 +67,9 @@ def _resolve(family: str):
 def _accessor(family: str, kernels: str):
     def fused():
         kernel = _kernels.get(family, _UNRESOLVED)
-        return _resolve(family) if kernel is _UNRESOLVED else kernel
+        if kernel is _UNRESOLVED:
+            return None if _resolving else _resolve(family)
+        return kernel
 
     fused.__name__ = fused.__qualname__ = f"fused_{family}"
     fused.__doc__ = f"The verified ``{family}`` kernels ({kernels}), or ``None``."
@@ -68,7 +78,7 @@ def _accessor(family: str, kernels: str):
 
 fused_random = _accessor("random", "``fleet_normal``")
 fused_fleet = _accessor(
-    "fleet", "device segment, stage, level request, governor, AR(1), proposal tail"
+    "fleet", "frame phases, device segment, level request, governor, AR(1), proposal tail"
 )
 fused_dqn = _accessor("dqn", "``dqn_train_step``, ``dqn_greedy``")
 

@@ -10,12 +10,15 @@ bit-identical frame sequence of ``FrameStream(dataset, rngs[i])``.
 
 The draws run in one C loop when the ``random`` kernels are available
 (:class:`~repro.kernels.SessionGenerators`: NumPy's own ``random_normal``
-on each generator, bit-identical to ``rng.normal``), and the AR(1) update
-as ``fleet_ar1_advance`` when the ``fleet`` kernels are (its reference is
-:func:`ar1_advance`), through an argument table over the stream's own
-arrays, built on the first fused frame and dropped by pickling and
-copying.  The draw loop does not take ``bit_generator.lock``,
-so a stream, and its generators, must be driven from one thread at a time.
+on each generator, bit-identical to ``rng.normal``).  The draw loop does
+not take ``bit_generator.lock``, so a stream, and its generators, must be
+driven from one thread at a time.  :meth:`FleetFrameStream.next_frames`
+runs the AR(1) update as NumPy array operations (:func:`ar1_advance`);
+with the ``fleet`` kernels, the fleet environment instead advances the
+stream inside its ``fleet_begin_frame`` call (``fleet_ar1_advance``, whose
+reference :func:`ar1_advance` is), on the arrays
+:meth:`FleetFrameStream.kernel_arguments` hands it, and counts the frame
+through :meth:`FleetFrameStream.count_frame`.
 
 The stream may be *heterogeneous*: passing one
 :class:`~repro.workload.dataset.DatasetProfile` per session gives every
@@ -37,7 +40,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.kernels import SessionGenerators, check_scales, fused_fleet
+from repro.kernels import SessionGenerators, check_scales
 from repro.workload.dataset import DatasetProfile
 
 
@@ -134,16 +137,8 @@ class FleetFrameStream:
                 for rng, process in zip(self._rngs, processes)
             ]
         )
-        # Written only in place: the AR(1) kernel's table holds its address.
+        # Written only in place: a fused environment's table holds its address.
         self._current = np.clip(initial, self._minimum, self._maximum)
-        self._ar1_table = None
-
-    def __getstate__(self) -> dict:
-        # The table holds raw addresses of this stream's arrays; a copy
-        # (pickle or deepcopy) builds its own.
-        state = self.__dict__.copy()
-        state["_ar1_table"] = None
-        return state
 
     @property
     def frames_emitted(self) -> int:
@@ -182,20 +177,10 @@ class FleetFrameStream:
     def next_frames(self) -> FleetFrameBatch:
         """Generate the next frame for every session in one array step."""
         innovations = self._rngs.normal(self._innovation_std)
-        kernel = fused_fleet()
-        if kernel is None:
-            ar1_advance(
-                self._current, self._mean, self._correlation,
-                innovations, self._minimum, self._maximum,
-            )
-        else:
-            if self._ar1_table is None:
-                self._ar1_table = kernel.ar1_table(
-                    self._current, self._mean, self._correlation,
-                    np.zeros(self.num_sessions), self._minimum, self._maximum,
-                )
-            self._ar1_table.buffers["innovations"][:] = innovations
-            kernel.fleet_ar1_advance(self._ar1_table)
+        ar1_advance(
+            self._current, self._mean, self._correlation,
+            innovations, self._minimum, self._maximum,
+        )
         batch = FleetFrameBatch(
             index=self._index,
             datasets=self._names,
@@ -205,3 +190,31 @@ class FleetFrameStream:
         )
         self._index += 1
         return batch
+
+    # -- the fused frame ---------------------------------------------------------------
+
+    def kernel_arguments(self) -> dict:
+        """The stream's own arrays, for a kernel that advances it in place.
+
+        ``current`` (the scene values, which :func:`ar1_advance`'s kernel
+        form advances in place), the AR(1) parameters ``mean``,
+        ``correlation``, ``minimum`` and ``maximum``, the draw scales
+        ``innovation_std``, ``image_scale`` and ``constraint``, plus the
+        generators ``rngs`` and the dataset ``names``.  The scene values
+        need no check per frame: every session's clip range was validated
+        as ``0 <= minimum <= maximum`` by its
+        :class:`~repro.workload.scene.SceneComplexityProcess`.  The caller
+        draws each frame's innovations from ``rngs`` with
+        ``innovation_std`` and calls :meth:`count_frame` once per frame.
+        """
+        return {
+            "current": self._current, "mean": self._mean,
+            "correlation": self._correlation, "minimum": self._minimum,
+            "maximum": self._maximum, "innovation_std": self._innovation_std,
+            "image_scale": self._image_scale, "constraint": self._constraint,
+            "rngs": self._rngs, "names": self._names,
+        }
+
+    def count_frame(self) -> None:
+        """Count one frame emitted through :meth:`kernel_arguments`."""
+        self._index += 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from repro.env.fleet import (
     PerSessionPolicies,
     run_fleet_episode,
 )
-from repro.env.trace import FrameRecord
+from repro.env.trace import COLUMN_DTYPES, FrameRecord
 from repro.governors.fleet import (
     BatchedPerformancePolicy,
     BatchedUserspacePolicy,
@@ -25,6 +27,7 @@ from repro.governors.fleet import (
 )
 from repro.hardware.devices.registry import build_device
 from repro.hardware.fleet import DeviceFleet
+from repro.kernels.build import RESULT_FLAGS, RESULT_FLOATS, RESULT_INTS
 from repro.runtime.fleet import (
     make_fleet_environment,
     make_fleet_policy,
@@ -79,6 +82,19 @@ def test_observations_and_results_have_fleet_shapes():
     # Next frame reports the previous latency.
     start2 = env.begin_frame()
     assert (start2.previous_latency_ms == result.total_latency_ms).all()
+
+
+def test_snapshot_layouts_cover_every_field():
+    """The staging rows of the frame result are the trace columns, each in
+    the block of its dtype, and each phase hands out exactly its
+    dataclass's fields."""
+    rows = {np.float64: RESULT_FLOATS, np.int64: RESULT_INTS, np.bool_: RESULT_FLAGS}
+    assert sorted(name for names in rows.values() for name in names) == sorted(COLUMN_DTYPES)
+    for dtype, names in rows.items():
+        assert all(np.dtype(COLUMN_DTYPES[name]) == dtype for name in names)
+    env = _environment(n=3)
+    for handed in (env.begin_frame(), env.run_first_stage(), env.run_second_stage()):
+        assert set(vars(handed)) == {f.name for f in dataclasses.fields(handed)}
 
 
 def test_masked_decision_only_touches_selected_sessions():

@@ -27,7 +27,7 @@ from repro.detection.fleet import (
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
-from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
+from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, run_grouped_fleet_episode
 from repro.env.trace import FrameRecord
 from repro.faults import (
     FaultPlan,
@@ -40,7 +40,10 @@ from repro.governors.fleet import build_batched_default_governor
 from repro.governors.registry import build_default_governor
 from repro.hardware.devices.registry import available_devices, build_device
 from repro.hardware.fleet import DeviceFleet
+from repro.kernels import FAMILIES, resolve
 from repro.runtime.fleet import (
+    _cell_spec,
+    _resolve_scenario,
     _session_groups,
     run_fleet,
     run_fleet_scenario,
@@ -279,6 +282,126 @@ def test_session_metrics_match_pinned_digest(entry, method):
             _session_metrics_digest([result]),
             _scalar_trace_digest(result.trace),
         ) == pinned
+
+
+# ---------------------------------------------------------------------------
+# What policies observe
+# ---------------------------------------------------------------------------
+
+
+def _hash_value(digest, value) -> None:
+    """Feed one observation, result or decision field into ``digest``:
+    arrays as dtype, shape and bits, anything else by ``repr``."""
+    if isinstance(value, np.ndarray):
+        digest.update(f"{value.dtype.str}:{value.shape}".encode())
+        value = np.ascontiguousarray(value)
+        digest.update((value.view(np.int64) if value.dtype.itemsize == 8 else value).tobytes())
+    else:
+        digest.update(repr(value).encode())
+
+
+def _hash_fields(digest, label, value) -> None:
+    digest.update(label.encode())
+    if value is None:
+        digest.update(b"None")
+        return
+    for field in dataclasses.fields(value):
+        digest.update(field.name.encode())
+        _hash_value(digest, getattr(value, field.name))
+
+
+class _ObservationRecorder:
+    """A fleet policy wrapper that hashes, as it receives them, every field
+    of every observation and frame result its group hands the wrapped
+    policy, and every decision the policy returns."""
+
+    def __init__(self, policy, digest):
+        self.policy = policy
+        self.name = policy.name
+        self.digest = digest
+
+    def reset(self):
+        self.policy.reset()
+
+    def begin_frame(self, observation):
+        _hash_fields(self.digest, "start", observation)
+        decision = self.policy.begin_frame(observation)
+        _hash_fields(self.digest, "start-decision", decision)
+        return decision
+
+    def mid_frame(self, observation):
+        _hash_fields(self.digest, "mid", observation)
+        decision = self.policy.mid_frame(observation)
+        _hash_fields(self.digest, "mid-decision", decision)
+        return decision
+
+    def end_frame(self, result):
+        _hash_fields(self.digest, "result", result)
+        self.policy.end_frame(result)
+
+
+def _governed_mixed_edge_fleet() -> FleetScenario:
+    """``mixed-edge-fleet`` without its learning members: one- and
+    two-stage groups on three devices, one of them soaking hot."""
+    base = build_scenario("mixed-edge-fleet")
+    return FleetScenario(
+        name="mixed-edge-fleet-governed",
+        members=tuple(
+            member
+            for member in base.members
+            if member.spec.method in ("default", "performance", "powersave", "fixed")
+        ),
+    )
+
+
+#: SHA-256 of every observation, frame result and decision the policies of
+#: a 20-frame run see (:class:`_ObservationRecorder`, groups in build
+#: order): a two-stage ``default`` cell and a ``lotus-fleet`` cell of 4
+#: sessions at seed 0, and the governor-only members of
+#: ``mixed-edge-fleet`` at 12 sessions (a one-stage group, two-stage groups
+#: and a throttling one).  Unlike the trace pins, these cover the fields
+#: only policies read: ``remaining_budget_ms``, ``previous_latency_ms``,
+#: the utilisations and the throttle flags at each decision point.
+PINNED_OBSERVATION_DIGESTS = {
+    "default": "d34f38d37815e75b514151c495530581d5aa7fc078cc7f8e2b0319ff80a9bbc0",
+    "lotus-fleet": "e5d585b3df1ae259cd1ba99859777fd3cac142ca086241c459920d6a3fa55f21",
+    "mixed-edge-fleet-governed": (
+        "b1860c680d38f2afa6fcb9db40293fb9a6b65e9897a430c1e80a1c8cbde1a203"
+    ),
+}
+
+
+def _observed_run(entry) -> tuple:
+    """``(observation digest, fleet trace)`` of one pinned run."""
+    if entry == "mixed-edge-fleet-governed":
+        scenario, sessions = _governed_mixed_edge_fleet(), 12
+    else:
+        scenario = _cell_spec(ExperimentSetting(num_frames=20, seed=0), entry, 4)
+        sessions = 4
+    scenario = _resolve_scenario(scenario, 20)
+    digest = hashlib.sha256()
+    groups = [
+        dataclasses.replace(group, policy=_ObservationRecorder(group.policy, digest))
+        for group in _session_groups(scenario.session_assignments(sessions), 20)
+    ]
+    return digest, run_grouped_fleet_episode(groups, 20)
+
+
+@pytest.mark.parametrize("kernels", ("fused", "fleet-without-random", "numpy"))
+@pytest.mark.parametrize("entry", sorted(PINNED_OBSERVATION_DIGESTS))
+def test_observations_match_pinned_digest(entry, kernels, monkeypatch):
+    if kernels == "numpy":
+        # Every kernel family off, as REPRO_FUSED=0 runs.
+        monkeypatch.setattr(resolve, "_kernels", dict.fromkeys(FAMILIES))
+    elif kernels == "fleet-without-random":
+        # The fused frame with NumPy's draws, as without libnpyrandom.
+        monkeypatch.setitem(resolve._kernels, "random", None)
+    digest, trace = _observed_run(entry)
+    if entry == "mixed-edge-fleet-governed":
+        assert trace.column_window("cpu_throttled").any() or trace.column_window(
+            "gpu_throttled"
+        ).any(), "the governed run must throttle"
+    assert digest.hexdigest() == PINNED_OBSERVATION_DIGESTS[entry]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Every kernel in :mod:`repro.kernels` that the batched simulator uses (the
 per-segment ``fleet_device_execute`` with its RC sub-stepping and leakage
-``exp``, the per-stage ``fleet_stage``, ``fleet_request_levels``, the
+``exp``, the frame-phase kernels, ``fleet_request_levels``, the
 governors' ``fleet_select_levels``, the clipped AR(1) stream advance, the
 rint/clip proposal tail, the per-session normal draw), and the bias-add +
 ReLU the DQN kernels run for each hidden layer, must produce output
@@ -13,7 +13,7 @@ inline and compare against the C output through int64 bit patterns over
 randomized shapes and fill levels; the device kernel is driven through
 :class:`~repro.hardware.fleet.DeviceFleet` against its NumPy path, and the
 bias + ReLU through a :class:`~repro.rl.dqn.DqnLearner`'s kernels.  The
-stage, request and governor kernels are bound without their family's
+frame-phase, request and governor kernels are bound without their family's
 self-test (``raw``), so a kernel that disagrees with NumPy fails here
 rather than falling back in silence.
 
@@ -37,18 +37,23 @@ import sys
 import numpy as np
 import pytest
 
-import repro.detection.fleet
 import repro.env.fleet
 import repro.governors.fleet
 import repro.hardware.fleet
 import repro.kernels.fleet
 import repro.kernels.random
-import repro.workload.fleet
 from repro.detection.fleet import BatchedExecutionModel, propose_batch
 from repro.detection.latency import compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import LinearRampAmbient
-from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, BatchedInferenceEnvironment
+from repro.analysis.experiments import ExperimentSetting
+from repro.env.fleet import (
+    _FRAME_RESULT_ARRAY_FIELDS,
+    BatchedInferenceEnvironment,
+    FleetDecision,
+    FleetPolicy,
+    run_fleet_episode,
+)
 from repro.errors import DetectorError, DeviceError
 from repro.governors.fleet import (
     BatchedOndemandGovernor,
@@ -67,12 +72,14 @@ from repro.kernels import (
     fused_dqn,
     fused_fleet,
     fused_random,
+    resolve,
 )
 from repro.kernels.random import bitgen_address
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
 from repro.rl.replay import TransitionBatch
 from repro.rl.slimmable import SlimmableMLP
+from repro.runtime.fleet import make_fleet_environment, make_fleet_policy
 from repro.workload.dataset import build_dataset
 from repro.workload.fleet import FleetFrameStream
 
@@ -514,10 +521,7 @@ class TestFleetExp:
 
 def _use_numpy_fallback(monkeypatch):
     """Run the fleet modules' NumPy fallbacks, as ``REPRO_FUSED=0`` does."""
-    for module in (
-        repro.hardware.fleet, repro.workload.fleet, repro.detection.fleet,
-        repro.env.fleet, repro.governors.fleet,
-    ):
+    for module in (repro.hardware.fleet, repro.env.fleet, repro.governors.fleet):
         monkeypatch.setattr(module, "fused_fleet", lambda: None)
     monkeypatch.setattr(repro.kernels.random, "fused_random", lambda: None)
 
@@ -675,8 +679,10 @@ def _assert_same(got, expected, label):
 
 
 class TestFleetStage:
-    """``fleet_stage`` against the environment's NumPy stages, frame by
-    frame: observations, results, frame energy and device state."""
+    """The phase kernels against the environment's NumPy phases, frame by
+    frame: observations, results, frame energy and device state.  Each
+    environment runs every phase on one side, and the injected inputs are
+    written in place, as the environment writes its state arrays."""
 
     @staticmethod
     def pair(n, detector="faster_rcnn", launch_overhead_ms=2.0):
@@ -706,14 +712,16 @@ class TestFleetStage:
             # Varied image scales, so every order of the stage sums shows.
             scale = np.where(rng.random(n) < zero_work, 0.0, rng.uniform(0.2, 3.0, n))
             zero = scale == 0.0
+            got = vars(fused_env._begin_frame(raw))
+            expected = vars(numpy_env._begin_frame(None))
+            _assert_same(got, expected, f"frame {frame} start")
             for env in (fused_env, numpy_env):
-                env.begin_frame()
-                env.state.image_scale = scale
+                env.state.image_scale[:] = scale
             got = vars(fused_env._first_stage(raw))
             expected = vars(numpy_env._first_stage(None))
             _assert_same(got, expected, f"frame {frame} stage 1")
             for env in (fused_env, numpy_env):
-                env.state.num_proposals = np.where(zero, 0, env.state.num_proposals)
+                env.state.num_proposals[zero] = 0
             got = vars(fused_env._second_stage(raw))
             expected = vars(numpy_env._second_stage(None))
             _assert_same(got, expected, f"frame {frame} stage 2")
@@ -909,6 +917,73 @@ def test_returned_arrays_do_not_alias_device_state(fused, monkeypatch):
         _assert_unchanged(value, snapshot, type(value).__name__)
 
 
+class _Scribbler(FleetPolicy):
+    """Decides as ``policy`` does (on copies of its decisions), then writes
+    zeros into every array it was handed: each observation after deciding,
+    each frame result in ``end_frame``.  A read-only array refuses the
+    write; the refusals are counted."""
+
+    def __init__(self, policy):
+        self.policy = policy
+        self.refused = 0
+
+    def _scribble(self, handed):
+        for field in dataclasses.fields(handed):
+            value = getattr(handed, field.name)
+            if isinstance(value, np.ndarray):
+                try:
+                    value[...] = 0
+                except ValueError:
+                    self.refused += 1
+
+    def _decide(self, decide, observation):
+        decision = decide(observation)
+        if decision is not None:
+            decision = FleetDecision(
+                *(None if a is None else np.array(a) for a in dataclasses.astuple(decision))
+            )
+        self._scribble(observation)
+        return decision
+
+    def reset(self):
+        self.policy.reset()
+
+    def begin_frame(self, observation):
+        return self._decide(self.policy.begin_frame, observation)
+
+    def mid_frame(self, observation):
+        return self._decide(self.policy.mid_frame, observation)
+
+    def end_frame(self, result):
+        self.policy.end_frame(result)
+        self._scribble(result)
+
+
+@pytest.mark.parametrize("detector", ("faster_rcnn", "yolo_v5"))
+@pytest.mark.parametrize("fused", (True, False), ids=("fused", "numpy"))
+def test_policies_cannot_write_into_the_simulation(fused, detector, monkeypatch):
+    """Nothing handed to a policy aliases what the environment or the trace
+    reads later: a policy writing into every array it receives leaves the
+    trace bit-identical, or the write raises."""
+    if not fused:
+        monkeypatch.setattr(resolve, "_kernels", dict.fromkeys(build.FAMILIES))
+    setting = ExperimentSetting(detector=detector, num_frames=12, seed=0)
+
+    def trace(wrap):
+        env = make_fleet_environment(setting, 5)
+        policy = wrap(make_fleet_policy("default", env, 12))
+        return run_fleet_episode(env, policy, 12), policy
+
+    clean, _ = trace(lambda policy: policy)
+    scribbled, scribbler = trace(_Scribbler)
+    for name in _FRAME_RESULT_ARRAY_FIELDS:
+        assert_bitwise_equal(
+            scribbled.column_window(name), clean.column_window(name), f"{name} changed"
+        )
+    # The frame results are read-only; the observations are fresh copies.
+    assert scribbler.refused == 12 * len(_FRAME_RESULT_ARRAY_FIELDS)
+
+
 class TestCopies:
     FRAMES, SPLIT = 10, 4
 
@@ -951,6 +1026,23 @@ class TestCopies:
         for frame in range(self.SPLIT, self.FRAMES):
             assert _step(copied) == expected[frame], f"copy diverged at {frame}"
             assert _step(original) == expected[frame], f"original diverged at {frame}"
+
+    @pytest.mark.parametrize(
+        "clone", (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj)))
+    )
+    def test_environment_copied_mid_frame_finishes_the_frame(self, clone):
+        """A fused frame draws its proposal noise in ``begin_frame``: a copy
+        taken before ``run_first_stage`` carries it."""
+        reference = _environment()
+        expected = [_step(reference) for _ in range(self.SPLIT + 1)]
+        original = _environment()
+        for _ in range(self.SPLIT):
+            _step(original)
+        original.begin_frame()
+        copied = clone(original)
+        for label, live in (("copy", copied), ("original", original)):
+            live.run_first_stage()
+            assert _frame_digest(live.run_second_stage()) == expected[-1], label
 
 
 class TestProposeBatchBounds:

@@ -69,8 +69,8 @@ def numpy_digest():
 _FAMILY_KERNELS = {
     "random": ("fleet_normal",),
     "fleet": (
-        "fleet_stage", "fleet_request_levels", "fleet_select_levels",
-        "fleet_device_execute", "fleet_ar1_advance", "fleet_proposal_tail",
+        "fleet_begin_frame", "fleet_first_stage", "fleet_second_stage",
+        "fleet_request_levels", "fleet_select_levels",
     ),
     "dqn": ("dqn_train_step", "dqn_greedy"),
 }

@@ -84,10 +84,12 @@ smoke_fused_kill_switch() {
     # digest covers each trace's column bits and datasets, the cell's
     # session metrics, and every session's loss and reward histories.
     # The fused side must show, through repro.obs, that every kernel family
-    # ran, each of the fleet family's six kernels included (no silent
-    # fallback), and the other side that none did.  The governed run must
-    # throttle at least once (its thermal-soak member does), so the
-    # throttle branch is under the digest comparison.
+    # ran, each of the kernels a fused fleet frame calls included (no
+    # silent fallback), and the other side that none did.  In the governed
+    # run, each frame phase kernel must run once per frame in every group,
+    # one-stage and two-stage ones alike.  That run must throttle at least
+    # once (its thermal-soak member does), so the throttle branch is under
+    # the digest comparison.
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -96,6 +98,7 @@ import dataclasses, hashlib, os, sys
 import numpy as np
 
 from repro import ExperimentSetting, execute_setting, obs, run_fleet
+from repro.detection.registry import build_detector
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.env.trace import COLUMN_DTYPES
 from repro.kernels import FAMILIES, kernel_status
@@ -104,6 +107,15 @@ from repro.scenarios import FleetScenario, build_scenario
 
 fused = os.environ["REPRO_FUSED"] == "1"
 registry = obs.enable()
+PHASES = ("fleet_begin_frame", "fleet_first_stage", "fleet_second_stage")
+
+
+def kernel_calls():
+    return {
+        dict(labels)["kernel"]: count
+        for (name, labels), count in registry.counters.items()
+        if name == "fused.kernel_calls"
+    }
 
 
 def trace_digest(trace):
@@ -139,7 +151,14 @@ governed = FleetScenario(
         if member.spec.method in ("default", "performance", "powersave", "fixed")
     ),
 )
+before = kernel_calls()
 mixed = run_fleet_scenario(governed, num_sessions=12, num_frames=48)
+after = kernel_calls()
+groups = {(a.spec.device, a.spec.detector) for a in mixed.assignments}
+assert {build_detector(d).is_two_stage for _, d in groups} == {False, True}, groups
+for kernel in PHASES:
+    ran = after.get(kernel, 0) - before.get(kernel, 0)
+    assert ran == (48 * len(groups) if fused else 0), (kernel, ran, groups)
 assert any(
     mixed.fleet_trace.column_window(name).any()
     for name in ("cpu_throttled", "gpu_throttled")
@@ -159,24 +178,19 @@ for method in ("lotus", "ztt", "lotus-shared-buffer"):
     scalar_digest.update("\n".join(session.trace.datasets()).encode())
     for history in (session.losses, session.rewards):
         scalar_digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
-kernel_calls = {
-    dict(labels)["kernel"]: count
-    for (name, labels), count in registry.counters.items()
-    if name == "fused.kernel_calls"
-}
+calls = kernel_calls()
 obs.disable()
 families = {
     "random": ("fleet_normal",),
-    "fleet": ("fleet_stage", "fleet_request_levels", "fleet_select_levels",
-              "fleet_device_execute", "fleet_ar1_advance", "fleet_proposal_tail"),
+    "fleet": (*PHASES, "fleet_request_levels", "fleet_select_levels"),
     "dqn": ("dqn_train_step", "dqn_greedy"),
 }
 assert set(families) == set(FAMILIES) == set(kernel_status()), kernel_status()
 for family, kernels in families.items():
-    ran = [kernel for kernel in kernels if kernel_calls.get(kernel, 0) > 0]
-    assert bool(ran) == fused, (family, kernel_calls)
+    ran = [kernel for kernel in kernels if calls.get(kernel, 0) > 0]
+    assert bool(ran) == fused, (family, calls)
 for kernel in families["fleet"]:
-    assert (kernel_calls.get(kernel, 0) > 0) == fused, (kernel, kernel_calls)
+    assert (calls.get(kernel, 0) > 0) == fused, (kernel, calls)
 status = set(kernel_status().values())
 assert status == ({"fused"} if fused else {"disabled"}), kernel_status()
 
