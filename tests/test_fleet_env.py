@@ -95,6 +95,9 @@ def test_snapshot_layouts_cover_every_field():
     env = _environment(n=3)
     for handed in (env.begin_frame(), env.run_first_stage(), env.run_second_stage()):
         assert set(vars(handed)) == {f.name for f in dataclasses.fields(handed)}
+        # The environment builds them without __init__, so none may rely on
+        # a __post_init__.
+        assert not hasattr(type(handed), "__post_init__")
 
 
 def test_masked_decision_only_touches_selected_sessions():
