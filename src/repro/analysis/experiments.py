@@ -220,6 +220,15 @@ def make_environment(
     stream=None,
 ) -> InferenceEnvironment:
     """Build the :class:`InferenceEnvironment` described by ``setting``."""
+    return InferenceEnvironment(**_environment_arguments(setting, ambient, stream))
+
+
+def _environment_arguments(
+    setting: ExperimentSetting, ambient: AmbientProfile | None, stream
+) -> dict:
+    """The constructor arguments of the environment ``setting`` describes,
+    shared with the scalar reference environment
+    (:func:`repro.runtime.fleet.scalar_reference_session`)."""
     device = build_device(setting.device, setting.ambient_temperature_c)
     detector = build_detector(setting.detector)
     rng = np.random.default_rng(setting.seed)
@@ -233,7 +242,7 @@ def make_environment(
     trip = min(
         device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
     )
-    return InferenceEnvironment(
+    return dict(
         device=device,
         detector=detector,
         stream=stream,

@@ -134,9 +134,13 @@ class RewardCalculator:
 
     def time_reward(self, slack_fraction: float) -> float:
         """The ``r_time`` component for a normalised slack ``dL / L``."""
+        return self._time_reward(slack_fraction, self.latency_variation())
+
+    def _time_reward(self, slack_fraction: float, variation: float) -> float:
+        """``r_time`` given the window's :meth:`latency_variation`."""
         config = self.config
         if slack_fraction > 0:
-            variation = config.variation_scale * self.latency_variation()
+            variation = config.variation_scale * variation
             return math.tanh(config.tanh_scale * slack_fraction) + 1.0 / (1.0 + variation)
         return config.penalty * slack_fraction
 
@@ -176,7 +180,10 @@ class RewardCalculator:
         if constraint_ms <= 0:
             raise ConfigurationError("constraint must be positive")
         slack_fraction = (constraint_ms - latency_ms) / constraint_ms
-        time_component = self.time_reward(slack_fraction)
+        # One standard deviation of the window serves both the reward and
+        # the breakdown.
+        variation = self.latency_variation()
+        time_component = self._time_reward(slack_fraction, variation)
         temperature_component = self.temperature_reward(
             cpu_temperature_c, gpu_temperature_c, threshold_c
         )
@@ -185,7 +192,7 @@ class RewardCalculator:
             total=total,
             time_component=time_component,
             temperature_component=temperature_component,
-            latency_std=self.latency_variation(),
+            latency_std=variation,
         )
         self.observe_slack(slack_fraction)
         return breakdown
@@ -210,7 +217,8 @@ class RewardCalculator:
             raise ConfigurationError("constraint must be positive")
         stage1_budget = self.config.stage1_budget_fraction * constraint_ms
         slack_fraction = (stage1_budget - stage1_latency_ms) / stage1_budget
-        time_component = self.time_reward(slack_fraction)
+        variation = self.latency_variation()
+        time_component = self._time_reward(slack_fraction, variation)
         temperature_component = self.temperature_reward(
             cpu_temperature_c, gpu_temperature_c, threshold_c
         )
@@ -219,5 +227,5 @@ class RewardCalculator:
             total=total,
             time_component=time_component,
             temperature_component=temperature_component,
-            latency_std=self.latency_variation(),
+            latency_std=variation,
         )

@@ -18,23 +18,34 @@ A strict phase protocol is enforced so that policies cannot accidentally
 skip a stage or act twice; that protocol is precisely the contract a real
 deployment has (the second decision can only happen once the RPN has
 produced its proposals).
+
+The environment is one session of the fleet engine: it steps a one-session
+:class:`~repro.env.fleet.BatchedInferenceEnvironment` (its ``fleet``), so a
+frame is the fleet's three phase kernels, one ``fleet_normal`` draw and a
+level-request kernel per decision, and each phase reads its observation or
+result from row 0 of the fleet's staging blocks as Python scalars.  The
+scalar stream handed in becomes a one-session
+:class:`~repro.workload.fleet.FleetFrameStream` that continues it, Fig. 7b's
+domain-switch schedule included.  The Python scalar stepping survives only
+as the equivalence oracle, :class:`repro.env.reference.ReferenceInferenceEnvironment`.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError
 from repro.detection.detector import DetectorModel
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.env.ambient import AmbientProfile, ConstantAmbient
 from repro.env.trace import FrameRecord
 from repro.hardware.device import EdgeDevice
-from repro.workload.generator import DomainSwitchStream, Frame, FrameStream
+from repro.kernels import fused_fleet
+from repro.workload.fleet import FleetFrameStream
+from repro.workload.generator import DomainSwitchStream, FrameStream
 
 StreamLike = Union[FrameStream, DomainSwitchStream]
 
@@ -152,21 +163,27 @@ class FrameResult:
         return self.record.num_proposals
 
 
-class _Phase(enum.Enum):
-    """Internal frame-processing phase used to enforce the call protocol."""
-
-    IDLE = "idle"
-    STARTED = "started"
-    AFTER_STAGE1 = "after_stage1"
+def _frozen(cls, **fields):
+    """``cls(**fields)`` for the frozen observation, result and record
+    dataclasses (every field given; none has a ``__post_init__``), with the
+    instance dict set at once: their ``__init__`` sets each field through
+    ``object.__setattr__``, several microseconds per instance, three or
+    four instances per frame."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
 
 
 class InferenceEnvironment:
-    """Detector inference loop on a simulated device.
+    """Detector inference loop on a simulated device: one fleet session.
 
     Args:
-        device: The simulated edge device.
+        device: The simulated edge device (its description: the session's
+            state lives in ``fleet``, and ``device`` is never stepped).
         detector: Detector cost model to run.
-        stream: Frame stream supplying the workload.
+        stream: Frame stream supplying the workload; the environment takes
+            over its generator and state, so it must not be drawn from
+            elsewhere afterwards.
         latency_constraint_ms: Default per-frame latency constraint L
             (frames may override it, e.g. after a domain switch).
         ambient: Ambient temperature profile; defaults to a constant 25 °C.
@@ -175,6 +192,12 @@ class InferenceEnvironment:
             (defaults to the device's hardware trip point).
         idle_between_frames_ms: Idle gap inserted between frames (0 for the
             paper's back-to-back inference setting).
+
+    Attributes:
+        fleet: The one-session
+            :class:`~repro.env.fleet.BatchedInferenceEnvironment` that runs
+            the frames; ``fleet.state.device`` holds the live device state
+            (temperatures, levels, throttling) as length-1 arrays.
     """
 
     def __init__(
@@ -188,197 +211,149 @@ class InferenceEnvironment:
         throttle_threshold_c: float | None = None,
         idle_between_frames_ms: float = 0.0,
     ):
+        # The fleet module builds on this module's observation types.
+        from repro.env.fleet import BatchedInferenceEnvironment
+
         if latency_constraint_ms <= 0:
             raise ConfigurationError("latency_constraint_ms must be positive")
-        if idle_between_frames_ms < 0:
-            raise ConfigurationError("idle_between_frames_ms must be non-negative")
         self.device = device
         self.detector = detector
-        self.stream = stream
         self.default_latency_constraint_ms = latency_constraint_ms
         self.ambient = ambient if ambient is not None else ConstantAmbient()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.throttle_threshold_c = (
-            throttle_threshold_c
-            if throttle_threshold_c is not None
-            else min(
-                device.cpu_throttle.trip_temperature_c,
-                device.gpu_throttle.trip_temperature_c,
+        self.idle_between_frames_ms = idle_between_frames_ms
+        self.fleet = BatchedInferenceEnvironment(
+            device,
+            detector,
+            FleetFrameStream.continuing(stream, latency_constraint_ms),
+            ambient=self.ambient,
+            rngs=[rng if rng is not None else np.random.default_rng(0)],
+            throttle_threshold_c=throttle_threshold_c,
+            idle_between_frames_ms=idle_between_frames_ms,
+        )
+        self.throttle_threshold_c = self.fleet.throttle_threshold_c
+        self.execution = ExecutionModel(compute_profile_for(device.name))
+        # Session 0's column of each phase's staging blocks (float64, int64,
+        # bool), in the OBSERVATION_* and RESULT_* row orders of
+        # repro.kernels.build.
+        self._start_rows, self._mid_rows, self._result_rows = (
+            tuple(block[:, 0] for block in blocks)
+            for blocks in (
+                self.fleet._start_blocks, self.fleet._mid_blocks, self.fleet._result_blocks,
             )
         )
-        self.idle_between_frames_ms = idle_between_frames_ms
-        self.execution = ExecutionModel(compute_profile_for(device.name))
-
-        self._phase = _Phase.IDLE
-        self._frame: Frame | None = None
-        self._frame_index = 0
-        self._previous_latency_ms: float | None = None
-        self._last_cpu_utilisation = 0.0
-        self._last_gpu_utilisation = 0.0
-        self._stage1_latency_ms = 0.0
-        self._stage1_levels = (0, 0)
-        self._stage1_throttled = False
-        self._frame_energy_j = 0.0
-        self._num_proposals = 0
-        self._constraint_ms = latency_constraint_ms
-
-        self.device.reset(self.ambient.initial_temperature())
+        self._frequency_tables = (device.cpu.frequency_table, device.gpu.frequency_table)
 
     # -- lifecycle -----------------------------------------------------------------
 
     def reset(self) -> None:
         """Reset the device (cold start) and the frame counter."""
-        self.device.reset(self.ambient.initial_temperature())
-        self._phase = _Phase.IDLE
-        self._frame = None
-        self._frame_index = 0
-        self._previous_latency_ms = None
-        self._last_cpu_utilisation = 0.0
-        self._last_gpu_utilisation = 0.0
+        self.fleet.reset()
 
     # -- decision application ---------------------------------------------------------
 
     def apply_levels(self, cpu_level: int, gpu_level: int) -> None:
-        """Request CPU/GPU frequency levels on behalf of the controller."""
-        self.device.request_levels(cpu_level, gpu_level)
+        """Request CPU/GPU frequency levels on behalf of the controller.
+
+        Levels are checked as :meth:`EdgeDevice.request_levels
+        <repro.hardware.device.EdgeDevice.request_levels>` checks them
+        (a :class:`~repro.errors.FrequencyError` for a non-integer or an
+        out-of-range level), then requested from the fleet.
+        """
+        cpu_table, gpu_table = self._frequency_tables
+        cpu_table.validate_level(cpu_level)
+        gpu_table.validate_level(gpu_level)
+        self.fleet.state.device.request_levels(cpu_level, gpu_level)
 
     # -- frame protocol ------------------------------------------------------------------
 
     def begin_frame(self) -> FrameStartObservation:
         """Draw the next frame and return the start-of-frame observation."""
-        if self._phase is not _Phase.IDLE:
-            raise ExperimentError(
-                f"begin_frame called while a frame is in phase {self._phase.value!r}"
-            )
-        self.device.set_ambient(self.ambient.temperature_at(self._frame_index))
-        self._frame = self.stream.next_frame()
-        self._constraint_ms = (
-            self._frame.latency_constraint_ms
-            if self._frame.latency_constraint_ms is not None
-            else self.default_latency_constraint_ms
-        )
-        self._frame_energy_j = 0.0
-        self._phase = _Phase.STARTED
-        return FrameStartObservation(
-            frame_index=self._frame_index,
-            dataset=self._frame.dataset,
-            cpu_temperature_c=self.device.cpu_temperature_c,
-            gpu_temperature_c=self.device.gpu_temperature_c,
-            cpu_level=self.device.cpu_level,
-            gpu_level=self.device.gpu_level,
+        fleet = self.fleet
+        fleet._step_begin(fused_fleet())
+        floats, ints, flags = (row.tolist() for row in self._start_rows)
+        return _frozen(
+            FrameStartObservation,
+            frame_index=fleet._frame_index,
+            dataset=fleet.state.datasets[0],
+            cpu_temperature_c=floats[0],
+            gpu_temperature_c=floats[1],
+            cpu_level=ints[0],
+            gpu_level=ints[1],
             cpu_num_levels=self.device.cpu.num_levels,
             gpu_num_levels=self.device.gpu.num_levels,
-            latency_constraint_ms=self._constraint_ms,
-            remaining_budget_ms=self._constraint_ms,
-            previous_latency_ms=self._previous_latency_ms,
-            cpu_utilisation=self._last_cpu_utilisation,
-            gpu_utilisation=self._last_gpu_utilisation,
-            ambient_temperature_c=self.device.ambient_temperature_c,
+            latency_constraint_ms=floats[2],
+            remaining_budget_ms=floats[3],
+            previous_latency_ms=None if fleet.state.previous_latency_ms is None else floats[4],
+            cpu_utilisation=floats[5],
+            gpu_utilisation=floats[6],
+            ambient_temperature_c=floats[7],
             throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=self.device.cpu_throttled,
-            gpu_throttled=self.device.gpu_throttled,
+            cpu_throttled=flags[0],
+            gpu_throttled=flags[1],
         )
 
     def run_first_stage(self) -> MidFrameObservation:
         """Execute stage 1 and return the mid-frame observation."""
-        if self._phase is not _Phase.STARTED:
-            raise ExperimentError("run_first_stage must follow begin_frame")
-        assert self._frame is not None
-        cost = self.detector.stage1_cost(self._frame.image_scale)
-        segment = self.execution.execute(
-            cost, self.device.cpu.frequency_khz, self.device.gpu.frequency_khz
-        )
-        self._stage1_levels = (self.device.cpu_level, self.device.gpu_level)
-        telemetry = self.device.execute(
-            segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
-        )
-        self._stage1_latency_ms = segment.latency_ms
-        self._stage1_throttled = telemetry.any_throttled
-        self._frame_energy_j += telemetry.energy_j
-        self._last_cpu_utilisation = segment.cpu_utilisation
-        self._last_gpu_utilisation = segment.gpu_utilisation
-        self._num_proposals = self.detector.propose(self._frame.scene_candidates, self.rng)
-        self._phase = _Phase.AFTER_STAGE1
-        return MidFrameObservation(
-            frame_index=self._frame_index,
-            dataset=self._frame.dataset,
-            cpu_temperature_c=self.device.cpu_temperature_c,
-            gpu_temperature_c=self.device.gpu_temperature_c,
-            cpu_level=self.device.cpu_level,
-            gpu_level=self.device.gpu_level,
+        fleet = self.fleet
+        fleet._step_first_stage(fused_fleet())
+        floats, ints, flags = (row.tolist() for row in self._mid_rows)
+        return _frozen(
+            MidFrameObservation,
+            frame_index=fleet._frame_index,
+            dataset=fleet.state.datasets[0],
+            cpu_temperature_c=floats[0],
+            gpu_temperature_c=floats[1],
+            cpu_level=ints[0],
+            gpu_level=ints[1],
             cpu_num_levels=self.device.cpu.num_levels,
             gpu_num_levels=self.device.gpu.num_levels,
-            latency_constraint_ms=self._constraint_ms,
-            remaining_budget_ms=self._constraint_ms - self._stage1_latency_ms,
-            stage1_latency_ms=self._stage1_latency_ms,
-            num_proposals=self._num_proposals,
-            cpu_utilisation=segment.cpu_utilisation,
-            gpu_utilisation=segment.gpu_utilisation,
-            ambient_temperature_c=self.device.ambient_temperature_c,
+            latency_constraint_ms=floats[2],
+            remaining_budget_ms=floats[3],
+            stage1_latency_ms=floats[4],
+            num_proposals=ints[2],
+            cpu_utilisation=floats[5],
+            gpu_utilisation=floats[6],
+            ambient_temperature_c=floats[7],
             throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=self.device.cpu_throttled,
-            gpu_throttled=self.device.gpu_throttled,
+            cpu_throttled=flags[0],
+            gpu_throttled=flags[1],
         )
 
     def run_second_stage(self) -> FrameResult:
         """Execute stage 2 (if any), finish the frame and return its result."""
-        if self._phase is not _Phase.AFTER_STAGE1:
-            raise ExperimentError("run_second_stage must follow run_first_stage")
-        assert self._frame is not None
-        stage2_latency_ms = 0.0
-        stage2_levels = (self.device.cpu_level, self.device.gpu_level)
-        stage2_throttled = False
-        if self.detector.is_two_stage:
-            cost = self.detector.stage2_cost(self._num_proposals, self._frame.image_scale)
-            segment = self.execution.execute(
-                cost, self.device.cpu.frequency_khz, self.device.gpu.frequency_khz
-            )
-            stage2_levels = (self.device.cpu_level, self.device.gpu_level)
-            telemetry = self.device.execute(
-                segment.latency_ms, segment.cpu_utilisation, segment.gpu_utilisation
-            )
-            stage2_latency_ms = segment.latency_ms
-            stage2_throttled = telemetry.any_throttled
-            self._frame_energy_j += telemetry.energy_j
-            self._last_cpu_utilisation = segment.cpu_utilisation
-            self._last_gpu_utilisation = segment.gpu_utilisation
-        if self.idle_between_frames_ms > 0:
-            idle_telemetry = self.device.idle(self.idle_between_frames_ms)
-            self._frame_energy_j += idle_telemetry.energy_j
-
-        total_latency_ms = self._stage1_latency_ms + stage2_latency_ms
-        record = FrameRecord(
-            index=self._frame_index,
-            dataset=self._frame.dataset,
-            num_proposals=self._num_proposals,
-            stage1_latency_ms=self._stage1_latency_ms,
-            stage2_latency_ms=stage2_latency_ms,
-            total_latency_ms=total_latency_ms,
-            latency_constraint_ms=self._constraint_ms,
-            met_constraint=total_latency_ms <= self._constraint_ms,
-            cpu_temperature_c=self.device.cpu_temperature_c,
-            gpu_temperature_c=self.device.gpu_temperature_c,
-            cpu_level_stage1=self._stage1_levels[0],
-            gpu_level_stage1=self._stage1_levels[1],
-            cpu_level_stage2=stage2_levels[0],
-            gpu_level_stage2=stage2_levels[1],
-            cpu_throttled=self._stage1_throttled or stage2_throttled or self.device.cpu_throttled,
-            gpu_throttled=self._stage1_throttled or stage2_throttled or self.device.gpu_throttled,
-            ambient_temperature_c=self.device.ambient_temperature_c,
-            energy_j=self._frame_energy_j,
+        fleet = self.fleet
+        index = fleet._frame_index
+        fleet._step_second_stage(fused_fleet())
+        floats, ints, flags = (row.tolist() for row in self._result_rows)
+        record = _frozen(
+            FrameRecord,
+            index=index,
+            dataset=fleet.state.datasets[0],
+            num_proposals=ints[0],
+            stage1_latency_ms=floats[0],
+            stage2_latency_ms=floats[1],
+            total_latency_ms=floats[2],
+            latency_constraint_ms=floats[3],
+            met_constraint=flags[0],
+            cpu_temperature_c=floats[4],
+            gpu_temperature_c=floats[5],
+            cpu_level_stage1=ints[1],
+            gpu_level_stage1=ints[2],
+            cpu_level_stage2=ints[3],
+            gpu_level_stage2=ints[4],
+            cpu_throttled=flags[1],
+            gpu_throttled=flags[2],
+            ambient_temperature_c=floats[6],
+            energy_j=floats[7],
         )
-        self._previous_latency_ms = total_latency_ms
-        self._frame_index += 1
-        self._phase = _Phase.IDLE
-        self._frame = None
-        return FrameResult(record=record)
+        return _frozen(FrameResult, record=record)
 
     # -- convenience -------------------------------------------------------------------
 
     @property
     def frames_processed(self) -> int:
         """Number of completed frames since construction/reset."""
-        return self._frame_index
+        return self.fleet.frames_processed
 
     def latency_at_levels(
         self, cpu_level: int, gpu_level: int, num_proposals: int, image_scale: float = 1.0

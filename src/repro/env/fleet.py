@@ -78,6 +78,7 @@ from repro.env.environment import (
     FrameResult,
     FrameStartObservation,
     MidFrameObservation,
+    _frozen,
 )
 from repro.env.policy import Policy
 from repro.env.trace import (
@@ -960,6 +961,7 @@ class BatchedInferenceEnvironment:
         state.gpu_utilisation[:] = payload["gpu_utilisation"]
         self._phase = _Phase.IDLE
         self._frame_index = int(payload["frame_index"])
+        self._fused = None  # the stream's segment may have changed
 
     # -- decision application --------------------------------------------------------
 
@@ -995,31 +997,8 @@ class BatchedInferenceEnvironment:
 
     def _begin_frame(self, kernel) -> FleetStartObservation:
         """:meth:`begin_frame` on the given ``fleet`` kernels, or NumPy for ``None``."""
-        if self._phase is not _Phase.IDLE:
-            raise ExperimentError(
-                f"begin_frame called while a frame is in phase {self._phase.value!r}"
-            )
+        self._step_begin(kernel)
         state = self.state
-        if kernel is None:
-            state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
-            batch = self._stream.next_frames()
-            state.image_scale[:] = batch.image_scale
-            state.scene_candidates[:] = batch.scene_candidates
-            state.constraint_ms[:] = batch.latency_constraint_ms
-            state.datasets = batch.datasets
-            state.frame_energy_j.fill(0.0)
-            self._observe(self._start_blocks, self._previous_latency, state.constraint_ms)
-        else:
-            fused = self._fused or self._fused_frame(kernel)
-            fused.ambient_values[:] = self.ambient.distinct_at(self._frame_index)
-            fused.draw()
-            if fused.noise is not None:
-                # np.exp, as the scalar ProposalModel.sample uses.
-                np.exp(fused.noise, out=fused.noise)
-            kernel.fleet_begin_frame(fused.table)
-            self._stream.count_frame()
-            state.datasets = fused.datasets
-        self._phase = _Phase.STARTED
         floats, ints, flags = self._snapshot(self._start_blocks)
         device = state.device
         return _frozen(
@@ -1043,6 +1022,36 @@ class BatchedInferenceEnvironment:
             gpu_throttled=flags[1],
         )
 
+    def _step_begin(self, kernel) -> None:
+        """Start the frame, writing the start observation's staging blocks."""
+        if self._phase is not _Phase.IDLE:
+            raise ExperimentError(
+                f"begin_frame called while a frame is in phase {self._phase.value!r}"
+            )
+        state = self.state
+        if kernel is None:
+            state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
+            batch = self._stream.next_frames()
+            state.image_scale[:] = batch.image_scale
+            state.scene_candidates[:] = batch.scene_candidates
+            state.constraint_ms[:] = batch.latency_constraint_ms
+            state.datasets = batch.datasets
+            state.frame_energy_j.fill(0.0)
+            self._observe(self._start_blocks, self._previous_latency, state.constraint_ms)
+        else:
+            if self._stream.enter_due_segment():
+                self._fused = None  # a new segment's names and draw scales
+            fused = self._fused or self._fused_frame(kernel)
+            fused.ambient_values[:] = self.ambient.distinct_at(self._frame_index)
+            fused.draw()
+            if fused.noise is not None:
+                # np.exp, as the scalar ProposalModel.sample uses.
+                np.exp(fused.noise, out=fused.noise)
+            kernel.fleet_begin_frame(fused.table)
+            self._stream.count_frame()
+            state.datasets = fused.datasets
+        self._phase = _Phase.STARTED
+
     def run_first_stage(self) -> FleetMidObservation:
         """Execute stage 1 for every session; return the batch observation.
 
@@ -1054,6 +1063,34 @@ class BatchedInferenceEnvironment:
 
     def _first_stage(self, kernel) -> FleetMidObservation:
         """:meth:`run_first_stage` on the given ``fleet`` kernels, or NumPy for ``None``."""
+        self._step_first_stage(kernel)
+        state = self.state
+        device = state.device
+        floats, ints, flags = self._snapshot(self._mid_blocks)
+        return _frozen(
+            FleetMidObservation,
+            frame_index=self._frame_index,
+            datasets=state.datasets,
+            cpu_temperature_c=floats[0],
+            gpu_temperature_c=floats[1],
+            cpu_level=ints[0],
+            gpu_level=ints[1],
+            cpu_num_levels=device.cpu.num_levels,
+            gpu_num_levels=device.gpu.num_levels,
+            latency_constraint_ms=floats[2],
+            remaining_budget_ms=floats[3],
+            stage1_latency_ms=floats[4],
+            num_proposals=ints[2],
+            cpu_utilisation=floats[5],
+            gpu_utilisation=floats[6],
+            ambient_temperature_c=floats[7],
+            throttle_threshold_c=self.throttle_threshold_c,
+            cpu_throttled=flags[0],
+            gpu_throttled=flags[1],
+        )
+
+    def _step_first_stage(self, kernel) -> None:
+        """Run stage 1, writing the mid observation's staging blocks."""
         if self._phase is not _Phase.STARTED:
             raise ExperimentError("run_first_stage must follow begin_frame")
         state = self.state
@@ -1079,28 +1116,6 @@ class BatchedInferenceEnvironment:
         elif not kernel.fleet_first_stage((self._fused or self._fused_frame(kernel)).table):
             raise DetectorError("frequencies must be positive")
         self._phase = _Phase.AFTER_STAGE1
-        floats, ints, flags = self._snapshot(self._mid_blocks)
-        return _frozen(
-            FleetMidObservation,
-            frame_index=self._frame_index,
-            datasets=state.datasets,
-            cpu_temperature_c=floats[0],
-            gpu_temperature_c=floats[1],
-            cpu_level=ints[0],
-            gpu_level=ints[1],
-            cpu_num_levels=device.cpu.num_levels,
-            gpu_num_levels=device.gpu.num_levels,
-            latency_constraint_ms=floats[2],
-            remaining_budget_ms=floats[3],
-            stage1_latency_ms=floats[4],
-            num_proposals=ints[2],
-            cpu_utilisation=floats[5],
-            gpu_utilisation=floats[6],
-            ambient_temperature_c=floats[7],
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=flags[0],
-            gpu_throttled=flags[1],
-        )
 
     def run_second_stage(self) -> FleetFrameResult:
         """Execute stage 2 (if any) for every session; finish the frame.
@@ -1113,6 +1128,34 @@ class BatchedInferenceEnvironment:
 
     def _second_stage(self, kernel) -> FleetFrameResult:
         """:meth:`run_second_stage` on the given ``fleet`` kernels, or NumPy for ``None``."""
+        index = self._frame_index
+        self._step_second_stage(kernel)
+        floats, ints, flags = self._snapshot(self._result_blocks, read_only=True)
+        return _frozen(
+            FleetFrameResult,
+            index=index,
+            datasets=self.state.datasets,
+            num_proposals=ints[0],
+            stage1_latency_ms=floats[0],
+            stage2_latency_ms=floats[1],
+            total_latency_ms=floats[2],
+            latency_constraint_ms=floats[3],
+            met_constraint=flags[0],
+            cpu_temperature_c=floats[4],
+            gpu_temperature_c=floats[5],
+            cpu_level_stage1=ints[1],
+            gpu_level_stage1=ints[2],
+            cpu_level_stage2=ints[3],
+            gpu_level_stage2=ints[4],
+            cpu_throttled=flags[1],
+            gpu_throttled=flags[2],
+            ambient_temperature_c=floats[6],
+            energy_j=floats[7],
+        )
+
+    def _step_second_stage(self, kernel) -> None:
+        """Run stage 2 and finish the frame, writing the result's staging
+        blocks."""
         if self._phase is not _Phase.AFTER_STAGE1:
             raise ExperimentError("run_second_stage must follow run_first_stage")
         state = self.state
@@ -1149,43 +1192,9 @@ class BatchedInferenceEnvironment:
             self._previous_latency[:] = total
         elif not kernel.fleet_second_stage((self._fused or self._fused_frame(kernel)).table):
             raise DetectorError("frequencies must be positive")
-        floats, ints, flags = self._snapshot(self._result_blocks, read_only=True)
-        result = _frozen(
-            FleetFrameResult,
-            index=self._frame_index,
-            datasets=state.datasets,
-            num_proposals=ints[0],
-            stage1_latency_ms=floats[0],
-            stage2_latency_ms=floats[1],
-            total_latency_ms=floats[2],
-            latency_constraint_ms=floats[3],
-            met_constraint=flags[0],
-            cpu_temperature_c=floats[4],
-            gpu_temperature_c=floats[5],
-            cpu_level_stage1=ints[1],
-            gpu_level_stage1=ints[2],
-            cpu_level_stage2=ints[3],
-            gpu_level_stage2=ints[4],
-            cpu_throttled=flags[1],
-            gpu_throttled=flags[2],
-            ambient_temperature_c=floats[6],
-            energy_j=floats[7],
-        )
         state.previous_latency_ms = self._previous_latency
         self._frame_index += 1
         self._phase = _Phase.IDLE
-        return result
-
-
-def _frozen(cls, **fields):
-    """``cls(**fields)`` for the frozen observation and result dataclasses
-    (every field given; none has a ``__post_init__``), with the instance
-    dict set at once: their ``__init__`` sets each field through
-    ``object.__setattr__``, several microseconds per snapshot, three
-    snapshots per frame."""
-    instance = object.__new__(cls)
-    instance.__dict__.update(fields)
-    return instance
 
 
 def _blocks(floats: tuple, ints: tuple, flags: tuple, n: int) -> tuple:

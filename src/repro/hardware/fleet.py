@@ -51,6 +51,7 @@ different environments.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -486,6 +487,20 @@ class DeviceFleet:
 
     def _request(self, kernel, cpu_levels, gpu_levels, mask) -> None:
         """:meth:`request_levels` on the given ``fleet`` kernels, or NumPy for ``None``."""
+        if kernel is not None and mask is None and bool not in (
+            type(cpu_levels), type(gpu_levels)
+        ):
+            # One integer per domain goes straight into the request buffers
+            # (the kernel checks the range); anything else, or an integer
+            # the buffers cannot hold, takes the checked path below.
+            try:
+                self._cpu_request.fill(operator.index(cpu_levels))
+                self._gpu_request.fill(operator.index(gpu_levels))
+            except (TypeError, OverflowError):
+                pass
+            else:
+                self._refuse(kernel.fleet_request_levels(self.argument_table(kernel), False))
+                return
         n = self.num_sessions
         if mask is not None:
             mask = np.asarray(mask)
@@ -507,7 +522,10 @@ class DeviceFleet:
         self._gpu_request[:] = levels[1]
         if mask is not None:
             self._request_mask[:] = mask
-        refused = kernel.fleet_request_levels(table, mask is not None)
+        self._refuse(kernel.fleet_request_levels(table, mask is not None))
+
+    def _refuse(self, refused: int) -> None:
+        """Raise for ``fleet_request_levels``'s refusal code (0: accepted)."""
         if refused:
             domain = (self.cpu, self.gpu)[refused - 1]
             raise DeviceError(_out_of_range(("cpu", "gpu")[refused - 1], domain))

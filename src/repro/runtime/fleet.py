@@ -380,10 +380,10 @@ def scalar_reference_sessions(
 ) -> List[SessionResult]:
     """Run the N equivalent scalar sessions (the fleet's reference path).
 
-    Used by the equivalence tests and the fleet benchmarks: session ``i``
-    is ``execute_setting`` at seed ``setting.seed + i`` without warm-up —
-    the :func:`scalar_reference_session` of the cell's scenario at that
-    seed.
+    Used by the equivalence tests: session ``i`` is ``execute_setting`` at
+    seed ``setting.seed + i`` without warm-up, on the Python scalar
+    stepping — the :func:`scalar_reference_session` of the cell's scenario
+    at that seed.
     """
     cell = _cell_spec(setting, method, num_sessions)
     return [
@@ -767,13 +767,15 @@ def scalar_reference_session(
 ) -> SessionResult:
     """Run the scalar reference of one scenario session (no warm-up).
 
-    The equivalence oracle of the scenario runner: the scalar environment
-    and policy are built exactly as :func:`run_fleet_scenario` builds the
-    session's slice of its group, so the returned trace must match that
-    session's column of the fleet trace bit for bit.
+    The equivalence oracle of the scenario runner: the Python scalar
+    stepping (:class:`~repro.env.reference.ReferenceInferenceEnvironment`)
+    and the policy are built exactly as :func:`run_fleet_scenario` builds
+    the session's slice of its group, so the returned trace must match
+    that session's column of the fleet trace bit for bit.
     """
-    from repro.analysis.experiments import make_environment, make_policy
+    from repro.analysis.experiments import _environment_arguments, make_policy
     from repro.core.training import OnlineSession
+    from repro.env.reference import ReferenceInferenceEnvironment
 
     if spec.method == "lotus-fleet":
         raise ScenarioError(
@@ -784,6 +786,8 @@ def scalar_reference_session(
     setting = spec.setting().with_overrides(
         seed=spec.seed if seed is None else seed, num_frames=frames
     )
-    environment = make_environment(setting, ambient=spec.ambient)
+    environment = ReferenceInferenceEnvironment(
+        **_environment_arguments(setting, spec.ambient, None)
+    )
     policy = make_policy(spec.method, environment, frames, seed=setting.seed)
     return OnlineSession(environment, policy).run(frames)

@@ -134,6 +134,11 @@ class DomainSwitchStream:
         return self._segments[self._segment_index].dataset.name
 
     @property
+    def frames_emitted(self) -> int:
+        """Number of frames generated so far, across segments."""
+        return self._index
+
+    @property
     def total_scheduled_frames(self) -> int:
         """Total number of frames across all scheduled segments."""
         return sum(segment.num_frames for segment in self._segments)

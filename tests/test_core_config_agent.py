@@ -150,8 +150,9 @@ def test_agent_cooldown_engages_when_device_is_hot():
     env = make_small_environment()
     agent = make_agent(quick_config(cooldown_epsilon=1.0, epsilon_start=0.0, epsilon_end=0.0))
     env.reset()
-    env.device.thermal.set_temperature("gpu", 88.0)
-    env.device.thermal.set_temperature("cpu", 70.0)
+    device = env.fleet.state.device  # the session's live device state
+    device.gpu_temperature_c[:] = 88.0
+    device.cpu_temperature_c[:] = 70.0
     observation = env.begin_frame()
     decision = agent.begin_frame(observation)
     # The device is over the threshold: the forced cool-down action cannot

@@ -117,7 +117,7 @@ def test_ztt_always_cools_down_when_hot():
     env = make_small_environment()
     policy = ZttPolicy(10, 5, 80.0, config=quick_ztt_config(), rng=np.random.default_rng(1))
     env.reset()
-    env.device.thermal.set_temperature("gpu", 88.0)
+    env.fleet.state.device.gpu_temperature_c[:] = 88.0  # the session's live state
     observation = env.begin_frame()
     decision = policy.begin_frame(observation)
     assert decision.gpu_level <= observation.gpu_level

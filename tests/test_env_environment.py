@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,27 @@ def test_frame_protocol_produces_consistent_observations(small_environment):
     second = env.begin_frame()
     assert second.frame_index == 1
     assert second.previous_latency_ms == pytest.approx(result.total_latency_ms)
+
+
+def test_observations_and_records_hold_python_scalars(small_environment):
+    """Each phase builds its dataclass from row 0 of the fleet's staging
+    blocks without ``__init__``: every field is set, none relies on a
+    ``__post_init__``, and every value is a Python scalar (NumPy 2 prints
+    ``np.float64(...)``, which would change printed results)."""
+    env = small_environment
+    for _ in range(2):
+        start, mid = env.begin_frame(), env.run_first_stage()
+        result = env.run_second_stage()
+        for handed in (start, mid, result, result.record):
+            assert set(vars(handed)) == {f.name for f in dataclasses.fields(handed)}
+            assert not hasattr(type(handed), "__post_init__")
+        for handed in (start, mid, result.record):
+            for field in dataclasses.fields(handed):
+                value = getattr(handed, field.name)
+                expected = {"int": int, "float": float, "bool": bool, "str": str}.get(
+                    field.type, float
+                )
+                assert type(value) is expected or value is None, field.name
 
 
 def test_phase_protocol_is_enforced(small_environment):
@@ -142,10 +165,11 @@ def test_reset_restores_cold_device(small_environment):
         env.begin_frame()
         env.run_first_stage()
         env.run_second_stage()
-    assert env.device.gpu_temperature_c > 26.0
+    device = env.fleet.state.device  # the session's live device state
+    assert device.gpu_temperature_c[0] > 26.0
     env.reset()
     assert env.frames_processed == 0
-    assert env.device.gpu_temperature_c == pytest.approx(25.0)
+    assert device.gpu_temperature_c[0] == pytest.approx(25.0)
 
 
 def test_latency_prediction_helper(small_environment):
@@ -170,11 +194,12 @@ def test_constructor_validation():
 
 
 def test_per_frame_constraint_override():
-    env = make_small_environment()
     stream = FrameStream(
         build_dataset("kitti"), np.random.default_rng(0), latency_constraint_ms=1234.0
     )
-    env.stream = stream
+    env = InferenceEnvironment(
+        jetson_orin_nano(), build_detector("faster_rcnn"), stream, latency_constraint_ms=400.0
+    )
     obs = env.begin_frame()
     assert obs.latency_constraint_ms == 1234.0
     env.run_first_stage()

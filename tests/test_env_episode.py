@@ -91,7 +91,7 @@ def test_none_decisions_leave_frequencies_untouched():
             return None
 
     env = make_small_environment()
-    env.device.request_levels(4, 2)
+    env.apply_levels(4, 2)
     trace = run_episode(env, PassivePolicy(), num_frames=3, reset_environment=False)
     assert all(r.gpu_level_stage1 == 2 for r in trace.records)
     assert all(r.cpu_level_stage1 == 4 for r in trace.records)

@@ -179,7 +179,8 @@ def test_run_ablation_covers_variants():
 
 def test_environment_with_custom_ambient_profile():
     env = make_environment(quick_setting(), ambient=ConstantAmbient(5.0))
-    assert env.device.ambient_temperature_c == pytest.approx(5.0)
+    # The session's live device state starts in the profile's ambient.
+    assert env.fleet.state.device.ambient_temperature_c[0] == pytest.approx(5.0)
 
 
 def test_public_api_importable():

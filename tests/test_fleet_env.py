@@ -296,6 +296,38 @@ class TestRequestLevels:
         after = fleet.state_dict()
         assert all(np.array_equal(after[key], value) for key, value in before.items())
 
+    @pytest.mark.parametrize("fused", (False, True), ids=("numpy", "fused"))
+    @pytest.mark.parametrize(
+        "cpu, gpu, message",
+        [
+            (10, 0, "cpu level out of range [0, 9]"),
+            (-1, 5, "cpu level out of range [0, 9]"),
+            (3, 5, "gpu level out of range [0, 4]"),
+            (np.int64(3), -1, "gpu level out of range [0, 4]"),
+            (2**70, 0, "cpu levels must be integers, got object"),
+            (1.0, 0, "cpu levels must be integers, got float64"),
+            (np.float64(1.0), 0, "cpu levels must be integers, got float64"),
+            (0, True, "gpu levels must be integers, got bool"),
+            (np.True_, 0, "cpu levels must be integers, got bool"),
+        ],
+    )
+    def test_scalar_requests_are_checked(self, fused, cpu, gpu, message, monkeypatch):
+        """One integer per domain skips the array checks on the fused path;
+        a level out of range, out of the buffers' range, a float or a bool
+        is refused with the same error either way, and changes nothing."""
+        if not fused:
+            monkeypatch.setattr(repro.hardware.fleet, "fused_fleet", lambda: None)
+        fleet = self.fleet()
+        before = fleet.state_dict()
+        with pytest.raises(DeviceError) as refused:
+            fleet.request_levels(cpu, gpu)
+        assert str(refused.value) == message
+        after = fleet.state_dict()
+        assert all(np.array_equal(after[key], value) for key, value in before.items())
+        fleet.request_levels(np.int32(4), 3)
+        assert fleet.state_dict()["requested_cpu_level"].tolist() == [4] * 4
+        assert fleet.gpu_level.tolist() == [3] * 4
+
     def test_snapshot_levels_are_validated(self):
         fleet = self.fleet()
         snapshot = fleet.state_dict()

@@ -125,6 +125,31 @@ def test_resolution_is_lazy_and_once_per_family(monkeypatch):
     assert [e["family"] for e in events] == ["fleet"]
 
 
+def test_a_case_raising_on_both_sides_turns_its_family_off(monkeypatch):
+    # A case an API change broke raises the same error on both sides; that
+    # is no agreement.
+    def broken(kernel):
+        def run(values):
+            raise TypeError("an argument went missing")
+
+        yield (np.zeros(3),), run, run
+
+    with _fresh_resolution(monkeypatch):
+        if kernels.fused_fleet() is None:
+            pytest.skip("fused kernels unavailable on this host")
+        resolve._kernels.clear()
+        monkeypatch.setattr(importlib.import_module("repro.kernels.fleet"), "_cases", broken)
+        registry = obs.enable()
+        try:
+            assert kernels.fused_fleet() is None
+        finally:
+            obs.disable()
+        assert kernels.kernel_status()["fleet"] == "numpy"
+    assert registry.events[-1]["fields"] == {
+        "family": "fleet", "status": "numpy", "reason": "TypeError",
+    }
+
+
 def test_a_raising_self_test_reports_the_exception_type(monkeypatch):
     def boom(kernel):
         raise ZeroDivisionError
@@ -166,5 +191,17 @@ class TestDifferential:
         def refuse(values):
             raise ValueError
 
-        assert resolve.differential((np.zeros(1),), refuse, refuse)
-        assert not resolve.differential((np.zeros(1),), refuse, lambda values: values)
+        def caught(run):
+            def wrapped(values):
+                try:
+                    return run(values)
+                except ValueError as error:
+                    return repr(error)
+
+            return wrapped
+
+        # Only a refusal the case catches counts, and only if both sides refuse.
+        assert resolve.differential((np.zeros(1),), caught(refuse), caught(refuse))
+        assert not resolve.differential((np.zeros(1),), caught(refuse), lambda values: values)
+        with pytest.raises(ValueError):
+            resolve.differential((np.zeros(1),), refuse, refuse)

@@ -1,11 +1,13 @@
-"""Absolute digests of scalar sessions off the reference cell.
+"""Scalar sessions run on the one-session fleet engine.
 
 ``PINNED_SETTING_DIGESTS`` pins the scalar runs that
 ``tests/test_rl_equivalence.py::PINNED_SESSION_DIGESTS`` leaves out: the
 Fig. 7b domain switch, an online-training warm-up, a one-stage detector, a
 stepped ambient schedule and an idle gap between frames.  They were
 recorded on the Python scalar stepping, before scalar sessions ran on the
-one-session fleet kernels, and must not move.
+one-session fleet kernels, and must not move, with the kernels or on the
+NumPy path (``REPRO_FUSED=0``).  The Python stepping is now only the
+equivalence oracle: no production scalar path may reach it.
 """
 
 from __future__ import annotations
@@ -16,17 +18,22 @@ import pytest
 from repro.analysis.experiments import (
     ExperimentSetting,
     execute_setting,
+    make_environment,
     make_policy,
 )
 from repro.core.training import OnlineSession
+from repro.detection.detector import DetectorModel
 from repro.detection.registry import build_detector
 from repro.env.ambient import AmbientSegment, StepAmbient
 from repro.env.environment import InferenceEnvironment
+from repro.env.reference import ReferenceInferenceEnvironment
+from repro.hardware.device import EdgeDevice
 from repro.hardware.devices.jetson_orin_nano import jetson_orin_nano
 from repro.workload.dataset import build_dataset
-from repro.workload.generator import FrameStream
+from repro.workload.generator import DomainSwitchStream, FrameStream
 
-from tests.test_rl_equivalence import _session_digest
+from tests.test_kernels import _fresh_resolution
+from tests.test_rl_equivalence import PINNED_SESSION_DIGESTS, _session_digest
 
 
 def _domain_switch():
@@ -82,6 +89,41 @@ PINNED_SETTING_DIGESTS = {
 }
 
 
+@pytest.mark.parametrize("fused", (True, False), ids=("fused", "numpy"))
 @pytest.mark.parametrize("name", sorted(SESSIONS))
-def test_scalar_session_digest_is_pinned(name):
-    assert _session_digest(SESSIONS[name]()) == PINNED_SETTING_DIGESTS[name]
+def test_scalar_session_digest_is_pinned(name, fused, monkeypatch):
+    with _fresh_resolution(monkeypatch, enabled=fused):
+        assert _session_digest(SESSIONS[name]()) == PINNED_SETTING_DIGESTS[name]
+
+
+def test_no_production_path_reaches_the_python_stepping(monkeypatch):
+    """The oracle's environment and the scalar device, proposal and stream
+    stepping it calls raise (the scalar execution model stays: the default
+    constraint is computed with it); the warm-up, the domain switch and an
+    online session over ``make_environment`` still run, to their pinned
+    digests."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Python scalar stepping ran")
+
+    for owner, name in (
+        (ReferenceInferenceEnvironment, "__init__"),
+        (ReferenceInferenceEnvironment, "begin_frame"),
+        (ReferenceInferenceEnvironment, "run_first_stage"),
+        (ReferenceInferenceEnvironment, "run_second_stage"),
+        (EdgeDevice, "execute"),
+        (EdgeDevice, "idle"),
+        (EdgeDevice, "set_ambient"),
+        (EdgeDevice, "request_levels"),
+        (DetectorModel, "propose"),
+        (FrameStream, "next_frame"),
+        (DomainSwitchStream, "next_frame"),
+    ):
+        monkeypatch.setattr(owner, name, refuse)
+    assert _session_digest(_warm_up()) == PINNED_SETTING_DIGESTS["warm-up"]
+    assert _session_digest(_domain_switch()) == PINNED_SETTING_DIGESTS["domain-switch"]
+    setting = ExperimentSetting(num_frames=220, seed=0)
+    environment = make_environment(setting)
+    policy = make_policy("lotus", environment, 220, seed=0)
+    result = OnlineSession(environment, policy).run(220)
+    assert _session_digest(result) == PINNED_SESSION_DIGESTS["lotus"]

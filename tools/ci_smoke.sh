@@ -89,7 +89,8 @@ smoke_fused_kill_switch() {
     # run, each frame phase kernel must run once per frame in every group,
     # one-stage and two-stage ones alike.  That run must throttle at least
     # once (its thermal-soak member does), so the throttle branch is under
-    # the digest comparison.
+    # the digest comparison.  Each scalar session runs on the one-session
+    # fleet engine: each frame phase kernel once per frame.
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -168,8 +169,13 @@ mixed_digest = trace_digest(mixed.fleet_trace)
 # Scalar sessions that train (learning starts after 64 transitions).
 scalar_digest = hashlib.sha256()
 for method in ("lotus", "ztt", "lotus-shared-buffer"):
+    before = kernel_calls()
     session = execute_setting(ExperimentSetting(num_frames=160, seed=0), method)
+    after = kernel_calls()
     assert session.losses, method
+    for kernel in PHASES:
+        ran = after.get(kernel, 0) - before.get(kernel, 0)
+        assert ran == (160 if fused else 0), (method, kernel, ran)
     for name in COLUMN_DTYPES:
         column = np.ascontiguousarray(session.trace.column(name))
         if column.dtype.itemsize == 8:
