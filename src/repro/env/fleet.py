@@ -13,11 +13,14 @@ and the ambient schedules as one :class:`SessionAmbient`.
 
 Seed-for-seed equivalence: session ``i`` of a fleet built from streams and
 generators seeded like scalar runs produces the *bit-identical* trace the
-scalar environment produces with those seeds — the batched kernels in
+Python scalar stepping (:class:`~repro.env.reference.ReferenceInferenceEnvironment`)
+produces with those seeds — the batched kernels in
 :mod:`repro.hardware.fleet` and :mod:`repro.detection.fleet` replay the
 scalar arithmetic elementwise, and the per-session random streams are
 consumed in the same order.  ``tests/test_fleet_equivalence.py`` enforces
-this.
+this.  The scalar :class:`~repro.env.environment.InferenceEnvironment` is
+itself a one-session environment of this class, read through its
+``_step_*`` phases and the staging blocks' row 0.
 
 With the ``fleet`` kernels (:mod:`repro.kernels`), each frame phase is one
 C call on a table bound once to the environment's, its fleet's and its
