@@ -174,6 +174,14 @@ def _frozen(cls, **fields):
     return instance
 
 
+def _session_zero(blocks) -> tuple:
+    """Session 0's column of a phase's staging blocks (float64, int64 and
+    bool rows, in the ``OBSERVATION_*`` or ``RESULT_*`` order of
+    :mod:`repro.kernels.build`) as lists of Python scalars."""
+    floats, ints, flags = blocks
+    return floats.ravel().tolist(), ints.ravel().tolist(), flags.ravel().tolist()
+
+
 class InferenceEnvironment:
     """Detector inference loop on a simulated device: one fleet session.
 
@@ -232,16 +240,9 @@ class InferenceEnvironment:
         )
         self.throttle_threshold_c = self.fleet.throttle_threshold_c
         self.execution = ExecutionModel(compute_profile_for(device.name))
-        # Session 0's column of each phase's staging blocks (float64, int64,
-        # bool), in the OBSERVATION_* and RESULT_* row orders of
-        # repro.kernels.build.
-        self._start_rows, self._mid_rows, self._result_rows = (
-            tuple(block[:, 0] for block in blocks)
-            for blocks in (
-                self.fleet._start_blocks, self.fleet._mid_blocks, self.fleet._result_blocks,
-            )
-        )
         self._frequency_tables = (device.cpu.frequency_table, device.gpu.frequency_table)
+        self._num_levels = (device.cpu.num_levels, device.gpu.num_levels)
+        self._levels = self.fleet.state.device
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -262,7 +263,7 @@ class InferenceEnvironment:
         cpu_table, gpu_table = self._frequency_tables
         cpu_table.validate_level(cpu_level)
         gpu_table.validate_level(gpu_level)
-        self.fleet.state.device.request_levels(cpu_level, gpu_level)
+        self._levels.request_levels(cpu_level, gpu_level)
 
     # -- frame protocol ------------------------------------------------------------------
 
@@ -270,7 +271,7 @@ class InferenceEnvironment:
         """Draw the next frame and return the start-of-frame observation."""
         fleet = self.fleet
         fleet._step_begin(fused_fleet())
-        floats, ints, flags = (row.tolist() for row in self._start_rows)
+        floats, ints, flags = _session_zero(fleet._start_blocks)
         return _frozen(
             FrameStartObservation,
             frame_index=fleet._frame_index,
@@ -279,8 +280,8 @@ class InferenceEnvironment:
             gpu_temperature_c=floats[1],
             cpu_level=ints[0],
             gpu_level=ints[1],
-            cpu_num_levels=self.device.cpu.num_levels,
-            gpu_num_levels=self.device.gpu.num_levels,
+            cpu_num_levels=self._num_levels[0],
+            gpu_num_levels=self._num_levels[1],
             latency_constraint_ms=floats[2],
             remaining_budget_ms=floats[3],
             previous_latency_ms=None if fleet.state.previous_latency_ms is None else floats[4],
@@ -296,7 +297,7 @@ class InferenceEnvironment:
         """Execute stage 1 and return the mid-frame observation."""
         fleet = self.fleet
         fleet._step_first_stage(fused_fleet())
-        floats, ints, flags = (row.tolist() for row in self._mid_rows)
+        floats, ints, flags = _session_zero(fleet._mid_blocks)
         return _frozen(
             MidFrameObservation,
             frame_index=fleet._frame_index,
@@ -305,8 +306,8 @@ class InferenceEnvironment:
             gpu_temperature_c=floats[1],
             cpu_level=ints[0],
             gpu_level=ints[1],
-            cpu_num_levels=self.device.cpu.num_levels,
-            gpu_num_levels=self.device.gpu.num_levels,
+            cpu_num_levels=self._num_levels[0],
+            gpu_num_levels=self._num_levels[1],
             latency_constraint_ms=floats[2],
             remaining_budget_ms=floats[3],
             stage1_latency_ms=floats[4],
@@ -324,7 +325,7 @@ class InferenceEnvironment:
         fleet = self.fleet
         index = fleet._frame_index
         fleet._step_second_stage(fused_fleet())
-        floats, ints, flags = (row.tolist() for row in self._result_rows)
+        floats, ints, flags = _session_zero(fleet._result_blocks)
         record = _frozen(
             FrameRecord,
             index=index,

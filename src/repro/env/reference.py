@@ -15,7 +15,6 @@ scalar arithmetic bit for bit.
 from __future__ import annotations
 
 import enum
-from typing import Union
 
 import numpy as np
 
@@ -23,12 +22,15 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.detection.detector import DetectorModel
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.env.ambient import AmbientProfile, ConstantAmbient
-from repro.env.environment import FrameResult, FrameStartObservation, MidFrameObservation
+from repro.env.environment import (
+    FrameResult,
+    FrameStartObservation,
+    MidFrameObservation,
+    StreamLike,
+)
 from repro.env.trace import FrameRecord
 from repro.hardware.device import EdgeDevice
-from repro.workload.generator import DomainSwitchStream, Frame, FrameStream
-
-StreamLike = Union[FrameStream, DomainSwitchStream]
+from repro.workload.generator import Frame
 
 
 class _Phase(enum.Enum):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, ExperimentError
+from repro.errors import ConfigurationError, ExperimentError, FrequencyError
 from repro.detection.registry import build_detector
 from repro.env.ambient import AmbientSegment, StepAmbient
 from repro.env.environment import InferenceEnvironment
@@ -65,6 +67,31 @@ def test_observations_and_records_hold_python_scalars(small_environment):
                     field.type, float
                 )
                 assert type(value) is expected or value is None, field.name
+
+
+@pytest.mark.parametrize(
+    "cpu, gpu", [(10, 0), (0, 5), (-1, 0), (1.0, 0), (True, 0), (np.int64(3), 0)]
+)
+def test_level_requests_are_checked_as_the_device_checks_them(small_environment, cpu, gpu):
+    env = small_environment
+    env.apply_levels(4, 2)
+    with pytest.raises(FrequencyError):
+        env.apply_levels(cpu, gpu)
+    env.begin_frame()
+    result = (env.run_first_stage(), env.run_second_stage())[1]
+    assert (result.record.cpu_level_stage1, result.record.gpu_level_stage1) == (4, 2)
+
+
+def test_copies_continue_identically(small_environment):
+    env = small_environment
+    for _ in range(3):
+        env.begin_frame(), env.run_first_stage(), env.run_second_stage()
+    copies = (env, copy.deepcopy(env), pickle.loads(pickle.dumps(env)))
+    frames = [
+        (each.begin_frame(), each.run_first_stage(), each.run_second_stage())
+        for each in copies
+    ]
+    assert frames[0] == frames[1] == frames[2]
 
 
 def test_phase_protocol_is_enforced(small_environment):
