@@ -487,12 +487,15 @@ class DeviceFleet:
 
     def _request(self, kernel, cpu_levels, gpu_levels, mask) -> None:
         """:meth:`request_levels` on the given ``fleet`` kernels, or NumPy for ``None``."""
-        if kernel is not None and mask is None and bool not in (
-            type(cpu_levels), type(gpu_levels)
+        if (
+            mask is None and kernel is not None and type(cpu_levels) is not np.ndarray
+            and type(cpu_levels) is not bool and type(gpu_levels) is not bool
         ):
             # One integer per domain goes straight into the request buffers
             # (the kernel checks the range); anything else, or an integer
-            # the buffers cannot hold, takes the checked path below.
+            # the buffers cannot hold, takes the checked path below.  CPU
+            # level arrays skip the attempt: a caught TypeError costs about
+            # a microsecond.
             try:
                 self._cpu_request.fill(operator.index(cpu_levels))
                 self._gpu_request.fill(operator.index(gpu_levels))

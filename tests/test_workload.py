@@ -15,6 +15,7 @@ from repro.workload.dataset import (
     register_dataset,
     visdrone2019,
 )
+from repro.workload.fleet import FleetFrameStream
 from repro.workload.generator import DomainSegment, DomainSwitchStream, FrameStream
 from repro.workload.scene import SceneComplexityProcess
 
@@ -139,6 +140,54 @@ def test_domain_switch_stream_changes_dataset_and_constraint(rng):
     assert [f.index for f in frames] == list(range(70))
     # After the last scheduled segment the final dataset keeps producing.
     assert stream.current_dataset == "visdrone2019"
+
+
+def _bits(value: float) -> int:
+    return int(np.float64(value).view(np.int64))
+
+
+@pytest.mark.parametrize("taken", (0, 2, 5))
+def test_continuing_fleet_stream_follows_the_domain_switch(taken):
+    """A one-session fleet stream that takes over a domain switch after
+    ``taken`` frames emits the frames the switch would have, bit for bit,
+    through every later segment boundary and across a checkpoint."""
+    segments = [
+        DomainSegment(dataset=kitti(), num_frames=3, latency_constraint_ms=300.0),
+        DomainSegment(dataset=visdrone2019(), num_frames=4),
+        DomainSegment(dataset=kitti(), num_frames=2, latency_constraint_ms=500.0),
+    ]
+
+    def switch():
+        stream = DomainSwitchStream(segments, np.random.default_rng(5))
+        stream.take(taken)
+        return stream
+
+    scalar = switch()
+    fleet = FleetFrameStream.continuing(switch(), 250.0)
+    batches, snapshot = [], None
+    for step in range(12):
+        if step == 4:
+            snapshot = fleet.state_dict()
+        frame, batch = scalar.next_frame(), fleet.next_frames()
+        batches.append(batch)
+        assert batch.index == frame.index
+        assert batch.datasets == (frame.dataset,)
+        assert _bits(batch.scene_candidates[0]) == _bits(frame.scene_candidates)
+        assert batch.image_scale[0] == frame.image_scale
+        constraint = frame.latency_constraint_ms
+        assert batch.latency_constraint_ms[0] == (250.0 if constraint is None else constraint)
+    restored = FleetFrameStream.continuing(switch(), 250.0)
+    restored.load_state_dict(snapshot)
+    for batch in batches[4:]:
+        again = restored.next_frames()
+        assert again.datasets == batch.datasets
+        assert _bits(again.scene_candidates[0]) == _bits(batch.scene_candidates[0])
+        assert again.latency_constraint_ms[0] == batch.latency_constraint_ms[0]
+
+
+def test_continuing_takes_only_scalar_streams():
+    with pytest.raises(WorkloadError):
+        FleetFrameStream.continuing([], 250.0)
 
 
 def test_domain_switch_validation(rng):
