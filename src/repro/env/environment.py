@@ -242,7 +242,6 @@ class InferenceEnvironment:
         self.execution = ExecutionModel(compute_profile_for(device.name))
         self._frequency_tables = (device.cpu.frequency_table, device.gpu.frequency_table)
         self._num_levels = (device.cpu.num_levels, device.gpu.num_levels)
-        self._levels = self.fleet.state.device
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -263,7 +262,7 @@ class InferenceEnvironment:
         cpu_table, gpu_table = self._frequency_tables
         cpu_table.validate_level(cpu_level)
         gpu_table.validate_level(gpu_level)
-        self._levels.request_levels(cpu_level, gpu_level)
+        self.fleet.state.device.request_levels(cpu_level, gpu_level)
 
     # -- frame protocol ------------------------------------------------------------------
 
