@@ -17,8 +17,6 @@ from repro.hardware.devices.jetson_orin_nano import jetson_orin_nano
 from repro.workload.dataset import build_dataset
 from repro.workload.generator import FrameStream
 
-from tests.conftest import make_small_environment
-
 
 def test_frame_protocol_produces_consistent_observations(small_environment):
     env = small_environment
