@@ -27,7 +27,11 @@ from repro.detection.fleet import (
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.detection.registry import build_detector
 from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
-from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, run_grouped_fleet_episode
+from repro.env.fleet import (
+    _FRAME_RESULT_ARRAY_FIELDS,
+    run_fleet_episode,
+    run_grouped_fleet_episode,
+)
 from repro.env.trace import FrameRecord
 from repro.faults import (
     FaultPlan,
@@ -41,10 +45,13 @@ from repro.governors.registry import build_default_governor
 from repro.hardware.devices.registry import available_devices, build_device
 from repro.hardware.fleet import DeviceFleet
 from repro.kernels import FAMILIES, resolve
+from repro.policies.checkpoint import checkpoint_from_policy
 from repro.runtime.fleet import (
     _cell_spec,
     _resolve_scenario,
     _session_groups,
+    make_fleet_environment,
+    make_fleet_policy,
     run_fleet,
     run_fleet_scenario,
     scalar_reference_session,
@@ -135,6 +142,32 @@ def _fleet_trace_digest(trace) -> str:
 def test_run_fleet_trace_matches_pinned_digest(method):
     result = run_fleet(ExperimentSetting(num_frames=24, seed=0), method, 4)
     assert _fleet_trace_digest(result.fleet_trace) == PINNED_RUN_FLEET_DIGESTS[method]
+
+
+#: SHA-256 over :func:`_fleet_trace_digest` and the loss and reward
+#: histories of a 4-session x 120-frame seed-0 ``lotus-fleet`` cell at a
+#: 45 °C ambient, where the cool-down fires (22 triggers): the pin on the
+#: cool-down branch of the fleet agent's batched action selection.
+PINNED_HOT_LOTUS_FLEET_DIGEST = "7b191f8df2192e03f9da04deadcb03c3bc457770cd9022540777d5b4f0b792ae"
+
+#: ``checkpoint_from_policy(agent).content_id()`` of that agent after the
+#: run: pins the ``lotus-fleet`` checkpoint kind's key layout and contents.
+PINNED_HOT_LOTUS_FLEET_CHECKPOINT_ID = "41616fc526f1d5a26415f5f4f4166d9759e79ce810a9e4283edd8c0f8b5ce773"
+
+
+def test_hot_lotus_fleet_fires_cooldown_and_matches_pinned_digest():
+    setting = ExperimentSetting(num_frames=120, seed=0, ambient_temperature_c=45.0)
+    environment = make_fleet_environment(setting, 4)
+    agent = make_fleet_policy("lotus-fleet", environment, 120, seed=0)
+    trace = run_fleet_episode(environment, agent, 120)
+    assert agent.cooldown.trigger_count > 0
+    assert agent.loss_history
+    digest = hashlib.sha256(_fleet_trace_digest(trace).encode())
+    digest.update(b"losses" + np.asarray(agent.loss_history, dtype=np.float64).tobytes())
+    digest.update(b"rewards" + np.asarray(agent.reward_history, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == PINNED_HOT_LOTUS_FLEET_DIGEST
+    checkpoint = checkpoint_from_policy(agent)
+    assert checkpoint.content_id() == PINNED_HOT_LOTUS_FLEET_CHECKPOINT_ID
 
 
 #: Fault plan of the supervised pin: a dropout window across the frame-6

@@ -24,6 +24,7 @@ from repro.analysis.experiments import (
     make_policy,
 )
 from repro.core.training import OnlineSession
+from repro.policies.checkpoint import checkpoint_from_policy
 from repro.env.trace import COLUMN_DTYPES
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
@@ -62,18 +63,44 @@ PINNED_SESSION_DIGESTS = {
 }
 
 
-def _run_session(method: str, frames: int = 220):
-    setting = ExperimentSetting(num_frames=frames, seed=0)
+#: :func:`_session_digest` of the same sessions at a 45 °C ambient, where
+#: the cool-down fires (73 triggers for ``lotus``, 79 for the always-on
+#: ablation): the reference cell's 25 °C sessions never overheat, so these
+#: are the pins on the cool-down branch of the scalar action selection.
+PINNED_HOT_SESSION_DIGESTS = {
+    "lotus": "5b8caa57cb7b9cf9c0ceac9ed57544a28e27d3d4ce1b8eafce2e23d5d7134b42",
+    "lotus-always-cooldown": "5443d43d1956e82fd0ca06413908c8c429c10d150cbc8c458480d3b373cdef4d",
+}
+
+#: ``checkpoint_from_policy(agent).content_id()`` of the hot ``lotus`` agent
+#: after its session: pins the ``lotus`` checkpoint kind's key layout and
+#: contents, so checkpoints written by earlier builds keep loading.
+PINNED_HOT_LOTUS_CHECKPOINT_ID = "733475a70b011549b766196b76a5be5386dc85e97ff492c438023db6448002da"
+
+
+def _run_session(method: str, frames: int = 220, **overrides):
+    setting = ExperimentSetting(num_frames=frames, seed=0, **overrides)
     environment = make_environment(setting)
     policy = make_policy(method, environment, frames, seed=setting.seed)
-    return OnlineSession(environment, policy).run(frames)
+    return OnlineSession(environment, policy).run(frames), policy
 
 
 @pytest.mark.parametrize("method", sorted(PINNED_SESSION_DIGESTS))
 def test_full_session_is_bit_identical_to_seed_implementation(method):
-    result = _run_session(method)
+    result, _ = _run_session(method)
     assert result.losses
     assert _session_digest(result) == PINNED_SESSION_DIGESTS[method]
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_HOT_SESSION_DIGESTS))
+def test_hot_session_fires_cooldown_and_matches_pinned_digest(method):
+    result, policy = _run_session(method, ambient_temperature_c=45.0)
+    assert policy.cooldown.trigger_count > 0
+    assert result.losses
+    assert _session_digest(result) == PINNED_HOT_SESSION_DIGESTS[method]
+    if method == "lotus":
+        checkpoint = checkpoint_from_policy(policy)
+        assert checkpoint.content_id() == PINNED_HOT_LOTUS_CHECKPOINT_ID
 
 
 def _learner(**config) -> DqnLearner:
