@@ -223,7 +223,7 @@ class ZttPolicy(Policy):
 
     def state_dict(self) -> dict:
         """Complete snapshot of the agent's training state (see
-        :meth:`repro.core.agent.LotusAgent.state_dict` for the contract)."""
+        :meth:`repro.core.agent.LotusAgentCore.state_dict` for the contract)."""
         return {
             "training": bool(self.training),
             "step_count": int(self._step_count),

@@ -10,7 +10,7 @@ settings chosen for stable online learning within a few thousand frames.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.core.reward import RewardConfig
@@ -124,29 +124,6 @@ class LotusConfig:
         decisions = num_frames * (1 if self.single_decision else 2)
         epsilon_decay = max(50, int(0.4 * decisions))
         lr_decay = max(200, decisions)
-        return LotusConfig(
-            hidden_dims=self.hidden_dims,
-            reduced_width=self.reduced_width,
-            discount=self.discount,
-            learning_rate=self.learning_rate,
-            lr_decay_steps=lr_decay,
-            adam_beta1=self.adam_beta1,
-            adam_beta2=self.adam_beta2,
-            batch_size=self.batch_size,
-            replay_capacity=self.replay_capacity,
-            learning_starts=self.learning_starts,
-            train_interval=self.train_interval,
-            target_sync_interval=self.target_sync_interval,
-            epsilon_start=self.epsilon_start,
-            epsilon_end=self.epsilon_end,
-            epsilon_decay_steps=epsilon_decay,
-            cooldown_epsilon=self.cooldown_epsilon,
-            cooldown_decay_triggers=self.cooldown_decay_triggers,
-            cooldown_epsilon_final=self.cooldown_epsilon_final,
-            always_cooldown=self.always_cooldown,
-            single_decision=self.single_decision,
-            shared_buffer=self.shared_buffer,
-            reward=self.reward,
-            temperature_threshold_c=self.temperature_threshold_c,
-            seed=self.seed,
+        return replace(
+            self, lr_decay_steps=lr_decay, epsilon_decay_steps=epsilon_decay
         )

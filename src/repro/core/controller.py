@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.agent import LotusAgent
 from repro.core.config import LotusConfig
+from repro.detection.fleet import proposal_scale
 from repro.env.environment import InferenceEnvironment
 from repro.env.episode import ProgressCallback, run_episode
 from repro.env.metrics import EpisodeMetrics, summarize_trace
@@ -32,15 +33,11 @@ def build_lotus_agent(
     temperature normalisation from the environment's throttling threshold,
     and the proposal normalisation from the detector's post-NMS cap.
     """
-    detector = environment.detector
-    proposal_scale = (
-        detector.proposal_model.max_proposals if detector.is_two_stage else 100
-    )
     return LotusAgent(
         cpu_levels=environment.device.cpu.num_levels,
         gpu_levels=environment.device.gpu.num_levels,
         temperature_threshold_c=environment.throttle_threshold_c,
-        proposal_scale=float(proposal_scale),
+        proposal_scale=proposal_scale(environment.detector),
         config=config,
         rng=rng,
     )

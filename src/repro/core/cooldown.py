@@ -81,8 +81,8 @@ class CooldownSelector:
     def is_overheated(
         self, cpu_temperature_c: float, gpu_temperature_c: float, threshold_c: float
     ) -> bool:
-        """Whether either die exceeds the threshold."""
-        return cpu_temperature_c > threshold_c or gpu_temperature_c > threshold_c
+        """Whether either die exceeds the threshold (elementwise on arrays)."""
+        return (cpu_temperature_c > threshold_c) | (gpu_temperature_c > threshold_c)
 
     def maybe_cooldown_action(
         self,

@@ -180,19 +180,9 @@ class RewardCalculator:
         if constraint_ms <= 0:
             raise ConfigurationError("constraint must be positive")
         slack_fraction = (constraint_ms - latency_ms) / constraint_ms
-        # One standard deviation of the window serves both the reward and
-        # the breakdown.
-        variation = self.latency_variation()
-        time_component = self._time_reward(slack_fraction, variation)
-        temperature_component = self.temperature_reward(
-            cpu_temperature_c, gpu_temperature_c, threshold_c
-        )
-        total = time_component + self.config.temperature_weight * temperature_component
-        breakdown = RewardBreakdown(
-            total=total,
-            time_component=time_component,
-            temperature_component=temperature_component,
-            latency_std=variation,
+        breakdown = self._breakdown(
+            slack_fraction,
+            self.temperature_reward(cpu_temperature_c, gpu_temperature_c, threshold_c),
         )
         self.observe_slack(slack_fraction)
         return breakdown
@@ -217,11 +207,16 @@ class RewardCalculator:
             raise ConfigurationError("constraint must be positive")
         stage1_budget = self.config.stage1_budget_fraction * constraint_ms
         slack_fraction = (stage1_budget - stage1_latency_ms) / stage1_budget
+        return self._breakdown(
+            slack_fraction,
+            self.temperature_reward(cpu_temperature_c, gpu_temperature_c, threshold_c),
+        )
+
+    def _breakdown(self, slack_fraction: float, temperature_component: float) -> RewardBreakdown:
+        # One standard deviation of the window serves both the reward and
+        # the breakdown.
         variation = self.latency_variation()
         time_component = self._time_reward(slack_fraction, variation)
-        temperature_component = self.temperature_reward(
-            cpu_temperature_c, gpu_temperature_c, threshold_c
-        )
         total = time_component + self.config.temperature_weight * temperature_component
         return RewardBreakdown(
             total=total,

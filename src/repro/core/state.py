@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.env.environment import FrameStartObservation, MidFrameObservation
+from repro.env.fleet import FleetMidObservation, FleetStartObservation
 
 #: Dimensionality of the encoded state vector: stage flag, CPU temperature,
 #: GPU temperature, CPU level, GPU level, remaining latency budget, proposal
@@ -57,39 +58,55 @@ class StateEncoder:
 
     # -- encoding -------------------------------------------------------------------
 
-    def _level_fraction(self, level: int, num_levels: int) -> float:
+    def _level_fraction(self, level, num_levels: int):
+        """``level`` as a fraction of the top level (elementwise on arrays)."""
         if num_levels <= 1:
             return 1.0
         return level / (num_levels - 1)
 
-    def encode_start(self, observation: FrameStartObservation) -> np.ndarray:
-        """Encode the start-of-frame state ``s_2i`` (proposal slot is 0)."""
+    def _encode(self, observation, stage: float, proposals: float) -> np.ndarray:
         budget_fraction = observation.remaining_budget_ms / observation.latency_constraint_ms
         return np.array(
             [
-                0.0,
+                stage,
                 observation.cpu_temperature_c / self.temperature_scale_c,
                 observation.gpu_temperature_c / self.temperature_scale_c,
                 self._level_fraction(observation.cpu_level, self.cpu_levels),
                 self._level_fraction(observation.gpu_level, self.gpu_levels),
                 float(np.clip(budget_fraction, -1.0, 1.0)),
-                0.0,
+                proposals,
             ],
             dtype=float,
         )
 
+    def encode_start(self, observation: FrameStartObservation) -> np.ndarray:
+        """Encode the start-of-frame state ``s_2i`` (proposal slot is 0)."""
+        return self._encode(observation, 0.0, 0.0)
+
     def encode_mid(self, observation: MidFrameObservation) -> np.ndarray:
         """Encode the post-RPN state ``s_{2i+1}`` (proposal slot filled)."""
+        proposals = min(observation.num_proposals / self.proposal_scale, 2.0)
+        return self._encode(observation, 1.0, proposals)
+
+    # -- batched encoding: row i is the scalar encoding of session i ------------
+
+    def _encode_rows(self, observation, stage: float, proposals) -> np.ndarray:
         budget_fraction = observation.remaining_budget_ms / observation.latency_constraint_ms
-        return np.array(
-            [
-                1.0,
-                observation.cpu_temperature_c / self.temperature_scale_c,
-                observation.gpu_temperature_c / self.temperature_scale_c,
-                self._level_fraction(observation.cpu_level, self.cpu_levels),
-                self._level_fraction(observation.gpu_level, self.gpu_levels),
-                float(np.clip(budget_fraction, -1.0, 1.0)),
-                min(observation.num_proposals / self.proposal_scale, 2.0),
-            ],
-            dtype=float,
-        )
+        states = np.zeros((observation.num_sessions, self.dimension))
+        states[:, 0] = stage
+        states[:, 1] = observation.cpu_temperature_c / self.temperature_scale_c
+        states[:, 2] = observation.gpu_temperature_c / self.temperature_scale_c
+        states[:, 3] = self._level_fraction(observation.cpu_level, self.cpu_levels)
+        states[:, 4] = self._level_fraction(observation.gpu_level, self.gpu_levels)
+        states[:, 5] = np.clip(budget_fraction, -1.0, 1.0)
+        states[:, 6] = proposals
+        return states
+
+    def encode_start_batch(self, observation: FleetStartObservation) -> np.ndarray:
+        """:meth:`encode_start` of every session, as an ``(N, dimension)`` array."""
+        return self._encode_rows(observation, 0.0, 0.0)
+
+    def encode_mid_batch(self, observation: FleetMidObservation) -> np.ndarray:
+        """:meth:`encode_mid` of every session, as an ``(N, dimension)`` array."""
+        proposals = np.minimum(observation.num_proposals / self.proposal_scale, 2.0)
+        return self._encode_rows(observation, 1.0, proposals)

@@ -244,31 +244,19 @@ def checkpoint_from_policy(policy: Policy) -> PolicyCheckpoint:
     """
     from repro import __version__
 
-    if isinstance(policy, LotusAgent):
+    if isinstance(policy, (LotusAgent, FleetLotusAgent)):
+        geometry = {
+            "cpu_levels": int(policy.encoder.cpu_levels),
+            "gpu_levels": int(policy.encoder.gpu_levels),
+            "temperature_threshold_c": float(policy.temperature_threshold_c),
+            "proposal_scale": float(policy.encoder.proposal_scale),
+        }
+        if isinstance(policy, FleetLotusAgent):
+            geometry["num_sessions"] = int(policy.num_sessions)
         return PolicyCheckpoint(
-            kind="lotus",
+            kind="lotus" if isinstance(policy, LotusAgent) else "lotus-fleet",
             method=policy.name,
-            geometry={
-                "cpu_levels": int(policy.encoder.cpu_levels),
-                "gpu_levels": int(policy.encoder.gpu_levels),
-                "temperature_threshold_c": float(policy.temperature_threshold_c),
-                "proposal_scale": float(policy.encoder.proposal_scale),
-            },
-            config=dataclasses.asdict(policy.config),
-            state=policy.state_dict(),
-            repro_version=__version__,
-        )
-    if isinstance(policy, FleetLotusAgent):
-        return PolicyCheckpoint(
-            kind="lotus-fleet",
-            method=policy.name,
-            geometry={
-                "cpu_levels": int(policy.action_space.cpu_levels),
-                "gpu_levels": int(policy.action_space.gpu_levels),
-                "temperature_threshold_c": float(policy.temperature_threshold_c),
-                "proposal_scale": float(policy.proposal_scale),
-                "num_sessions": int(policy.num_sessions),
-            },
+            geometry=geometry,
             config=dataclasses.asdict(policy.config),
             state=policy.state_dict(),
             repro_version=__version__,

@@ -25,8 +25,9 @@ from repro.governors.fleet import (
     BatchedUserspacePolicy,
     build_batched_default_governor,
 )
-from repro.hardware.devices.registry import build_device
+from repro.hardware.devices.registry import available_devices, build_device
 from repro.hardware.fleet import DeviceFleet
+from repro.hardware.frequency import FrequencyTable
 from repro.kernels.build import RESULT_FLAGS, RESULT_FLOATS, RESULT_INTS
 from repro.runtime.fleet import (
     make_fleet_environment,
@@ -198,6 +199,53 @@ def test_fleet_lotus_evaluation_mode_disables_learning():
     run_fleet_episode(env, agent, 5)
     assert agent.loss_history == []
     assert agent.epsilon == 0.0
+
+
+def test_fleet_encoding_matches_state_encoder_on_a_one_level_gpu_table():
+    # No registered device has a one-level table, so no pin covers this.
+    for name in available_devices():
+        device = build_device(name)
+        assert device.cpu.num_levels > 1 and device.gpu.num_levels > 1, name
+    device = build_device("jetson-orin-nano")
+    top = device.gpu.frequency_table.point(device.gpu.max_level)
+    device.gpu = dataclasses.replace(
+        device.gpu, frequency_table=FrequencyTable([top]), level=0
+    )
+    n = 3
+    env = BatchedInferenceEnvironment(
+        device=device,
+        detector=build_detector("faster_rcnn"),
+        streams=FleetFrameStream(
+            build_dataset("kitti"),
+            [np.random.default_rng(i) for i in range(n)],
+            latency_constraint_ms=[400.0] * n,
+        ),
+        rngs=[np.random.default_rng(i + 1) for i in range(n)],
+    )
+    agent = FleetLotusAgent(
+        cpu_levels=device.cpu.num_levels,
+        gpu_levels=1,
+        temperature_threshold_c=env.throttle_threshold_c,
+        proposal_scale=600.0,
+        num_sessions=n,
+        rng=np.random.default_rng(0),
+    )
+    encoder = agent.encoder
+    for _ in range(3):
+        start = env.begin_frame()
+        states = encoder.encode_start_batch(start)
+        assert states.shape == (n, encoder.dimension)
+        assert (states[:, 4] == 1.0).all()
+        for i in range(n):
+            assert np.array_equal(states[i], encoder.encode_start(start.session(i)))
+        env.apply_decision(agent.begin_frame(start))
+        mid = env.run_first_stage()
+        states = encoder.encode_mid_batch(mid)
+        assert (states[:, 4] == 1.0).all()
+        for i in range(n):
+            assert np.array_equal(states[i], encoder.encode_mid(mid.session(i)))
+        env.apply_decision(agent.mid_frame(mid))
+        agent.end_frame(env.run_second_stage())
 
 
 def test_make_fleet_policy_maps_methods():

@@ -90,7 +90,9 @@ smoke_fused_kill_switch() {
     # one-stage and two-stage ones alike.  That run must throttle at least
     # once (its thermal-soak member does), so the throttle branch is under
     # the digest comparison.  Each scalar session runs on the one-session
-    # fleet engine: each frame phase kernel once per frame.
+    # fleet engine: each frame phase kernel once per frame.  A hot-ambient
+    # (45 C) lotus-fleet cell and scalar lotus session must each fire the
+    # cool-down, so both regimes' cool-down selection is under the digest.
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -99,11 +101,13 @@ import dataclasses, hashlib, os, sys
 import numpy as np
 
 from repro import ExperimentSetting, execute_setting, obs, run_fleet
+from repro.analysis.experiments import make_environment, make_policy
+from repro.core.training import OnlineSession
 from repro.detection.registry import build_detector
-from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
+from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, run_fleet_episode
 from repro.env.trace import COLUMN_DTYPES
 from repro.kernels import FAMILIES, kernel_status
-from repro.runtime.fleet import run_fleet_scenario
+from repro.runtime.fleet import make_fleet_environment, make_fleet_policy, run_fleet_scenario
 from repro.scenarios import FleetScenario, build_scenario
 
 fused = os.environ["REPRO_FUSED"] == "1"
@@ -184,6 +188,28 @@ for method in ("lotus", "ztt", "lotus-shared-buffer"):
     scalar_digest.update("\n".join(session.trace.datasets()).encode())
     for history in (session.losses, session.rewards):
         scalar_digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
+# Hot-ambient Lotus runs, where the cool-down fires: the two regimes'
+# action-selection orders differ exactly there.  Each must cool down at
+# least once on both sides.
+hot_digest = hashlib.sha256()
+hot = ExperimentSetting(num_frames=120, seed=0, ambient_temperature_c=45.0)
+environment = make_fleet_environment(hot, 4)
+agent = make_fleet_policy("lotus-fleet", environment, 120, seed=0)
+hot_digest.update(trace_digest(run_fleet_episode(environment, agent, 120)).digest())
+scalar_hot = dataclasses.replace(hot, num_frames=220)
+environment = make_environment(scalar_hot)
+policy = make_policy("lotus", environment, 220, seed=0)
+session = OnlineSession(environment, policy).run(220)
+for name in COLUMN_DTYPES:
+    column = np.ascontiguousarray(session.trace.column(name))
+    if column.dtype.itemsize == 8:
+        column = column.view(np.int64)
+    hot_digest.update(name.encode() + column.tobytes())
+for learner in (agent, policy):
+    assert learner.cooldown.trigger_count > 0, f"hot {learner.name} never cooled down"
+    for history in (learner.loss_history, learner.reward_history):
+        hot_digest.update(np.array(history, dtype=np.float64).view(np.int64).tobytes())
+
 calls = kernel_calls()
 obs.disable()
 families = {
@@ -202,10 +228,14 @@ assert status == ({"fused"} if fused else {"disabled"}), kernel_status()
 
 with open(sys.argv[1], "w") as handle:
     handle.write(
-        "\n".join(d.hexdigest() for d in (digest, mixed_digest, scalar_digest)) + "\n"
+        "\n".join(
+            d.hexdigest() for d in (digest, mixed_digest, scalar_digest, hot_digest)
+        ) + "\n"
     )
-print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s, scalar sessions %s"
-      % (fused, digest.hexdigest(), mixed_digest.hexdigest(), scalar_digest.hexdigest()))
+print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s, scalar sessions %s, "
+      "hot lotus %s"
+      % (fused, digest.hexdigest(), mixed_digest.hexdigest(), scalar_digest.hexdigest(),
+         hot_digest.hexdigest()))
 PY
     done
     diff "$out/trace-fused-0.sha256" "$out/trace-fused-1.sha256"
