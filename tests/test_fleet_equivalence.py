@@ -17,7 +17,12 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis.experiments import ExperimentSetting, execute_setting
+from repro.analysis.experiments import (
+    ExperimentSetting,
+    default_latency_constraint,
+    execute_setting,
+    make_environment,
+)
 from repro.detection.fleet import (
     BatchedExecutionModel,
     propose_batch,
@@ -26,9 +31,10 @@ from repro.detection.fleet import (
 )
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.detection.registry import build_detector
-from repro.env.ambient import DiurnalAmbient, LinearRampAmbient
+from repro.env.ambient import AmbientSegment, DiurnalAmbient, LinearRampAmbient, StepAmbient
 from repro.env.fleet import (
     _FRAME_RESULT_ARRAY_FIELDS,
+    BatchedInferenceEnvironment,
     run_fleet_episode,
     run_grouped_fleet_episode,
 )
@@ -61,7 +67,7 @@ from repro.runtime.shards import run_sharded_scenario, run_supervised_scenario
 from repro.scenarios import FleetMember, FleetScenario, ScenarioSpec, build_scenario
 from repro.workload.dataset import build_dataset
 from repro.workload.fleet import FleetFrameStream
-from repro.workload.generator import FrameStream
+from repro.workload.generator import DomainSegment, DomainSwitchStream, FrameStream
 
 FLEET = 5
 
@@ -142,6 +148,86 @@ def _fleet_trace_digest(trace) -> str:
 def test_run_fleet_trace_matches_pinned_digest(method):
     result = run_fleet(ExperimentSetting(num_frames=24, seed=0), method, 4)
     assert _fleet_trace_digest(result.fleet_trace) == PINNED_RUN_FLEET_DIGESTS[method]
+
+
+def governed_cell(name: str) -> tuple:
+    """``(environment, policy, frames)`` of one default-governed pin cell.
+
+    Each registered governor pair (the Jetson's at an 80 °C ambient, where
+    it throttles), a one-stage detector, a 12.5 ms idle gap between
+    frames, a ``StepAmbient`` schedule, a one-session domain switch at
+    frame 12, and 256 sessions.
+    """
+    setting = ExperimentSetting(num_frames=24, seed=0)
+    sessions, ambient = 4, None
+    if name == "jetson-orin-nano":
+        setting = setting.with_overrides(ambient_temperature_c=80.0)
+    elif name == "mi11-lite":
+        setting = setting.with_overrides(device="mi11-lite", detector="mask_rcnn", seed=1)
+    elif name == "raspberry-pi-5":
+        setting, sessions = setting.with_overrides(device="raspberry-pi-5", seed=2), 8
+        ambient = StepAmbient(
+            [AmbientSegment(8, 25.0), AmbientSegment(8, 0.0), AmbientSegment(1, 35.0)]
+        )
+    elif name == "one-stage":
+        setting = setting.with_overrides(detector="yolo_v5", seed=3)
+    elif name == "idle-gap":
+        sessions, seed = 4, 5
+        constraint = default_latency_constraint("jetson-orin-nano", "faster_rcnn", "kitti")
+        environment = BatchedInferenceEnvironment(
+            build_device("jetson-orin-nano"),
+            build_detector("faster_rcnn"),
+            FleetFrameStream(
+                build_dataset("kitti"),
+                [np.random.default_rng(seed + i) for i in range(sessions)],
+                latency_constraint_ms=[constraint] * sessions,
+            ),
+            ambient=DiurnalAmbient(mean_c=30.0, amplitude_c=8.0, period_frames=10),
+            rngs=[np.random.default_rng(seed + i + 1) for i in range(sessions)],
+            idle_between_frames_ms=12.5,
+        )
+        return environment, build_batched_default_governor("jetson-orin-nano"), 24
+    elif name == "domain-switch":
+        setting = setting.with_overrides(num_frames=30, seed=6)
+        segments = [
+            DomainSegment(
+                build_dataset(dataset), 12,
+                default_latency_constraint(setting.device, setting.detector, dataset),
+            )
+            for dataset in ("kitti", "visdrone2019")
+        ]
+        stream = DomainSwitchStream(segments, np.random.default_rng(setting.seed))
+        environment = make_environment(setting, stream=stream).fleet
+        return environment, build_batched_default_governor(setting.device), 30
+    elif name == "wide":
+        sessions = 256
+    else:
+        raise KeyError(name)
+    environment = make_fleet_environment(setting, sessions, ambient=ambient)
+    return environment, build_batched_default_governor(setting.device), setting.num_frames
+
+
+#: SHA-256 (:func:`_fleet_trace_digest`) of each :func:`governed_cell` run
+#: by ``run_fleet_episode`` with its device's default governor pair.
+PINNED_GOVERNED_FLEET_DIGESTS = {
+    "domain-switch": "5a2feea456433ef95779906f0206b1f5858082cd7451e8d91226de807fc62b1b",
+    "idle-gap": "0d3822e1fdc55d4ff44b6e740bb50c2480cce153eecb912a031857018548fe24",
+    "jetson-orin-nano": "c5885af5800bbdeaa67ded08201ad4220dda168285d1b3cd9e73511486874199",
+    "mi11-lite": "ed231c8392e7e5378303dbdaafaea64d7e0d086677f4b1e88f43a847a7ddb2b7",
+    "one-stage": "58f8651241e1539d30255895b7af426be9c886a36e12bfd0437c21d38bde3f94",
+    "raspberry-pi-5": "cad10a64533baf72ee6c027e4d7f2d0ab4afeb3e1b9f79f0f287a7af663f67f3",
+    "wide": "6271b731bbd176ec04a2c725a99995184aa5d4e2f779190c82c3e01cbdb8d64a",
+}
+
+
+@pytest.mark.parametrize("kernels", ("fused", "numpy"))
+@pytest.mark.parametrize("cell", sorted(PINNED_GOVERNED_FLEET_DIGESTS))
+def test_governed_fleet_trace_matches_pinned_digest(cell, kernels, monkeypatch):
+    if kernels == "numpy":
+        monkeypatch.setattr(resolve, "_kernels", dict.fromkeys(FAMILIES))
+    environment, policy, frames = governed_cell(cell)
+    trace = run_fleet_episode(environment, policy, frames)
+    assert _fleet_trace_digest(trace) == PINNED_GOVERNED_FLEET_DIGESTS[cell]
 
 
 #: SHA-256 over :func:`_fleet_trace_digest` and the loss and reward
