@@ -45,7 +45,17 @@ read-only, as the trace sink keeps them by reference.
 
 There is one fleet frame loop, :func:`run_grouped_fleet_episode`: a fleet
 is a list of :class:`FleetSessionGroup` sub-fleets (one per device and
-detector), and :func:`run_fleet_episode` runs a single group.
+detector), and :func:`run_fleet_episode` runs a single group.  With the
+``fleet`` kernels, a group driven by exactly
+:class:`~repro.governors.fleet.BatchedDefaultGovernorPolicy` with built-in
+governors (:meth:`FleetPolicy.frame_governors`) runs each frame as one
+``fleet_governed_frame`` call: the three phases, and between them both
+governors' selections on the observations' staging rows and the level
+request, with no observation handed out and no policy call made.  The
+governors keep no state and read only those rows, so skipping their
+protocol calls cannot be seen in any result; a step that refuses (a
+non-finite utilisation, a frequency <= 0) writes nothing, and the frame
+goes on through the protocol from there.
 
 Policies drive the fleet through the :class:`FleetPolicy` protocol.
 Vectorized implementations live in :mod:`repro.governors.fleet` (the
@@ -96,6 +106,7 @@ from repro.hardware.device import EdgeDevice
 from repro.hardware.fleet import IDLE_CPU_UTILISATION, IDLE_GPU_UTILISATION, DeviceFleet
 from repro.kernels import SessionGenerators, check_scales, fused_fleet
 from repro.kernels.build import (
+    GOVERNED_STEPS,
     OBSERVATION_FLAGS,
     OBSERVATION_FLOATS,
     OBSERVATION_INTS,
@@ -569,6 +580,13 @@ class FleetPolicy(ABC):
     def reset(self) -> None:
         """Reset any internal state before a new episode."""
 
+    def frame_governors(self) -> tuple | None:
+        """The CPU and GPU governors whose decisions are all this policy
+        does, if the frame loop may run its frames without its protocol
+        calls (:func:`run_grouped_fleet_episode`); ``None``, the default,
+        for a policy that must see every call."""
+        return None
+
 
 class PerSessionPolicies(FleetPolicy):
     """Adapter driving one scalar :class:`Policy` per session.
@@ -686,6 +704,9 @@ class SessionAmbient:
         self.slot = np.array(
             [slots[id(profile)] for profile in self.profiles], dtype=np.int64
         )
+        #: Whether every distinct profile is a :class:`ConstantAmbient`
+        #: (exactly), whose value never changes.
+        self.constant = all(type(profile) is ConstantAmbient for profile in distinct)
 
     @property
     def num_sessions(self) -> int:
@@ -817,13 +838,15 @@ class BatchedInferenceEnvironment:
         self._mid_blocks = _blocks(OBSERVATION_FLOATS, OBSERVATION_INTS, OBSERVATION_FLAGS, n)
         self._result_blocks = _blocks(RESULT_FLOATS, RESULT_INTS, RESULT_FLAGS, n)
         self._fused: _FusedFrame | None = None
+        self._governed: _GovernedFrame | None = None
         self.state.device.reset(self.ambient.initial_temperature())
 
     def __getstate__(self) -> dict:
-        # The fused frame holds raw addresses of this environment's arrays
-        # and generators; a copy (pickle or deepcopy) binds its own.
+        # The fused and governed frames hold raw addresses of this
+        # environment's arrays and generators; a copy (pickle or deepcopy)
+        # binds its own.
         state = self.__dict__.copy()
-        state["_fused"] = None
+        state["_fused"] = state["_governed"] = None
         return state
 
     def _fused_frame(self, kernel) -> "_FusedFrame":
@@ -1001,6 +1024,10 @@ class BatchedInferenceEnvironment:
     def _begin_frame(self, kernel) -> FleetStartObservation:
         """:meth:`begin_frame` on the given ``fleet`` kernels, or NumPy for ``None``."""
         self._step_begin(kernel)
+        return self._start_observation()
+
+    def _start_observation(self) -> FleetStartObservation:
+        """The start observation of the frame begun, from its staging blocks."""
         state = self.state
         floats, ints, flags = self._snapshot(self._start_blocks)
         device = state.device
@@ -1027,10 +1054,7 @@ class BatchedInferenceEnvironment:
 
     def _step_begin(self, kernel) -> None:
         """Start the frame, writing the start observation's staging blocks."""
-        if self._phase is not _Phase.IDLE:
-            raise ExperimentError(
-                f"begin_frame called while a frame is in phase {self._phase.value!r}"
-            )
+        self._check_idle("begin_frame")
         state = self.state
         if kernel is None:
             state.device.set_ambient(self.ambient.temperature_at(self._frame_index))
@@ -1042,18 +1066,57 @@ class BatchedInferenceEnvironment:
             state.frame_energy_j.fill(0.0)
             self._observe(self._start_blocks, self._previous_latency, state.constraint_ms)
         else:
-            if self._stream.enter_due_segment():
-                self._fused = None  # a new segment's names and draw scales
-            fused = self._fused or self._fused_frame(kernel)
-            fused.ambient_values[:] = self.ambient.distinct_at(self._frame_index)
-            fused.draw()
-            if fused.noise is not None:
-                # np.exp, as the scalar ProposalModel.sample uses.
-                np.exp(fused.noise, out=fused.noise)
+            fused = self._draw_frame(kernel)
             kernel.fleet_begin_frame(fused.table)
             self._stream.count_frame()
             state.datasets = fused.datasets
         self._phase = _Phase.STARTED
+
+    def _check_idle(self, call: str) -> None:
+        if self._phase is not _Phase.IDLE:
+            raise ExperimentError(
+                f"{call} called while a frame is in phase {self._phase.value!r}"
+            )
+
+    def _draw_frame(self, kernel) -> "_FusedFrame":
+        """What a fused frame does before its first kernel: enter a due
+        segment of the stream, write the distinct ambient values (unless
+        they are constant, written once at bind time), draw the stream
+        innovations and proposal noise and take the noise's ``exp``."""
+        if self._stream.enter_due_segment():
+            self._fused = None  # a new segment's names and draw scales
+        fused = self._fused or self._fused_frame(kernel)
+        if fused.ambient_at is not None:
+            fused.ambient_values[:] = fused.ambient_at(self._frame_index)
+        fused.draw()
+        if fused.noise is not None:
+            # np.exp, as the scalar ProposalModel.sample uses.
+            np.exp(fused.noise, out=fused.noise)
+        return fused
+
+    def _governed_frame(self, kernel, governors: tuple) -> int:
+        """Run the frame, as far as it goes, as one ``fleet_governed_frame``
+        call: both decisions are the ``governors``' (a default pair's CPU
+        and GPU selectors, which keep no state) on the observations'
+        staging rows, requested unmasked.  Returns how many of the
+        ``GOVERNED_STEPS`` completed and leaves the environment in the
+        phase the frame protocol reaches after them, so a frame whose step
+        refused (writing nothing) continues through the protocol from that
+        step: its observation comes from the staging blocks
+        (:meth:`_start_observation`, :meth:`_mid_observation`)."""
+        self._check_idle("begin_frame")
+        fused = self._draw_frame(kernel)
+        governed = self._governed
+        if governed is None or governed.fused is not fused or governed.governors != governors:
+            governed = self._governed = _GovernedFrame(self, kernel, fused, governors)
+        completed = kernel.fleet_governed_frame(governed.table)
+        self._stream.count_frame()
+        self.state.datasets = fused.datasets
+        if completed == _WHOLE_FRAME:
+            self._finish_frame()
+        else:
+            self._phase = _Phase.STARTED if completed <= _FIRST_STAGE else _Phase.AFTER_STAGE1
+        return completed
 
     def run_first_stage(self) -> FleetMidObservation:
         """Execute stage 1 for every session; return the batch observation.
@@ -1067,6 +1130,10 @@ class BatchedInferenceEnvironment:
     def _first_stage(self, kernel) -> FleetMidObservation:
         """:meth:`run_first_stage` on the given ``fleet`` kernels, or NumPy for ``None``."""
         self._step_first_stage(kernel)
+        return self._mid_observation()
+
+    def _mid_observation(self) -> FleetMidObservation:
+        """The mid observation of the frame's stage 1, from its staging blocks."""
         state = self.state
         device = state.device
         floats, ints, flags = self._snapshot(self._mid_blocks)
@@ -1131,12 +1198,16 @@ class BatchedInferenceEnvironment:
 
     def _second_stage(self, kernel) -> FleetFrameResult:
         """:meth:`run_second_stage` on the given ``fleet`` kernels, or NumPy for ``None``."""
-        index = self._frame_index
         self._step_second_stage(kernel)
+        return self._frame_result()
+
+    def _frame_result(self) -> FleetFrameResult:
+        """The result of the frame just finished, from its staging blocks
+        (read-only copies)."""
         floats, ints, flags = self._snapshot(self._result_blocks, read_only=True)
         return _frozen(
             FleetFrameResult,
-            index=index,
+            index=self._frame_index - 1,
             datasets=self.state.datasets,
             num_proposals=ints[0],
             stage1_latency_ms=floats[0],
@@ -1195,7 +1266,10 @@ class BatchedInferenceEnvironment:
             self._previous_latency[:] = total
         elif not kernel.fleet_second_stage((self._fused or self._fused_frame(kernel)).table):
             raise DetectorError("frequencies must be positive")
-        state.previous_latency_ms = self._previous_latency
+        self._finish_frame()
+
+    def _finish_frame(self) -> None:
+        self.state.previous_latency_ms = self._previous_latency
         self._frame_index += 1
         self._phase = _Phase.IDLE
 
@@ -1218,7 +1292,9 @@ class _FusedFrame:
     frame's draw (:meth:`~repro.kernels.SessionGenerators.bind_normal`:
     the stream's generators, then, for a detector with proposal noise, the
     environment's, into the environment's draw buffer) and the distinct
-    ambient values ``begin_frame`` fills before the kernel.  The
+    ambient values, which ``begin_frame`` fills before the kernel from
+    ``ambient_at``, or which are written here once when every distinct
+    profile is constant (``ambient_at`` is then ``None``).  The
     environment drops it when pickled or copied, so everything a frame
     carries from one phase to the next lives in the environment's arrays.
     """
@@ -1236,7 +1312,9 @@ class _FusedFrame:
         draws = env._draws[: scales.size]
         self.draw = generators.bind_normal(scales, draws)
         self.noise = draws[n:] if noisy else None
-        self.ambient_values = np.zeros(env.ambient.num_distinct)
+        ambient = env.ambient
+        self.ambient_at = None if ambient.constant else ambient.distinct_at
+        self.ambient_values = np.array(ambient.distinct_at(env._frame_index), dtype=float)
         self.datasets = stream["names"]
         ar1 = kernel.ar1_table(
             stream["current"], stream["mean"], stream["correlation"], draws[:n],
@@ -1306,6 +1384,47 @@ class _FusedFrame:
             "idle_cpu_utilisation": IDLE_CPU_UTILISATION,
             "idle_gpu_utilisation": IDLE_GPU_UTILISATION,
         })
+
+
+# The steps of a governed frame (``GOVERNED_STEPS``): ``fleet_governed_frame``
+# completes ``_WHOLE_FRAME`` of them, or stops at the one that refused.
+_START_DECISION, _FIRST_STAGE, _MID_DECISION, _SECOND_STAGE = (
+    GOVERNED_STEPS.index(step)
+    for step in ("start_decision", "first_stage", "mid_decision", "second_stage")
+)
+_WHOLE_FRAME = len(GOVERNED_STEPS)
+
+
+class _GovernedFrame:
+    """One environment's default-governed frame for one governor pair: the
+    table of ``fleet_governed_frame``.
+
+    Bound to the environment's fused frame (rebuilt with it) and to one
+    governor table per decision and domain, which reads the utilisation
+    and level rows of that decision's observation staging block and
+    writes the fleet's level-request buffers.  The governors' parameters
+    are read here once, as their own kernel tables read them.  Dropped,
+    like the fused frame, when the environment is pickled or copied.
+    """
+
+    def __init__(self, env: BatchedInferenceEnvironment, kernel, fused: _FusedFrame, governors):
+        self.fused, self.governors = fused, governors
+        device = env.state.device
+        table = device.argument_table(kernel)
+        tables = {}
+        for phase, (floats, ints, _) in (("start", env._start_blocks), ("mid", env._mid_blocks)):
+            for domain, governor in zip(("cpu", "gpu"), governors):
+                tables[f"{phase}_{domain}"] = kernel.governor_table(
+                    governor.kind, env.num_sessions, governor.kernel_parameters(),
+                    {
+                        "utilisation": floats[OBSERVATION_FLOATS.index(f"{domain}_utilisation")],
+                        "current": ints[OBSERVATION_INTS.index(f"{domain}_level")],
+                        "levels": table.buffers[f"{domain}_request"],
+                    },
+                )
+        self.table = kernel.governed_table(
+            fused.table, table, (device.cpu.num_levels, device.gpu.num_levels), tables
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1417,7 +1536,9 @@ def run_grouped_fleet_episode(
     The one fleet frame loop, the batch analogue of
     :func:`repro.env.episode.run_episode`: every group advances through the
     same three-phase frame protocol each iteration (each phase as one
-    batched kernel per group), and the per-group frame results are
+    batched kernel per group; a group whose policy names its
+    :meth:`~FleetPolicy.frame_governors` runs its whole frame as one kernel
+    call in the first phase), and the per-group frame results are
     re-interleaved into a single columnar :class:`FleetTrace` ordered by
     global session index.  Groups never interact, so each session's
     trajectory is bit-identical to what it would produce in a homogeneous
@@ -1453,24 +1574,61 @@ def run_grouped_fleet_episode(
             group.environment.reset()
         if reset_policies:
             group.policy.reset()
+    kernel = fused_fleet()
+    governed = [
+        group.policy.frame_governors()
+        if kernel is not None and isinstance(group.policy, FleetPolicy) else None
+        for group in groups
+    ]
     trace = FleetTrace(num_sessions) if sink is None else sink
     for _ in range(num_frames):
-        for group in groups:
-            observation = group.environment.begin_frame()
-            group.environment.apply_decision(group.policy.begin_frame(observation))
-        for group in groups:
-            observation = group.environment.run_first_stage()
-            group.environment.apply_decision(group.policy.mid_frame(observation))
-        results = []
-        for group in groups:
-            result = group.environment.run_second_stage()
-            group.policy.end_frame(result)
-            results.append(result)
+        results = _run_frame(groups, governed, kernel)
         if in_order:
             trace.append(results[0])
         else:
             trace.append(_scatter_frame_results(results, targets, num_sessions))
     return trace
+
+
+def _run_frame(groups: Sequence[FleetSessionGroup], governed: list, kernel) -> list:
+    """One lock-step frame of every group, each phase across the groups in
+    turn: the groups' frame results.
+
+    A group with a governor pair in ``governed`` runs its whole frame as
+    one ``fleet_governed_frame`` call in the first phase; from a step that
+    refused, it goes on through the frame protocol.
+    """
+    steps = []
+    for group, governors in zip(groups, governed):
+        environment = group.environment
+        if governors is None:
+            observation, completed = environment.begin_frame(), _START_DECISION
+        else:
+            completed = environment._governed_frame(kernel, governors)
+            if completed == _START_DECISION:
+                observation = environment._start_observation()
+        if completed == _START_DECISION:
+            environment.apply_decision(group.policy.begin_frame(observation))
+            completed = _FIRST_STAGE
+        steps.append(completed)
+    for index, group in enumerate(groups):
+        environment, completed = group.environment, steps[index]
+        if completed == _FIRST_STAGE:
+            observation, completed = environment.run_first_stage(), _MID_DECISION
+        elif completed == _MID_DECISION:
+            observation = environment._mid_observation()
+        if completed == _MID_DECISION:
+            environment.apply_decision(group.policy.mid_frame(observation))
+            steps[index] = _SECOND_STAGE
+    results = []
+    for group, completed in zip(groups, steps):
+        if completed == _SECOND_STAGE:
+            result = group.environment.run_second_stage()
+            group.policy.end_frame(result)
+        else:
+            result = group.environment._frame_result()
+        results.append(result)
+    return results
 
 
 def run_fleet_episode(

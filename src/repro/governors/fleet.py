@@ -89,7 +89,7 @@ class _FusedSelector(BatchedLevelSelector):
             table = self._kernel_table
             if table is None or table.buffers["levels"].size != utilisation.size:
                 table = self._kernel_table = kernel.governor_table(
-                    self.kind, utilisation.size, self._kernel_parameters()
+                    self.kind, utilisation.size, self.kernel_parameters()
                 )
             buffers = table.buffers
             buffers["utilisation"][:] = utilisation
@@ -99,7 +99,7 @@ class _FusedSelector(BatchedLevelSelector):
         return self._select_numpy(utilisation, current_levels, num_levels)
 
     @abstractmethod
-    def _kernel_parameters(self) -> dict:
+    def kernel_parameters(self) -> dict:
         """This governor's ``step`` and its ``margin``, ``up_threshold`` and
         ``down_threshold`` constants (0 where it has none)."""
 
@@ -123,7 +123,7 @@ class BatchedSchedutilGovernor(_FusedSelector):
         self.margin = margin
         self.max_step_down = max_step_down
 
-    def _kernel_parameters(self) -> dict:
+    def kernel_parameters(self) -> dict:
         return {
             "step": self.max_step_down, "margin": self.margin, "up_threshold": 0.0,
             "down_threshold": 0.0,
@@ -153,7 +153,7 @@ class BatchedOndemandGovernor(_FusedSelector):
             raise ConfigurationError("up_threshold must lie in (0, 1]")
         self.up_threshold = up_threshold
 
-    def _kernel_parameters(self) -> dict:
+    def kernel_parameters(self) -> dict:
         return {
             "step": 0, "margin": 0.0, "up_threshold": self.up_threshold,
             "down_threshold": 0.0,
@@ -191,7 +191,7 @@ class BatchedSimpleOndemandGovernor(_FusedSelector):
         self.down_threshold = down_threshold
         self.up_step = up_step
 
-    def _kernel_parameters(self) -> dict:
+    def kernel_parameters(self) -> dict:
         return {
             "step": self.up_step, "margin": 0.0, "up_threshold": self.up_threshold,
             "down_threshold": self.down_threshold,
@@ -208,6 +208,12 @@ class BatchedSimpleOndemandGovernor(_FusedSelector):
             up,
             np.where(utilisation <= self.down_threshold, down, current_levels),
         )
+
+
+#: The governors whose ``select_levels`` is one ``fleet_select_levels`` call.
+_FUSED_SELECTORS = (
+    BatchedSchedutilGovernor, BatchedOndemandGovernor, BatchedSimpleOndemandGovernor,
+)
 
 
 def batched_nvhost_podgov() -> BatchedSimpleOndemandGovernor:
@@ -257,6 +263,21 @@ class BatchedDefaultGovernorPolicy(FleetPolicy):
 
     def mid_frame(self, observation: FleetMidObservation) -> FleetDecision:
         return self._decide(observation)
+
+    def frame_governors(self) -> tuple | None:
+        """The governor pair, if both are exactly one of the built-in fused
+        selectors and this policy exactly this class: its decisions are
+        then the governors' selections on each observation's utilisation
+        and level rows, requested unmasked, and it keeps no state between
+        calls, so the frame loop may run its frames as one kernel call
+        each.  A subclass, or a governor of another type, may do more with
+        the protocol calls, and gets them."""
+        governors = self.cpu_governor, self.gpu_governor
+        if type(self) is BatchedDefaultGovernorPolicy and all(
+            type(governor) in _FUSED_SELECTORS for governor in governors
+        ):
+            return governors
+        return None
 
 
 class BatchedUserspacePolicy(FleetPolicy):

@@ -127,6 +127,19 @@ GOVERNOR_KINDS = ("schedutil", "ondemand", "simple_ondemand")
 GOVERNOR_SLOTS = ("kind", "step", "sessions", "utilisation", "current", "levels")
 GOVERNOR_CONSTANTS = ("margin", "up_threshold", "down_threshold")
 DOMAINS = ("cpu", "gpu")
+# A default-governed frame: the addresses of one environment's frame
+# table and constants and of its fleet's table, the two domains' level
+# counts, then one governor table (with its constants) per decision and
+# domain, start decision first.  ``GOVERNED_STEPS`` names the steps of the
+# frame in order; the kernel returns how many of them it completed.
+GOVERNED_SLOTS = (
+    "frame", "frame_constants", "device", "cpu_num_levels", "gpu_num_levels",
+    "start_cpu", "start_cpu_constants", "start_gpu", "start_gpu_constants",
+    "mid_cpu", "mid_cpu_constants", "mid_gpu", "mid_gpu_constants",
+)
+GOVERNED_STEPS = (
+    "begin_frame", "start_decision", "first_stage", "mid_decision", "second_stage",
+)
 # One clipped AR(1) step over a fleet's scene-complexity streams.
 AR1_SLOTS = (
     "sessions", "current", "mean", "correlation", "innovations", "minimum", "maximum",
@@ -183,7 +196,8 @@ def c_prelude() -> str:
         ("OF", OBSERVATION_FLOATS), ("OI", OBSERVATION_INTS), ("OB", OBSERVATION_FLAGS),
         ("RF", RESULT_FLOATS), ("RI", RESULT_INTS), ("RB", RESULT_FLAGS),
         ("GK", GOVERNOR_KINDS), ("GV", GOVERNOR_SLOTS),
-        ("GC", GOVERNOR_CONSTANTS), ("AR", AR1_SLOTS), ("PT", PROPOSAL_SLOTS),
+        ("GC", GOVERNOR_CONSTANTS), ("GF", GOVERNED_SLOTS), ("GS", GOVERNED_STEPS),
+        ("AR", AR1_SLOTS), ("PT", PROPOSAL_SLOTS),
         ("PC", PROPOSAL_CONSTANTS), ("NR", NORMAL_SLOTS), ("Q", DQN_SLOTS),
         ("QL", DQN_LAYER_SLOTS), ("QC", DQN_CONSTANTS), ("G", GREEDY_SLOTS), ("GL", GREEDY_LAYER_SLOTS),
     )

@@ -1,8 +1,10 @@
 /* The fleet family: one executed segment of DeviceFleet.execute,
    DeviceFleet.request_levels, the batched governors' select_levels, the
-   AR(1) and proposal-count tails of the batched workload and detector, and
+   AR(1) and proposal-count tails of the batched workload and detector,
    one call per frame phase of BatchedInferenceEnvironment (begin_frame,
-   run_first_stage, run_second_stage), built from the others. */
+   run_first_stage, run_second_stage), built from the others, and one call
+   per frame of an environment driven by a default governor pair, built
+   from the phases, the governors' selection and the level request. */
 #include "kernels.h"
 
 /* RC thermal sub-stepping over a (nodes x n) fleet temperature matrix,
@@ -639,4 +641,42 @@ long fleet_second_stage(const long long *t, const double *c) {
         throttled[j] = stages | cpu_now[j];
     }
     return 0;
+}
+
+/* ---- one call per default-governed frame -------------------------------- */
+
+/* One decision of a default-governed frame over the GF_* table `t`: the
+   CPU governor's fleet_select_levels, then the GPU governor's, from the
+   four slots at `first` (each governor's GV_* table, then its GC_*
+   constants), whose tables read the observation block's utilisation and
+   level rows and write the fleet's D_REQUEST buffers; then an unmasked
+   fleet_request_levels.  Returns 0, or 1 for a refusal by either. */
+static long governed_decision(const long long *t, long first) {
+    for (int k = 0; k < 2; k++) {
+        long governor = first + 2 * k;
+        if (fleet_select_levels(SLOT(const long long, t, governor),
+                                SLOT(const double, t, governor + 1),
+                                t[GF_CPU_NUM_LEVELS + k])) {
+            return 1;
+        }
+    }
+    return fleet_request_levels(SLOT(const long long, t, GF_DEVICE), 0) != 0;
+}
+
+/* A whole frame of an environment driven by a default governor pair, in
+   the order of the frame protocol (GS_* steps): fleet_begin_frame, the
+   start decision, fleet_first_stage, the mid decision, fleet_second_stage.
+   The caller has drawn the frame (as for fleet_begin_frame).  Returns the
+   number of steps completed: GS_SLOTS for the whole frame, or the index of
+   the step that refused, which wrote nothing, so the caller can finish
+   the frame through the protocol. */
+long fleet_governed_frame(const long long *t) {
+    const long long *frame = SLOT(const long long, t, GF_FRAME);
+    const double *constants = SLOT(const double, t, GF_FRAME_CONSTANTS);
+    fleet_begin_frame(frame);
+    if (governed_decision(t, GF_START_CPU)) return GS_START_DECISION;
+    if (fleet_first_stage(frame, constants)) return GS_FIRST_STAGE;
+    if (governed_decision(t, GF_MID_CPU)) return GS_MID_DECISION;
+    if (fleet_second_stage(frame, constants)) return GS_SECOND_STAGE;
+    return GS_SLOTS;
 }

@@ -6,6 +6,8 @@ Each kernel's reference is its owner's ``REPRO_FUSED=0`` NumPy code:
   (one call per frame phase of a fleet environment):
   ``BatchedInferenceEnvironment._begin_frame``, ``_first_stage`` and
   ``_second_stage`` without kernels;
+* ``fleet_governed_frame`` (one call per frame of an environment driven by
+  a default governor pair): the frame protocol without kernels;
 * ``fleet_device_execute``: ``DeviceFleet._execute_numpy``;
 * ``fleet_request_levels``: ``DeviceFleet._request_numpy``;
 * ``fleet_select_levels``: each batched governor's ``_select_numpy``;
@@ -13,7 +15,8 @@ Each kernel's reference is its owner's ``REPRO_FUSED=0`` NumPy code:
 * ``fleet_proposal_tail``: :func:`repro.detection.fleet.proposal_tail`.
 
 The phase kernels run the last two, and a detector stage's costs, segment
-model and ``fleet_device_execute``, inside them.
+model and ``fleet_device_execute``, inside them; ``fleet_governed_frame``
+runs the phase, select and request kernels.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from repro.kernels.build import (
     DEVICE_LAYOUT,
     FRAME_CONSTANTS,
     FRAME_SLOTS,
+    GOVERNED_SLOTS,
+    GOVERNED_STEPS,
     GOVERNOR_CONSTANTS,
     GOVERNOR_KINDS,
     GOVERNOR_SLOTS,
@@ -40,6 +45,18 @@ from repro.kernels.build import (
 )
 from repro.kernels.resolve import differential, in_place
 from repro.obs import bus as _obs
+
+#: The kernels each ``GOVERNED_STEPS`` step runs, as ``fused.kernel_calls``
+#: labels them (a decision selects both domains' levels, then requests
+#: them), and the labels of the first ``k`` steps at index ``k``.
+_DECISION = ("fleet_select_levels", "fleet_select_levels", "fleet_request_levels")
+_STEP_KERNELS = (
+    ("fleet_begin_frame",), _DECISION, ("fleet_first_stage",), _DECISION,
+    ("fleet_second_stage",),
+)
+_COMPLETED_KERNELS = tuple(
+    sum(_STEP_KERNELS[:completed], ()) for completed in range(len(GOVERNED_STEPS) + 1)
+)
 
 
 class FleetKernels:
@@ -55,6 +72,7 @@ class FleetKernels:
         self._select_levels = function(
             lib, "fleet_select_levels", long, pointer, pointer, long
         )
+        self._governed_frame = function(lib, "fleet_governed_frame", long, pointer)
         self._ar1 = function(lib, "fleet_ar1_advance", None, pointer)
         self._proposal_tail = function(lib, "fleet_proposal_tail", None, pointer, pointer)
 
@@ -103,15 +121,19 @@ class FleetKernels:
         _obs.kernel_call("fleet_second_stage")
         return self._second_stage(table.values_address, table.constants_address) == 0
 
-    def governor_table(self, kind: str, num_sessions: int, parameters: dict) -> ArgumentTable:
+    def governor_table(
+        self, kind: str, num_sessions: int, parameters: dict, buffers: dict | None = None
+    ) -> ArgumentTable:
         """The table of :meth:`fleet_select_levels` for one governor (``kind``
         one of ``GOVERNOR_KINDS``, ``parameters`` its ``step`` and
-        ``GOVERNOR_CONSTANTS``) at one fleet size, with its own buffers."""
-        buffers = {
-            "utilisation": np.zeros(num_sessions),
-            "current": np.zeros(num_sessions, dtype=np.int64),
-            "levels": np.zeros(num_sessions, dtype=np.int64),
-        }
+        ``GOVERNOR_CONSTANTS``) at one fleet size, on ``buffers`` (its
+        ``utilisation``, ``current`` and ``levels`` arrays) or its own."""
+        if buffers is None:
+            buffers = {
+                "utilisation": np.zeros(num_sessions),
+                "current": np.zeros(num_sessions, dtype=np.int64),
+                "levels": np.zeros(num_sessions, dtype=np.int64),
+            }
         return ArgumentTable(
             GOVERNOR_SLOTS, GOVERNOR_CONSTANTS,
             {"kind": GOVERNOR_KINDS.index(kind), "sessions": num_sessions, **buffers,
@@ -126,6 +148,33 @@ class FleetKernels:
         return self._select_levels(
             table.values_address, table.constants_address, num_levels
         ) == 0
+
+    def governed_table(
+        self, frame: ArgumentTable, device: ArgumentTable, num_levels: tuple,
+        governors: dict,
+    ) -> ArgumentTable:
+        """The table of :meth:`fleet_governed_frame`: an environment's frame
+        table, its fleet's device table, the CPU's and GPU's level counts,
+        and ``governors``, one governor table per decision and domain
+        (``start_cpu``, ``start_gpu``, ``mid_cpu``, ``mid_gpu``)."""
+        arguments = {
+            "frame": frame.values, "frame_constants": frame.constants,
+            "device": device.values, "cpu_num_levels": num_levels[0],
+            "gpu_num_levels": num_levels[1],
+        }
+        for name, table in governors.items():
+            arguments[name], arguments[f"{name}_constants"] = table.values, table.constants
+        return ArgumentTable(GOVERNED_SLOTS, (), arguments)
+
+    def fleet_governed_frame(self, table: ArgumentTable) -> int:
+        """A frame of a default-governed environment, its stream drawn:
+        begin, decide, stage 1, decide, stage 2.  Returns how many of the
+        ``GOVERNED_STEPS`` completed: all of them, or those before the one
+        that refused, which wrote nothing.  Each completed step counts its
+        kernels' calls."""
+        completed = self._governed_frame(table.values_address)
+        _obs.kernel_calls(_COMPLETED_KERNELS[completed])
+        return completed
 
     def ar1_table(
         self, current, mean, correlation, innovations, minimum, maximum
@@ -298,6 +347,32 @@ def _framed(kernel):
     return run
 
 
+def _governed(kernel):
+    """Three frames of ``make()``'s environment driven by the ``governors``
+    through the frame loop's ``_run_frame``: one ``fleet_governed_frame``
+    call each on the given kernels, the frame protocol on NumPy for
+    ``None``.  Every result, then the device state and the environment's
+    snapshot.  (The refusals are the phase and select cases': a refused
+    step finishes its frame through the protocol, whose phases would run
+    here on NumPy, which draws the proposal noise in stage 1.)"""
+    from repro.env.fleet import FleetSessionGroup, _run_frame
+    from repro.governors.fleet import BatchedDefaultGovernorPolicy
+
+    def run(make, governors):
+        env = make()
+        group = FleetSessionGroup(
+            env, BatchedDefaultGovernorPolicy(*governors), tuple(range(env.num_sessions))
+        )
+        governed = [None if kernel is None else governors]
+        outcomes = [
+            vars(result) for _ in range(3) for result in _run_frame([group], governed, kernel)
+        ]
+        outcomes.append(env.state_dict())
+        return outcomes
+
+    return run
+
+
 def _requested(kernel):
     """Level requests through ``make()._request``: each one's error message
     (or ``None``) and the fleet's state after it."""
@@ -393,6 +468,7 @@ def _cases(kernel: FleetKernels):
         BatchedOndemandGovernor,
         BatchedSchedutilGovernor,
         BatchedSimpleOndemandGovernor,
+        batched_msm_adreno_tz,
         batched_nvhost_podgov,
     )
     from repro.workload.fleet import ar1_advance
@@ -412,11 +488,14 @@ def _cases(kernel: FleetKernels):
     # two-stage detector without launch overhead (zero work takes the
     # segment model's idle branch), with an idle gap and stage 2 refused
     # once; a one-stage detector with overhead and stage 1 refused once.
-    for detector, overhead, idle_ms, refused in (
-        ("faster_rcnn", 0.0, 5.0, 2), ("yolo_v5", 2.0, 0.0, 1),
+    # Then default-governed frames on each.
+    for detector, overhead, idle_ms, refused, governors in (
+        ("faster_rcnn", 0.0, 5.0, 2, (BatchedSchedutilGovernor(), batched_nvhost_podgov())),
+        ("yolo_v5", 2.0, 0.0, 1, (BatchedOndemandGovernor(), batched_msm_adreno_tz())),
     ):
         make = _environment(make_fleet, detector, overhead, idle_ms)
         yield (make, refused), _framed(kernel), _framed(None)
+        yield (make, governors), _governed(kernel), _governed(None)
     yield (make_fleet, _requests(rng, make_fleet())), _requested(kernel), _requested(None)
     # Governors at each rounding half-way point, the step-down floor (the
     # current levels run up to the top), and non-finite utilisations, which

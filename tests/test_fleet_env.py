@@ -376,6 +376,37 @@ class TestRequestLevels:
         assert fleet.state_dict()["requested_cpu_level"].tolist() == [4] * 4
         assert fleet.gpu_level.tolist() == [3] * 4
 
+    @pytest.mark.parametrize("fused", (False, True), ids=("numpy", "fused"))
+    @pytest.mark.parametrize(
+        "cpu, gpu, message",
+        [
+            ([0, 10, 0, 0], [0, 0, 0, 0], "cpu level out of range [0, 9]"),
+            ([0, 0, -1, 0], [5, 0, 0, 0], "cpu level out of range [0, 9]"),
+            ([0, 0, 0, 9], [0, 0, 0, 5], "gpu level out of range [0, 4]"),
+            ([0, 0, 0, 0], [0, -1, 0, 0], "gpu level out of range [0, 4]"),
+        ],
+    )
+    def test_level_arrays_are_checked(self, fused, cpu, gpu, message, monkeypatch):
+        """One int64 array of N levels per domain, as a fleet policy decides,
+        goes straight to the kernel on the fused path; a level out of range
+        is refused with the same error either way, and changes nothing,
+        and arrays of other integer dtypes or byte orders are requested
+        alike."""
+        if not fused:
+            monkeypatch.setattr(repro.hardware.fleet, "fused_fleet", lambda: None)
+        fleet = self.fleet()
+        before = fleet.state_dict()
+        with pytest.raises(DeviceError) as refused:
+            fleet.request_levels(np.array(cpu, dtype=np.int64), np.array(gpu, dtype=np.int64))
+        assert str(refused.value) == message
+        after = fleet.state_dict()
+        assert all(np.array_equal(after[key], value) for key, value in before.items())
+        for dtype in (np.int64, np.int32, ">i8"):
+            fleet.request_levels(np.arange(4, dtype=dtype), np.array([3, 2, 1, 0], dtype=dtype))
+            assert fleet.state_dict()["requested_cpu_level"].tolist() == [0, 1, 2, 3]
+            assert fleet.gpu_level.tolist() == [3, 2, 1, 0]
+            fleet.request_levels(2, 1)
+
     def test_snapshot_levels_are_validated(self):
         fleet = self.fleet()
         snapshot = fleet.state_dict()

@@ -20,10 +20,18 @@ import pytest
 
 from repro import obs
 from repro.detection.fleet import BatchedExecutionModel
-from repro.env.fleet import FleetPolicy, FleetTrace, run_fleet_episode
+from repro.env.fleet import (
+    BatchedInferenceEnvironment,
+    FleetPolicy,
+    FleetTrace,
+    run_fleet_episode,
+)
 from repro.errors import DetectorError
 from repro.governors.fleet import BatchedDefaultGovernorPolicy
+from repro.hardware.fleet import DeviceFleet
 from repro.kernels import FAMILIES, fused_fleet, fused_random, resolve
+from repro.kernels.build import GOVERNED_STEPS
+from repro.kernels.fleet import FleetKernels
 
 from tests.test_fleet_equivalence import (
     PINNED_GOVERNED_FLEET_DIGESTS,
@@ -66,9 +74,11 @@ class _CountingGovernors(BatchedDefaultGovernorPolicy):
 def kernels(request, monkeypatch):
     if request.param == "numpy":
         monkeypatch.setattr(resolve, "_kernels", dict.fromkeys(FAMILIES))
+    elif fused_fleet() is None:
+        pytest.skip("fused kernels unavailable on this host")
     else:
         # Resolved before any run counts kernel calls: a self-test runs them.
-        fused_fleet(), fused_random()
+        fused_random()
     return request.param
 
 
@@ -199,9 +209,20 @@ _REFUSALS = {
 
 
 @pytest.mark.parametrize("refusal", sorted(_REFUSALS))
-def test_a_refused_step_ends_the_frame_as_the_protocol_path(refusal, kernels):
+def test_a_refused_step_ends_the_frame_as_the_protocol_path(refusal, kernels, monkeypatch):
     force, cell, message = _REFUSALS[refusal]
+    completed = []
+    run = FleetKernels.fleet_governed_frame
+    monkeypatch.setattr(
+        FleetKernels, "fleet_governed_frame",
+        lambda self, table: completed.append(run(self, table)) or completed[-1],
+    )
     governed = _run(cell, protocol=False, force=force)
+    if kernels == "fused":
+        # The kernel stopped at the refused step, in the fourth frame.
+        assert completed[3] == GOVERNED_STEPS.index(refusal.replace("-", "_"))
+    else:
+        assert not completed
     protocol = _run(cell, protocol=True, force=force)
     _assert_same_run(governed, protocol)
     if message is None:
@@ -209,3 +230,25 @@ def test_a_refused_step_ends_the_frame_as_the_protocol_path(refusal, kernels):
     else:
         assert governed[0] == f"DetectorError: {message}"
         assert governed[1]["frame"] == 3
+
+
+def test_a_governed_group_makes_no_protocol_call(monkeypatch):
+    if fused_fleet() is None:
+        pytest.skip("fused kernels unavailable on this host")
+
+    def refuse(self, *arguments):
+        raise AssertionError("a protocol call on a governed frame")
+
+    for owner, names in (
+        (BatchedDefaultGovernorPolicy, ("begin_frame", "mid_frame", "end_frame")),
+        (
+            BatchedInferenceEnvironment,
+            ("begin_frame", "run_first_stage", "run_second_stage", "apply_decision"),
+        ),
+        (DeviceFleet, ("request_levels", "execute")),
+    ):
+        for name in names:
+            monkeypatch.setattr(owner, name, refuse)
+    environment, policy, frames = governed_cell("wide")
+    trace = run_fleet_episode(environment, policy, frames)
+    assert _fleet_trace_digest(trace) == PINNED_GOVERNED_FLEET_DIGESTS["wide"]

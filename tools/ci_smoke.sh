@@ -93,6 +93,10 @@ smoke_fused_kill_switch() {
     # fleet engine: each frame phase kernel once per frame.  A hot-ambient
     # (45 C) lotus-fleet cell and scalar lotus session must each fire the
     # cool-down, so both regimes' cool-down selection is under the digest.
+    # A single default-governed group (Raspberry Pi 5, StepAmbient) runs
+    # each frame as one fleet_governed_frame call on the fused side, which
+    # counts each phase kernel once per frame, and through the frame
+    # protocol on NumPy on the other.
     local fused
     for fused in 0 1; do
         REPRO_FUSED=$fused python - "$out/trace-fused-$fused.sha256" <<'PY'
@@ -104,6 +108,7 @@ from repro import ExperimentSetting, execute_setting, obs, run_fleet
 from repro.analysis.experiments import make_environment, make_policy
 from repro.core.training import OnlineSession
 from repro.detection.registry import build_detector
+from repro.env.ambient import AmbientSegment, StepAmbient
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS, run_fleet_episode
 from repro.env.trace import COLUMN_DTYPES
 from repro.kernels import FAMILIES, kernel_status
@@ -170,6 +175,20 @@ assert any(
 ), "the governed mixed-edge-fleet run never throttled"
 mixed_digest = trace_digest(mixed.fleet_trace)
 
+# One default-governed group: the whole frame is one kernel call when fused.
+step = StepAmbient([AmbientSegment(16, 25.0), AmbientSegment(16, 5.0), AmbientSegment(1, 35.0)])
+pi = ExperimentSetting(device="raspberry-pi-5", num_frames=48, seed=0)
+environment = make_fleet_environment(pi, 8, ambient=step)
+governors = make_fleet_policy("default", environment, 48, seed=0)
+before = kernel_calls()
+governed_trace = run_fleet_episode(environment, governors, 48)
+after = kernel_calls()
+for kernel in PHASES:
+    ran = after.get(kernel, 0) - before.get(kernel, 0)
+    assert ran == (48 if fused else 0), (kernel, ran)
+assert (environment._governed is not None) == fused, "the governed frame did not run"
+governed_digest = trace_digest(governed_trace)
+
 # Scalar sessions that train (learning starts after 64 transitions).
 scalar_digest = hashlib.sha256()
 for method in ("lotus", "ztt", "lotus-shared-buffer"):
@@ -229,13 +248,14 @@ assert status == ({"fused"} if fused else {"disabled"}), kernel_status()
 with open(sys.argv[1], "w") as handle:
     handle.write(
         "\n".join(
-            d.hexdigest() for d in (digest, mixed_digest, scalar_digest, hot_digest)
+            d.hexdigest()
+            for d in (digest, mixed_digest, scalar_digest, hot_digest, governed_digest)
         ) + "\n"
     )
 print("REPRO_FUSED=%d -> lotus-fleet %s, mixed governed %s, scalar sessions %s, "
-      "hot lotus %s"
+      "hot lotus %s, governed group %s"
       % (fused, digest.hexdigest(), mixed_digest.hexdigest(), scalar_digest.hexdigest(),
-         hot_digest.hexdigest()))
+         hot_digest.hexdigest(), governed_digest.hexdigest()))
 PY
     done
     diff "$out/trace-fused-0.sha256" "$out/trace-fused-1.sha256"
