@@ -199,7 +199,7 @@ def make_member_policy(
     threshold; ``seeds`` gives session ``i`` its base seed (matching the
     scalar run it must reproduce).
     """
-    from repro.analysis.experiments import make_policy
+    from repro.analysis.experiments import _soft_margin_c, make_policy
 
     if not seeds:
         raise ExperimentError("need at least one session seed")
@@ -217,15 +217,21 @@ def make_member_policy(
         )
     if method == "lotus-fleet":
         from repro.core.config import LotusConfig
+        from repro.core.reward import RewardConfig
 
         seed = seeds[0]
+        # The reward every scalar Lotus agent learns from (make_policy).
+        trip = min(
+            device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
+        )
+        reward = RewardConfig(temperature_soft_margin_c=_soft_margin_c(trip))
         return FleetLotusAgent(
             cpu_levels=device.cpu.num_levels,
             gpu_levels=device.gpu.num_levels,
             temperature_threshold_c=environment.throttle_threshold_c,
             proposal_scale=proposal_scale(environment.detector),
             num_sessions=len(seeds),
-            config=LotusConfig(seed=seed + 100).for_episode_length(num_frames),
+            config=LotusConfig(seed=seed + 100, reward=reward).for_episode_length(num_frames),
             rng=np.random.default_rng(seed + 100),
         )
     from repro.policies import is_policy_method

@@ -232,13 +232,13 @@ def test_governed_fleet_trace_matches_pinned_digest(cell, kernels, monkeypatch):
 
 #: SHA-256 over :func:`_fleet_trace_digest` and the loss and reward
 #: histories of a 4-session x 120-frame seed-0 ``lotus-fleet`` cell at a
-#: 45 °C ambient, where the cool-down fires (22 triggers): the pin on the
+#: 45 °C ambient, where the cool-down fires (21 triggers): the pin on the
 #: cool-down branch of the fleet agent's batched action selection.
-PINNED_HOT_LOTUS_FLEET_DIGEST = "7b191f8df2192e03f9da04deadcb03c3bc457770cd9022540777d5b4f0b792ae"
+PINNED_HOT_LOTUS_FLEET_DIGEST = "13ad011839da5b47833478b449070d926db136bba9b967b75a9000f94d7cdae6"
 
 #: ``checkpoint_from_policy(agent).content_id()`` of that agent after the
 #: run: pins the ``lotus-fleet`` checkpoint kind's key layout and contents.
-PINNED_HOT_LOTUS_FLEET_CHECKPOINT_ID = "41616fc526f1d5a26415f5f4f4166d9759e79ce810a9e4283edd8c0f8b5ce773"
+PINNED_HOT_LOTUS_FLEET_CHECKPOINT_ID = "98b1d1ecbf6e55a59d6406d0beed9b023ee0342eafdfd65452de76cd6b8d10f0"
 
 
 def test_hot_lotus_fleet_fires_cooldown_and_matches_pinned_digest():
