@@ -173,7 +173,8 @@ class FleetKernels:
         that refused, which wrote nothing.  Each completed step counts its
         kernels' calls."""
         completed = self._governed_frame(table.values_address)
-        _obs.kernel_calls(_COMPLETED_KERNELS[completed])
+        for name in _COMPLETED_KERNELS[completed]:
+            _obs.kernel_call(name)
         return completed
 
     def ar1_table(

@@ -340,16 +340,6 @@ def kernel_call(name: str) -> None:
     counters[key] = counters.get(key, 0.0) + 1.0
 
 
-def kernel_calls(names: tuple) -> None:
-    """Count one fused-kernel invocation per entry of ``names``."""
-    if _REGISTRY is None:
-        return
-    counters = _REGISTRY.counters
-    for name in names:
-        key = ("fused.kernel_calls", (("kernel", name),))
-        counters[key] = counters.get(key, 0.0) + 1.0
-
-
 def record_report(prefix: str, report: Any) -> None:
     """Register a dataclass report's numeric fields as ``<prefix>.<field>`` gauges.
 
