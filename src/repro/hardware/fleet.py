@@ -65,8 +65,6 @@ from repro.hardware.power import PowerModel
 from repro.hardware.throttle import ThrottleConfig
 
 
-_INT64 = np.dtype(np.int64)
-
 #: The utilisations of an idle gap (:meth:`DeviceFleet.idle`, as
 #: :meth:`EdgeDevice.idle <repro.hardware.device.EdgeDevice.idle>`).
 IDLE_CPU_UTILISATION = 0.02
@@ -254,7 +252,6 @@ class DeviceFleet:
         self._cpu_request = np.zeros(num_sessions, dtype=np.int64)
         self._gpu_request = np.zeros(num_sessions, dtype=np.int64)
         self._request_mask = np.zeros(num_sessions, dtype=bool)
-        self._shape = (num_sessions,)
         self._kernel_table: ArgumentTable | None = None
 
         self._cpu_throttler = _ThrottlerArrays(template.cpu_throttle, num_sessions)
@@ -490,18 +487,6 @@ class DeviceFleet:
 
     def _request(self, kernel, cpu_levels, gpu_levels, mask) -> None:
         """:meth:`request_levels` on the given ``fleet`` kernels, or NumPy for ``None``."""
-        if (
-            mask is None and kernel is not None and type(cpu_levels) is np.ndarray
-            and type(gpu_levels) is np.ndarray and cpu_levels.dtype is _INT64
-            and gpu_levels.dtype is _INT64 and cpu_levels.shape == self._shape
-            and gpu_levels.shape == self._shape
-        ):
-            # A level array per domain, as a fleet policy decides, goes
-            # straight into the request buffers (the kernel checks the range).
-            self._cpu_request[:] = cpu_levels
-            self._gpu_request[:] = gpu_levels
-            self._refuse(kernel.fleet_request_levels(self.argument_table(kernel), False))
-            return
         if (
             mask is None and kernel is not None and type(cpu_levels) is not np.ndarray
             and type(cpu_levels) is not bool and type(gpu_levels) is not bool

@@ -387,11 +387,10 @@ class TestRequestLevels:
         ],
     )
     def test_level_arrays_are_checked(self, fused, cpu, gpu, message, monkeypatch):
-        """One int64 array of N levels per domain, as a fleet policy decides,
-        goes straight to the kernel on the fused path; a level out of range
-        is refused with the same error either way, and changes nothing,
-        and arrays of other integer dtypes or byte orders are requested
-        alike."""
+        """One array of N levels per domain, as a fleet policy decides: a
+        level out of range is refused with the same error on both paths,
+        and changes nothing, and arrays of other integer dtypes or byte
+        orders are requested alike."""
         if not fused:
             monkeypatch.setattr(repro.hardware.fleet, "fused_fleet", lambda: None)
         fleet = self.fleet()
