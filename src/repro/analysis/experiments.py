@@ -114,6 +114,19 @@ def _soft_margin_c(trip_temperature_c: float) -> float:
     low, high = SOFT_MARGIN_RANGE_C
     return float(np.clip(SOFT_MARGIN_FRACTION * envelope, low, high))
 
+
+def _trip_temperature_c(device) -> float:
+    """The lower of the device's CPU and GPU trip points."""
+    return min(
+        device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
+    )
+
+
+def lotus_reward_config(device) -> RewardConfig:
+    """The reward every Lotus agent learns from on ``device``, scalar or
+    fleet: its graded zone is :func:`_soft_margin_c` of the trip point."""
+    return RewardConfig(temperature_soft_margin_c=_soft_margin_c(_trip_temperature_c(device)))
+
 #: Headroom factor applied on top of the full-speed latency estimate when a
 #: latency constraint is derived automatically (the paper sets per-model,
 #: per-dataset constraints; deriving them from the cost model keeps the
@@ -239,9 +252,7 @@ def _environment_arguments(
         if setting.latency_constraint_ms is not None
         else default_latency_constraint(setting.device, setting.detector, setting.dataset)
     )
-    trip = min(
-        device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
-    )
+    trip = _trip_temperature_c(device)
     return dict(
         device=device,
         detector=detector,
@@ -277,11 +288,7 @@ def make_policy(
     device = environment.device
     detector = environment.detector
     scale = proposal_scale(detector)
-    trip = min(
-        device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
-    )
-    soft_margin = _soft_margin_c(trip)
-    reward_config = RewardConfig(temperature_soft_margin_c=soft_margin)
+    reward_config = lotus_reward_config(device)
 
     def lotus_with(config: LotusConfig) -> LotusAgent:
         return LotusAgent(
@@ -307,7 +314,8 @@ def make_policy(
             gpu_levels=device.gpu.num_levels,
             temperature_threshold_c=environment.throttle_threshold_c,
             config=ZttConfig(
-                seed=seed + 200, temperature_soft_margin_c=soft_margin
+                seed=seed + 200,
+                temperature_soft_margin_c=reward_config.temperature_soft_margin_c,
             ).for_episode_length(num_frames),
             rng=np.random.default_rng(seed + 200),
         )

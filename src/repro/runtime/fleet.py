@@ -199,7 +199,7 @@ def make_member_policy(
     threshold; ``seeds`` gives session ``i`` its base seed (matching the
     scalar run it must reproduce).
     """
-    from repro.analysis.experiments import _soft_margin_c, make_policy
+    from repro.analysis.experiments import lotus_reward_config, make_policy
 
     if not seeds:
         raise ExperimentError("need at least one session seed")
@@ -217,14 +217,9 @@ def make_member_policy(
         )
     if method == "lotus-fleet":
         from repro.core.config import LotusConfig
-        from repro.core.reward import RewardConfig
 
         seed = seeds[0]
-        # The reward every scalar Lotus agent learns from (make_policy).
-        trip = min(
-            device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
-        )
-        reward = RewardConfig(temperature_soft_margin_c=_soft_margin_c(trip))
+        reward = lotus_reward_config(device)
         return FleetLotusAgent(
             cpu_levels=device.cpu.num_levels,
             gpu_levels=device.gpu.num_levels,
