@@ -70,16 +70,33 @@ class _CountingGovernors(BatchedDefaultGovernorPolicy):
         return super().begin_frame(observation)
 
 
+def _require_fused() -> None:
+    if fused_fleet() is None:
+        pytest.skip("fused kernels unavailable on this host")
+    # Resolved before any run counts kernel calls: a self-test runs them.
+    fused_random()
+
+
 @pytest.fixture(params=("fused", "numpy"))
 def kernels(request, monkeypatch):
     if request.param == "numpy":
         monkeypatch.setattr(resolve, "_kernels", dict.fromkeys(FAMILIES))
-    elif fused_fleet() is None:
-        pytest.skip("fused kernels unavailable on this host")
     else:
-        # Resolved before any run counts kernel calls: a self-test runs them.
-        fused_random()
+        _require_fused()
     return request.param
+
+
+@pytest.fixture
+def governed_frames(monkeypatch) -> list:
+    """The step each ``fleet_governed_frame`` call reached, in call order."""
+    fused_fleet()  # resolved first: the fleet self-test runs governed frames
+    reached = []
+    run = FleetKernels.fleet_governed_frame
+    monkeypatch.setattr(
+        FleetKernels, "fleet_governed_frame",
+        lambda self, table: reached.append(run(self, table)) or reached[-1],
+    )
+    return reached
 
 
 def _environment_state(environment) -> dict:
@@ -155,11 +172,17 @@ def _assert_same_run(governed: tuple, protocol: tuple) -> None:
 
 
 @pytest.mark.parametrize("cell", sorted(PINNED_GOVERNED_FLEET_DIGESTS))
-def test_governed_frame_matches_the_protocol_path(cell, kernels):
+def test_governed_frame_matches_the_protocol_path(cell, governed_frames):
+    # Without the fleet kernels both runs take the protocol path; the pins
+    # hold on both (test_governed_fleet_trace_matches_pinned_digest).
+    _require_fused()
     governed = _run(cell, protocol=False)
     assert governed[0] is None
-    assert governed[2] == PINNED_GOVERNED_FLEET_DIGESTS[cell]
+    # Every frame ran whole in one call, and the protocol run makes none.
+    assert governed_frames and set(governed_frames) == {len(GOVERNED_STEPS)}
+    calls = len(governed_frames)
     _assert_same_run(governed, _run(cell, protocol=True))
+    assert len(governed_frames) == calls
 
 
 def test_a_subclass_overriding_begin_frame_takes_the_protocol_path(kernels):
@@ -209,20 +232,14 @@ _REFUSALS = {
 
 
 @pytest.mark.parametrize("refusal", sorted(_REFUSALS))
-def test_a_refused_step_ends_the_frame_as_the_protocol_path(refusal, kernels, monkeypatch):
+def test_a_refused_step_ends_the_frame_as_the_protocol_path(refusal, kernels, governed_frames):
     force, cell, message = _REFUSALS[refusal]
-    completed = []
-    run = FleetKernels.fleet_governed_frame
-    monkeypatch.setattr(
-        FleetKernels, "fleet_governed_frame",
-        lambda self, table: completed.append(run(self, table)) or completed[-1],
-    )
     governed = _run(cell, protocol=False, force=force)
     if kernels == "fused":
         # The kernel stopped at the refused step, in the fourth frame.
-        assert completed[3] == GOVERNED_STEPS.index(refusal.replace("-", "_"))
+        assert governed_frames[3] == GOVERNED_STEPS.index(refusal.replace("-", "_"))
     else:
-        assert not completed
+        assert not governed_frames
     protocol = _run(cell, protocol=True, force=force)
     _assert_same_run(governed, protocol)
     if message is None:
@@ -233,8 +250,7 @@ def test_a_refused_step_ends_the_frame_as_the_protocol_path(refusal, kernels, mo
 
 
 def test_a_governed_group_makes_no_protocol_call(monkeypatch):
-    if fused_fleet() is None:
-        pytest.skip("fused kernels unavailable on this host")
+    _require_fused()
 
     def refuse(self, *arguments):
         raise AssertionError("a protocol call on a governed frame")
