@@ -32,12 +32,9 @@ import numpy as np
 from repro.errors import ConfigurationError
 from repro.core.action import JointActionSpace
 from repro.core.cooldown import CooldownSelector
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
 from repro.env.policy import FrequencyDecision, Policy
+from repro.env.trace import FrameRecord
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
 from repro.rl.replay import ReplayBuffer
@@ -284,7 +281,7 @@ class ZttPolicy(Policy):
             dtype=float,
         )
 
-    def _reward(self, result: FrameResult) -> float:
+    def _reward(self, result: FrameRecord) -> float:
         slack_fraction = result.latency_slack_ms / result.latency_constraint_ms
         if slack_fraction > 0:
             time_reward = float(np.tanh(self.config.tanh_scale * slack_fraction))
@@ -352,7 +349,7 @@ class ZttPolicy(Policy):
         # Lotus contribution it lacks.
         return None
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         reward = self._reward(result)
         self._reward_history.append(reward)
         self._pending_reward = reward

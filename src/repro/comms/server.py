@@ -24,12 +24,9 @@ from dataclasses import dataclass
 
 from repro.comms.channel import SimulatedChannel
 from repro.comms.protocol import Message, MessageKind
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
 from repro.env.policy import FrequencyDecision, Policy
+from repro.env.trace import FrameRecord
 from repro.errors import ProtocolError
 from repro.obs import bus as _obs
 
@@ -197,7 +194,7 @@ class RemotePolicy(Policy):
     def mid_frame(self, observation: MidFrameObservation) -> FrequencyDecision | None:
         return self._timed_decision(self.inner.mid_frame, observation)
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         self.inner.end_frame(result)
 
     # -- reporting ------------------------------------------------------------------------

@@ -36,12 +36,9 @@ from repro.core.config import LotusConfig
 from repro.core.cooldown import CooldownSelector
 from repro.core.reward import RewardCalculator
 from repro.core.state import StateEncoder
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
 from repro.env.policy import FrequencyDecision, Policy
+from repro.env.trace import FrameRecord
 from repro.rl.dqn import DqnConfig, DqnLearner
 from repro.rl.optimizer import Adam
 from repro.rl.replay import ReplayBuffer
@@ -480,7 +477,7 @@ class LotusAgent(LotusAgentCore, Policy):
         state = self.encoder.encode_mid(observation)
         return self._decision(self._decide_mid((state,), observation))
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         self._credit_frame(
             (result.total_latency_ms,),
             (result.latency_constraint_ms,),

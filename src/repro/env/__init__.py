@@ -18,7 +18,6 @@ from repro.env.ambient import (
     warm_cold_warm,
 )
 from repro.env.environment import (
-    FrameResult,
     FrameStartObservation,
     InferenceEnvironment,
     MidFrameObservation,
@@ -58,7 +57,6 @@ __all__ = [
     "FleetStartObservation",
     "FleetState",
     "FleetTrace",
-    "FrameResult",
     "FrameStartObservation",
     "FrequencyDecision",
     "InferenceEnvironment",

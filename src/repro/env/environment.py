@@ -12,7 +12,8 @@ the Lotus framework:
    count, and returns the mid-frame observation — the controller may adjust
    frequencies again before stage 2 runs.
 3. :meth:`run_second_stage` executes the proposal-dependent second stage and
-   returns the complete :class:`FrameResult`.
+   returns the frame's :class:`~repro.env.trace.FrameRecord`, which the
+   policy receives and the trace records.
 
 A strict phase protocol is enforced so that policies cannot accidentally
 skip a stage or act twice; that protocol is precisely the contract a real
@@ -23,7 +24,11 @@ The environment is one session of the fleet engine: it steps a one-session
 :class:`~repro.env.fleet.BatchedInferenceEnvironment` (its ``fleet``), so a
 frame is the fleet's three phase kernels, one ``fleet_normal`` draw and a
 level-request kernel per decision, and each phase reads its observation or
-result from row 0 of the fleet's staging blocks as Python scalars.  The
+record from session 0 of the fleet's staging blocks as Python scalars.  Which
+field each staging row holds is said once, by the phase's :class:`PhaseRows`
+table (:data:`START_ROWS`, :data:`MID_ROWS`, :data:`RESULT_ROWS`, built from
+the row names of :mod:`repro.kernels.build`), and the fleet's batch
+observations and frame results are read through the same tables.  The
 scalar stream handed in becomes a one-session
 :class:`~repro.workload.fleet.FleetFrameStream` that continues it, Fig. 7b's
 domain-switch schedule included.  The Python scalar stepping survives only
@@ -32,6 +37,8 @@ as the equivalence oracle, :class:`repro.env.reference.ReferenceInferenceEnviron
 
 from __future__ import annotations
 
+import dataclasses
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -39,11 +46,18 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.detection.detector import DetectorModel
-from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.env.ambient import AmbientProfile, ConstantAmbient
 from repro.env.trace import FrameRecord
 from repro.hardware.device import EdgeDevice
 from repro.kernels import fused_fleet
+from repro.kernels.build import (
+    OBSERVATION_FLAGS,
+    OBSERVATION_FLOATS,
+    OBSERVATION_INTS,
+    RESULT_FLAGS,
+    RESULT_FLOATS,
+    RESULT_INTS,
+)
 from repro.workload.fleet import FleetFrameStream
 from repro.workload.generator import DomainSwitchStream, FrameStream
 
@@ -121,65 +135,99 @@ class MidFrameObservation:
     gpu_throttled: bool
 
 
-@dataclass(frozen=True)
-class FrameResult:
-    """End-of-frame feedback handed to the policy and recorded in the trace."""
-
-    record: FrameRecord
-
-    @property
-    def total_latency_ms(self) -> float:
-        """End-to-end latency of the frame."""
-        return self.record.total_latency_ms
-
-    @property
-    def latency_constraint_ms(self) -> float:
-        """Constraint in force for the frame."""
-        return self.record.latency_constraint_ms
-
-    @property
-    def latency_slack_ms(self) -> float:
-        """ΔL_i = L - l_i; negative when the constraint was violated."""
-        return self.record.latency_constraint_ms - self.record.total_latency_ms
-
-    @property
-    def met_constraint(self) -> bool:
-        """Whether the frame met its latency constraint."""
-        return self.record.met_constraint
-
-    @property
-    def cpu_temperature_c(self) -> float:
-        """CPU temperature at the end of the frame."""
-        return self.record.cpu_temperature_c
-
-    @property
-    def gpu_temperature_c(self) -> float:
-        """GPU temperature at the end of the frame."""
-        return self.record.gpu_temperature_c
-
-    @property
-    def num_proposals(self) -> int:
-        """Proposal count of the frame."""
-        return self.record.num_proposals
+def check_fields(cls, names) -> None:
+    """Fail loudly unless ``names`` (``None`` entries aside) are exactly
+    ``cls``'s dataclass fields.  The frame types are built without their
+    ``__init__`` (:func:`_frozen`), so a staging row renamed in
+    :mod:`repro.kernels.build` would otherwise leave a field missing."""
+    declared = {field.name for field in dataclasses.fields(cls)}
+    named = set(names) - {None}
+    if named != declared:
+        raise TypeError(
+            f"{cls.__name__} declares {sorted(declared - named)} that nothing "
+            f"fills and is filled with {sorted(named - declared)} it does not declare"
+        )
 
 
-def _frozen(cls, **fields):
-    """``cls(**fields)`` for the frozen observation, result and record
-    dataclasses (every field given; none has a ``__post_init__``), with the
-    instance dict set at once: their ``__init__`` sets each field through
-    ``object.__setattr__``, several microseconds per instance, three or
-    four instances per frame."""
+class PhaseRows:
+    """The one frame schema: which field each row of a phase's staging
+    blocks holds.
+
+    Both engines read every observation and frame result through one of
+    these tables: :class:`InferenceEnvironment` its one session's values
+    as Python scalars (:meth:`scalars`), and
+    :class:`~repro.env.fleet.BatchedInferenceEnvironment` each row as an
+    array over the sessions (:meth:`arrays`).
+
+    Args:
+        cls: The scalar type the phase hands out, checked at construction
+            to have exactly the rows' fields and the ``shared`` ones.
+        blocks: The row names of the phase's float64, int64 and bool
+            blocks (``OBSERVATION_*`` or ``RESULT_*`` of
+            :mod:`repro.kernels.build`).
+        shared: The fields of ``cls`` that no row holds.
+        renamed: The phase's own name for a row, or ``None`` for a row the
+            phase leaves unused.
+    """
+
+    def __init__(self, cls, blocks: tuple, shared: tuple, **renamed):
+        self.names = tuple(renamed.get(name, name) for block in blocks for name in block)
+        # Each block's rows by one itemgetter, which indexes them in C in
+        # about half the time iterating the block takes.  Every block has
+        # two rows or more: an itemgetter of one index returns the row
+        # itself, not a tuple.
+        self._rows = tuple(operator.itemgetter(*range(len(block))) for block in blocks)
+        check_fields(cls, self.names + shared)
+
+    def scalars(self, blocks, first_frame: bool = False) -> dict:
+        """A one-session phase's fields, as Python scalars."""
+        floats, ints, flags = blocks
+        values = floats.ravel().tolist() + ints.ravel().tolist() + flags.ravel().tolist()
+        return self._fields(values, first_frame)
+
+    def arrays(self, blocks, first_frame: bool = False) -> dict:
+        """Every session's fields: the blocks' rows."""
+        (floats, ints, flags), (float_rows, int_rows, flag_rows) = blocks, self._rows
+        return self._fields(float_rows(floats) + int_rows(ints) + flag_rows(flags), first_frame)
+
+    def _fields(self, values, first_frame: bool) -> dict:
+        fields = dict(zip(self.names, values))
+        fields.pop(None, None)
+        if first_frame and "previous_latency_ms" in fields:
+            fields["previous_latency_ms"] = None  # no frame before the first
+        return fields
+
+
+_OBSERVATION_BLOCKS = (OBSERVATION_FLOATS, OBSERVATION_INTS, OBSERVATION_FLAGS)
+_OBSERVATION_SHARED = (
+    "frame_index", "dataset", "cpu_num_levels", "gpu_num_levels", "throttle_threshold_c",
+)
+#: The start observation's ``latency_ms`` row is the previous frame's
+#: latency, and it leaves the ``num_proposals`` row unused.
+START_ROWS = PhaseRows(
+    FrameStartObservation, _OBSERVATION_BLOCKS, _OBSERVATION_SHARED,
+    latency_ms="previous_latency_ms", num_proposals=None,
+)
+#: The mid observation's ``latency_ms`` row is stage 1's latency.
+MID_ROWS = PhaseRows(
+    MidFrameObservation, _OBSERVATION_BLOCKS, _OBSERVATION_SHARED,
+    latency_ms="stage1_latency_ms",
+)
+RESULT_ROWS = PhaseRows(
+    FrameRecord, (RESULT_FLOATS, RESULT_INTS, RESULT_FLAGS), ("index", "dataset")
+)
+
+
+def _frozen(cls, fields: dict, **shared):
+    """``cls(**fields, **shared)`` for the frozen observation, result and
+    record dataclasses (every field given; none has a ``__post_init__``),
+    adopting ``fields`` as the instance dict: their ``__init__`` sets each
+    field through ``object.__setattr__``, several microseconds per
+    instance, three per frame."""
+    fields.update(shared)
     instance = object.__new__(cls)
-    instance.__dict__.update(fields)
+    object.__setattr__(instance, "__dict__", fields)
     return instance
-
-
-def _session_zero(blocks) -> tuple:
-    """Session 0's column of a phase's staging blocks (float64, int64 and
-    bool rows, in the ``OBSERVATION_*`` or ``RESULT_*`` order of
-    :mod:`repro.kernels.build`) as lists of Python scalars."""
-    floats, ints, flags = blocks
-    return floats.ravel().tolist(), ints.ravel().tolist(), flags.ravel().tolist()
 
 
 class InferenceEnvironment:
@@ -239,7 +287,6 @@ class InferenceEnvironment:
             idle_between_frames_ms=idle_between_frames_ms,
         )
         self.throttle_threshold_c = self.fleet.throttle_threshold_c
-        self.execution = ExecutionModel(compute_profile_for(device.name))
         self._frequency_tables = (device.cpu.frequency_table, device.gpu.frequency_table)
         self._num_levels = (device.cpu.num_levels, device.gpu.num_levels)
 
@@ -270,83 +317,37 @@ class InferenceEnvironment:
         """Draw the next frame and return the start-of-frame observation."""
         fleet = self.fleet
         fleet._step_begin(fused_fleet())
-        floats, ints, flags = _session_zero(fleet._start_blocks)
-        return _frozen(
-            FrameStartObservation,
-            frame_index=fleet._frame_index,
-            dataset=fleet.state.datasets[0],
-            cpu_temperature_c=floats[0],
-            gpu_temperature_c=floats[1],
-            cpu_level=ints[0],
-            gpu_level=ints[1],
-            cpu_num_levels=self._num_levels[0],
-            gpu_num_levels=self._num_levels[1],
-            latency_constraint_ms=floats[2],
-            remaining_budget_ms=floats[3],
-            previous_latency_ms=None if fleet.state.previous_latency_ms is None else floats[4],
-            cpu_utilisation=floats[5],
-            gpu_utilisation=floats[6],
-            ambient_temperature_c=floats[7],
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=flags[0],
-            gpu_throttled=flags[1],
-        )
+        fields = START_ROWS.scalars(fleet._start_blocks, fleet.state.previous_latency_ms is None)
+        return self._observation(FrameStartObservation, fields)
 
     def run_first_stage(self) -> MidFrameObservation:
         """Execute stage 1 and return the mid-frame observation."""
         fleet = self.fleet
         fleet._step_first_stage(fused_fleet())
-        floats, ints, flags = _session_zero(fleet._mid_blocks)
+        return self._observation(MidFrameObservation, MID_ROWS.scalars(fleet._mid_blocks))
+
+    def _observation(self, cls, fields: dict):
+        fleet = self.fleet
         return _frozen(
-            MidFrameObservation,
+            cls,
+            fields,
             frame_index=fleet._frame_index,
             dataset=fleet.state.datasets[0],
-            cpu_temperature_c=floats[0],
-            gpu_temperature_c=floats[1],
-            cpu_level=ints[0],
-            gpu_level=ints[1],
             cpu_num_levels=self._num_levels[0],
             gpu_num_levels=self._num_levels[1],
-            latency_constraint_ms=floats[2],
-            remaining_budget_ms=floats[3],
-            stage1_latency_ms=floats[4],
-            num_proposals=ints[2],
-            cpu_utilisation=floats[5],
-            gpu_utilisation=floats[6],
-            ambient_temperature_c=floats[7],
             throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=flags[0],
-            gpu_throttled=flags[1],
         )
 
-    def run_second_stage(self) -> FrameResult:
-        """Execute stage 2 (if any), finish the frame and return its result."""
+    def run_second_stage(self) -> FrameRecord:
+        """Execute stage 2 (if any), finish the frame and return its record."""
         fleet = self.fleet
-        index = fleet._frame_index
         fleet._step_second_stage(fused_fleet())
-        floats, ints, flags = _session_zero(fleet._result_blocks)
-        record = _frozen(
+        return _frozen(
             FrameRecord,
-            index=index,
+            RESULT_ROWS.scalars(fleet._result_blocks),
+            index=fleet._frame_index - 1,
             dataset=fleet.state.datasets[0],
-            num_proposals=ints[0],
-            stage1_latency_ms=floats[0],
-            stage2_latency_ms=floats[1],
-            total_latency_ms=floats[2],
-            latency_constraint_ms=floats[3],
-            met_constraint=flags[0],
-            cpu_temperature_c=floats[4],
-            gpu_temperature_c=floats[5],
-            cpu_level_stage1=ints[1],
-            gpu_level_stage1=ints[2],
-            cpu_level_stage2=ints[3],
-            gpu_level_stage2=ints[4],
-            cpu_throttled=flags[1],
-            gpu_throttled=flags[2],
-            ambient_temperature_c=floats[6],
-            energy_j=floats[7],
         )
-        return _frozen(FrameResult, record=record)
 
     # -- convenience -------------------------------------------------------------------
 
@@ -354,14 +355,3 @@ class InferenceEnvironment:
     def frames_processed(self) -> int:
         """Number of completed frames since construction/reset."""
         return self.fleet.frames_processed
-
-    def latency_at_levels(
-        self, cpu_level: int, gpu_level: int, num_proposals: int, image_scale: float = 1.0
-    ) -> float:
-        """Predicted whole-frame latency at given levels (profiling helper)."""
-        cost = self.detector.total_cost(num_proposals, image_scale)
-        return self.execution.latency_ms(
-            cost,
-            self.device.cpu.frequency_table.frequency_khz(cpu_level),
-            self.device.gpu.frequency_table.frequency_khz(gpu_level),
-        )

@@ -63,7 +63,7 @@ def run_episode(
 
         result = environment.run_second_stage()
         policy.end_frame(result)
-        trace.append(result.record)
+        trace.append(result)
         if progress_callback is not None:
-            progress_callback(result.record.index, trace)
+            progress_callback(result.index, trace)
     return trace

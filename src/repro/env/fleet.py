@@ -41,7 +41,13 @@ writes what a policy observes into one staging block per dtype (float64,
 int64, bool) and hands out a fresh copy of each block, the observation's
 fields being its rows, so nothing a policy receives aliases a value the
 environment or the trace reads later; a frame result's blocks are also
-read-only, as the trace sink keeps them by reference.
+read-only, as the trace sink keeps them by reference.  Which field each
+row holds is said once, by the phase's table in
+:mod:`repro.env.environment` (:data:`~repro.env.environment.START_ROWS`,
+:data:`~repro.env.environment.MID_ROWS`,
+:data:`~repro.env.environment.RESULT_ROWS`), which the scalar environment
+reads too; each batch type's ``take`` and ``session`` (one implementation
+for all three) index its per-session arrays.
 
 There is one fleet frame loop, :func:`run_grouped_fleet_episode`: a fleet
 is a list of :class:`FleetSessionGroup` sub-fleets (one per device and
@@ -67,8 +73,8 @@ per-session behaviour.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
@@ -88,10 +94,13 @@ from repro.detection.fleet import (
 from repro.detection.latency import compute_profile_for
 from repro.env.ambient import AmbientProfile, ConstantAmbient
 from repro.env.environment import (
-    FrameResult,
+    MID_ROWS,
+    RESULT_ROWS,
+    START_ROWS,
     FrameStartObservation,
     MidFrameObservation,
     _frozen,
+    check_fields,
 )
 from repro.env.policy import Policy
 from repro.env.trace import (
@@ -99,7 +108,6 @@ from repro.env.trace import (
     FrameRecord,
     Trace,
     checked_column,
-    frame_record,
     session_slice,
 )
 from repro.hardware.device import EdgeDevice
@@ -165,9 +173,53 @@ class FleetState:
         return self.device.num_sessions
 
 
+class _SessionBatch:
+    """What the batch frame types share: each ndarray field holds one entry
+    per session, ``datasets`` one dataset name per session, and every other
+    field (the frame index, level counts and threshold, or a previous
+    latency of ``None``) holds for all sessions.  ``_scalar`` is the type of
+    one session's view, whose fields are the batch's with ``dataset`` for
+    ``datasets``."""
+
+    _scalar: type
+
+    @property
+    def num_sessions(self) -> int:
+        """Fleet size N."""
+        return len(self.datasets)
+
+    def take(self, indices: np.ndarray):
+        """The batch restricted to the sessions in ``indices``.
+
+        Used by sub-fleet policy combinators: every per-session array is
+        fancy-indexed (so element ``j`` of the result is session
+        ``indices[j]`` of the full batch) while the shared fields are
+        passed through unchanged.
+        """
+        indices = np.asarray(indices, dtype=np.int64)
+        fields = {
+            name: value[indices] if isinstance(value, np.ndarray) else value
+            for name, value in vars(self).items()
+        }
+        fields["datasets"] = tuple(self.datasets[i] for i in indices)
+        return _frozen(type(self), fields)
+
+    def session(self, i: int):
+        """What session ``i`` sees, with Python ``int``/``float``/``bool``
+        values."""
+        fields = {
+            name: value.item(i) if isinstance(value, np.ndarray) else value
+            for name, value in vars(self).items()
+        }
+        del fields["datasets"]
+        return _frozen(self._scalar, fields, dataset=self.datasets[i])
+
+
 @dataclass(frozen=True)
-class FleetStartObservation:
+class FleetStartObservation(_SessionBatch):
     """Batch counterpart of :class:`FrameStartObservation` (arrays over N)."""
+
+    _scalar = FrameStartObservation
 
     frame_index: int
     datasets: tuple
@@ -187,74 +239,12 @@ class FleetStartObservation:
     cpu_throttled: np.ndarray
     gpu_throttled: np.ndarray
 
-    @property
-    def num_sessions(self) -> int:
-        """Fleet size N."""
-        return len(self.cpu_temperature_c)
-
-    def take(self, indices: np.ndarray) -> "FleetStartObservation":
-        """The observation restricted to the sessions in ``indices``.
-
-        Used by sub-fleet policy combinators: every per-session array is
-        fancy-indexed (so element ``j`` of the result is session
-        ``indices[j]`` of the full observation) while the shared scalars are
-        passed through unchanged.
-        """
-        indices = np.asarray(indices, dtype=np.int64)
-        return FleetStartObservation(
-            frame_index=self.frame_index,
-            datasets=tuple(self.datasets[i] for i in indices),
-            cpu_temperature_c=self.cpu_temperature_c[indices],
-            gpu_temperature_c=self.gpu_temperature_c[indices],
-            cpu_level=self.cpu_level[indices],
-            gpu_level=self.gpu_level[indices],
-            cpu_num_levels=self.cpu_num_levels,
-            gpu_num_levels=self.gpu_num_levels,
-            latency_constraint_ms=self.latency_constraint_ms[indices],
-            remaining_budget_ms=self.remaining_budget_ms[indices],
-            previous_latency_ms=(
-                None
-                if self.previous_latency_ms is None
-                else self.previous_latency_ms[indices]
-            ),
-            cpu_utilisation=self.cpu_utilisation[indices],
-            gpu_utilisation=self.gpu_utilisation[indices],
-            ambient_temperature_c=self.ambient_temperature_c[indices],
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=self.cpu_throttled[indices],
-            gpu_throttled=self.gpu_throttled[indices],
-        )
-
-    def session(self, i: int) -> FrameStartObservation:
-        """The scalar observation session ``i`` would see."""
-        return FrameStartObservation(
-            frame_index=self.frame_index,
-            dataset=self.datasets[i],
-            cpu_temperature_c=float(self.cpu_temperature_c[i]),
-            gpu_temperature_c=float(self.gpu_temperature_c[i]),
-            cpu_level=int(self.cpu_level[i]),
-            gpu_level=int(self.gpu_level[i]),
-            cpu_num_levels=self.cpu_num_levels,
-            gpu_num_levels=self.gpu_num_levels,
-            latency_constraint_ms=float(self.latency_constraint_ms[i]),
-            remaining_budget_ms=float(self.remaining_budget_ms[i]),
-            previous_latency_ms=(
-                None
-                if self.previous_latency_ms is None
-                else float(self.previous_latency_ms[i])
-            ),
-            cpu_utilisation=float(self.cpu_utilisation[i]),
-            gpu_utilisation=float(self.gpu_utilisation[i]),
-            ambient_temperature_c=float(self.ambient_temperature_c[i]),
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=bool(self.cpu_throttled[i]),
-            gpu_throttled=bool(self.gpu_throttled[i]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetMidObservation:
+class FleetMidObservation(_SessionBatch):
     """Batch counterpart of :class:`MidFrameObservation` (arrays over N)."""
+
+    _scalar = MidFrameObservation
 
     frame_index: int
     datasets: tuple
@@ -275,61 +265,9 @@ class FleetMidObservation:
     cpu_throttled: np.ndarray
     gpu_throttled: np.ndarray
 
-    @property
-    def num_sessions(self) -> int:
-        """Fleet size N."""
-        return len(self.cpu_temperature_c)
-
-    def take(self, indices: np.ndarray) -> "FleetMidObservation":
-        """The observation restricted to the sessions in ``indices``."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return FleetMidObservation(
-            frame_index=self.frame_index,
-            datasets=tuple(self.datasets[i] for i in indices),
-            cpu_temperature_c=self.cpu_temperature_c[indices],
-            gpu_temperature_c=self.gpu_temperature_c[indices],
-            cpu_level=self.cpu_level[indices],
-            gpu_level=self.gpu_level[indices],
-            cpu_num_levels=self.cpu_num_levels,
-            gpu_num_levels=self.gpu_num_levels,
-            latency_constraint_ms=self.latency_constraint_ms[indices],
-            remaining_budget_ms=self.remaining_budget_ms[indices],
-            stage1_latency_ms=self.stage1_latency_ms[indices],
-            num_proposals=self.num_proposals[indices],
-            cpu_utilisation=self.cpu_utilisation[indices],
-            gpu_utilisation=self.gpu_utilisation[indices],
-            ambient_temperature_c=self.ambient_temperature_c[indices],
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=self.cpu_throttled[indices],
-            gpu_throttled=self.gpu_throttled[indices],
-        )
-
-    def session(self, i: int) -> MidFrameObservation:
-        """The scalar observation session ``i`` would see."""
-        return MidFrameObservation(
-            frame_index=self.frame_index,
-            dataset=self.datasets[i],
-            cpu_temperature_c=float(self.cpu_temperature_c[i]),
-            gpu_temperature_c=float(self.gpu_temperature_c[i]),
-            cpu_level=int(self.cpu_level[i]),
-            gpu_level=int(self.gpu_level[i]),
-            cpu_num_levels=self.cpu_num_levels,
-            gpu_num_levels=self.gpu_num_levels,
-            latency_constraint_ms=float(self.latency_constraint_ms[i]),
-            remaining_budget_ms=float(self.remaining_budget_ms[i]),
-            stage1_latency_ms=float(self.stage1_latency_ms[i]),
-            num_proposals=int(self.num_proposals[i]),
-            cpu_utilisation=float(self.cpu_utilisation[i]),
-            gpu_utilisation=float(self.gpu_utilisation[i]),
-            ambient_temperature_c=float(self.ambient_temperature_c[i]),
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=bool(self.cpu_throttled[i]),
-            gpu_throttled=bool(self.gpu_throttled[i]),
-        )
-
 
 @dataclass(frozen=True)
-class FleetFrameResult:
+class FleetFrameResult(_SessionBatch):
     """Batch end-of-frame feedback: one completed frame across N sessions.
 
     Field-for-field the array counterpart of
@@ -338,6 +276,8 @@ class FleetFrameResult:
     :class:`~repro.env.trace.FrameRecord` row view, built on demand so the
     hot loop never constructs N dataclasses per frame.
     """
+
+    _scalar = FrameRecord
 
     index: int
     datasets: tuple
@@ -358,36 +298,21 @@ class FleetFrameResult:
     ambient_temperature_c: np.ndarray
     energy_j: np.ndarray
 
-    @property
-    def num_sessions(self) -> int:
-        """Fleet size N."""
-        return len(self.total_latency_ms)
+    #: Session ``i``'s :class:`~repro.env.trace.FrameRecord`.
+    record = _SessionBatch.session
 
     @property
     def latency_slack_ms(self) -> np.ndarray:
         """Per-session ``L - l_i``; negative where the constraint broke."""
         return self.latency_constraint_ms - self.total_latency_ms
 
-    def take(self, indices: np.ndarray) -> "FleetFrameResult":
-        """The frame result restricted to the sessions in ``indices``."""
-        indices = np.asarray(indices, dtype=np.int64)
-        return FleetFrameResult(
-            index=self.index,
-            datasets=tuple(self.datasets[i] for i in indices),
-            **{name: getattr(self, name)[indices] for name in COLUMN_DTYPES},
-        )
 
-    def record(self, i: int) -> FrameRecord:
-        """Session ``i``'s scalar :class:`FrameRecord` row view."""
-        return frame_record(self.index, self.datasets[i], _frame_columns(self), i)
-
-    def result(self, i: int) -> FrameResult:
-        """Session ``i``'s scalar :class:`FrameResult`."""
-        return FrameResult(record=self.record(i))
-
-
-#: The value columns of a frame result, in :data:`COLUMN_DTYPES` order.
-_frame_columns = operator.attrgetter(*COLUMN_DTYPES)
+# Each batch type holds its scalar type's fields, ``datasets`` for ``dataset``.
+for _batch in (FleetStartObservation, FleetMidObservation, FleetFrameResult):
+    check_fields(
+        _batch,
+        ["datasets" if f.name == "dataset" else f.name for f in dataclasses.fields(_batch._scalar)],
+    )
 
 
 class FleetTrace:
@@ -637,7 +562,7 @@ class PerSessionPolicies(FleetPolicy):
 
     def end_frame(self, result: FleetFrameResult) -> None:
         for i, policy in enumerate(self.policies):
-            policy.end_frame(result.result(i))
+            policy.end_frame(result.record(i))
 
     def loss_histories(self) -> List[List[float]]:
         """Per-session loss histories (empty lists for non-learning policies)."""
@@ -1028,28 +953,21 @@ class BatchedInferenceEnvironment:
 
     def _start_observation(self) -> FleetStartObservation:
         """The start observation of the frame begun, from its staging blocks."""
-        state = self.state
-        floats, ints, flags = self._snapshot(self._start_blocks)
-        device = state.device
+        fields = START_ROWS.arrays(
+            self._snapshot(self._start_blocks), self.state.previous_latency_ms is None
+        )
+        return self._observation(FleetStartObservation, fields)
+
+    def _observation(self, cls, fields: dict):
+        device = self.state.device
         return _frozen(
-            FleetStartObservation,
+            cls,
+            fields,
             frame_index=self._frame_index,
-            datasets=state.datasets,
-            cpu_temperature_c=floats[0],
-            gpu_temperature_c=floats[1],
-            cpu_level=ints[0],
-            gpu_level=ints[1],
+            datasets=self.state.datasets,
             cpu_num_levels=device.cpu.num_levels,
             gpu_num_levels=device.gpu.num_levels,
-            latency_constraint_ms=floats[2],
-            remaining_budget_ms=floats[3],
-            previous_latency_ms=None if state.previous_latency_ms is None else floats[4],
-            cpu_utilisation=floats[5],
-            gpu_utilisation=floats[6],
-            ambient_temperature_c=floats[7],
             throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=flags[0],
-            gpu_throttled=flags[1],
         )
 
     def _step_begin(self, kernel) -> None:
@@ -1134,30 +1052,8 @@ class BatchedInferenceEnvironment:
 
     def _mid_observation(self) -> FleetMidObservation:
         """The mid observation of the frame's stage 1, from its staging blocks."""
-        state = self.state
-        device = state.device
-        floats, ints, flags = self._snapshot(self._mid_blocks)
-        return _frozen(
-            FleetMidObservation,
-            frame_index=self._frame_index,
-            datasets=state.datasets,
-            cpu_temperature_c=floats[0],
-            gpu_temperature_c=floats[1],
-            cpu_level=ints[0],
-            gpu_level=ints[1],
-            cpu_num_levels=device.cpu.num_levels,
-            gpu_num_levels=device.gpu.num_levels,
-            latency_constraint_ms=floats[2],
-            remaining_budget_ms=floats[3],
-            stage1_latency_ms=floats[4],
-            num_proposals=ints[2],
-            cpu_utilisation=floats[5],
-            gpu_utilisation=floats[6],
-            ambient_temperature_c=floats[7],
-            throttle_threshold_c=self.throttle_threshold_c,
-            cpu_throttled=flags[0],
-            gpu_throttled=flags[1],
-        )
+        fields = MID_ROWS.arrays(self._snapshot(self._mid_blocks))
+        return self._observation(FleetMidObservation, fields)
 
     def _step_first_stage(self, kernel) -> None:
         """Run stage 1, writing the mid observation's staging blocks."""
@@ -1204,27 +1100,11 @@ class BatchedInferenceEnvironment:
     def _frame_result(self) -> FleetFrameResult:
         """The result of the frame just finished, from its staging blocks
         (read-only copies)."""
-        floats, ints, flags = self._snapshot(self._result_blocks, read_only=True)
         return _frozen(
             FleetFrameResult,
+            RESULT_ROWS.arrays(self._snapshot(self._result_blocks, read_only=True)),
             index=self._frame_index - 1,
             datasets=self.state.datasets,
-            num_proposals=ints[0],
-            stage1_latency_ms=floats[0],
-            stage2_latency_ms=floats[1],
-            total_latency_ms=floats[2],
-            latency_constraint_ms=floats[3],
-            met_constraint=flags[0],
-            cpu_temperature_c=floats[4],
-            gpu_temperature_c=floats[5],
-            cpu_level_stage1=ints[1],
-            gpu_level_stage1=ints[2],
-            cpu_level_stage2=ints[3],
-            gpu_level_stage2=ints[4],
-            cpu_throttled=flags[1],
-            gpu_throttled=flags[2],
-            ambient_temperature_c=floats[6],
-            energy_j=floats[7],
         )
 
     def _step_second_stage(self, kernel) -> None:

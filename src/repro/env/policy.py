@@ -15,11 +15,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
+from repro.env.trace import FrameRecord
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,8 @@ class Policy(ABC):
     def mid_frame(self, observation: MidFrameObservation) -> FrequencyDecision | None:
         """Decide frequencies after the RPN, when the proposal count is known."""
 
-    def end_frame(self, result: FrameResult) -> None:
-        """Receive the completed frame's outcome (latency, temperatures)."""
+    def end_frame(self, result: FrameRecord) -> None:
+        """Receive the completed frame's record (latency, temperatures)."""
 
     def reset(self) -> None:
         """Reset any internal state before a new episode."""

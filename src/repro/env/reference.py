@@ -23,7 +23,6 @@ from repro.detection.detector import DetectorModel
 from repro.detection.latency import ExecutionModel, compute_profile_for
 from repro.env.ambient import AmbientProfile, ConstantAmbient
 from repro.env.environment import (
-    FrameResult,
     FrameStartObservation,
     MidFrameObservation,
     StreamLike,
@@ -208,8 +207,8 @@ class ReferenceInferenceEnvironment:
             gpu_throttled=self.device.gpu_throttled,
         )
 
-    def run_second_stage(self) -> FrameResult:
-        """Execute stage 2 (if any), finish the frame and return its result."""
+    def run_second_stage(self) -> FrameRecord:
+        """Execute stage 2 (if any), finish the frame and return its record."""
         if self._phase is not _Phase.AFTER_STAGE1:
             raise ExperimentError("run_second_stage must follow run_first_stage")
         assert self._frame is not None
@@ -259,7 +258,7 @@ class ReferenceInferenceEnvironment:
         self._frame_index += 1
         self._phase = _Phase.IDLE
         self._frame = None
-        return FrameResult(record=record)
+        return record
 
     # -- convenience -------------------------------------------------------------------
 

@@ -8,7 +8,7 @@ Traces are columns end to end: a :class:`Trace` keeps one NumPy column per
 :class:`FrameRecord` field, the fleet traces keep the same columns as
 ``(frames, sessions)`` arrays, and :data:`COLUMN_DTYPES` is their one dtype
 table.  A :class:`FrameRecord` is only a row view, built on demand with
-Python scalars (:func:`frame_record`).
+Python scalars.
 """
 
 from __future__ import annotations
@@ -64,6 +64,11 @@ class FrameRecord:
     energy_j: float
 
     @property
+    def latency_slack_ms(self) -> float:
+        """ΔL_i = L - l_i; negative when the constraint was violated."""
+        return self.latency_constraint_ms - self.total_latency_ms
+
+    @property
     def mean_temperature_c(self) -> float:
         """Average of CPU and GPU temperature (the quantity the paper plots)."""
         return 0.5 * (self.cpu_temperature_c + self.gpu_temperature_c)
@@ -85,14 +90,6 @@ COLUMN_DTYPES: Dict[str, np.dtype] = {
     for f in dataclasses.fields(FrameRecord)
     if f.name not in ("index", "dataset")
 }
-
-
-def frame_record(
-    index: int, dataset: str, columns: Sequence[np.ndarray], i: int
-) -> FrameRecord:
-    """Row ``i`` of value ``columns`` (in :data:`COLUMN_DTYPES` order), with
-    Python ``int``/``float``/``bool`` values, as JSON rows require."""
-    return FrameRecord(index, dataset, *[column.item(i) for column in columns])
 
 
 def checked_column(name: str, column: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -178,9 +175,11 @@ class Trace:
         return map(self.__getitem__, range(self._size))
 
     def __getitem__(self, i: int) -> FrameRecord:
+        """Frame ``i`` with Python ``int``/``float``/``bool`` values, as JSON
+        rows require."""
         i = range(self._size)[i]
-        index, *values = self._columns.values()
-        return frame_record(index.item(i), self._datasets[i], values, i)
+        index, *values = [column.item(i) for column in self._columns.values()]
+        return FrameRecord(index, self._datasets[i], *values)
 
     @property
     def records(self) -> tuple[FrameRecord, ...]:

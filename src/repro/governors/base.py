@@ -12,12 +12,9 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
 from repro.env.policy import FrequencyDecision, Policy
+from repro.env.trace import FrameRecord
 
 
 class CpuGovernor(ABC):
@@ -100,7 +97,7 @@ class DefaultGovernorPolicy(Policy):
             observation.gpu_num_levels,
         )
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         # Default governors are application-agnostic: the frame outcome
         # (latency, constraint satisfaction) is deliberately ignored.
         return None

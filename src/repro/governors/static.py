@@ -9,12 +9,9 @@ fixed frequency", which is exactly what :class:`UserspacePolicy` /
 from __future__ import annotations
 
 from repro.errors import ConfigurationError
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
 from repro.env.policy import FrequencyDecision, Policy
+from repro.env.trace import FrameRecord
 
 
 class UserspacePolicy(Policy):
@@ -39,7 +36,7 @@ class UserspacePolicy(Policy):
     def mid_frame(self, observation: MidFrameObservation) -> FrequencyDecision:
         return self._decision(observation.cpu_num_levels, observation.gpu_num_levels)
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         return None
 
 
@@ -60,7 +57,7 @@ class PerformancePolicy(Policy):
             gpu_level=observation.gpu_num_levels - 1,
         )
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         return None
 
 
@@ -75,5 +72,5 @@ class PowersavePolicy(Policy):
     def mid_frame(self, observation: MidFrameObservation) -> FrequencyDecision:
         return FrequencyDecision(cpu_level=0, gpu_level=0)
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         return None

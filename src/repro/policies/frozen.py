@@ -26,12 +26,9 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.errors import PolicyError
-from repro.env.environment import (
-    FrameResult,
-    FrameStartObservation,
-    MidFrameObservation,
-)
+from repro.env.environment import FrameStartObservation, MidFrameObservation
 from repro.env.policy import FrequencyDecision, Policy
+from repro.env.trace import FrameRecord
 from repro.policies.checkpoint import PolicyCheckpoint, policy_from_checkpoint
 from repro.policies.store import PolicyStore
 
@@ -91,7 +88,7 @@ class _FrozenPolicy(Policy):
     def mid_frame(self, observation: MidFrameObservation) -> FrequencyDecision | None:
         return self.agent.mid_frame(observation)
 
-    def end_frame(self, result: FrameResult) -> None:
+    def end_frame(self, result: FrameRecord) -> None:
         self.agent.end_frame(result)
 
     def reset(self) -> None:

@@ -35,7 +35,7 @@ def test_frame_protocol_produces_consistent_observations(small_environment):
 
     result = env.run_second_stage()
     assert result.total_latency_ms > mid.stage1_latency_ms
-    assert result.record.stage2_latency_ms > 0
+    assert result.stage2_latency_ms > 0
     assert result.num_proposals == mid.num_proposals
     assert result.latency_slack_ms == pytest.approx(400.0 - result.total_latency_ms)
     assert env.frames_processed == 1
@@ -55,10 +55,9 @@ def test_observations_and_records_hold_python_scalars(small_environment):
     for _ in range(2):
         start, mid = env.begin_frame(), env.run_first_stage()
         result = env.run_second_stage()
-        for handed in (start, mid, result, result.record):
+        for handed in (start, mid, result):
             assert set(vars(handed)) == {f.name for f in dataclasses.fields(handed)}
             assert not hasattr(type(handed), "__post_init__")
-        for handed in (start, mid, result.record):
             for field in dataclasses.fields(handed):
                 value = getattr(handed, field.name)
                 expected = {"int": int, "float": float, "bool": bool, "str": str}.get(
@@ -77,7 +76,7 @@ def test_level_requests_are_checked_as_the_device_checks_them(small_environment,
         env.apply_levels(cpu, gpu)
     env.begin_frame()
     result = (env.run_first_stage(), env.run_second_stage())[1]
-    assert (result.record.cpu_level_stage1, result.record.gpu_level_stage1) == (4, 2)
+    assert (result.cpu_level_stage1, result.gpu_level_stage1) == (4, 2)
 
 
 def test_copies_continue_identically(small_environment):
@@ -130,10 +129,10 @@ def test_mid_frame_decision_affects_only_stage2(small_environment):
     mid = env.run_first_stage()
     env.apply_levels(0, 0)
     result = env.run_second_stage()
-    assert result.record.stage1_latency_ms == pytest.approx(mid.stage1_latency_ms)
-    assert result.record.gpu_level_stage2 == 0
-    assert result.record.gpu_level_stage1 == env.device.gpu.max_level
-    assert result.record.stage2_latency_ms > 50.0
+    assert result.stage1_latency_ms == pytest.approx(mid.stage1_latency_ms)
+    assert result.gpu_level_stage2 == 0
+    assert result.gpu_level_stage1 == env.device.gpu.max_level
+    assert result.stage2_latency_ms > 50.0
 
 
 def test_more_proposals_mean_longer_second_stage(small_environment):
@@ -143,7 +142,7 @@ def test_more_proposals_mean_longer_second_stage(small_environment):
         env.begin_frame()
         mid = env.run_first_stage()
         result = env.run_second_stage()
-        stage2[mid.num_proposals] = result.record.stage2_latency_ms
+        stage2[mid.num_proposals] = result.stage2_latency_ms
     proposals = sorted(stage2)
     assert stage2[proposals[-1]] > stage2[proposals[0]]
 
@@ -161,7 +160,7 @@ def test_one_stage_detector_has_zero_stage2():
     mid = env.run_first_stage()
     result = env.run_second_stage()
     assert mid.num_proposals == 0
-    assert result.record.stage2_latency_ms == 0.0
+    assert result.stage2_latency_ms == 0.0
 
 
 def test_ambient_profile_is_applied_per_frame():
@@ -195,15 +194,6 @@ def test_reset_restores_cold_device(small_environment):
     env.reset()
     assert env.frames_processed == 0
     assert device.gpu_temperature_c[0] == pytest.approx(25.0)
-
-
-def test_latency_prediction_helper(small_environment):
-    env = small_environment
-    fast = env.latency_at_levels(9, 4, num_proposals=150)
-    slow = env.latency_at_levels(0, 0, num_proposals=150)
-    more_work = env.latency_at_levels(9, 4, num_proposals=600)
-    assert slow > fast
-    assert more_work > fast
 
 
 def test_constructor_validation():

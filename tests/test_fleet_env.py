@@ -12,9 +12,17 @@ from repro.errors import DeviceError, ExperimentError
 from repro.analysis.experiments import ExperimentSetting
 from repro.core.fleet import FleetLotusAgent
 from repro.detection.registry import build_detector
+from repro.env.environment import (
+    MID_ROWS,
+    FrameStartObservation,
+    MidFrameObservation,
+    PhaseRows,
+    check_fields,
+)
 from repro.env.fleet import (
     BatchedInferenceEnvironment,
     FleetDecision,
+    FleetFrameResult,
     FleetTrace,
     PerSessionPolicies,
     run_fleet_episode,
@@ -28,7 +36,14 @@ from repro.governors.fleet import (
 from repro.hardware.devices.registry import available_devices, build_device
 from repro.hardware.fleet import DeviceFleet
 from repro.hardware.frequency import FrequencyTable
-from repro.kernels.build import RESULT_FLAGS, RESULT_FLOATS, RESULT_INTS
+from repro.kernels.build import (
+    OBSERVATION_FLAGS,
+    OBSERVATION_FLOATS,
+    OBSERVATION_INTS,
+    RESULT_FLAGS,
+    RESULT_FLOATS,
+    RESULT_INTS,
+)
 from repro.runtime.fleet import (
     make_fleet_environment,
     make_fleet_policy,
@@ -99,6 +114,68 @@ def test_snapshot_layouts_cover_every_field():
         # The environment builds them without __init__, so none may rely on
         # a __post_init__.
         assert not hasattr(type(handed), "__post_init__")
+
+
+def test_batch_types_take_and_split_per_field():
+    """``take`` fancy-indexes each per-session array, ``session``/``record``
+    give each session's Python scalars, and the shared fields (a previous
+    latency of ``None`` included) pass through both."""
+    env, indices = _environment(n=4), np.array([3, 0, 2])
+    for frame in range(2):
+        start = env.begin_frame()
+        assert (start.previous_latency_ms is None) == (frame == 0)
+        batches = (start, env.run_first_stage(), env.run_second_stage())
+        assert batches[2].record(1) == batches[2].session(1)
+        for batch in batches:
+            taken = batch.take(indices)
+            assert type(taken) is type(batch)
+            for field in dataclasses.fields(batch):
+                value, got = getattr(batch, field.name), getattr(taken, field.name)
+                if isinstance(value, np.ndarray):
+                    assert got.dtype == value.dtype
+                    assert np.array_equal(got, value[indices])
+                elif field.name == "datasets":
+                    assert got == tuple(value[i] for i in indices)
+                else:
+                    assert got is value, field.name
+            for i in range(batch.num_sessions):
+                one = batch.session(i)
+                assert type(one) is batch._scalar
+                assert one.dataset == batch.datasets[i]
+                for field in dataclasses.fields(one):
+                    if field.name == "dataset":
+                        continue
+                    value, got = getattr(batch, field.name), getattr(one, field.name)
+                    if isinstance(value, np.ndarray):
+                        value = value[i].item()
+                    assert type(got) is type(value) and got == value, field.name
+
+
+def test_start_observations_carry_no_proposal_count(small_environment):
+    """The start phase leaves the staging blocks' ``num_proposals`` row
+    unused: a scalar start observation has no such attribute (``RemotePolicy``
+    reads it with ``getattr(..., None)``), from either engine."""
+    assert not hasattr(small_environment.begin_frame(), "num_proposals")
+    assert not hasattr(_environment(n=2).begin_frame().session(1), "num_proposals")
+
+
+def test_phase_tables_fail_loudly_on_a_renamed_row():
+    """A table whose rows and shared fields are not exactly its type's
+    fields refuses to build, so a staging row renamed in
+    ``repro.kernels.build`` cannot leave a field silently missing."""
+    rows = (OBSERVATION_FLOATS, OBSERVATION_INTS, OBSERVATION_FLAGS)
+    shared = ("frame_index", "dataset", "cpu_num_levels", "gpu_num_levels", "throttle_threshold_c")
+    assert PhaseRows(MidFrameObservation, rows, shared, latency_ms="stage1_latency_ms").names == (
+        MID_ROWS.names
+    )
+    with pytest.raises(TypeError, match="stage1_latency_ms"):
+        PhaseRows(MidFrameObservation, rows, shared)
+    renamed = (tuple(name.replace("cpu_temperature_c", "cpu_temp_c") for name in rows[0]),)
+    with pytest.raises(TypeError, match="cpu_temp_c"):
+        PhaseRows(FrameStartObservation, renamed + rows[1:], shared,
+                  latency_ms="previous_latency_ms", num_proposals=None)
+    with pytest.raises(TypeError, match="datasets"):
+        check_fields(FleetFrameResult, ("index", "dataset", *COLUMN_DTYPES))
 
 
 def test_masked_decision_only_touches_selected_sessions():
