@@ -8,7 +8,7 @@ the runtime actually serves — sweeps, the generalization matrix, bench
 loops, supervised re-runs — that startup dominates wall-clock.
 
 :class:`FleetWorkerPool` keeps a fixed set of worker processes alive across
-calls and speaks a four-verb protocol with each of them over a pipe:
+calls and speaks a three-verb protocol with each of them over a pipe:
 
 ``RUN``
     Execute one :class:`PoolTask`.  A task carries an optional *shard
@@ -19,10 +19,6 @@ calls and speaks a four-verb protocol with each of them over a pipe:
     ``RUN`` arrives whose fingerprint matches a pinned entry the worker
     *restores the entry's pristine state snapshot* and runs the episode on
     the warm objects instead of rebuilding them.
-``CHECKPOINT``
-    Capture the current ``state_dict`` snapshots of a pinned shard and ship
-    them back as a blob (the hook the session-server roadmap item builds
-    on).
 ``RESET``
     Drop every pinned shard (used by tests and by callers that mutated
     global configuration).
@@ -44,15 +40,16 @@ correct first, warm second.
 
 Results cross the process boundary the cheap way: episode traces travel as
 ``repro-store/v1`` manifest paths (memory-mapped by the merger, PR 8),
-while small hot payloads — per-shard summaries, checkpoint blobs — ride in
+while the remaining payloads — per-shard histories and fault masks — ride in
 :mod:`multiprocessing.shared_memory` blocks that the parent copies out and
 unlinks immediately.  Only tiny control messages are pickled through the
 pipe itself.
 
 Worker death (injected ``os._exit`` crashes or real faults) is detected as
 an EOF on the worker's pipe; the supervisor respawns a fresh process *into
-the same pool slot* and resubmits the task, which — for supervised shards —
-resumes from its spooled checkpoint and replays only the frames after it.
+the same pool slot* and resubmits the task.  A shard task then resumes from
+its latest spooled checkpoint, if its run writes them, and replays only the
+frames after it; otherwise it clears its store and reruns from frame 0.
 
 Under the ``fork`` start method the parent resolves every kernel family
 (:mod:`repro.kernels`) before it starts a worker, so initial and respawned
@@ -103,12 +100,13 @@ class PoolTask:
 
     Attributes:
         kind: Dispatch key understood by the worker loop —
-            ``"scenario-shard"`` (every sharded fleet, homogeneous cells
-            included, since a cell is a one-member scenario),
-            ``"supervised-shard"`` or ``"job"``.
+            ``"scenario-shard"`` (every shard of every sharded or
+            supervised fleet; a homogeneous cell is a one-member scenario)
+            or ``"job"``.
         args: Positional payload for the worker-side executor (must be
-            picklable; shards carry their scenario plus the session slice
-            and spool directory).
+            picklable; shards carry their scenario, population, plan index
+            and session slice, the spool directory, the checkpoint interval
+            and the injected crash frame).
         fingerprint: Optional warm-reuse key.  ``None`` disables pinning
             for this task (supervised shards and experiment jobs run
             unpinned).
@@ -252,16 +250,6 @@ def _restore_pristine(pairs: Sequence[tuple], pristine: tuple) -> bool:
     return True
 
 
-def _current_state(pairs: Sequence[tuple]) -> tuple:
-    """Live (post-episode) snapshots of a pinned shard, for CHECKPOINT."""
-    environment_states = [environment.state_dict() for environment, _ in pairs]
-    policy_states = [
-        policy.state_dict() if hasattr(policy, "state_dict") else None
-        for _, policy in pairs
-    ]
-    return (environment_states, policy_states)
-
-
 def _execute_task(
     kind: str, fingerprint: Optional[str], args: tuple, pinned: "OrderedDict"
 ) -> Tuple[Any, Dict[str, Any]]:
@@ -270,7 +258,7 @@ def _execute_task(
 
     meta: Dict[str, Any] = {"warm": False, "built": False}
     if kind == "scenario-shard":
-        scenario, num_sessions, start, stop, spool_dir = args
+        scenario, num_sessions, shard_index, start, stop, *run_args = args
         entry = pinned.get(fingerprint) if fingerprint else None
         if entry is not None:
             pinned.move_to_end(fingerprint)
@@ -283,23 +271,20 @@ def _execute_task(
             session_groups = shard_mod._build_scenario_shard(
                 scenario, num_sessions, start, stop
             )
-            pairs = [(group.environment, group.policy) for group in session_groups]
-            pristine = _capture_pristine(pairs)
-            entry = {"groups": session_groups, "pairs": pairs, "pristine": pristine}
+            entry = {"groups": session_groups}
             meta["built"] = True
-            if fingerprint and pristine is not None:
-                pinned[fingerprint] = entry
-                while len(pinned) > PIN_CAPACITY:
-                    pinned.popitem(last=False)
-        result = shard_mod._execute_scenario_shard(
-            entry["groups"], scenario.num_frames, start, stop, spool_dir
+            if fingerprint:
+                pairs = [(group.environment, group.policy) for group in session_groups]
+                pristine = _capture_pristine(pairs)
+                if pristine is not None:
+                    entry.update(pairs=pairs, pristine=pristine)
+                    pinned[fingerprint] = entry
+                    while len(pinned) > PIN_CAPACITY:
+                        pinned.popitem(last=False)
+        result = shard_mod._run_scenario_shard(
+            entry["groups"], scenario.num_frames, shard_index, start, stop, *run_args
         )
         return result, meta
-    if kind == "supervised-shard":
-        # Supervised shards own their lifecycle (checkpoint spool, crash
-        # markers, resume-from-checkpoint); they always rebuild so that a
-        # respawned worker replays exactly the PR 7 recovery path.
-        return shard_mod._run_supervised_shard(*args), meta
     if kind == "job":
         from repro.runtime.engine import execute_job
 
@@ -308,7 +293,7 @@ def _execute_task(
 
 
 def _worker_main(conn) -> None:
-    """Worker process loop: serve RUN/CHECKPOINT/RESET until SHUTDOWN."""
+    """Worker process loop: serve RUN/RESET until SHUTDOWN."""
     pinned: "OrderedDict[str, dict]" = OrderedDict()
     while True:
         try:
@@ -321,18 +306,6 @@ def _worker_main(conn) -> None:
         if command == "RESET":
             pinned.clear()
             conn.send(("ACK",))
-            continue
-        if command == "CHECKPOINT":
-            fingerprint = message[1]
-            entry = pinned.get(fingerprint)
-            try:
-                if entry is None:
-                    raise ShardError(
-                        f"no shard pinned under fingerprint {fingerprint!r}"
-                    )
-                conn.send(("CKPT", _export_payload(_current_state(entry["pairs"]))))
-            except Exception as exc:  # noqa: BLE001 - forwarded to the parent
-                conn.send(("ERR", None, _pickle_error(exc)))
             continue
         if command == "RUN":
             # The observe flag rides in the message (not the environment):
@@ -535,29 +508,6 @@ class FleetWorkerPool:
                 raise ShardError(f"unexpected RESET reply {message[0]!r}")
             handle.pins = ()
 
-    def checkpoint(self, fingerprint: str) -> Any:
-        """Capture the live state snapshots of a pinned shard.
-
-        Returns the ``(environment_states, policy_states)`` tuple the
-        worker captured, shipped back as a shared-memory checkpoint blob.
-        Raises :class:`~repro.errors.ShardError` when no worker has the
-        fingerprint pinned.
-        """
-        for handle in self._workers:
-            if fingerprint not in handle.pins or not handle.alive():
-                continue
-            if handle.busy_task is not None:
-                raise ShardError("cannot CHECKPOINT while the worker is busy")
-            handle.conn.send(("CHECKPOINT", fingerprint))
-            message = handle.conn.recv()
-            if message[0] == "CKPT":
-                payload, _, _ = _import_payload(message[1])
-                return payload
-            if message[0] == "ERR":
-                raise pickle.loads(message[2])
-            raise ShardError(f"unexpected CHECKPOINT reply {message[0]!r}")
-        raise ShardError(f"no worker pins fingerprint {fingerprint!r}")
-
     # -- execution -----------------------------------------------------------
 
     def run_tasks(
@@ -571,8 +521,8 @@ class FleetWorkerPool:
         Tasks whose fingerprint is pinned on an idle worker are routed to
         that worker; the rest fill free slots in order.  A worker death
         respawns the slot and resubmits the task (up to ``max_restarts``
-        times per task) — supervised shards then resume from their spooled
-        checkpoints.  ``on_result(position, result)`` fires as each task
+        times per task) — shards then resume from their spooled checkpoints,
+        if they write any.  ``on_result(position, result)`` fires as each task
         completes (completion order).
         """
         report = PoolRunReport(results=[None] * len(tasks))

@@ -23,16 +23,18 @@ maximal run of consecutive same-member ``lotus-fleet`` sessions as an
 still shard bit-exactly (whole atoms move between workers), while a fleet
 that is one big ``lotus-fleet`` member degrades to a single shard.
 
-Every sharded fleet runs through the one scenario-shard path: a
-homogeneous (setting, method) cell (:func:`run_sharded_fleet`) is the
-one-member scenario of its setting, and the supervisor
-(:func:`run_supervised_scenario`) runs the same grouped episode loop with a
-checkpointing frame sink.  A plan with a single shard is the in-process
-run: :func:`run_sharded_scenario` then returns
-:func:`repro.runtime.fleet.run_fleet_scenario`'s result, and every entry
-point returns a :class:`~repro.runtime.fleet.FleetScenarioResult`.  The
-cell entry point refuses ``lotus-fleet`` with more than one shard outright,
-with a typed :class:`~repro.errors.ShardError`.
+Every sharded fleet runs through one shard runner
+(:func:`_run_scenario_shard`, one ``"scenario-shard"`` pool task per
+shard) and one driver (:func:`_run_shards`): a homogeneous (setting,
+method) cell (:func:`run_sharded_fleet`) is the one-member scenario of its
+setting, and a supervised run (:func:`run_supervised_scenario`) is a
+sharded run plus periodic checkpoints, injected crashes and a restart
+budget, with its shards rebuilt cold instead of warm.  A plan with a
+single shard is the in-process run: :func:`run_sharded_scenario` then
+returns :func:`repro.runtime.fleet.run_fleet_scenario`'s result, and every
+entry point returns a :class:`~repro.runtime.fleet.FleetScenarioResult`.
+The cell entry point refuses ``lotus-fleet`` with more than one shard
+outright, with a typed :class:`~repro.errors.ShardError`.
 """
 
 from __future__ import annotations
@@ -72,7 +74,12 @@ from repro.store import (
     MappedFleetTrace,
 )
 from repro.faults.plan import WorkerCrash
-from repro.runtime.pool import PoolTask, acquire_pool, scenario_shard_fingerprint
+from repro.runtime.pool import (
+    PoolRunReport,
+    PoolTask,
+    acquire_pool,
+    scenario_shard_fingerprint,
+)
 from repro.runtime.fleet import (
     FleetRunResult,
     FleetScenarioResult,
@@ -172,10 +179,6 @@ def plan_shards(
 # ---------------------------------------------------------------------------
 
 
-def _spool_store_path(spool_dir: str, start: int, stop: int) -> Path:
-    return Path(spool_dir) / f"shard-{start:06d}-{stop:06d}"
-
-
 def _build_scenario_shard(
     scenario: "FleetScenario", num_sessions: int, start: int, stop: int
 ) -> List[FleetSessionGroup]:
@@ -188,34 +191,168 @@ def _build_scenario_shard(
     pool (:mod:`repro.runtime.pool`) can pin the constructed groups and
     skip this step on a warm fingerprint hit.
     """
-    with _obs.span("shard.build", kind="scenario", start=start, stop=stop):
+    with _obs.span("shard.build", start=start, stop=stop):
         assignments = scenario.session_assignments(num_sessions)[start:stop]
         return _session_groups(assignments, scenario.num_frames, base=start)
 
 
-def _execute_scenario_shard(
+def _checkpoint_write(path: Path, payload: dict) -> None:
+    """Atomically pickle a shard checkpoint (write-then-rename)."""
+    tmp = path.with_suffix(".tmp")
+    with open(tmp, "wb") as handle:
+        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
+    os.replace(tmp, path)
+
+
+@dataclass
+class _ShardSink:
+    """Frame sink of a shard: spool, checkpoint, crash.
+
+    ``append`` spools each frame to the shard's chunk store through
+    ``writer``, whose chunks are ``checkpoint_every`` frames long (when
+    non-zero), so every checkpoint follows a chunk flush.  Every
+    ``checkpoint_every`` completed frames (never after the last; never when
+    ``0``) it writes a checkpoint:
+    the environments' and policies' ``state_dict`` snapshots and the
+    writer's sealed-chunk :meth:`~repro.store.FleetTraceWriter.index`, no
+    frames.  Then, at the boundary before ``crash_frame``, it injects the
+    one-shot worker death.
+    """
+
+    groups: Sequence[FleetSessionGroup]
+    num_frames: int
+    checkpoint_every: int
+    checkpoint_path: Path
+    crash_frame: Optional[int]
+    crash_marker: Path
+    shard_index: int
+    writer: FleetTraceWriter
+
+    def crash_if_due(self, frame: int) -> None:
+        """Kill this worker at the start of ``frame`` if it is the crash frame.
+
+        A marker file in the spool makes the crash one-shot: the restarted
+        worker passes the same frame unharmed.
+        """
+        if frame == self.crash_frame and not self.crash_marker.exists():
+            self.crash_marker.write_text(str(frame))
+            os._exit(43)
+
+    def append(self, frame_result: FleetFrameResult) -> None:
+        self.writer.append(frame_result)
+        completed = self.writer.frames_written
+        if completed >= self.num_frames:
+            return
+        if self.checkpoint_every > 0 and completed % self.checkpoint_every == 0:
+            _checkpoint_write(
+                self.checkpoint_path,
+                {
+                    "frame": completed,
+                    "environments": [
+                        group.environment.state_dict() for group in self.groups
+                    ],
+                    "policies": [
+                        group.policy.state_dict()
+                        if hasattr(group.policy, "state_dict")
+                        else None
+                        for group in self.groups
+                    ],
+                    "store": self.writer.index(),
+                },
+            )
+            _obs.event("checkpoint.write", shard=self.shard_index, frame=completed)
+            _obs.inc("checkpoint.writes")
+        self.crash_if_due(completed)
+
+
+def _run_scenario_shard(
     session_groups: Sequence[FleetSessionGroup],
-    frames: int,
+    num_frames: int,
+    shard_index: int,
     start: int,
     stop: int,
     spool_dir: str,
+    checkpoint_every: int,
+    crash_frame: Optional[int],
 ):
     """Run one (pre-built) scenario shard's episode and collect its results.
 
-    Returns ``(manifest, losses, rewards, names, degraded)``: the histories
-    and names are shard-local lists, ``degraded`` the shard's slice of the
-    fault mask (``None`` when unfaulted).  The shard sinks its frames
-    incrementally into a columnar chunk store under ``spool_dir`` and
-    returns only the store's manifest path, so traces cross the process
-    boundary through ``mmap``-able files instead of pickled frame objects.
+    The groups are reset and run through the grouped episode loop into a
+    :class:`_ShardSink`, which spools the frames to the columnar chunk
+    store ``shard-<i>-trace`` in ``spool_dir`` as they run and writes a
+    checkpoint (the environments' and policies' ``state_dict`` snapshots
+    plus the store's sealed-chunk index) every ``checkpoint_every`` frames.
+    When a checkpoint for this shard already exists in the spool, the run
+    resumes from it instead of frame 0: the states are loaded, the store's
+    writer is rebuilt from the index, and the frames after it are replayed,
+    each rewritten chunk replacing the crashed incarnation's.  Because
+    every state a frame reads is captured, the resumed run's frames are
+    bit-identical to an uninterrupted one.  A run from frame 0 clears the
+    store first, so a resubmitted shard can always rewrite it.
+
+    ``crash_frame`` injects a worker death: the process calls ``os._exit``
+    at the start of that frame, once — a marker file in the spool keeps the
+    restarted worker from crashing again.
+
+    Returns ``(manifest, losses, rewards, names, degraded)``: the sealed
+    store's manifest path (so traces cross the process boundary through
+    ``mmap``-able files instead of pickled frames), shard-local histories
+    and names, and the shard's slice of the fault mask (``None`` when
+    unfaulted).
     """
     count = stop - start
-    with _obs.span("shard.run", kind="scenario", start=start, stop=stop):
-        writer = FleetTraceWriter(_spool_store_path(spool_dir, start, stop), count)
-        run_grouped_fleet_episode(session_groups, frames, sink=writer)
+    spool = Path(spool_dir)
+    checkpoint_path = spool / f"shard-{shard_index}.ckpt"
+    store_dir = spool / f"shard-{shard_index}-trace"
+    chunk_frames = checkpoint_every or DEFAULT_CHUNK_FRAMES
+    with _obs.span("shard.run", shard=shard_index, start=start, stop=stop):
+        for group in session_groups:
+            group.environment.reset()
+            group.policy.reset()
+        first_frame = 0
+        if checkpoint_path.exists():
+            with open(checkpoint_path, "rb") as handle:
+                payload = pickle.load(handle)
+            for group, environment_state, policy_state in zip(
+                session_groups, payload["environments"], payload["policies"]
+            ):
+                group.environment.load_state_dict(environment_state)
+                if policy_state is not None:
+                    group.policy.load_state_dict(policy_state)
+            first_frame = payload["frame"]
+            # An incarnation that finished, but whose result was lost when
+            # another worker broke the pool, left its store sealed.
+            (store_dir / MANIFEST_NAME).unlink(missing_ok=True)
+            writer = FleetTraceWriter.resume(
+                store_dir, count, payload["store"], chunk_frames
+            )
+            _obs.event("checkpoint.restore", shard=shard_index, frame=first_frame)
+            _obs.inc("checkpoint.restores")
+        else:
+            shutil.rmtree(store_dir, ignore_errors=True)
+            writer = FleetTraceWriter(store_dir, count, chunk_frames)
+
+        sink = _ShardSink(
+            groups=session_groups,
+            num_frames=num_frames,
+            checkpoint_every=checkpoint_every,
+            checkpoint_path=checkpoint_path,
+            crash_frame=crash_frame,
+            crash_marker=spool / f"shard-{shard_index}.crashed",
+            shard_index=shard_index,
+            writer=writer,
+        )
+        sink.crash_if_due(first_frame)
+        run_grouped_fleet_episode(
+            session_groups,
+            num_frames - first_frame,
+            reset_environments=False,
+            reset_policies=False,
+            sink=sink,
+        )
         manifest = str(writer.close())
         losses, rewards, names = _group_histories(session_groups)
-        degraded = collect_degraded(session_groups, frames, count)
+        degraded = collect_degraded(session_groups, num_frames, count)
     return manifest, losses, rewards, names, degraded
 
 
@@ -379,6 +516,83 @@ def _plan_scenario(
     return scenario, assignments, tuple(plan_shards(assignments, num_shards))
 
 
+def _run_shards(
+    scenario: "FleetScenario",
+    assignments: tuple,
+    shards: Tuple[ShardPlan, ...],
+    span: str,
+    warm: bool,
+    checkpoint_every: int = 0,
+    crash_frames: Optional[Dict[int, int]] = None,
+    max_restarts: int = 3,
+) -> Tuple[dict, PoolRunReport]:
+    """Run every shard of a plan on the pool and merge them as they arrive.
+
+    Each shard is one ``"scenario-shard"`` pool task of
+    :func:`_run_scenario_shard`, keyed for warm reuse by its fingerprint
+    when ``warm``, with ``crash_frames[shard.index]`` as its injected
+    crash.  The run owns a fresh temporary spool, removed when the run
+    ends, whether it succeeded or not.  Returns the
+    :class:`~repro.runtime.fleet.FleetScenarioResult` fields and the pool's
+    :class:`~repro.runtime.pool.PoolRunReport`.
+    """
+    total = len(assignments)
+    crash_frames = crash_frames or {}
+    merge = _ShardMerge(shards, total, scenario.num_frames)
+    with _obs.span(span, shards=len(shards), sessions=total):
+        start_time = time.perf_counter()
+        spool = tempfile.mkdtemp(prefix="repro-spool-")
+        try:
+            tasks = [
+                PoolTask(
+                    kind="scenario-shard",
+                    args=(
+                        scenario,
+                        total,
+                        shard.index,
+                        shard.start,
+                        shard.stop,
+                        spool,
+                        checkpoint_every,
+                        crash_frames.get(shard.index),
+                    ),
+                    fingerprint=scenario_shard_fingerprint(
+                        scenario, total, shard.start, shard.stop
+                    )
+                    if warm
+                    else None,
+                    shard_index=shard.index,
+                )
+                for shard in shards
+            ]
+            pool, owned = acquire_pool(len(shards))
+            try:
+                # A dying worker (injected ``os._exit`` or a real fault)
+                # shows up as an EOF on its pipe; the pool respawns a fresh
+                # process into the same slot and resubmits the shard, which
+                # resumes from its latest spooled checkpoint, if any.
+                report = pool.run_tasks(
+                    tasks, max_restarts=max_restarts, on_result=merge.add
+                )
+            finally:
+                if owned:
+                    pool.shutdown()
+            fleet_trace, sessions, degraded = merge.finish()
+            elapsed_s = time.perf_counter() - start_time
+        finally:
+            shutil.rmtree(spool, ignore_errors=True)
+    fields = dict(
+        scenario=scenario,
+        assignments=assignments,
+        shards=shards,
+        sessions=sessions,
+        fleet_trace=fleet_trace,
+        elapsed_s=elapsed_s,
+        degraded=degraded,
+    )
+    return fields, report
+
+
 def run_sharded_scenario(
     scenario: Union["FleetScenario", "ScenarioSpec", str],
     num_shards: int,
@@ -411,48 +625,10 @@ def run_sharded_scenario(
     )
     if len(shards) == 1:
         return run_fleet_scenario(scenario, num_sessions)
-    total = len(assignments)
-    merge = _ShardMerge(shards, total, scenario.num_frames)
-
-    run_span = _obs.span(
-        "runtime.run_sharded_scenario", shards=len(shards), sessions=total
+    fields, _ = _run_shards(
+        scenario, assignments, shards, "runtime.run_sharded_scenario", warm=True
     )
-    run_span.__enter__()
-    start_time = time.perf_counter()
-    spool = tempfile.mkdtemp(prefix="repro-shards-")
-    try:
-        tasks = [
-            PoolTask(
-                kind="scenario-shard",
-                args=(scenario, total, shard.start, shard.stop, spool),
-                fingerprint=scenario_shard_fingerprint(
-                    scenario, total, shard.start, shard.stop
-                ),
-                shard_index=shard.index,
-            )
-            for shard in shards
-        ]
-        pool, owned = acquire_pool(len(shards))
-        try:
-            pool.run_tasks(tasks, on_result=merge.add)
-        finally:
-            if owned:
-                pool.shutdown()
-        fleet_trace, sessions, degraded = merge.finish()
-        elapsed_s = time.perf_counter() - start_time
-    finally:
-        shutil.rmtree(spool, ignore_errors=True)
-        run_span.__exit__(None, None, None)
-
-    return FleetScenarioResult(
-        scenario=scenario,
-        assignments=assignments,
-        shards=shards,
-        sessions=sessions,
-        fleet_trace=fleet_trace,
-        elapsed_s=elapsed_s,
-        degraded=degraded,
-    )
+    return FleetScenarioResult(**fields)
 
 
 def _sharded_cell_spec(
@@ -541,165 +717,6 @@ class SupervisedScenarioResult(FleetScenarioResult):
     recovery: RecoveryReport = field(kw_only=True)
 
 
-def _checkpoint_write(path: Path, payload: dict) -> None:
-    """Atomically pickle a shard checkpoint (write-then-rename)."""
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as handle:
-        pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-    os.replace(tmp, path)
-
-
-@dataclass
-class _SupervisedSink:
-    """Frame sink of a supervised shard: spool, checkpoint, crash.
-
-    ``append`` spools each frame to the shard's chunk store through
-    ``writer``, whose chunks are ``checkpoint_every`` frames long, so every
-    checkpoint follows a chunk flush.  Every ``checkpoint_every`` completed
-    frames (never after the last) it writes a checkpoint: the environments'
-    and policies' ``state_dict`` snapshots and the writer's sealed-chunk
-    :meth:`~repro.store.FleetTraceWriter.index`, no frames.  Then, at the
-    boundary before ``crash_frame``, it injects the one-shot worker death.
-    """
-
-    groups: Sequence[FleetSessionGroup]
-    num_frames: int
-    checkpoint_every: int
-    checkpoint_path: Path
-    crash_frame: Optional[int]
-    crash_marker: Path
-    shard_index: int
-    writer: FleetTraceWriter
-
-    def crash_if_due(self, frame: int) -> None:
-        """Kill this worker at the start of ``frame`` if it is the crash frame.
-
-        A marker file in the spool makes the crash one-shot: the restarted
-        worker passes the same frame unharmed.
-        """
-        if frame == self.crash_frame and not self.crash_marker.exists():
-            self.crash_marker.write_text(str(frame))
-            os._exit(43)
-
-    def append(self, frame_result: FleetFrameResult) -> None:
-        self.writer.append(frame_result)
-        completed = self.writer.frames_written
-        if completed >= self.num_frames:
-            return
-        if self.checkpoint_every > 0 and completed % self.checkpoint_every == 0:
-            _checkpoint_write(
-                self.checkpoint_path,
-                {
-                    "frame": completed,
-                    "environments": [
-                        group.environment.state_dict() for group in self.groups
-                    ],
-                    "policies": [
-                        group.policy.state_dict()
-                        if hasattr(group.policy, "state_dict")
-                        else None
-                        for group in self.groups
-                    ],
-                    "store": self.writer.index(),
-                },
-            )
-            _obs.event("checkpoint.write", shard=self.shard_index, frame=completed)
-            _obs.inc("checkpoint.writes")
-        self.crash_if_due(completed)
-
-
-def _run_supervised_shard(
-    scenario: "FleetScenario",
-    num_sessions: int,
-    start: int,
-    stop: int,
-    shard_index: int,
-    spool_dir: str,
-    checkpoint_every: int,
-    crash_frame: Optional[int],
-):
-    """Run one scenario shard with periodic checkpoints and crash injection.
-
-    The shard runs the grouped episode loop with a :class:`_SupervisedSink`
-    that spools its frames to a columnar chunk store in the spool as they
-    run and writes a checkpoint (the environments' and policies'
-    ``state_dict`` snapshots plus the store's sealed-chunk index) every
-    ``checkpoint_every`` frames.  When a checkpoint for this shard already
-    exists in the spool, the worker resumes from it instead of frame 0: the
-    states are loaded, the store's writer is rebuilt from the index, and
-    the frames after it are replayed, each rewritten chunk replacing the
-    crashed incarnation's.  Because every state a frame reads is captured,
-    the resumed run's frames are bit-identical to an uninterrupted one.
-
-    ``crash_frame`` injects a worker death: the process calls ``os._exit``
-    at the start of that frame, once — a marker file in the spool keeps the
-    restarted worker from crashing again.
-
-    Only the sealed store's manifest path is returned, so the supervisor
-    merges the store's chunks instead of unpickling frame lists.
-    """
-    run_span = _obs.span("shard.run", kind="supervised", shard=shard_index)
-    run_span.__enter__()
-    with _obs.span("shard.build", kind="supervised", shard=shard_index):
-        assignments = scenario.session_assignments(num_sessions)[start:stop]
-        num_frames = scenario.num_frames
-        session_groups = _session_groups(assignments, num_frames, base=start)
-    for group in session_groups:
-        group.environment.reset()
-        group.policy.reset()
-
-    spool = Path(spool_dir)
-    checkpoint_path = spool / f"shard-{shard_index}.ckpt"
-    store_dir = spool / f"shard-{shard_index}-trace"
-    chunk_frames = checkpoint_every or DEFAULT_CHUNK_FRAMES
-    first_frame = 0
-    if checkpoint_path.exists():
-        with open(checkpoint_path, "rb") as handle:
-            payload = pickle.load(handle)
-        for group, environment_state, policy_state in zip(
-            session_groups, payload["environments"], payload["policies"]
-        ):
-            group.environment.load_state_dict(environment_state)
-            if policy_state is not None:
-                group.policy.load_state_dict(policy_state)
-        first_frame = payload["frame"]
-        # An incarnation that finished, but whose result was lost when
-        # another worker broke the pool, left its store sealed.
-        (store_dir / MANIFEST_NAME).unlink(missing_ok=True)
-        writer = FleetTraceWriter.resume(
-            store_dir, stop - start, payload["store"], chunk_frames
-        )
-        _obs.event("checkpoint.restore", shard=shard_index, frame=first_frame)
-        _obs.inc("checkpoint.restores")
-    else:
-        shutil.rmtree(store_dir, ignore_errors=True)
-        writer = FleetTraceWriter(store_dir, stop - start, chunk_frames)
-
-    sink = _SupervisedSink(
-        groups=session_groups,
-        num_frames=num_frames,
-        checkpoint_every=checkpoint_every,
-        checkpoint_path=checkpoint_path,
-        crash_frame=crash_frame,
-        crash_marker=spool / f"shard-{shard_index}.crashed",
-        shard_index=shard_index,
-        writer=writer,
-    )
-    sink.crash_if_due(first_frame)
-    run_grouped_fleet_episode(
-        session_groups,
-        num_frames - first_frame,
-        reset_environments=False,
-        reset_policies=False,
-        sink=sink,
-    )
-    manifest = writer.close()
-    losses, rewards, names = _group_histories(session_groups)
-    degraded = collect_degraded(session_groups, num_frames, stop - start)
-    run_span.__exit__(None, None, None)
-    return str(manifest), losses, rewards, names, degraded
-
-
 def run_supervised_scenario(
     scenario: Union["FleetScenario", "ScenarioSpec", str],
     num_shards: int,
@@ -711,10 +728,11 @@ def run_supervised_scenario(
 ) -> SupervisedScenarioResult:
     """Run a sharded scenario under a crash-recovering supervisor.
 
-    The fault-tolerant counterpart of :func:`run_sharded_scenario`: every
-    shard always runs in a worker process, spools its trace to a chunk
-    store as it runs, and checkpoints its state every ``checkpoint_every``
-    frames.  When a worker dies — injected through a
+    The fault-tolerant counterpart of :func:`run_sharded_scenario`, on the
+    same shard runner and driver: every shard always runs in a worker
+    process, rebuilt cold, spools its trace to a chunk store as it runs,
+    and checkpoints its state every ``checkpoint_every`` frames.  When a
+    worker dies — injected through a
     :class:`~repro.faults.WorkerCrash` event (on the scenario's fault plans
     or passed via ``crashes``) or for real — the supervisor observes the
     dead pipe, respawns a fresh worker into the same pool slot, and
@@ -748,8 +766,6 @@ def run_supervised_scenario(
     scenario, assignments, shards = _plan_scenario(
         scenario, num_shards, num_sessions, num_frames
     )
-    total = len(assignments)
-
     all_crashes = list(crashes)
     for member in scenario.members:
         plan = getattr(member.spec, "faults", None)
@@ -767,55 +783,21 @@ def run_supervised_scenario(
             crash.frame if frame is None else min(frame, crash.frame)
         )
 
-    merge = _ShardMerge(shards, total, scenario.num_frames)
-    run_span = _obs.span(
-        "runtime.run_supervised_scenario", shards=len(shards), sessions=total
+    fields, run_report = _run_shards(
+        scenario,
+        assignments,
+        shards,
+        "runtime.run_supervised_scenario",
+        warm=False,
+        checkpoint_every=checkpoint_every,
+        crash_frames=crash_by_shard,
+        max_restarts=max_restarts,
     )
-    run_span.__enter__()
-    start_time = time.perf_counter()
-    spool = tempfile.mkdtemp(prefix="repro-spool-")
-    try:
-        tasks = [
-            PoolTask(
-                kind="supervised-shard",
-                args=(
-                    scenario,
-                    total,
-                    shard.start,
-                    shard.stop,
-                    shard.index,
-                    spool,
-                    checkpoint_every,
-                    crash_by_shard.get(shard.index),
-                ),
-                shard_index=shard.index,
-            )
-            for shard in shards
-        ]
-        pool, owned = acquire_pool(len(shards))
-        try:
-            # A dying worker (injected ``os._exit`` or a real fault) shows
-            # up as an EOF on its pipe; the pool respawns a fresh process
-            # into the same slot and resubmits the shard, which resumes from
-            # its latest spooled checkpoint.  Other shards keep running
-            # undisturbed.
-            run_report = pool.run_tasks(
-                tasks, max_restarts=max_restarts, on_result=merge.add
-            )
-        finally:
-            if owned:
-                pool.shutdown()
-        fleet_trace, sessions, degraded = merge.finish()
-        elapsed_s = time.perf_counter() - start_time
-    finally:
-        shutil.rmtree(spool, ignore_errors=True)
-        run_span.__exit__(None, None, None)
     recovery_s = (
         0.0
         if run_report.first_death is None
         else time.perf_counter() - run_report.first_death
     )
-
     recovery = RecoveryReport(
         crashes_detected=run_report.crashes_detected,
         restarts=run_report.restarts,
@@ -824,13 +806,4 @@ def run_supervised_scenario(
         recovery_s=recovery_s,
     )
     _obs.record_report("recovery.report", recovery)
-    return SupervisedScenarioResult(
-        scenario=scenario,
-        assignments=assignments,
-        shards=shards,
-        sessions=sessions,
-        fleet_trace=fleet_trace,
-        elapsed_s=elapsed_s,
-        degraded=degraded,
-        recovery=recovery,
-    )
+    return SupervisedScenarioResult(**fields, recovery=recovery)

@@ -273,7 +273,16 @@ class TestCrashRecovery:
         scenario = _resolve_scenario(
             build_scenario("cctv-burst").with_faults(crash_plan()), 48
         )
-        shards._run_supervised_shard(scenario, 16, 0, 8, 0, str(tmp_path), 6, None)
+        shards._run_scenario_shard(
+            shards._build_scenario_shard(scenario, 16, 0, 8),
+            scenario.num_frames,
+            shard_index=0,
+            start=0,
+            stop=8,
+            spool_dir=str(tmp_path),
+            checkpoint_every=6,
+            crash_frame=None,
+        )
         assert [payload["frame"] for payload in payloads] == list(range(6, 48, 6))
         for payload in payloads:
             assert set(payload) == {"frame", "environments", "policies", "store"}

@@ -21,6 +21,7 @@ import pytest
 
 from repro.analysis.experiments import ExperimentSetting
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
+from repro.env.trace import COLUMN_DTYPES
 from repro.errors import ShardError
 from repro.faults import FaultPlan, SensorDropout, WorkerCrash
 from repro.runtime.fleet import (
@@ -32,8 +33,8 @@ from repro.runtime.fleet import (
 )
 from repro.runtime.shards import (
     _build_scenario_shard,
-    _execute_scenario_shard,
     _forbidden_cuts,
+    _run_scenario_shard,
     _ShardMerge,
     plan_shards,
     run_sharded_fleet,
@@ -189,6 +190,21 @@ class TestScenarioSharding:
         assert_traces_identical(sharded.fleet_trace, reference.fleet_trace)
 
 
+def _run_shard(scenario, num_sessions, shard, spool):
+    """One freshly built shard through the shard runner, without checkpoints."""
+    groups = _build_scenario_shard(scenario, num_sessions, shard.start, shard.stop)
+    return _run_scenario_shard(
+        groups,
+        scenario.num_frames,
+        shard_index=shard.index,
+        start=shard.start,
+        stop=shard.stop,
+        spool_dir=str(spool),
+        checkpoint_every=0,
+        crash_frame=None,
+    )
+
+
 class TestMergeOnArrival:
     """Shards merge as they arrive, in whichever order that is."""
 
@@ -205,16 +221,7 @@ class TestMergeOnArrival:
         scenario = _resolve_scenario(self._scenario(), 24)
         reference = run_fleet_scenario(scenario, num_sessions=8)
         shards = plan_shards(scenario.session_assignments(8), 2)
-        results = [
-            _execute_scenario_shard(
-                _build_scenario_shard(scenario, 8, shard.start, shard.stop),
-                24,
-                shard.start,
-                shard.stop,
-                str(tmp_path),
-            )
-            for shard in shards
-        ]
+        results = [_run_shard(scenario, 8, shard, tmp_path) for shard in shards]
         tables = [MappedFleetTrace(result[0]).dataset_table for result in results]
         assert tables[0] != tables[1]
         merge = _ShardMerge(shards, 8, 24)
@@ -228,6 +235,33 @@ class TestMergeOnArrival:
             assert mine.steady_metrics == theirs.steady_metrics
             assert mine.policy_name == theirs.policy_name
             assert mine.losses == theirs.losses
+
+    def test_a_resubmitted_shard_rewrites_its_sealed_store(self, tmp_path):
+        """A shard whose result was lost after its store was sealed runs
+        again on the same spool: same manifest, same trace bits."""
+        scenario = _resolve_scenario(self._scenario(), 24)
+        shard = plan_shards(scenario.session_assignments(8), 2)[1]
+        runs = []
+        for _ in range(2):
+            manifest, losses, rewards, names, degraded = _run_shard(
+                scenario, 8, shard, tmp_path
+            )
+            trace = MappedFleetTrace(manifest)
+            try:
+                bits = [trace.column_window(name).tobytes() for name in COLUMN_DTYPES]
+                datasets = trace.datasets_window()
+            finally:
+                trace.close()
+            runs.append(
+                dict(
+                    manifest=manifest,
+                    bits=bits,
+                    datasets=datasets,
+                    histories=(losses, rewards, names),
+                    degraded=degraded.tobytes(),
+                )
+            )
+        assert runs[0] == runs[1]
 
     def test_a_crashed_first_shard_matches_the_unsharded_run(self):
         """With shard 0 replaying from frame 0, shard 1 usually arrives first."""

@@ -13,10 +13,10 @@ The acceptance bar of :mod:`repro.runtime.pool`:
   trace stays byte-identical to the uninterrupted single-process run, and
   the *same* pool keeps serving subsequent episodes bit-exactly.
 * **The protocol is honest.**  Fingerprints key on the exact session
-  slice and method, checkpoints of pinned shards are capturable and
-  RESET drops them, large payloads round-trip through shared memory,
-  worker counts clamp to the host CPU count with wave scheduling for the
-  excess, and unknown task kinds fail with a typed error.
+  slice and method, RESET drops every pinned shard, large payloads
+  round-trip through shared memory, worker counts clamp to the host CPU
+  count with wave scheduling for the excess, and unknown task kinds fail
+  with a typed error.
 """
 
 from __future__ import annotations
@@ -261,23 +261,19 @@ class TestPoolProtocol:
         assert f != scenario_shard_fingerprint(governed, 6, 3, 6)
         assert a != f
 
-    def test_checkpoint_of_pinned_shard_and_reset(self):
-        result = run_sharded_scenario(
-            "cctv-burst", SHARDS, num_sessions=SESSIONS, num_frames=6
-        )
+    def test_reset_drops_pinned_shards(self):
+        args = ("cctv-burst", SHARDS)
+        kwargs = dict(num_sessions=SESSIONS, num_frames=6)
+        result = run_sharded_scenario(*args, **kwargs)
         pool = shared_pool()
-        total = len(result.assignments)
-        shard = result.shards[0]
-        fingerprint = scenario_shard_fingerprint(
-            result.scenario, total, shard.start, shard.stop
-        )
-        env_states, policy_states = pool.checkpoint(fingerprint)
-        assert len(env_states) >= 1
-        assert len(policy_states) == len(env_states)
+        assert all(handle.pins for handle in pool._workers)
 
         pool.reset()
-        with pytest.raises(ShardError):
-            pool.checkpoint(fingerprint)
+        assert not any(handle.pins for handle in pool._workers)
+        before = dict(pool.stats)
+        run_sharded_scenario(*args, **kwargs)
+        assert pool.stats["warm_hits"] == before["warm_hits"]
+        assert pool.stats["rebuilds"] == before["rebuilds"] + len(result.shards)
 
     def test_shared_memory_payload_round_trip(self):
         small = {"answer": 42}

@@ -61,17 +61,23 @@ EOF
         --checkpoint-every 6 --report "$out/resilience.json" | tee "$out/fault-smoke.txt"
     grep -q "crash(es) detected" "$out/fault-smoke.txt"
     local cell=(fleet run --method default --sessions 4 --frames 24
-        --shards 2 --supervised --faults "$out/fault-plan.json" --per-session)
-    python -m repro "${cell[@]}" --checkpoint-every 6 \
+        --shards 2 --faults "$out/fault-plan.json" --per-session)
+    python -m repro "${cell[@]}" --supervised --checkpoint-every 6 \
         --report "$out/cell-resilience.json" | tee "$out/cell-fault-smoke.txt"
     grep -q "crash(es) detected" "$out/cell-fault-smoke.txt"
     # Recovery from a checkpoint must equal a restart from frame zero,
     # session by session, through the CLI's metrics.
-    python -m repro "${cell[@]}" --checkpoint-every 0 | tee "$out/cell-restart-smoke.txt"
+    python -m repro "${cell[@]}" --supervised --checkpoint-every 0 \
+        | tee "$out/cell-restart-smoke.txt"
     grep -q "crash(es) detected" "$out/cell-restart-smoke.txt"
     test "$(grep -c '^session' "$out/cell-fault-smoke.txt")" -eq 4
     cmp <(grep '^session' "$out/cell-fault-smoke.txt") \
         <(grep '^session' "$out/cell-restart-smoke.txt")
+    # The plain sharded run (same shard runner, no checkpoints, the plan's
+    # worker crash ignored) must equal the supervised one.
+    python -m repro "${cell[@]}" | tee "$out/cell-plain-smoke.txt"
+    cmp <(grep '^session' "$out/cell-fault-smoke.txt") \
+        <(grep '^session' "$out/cell-plain-smoke.txt")
 }
 
 smoke_fused_kill_switch() {
