@@ -144,7 +144,6 @@ from repro.runtime import (
     make_fleet_environment,
     make_fleet_policy,
     plan_shards,
-    pool_enabled,
     run_fleet,
     run_fleet_scenario,
     run_sharded_fleet,
@@ -255,7 +254,6 @@ __all__ = [
     "obs_enabled",
     "plan_shards",
     "policy_from_checkpoint",
-    "pool_enabled",
     "register_scenario",
     "resilience_report",
     "resilience_table",

@@ -269,6 +269,7 @@ def make_policy(
     environment: InferenceEnvironment,
     num_frames: int,
     seed: int = 0,
+    policy_dir: str | None = None,
 ) -> Policy:
     """Build a policy by method name, sized for the environment and episode.
 
@@ -278,13 +279,20 @@ def make_policy(
     ``lotus-single-action``, ``lotus-shared-buffer``,
     ``lotus-always-cooldown``, ``lotus-no-slim``, and ``policy:<id>`` —
     a frozen, inference-only deployment of a trained checkpoint from the
-    policy zoo (:mod:`repro.policies`); the id is a content hash, so the
-    method name pins the exact network that runs.
+    policy zoo (:mod:`repro.policies`), looked up in the store at
+    ``policy_dir`` (default: the default store); the id is a content hash,
+    so the method name pins the exact network that runs.
     """
-    from repro.policies import frozen_policy_for_environment, is_policy_method
+    from repro.policies import (
+        PolicyStore,
+        frozen_policy_for_environment,
+        is_policy_method,
+    )
 
     if is_policy_method(method):
-        return frozen_policy_for_environment(method, environment)
+        return frozen_policy_for_environment(
+            method, environment, PolicyStore(policy_dir)
+        )
     device = environment.device
     detector = environment.detector
     scale = proposal_scale(detector)
@@ -409,6 +417,7 @@ def execute_setting(
     method: str,
     ambient: AmbientProfile | None = None,
     domain_datasets: Sequence[str] | None = None,
+    policy_dir: str | None = None,
 ) -> SessionResult:
     """Run one fully-described experiment cell to completion.
 
@@ -427,6 +436,8 @@ def execute_setting(
             workload becomes the paper's Fig. 7b domain-switch stream:
             ``setting.num_frames`` is split evenly across the datasets and
             the latency constraint switches with the domain.
+        policy_dir: Policy store root a ``policy:<id>`` method resolves in
+            (default: the default store).
 
     Returns:
         The completed :class:`~repro.core.training.SessionResult`.
@@ -450,7 +461,9 @@ def execute_setting(
         environment = make_environment(setting, ambient=ambient, stream=stream)
     else:
         environment = make_environment(setting, ambient=ambient)
-    policy = make_policy(method, environment, total_frames, seed=setting.seed)
+    policy = make_policy(
+        method, environment, total_frames, seed=setting.seed, policy_dir=policy_dir
+    )
     _warm_up_policy(setting, policy, ambient)
     return OnlineSession(environment, policy).run(setting.num_frames)
 

@@ -16,11 +16,19 @@ makes (the equivalence tests run both and compare traces).  With the
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError
+from repro.governors.base import DefaultGovernorPolicy
+from repro.governors.cpu import OndemandGovernor, SchedutilGovernor
+from repro.governors.gpu import (
+    MsmAdrenoTzGovernor,
+    NvhostPodgovGovernor,
+    SimpleOndemandGovernor,
+)
+from repro.governors.registry import build_default_governor
 from repro.kernels import fused_fleet
 from repro.env.fleet import (
     FleetDecision,
@@ -459,45 +467,53 @@ class SubFleetPolicies(FleetPolicy):
                 policy.load_state_dict(state)
 
 
-GovernorPairBuilder = Callable[[], BatchedDefaultGovernorPolicy]
-
-
-def _jetson_pair() -> BatchedDefaultGovernorPolicy:
-    return BatchedDefaultGovernorPolicy(
-        BatchedSchedutilGovernor(), batched_nvhost_podgov()
-    )
-
-
-def _mi11_pair() -> BatchedDefaultGovernorPolicy:
-    return BatchedDefaultGovernorPolicy(
-        BatchedSchedutilGovernor(), batched_msm_adreno_tz()
-    )
-
-
-def _raspberry_pi5_pair() -> BatchedDefaultGovernorPolicy:
-    return BatchedDefaultGovernorPolicy(
-        BatchedOndemandGovernor(), BatchedSimpleOndemandGovernor()
-    )
-
-
-def _generic_pair() -> BatchedDefaultGovernorPolicy:
-    return BatchedDefaultGovernorPolicy(
-        BatchedSchedutilGovernor(), BatchedSimpleOndemandGovernor()
-    )
-
-
-_REGISTRY: Dict[str, GovernorPairBuilder] = {
-    "jetson-orin-nano": _jetson_pair,
-    "mi11-lite": _mi11_pair,
-    "raspberry-pi-5": _raspberry_pi5_pair,
+#: Each scalar governor type's vectorized twin and the constructor
+#: parameters the twin copies from it.  Exact types only: a subclass may
+#: override ``select_level`` and has no twin.
+_SIMPLE_ONDEMAND_TWIN = (
+    BatchedSimpleOndemandGovernor, ("up_threshold", "down_threshold", "up_step")
+)
+_BATCHED_TWINS = {
+    SchedutilGovernor: (BatchedSchedutilGovernor, ("margin", "max_step_down")),
+    OndemandGovernor: (BatchedOndemandGovernor, ("up_threshold",)),
+    SimpleOndemandGovernor: _SIMPLE_ONDEMAND_TWIN,
+    NvhostPodgovGovernor: _SIMPLE_ONDEMAND_TWIN,
+    MsmAdrenoTzGovernor: _SIMPLE_ONDEMAND_TWIN,
 }
+
+
+def _batched_twin(governor) -> BatchedLevelSelector:
+    """The vectorized governor making ``governor``'s decisions, under its name."""
+    try:
+        twin_type, parameters = _BATCHED_TWINS[type(governor)]
+    except KeyError:
+        raise ConfigurationError(
+            f"governor type {type(governor).__name__} has no vectorized twin"
+        ) from None
+    twin = twin_type(**{name: getattr(governor, name) for name in parameters})
+    twin.name = governor.name
+    return twin
 
 
 def build_batched_default_governor(device_name: str) -> BatchedDefaultGovernorPolicy:
     """The vectorized default-governor pairing for ``device_name``.
 
-    Mirrors :func:`repro.governors.registry.build_default_governor`; unknown
-    devices fall back to ``schedutil`` + ``simple_ondemand``.
+    The twin of :func:`repro.governors.registry.build_default_governor`'s
+    pairing, the one registry of default governors, so a pairing added
+    with :func:`~repro.governors.registry.register_default_governor` drives
+    fleets as it drives scalar sessions.
+
+    Raises:
+        ConfigurationError: The registered pairing is not exactly a
+            :class:`~repro.governors.base.DefaultGovernorPolicy`, or one of
+            its governors has no vectorized twin.
     """
-    builder = _REGISTRY.get(device_name, _generic_pair)
-    return builder()
+    scalar = build_default_governor(device_name)
+    if type(scalar) is not DefaultGovernorPolicy:
+        raise ConfigurationError(
+            f"default governor of {device_name!r} is a {type(scalar).__name__}, "
+            f"which has no vectorized twin"
+        )
+    return BatchedDefaultGovernorPolicy(
+        _batched_twin(scalar.cpu_governor), _batched_twin(scalar.gpu_governor)
+    )

@@ -2,9 +2,9 @@
 
 The design constraint that shapes everything here is *zero overhead when
 off*.  Observability defaults to disabled (``REPRO_OBS=0``, mirroring the
-``REPRO_FUSED`` / ``REPRO_POOL`` kill switches); every instrumentation
-point in the library goes through the module-level helpers below, whose
-first action is a single ``_REGISTRY is None`` check.  When no registry is
+``REPRO_FUSED`` kill switch); every instrumentation point in the library
+goes through the module-level helpers below, whose first action is a
+single ``_REGISTRY is None`` check.  When no registry is
 active the helpers return immediately — no dict lookups, no string
 formatting, no allocation beyond the call frame — and :func:`span` hands
 back one shared no-op context manager.  Instrumentation never reads or
@@ -29,10 +29,10 @@ from the registry's span stack, and record their duration into the
 ``span.<name>`` histogram.
 
 Registries are picklable via :meth:`ObsRegistry.snapshot`; worker
-processes ship their snapshot back over the existing pipe/shm result path
-and the parent folds it in with :meth:`ObsRegistry.merge` — counters add,
-gauges overwrite, histogram chunks and moments concatenate, events append
-tagged with their origin.
+processes ship their snapshot back with each task's result over the
+worker's pipe and the parent folds it in with :meth:`ObsRegistry.merge` —
+counters add, gauges overwrite, histogram chunks and moments concatenate,
+events append tagged with their origin.
 """
 
 from __future__ import annotations

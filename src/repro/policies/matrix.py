@@ -17,13 +17,12 @@ Rendering lives in :func:`repro.analysis.tables.generalization_matrix_table`.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import PolicyError, ScenarioError
 from repro.policies.frozen import POLICY_METHOD_PREFIX
-from repro.policies.store import POLICY_DIR_ENV, PolicyRecord, PolicyStore
+from repro.policies.store import PolicyRecord, PolicyStore
 
 
 @dataclass(frozen=True)
@@ -185,21 +184,12 @@ def run_generalization_matrix(
                     setting=setting,
                     method=f"{POLICY_METHOD_PREFIX}{record.policy_id}",
                     ambient=spec.ambient,
+                    policy_dir=str(store.root),
                 )
             )
             cell_shapes.append((record, spec, True, ""))
 
-    # Worker processes (and the serial path) resolve policy:<id> methods via
-    # the default store; point it at this store for the duration of the run.
-    previous = os.environ.get(POLICY_DIR_ENV)
-    os.environ[POLICY_DIR_ENV] = str(store.root)
-    try:
-        results = runtime.run_jobs(jobs, progress=progress)
-    finally:
-        if previous is None:
-            os.environ.pop(POLICY_DIR_ENV, None)
-        else:
-            os.environ[POLICY_DIR_ENV] = previous
+    results = runtime.run_jobs(jobs, progress=progress)
 
     cells: List[MatrixCell] = []
     cursor = 0

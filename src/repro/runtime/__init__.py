@@ -35,8 +35,6 @@ from repro.runtime.pool import (
     FleetWorkerPool,
     PoolRunReport,
     PoolTask,
-    acquire_pool,
-    pool_enabled,
     shared_pool,
     shutdown_shared_pool,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "ShardPlan",
     "SupervisedScenarioResult",
     "SweepSpec",
-    "acquire_pool",
     "collect_degraded",
     "config_fingerprint",
     "default_cache_dir",
@@ -78,7 +75,6 @@ __all__ = [
     "make_group_environment",
     "make_member_policy",
     "plan_shards",
-    "pool_enabled",
     "run_fleet",
     "run_fleet_scenario",
     "run_sharded_fleet",

@@ -7,9 +7,8 @@ objects into :class:`~repro.core.training.SessionResult` objects, using:
   work is scheduled (and updated after every completed job), and
 * the shared persistent worker pool (:mod:`repro.runtime.pool`) for
   ``max_workers > 1`` — workers are spawned once per process and reused
-  across ``run()`` calls instead of rebuilt per call (a private single-use
-  pool when ``REPRO_POOL=0``) — with a deterministic in-process serial path
-  for ``max_workers = 1``.
+  across ``run()`` calls instead of rebuilt per call — with a
+  deterministic in-process serial path for ``max_workers = 1``.
 
 Every job is fully self-describing and freshly seeded, so the parallel and
 serial paths produce identical results; the engine preserves the input
@@ -27,7 +26,7 @@ from repro.errors import ConfigurationError, ExperimentError
 from repro.runtime.cache import ResultCache
 from repro.runtime.job import ExperimentJob
 from repro.obs import bus as _obs
-from repro.runtime.pool import PoolTask, acquire_pool
+from repro.runtime.pool import PoolTask, shared_pool
 
 #: Environment variable consulted by :func:`default_worker_count`.
 WORKERS_ENV = "REPRO_WORKERS"
@@ -67,6 +66,7 @@ def execute_job(job: ExperimentJob) -> SessionResult:
         job.method,
         ambient=job.ambient,
         domain_datasets=job.domain_datasets,
+        policy_dir=job.policy_dir,
     )
 
 
@@ -178,23 +178,17 @@ class ExperimentRuntime:
                     finish(index, execute_job(jobs[index]))
             else:
                 # The shared persistent pool (spawned once per process, reused
-                # across run() calls) or, under REPRO_POOL=0, a private
-                # single-use one; either is clamped to the CPU count and
-                # schedules pending jobs in waves when they exceed workers.
+                # across run() calls), clamped to the CPU count; it schedules
+                # pending jobs in waves when they exceed workers.
                 tasks = [
                     PoolTask(kind="job", args=(jobs[index],)) for index in pending
                 ]
-                pool, owned = acquire_pool(min(self.max_workers, len(pending)))
-                try:
-                    pool.run_tasks(
-                        tasks,
-                        on_result=lambda position, result: finish(
-                            pending[position], result
-                        ),
-                    )
-                finally:
-                    if owned:
-                        pool.shutdown()
+                shared_pool().run_tasks(
+                    tasks,
+                    on_result=lambda position, result: finish(
+                        pending[position], result
+                    ),
+                )
 
         if any(result is None for result in results):
             raise ExperimentError("internal error: not every job produced a result")

@@ -57,12 +57,18 @@ class ExperimentJob:
             (Fig. 7b).  When set, the executor splits ``setting.num_frames``
             evenly across the datasets and rebuilds the paper's
             ``DomainSwitchStream``.
+        policy_dir: Root of the policy store a ``policy:<id>`` method
+            resolves in (``None``: the default store).  It travels with the
+            job into pool workers, which never see later changes to the
+            parent's environment.  It is not part of the cache key: the id
+            is the checkpoint's content hash, wherever it is stored.
     """
 
     setting: Any
     method: str
     ambient: Any = None
     domain_datasets: Optional[Tuple[str, ...]] = None
+    policy_dir: Optional[str] = None
 
     def cache_key(self) -> Optional[str]:
         """Stable hex digest identifying this job, or ``None`` if uncacheable."""

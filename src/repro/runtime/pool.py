@@ -38,12 +38,13 @@ randomized mixed sequences).  Shards whose objects cannot snapshot
 (exotic streams without ``state_dict``) are simply rebuilt on every run —
 correct first, warm second.
 
-Results cross the process boundary the cheap way: episode traces travel as
-``repro-store/v1`` manifest paths (memory-mapped by the merger, PR 8),
-while the remaining payloads — per-shard histories and fault masks — ride in
-:mod:`multiprocessing.shared_memory` blocks that the parent copies out and
-unlinks immediately.  Only tiny control messages are pickled through the
-pipe itself.
+Every result crosses the worker's pipe as one pickle.  Shard traces stay
+small on the wire because they travel as ``repro-store/v1`` manifest paths
+(memory-mapped by the merger); the rest of a shard's result — session
+summaries, histories and fault masks — rides in the same pickle.  A pipe
+round trip is also cheaper than staging the pickle in a shared-memory
+block at every payload size this runtime sends, so there is no second
+transport.
 
 Worker death (injected ``os._exit`` crashes or real faults) is detected as
 an EOF on the worker's pipe; the supervisor respawns a fresh process *into
@@ -57,8 +58,10 @@ workers inherit verified kernels and never run a self-test: a crash costs
 its replayed frames, not a fresh process's kernel checks.  Under ``spawn``
 or ``forkserver`` each worker re-imports and resolves for itself.
 
-``REPRO_POOL=0`` disables the shared pool: entry points fall back to a
-private single-use pool per call (still clamped and wave-scheduled).
+Every entry point runs on the one process-wide pool (:func:`shared_pool`).
+A caller that needs fresh workers — a test that patches module state the
+workers must see — calls :func:`shutdown_shared_pool` first: the next
+:func:`shared_pool` forks new ones.
 """
 
 from __future__ import annotations
@@ -79,14 +82,8 @@ import repro.kernels as kernels
 from repro.errors import ShardError
 from repro.obs import bus as _obs
 
-#: Environment variable: ``0`` disables the shared persistent pool.
-POOL_ENV = "REPRO_POOL"
-
 #: Pinned shards kept per worker before least-recently-used eviction.
 PIN_CAPACITY = 4
-
-#: Result payloads at least this large travel through shared memory.
-SHM_THRESHOLD_BYTES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -146,55 +143,6 @@ def scenario_shard_fingerprint(
             "stop": int(stop),
         }
     )
-
-
-# ---------------------------------------------------------------------------
-# Shared-memory payload exchange
-# ---------------------------------------------------------------------------
-
-
-def _export_payload(obj: Any) -> tuple:
-    """Pickle ``obj``; large blobs go to a shared-memory block.
-
-    Returns ``("inline", blob)`` or ``("shm", name, nbytes)``.  The creator
-    unregisters the block from its own resource tracker — ownership (and
-    the unlink duty) transfers to whichever process imports the payload.
-    """
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(blob) < SHM_THRESHOLD_BYTES:
-        return ("inline", blob)
-    from multiprocessing import shared_memory
-
-    block = shared_memory.SharedMemory(create=True, size=len(blob))
-    block.buf[: len(blob)] = blob
-    name = block.name
-    try:  # hand the unlink duty to the importer (see docstring)
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(block._name, "shared_memory")
-    except Exception:
-        pass
-    block.close()
-    return ("shm", name, len(blob))
-
-
-def _import_payload(descriptor: tuple) -> Tuple[Any, int, int]:
-    """Load a payload descriptor; returns ``(object, shm_blocks, shm_bytes)``."""
-    if descriptor[0] == "inline":
-        return pickle.loads(descriptor[1]), 0, 0
-    from multiprocessing import shared_memory
-
-    _, name, size = descriptor
-    block = shared_memory.SharedMemory(name=name)
-    try:
-        blob = bytes(block.buf[:size])
-    finally:
-        block.close()
-        try:
-            block.unlink()
-        except FileNotFoundError:
-            pass
-    return pickle.loads(blob), 1, size
 
 
 def _pickle_error(exc: BaseException) -> bytes:
@@ -325,7 +273,7 @@ def _worker_main(conn) -> None:
             if collect:
                 meta["obs"] = _obs.registry().snapshot()
                 _obs.disable()
-            conn.send(("DONE", index, meta, _export_payload(result)))
+            conn.send(("DONE", index, meta, result))
             continue
         conn.send(("ERR", None, _pickle_error(ShardError(f"bad command {command!r}"))))
     conn.close()
@@ -367,8 +315,6 @@ class PoolRunReport:
             only after at least one restart.
         first_death: ``perf_counter`` timestamp of the first observed death
             (``None`` for a clean run).
-        shm_blocks: Shared-memory payload blocks received.
-        shm_bytes: Total bytes received through shared memory.
     """
 
     results: List[Any] = field(default_factory=list)
@@ -378,8 +324,6 @@ class PoolRunReport:
     restarts: int = 0
     recovered: Tuple[int, ...] = ()
     first_death: Optional[float] = None
-    shm_blocks: int = 0
-    shm_bytes: int = 0
 
 
 class FleetWorkerPool:
@@ -413,8 +357,6 @@ class FleetWorkerPool:
         self.lifetime_rebuilds = 0
         self.lifetime_respawns = 0
         self.lifetime_tasks = 0
-        self.lifetime_shm_blocks = 0
-        self.lifetime_shm_bytes = 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -550,7 +492,7 @@ class FleetWorkerPool:
                         report, on_result,
                     )
             except Exception:
-                self._drain(report)
+                self._drain()
                 raise
             report.recovered = tuple(sorted(recovered))
             self.lifetime_warm_hits += report.warm_hits
@@ -651,25 +593,18 @@ class FleetWorkerPool:
                 continue
             tag = message[0]
             if tag == "DONE":
-                _, position, meta, descriptor = message
-                result, blocks, nbytes = _import_payload(descriptor)
-                report.shm_blocks += blocks
-                report.shm_bytes += nbytes
-                self.lifetime_shm_blocks += blocks
-                self.lifetime_shm_bytes += nbytes
+                _, position, meta, result = message
                 report.results[position] = result
                 fingerprint = tasks[position].fingerprint
+                # Unkeyed tasks (supervised shards, jobs) count too; only a
+                # fingerprint earns a label.
+                labels = {"fingerprint": fingerprint[:12]} if fingerprint else {}
                 if meta.get("warm"):
                     report.warm_hits += 1
-                    if fingerprint is not None:
-                        _obs.inc("pool.warm_hits", fingerprint=fingerprint[:12])
+                    _obs.inc("pool.warm_hits", **labels)
                 if meta.get("built"):
                     report.rebuilds += 1
-                    if fingerprint is not None:
-                        _obs.inc("pool.rebuilds", fingerprint=fingerprint[:12])
-                if nbytes:
-                    _obs.inc("pool.shm_bytes", nbytes)
-                    _obs.inc("pool.shm_blocks", blocks)
+                    _obs.inc("pool.rebuilds", **labels)
                 worker_obs = meta.get("obs")
                 if worker_obs is not None and _obs.active():
                     _obs.registry().merge(
@@ -722,7 +657,7 @@ class FleetWorkerPool:
         _obs.inc("pool.restarts")
         pending.insert(0, position)
 
-    def _drain(self, report: Optional[PoolRunReport] = None) -> None:
+    def _drain(self) -> None:
         """Absorb in-flight replies after an error so the pool stays usable."""
         for handle in self._workers:
             if handle.busy_task is None:
@@ -732,14 +667,6 @@ class FleetWorkerPool:
                     message = handle.conn.recv()
                     if message[0] in ("DONE", "ERR"):
                         if message[0] == "DONE":
-                            # Discard the payload (and free its shm block),
-                            # still accounting for the transport it used.
-                            _, blocks, nbytes = _import_payload(message[3])
-                            self.lifetime_shm_blocks += blocks
-                            self.lifetime_shm_bytes += nbytes
-                            if report is not None:
-                                report.shm_blocks += blocks
-                                report.shm_bytes += nbytes
                             handle.pins = tuple(message[2].get("pins", ()))
                         break
             except (EOFError, OSError):
@@ -750,7 +677,7 @@ class FleetWorkerPool:
 
     @property
     def stats(self) -> Dict[str, int]:
-        """Lifetime counters: tasks, warm hits, rebuilds, respawns, workers, shm."""
+        """Lifetime counters: tasks, warm hits, rebuilds, respawns, workers."""
         return {
             "tasks": self.lifetime_tasks,
             "warm_hits": self.lifetime_warm_hits,
@@ -758,8 +685,6 @@ class FleetWorkerPool:
             "respawns": self.lifetime_respawns,
             "workers": self.num_workers,
             "max_workers": self.max_workers,
-            "shm_blocks": self.lifetime_shm_blocks,
-            "shm_bytes": self.lifetime_shm_bytes,
         }
 
 
@@ -768,11 +693,6 @@ class FleetWorkerPool:
 # ---------------------------------------------------------------------------
 
 _shared_pool: Optional[FleetWorkerPool] = None
-
-
-def pool_enabled() -> bool:
-    """Whether the shared persistent pool is enabled (``REPRO_POOL`` != 0)."""
-    return os.environ.get(POOL_ENV, "1").strip() != "0"
 
 
 def shared_pool() -> FleetWorkerPool:
@@ -790,18 +710,3 @@ def shutdown_shared_pool() -> None:
     if _shared_pool is not None:
         _shared_pool.shutdown()
         _shared_pool = None
-
-
-def acquire_pool(wanted_workers: int) -> Tuple[FleetWorkerPool, bool]:
-    """The pool a sharded entry point should run on.
-
-    Returns ``(pool, owned)``: the shared persistent pool (``owned=False``)
-    when enabled, else a private single-use pool the caller must shut down
-    (``owned=True``).  Either way the pool is clamped to the CPU count and
-    wave-schedules excess tasks.
-    """
-    if pool_enabled():
-        pool = shared_pool()
-        pool.ensure_workers(wanted_workers)
-        return pool, False
-    return FleetWorkerPool(max_workers=max(1, wanted_workers)), True

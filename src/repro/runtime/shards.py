@@ -77,8 +77,8 @@ from repro.faults.plan import WorkerCrash
 from repro.runtime.pool import (
     PoolRunReport,
     PoolTask,
-    acquire_pool,
     scenario_shard_fingerprint,
+    shared_pool,
 )
 from repro.runtime.fleet import (
     FleetRunResult,
@@ -565,18 +565,13 @@ def _run_shards(
                 )
                 for shard in shards
             ]
-            pool, owned = acquire_pool(len(shards))
-            try:
-                # A dying worker (injected ``os._exit`` or a real fault)
-                # shows up as an EOF on its pipe; the pool respawns a fresh
-                # process into the same slot and resubmits the shard, which
-                # resumes from its latest spooled checkpoint, if any.
-                report = pool.run_tasks(
-                    tasks, max_restarts=max_restarts, on_result=merge.add
-                )
-            finally:
-                if owned:
-                    pool.shutdown()
+            # A dying worker (injected ``os._exit`` or a real fault) shows
+            # up as an EOF on its pipe; the pool respawns a fresh process
+            # into the same slot and resubmits the shard, which resumes
+            # from its latest spooled checkpoint, if any.
+            report = shared_pool().run_tasks(
+                tasks, max_restarts=max_restarts, on_result=merge.add
+            )
             fleet_trace, sessions, degraded = merge.finish()
             elapsed_s = time.perf_counter() - start_time
         finally:

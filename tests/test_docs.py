@@ -101,6 +101,30 @@ def test_lint_detects_missing_file_paths(tmp_path, monkeypatch):
     assert check_docs.main() == 1
 
 
+def test_lint_detects_switches_the_code_does_not_read(tmp_path, monkeypatch):
+    check_docs = load_check_docs()
+    reader = tmp_path / "src" / "repro" / "config.py"
+    reader.parent.mkdir(parents=True)
+    reader.write_text('SWITCH = "REPRO_REAL_SWITCH"\n', encoding="utf-8")
+    stale = tmp_path / "README.md"
+    stale.write_text(
+        "# doc\n"
+        "Set `REPRO_REAL_SWITCH=1`; the `LOTUS_BENCH_` prefix is not a switch.\n"
+        "`REPRO_MADE_UP_SWITCH=0` is read nowhere, and `REPRO_REAL` only\n"
+        "appears inside a longer name.\n",
+        encoding="utf-8",
+    )
+    monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+    monkeypatch.setattr(check_docs, "DOC_FILES", (stale,))
+    problems = check_docs.check()
+    assert problems == [
+        f"README.md: switch `{name}` is named in no file under "
+        "src/repro, benchmarks, tools"
+        for name in ("REPRO_MADE_UP_SWITCH", "REPRO_REAL")
+    ]
+    assert check_docs.main() == 1
+
+
 def test_lint_reports_missing_files(tmp_path, monkeypatch):
     check_docs = load_check_docs()
     monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)

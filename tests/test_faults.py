@@ -59,7 +59,7 @@ from repro.runtime import (
 )
 from repro.runtime import shards
 from repro.runtime.fleet import _resolve_scenario
-from repro.runtime.pool import POOL_ENV
+from repro.runtime.pool import shutdown_shared_pool
 from repro.scenarios import build_scenario
 
 from tests.conftest import make_small_environment
@@ -251,9 +251,13 @@ class TestCrashRecovery:
             write(path, payload)
 
         monkeypatch.setattr(shards, "_checkpoint_write", dying_write)
-        # A private pool, so its workers are forked after the patch.
-        monkeypatch.setenv(POOL_ENV, "0")
-        recovered = run_supervised_scenario(spec, 2, checkpoint_every=6)
+        # A new shared pool, so its workers are forked after the patch; it
+        # is shut down again so no later test runs on the patched workers.
+        shutdown_shared_pool()
+        try:
+            recovered = run_supervised_scenario(spec, 2, checkpoint_every=6)
+        finally:
+            shutdown_shared_pool()
         assert marker.exists()
         assert recovered.recovery.crashes_detected == 1
         assert recovered.recovery.recovered_shards == (0,)

@@ -714,6 +714,55 @@ def test_batched_governors_match_scalar_decisions(device_name):
             )
 
 
+def test_a_registered_default_governor_drives_fleets_too(monkeypatch):
+    """One registry: a pairing registered for a device drives its fleet
+    sessions exactly as it drives the scalar ones."""
+    from repro.governors import registry
+    from repro.governors.base import DefaultGovernorPolicy
+    from repro.governors.cpu import OndemandGovernor
+    from repro.governors.gpu import MsmAdrenoTzGovernor
+
+    monkeypatch.setitem(
+        registry._REGISTRY,
+        "jetson-orin-nano",
+        lambda: DefaultGovernorPolicy(
+            OndemandGovernor(up_threshold=0.7), MsmAdrenoTzGovernor()
+        ),
+    )
+    batched = build_batched_default_governor("jetson-orin-nano")
+    assert batched.name == "default(ondemand+msm-adreno-tz)"
+    assert batched.frame_governors() is not None
+    setting = ExperimentSetting(num_frames=60, seed=1)
+    fleet = run_fleet(setting, "default", 3)
+    _assert_sessions_identical(fleet, scalar_reference_sessions(setting, "default", 3))
+
+
+def test_a_pairing_without_a_batched_twin_is_refused(monkeypatch):
+    from repro.errors import ConfigurationError
+    from repro.governors import registry
+    from repro.governors.base import DefaultGovernorPolicy
+    from repro.governors.cpu import SchedutilGovernor
+    from repro.governors.gpu import SimpleOndemandGovernor
+
+    class Custom(SchedutilGovernor):
+        def select_level(self, utilisation, current_level, num_levels):
+            return 0
+
+    class CustomPolicy(DefaultGovernorPolicy):
+        pass
+
+    for builder, refused in (
+        (lambda: DefaultGovernorPolicy(Custom(), SimpleOndemandGovernor()), "Custom"),
+        (
+            lambda: CustomPolicy(SchedutilGovernor(), SimpleOndemandGovernor()),
+            "CustomPolicy",
+        ),
+    ):
+        monkeypatch.setitem(registry._REGISTRY, "mi11-lite", builder)
+        with pytest.raises(ConfigurationError, match=rf"{refused}\b.*no vectorized twin"):
+            build_batched_default_governor("mi11-lite")
+
+
 @pytest.mark.parametrize("detector_name", ["faster_rcnn", "mask_rcnn", "yolo_v5"])
 def test_batched_costs_and_execution_match_scalar(detector_name):
     detector = build_detector(detector_name)

@@ -29,7 +29,7 @@ from repro.obs import bus
 from repro.obs.report import render_summary
 from repro.obs.sink import iter_events, latest_run, list_runs, load_summary, write_run
 from repro.runtime.fleet import run_fleet_scenario
-from repro.runtime.pool import POOL_ENV, shared_pool, shutdown_shared_pool
+from repro.runtime.pool import shutdown_shared_pool
 from repro.runtime.shards import run_sharded_scenario, run_supervised_scenario
 from repro.scenarios import build_scenario
 
@@ -44,7 +44,6 @@ SHARDS = 2
 def _obs_isolation(monkeypatch):
     """Every test starts with observation off and no shared pool."""
     monkeypatch.delenv(bus.OBS_ENV, raising=False)
-    monkeypatch.delenv(POOL_ENV, raising=False)
     bus.disable()
     shutdown_shared_pool()
     yield
@@ -277,13 +276,29 @@ class TestPoolCounters:
         finally:
             bus.disable()
 
-    def test_pool_stats_expose_lifetime_shm_counters(self):
-        run_sharded_scenario(
-            "cctv-burst", SHARDS, num_sessions=SESSIONS, num_frames=FRAMES
-        )
-        stats = shared_pool().stats
-        assert stats["shm_blocks"] >= 0
-        assert stats["shm_bytes"] >= 0
+    def test_rebuild_counter_counts_unkeyed_supervised_builds(self):
+        """Supervised shards run unpinned (no fingerprint), yet each task's
+        build is counted: the crashed shard's rebuild on its respawned
+        worker included (the dead attempt never reports)."""
+        bus.enable(fresh=True)
+        try:
+            run_supervised_scenario(
+                "cctv-burst",
+                SHARDS,
+                num_sessions=SESSIONS,
+                num_frames=FRAMES,
+                checkpoint_every=4,
+                crashes=(WorkerCrash(frame=6, shard=0),),
+            )
+            registry = bus.registry()
+            rebuilds = sum(
+                v for (name, _), v in registry.counters.items()
+                if name == "pool.rebuilds"
+            )
+            assert rebuilds == registry.gauges[("pool.report.rebuilds", ())]
+            assert rebuilds == SHARDS
+        finally:
+            bus.disable()
 
 
 # ---------------------------------------------------------------------------

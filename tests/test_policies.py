@@ -641,6 +641,37 @@ class TestGeneralizationMatrix:
         for name in self.SCENARIOS:
             assert name in table
 
+    def test_matrices_over_two_stores_share_one_pool(self, tmp_path):
+        """Pool workers outlive a matrix run, so each run must hand its own
+        store to the workers: a second matrix over another store resolves
+        its rows there, not in the store the workers first saw."""
+        from repro.runtime.pool import shutdown_shared_pool
+
+        store_a = PolicyStore(tmp_path / "zoo-a")
+        store_b = PolicyStore(tmp_path / "zoo-b")
+        id_a, _ = train_policy("jetson-kitti-baseline", store=store_a, num_frames=60)
+        id_b, _ = train_policy(
+            "jetson-kitti-baseline", store=store_b, num_frames=60, method="ztt"
+        )
+        assert not store_a.contains(id_b) and not store_b.contains(id_a)
+
+        columns = ["jetson-kitti-baseline", "drone-climb"]
+        shutdown_shared_pool()
+        try:
+            for store, policy_id in ((store_a, id_a), (store_b, id_b)):
+                matrix = run_generalization_matrix(
+                    [policy_id],
+                    scenarios=columns,
+                    num_frames=15,
+                    runtime=ExperimentRuntime(max_workers=2, cache=None),
+                    store=store,
+                )
+                assert matrix.executed == len(columns)
+                for cell in matrix.cells:
+                    assert cell.session.policy_name == f"policy:{policy_id[:12]}"
+        finally:
+            shutdown_shared_pool()
+
     def test_incompatible_device_cells_are_skipped_not_failed(self, tmp_path):
         store = PolicyStore(tmp_path / "zoo")
         policy_id, _ = train_policy(

@@ -5,18 +5,18 @@ The acceptance bar of :mod:`repro.runtime.pool`:
 * **Warm workers leak no state.**  A randomized back-to-back episode
   sequence — mixed registry scenarios, homogeneous fleet cells and
   supervised faulted runs — executed on one shared pool produces traces
-  byte-identical to fresh-process runs (``REPRO_POOL=0`` spawns a private
-  single-use pool per call), whether a shard is served from a warm pin or
-  rebuilt after LRU eviction.
+  byte-identical to fresh-process runs (each call preceded by
+  ``shutdown_shared_pool()``, so it forks new workers), whether a shard is
+  served from a warm pin or rebuilt after LRU eviction.
 * **A worker death mid-sequence is invisible.**  The pool respawns the
   slot, the supervised shard resumes from its spooled checkpoint, the
   trace stays byte-identical to the uninterrupted single-process run, and
   the *same* pool keeps serving subsequent episodes bit-exactly.
 * **The protocol is honest.**  Fingerprints key on the exact session
-  slice and method, RESET drops every pinned shard, large payloads
-  round-trip through shared memory, worker counts clamp to the host CPU
-  count with wave scheduling for the excess, and unknown task kinds fail
-  with a typed error.
+  slice and method, RESET drops every pinned shard, results larger than
+  the pipe buffer cross intact, worker counts clamp to the host CPU count
+  with wave scheduling for the excess, and unknown task kinds fail with a
+  typed error.
 """
 
 from __future__ import annotations
@@ -41,14 +41,8 @@ from repro.runtime import (
     run_supervised_scenario,
 )
 from repro.runtime.pool import (
-    POOL_ENV,
-    SHM_THRESHOLD_BYTES,
     FleetWorkerPool,
     PoolTask,
-    _export_payload,
-    _import_payload,
-    acquire_pool,
-    pool_enabled,
     scenario_shard_fingerprint,
     shared_pool,
     shutdown_shared_pool,
@@ -64,9 +58,8 @@ SHARDS = 2
 
 
 @pytest.fixture(autouse=True)
-def _pool_isolation(monkeypatch):
-    """Every test starts from no shared pool and the default (enabled) env."""
-    monkeypatch.delenv(POOL_ENV, raising=False)
+def _pool_isolation():
+    """Every test starts and ends with no shared pool."""
     shutdown_shared_pool()
     yield
     shutdown_shared_pool()
@@ -104,7 +97,7 @@ def _episode_menu():
 
 
 class TestWarmStateIsolation:
-    def test_randomized_sequence_matches_fresh_process_runs(self, monkeypatch):
+    def test_randomized_sequence_matches_fresh_process_runs(self):
         menu = _episode_menu()
         # Every episode kind at least once, plus seeded-random repeats so
         # warm pins, LRU evictions and rebuilds all occur mid-sequence.
@@ -114,12 +107,13 @@ class TestWarmStateIsolation:
         ]
         rng.shuffle(order)
 
-        # Fresh-process baseline: a disabled pool gives every call its own
-        # private single-use pool of newly spawned workers.
-        monkeypatch.setenv(POOL_ENV, "0")
-        fresh = [menu[i]() for i in order]
+        # Fresh-process baseline: shutting the shared pool down before each
+        # call gives every call newly forked workers.
+        fresh = []
+        for i in order:
+            shutdown_shared_pool()
+            fresh.append(menu[i]())
 
-        monkeypatch.delenv(POOL_ENV, raising=False)
         shutdown_shared_pool()
         warm_first = [menu[i]() for i in order]
         pool = shared_pool()
@@ -143,24 +137,35 @@ class TestWarmStateIsolation:
         assert shared_pool().stats["warm_hits"] > warm_hits
         assert_traces_identical(second.fleet_trace, first.fleet_trace)
 
-    def test_runtime_jobs_on_pool_match_serial(self, monkeypatch):
+    def test_runtime_jobs_on_pool_match_serial(self):
         jobs = [
             ExperimentJob(setting=ExperimentSetting(num_frames=6, seed=s), method=m)
             for s, m in ((0, "default"), (1, "ztt"), (2, "default"))
         ]
         serial = ExperimentRuntime(max_workers=1, cache=None).run_jobs(jobs)
-        # REPRO_POOL=0 runs the jobs on a private pool; unset, on the shared one.
-        for pool_env in ("0", None):
-            if pool_env is None:
-                monkeypatch.delenv(POOL_ENV)
-            else:
-                monkeypatch.setenv(POOL_ENV, pool_env)
+        # First on freshly forked workers, then again on the same, warm pool.
+        pool = shared_pool()
+        for _ in range(2):
             pooled = ExperimentRuntime(max_workers=2, cache=None).run_jobs(jobs)
-            assert (shared_pool.__globals__["_shared_pool"] is None) == (
-                pool_env == "0"
-            )
+            assert shared_pool() is pool
             for mine, theirs in zip(pooled, serial):
                 assert pickle.dumps(mine) == pickle.dumps(theirs)
+
+    def test_results_larger_than_the_pipe_buffer_match_serial(self):
+        """A result pickle beyond the 64 KiB pipe buffer blocks the worker's
+        send until the parent reads it; both jobs must still arrive whole."""
+        jobs = [
+            ExperimentJob(
+                setting=ExperimentSetting(num_frames=1000, seed=seed), method="default"
+            )
+            for seed in (0, 1)
+        ]
+        serial = ExperimentRuntime(max_workers=1, cache=None).run_jobs(jobs)
+        pooled = ExperimentRuntime(max_workers=2, cache=None).run_jobs(jobs)
+        for mine, theirs in zip(pooled, serial):
+            blob = pickle.dumps(theirs)
+            assert len(blob) > 64 * 1024
+            assert pickle.dumps(mine) == blob
 
 
 class TestCrashRecoveryOnPool:
@@ -209,7 +214,7 @@ def test_forked_workers_inherit_the_parents_resolved_kernels(monkeypatch):
     family, so none of their obs snapshots carries ``fused.resolved``."""
     monkeypatch.setattr(resolve, "_kernels", {})
     monkeypatch.setattr(resolve, "_status", {})
-    monkeypatch.setenv(POOL_ENV, "0")
+    shutdown_shared_pool()  # workers forked from here on see the patch
     registry = obs.enable()
     try:
         result = run_supervised_scenario(
@@ -275,20 +280,6 @@ class TestPoolProtocol:
         assert pool.stats["warm_hits"] == before["warm_hits"]
         assert pool.stats["rebuilds"] == before["rebuilds"] + len(result.shards)
 
-    def test_shared_memory_payload_round_trip(self):
-        small = {"answer": 42}
-        descriptor = _export_payload(small)
-        assert descriptor[0] == "inline"
-        obj, blocks, nbytes = _import_payload(descriptor)
-        assert obj == small and blocks == 0 and nbytes == 0
-
-        big = np.arange(SHM_THRESHOLD_BYTES, dtype=np.float64)
-        descriptor = _export_payload(big)
-        assert descriptor[0] == "shm"
-        obj, blocks, nbytes = _import_payload(descriptor)
-        assert np.array_equal(obj, big)
-        assert blocks == 1 and nbytes >= SHM_THRESHOLD_BYTES
-
     def test_unknown_task_kind_raises_shard_error(self):
         pool = FleetWorkerPool(max_workers=1)
         try:
@@ -296,19 +287,3 @@ class TestPoolProtocol:
                 pool.run_tasks([PoolTask(kind="bogus", args=())])
         finally:
             pool.shutdown()
-
-    def test_disabled_env_yields_private_owned_pool(self, monkeypatch):
-        monkeypatch.setenv(POOL_ENV, "0")
-        assert not pool_enabled()
-        pool, owned = acquire_pool(2)
-        try:
-            assert owned
-            assert pool is not shared_pool.__globals__["_shared_pool"]
-        finally:
-            pool.shutdown()
-
-        monkeypatch.delenv(POOL_ENV)
-        assert pool_enabled()
-        shared, owned = acquire_pool(1)
-        assert not owned
-        assert shared is shared_pool()

@@ -17,6 +17,10 @@ Checks ``README.md`` and ``docs/ARCHITECTURE.md`` against the code:
    or a subpackage of ``src/repro`` (``rl/dqn.py``, an optional ``:line``
    suffix allowed), and a bare Markdown file name (``ROADMAP.md``, looked
    up at the root and in ``docs/``).
+6. Every environment switch the docs name (``REPRO_*``/``LOTUS_*``; a bare
+   prefix such as ``LOTUS_BENCH_`` is skipped) must appear as a whole word
+   in some file under ``src/repro``, ``benchmarks/`` or ``tools/``, so the
+   docs never advertise a switch the code no longer reads.
 
 Run from the repository root (CI does)::
 
@@ -36,6 +40,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DOC_FILES = (REPO_ROOT / "README.md", REPO_ROOT / "docs" / "ARCHITECTURE.md")
+#: Where a switch the docs name must appear (check 6), relative to the root.
+SWITCH_SOURCES = ("src/repro", "benchmarks", "tools")
 
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
@@ -45,6 +51,7 @@ _DOTTED_RE = re.compile(r"\brepro(?:\.(?:[A-Za-z_][A-Za-z0-9_]*|__[a-z_]+__))+")
 _INLINE_CODE_RE = re.compile(r"`([^`\n]+)`")
 _IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 _PATH_RE = re.compile(r"([\w.\-]+(?:/[\w.\-]+)*/?)(?::\d+(?:[–-]\d+)?)?")
+_SWITCH_RE = re.compile(r"\b(?:REPRO|LOTUS)_[A-Z0-9_]*")
 _INVOCATION_RE = re.compile(
     r"python -m repro[ \t]+([a-z][a-z0-9-]*)(?:[ \t]+([a-z][a-z0-9-]*))?"
 )
@@ -114,6 +121,25 @@ def _missing_paths(text: str) -> list[str]:
     return missing
 
 
+def _unread_switches(text: str, sources: str) -> list[str]:
+    """``REPRO_*``/``LOTUS_*`` names in ``text`` that ``sources`` never names."""
+    return [
+        name
+        for name in sorted(set(_SWITCH_RE.findall(text)))
+        if not name.endswith("_") and not re.search(rf"\b{name}\b", sources)
+    ]
+
+
+def _switch_sources() -> str:
+    """The text of every file under :data:`SWITCH_SOURCES`."""
+    return "\n".join(
+        path.read_text(encoding="utf-8", errors="ignore")
+        for root in SWITCH_SOURCES
+        for path in sorted((REPO_ROOT / root).rglob("*"))
+        if path.is_file() and "__pycache__" not in path.parts
+    )
+
+
 def _cli_grammar() -> dict[str, tuple[str, ...] | None]:
     """Each CLI command mapped to its accepted actions (``None``: no action).
 
@@ -147,6 +173,7 @@ def check() -> list[str]:
 
     public = set(repro.__all__)
     grammar = _cli_grammar()
+    sources = _switch_sources()
     problems: list[str] = []
     for path in DOC_FILES:
         if not path.exists():
@@ -171,6 +198,11 @@ def check() -> list[str]:
             problems.append(f"{rel}: `python -m repro` invocation names an {bad}")
         for missing in sorted(set(_missing_paths(text))):
             problems.append(f"{rel}: file path `{missing}` does not exist")
+        for name in _unread_switches(text, sources):
+            problems.append(
+                f"{rel}: switch `{name}` is named in no file under "
+                f"{', '.join(SWITCH_SOURCES)}"
+            )
     return problems
 
 
