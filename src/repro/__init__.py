@@ -132,21 +132,19 @@ from repro.obs import ObsRegistry, obs_enabled
 from repro.runtime import (
     ExperimentJob,
     ExperimentRuntime,
-    FleetRunResult,
     FleetScenarioResult,
     FleetWorkerPool,
     PoolRunReport,
     RecoveryReport,
     ResultCache,
     ShardPlan,
-    SupervisedScenarioResult,
     SweepSpec,
+    cell_scenario,
     make_fleet_environment,
     make_fleet_policy,
     plan_shards,
     run_fleet,
     run_fleet_scenario,
-    run_sharded_fleet,
     run_sharded_scenario,
     run_supervised_scenario,
     shared_pool,
@@ -185,7 +183,6 @@ __all__ = [
     "FleetLotusAgent",
     "FleetMember",
     "FleetPolicy",
-    "FleetRunResult",
     "FleetScenario",
     "FleetScenarioResult",
     "FleetSummary",
@@ -215,7 +212,6 @@ __all__ = [
     "ShardPlan",
     "SimulatedChannel",
     "StoreError",
-    "SupervisedScenarioResult",
     "SweepSpec",
     "ThrottlingStorm",
     "WorkerCrash",
@@ -239,6 +235,7 @@ __all__ = [
     "build_detector",
     "build_device",
     "build_scenario",
+    "cell_scenario",
     "checkpoint_from_policy",
     "compile_fault_plan",
     "default_latency_constraint",
@@ -264,7 +261,6 @@ __all__ = [
     "run_fleet_episode",
     "run_fleet_scenario",
     "run_generalization_matrix",
-    "run_sharded_fleet",
     "run_sharded_scenario",
     "run_supervised_scenario",
     "shared_pool",

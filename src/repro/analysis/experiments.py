@@ -127,6 +127,14 @@ def lotus_reward_config(device) -> RewardConfig:
     fleet: its graded zone is :func:`_soft_margin_c` of the trip point."""
     return RewardConfig(temperature_soft_margin_c=_soft_margin_c(_trip_temperature_c(device)))
 
+
+def control_threshold_c(device) -> float:
+    """The temperature every environment on ``device`` controls against,
+    scalar or fleet: :func:`_control_margin_c` below the trip point."""
+    trip = _trip_temperature_c(device)
+    return trip - _control_margin_c(trip)
+
+
 #: Headroom factor applied on top of the full-speed latency estimate when a
 #: latency constraint is derived automatically (the paper sets per-model,
 #: per-dataset constraints; deriving them from the cost model keeps the
@@ -252,7 +260,6 @@ def _environment_arguments(
         if setting.latency_constraint_ms is not None
         else default_latency_constraint(setting.device, setting.detector, setting.dataset)
     )
-    trip = _trip_temperature_c(device)
     return dict(
         device=device,
         detector=detector,
@@ -260,7 +267,7 @@ def _environment_arguments(
         latency_constraint_ms=constraint,
         ambient=ambient if ambient is not None else ConstantAmbient(setting.ambient_temperature_c),
         rng=np.random.default_rng(setting.seed + 1),
-        throttle_threshold_c=trip - _control_margin_c(trip),
+        throttle_threshold_c=control_threshold_c(device),
     )
 
 

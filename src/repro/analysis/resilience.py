@@ -18,12 +18,15 @@ bounded memory — whether the trace is an in-memory
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, List
 
 import numpy as np
 
 from repro.analysis.streaming import streaming_trace_stats
 from repro.errors import ExperimentError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.runtime.fleet import FleetScenarioResult
 
 
 @dataclass(frozen=True)
@@ -80,16 +83,16 @@ class ResilienceReport:
         }
 
 
-def resilience_report(result: Any) -> ResilienceReport:
+def resilience_report(result: FleetScenarioResult) -> ResilienceReport:
     """Summarise a fleet-run result into a :class:`ResilienceReport`.
 
-    Accepts any result carrying a ``fleet_trace`` (and optionally a
-    ``degraded`` mask and a supervised run's ``recovery`` report):
-    :class:`~repro.runtime.fleet.FleetScenarioResult` and
-    :class:`~repro.runtime.shards.SupervisedScenarioResult` both qualify.
+    Every fleet run, in-process, sharded or supervised, returns a
+    :class:`~repro.runtime.fleet.FleetScenarioResult`; its ``degraded``
+    mask gives the degraded cells and its ``recovery`` report (set only by
+    a supervised run) the crash figures.
     """
-    trace = getattr(result, "fleet_trace", None)
-    if trace is None or len(trace) == 0:
+    trace = result.fleet_trace
+    if len(trace) == 0:
         raise ExperimentError("resilience_report needs a result with a fleet trace")
     # Single streaming pass over bounded column windows: no
     # (frames, sessions) matrix is ever materialised, so the report scales
@@ -98,7 +101,7 @@ def resilience_report(result: Any) -> ResilienceReport:
     shape = (stats.num_frames, stats.num_sessions)
     total_cells = stats.num_frames * stats.num_sessions
 
-    degraded = getattr(result, "degraded", None)
+    degraded = result.degraded
     if degraded is None:
         degraded_cells = 0
         degraded_sessions = 0
@@ -112,10 +115,9 @@ def resilience_report(result: Any) -> ResilienceReport:
         degraded_cells = int(degraded.sum())
         degraded_sessions = int(degraded.any(axis=0).sum())
 
-    recovery = getattr(result, "recovery", None)
-    scenario = getattr(result, "scenario", None)
+    recovery = result.recovery
     return ResilienceReport(
-        scenario=getattr(scenario, "name", str(scenario or "")),
+        scenario=result.scenario.name,
         num_frames=stats.num_frames,
         num_sessions=stats.num_sessions,
         mean_latency_ms=stats.mean_latency_ms,
@@ -124,9 +126,9 @@ def resilience_report(result: Any) -> ResilienceReport:
         degraded_cells=degraded_cells,
         degraded_fraction=degraded_cells / float(total_cells),
         degraded_sessions=degraded_sessions,
-        crashes_detected=0 if recovery is None else int(recovery.crashes_detected),
-        restarts=0 if recovery is None else int(recovery.restarts),
-        recovery_s=0.0 if recovery is None else float(recovery.recovery_s),
+        crashes_detected=0 if recovery is None else recovery.crashes_detected,
+        restarts=0 if recovery is None else recovery.restarts,
+        recovery_s=0.0 if recovery is None else recovery.recovery_s,
     )
 
 

@@ -18,9 +18,10 @@ from repro.runtime.engine import (
     execute_job,
 )
 from repro.runtime.fleet import (
-    FleetRunResult,
     FleetScenarioResult,
+    RecoveryReport,
     ShardPlan,
+    cell_scenario,
     collect_degraded,
     make_fleet_environment,
     make_fleet_policy,
@@ -39,10 +40,7 @@ from repro.runtime.pool import (
     shutdown_shared_pool,
 )
 from repro.runtime.shards import (
-    RecoveryReport,
-    SupervisedScenarioResult,
     plan_shards,
-    run_sharded_fleet,
     run_sharded_scenario,
     run_supervised_scenario,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "CacheStats",
     "ExperimentJob",
     "ExperimentRuntime",
-    "FleetRunResult",
     "FleetScenarioResult",
     "FleetWorkerPool",
     "PoolRunReport",
@@ -62,8 +59,8 @@ __all__ = [
     "ResultCache",
     "RuntimeReport",
     "ShardPlan",
-    "SupervisedScenarioResult",
     "SweepSpec",
+    "cell_scenario",
     "collect_degraded",
     "config_fingerprint",
     "default_cache_dir",
@@ -77,7 +74,6 @@ __all__ = [
     "plan_shards",
     "run_fleet",
     "run_fleet_scenario",
-    "run_sharded_fleet",
     "run_sharded_scenario",
     "run_supervised_scenario",
     "scalar_reference_session",

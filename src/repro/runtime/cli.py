@@ -82,7 +82,7 @@ import argparse
 import sys
 from typing import List, Optional, Sequence
 
-from repro.errors import LotusError, ReproError
+from repro.errors import LotusError, ReproError, ShardError
 from repro.runtime.cache import ResultCache, default_cache_dir
 from repro.runtime.engine import ExperimentRuntime
 from repro.runtime.job import ExperimentJob
@@ -366,11 +366,8 @@ def _print_resilience(result, report_path: str | None) -> None:
 
 def _cmd_fleet(args: argparse.Namespace) -> int:
     from repro.analysis.experiments import ExperimentSetting
-    from repro.runtime.shards import (
-        _sharded_cell_spec,
-        run_sharded_scenario,
-        run_supervised_scenario,
-    )
+    from repro.runtime.fleet import cell_scenario
+    from repro.runtime.shards import run_sharded_scenario, run_supervised_scenario
 
     if args.training_frames:
         raise LotusError(
@@ -400,8 +397,14 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             ambient_temperature_c=args.ambient_c,
             seed=args.seed,
         )
+        if args.method == "lotus-fleet" and args.shards > 1:
+            raise ShardError(
+                "lotus-fleet trains one shared network across the whole fleet and "
+                "cannot be split across shards; run with --shards 1, or shard a "
+                "scenario whose lotus-fleet members are smaller than the fleet"
+            )
         sessions = args.sessions if args.sessions is not None else 64
-        scenario = _sharded_cell_spec(setting, args.method, sessions, args.shards)
+        scenario = cell_scenario(setting, args.method, sessions)
         label = args.method
         session_label = "session {a.index} (seed {a.seed})"
     plan = _load_fault_plan(args.faults)
@@ -493,6 +496,7 @@ def _cmd_scenario_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
+    from repro.analysis.experiments import _trip_temperature_c
     from repro.hardware.devices.registry import available_devices, build_device
 
     for name in available_devices():
@@ -502,7 +506,7 @@ def _cmd_devices(args: argparse.Namespace) -> int:
             f"max {device.cpu.frequency_table.max_frequency_khz / 1e3:.0f} MHz)  "
             f"gpu: {device.gpu.name} ({device.gpu.num_levels} levels, "
             f"max {device.gpu.frequency_table.max_frequency_khz / 1e3:.0f} MHz)  "
-            f"trip {min(device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c):.0f} C"
+            f"trip {_trip_temperature_c(device):.0f} C"
         )
     return 0
 

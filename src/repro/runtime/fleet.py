@@ -37,10 +37,11 @@ datasets, ambient schedules, constraints and seeds, and the per-group
 results re-interleave into a single columnar :class:`FleetTrace` — with
 every session still bit-identical to the scalar run of its own spec and
 seed.  A homogeneous (setting, method) cell is the one-member scenario of
-its setting (:func:`_cell_spec`): :func:`make_fleet_environment` builds its
-one group and :func:`run_fleet` runs it as a scenario.  The sharded and
-supervised runs (:mod:`repro.runtime.shards`) return the same
-:class:`FleetScenarioResult`.
+its setting (:func:`cell_scenario`): :func:`make_fleet_environment` builds
+its one group and :func:`run_fleet` runs it as a scenario.  Every run,
+in-process, sharded or supervised (:mod:`repro.runtime.shards`), returns
+one result type, :class:`FleetScenarioResult`; a supervised run also fills
+its ``recovery`` field.
 """
 
 from __future__ import annotations
@@ -94,39 +95,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 # to keep ``repro.runtime`` importable on its own.
 
 
-@dataclass(frozen=True)
-class FleetRunResult:
-    """Outcome of one fleet run.
-
-    Attributes:
-        setting: The base experiment setting (session ``i`` ran with seed
-            ``setting.seed + i``).
-        method: Method name.
-        num_sessions: Fleet size N.
-        policy_name: Name of the fleet policy that produced the traces.
-        sessions: Per-session :class:`SessionResult` records (same shape the
-            scalar runtime produces).
-        fleet_trace: The raw columnar trace.
-        elapsed_s: Wall-clock seconds spent in the episode loop.
-    """
-
-    setting: ExperimentSetting
-    method: str
-    num_sessions: int
-    policy_name: str
-    sessions: Tuple[SessionResult, ...]
-    fleet_trace: FleetTrace
-    elapsed_s: float
-
-    @property
-    def aggregate_frames_per_second(self) -> float:
-        """Total frames processed across the fleet per wall-clock second."""
-        if self.elapsed_s <= 0:
-            return float("inf")
-        return self.fleet_trace.total_frames / self.elapsed_s
-
-
-def _cell_spec(
+def cell_scenario(
     setting: ExperimentSetting,
     method: str,
     num_sessions: int,
@@ -135,12 +104,26 @@ def _cell_spec(
     """The one-member scenario of a homogeneous (setting, method) cell.
 
     Session ``i`` runs seed ``setting.seed + i`` under ``ambient`` (default:
-    the constant ``setting.ambient_temperature_c``) — the spec every cell
-    entry point (:func:`make_fleet_environment`, :func:`run_fleet`,
-    :func:`repro.runtime.shards.run_sharded_fleet`, the CLI) builds from.
+    the constant ``setting.ambient_temperature_c``).  Every cell runs as
+    this scenario: :func:`make_fleet_environment` builds its one group,
+    :func:`run_fleet` runs it in-process, and
+    ``run_sharded_scenario(cell_scenario(...), k)`` or
+    ``run_supervised_scenario(cell_scenario(...), k)`` run it across
+    worker processes.  A fleet has no pre-evaluation warm-up (learning
+    methods train within the episode), so a setting with
+    ``training_frames > 0`` is refused rather than silently run without
+    one.
     """
     from repro.scenarios import ScenarioSpec
 
+    if num_sessions <= 0:
+        raise ExperimentError("num_sessions must be positive")
+    if setting.training_frames > 0:
+        raise ExperimentError(
+            f"a fleet cell has no warm-up phase, but the setting asks for "
+            f"training_frames={setting.training_frames}; run the cell with "
+            f"training_frames=0, or use execute_setting for a warmed-up run"
+        )
     return ScenarioSpec(
         name=f"{method}-cell",
         device=setting.device,
@@ -172,10 +155,8 @@ def make_fleet_environment(
     exactly the generators :func:`repro.analysis.experiments.make_environment`
     gives a scalar run with seed ``setting.seed + i``.
     """
-    if num_sessions <= 0:
-        raise ExperimentError("num_sessions must be positive")
     # The environment does not depend on the method; any one names the cell.
-    cell = _cell_spec(setting, "default", num_sessions, ambient)
+    cell = cell_scenario(setting, "default", num_sessions, ambient)
     return make_group_environment(
         setting.device,
         setting.detector,
@@ -276,40 +257,20 @@ def make_fleet_policy(
     )
 
 
-def _cell_result(
-    setting: ExperimentSetting,
-    method: str,
-    result: FleetScenarioResult,
-) -> FleetRunResult:
-    """Wrap the scenario result of a cell as its :class:`FleetRunResult`."""
-    return FleetRunResult(
-        setting=setting,
-        method=method,
-        num_sessions=result.num_sessions,
-        policy_name=result.sessions[0].policy_name,
-        sessions=result.sessions,
-        fleet_trace=result.fleet_trace,
-        elapsed_s=result.elapsed_s,
-    )
-
-
 def run_fleet(
     setting: ExperimentSetting,
     method: str,
     num_sessions: int,
-) -> FleetRunResult:
+) -> FleetScenarioResult:
     """Run one (setting, method) cell as a vectorized fleet of sessions.
 
     The fleet analogue of
     :func:`repro.analysis.experiments.execute_setting`, minus the
     online-training warm-up (fleet learning methods train within the
-    episode itself).  The cell runs as its one-member scenario through
-    :func:`run_fleet_scenario`.
+    episode itself): the result of :func:`run_fleet_scenario` on the
+    cell's :func:`cell_scenario`.
     """
-    if num_sessions <= 0:
-        raise ExperimentError("num_sessions must be positive")
-    result = run_fleet_scenario(_cell_spec(setting, method, num_sessions))
-    return _cell_result(setting, method, result)
+    return run_fleet_scenario(cell_scenario(setting, method, num_sessions))
 
 
 def _session_histories(
@@ -386,7 +347,7 @@ def scalar_reference_sessions(
     stepping — the :func:`scalar_reference_session` of the cell's scenario
     at that seed.
     """
-    cell = _cell_spec(setting, method, num_sessions)
+    cell = cell_scenario(setting, method, num_sessions)
     return [
         scalar_reference_session(cell, seed=setting.seed + i)
         for i in range(num_sessions)
@@ -425,8 +386,33 @@ class ShardPlan:
 
 
 @dataclass(frozen=True)
+class RecoveryReport:
+    """What the supervisor observed and did about worker deaths.
+
+    Attributes:
+        crashes_detected: Worker deaths the supervisor observed (injected
+            crashes and real ones look identical: an EOF on the worker's
+            pipe).
+        restarts: Shard executions that were resubmitted after a death.
+        recovered_shards: Indices of shards that completed only after at
+            least one restart.
+        checkpoint_every: The periodic checkpoint interval (frames) the
+            workers spooled at.
+        recovery_s: Wall-clock seconds spent re-running shards after the
+            first detected death (zero for a clean run).
+    """
+
+    crashes_detected: int
+    restarts: int
+    recovered_shards: Tuple[int, ...]
+    checkpoint_every: int
+    recovery_s: float
+
+
+@dataclass(frozen=True)
 class FleetScenarioResult:
-    """Outcome of running one scenario, in-process or sharded.
+    """Outcome of running one scenario or cell: in-process, sharded or
+    supervised.
 
     Attributes:
         scenario: The (possibly overridden) fleet scenario that ran.
@@ -441,6 +427,9 @@ class FleetScenarioResult:
             merging) the episode.
         degraded: ``(num_frames, num_sessions)`` bool mask of fault-degraded
             cells, or ``None`` when the scenario carries no fault plan.
+        recovery: The supervisor's :class:`RecoveryReport` of a supervised
+            run (:func:`repro.runtime.shards.run_supervised_scenario`), or
+            ``None`` for an unsupervised one.
     """
 
     scenario: FleetScenario
@@ -450,6 +439,7 @@ class FleetScenarioResult:
     fleet_trace: FleetTrace
     elapsed_s: float
     degraded: np.ndarray | None = None
+    recovery: RecoveryReport | None = None
 
     @property
     def num_sessions(self) -> int:
@@ -484,7 +474,7 @@ def make_group_environment(
     environment of that session's spec and seed would use.
     """
     from repro.analysis.experiments import (
-        _control_margin_c,
+        control_threshold_c,
         default_latency_constraint,
     )
 
@@ -522,16 +512,13 @@ def make_group_environment(
         latency_constraint_ms=constraints,
     )
     rngs = [np.random.default_rng(assignment.seed + 1) for assignment in assignments]
-    trip = min(
-        device.cpu_throttle.trip_temperature_c, device.gpu_throttle.trip_temperature_c
-    )
     return BatchedInferenceEnvironment(
         device=device,
         detector=detector,
         streams=streams,
         ambient=[assignment.spec.ambient for assignment in assignments],
         rngs=rngs,
-        throttle_threshold_c=trip - _control_margin_c(trip),
+        throttle_threshold_c=control_threshold_c(device),
     )
 
 

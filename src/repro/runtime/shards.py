@@ -25,16 +25,17 @@ that is one big ``lotus-fleet`` member degrades to a single shard.
 
 Every sharded fleet runs through one shard runner
 (:func:`_run_scenario_shard`, one ``"scenario-shard"`` pool task per
-shard) and one driver (:func:`_run_shards`): a homogeneous (setting,
-method) cell (:func:`run_sharded_fleet`) is the one-member scenario of its
-setting, and a supervised run (:func:`run_supervised_scenario`) is a
-sharded run plus periodic checkpoints, injected crashes and a restart
-budget, with its shards rebuilt cold instead of warm.  A plan with a
-single shard is the in-process run: :func:`run_sharded_scenario` then
-returns :func:`repro.runtime.fleet.run_fleet_scenario`'s result, and every
-entry point returns a :class:`~repro.runtime.fleet.FleetScenarioResult`.
-The cell entry point refuses ``lotus-fleet`` with more than one shard
-outright, with a typed :class:`~repro.errors.ShardError`.
+shard) and one driver (:func:`_run_shards`).  A homogeneous (setting,
+method) cell is the one-member scenario of its setting
+(:func:`repro.runtime.fleet.cell_scenario`) and shards like any other
+scenario.  A supervised run (:func:`run_supervised_scenario`) is a sharded
+run plus periodic checkpoints, injected crashes and a restart budget, with
+its shards rebuilt cold instead of warm.  A plan with a single shard is
+the in-process run: :func:`run_sharded_scenario` then returns
+:func:`repro.runtime.fleet.run_fleet_scenario`'s result.  Every entry point
+returns a :class:`~repro.runtime.fleet.FleetScenarioResult`; the
+supervised one also fills its ``recovery`` field with the supervisor's
+:class:`~repro.runtime.fleet.RecoveryReport`.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import pickle
 import shutil
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -81,11 +82,9 @@ from repro.runtime.pool import (
     shared_pool,
 )
 from repro.runtime.fleet import (
-    FleetRunResult,
     FleetScenarioResult,
+    RecoveryReport,
     ShardPlan,
-    _cell_result,
-    _cell_spec,
     _group_histories,
     _package_sessions,
     _resolve_scenario,
@@ -95,7 +94,6 @@ from repro.runtime.fleet import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from repro.analysis.experiments import ExperimentSetting
     from repro.scenarios import FleetScenario, ScenarioSpec, SessionAssignment
 
 
@@ -525,15 +523,15 @@ def _run_shards(
     checkpoint_every: int = 0,
     crash_frames: Optional[Dict[int, int]] = None,
     max_restarts: int = 3,
-) -> Tuple[dict, PoolRunReport]:
+) -> Tuple[FleetScenarioResult, PoolRunReport]:
     """Run every shard of a plan on the pool and merge them as they arrive.
 
     Each shard is one ``"scenario-shard"`` pool task of
     :func:`_run_scenario_shard`, keyed for warm reuse by its fingerprint
     when ``warm``, with ``crash_frames[shard.index]`` as its injected
     crash.  The run owns a fresh temporary spool, removed when the run
-    ends, whether it succeeded or not.  Returns the
-    :class:`~repro.runtime.fleet.FleetScenarioResult` fields and the pool's
+    ends, whether it succeeded or not.  Returns the run's
+    :class:`~repro.runtime.fleet.FleetScenarioResult` and the pool's
     :class:`~repro.runtime.pool.PoolRunReport`.
     """
     total = len(assignments)
@@ -576,7 +574,7 @@ def _run_shards(
             elapsed_s = time.perf_counter() - start_time
         finally:
             shutil.rmtree(spool, ignore_errors=True)
-    fields = dict(
+    result = FleetScenarioResult(
         scenario=scenario,
         assignments=assignments,
         shards=shards,
@@ -585,7 +583,7 @@ def _run_shards(
         elapsed_s=elapsed_s,
         degraded=degraded,
     )
-    return fields, report
+    return result, report
 
 
 def run_sharded_scenario(
@@ -620,96 +618,15 @@ def run_sharded_scenario(
     )
     if len(shards) == 1:
         return run_fleet_scenario(scenario, num_sessions)
-    fields, _ = _run_shards(
+    result, _ = _run_shards(
         scenario, assignments, shards, "runtime.run_sharded_scenario", warm=True
     )
-    return FleetScenarioResult(**fields)
-
-
-def _sharded_cell_spec(
-    setting: "ExperimentSetting",
-    method: str,
-    num_sessions: int,
-    num_shards: int,
-) -> "ScenarioSpec":
-    """The one-member scenario of a cell, checked for a ``num_shards`` run.
-
-    Shared by :func:`run_sharded_fleet` and the CLI's cell mode, so both
-    refuse the same inputs: a shard count below one, an empty fleet, and a
-    ``lotus-fleet`` cell split across more than one shard.
-    """
-    if num_shards < 1:
-        raise ShardError(f"num_shards must be >= 1, got {num_shards}")
-    if num_sessions <= 0:
-        raise ShardError("num_sessions must be positive")
-    if method == "lotus-fleet" and num_shards > 1:
-        raise ShardError(
-            "lotus-fleet trains one shared network across the whole fleet and "
-            "cannot be split across shards; run with --shards 1, or shard a "
-            "scenario whose lotus-fleet members are smaller than the fleet"
-        )
-    return _cell_spec(setting, method, num_sessions)
-
-
-def run_sharded_fleet(
-    setting: "ExperimentSetting",
-    method: str,
-    num_sessions: int,
-    num_shards: int,
-) -> FleetRunResult:
-    """Run one homogeneous (setting, method) fleet cell across shards.
-
-    The sharded counterpart of :func:`repro.runtime.fleet.run_fleet`,
-    returning the same :class:`~repro.runtime.fleet.FleetRunResult` with a
-    byte-identical ``fleet_trace``.  The cell is the one-member scenario of
-    its setting (:func:`repro.runtime.fleet._cell_spec`) and runs through
-    :func:`run_sharded_scenario`.  ``lotus-fleet`` (one shared network
-    across the whole fleet) cannot be divided and is refused for
-    ``num_shards > 1``.
-    """
-    cell = _sharded_cell_spec(setting, method, num_sessions, num_shards)
-    result = run_sharded_scenario(cell, num_shards)
-    return _cell_result(setting, method, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # Supervised execution: crash detection and checkpoint recovery
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RecoveryReport:
-    """What the supervisor observed and did about worker deaths.
-
-    Attributes:
-        crashes_detected: Worker deaths the supervisor observed (injected
-            crashes and real ones look identical: an EOF on the worker's
-            pipe).
-        restarts: Shard executions that were resubmitted after a death.
-        recovered_shards: Indices of shards that completed only after at
-            least one restart.
-        checkpoint_every: The periodic checkpoint interval (frames) the
-            workers spooled at.
-        recovery_s: Wall-clock seconds spent re-running shards after the
-            first detected death (zero for a clean run).
-    """
-
-    crashes_detected: int
-    restarts: int
-    recovered_shards: Tuple[int, ...]
-    checkpoint_every: int
-    recovery_s: float
-
-
-@dataclass(frozen=True)
-class SupervisedScenarioResult(FleetScenarioResult):
-    """Outcome of one supervised (fault-tolerant) sharded run of a scenario.
-
-    Carries everything :class:`~repro.runtime.fleet.FleetScenarioResult`
-    does, plus the supervisor's :class:`RecoveryReport`.
-    """
-
-    recovery: RecoveryReport = field(kw_only=True)
 
 
 def run_supervised_scenario(
@@ -720,7 +637,7 @@ def run_supervised_scenario(
     checkpoint_every: int = 25,
     crashes: Sequence[WorkerCrash] = (),
     max_restarts: int = 3,
-) -> SupervisedScenarioResult:
+) -> FleetScenarioResult:
     """Run a sharded scenario under a crash-recovering supervisor.
 
     The fault-tolerant counterpart of :func:`run_sharded_scenario`, on the
@@ -738,7 +655,9 @@ def run_supervised_scenario(
     uninterrupted run of the same scenario.  Finished shards are merged as
     they arrive, through the same :class:`_ShardMerge` as
     :func:`run_sharded_scenario`, so a shard that finishes before a
-    crashed one is merged while the crashed one replays.
+    crashed one is merged while the crashed one replays.  The result is
+    the same :class:`~repro.runtime.fleet.FleetScenarioResult`, with its
+    ``recovery`` field holding what the supervisor saw.
 
     Each run owns a fresh temporary spool (checkpoints, crash markers and
     shard stores), removed when the run ends, whether it succeeded or not.
@@ -778,7 +697,7 @@ def run_supervised_scenario(
             crash.frame if frame is None else min(frame, crash.frame)
         )
 
-    fields, run_report = _run_shards(
+    result, run_report = _run_shards(
         scenario,
         assignments,
         shards,
@@ -801,4 +720,4 @@ def run_supervised_scenario(
         recovery_s=recovery_s,
     )
     _obs.record_report("recovery.report", recovery)
-    return SupervisedScenarioResult(**fields, recovery=recovery)
+    return replace(result, recovery=recovery)

@@ -458,9 +458,11 @@ def test_sharded_run_keeps_the_degraded_mask(num_shards):
     sharded = run_sharded_scenario(
         scenario, num_shards, num_frames=12, num_sessions=4
     )
-    expected = resilience_report(reference).degraded_cells
-    assert expected > 0
-    assert resilience_report(sharded).degraded_cells == expected
+    assert reference.recovery is None and sharded.recovery is None
+    expected = resilience_report(reference)
+    assert expected.degraded_cells > 0
+    assert expected.crashes_detected == 0 and expected.restarts == 0
+    assert resilience_report(sharded) == expected
     assert np.array_equal(sharded.degraded, reference.degraded)
 
 

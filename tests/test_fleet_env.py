@@ -45,6 +45,7 @@ from repro.kernels.build import (
     RESULT_INTS,
 )
 from repro.runtime.fleet import (
+    cell_scenario,
     make_fleet_environment,
     make_fleet_policy,
     run_fleet,
@@ -348,8 +349,21 @@ def test_run_fleet_packages_session_results():
     assert result.aggregate_frames_per_second > 0
     # lotus-fleet trains one shared network across sessions.
     fleet_lotus = run_fleet(ExperimentSetting(num_frames=25, seed=0), "lotus-fleet", 4)
-    assert fleet_lotus.policy_name == "lotus-fleet"
+    assert fleet_lotus.sessions[0].policy_name == "lotus-fleet"
     assert len(fleet_lotus.sessions[0].losses) > 0
+
+
+def test_fleet_cells_refuse_a_warm_up_they_would_drop():
+    """A fleet has no warm-up phase, so a setting that asks for one (Table 1
+    trains for 1800 frames) is refused rather than run without it."""
+    setting = ExperimentSetting(num_frames=10, training_frames=1800, seed=0)
+    for build in (
+        lambda: cell_scenario(setting, "lotus", 2),
+        lambda: run_fleet(setting, "lotus", 2),
+        lambda: make_fleet_environment(setting, 2),
+    ):
+        with pytest.raises(ExperimentError, match="training_frames=1800.*execute_setting"):
+            build()
 
 
 def test_batched_default_governor_registry_falls_back():

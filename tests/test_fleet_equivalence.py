@@ -53,9 +53,10 @@ from repro.hardware.fleet import DeviceFleet
 from repro.kernels import FAMILIES, resolve
 from repro.policies.checkpoint import checkpoint_from_policy
 from repro.runtime.fleet import (
-    _cell_spec,
+    FleetScenarioResult,
     _resolve_scenario,
     _session_groups,
+    cell_scenario,
     make_fleet_environment,
     make_fleet_policy,
     run_fleet,
@@ -323,6 +324,18 @@ def test_sharded_scenario_run_matches_pinned_digest(entry):
     assert scenario_result_digest(result) == PINNED_SCENARIO_RUN_DIGESTS[entry]
 
 
+@pytest.mark.parametrize("method", sorted(PINNED_RUN_FLEET_DIGESTS))
+def test_run_fleet_is_the_run_of_its_cell_scenario(method):
+    """``run_fleet`` returns its cell scenario's result, field for field."""
+    setting = ExperimentSetting(num_frames=24, seed=0)
+    result = run_fleet(setting, method, 4)
+    assert type(result) is FleetScenarioResult
+    assert result.recovery is None
+    assert result.scenario.name == f"{method}-cell"
+    reference = run_fleet_scenario(cell_scenario(setting, method, 4))
+    assert scenario_result_digest(result) == scenario_result_digest(reference)
+
+
 #: SHA-256 over the float64 bits of every :class:`EpisodeMetrics` field of
 #: ``metrics`` then ``steady_metrics``, session by session
 #: (:func:`_session_metrics_digest`).  ``run_fleet`` entries pin the same
@@ -495,7 +508,7 @@ def _observed_run(entry) -> tuple:
     if entry == "mixed-edge-fleet-governed":
         scenario, sessions = _governed_mixed_edge_fleet(), 12
     else:
-        scenario = _cell_spec(ExperimentSetting(num_frames=20, seed=0), entry, 4)
+        scenario = cell_scenario(ExperimentSetting(num_frames=20, seed=0), entry, 4)
         sessions = 4
     scenario = _resolve_scenario(scenario, 20)
     digest = hashlib.sha256()

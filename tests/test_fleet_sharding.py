@@ -8,10 +8,12 @@ single-process run — for every registered scenario, any shard count
 and homogeneous cells.  Floating-point columns are compared through their
 int64 bit patterns, so even a sign-of-zero or ULP difference fails.
 
-The planner's one structural rule is also enforced here: a maximal run of
-consecutive same-member ``lotus-fleet`` sessions (one shared network) is an
-atom no shard boundary may cut, and the homogeneous ``lotus-fleet`` cell
-refuses ``num_shards > 1`` with a typed :class:`~repro.errors.ShardError`.
+A homogeneous cell shards as its one-member scenario
+(``run_sharded_scenario(cell_scenario(...), k)``).  The planner's one
+structural rule is also enforced here: a maximal run of consecutive
+same-member ``lotus-fleet`` sessions (one shared network) is an atom no
+shard boundary may cut, so a ``lotus-fleet`` cell runs as one shard however
+many are asked for.
 """
 
 from __future__ import annotations
@@ -22,12 +24,13 @@ import pytest
 from repro.analysis.experiments import ExperimentSetting
 from repro.env.fleet import _FRAME_RESULT_ARRAY_FIELDS
 from repro.env.trace import COLUMN_DTYPES
-from repro.errors import ShardError
+from repro.errors import ExperimentError, ShardError
 from repro.faults import FaultPlan, SensorDropout, WorkerCrash
 from repro.runtime.fleet import (
     FleetScenarioResult,
     ShardPlan,
     _resolve_scenario,
+    cell_scenario,
     run_fleet,
     run_fleet_scenario,
 )
@@ -37,7 +40,6 @@ from repro.runtime.shards import (
     _run_scenario_shard,
     _ShardMerge,
     plan_shards,
-    run_sharded_fleet,
     run_sharded_scenario,
     run_supervised_scenario,
 )
@@ -284,9 +286,11 @@ class TestCellSharding:
     def test_shard_counts_including_more_than_sessions(self, shards):
         setting = ExperimentSetting(num_frames=10, seed=4)
         reference = run_fleet(setting, "lotus", 5)
-        sharded = run_sharded_fleet(setting, "lotus", 5, shards)
+        sharded = run_sharded_scenario(cell_scenario(setting, "lotus", 5), shards)
         assert_traces_identical(sharded.fleet_trace, reference.fleet_trace)
-        assert sharded.policy_name == reference.policy_name
+        assert [s.policy_name for s in sharded.sessions] == [
+            s.policy_name for s in reference.sessions
+        ]
         for mine, theirs in zip(sharded.sessions, reference.sessions):
             assert mine.losses == theirs.losses
             assert mine.rewards == theirs.rewards
@@ -294,15 +298,21 @@ class TestCellSharding:
     def test_governor_cell_matches_across_shards(self):
         setting = ExperimentSetting(num_frames=8, seed=0)
         reference = run_fleet(setting, "default", 9)
-        sharded = run_sharded_fleet(setting, "default", 9, 3)
+        sharded = run_sharded_scenario(cell_scenario(setting, "default", 9), 3)
+        assert sharded.num_shards == 3
         assert_traces_identical(sharded.fleet_trace, reference.fleet_trace)
 
-    def test_lotus_fleet_cell_refuses_multiple_shards(self):
+    def test_lotus_fleet_cell_runs_as_one_shard(self):
+        """The planner never splits the one shared network: a library caller
+        asking for more shards gets fewer, never a split (the CLI refuses
+        the request instead, see ``tests/test_runtime_cli.py``)."""
         setting = ExperimentSetting(num_frames=8, seed=0)
-        with pytest.raises(ShardError, match="cannot be split across shards"):
-            run_sharded_fleet(setting, "lotus-fleet", 6, 2)
+        result = run_sharded_scenario(cell_scenario(setting, "lotus-fleet", 6), 2)
+        assert result.num_shards == 1
+        reference = run_fleet(setting, "lotus-fleet", 6)
+        assert scenario_result_digest(result) == scenario_result_digest(reference)
         # A single shard is the degenerate case and stays allowed.
-        result = run_sharded_fleet(setting, "lotus-fleet", 3, 1)
+        result = run_sharded_scenario(cell_scenario(setting, "lotus-fleet", 3), 1)
         reference = run_fleet(setting, "lotus-fleet", 3)
         assert_traces_identical(result.fleet_trace, reference.fleet_trace)
 
@@ -377,6 +387,8 @@ class TestShardPlanner:
             plan_shards([], 2)
         setting = ExperimentSetting(num_frames=4, seed=0)
         with pytest.raises(ShardError, match="num_shards"):
-            run_sharded_fleet(setting, "default", 4, 0)
-        with pytest.raises(ShardError, match="positive"):
-            run_sharded_fleet(setting, "default", 0, 1)
+            run_sharded_scenario(cell_scenario(setting, "default", 4), 0)
+        # An empty cell is refused where the cell is built, as run_fleet
+        # refuses it.
+        with pytest.raises(ExperimentError, match="num_sessions must be positive"):
+            run_sharded_scenario(cell_scenario(setting, "default", 0), 1)

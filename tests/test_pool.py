@@ -35,8 +35,8 @@ from repro.faults import FaultPlan, SensorDropout, WorkerCrash
 from repro.runtime import (
     ExperimentJob,
     ExperimentRuntime,
+    cell_scenario,
     run_fleet_scenario,
-    run_sharded_fleet,
     run_sharded_scenario,
     run_supervised_scenario,
 )
@@ -84,8 +84,10 @@ def _episode_menu():
         lambda: run_sharded_scenario(
             "mixed-edge-fleet", SHARDS, num_sessions=SESSIONS, num_frames=8
         ).fleet_trace,
-        lambda: run_sharded_fleet(setting, "default", 6, SHARDS).fleet_trace,
-        lambda: run_sharded_fleet(setting, "ztt", 5, SHARDS).fleet_trace,
+        lambda: run_sharded_scenario(
+            cell_scenario(setting, "default", 6), SHARDS
+        ).fleet_trace,
+        lambda: run_sharded_scenario(cell_scenario(setting, "ztt", 5), SHARDS).fleet_trace,
         lambda: run_supervised_scenario(
             build_scenario("cctv-burst").with_faults(_dropout_plan()),
             SHARDS,

@@ -272,7 +272,23 @@ def test_cli_fleet_rejects_training_frames(capsys):
     assert main([
         "fleet", "--method", "lotus", "--frames", "5", "--training-frames", "10",
     ]) == 2
-    assert "no pre-evaluation warm-up" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "no pre-evaluation warm-up" in err
+    assert "drop --training-frames" in err
+
+
+def test_cli_fleet_refuses_a_lotus_fleet_cell_over_several_shards(capsys):
+    """The library runs such a cell as one shard; the CLI refuses the
+    request outright, since the user asked for a split it cannot make."""
+    assert main([
+        "fleet", "run", "--method", "lotus-fleet", "--sessions", "6",
+        "--frames", "5", "--shards", "2",
+    ]) == 2
+    assert capsys.readouterr().err == (
+        "error: lotus-fleet trains one shared network across the whole fleet "
+        "and cannot be split across shards; run with --shards 1, or shard a "
+        "scenario whose lotus-fleet members are smaller than the fleet\n"
+    )
 
 
 def test_cli_devices_lists_registered_devices(capsys):

@@ -75,9 +75,24 @@ EOF
         <(grep '^session' "$out/cell-restart-smoke.txt")
     # The plain sharded run (same shard runner, no checkpoints, the plan's
     # worker crash ignored) must equal the supervised one.
-    python -m repro "${cell[@]}" | tee "$out/cell-plain-smoke.txt"
+    python -m repro "${cell[@]}" --report "$out/cell-plain-resilience.json" \
+        | tee "$out/cell-plain-smoke.txt"
     cmp <(grep '^session' "$out/cell-fault-smoke.txt") \
         <(grep '^session' "$out/cell-plain-smoke.txt")
+    # Both runs return one result type carrying the same degraded mask, so
+    # their resilience reports differ only in the supervisor's figures.
+    python - "$out/cell-resilience.json" "$out/cell-plain-resilience.json" <<'PY'
+import json
+import sys
+
+supervised, plain = (json.load(open(path)) for path in sys.argv[1:])
+assert plain["crashes_detected"] == 0, plain
+assert plain["degraded_cells"] > 0, plain
+for report in (supervised, plain):
+    for key in ("crashes_detected", "restarts", "recovery_s"):
+        del report[key]
+assert supervised == plain, (supervised, plain)
+PY
 }
 
 smoke_fused_kill_switch() {
